@@ -165,10 +165,10 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     control = coordinate(6, 3, "q1-control")
     report = monitor(traj, obs + [control])
 
+    obs_values = np.real(report.values[:, :len(obs)])
     rows = []
-    for t, z in zip(traj.times, traj.states):
-        vals = [t] + list(np.real(z)) + [np.real(o(z)) for o in obs]
-        rows.append([_fmt(v) for v in vals])
+    for t, z, vals in zip(traj.times, traj.states, obs_values):
+        rows.append([_fmt(v) for v in [t] + list(np.real(z)) + list(vals)])
     header = (["t"] + [f"p{i}" for i in (1, 2, 3)] + [f"q{i}" for i in (1, 2, 3)]
               + [o.name for o in obs])
 
@@ -187,8 +187,7 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     conserved_drift = max(d for name, d, _ in drifts if name != "q1-control")
     if conserved_drift > TOL.orbit_drift:
         flags.append("tolerance-failure")
-    svg = {o.name: (traj.times, [np.real(o(z)) for z in traj.states])
-           for o in obs[:3]}
+    svg = {o.name: (traj.times, obs_values[:, i]) for i, o in enumerate(obs[:3])}
     return ScenarioResult(
         csv_header=header, csv_rows=rows, drifts=drifts,
         residuals=[("orthogonality-(M,A)", ma_res),
@@ -319,17 +318,13 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     observables = double.projection_invariants(n, family)
     report = monitor(traj, observables)
 
-    rows = []
-    series = {}
     stride = max(1, len(traj.times) // 200)
-    for t, z in zip(traj.times[::stride], traj.states[::stride]):
-        vals = [o(z) for o in observables]
-        rows.append([_fmt(t)] + [_fmt(v) for pair in
-                                 ((np.real(v), np.imag(v)) for v in vals)
-                                 for v in pair])
-    for o in observables[:2]:
-        series[o.name] = (list(traj.times[::stride]),
-                          [float(np.real(o(z))) for z in traj.states[::stride]])
+    times = traj.times[::stride]
+    values = report.values[::stride]
+    # columns re(o1), im(o1), re(o2), ... for every sampled state
+    pairs = np.stack([np.real(values), np.imag(values)], axis=-1).reshape(len(times), -1)
+    rows = [[_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(times, pairs)]
+    series = {o.name: (times, np.real(values[:, i])) for i, o in enumerate(observables[:2])}
 
     drifts = list(zip(report.names, report.max_abs_drift, report.max_rel_drift))
     flags = list(report.flags)

@@ -398,25 +398,30 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
     if family == "cm":
         def aux(z):
             x, y = _block(z, n, "x"), _block(z, n, "y")
-            return x, y @ np.linalg.inv(x) @ np.linalg.inv(y)
+            return y @ np.linalg.inv(x) @ np.linalg.inv(y)
     elif family == "ruijsenaars":
         def aux(z):
             x, y = _block(z, n, "x"), _block(z, n, "y")
-            return y, x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
+            return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
     else:
         raise ValueError(f"unknown family {family!r}")
 
     main_label = "x" if family == "cm" else "y"
     aux_label = "mu~" if family == "cm" else "mu"
+
+    def main(z):
+        return _block(z, n, main_label)
+
+    # each invariant evaluates aux(z), and so inverts x and y, at most once
     for k in range(1, kmax + 1):
         add(f"tr({main_label}^{k})",
-            lambda z, k=k: np.trace(np.linalg.matrix_power(aux(z)[0], k)))
+            lambda z, k=k: np.trace(np.linalg.matrix_power(main(z), k)))
         add(f"tr({aux_label}^{k})",
-            lambda z, k=k: np.trace(np.linalg.matrix_power(aux(z)[1], k)))
+            lambda z, k=k: np.trace(np.linalg.matrix_power(aux(z), k)))
     add(f"tr({main_label} {aux_label})",
-        lambda z: np.trace(aux(z)[0] @ aux(z)[1]))
+        lambda z: np.trace(main(z) @ aux(z)))
     add(f"tr({main_label}^2 {aux_label})",
-        lambda z: np.trace(aux(z)[0] @ aux(z)[0] @ aux(z)[1]))
+        lambda z: np.trace(main(z) @ main(z) @ aux(z)))
     return obs
 
 

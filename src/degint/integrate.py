@@ -34,12 +34,16 @@ class Trajectory:
 class ConservationReport:
     """Per-trajectory record of conserved-quantity drift.
 
-    ``max_rel_drift`` scales each drift by max(1, |initial value|).  Flags
-    are inherited from the trajectory (collision, factorization-divisor,
-    tolerance-failure) plus any added by the caller.
+    ``values[s, o]`` is observable ``o`` at stored state ``s``, evaluated
+    once; callers that tabulate or plot the observables read it rather than
+    evaluating them again.  ``max_rel_drift`` scales each drift by
+    max(1, |initial value|).  Flags are inherited from the trajectory
+    (collision, factorization-divisor, tolerance-failure) plus any added by
+    the caller.
     """
 
     names: tuple
+    values: np.ndarray           # (states, observables)
     initial: np.ndarray
     max_abs_drift: np.ndarray
     max_rel_drift: np.ndarray
@@ -178,6 +182,7 @@ def monitor(trajectory: Trajectory,
     max_rel = max_abs / np.maximum(1.0, np.abs(initial))
     return ConservationReport(
         names=names,
+        values=values,
         initial=initial,
         max_abs_drift=max_abs,
         max_rel_drift=max_rel,

@@ -279,48 +279,67 @@ def _unit(n, i, j):
     return m
 
 
-def _flip(n):
-    P = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            P[i * n + j, j * n + i] = 1.0
-    return P
-
-
-def _entry_block(B, n):
-    # B[(i,k),(j,l)] = {a_ij, b_kl}  ->  block[(i,j),(k,l)]
-    return B.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-
-
 def chart_heisenberg_double(n: int) -> PoissonChart:
     """Bracket chart on pairs (x, y) of invertible matrices, 2n^2 coordinates.
 
-    The point is [vec(x), vec(y)] row-major.  The bivector is assembled
-    entrywise from the three r-matrix relations
+    The point is [vec(x), vec(y)] row-major.  The bivector is the r-matrix
+    bracket
 
         {x1, x2} =  r12 x1 x2 - x1 x2 r21 + x1 r21 x2 - x2 r12 x1
         {x1, y2} = -r21 x1 y2 - x1 y2 r21 + x1 r21 y2 - y2 r12 x1
         {y1, y2} =  r12 y1 y2 - y1 y2 r21 + y1 r21 y2 - y2 r12 y1
 
-    in the tensor square, with the standard r-matrix.  The y-x block is the
-    negative transpose of the x-y block.  Antisymmetry self-check is enabled.
-    """
-    r = standard_r(n)
-    r21 = _flip(n) @ r @ _flip(n)
-    eye = np.eye(n)
+    in the tensor square, with the standard r-matrix
+    r = sum_{i<k} E_ik (x) E_ki + 1/2 sum_a E_aa (x) E_aa - (1/2n) I.
+    It is evaluated in closed form rather than as n^2 x n^2 products.
+    Write a block as {a1, b2} with (a, b) = (x, x), (x, y) or (y, y),
+    M[i,k,j,l] = a_ij b_kl, u_ik = [i<k] + 1/2 delta_ik, and
+    {a_ij, b_kl} for the entry of row (i,k), column (j,l).  Because r has
+    O(n^2) non-zeros, each product with r is a masked transpose:
 
-    def biv(z, n=n, r=r, r21=r21, eye=eye):
-        x = z[:n * n].reshape(n, n)
-        y = z[n * n:].reshape(n, n)
-        X1, X2 = np.kron(x, eye), np.kron(eye, x)
-        Y1, Y2 = np.kron(y, eye), np.kron(eye, y)
-        Bxx = r @ X1 @ X2 - X1 @ X2 @ r21 + X1 @ r21 @ X2 - X2 @ r @ X1
-        Bxy = -r21 @ X1 @ Y2 - X1 @ Y2 @ r21 + X1 @ r21 @ Y2 - Y2 @ r @ X1
-        Byy = r @ Y1 @ Y2 - Y1 @ Y2 @ r21 + Y1 @ r21 @ Y2 - Y2 @ r @ Y1
-        Pxx = _entry_block(Bxx, n)
-        Pxy = _entry_block(Bxy, n)
-        Pyy = _entry_block(Byy, n)
-        return np.block([[Pxx, Pxy], [-Pxy.T, Pyy]])
+        (r M)[ik,jl]   =  u_ik M[k,i,j,l] - (1/2n) M[i,k,j,l]
+        (r21 M)[ik,jl] =  u_ki M[k,i,j,l] - (1/2n) M[i,k,j,l]
+        (M r21)[ik,jl] =  u_jl M[i,k,l,j] - (1/2n) M[i,k,j,l]
+
+    and the two sandwich terms are supported on a diagonal:
+
+        (a1 r21 b2)[ik,jl] =  delta_kj sum_m u_km a_im b_ml - (1/2n) a_ij b_kl
+        (b2 r12 a1)[ik,jl] =  delta_il sum_m u_im b_km a_mj - (1/2n) a_ij b_kl
+
+    The (1/2n) parts cancel in the x-x and y-y blocks and leave
+    +(1/n) x_ij y_kl in the x-y block.  All three blocks are computed in one
+    pass over a leading axis of length 3; the y-x block is the negative
+    transpose of the x-y block.  Antisymmetry self-check is enabled.
+    """
+    m = n * n
+    d = np.arange(n)
+    u = np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
+    # per block: the left r-factor mask (r for x-x and y-y, -r21 for x-y),
+    # the right -r21 mask, and the surviving (1/2n) multiple of M
+    left = np.stack([u, -u.T, u])[:, :, None, :, None]
+    right = u[None, None, :, None, :]
+    trace_part = np.array([0.0, 1.0 / n, 0.0])[:, None, None, None, None]
+
+    def biv(z, n=n, m=m, d=d, u=u, left=left, right=right, trace_part=trace_part):
+        xy = z.reshape(2, n, n)
+        a = xy[[0, 0, 1]]           # x, x, y
+        b = xy[[0, 1, 1]]           # x, y, y
+        # Q[s,i,j,k,l] = {a_ij, b_kl} of block s; N[s,i,j,k,l] = a_ij b_kl
+        N = a[:, :, :, None, None] * b[:, None, None, :, :]
+        Q = (left * N.transpose(0, 3, 2, 1, 4)
+             - right * N.transpose(0, 1, 4, 3, 2)
+             + trace_part * N)
+        # sandwich terms: a1 r21 b2 on the diagonal j = k, b2 r12 a1 on l = i
+        Q[:, :, d, d, :] += (a[:, :, None, :] * u) @ b[:, None]
+        b2ra1 = (u[:, None, :] * b[:, None]) @ a[:, None]       # [s,i,k,j]
+        Q[:, d, :, :, d] -= b2ra1.transpose(1, 0, 3, 2)
+        Q = Q.reshape(3, m, m)
+        P = np.empty((2 * m, 2 * m), dtype=complex)
+        P[:m, :m] = Q[0]
+        P[:m, m:] = Q[1]
+        P[m:, :m] = -Q[1].T
+        P[m:, m:] = Q[2]
+        return P
 
     labels = (tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
               + tuple(f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)))

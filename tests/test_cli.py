@@ -1,15 +1,20 @@
 """CLI tests: scenario wiring, exit codes, output files, determinism."""
 
+import dataclasses
 import json
 import os
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from degint import cli, double
 from degint.cli import (
     SCENARIOS,
     ScenarioConfig,
     _config_from_args,
     _build_parser,
+    _fmt,
     list_scenarios,
     main,
 )
@@ -126,6 +131,7 @@ class TestDeterminism:
         ("kepler", ["--t-max", "1.0"]),
         ("ruijsenaars-rational", ["--samples", "8"]),
         ("verify-brackets", ["--samples", "5"]),
+        ("relativistic-ruijsenaars", ["--t-max", "0.05", "--samples", "2"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, scenario, extra):
         paths = []
@@ -154,3 +160,40 @@ class TestDeterminism:
             del os.environ["DEGINT_THREADS"]
         assert csv1.read_bytes() == csv2.read_bytes()
         assert js1.read_bytes() == js2.read_bytes()
+
+
+class TestSingleEvaluation:
+    def test_flow_report_evaluates_each_invariant_once_per_state(
+            self, tmp_path, monkeypatch):
+        """The CSV rows come from the monitor's values, not from evaluating
+        the projection invariants again."""
+        calls = Counter()
+        reports = []
+        make_invariants = double.projection_invariants
+        run_monitor = cli.monitor
+
+        def counted(o):
+            def fn(z):
+                calls[o.name] += 1
+                return o.fn(z)
+            return dataclasses.replace(o, fn=fn)
+
+        def recorded(*args):
+            reports.append(run_monitor(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(double, "projection_invariants",
+                            lambda *a: [counted(o) for o in make_invariants(*a)])
+        monkeypatch.setattr(cli, "monitor", recorded)
+        csv = tmp_path / "r.csv"
+        assert main(["--scenario", "relativistic-ruijsenaars", "--n", "3",
+                     "--t-max", "0.2", "--dt", "1e-3", "--samples", "2",
+                     "--seed", "0", "--out-csv", str(csv)]) == 0
+
+        assert len(calls) == 6 and set(calls.values()) == {201}
+        values = reports[0].values
+        assert values.shape == (201, 6)
+        rows = [line.split(",")[1:] for line in csv.read_text().splitlines()[1:]]
+        expected = [[_fmt(part(v)) for v in row for part in (np.real, np.imag)]
+                    for row in values]
+        assert rows == expected

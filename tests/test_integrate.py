@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from degint.double import trace_power_observable
 from degint.integrate import adaptive, monitor, rk4
-from degint.poisson import Observable, chart_canonical, coordinate
+from degint.poisson import (
+    Observable,
+    PoissonChart,
+    chart_canonical,
+    chart_heisenberg_double,
+    coordinate,
+)
 
 RNG = np.random.default_rng(2)
 
@@ -66,6 +73,23 @@ class TestRK4:
                    guard=lambda z: "collision" if abs(z[1]) > 0.5 else None)
         assert "collision" in traj.flags
         assert traj.times[-1] < 10.0
+
+    def test_four_bivector_evaluations_per_step(self, monkeypatch):
+        calls = []
+        pi = PoissonChart.pi
+
+        def counted(chart, x):
+            calls.append(chart.name)
+            return pi(chart, x)
+
+        monkeypatch.setattr(PoissonChart, "pi", counted)
+        n, steps = 3, 25
+        x0 = np.concatenate([np.eye(n).ravel(), np.eye(n).ravel()]).astype(complex)
+        x0[1] = x0[n * n + 3] = 0.2
+        traj = rk4(chart_heisenberg_double(n), trace_power_observable(n, "y", 1),
+                   x0, t_max=steps * 1e-3, dt=1e-3)
+        assert traj.accepted_steps == steps
+        assert calls == ["heisenberg-double(n=3)"] * (4 * steps)
 
 
 class TestAdaptive:

@@ -243,7 +243,51 @@ class TestStandardR:
         assert np.abs(cybe).max() < 1e-14
 
 
+def _flip(n):
+    P = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            P[i * n + j, j * n + i] = 1.0
+    return P
+
+
+def _entry_block(B, n):
+    # B[(i,k),(j,l)] = {a_ij, b_kl}  ->  block[(i,j),(k,l)]
+    return B.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def heisenberg_kron_oracle(n, z):
+    """The Heisenberg-double bivector assembled from n^2 x n^2 Kronecker
+    products of the r-matrix relations; reference for the closed form."""
+    r = standard_r(n)
+    r21 = _flip(n) @ r @ _flip(n)
+    eye = np.eye(n)
+    x = z[:n * n].reshape(n, n)
+    y = z[n * n:].reshape(n, n)
+    X1, X2 = np.kron(x, eye), np.kron(eye, x)
+    Y1, Y2 = np.kron(y, eye), np.kron(eye, y)
+    Bxx = r @ X1 @ X2 - X1 @ X2 @ r21 + X1 @ r21 @ X2 - X2 @ r @ X1
+    Bxy = -r21 @ X1 @ Y2 - X1 @ Y2 @ r21 + X1 @ r21 @ Y2 - Y2 @ r @ X1
+    Byy = r @ Y1 @ Y2 - Y1 @ Y2 @ r21 + Y1 @ r21 @ Y2 - Y2 @ r @ Y1
+    Pxx = _entry_block(Bxx, n)
+    Pxy = _entry_block(Bxy, n)
+    Pyy = _entry_block(Byy, n)
+    return np.block([[Pxx, Pxy], [-Pxy.T, Pyy]])
+
+
 class TestHeisenbergDouble:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_matches_kron_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        chart = chart_heisenberg_double(n)
+        for _ in range(3):
+            x, y = (np.eye(n) + 0.3 * (rng.normal(size=(n, n))
+                                       + 1j * rng.normal(size=(n, n)))
+                    for _ in range(2))
+            z = np.concatenate([x.ravel(), y.ravel()])
+            ref = heisenberg_kron_oracle(n, z)
+            assert np.abs(chart.pi(z) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_antisymmetry_selfcheck(self):
         chart = chart_heisenberg_double(2)
         for _ in range(5):
