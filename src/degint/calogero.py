@@ -52,12 +52,59 @@ def _check_traceless(v, name):
 
 
 def _check_distinct(h, gap=1e-8):
-    n = len(h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(h[i] - h[j]) < gap:
-                raise SingularChartPoint(
-                    f"positions {i} and {j} closer than {gap:g}")
+    close = np.abs(h[:, None] - h[None, :]) < gap
+    np.fill_diagonal(close, False)
+    if close.any():
+        i, j = np.argwhere(close)[0]        # row-major, so i < j
+        raise SingularChartPoint(f"positions {i} and {j} closer than {gap:g}")
+
+
+# ----------------------------------------------------------------------
+# rank-1 kernels shared with the relativistic systems in ``double``
+# ----------------------------------------------------------------------
+
+def _cauchy_solve(den, label: str) -> np.ndarray:
+    """Solve sum_i w_i / den[j, i] = 1 for every j by a dense solve.
+
+    Rejects |den| < 1e-10 and checks the residual against
+    ``TOL.oracle_residual * max(1, |w|)``; ``label`` names the denominator
+    in the error messages.
+    """
+    if np.abs(den).min() < 1e-10:
+        raise SingularChartPoint(f"vanishing denominator {label}")
+    C = 1.0 / den
+    w = np.linalg.solve(C, np.ones(len(den), dtype=complex))
+    residual = np.abs(C @ w - 1.0).max()
+    if residual > TOL.oracle_residual * max(1.0, np.abs(w).max()):
+        raise ConsistencyError(f"solve residual {residual:.3g} ({label})")
+    return w
+
+
+def _ratio(num, den) -> np.ndarray:
+    """R = num / den off the diagonal and 1 on it; the diagonal is never divided."""
+    n = len(num)
+    return np.divide(num, den, out=np.ones((n, n), dtype=complex),
+                     where=~np.eye(n, dtype=bool))
+
+
+def _row_products(num, den) -> np.ndarray:
+    """prod_{j != i} num[i, j] / den[i, j] for every i."""
+    return _ratio(num, den).prod(axis=1)
+
+
+def _pair_products(num, den):
+    """prod_{a in {i, j}, b not in {i, j}} num[a, b] / den[a, b] for every
+    pair i < j; returns (i, j, products) with the pairs in row-major order.
+
+    A masked (pairs x 2n) reduction.  Dividing P_i P_j by R_ij R_ji instead
+    would lose accuracy where num[i, j] or num[j, i] nears zero.
+    """
+    R = _ratio(num, den)
+    b = np.arange(len(R))
+    i, j = np.nonzero(b[:, None] < b)
+    inside = (b == i[:, None]) | (b == j[:, None])
+    factors = np.hstack([np.where(inside, 1.0, R[i]), np.where(inside, 1.0, R[j])])
+    return i, j, factors.prod(axis=1)
 
 
 @dataclass(frozen=True)
@@ -180,27 +227,13 @@ def solve_phi_psi_oracle(h, kappa: complex) -> np.ndarray:
     judged.  Denominators must stay away from zero.
     """
     h = np.asarray(h, dtype=complex).ravel()
-    den = h[None, :] - h[:, None] + kappa   # row j, column i
-    if np.abs(den).min() < 1e-10:
-        raise SingularChartPoint("vanishing denominator h_i - h_j + kappa")
-    C = 1.0 / den
-    w = np.linalg.solve(C, np.ones(len(h), dtype=complex))
-    residual = np.abs(C @ w - 1.0).max()
-    if residual > TOL.oracle_residual * max(1.0, np.abs(w).max()):
-        raise ConsistencyError(f"oracle solve residual {residual:.3g}")
-    return w
+    return _cauchy_solve(h[None, :] - h[:, None] + kappa,   # row j, column i
+                         "h_i - h_j + kappa")
 
 
 def _bare_product(h, kappa):
-    n = len(h)
-    out = np.empty(n, dtype=complex)
-    for i in range(n):
-        f = 1.0 + 0.0j
-        for j in range(n):
-            if j != i:
-                f *= (h[i] - h[j] + kappa) / (h[i] - h[j])
-        out[i] = f
-    return out
+    d = h[:, None] - h[None, :]
+    return _row_products(d + kappa, d)
 
 
 @dataclass(frozen=True)
@@ -255,12 +288,11 @@ class RuijPoint:
         if self.h.shape != self.u.shape:
             raise ValueError("h and u must have the same length")
         _check_distinct(self.h)
-        n = len(self.h)
-        for i in range(n):
-            for j in range(n):
-                if i != j and abs(self.h[i] - self.h[j] + self.kappa) < 1e-8:
-                    raise SingularChartPoint(
-                        "denominator h_i - h_j + kappa too close to zero")
+        near = np.abs(self.h[:, None] - self.h[None, :] + self.kappa) < 1e-8
+        np.fill_diagonal(near, False)
+        if near.any():
+            raise SingularChartPoint(
+                "denominator h_i - h_j + kappa too close to zero")
 
     @property
     def n(self) -> int:
@@ -279,14 +311,10 @@ def reconstruct_g(point: RuijPoint) -> np.ndarray:
     x = diag(h) and mu = 1 w^T - kappa id (w from the oracle) the rebuilt g
     satisfies the defining relation (h_i - h_j) g_ij = sum_k mu_ik g_kj.
     """
-    n = point.n
     gdiag = _g_diagonal(point)
-    g = np.diag(gdiag).astype(complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                g[i, j] = point.kappa * gdiag[j] / (point.h[i] - point.h[j] + point.kappa)
-    return g
+    den = point.h[:, None] - point.h[None, :] + point.kappa
+    return np.divide(point.kappa * gdiag[None, :], den, out=np.diag(gdiag),
+                     where=~np.eye(point.n, dtype=bool))
 
 
 def relation_residual(point: RuijPoint) -> float:
@@ -341,18 +369,9 @@ def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
 
 
 def _h_ruij_product(point: RuijPoint) -> complex:
-    h, u, kappa = point.h, point.u, point.kappa
-    n = point.n
-    total = 0.0 + 0.0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = 1.0 + 0.0j
-            for a in (i, j):
-                for b in range(n):
-                    if b != i and b != j:
-                        prod *= (h[a] - h[b] + kappa) / (h[a] - h[b])
-            total -= u[i] * u[j] * prod
-    return total
+    d = point.h[:, None] - point.h[None, :]
+    i, j, prods = _pair_products(d + point.kappa, d)
+    return -np.sum(point.u[i] * point.u[j] * prods)
 
 
 def h_rational_ruijsenaars(point: RuijPoint) -> complex:
@@ -421,6 +440,24 @@ class FiberSeparationReport:
         return [tuple(ij) for ij in np.argwhere(self.margins <= self.threshold)]
 
 
+def _separation_report(first, second, base1, base2,
+                       threshold: float) -> FiberSeparationReport:
+    """Margins between two sampled fibers, each a list of (a, b) pairs.
+
+    ``base1`` and ``base2`` are the base pair in the first and in the second
+    parametrisation.  The joint invariants are computed once per sample.
+    """
+    base = joint_invariants(*base1)
+
+    def table(fiber):       # (samples, invariants), also for zero samples
+        return np.reshape([joint_invariants(a, b) for a, b in fiber], (-1, len(base)))
+
+    margins = np.abs(table(first)[:, None, :] - table(second)[None, :, :]).max(axis=2)
+    coincident = float(np.abs(base - joint_invariants(*base2)).max())
+    return FiberSeparationReport(margins=margins, threshold=threshold,
+                                 coincident_margin=coincident)
+
+
 def _torus_element(n, rng) -> np.ndarray:
     lam = np.exp(rng.normal(size=n - 1) * 0.4 + 1j * rng.normal(size=n - 1) * 0.4)
     full = np.append(lam, 1.0 / np.prod(lam))
@@ -455,15 +492,7 @@ def duality_fiber_check(x, gamma, samples: int = 4,
         c -= c.mean()
         second.append((x + v @ np.diag(c) @ np.linalg.inv(v), gamma))
 
-    margins = np.empty((samples, samples))
-    for i, (x1, g1) in enumerate(first):
-        inv1 = joint_invariants(x1, g1)
-        for j, (x2, g2) in enumerate(second):
-            margins[i, j] = np.abs(inv1 - joint_invariants(x2, g2)).max()
-
     # z = 1, c = 0: both parametrizations land on the base point
-    base1 = joint_invariants(x, gamma @ np.eye(n))
-    base2 = joint_invariants(x + v @ np.zeros((n, n)) @ np.linalg.inv(v), gamma)
-    coincident = float(np.abs(base1 - base2).max())
-    return FiberSeparationReport(margins=margins, threshold=threshold,
-                                 coincident_margin=coincident)
+    return _separation_report(
+        first, second, (x, gamma @ np.eye(n)),
+        (x + v @ np.zeros((n, n)) @ np.linalg.inv(v), gamma), threshold)

@@ -12,11 +12,10 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure (see the
 """
 
 import argparse
+import cmath
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,6 +58,16 @@ _DEFAULTS = {
     "duality-check": {"n": 2, "samples": 4},
 }
 
+# Smallest n a scenario runs at; the others run at n = 1 (kepler ignores n,
+# duality-check raises it to 2).
+_MIN_N = {"cm-rational": 2, "factorization-flow": 2, "verify-brackets": 2}
+
+# Keys a JSON config file may set; the first nine are ScenarioConfig fields.
+_FIELD_KEYS = ("n", "t_max", "dt", "tol", "seed", "samples",
+               "out_csv", "out_json", "out_svg")
+_CONFIG_KEYS = frozenset(_FIELD_KEYS + ("scenario", "kappa_re", "kappa_im",
+                                        "q_re", "q_im"))
+
 
 @dataclass
 class ScenarioConfig:
@@ -74,15 +83,25 @@ class ScenarioConfig:
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
     out_svg: Optional[str] = None
-    threads: int = 1
 
     def validate(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; choose from "
                 + ", ".join(sorted(SCENARIOS)))
-        if self.n < 1 or self.n > 8:
-            raise ValueError(f"n must be in [1, 8], got {self.n}")
+        for key in ("n", "seed", "samples"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("t_max", "dt", "tol", "kappa", "q"):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, float, complex))
+                    or not cmath.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        n_min = _MIN_N.get(self.scenario, 1)
+        if not n_min <= self.n <= 8:
+            raise ValueError(
+                f"n must be in [{n_min}, 8] for {self.scenario}, got {self.n}")
         if self.t_max < 0:
             raise ValueError("t-max must be nonnegative")
         if self.dt <= 0:
@@ -91,8 +110,6 @@ class ScenarioConfig:
             raise ValueError("tol must lie in [1e-13, 1e-6]")
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        if self.threads < 1:
-            raise ValueError("DEGINT_THREADS must be positive")
 
 
 @dataclass
@@ -246,8 +263,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
         svg_series=series)
 
 
-def _ruij_sample(args):
-    cfg, i = args
+def _ruij_sample(cfg, i):
     rng = _rng_for(cfg, i + 1)
     n = cfg.n
     h = _distinct_h(n, rng)
@@ -265,13 +281,7 @@ def _ruij_sample(args):
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
-    tasks = [(cfg, i) for i in range(cfg.samples)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_ruij_sample, tasks))
-    else:
-        results = [_ruij_sample(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+    results = [_ruij_sample(cfg, i) for i in range(cfg.samples)]
 
     rows = []
     for (i, oracle_res, matched, res_scaled, res_bare, rel_res,
@@ -447,8 +457,7 @@ def _chart_point(chart, rng):
     return _sl_sample(n, rng, 0.3).ravel()
 
 
-def _chart_defects(args):
-    chart, cfg, i = args
+def _chart_defects(chart, cfg, i):
     rng = _rng_for(cfg, i + 1)
     z = _chart_point(chart, rng)
     P = chart.pi(z)
@@ -465,13 +474,7 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
     residuals = []
     flags = []
     for chart in _bracket_suite_charts(cfg.n):
-        tasks = [(chart, cfg, i) for i in range(cfg.samples)]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                out = list(pool.map(_chart_defects, tasks))
-        else:
-            out = [_chart_defects(t) for t in tasks]
-        out.sort(key=lambda r: r[0])
+        out = [_chart_defects(chart, cfg, i) for i in range(cfg.samples)]
         worst = (max(r[1] for r in out), max(r[2] for r in out),
                  max(r[3] for r in out))
         for i, a, j, l in out:
@@ -550,6 +553,10 @@ def _write_json(path, payload):
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+# A value range no wider than this times max(1, |v0|, |v1|) is roundoff and
+# is drawn flat, not stretched to the full plot height.
+_SVG_FLAT_RANGE = 1e-12
+
 
 def _write_svg(path, series):
     """Minimal deterministic polyline plot; no external dependencies."""
@@ -563,7 +570,8 @@ def _write_svg(path, series):
         t0, t1 = min(all_t), max(all_t)
         v0, v1 = min(all_v), max(all_v)
         t1 = t1 if t1 > t0 else t0 + 1.0
-        v1 = v1 if v1 > v0 else v0 + 1.0
+        if v1 - v0 <= _SVG_FLAT_RANGE * max(1.0, abs(v0), abs(v1)):
+            v1 = v0 + 1.0
 
         def sx(t):
             return pad + (width - 2 * pad) * (t - t0) / (t1 - t0)
@@ -675,7 +683,16 @@ def _config_from_args(args) -> ScenarioConfig:
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("a config file must hold a JSON object")
+        unknown = sorted(set(values) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; "
+                             f"choose from {sorted(_CONFIG_KEYS)}")
+        for key in ("scenario", "out_csv", "out_json", "out_svg"):
+            if not isinstance(values.get(key, ""), str):
+                raise ValueError(f"{key} must be a string")
     if args.scenario:
         values["scenario"] = args.scenario
     if "scenario" not in values:
@@ -687,25 +704,26 @@ def _config_from_args(args) -> ScenarioConfig:
     for key, val in defaults.items():
         setattr(cfg, key, val)
 
-    for key in ("n", "t_max", "dt", "tol", "seed", "samples",
-                "out_csv", "out_json", "out_svg"):
-        if key in values and key != "scenario":
+    for key in _FIELD_KEYS:
+        if key in values:
             setattr(cfg, key, values[key])
         arg = getattr(args, key, None)
         if arg is not None:
             setattr(cfg, key, arg)
 
+    def part(key, current):
+        arg = getattr(args, key, None)
+        value = arg if arg is not None else values.get(key, current)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        return value
+
     def complex_from(prefix, current):
-        re = values.get(f"{prefix}_re", current.real)
-        im = values.get(f"{prefix}_im", current.imag)
-        re_arg = getattr(args, f"{prefix}_re", None)
-        im_arg = getattr(args, f"{prefix}_im", None)
-        return complex(re_arg if re_arg is not None else re,
-                       im_arg if im_arg is not None else im)
+        return complex(part(f"{prefix}_re", current.real),
+                       part(f"{prefix}_im", current.imag))
 
     cfg.kappa = complex_from("kappa", cfg.kappa)
     cfg.q = complex_from("q", cfg.q)
-    cfg.threads = int(os.environ.get("DEGINT_THREADS", "1"))
     return cfg
 
 

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calogero import joint_invariants, FiberSeparationReport
+from .calogero import (
+    FiberSeparationReport,
+    _cauchy_solve,
+    _pair_products,
+    _row_products,
+    _separation_report,
+)
 from .config import TOL
 from .errors import ConsistencyError, ReductionFailedError, SingularChartPoint
 from .integrate import ConservationReport, monitor, rk4
@@ -158,44 +164,16 @@ def fiber_check(pt: DoublePoint, samples: int = 4,
              for _ in range(samples)]
     second = [(pt.x @ _centralizer_element(pt.y, rng), pt.y)
               for _ in range(samples)]
-    margins = np.empty((samples, samples))
-    for i, (x1, y1) in enumerate(first):
-        inv1 = joint_invariants(x1, y1)
-        for j, (x2, y2) in enumerate(second):
-            margins[i, j] = np.abs(inv1 - joint_invariants(x2, y2)).max()
     eye = np.eye(pt.n)
-    coincident = float(np.abs(joint_invariants(pt.x, pt.y @ eye)
-                              - joint_invariants(pt.x @ eye, pt.y)).max())
-    return FiberSeparationReport(margins=margins, threshold=threshold,
-                                 coincident_margin=coincident)
+    return _separation_report(first, second, (pt.x, pt.y @ eye),
+                              (pt.x @ eye, pt.y), threshold)
 
 
 def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
     """Dense solve of sum_i v_i / (x_j - q^{-1} x_i) = 1 for v_i = psi_i phi_i x_i."""
     x = np.asarray(x_eigs, dtype=complex).ravel()
-    den = x[:, None] - x[None, :] / q     # row j, column i
-    if np.abs(den).min() < 1e-10:
-        raise SingularChartPoint("vanishing denominator x_j - q^{-1} x_i")
-    C = 1.0 / den
-    v = np.linalg.solve(C, np.ones(len(x), dtype=complex))
-    residual = np.abs(C @ v - 1.0).max()
-    if residual > TOL.oracle_residual * max(1.0, np.abs(v).max()):
-        raise ConsistencyError(f"consistency oracle residual {residual:.3g}")
-    return v
-
-
-def _psi_phi_products(x, q):
-    """Naive and corrected product formulas for psi_i phi_i."""
-    n = len(x)
-    corrected = np.empty(n, dtype=complex)
-    for i in range(n):
-        f = 1.0 - 1.0 / q
-        for j in range(n):
-            if j != i:
-                f *= (1.0 - q * x[j] / x[i]) / (1.0 - x[j] / x[i])
-        corrected[i] = f
-    naive = corrected / x
-    return naive, corrected
+    return _cauchy_solve(x[:, None] - x[None, :] / q,     # row j, column i
+                         "x_j - q^{-1} x_i")
 
 
 @dataclass(frozen=True)
@@ -233,7 +211,10 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
 
     v = rank_one_consistency_oracle(x, q)
     products = v / x
-    naive, corrected = _psi_phi_products(x, q)
+    # naive and x_i-corrected product formulas for psi_i phi_i
+    corrected = (1.0 - 1.0 / q) * _row_products(1.0 - q * x[None, :] / x[:, None],
+                                                1.0 - x[None, :] / x[:, None])
+    naive = corrected / x
     scale = max(1.0, np.abs(products).max())
     res_naive = float(np.abs(naive - products).max() / scale)
     res_corrected = float(np.abs(corrected - products).max() / scale)
@@ -241,13 +222,10 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
         raise ReductionFailedError(
             f"corrected product formula off the oracle by {res_corrected:.3g}")
 
-    y = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            den = x[i] / x[j] - 1.0 / q
-            if abs(den) < 1e-10:
-                raise SingularChartPoint("reconstruction denominator vanishes")
-            y[i, j] = (1.0 - 1.0 / q) * ydiag[j] / den
+    den = x[:, None] / x[None, :] - 1.0 / q
+    if np.abs(den).min() < 1e-10:
+        raise SingularChartPoint("reconstruction denominator vanishes")
+    y = (1.0 - 1.0 / q) * ydiag[None, :] / den
 
     xmat = np.diag(x)
     det_fix_x = np.linalg.det(xmat) ** (1.0 / n)
@@ -267,27 +245,6 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
                             residual_naive=res_naive,
                             residual_corrected=res_corrected,
                             mu_eigenvalue_deviation=dev)
-
-
-def _y_diagonal_from_u(x, u, q):
-    n = len(x)
-    out = np.empty(n, dtype=complex)
-    for i in range(n):
-        f = u[i]
-        for j in range(n):
-            if j != i:
-                f *= (1.0 - x[i] / (q * x[j])) / (1.0 - x[i] / x[j])
-        out[i] = f
-    return out
-
-
-def _reconstruct_y(x, ydiag, q):
-    n = len(x)
-    y = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            y[i, j] = (1.0 - 1.0 / q) * ydiag[j] / (1.0 - x[i] / (q * x[j]))
-    return y
 
 
 @dataclass(frozen=True)
@@ -313,25 +270,18 @@ def relativistic_hamiltonians(x_eigs, u, q: complex, kmax: int = 2
     """
     x = np.asarray(x_eigs, dtype=complex).ravel()
     u = np.asarray(u, dtype=complex).ravel()
-    n = len(x)
-    ydiag = _y_diagonal_from_u(x, u, q)
-    y = _reconstruct_y(x, ydiag, q)
+    own = 1.0 - x[:, None] / (q * x[None, :])       # 1 - q^{-1} x_i/x_j
+    other = 1.0 - x[:, None] / x[None, :]           # 1 - x_i/x_j
+    ydiag = u * _row_products(own, other)
+    y = (1.0 - 1.0 / q) * ydiag[None, :] / own
     traces = traces_of_powers(y, max(kmax, 2))
 
     tr1_red = np.sum(ydiag)
-    den = 1.0 - x[:, None] / (q * x[None, :])
-    tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * np.outer(ydiag, ydiag) / (den * den.T))
+    tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * np.outer(ydiag, ydiag) / (own * own.T))
 
     h2_char = 0.5 * (traces[1] - traces[0] ** 2)
-    h2_prod = 0.0 + 0.0j
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = 1.0 + 0.0j
-            for a in (i, j):
-                for b in range(n):
-                    if b != i and b != j:
-                        prod *= (1.0 - x[a] / (q * x[b])) / (1.0 - x[a] / x[b])
-            h2_prod -= u[i] * u[j] * prod / q
+    i, j, prods = _pair_products(own, other)
+    h2_prod = -np.sum(u[i] * u[j] * prods / q)
 
     scale = max(1.0, np.abs(traces[:2]).max())
     res1 = float(abs(traces[0] - tr1_red) / scale)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from degint.calogero import (
+    _pair_products,
+    _row_products,
     CMPoint,
     RuijPoint,
     SpinData,
@@ -273,3 +275,47 @@ class TestDualityFiberCheck:
     def test_nondiagonal_x_rejected(self):
         with pytest.raises(ValueError):
             duality_fiber_check(np.ones((2, 2)), np.eye(2))
+
+
+def loop_products(ratio, n):
+    """Test-only oracle for the masked product kernels: explicit loops over
+    prod_{j != i} R_ij and prod_{a in {i, j}, b not in {i, j}} R_ab."""
+    rows = []
+    for i in range(n):
+        f = 1.0 + 0.0j
+        for j in range(n):
+            if j != i:
+                f *= ratio(i, j)
+        rows.append(f)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = 1.0 + 0.0j
+            for a in (i, j):
+                for b in range(n):
+                    if b != i and b != j:
+                        f *= ratio(a, b)
+            pairs.append(f)
+    return np.array(rows, dtype=complex), np.array(pairs, dtype=complex)
+
+
+class TestMaskedProducts:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("system", ["calogero", "relativistic"])
+    def test_matches_loop_oracle(self, n, system):
+        rng = np.random.default_rng(100 + n)
+        if system == "calogero":
+            h, kappa = rng.normal(size=n).astype(complex), 0.3 + 0.1j
+            num = h[:, None] - h[None, :] + kappa
+            den = h[:, None] - h[None, :]
+        else:
+            x = np.exp(rng.normal(size=n) * 0.4 + 1j * rng.normal(size=n) * 0.4)
+            q = 1.3 + 0.2j
+            num = 1.0 - x[:, None] / (q * x[None, :])
+            den = 1.0 - x[:, None] / x[None, :]
+        rows, pairs = loop_products(lambda a, b: num[a, b] / den[a, b], n)
+        i, j, pair_products = _pair_products(num, den)
+        assert list(zip(i, j)) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+        for got, want in ((_row_products(num, den), rows), (pair_products, pairs)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))

@@ -2,7 +2,7 @@
 
 import dataclasses
 import json
-import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -61,6 +61,42 @@ class TestConfig:
 
     def test_missing_scenario_is_config_error(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("config,argv", [
+        pytest.param({"scenario": "kepler", "n": "3"}, [], id="n-string"),
+        pytest.param({"scenario": "kepler", "seed": True}, [], id="seed-bool"),
+        pytest.param({"scenario": "ruijsenaars-rational", "samples": 5.0}, [],
+                     id="samples-float"),
+        pytest.param({"scenario": "ruijsenaars-rational", "samlpes": 5}, [],
+                     id="unknown-key"),
+        pytest.param({"scenario": "ruijsenaars-rational", "kappa_re": "0.3"}, [],
+                     id="kappa-string"),
+        pytest.param({"scenario": "kepler", "t_max": "1.0"}, [], id="t-max-string"),
+        pytest.param({"scenario": "kepler", "out_csv": 5}, [], id="path-int"),
+        pytest.param({"scenario": ["kepler"]}, [], id="scenario-list"),
+        pytest.param([["scenario", "kepler"]], [], id="config-not-object"),
+        pytest.param(None, ["--scenario", "kepler", "--t-max", "nan"], id="t-max-nan"),
+        pytest.param(None, ["--scenario", "relativistic-cm", "--dt", "inf"],
+                     id="dt-inf"),
+        pytest.param(None, ["--scenario", "ruijsenaars-rational", "--kappa-re", "nan"],
+                     id="kappa-nan"),
+        pytest.param(None, ["--scenario", "relativistic-ruijsenaars", "--q-im", "inf"],
+                     id="q-inf"),
+        pytest.param(None, ["--scenario", "cm-rational", "--n", "1"], id="cm-n1"),
+        pytest.param(None, ["--scenario", "factorization-flow", "--n", "1"],
+                     id="factorization-n1"),
+        pytest.param(None, ["--scenario", "verify-brackets", "--n", "1"],
+                     id="brackets-n1"),
+    ])
+    def test_bad_input_exits_1_with_message(self, tmp_path, capsys, config, argv):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out-json", str(out)]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -125,6 +161,16 @@ class TestOutputs:
         assert text.startswith("<svg")
         assert "polyline" in text
 
+    def test_svg_draws_roundoff_flat(self, tmp_path):
+        """At n = 2 the two plotted series, tr(x) and tr(x^-1), are equal up
+        to roundoff, so every point sits at one height."""
+        svg = tmp_path / "p.svg"
+        assert main(["--scenario", "relativistic-cm", "--n", "2", "--seed", "0",
+                     "--out-svg", str(svg)]) == 0
+        ys = {y for pts in re.findall(r'points="([^"]*)"', svg.read_text())
+              for y in re.findall(r",([-\d.]+)", pts)}
+        assert len(ys) == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario,extra", [
@@ -144,22 +190,6 @@ class TestDeterminism:
             paths.append((csv.read_bytes(), js.read_bytes()))
         assert paths[0][0] == paths[1][0]
         assert paths[0][1] == paths[1][1]
-
-    def test_thread_cap_does_not_change_outputs(self, tmp_path):
-        csv1, js1 = tmp_path / "1.csv", tmp_path / "1.json"
-        csv2, js2 = tmp_path / "2.csv", tmp_path / "2.json"
-        assert main(["--scenario", "ruijsenaars-rational", "--seed", "4",
-                     "--samples", "6", "--out-csv", str(csv1),
-                     "--out-json", str(js1)]) == 0
-        os.environ["DEGINT_THREADS"] = "4"
-        try:
-            assert main(["--scenario", "ruijsenaars-rational", "--seed", "4",
-                         "--samples", "6", "--out-csv", str(csv2),
-                         "--out-json", str(js2)]) == 0
-        finally:
-            del os.environ["DEGINT_THREADS"]
-        assert csv1.read_bytes() == csv2.read_bytes()
-        assert js1.read_bytes() == js2.read_bytes()
 
 
 class TestSingleEvaluation:
