@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import FormulaMismatchError, ConsistencyError, SingularChartPoint
+from .errors import (ConsistencyError, DegintError, FormulaMismatchError,
+                     NonFiniteMatrixError, SingularChartPoint)
 from .matrixcore import as_matrix, mat_exp, spectral, traces_of_powers
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "ruij_characters",
     "character_residuals",
     "h_rational_ruijsenaars",
+    "ruij_sweep",
     "joint_invariants",
     "FiberSeparationReport",
     "duality_fiber_check",
@@ -51,60 +53,71 @@ def _check_traceless(v, name):
         raise ValueError(f"{name} must sum to zero (traceless normalization)")
 
 
-def _check_distinct(h, gap=1e-8):
-    close = np.abs(h[:, None] - h[None, :]) < gap
-    np.fill_diagonal(close, False)
-    if close.any():
-        i, j = np.argwhere(close)[0]        # row-major, so i < j
-        raise SingularChartPoint(f"positions {i} and {j} closer than {gap:g}")
+def _raise_first(bad, error, message: str, value=None):
+    """Raise ``error`` for the first sample flagged in ``bad`` (one flag per
+    sample), recording its index as ``sample`` and quoting its ``value``."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        k = int(flagged[0])
+        exc = error(message if value is None else f"{message} {np.ravel(value)[k]:.3g}")
+        exc.sample = k
+        raise exc
+
+
+def _check_chart(h, kappa=None):
+    """Distinct positions and, given kappa, h_i - h_j + kappa away from zero,
+    for every stacked h."""
+    d = h[..., :, None] - h[..., None, :]
+    off = ~np.eye(h.shape[-1], dtype=bool)
+    _raise_first(((np.abs(d) < 1e-8) & off).any(axis=(-2, -1)), SingularChartPoint,
+                 "two positions closer than 1e-08")
+    if kappa is not None:
+        _raise_first(((np.abs(d + kappa) < 1e-8) & off).any(axis=(-2, -1)),
+                     SingularChartPoint, "denominator h_i - h_j + kappa too close to zero")
 
 
 # ----------------------------------------------------------------------
-# rank-1 kernels shared with the relativistic systems in ``double``
+# rank-1 kernels shared with the relativistic systems in ``double``; each
+# acts on a stack of points along its leading axes
 # ----------------------------------------------------------------------
 
-def _cauchy_solve(den, label: str) -> np.ndarray:
-    """Solve sum_i w_i / den[j, i] = 1 for every j by a dense solve.
+def _cauchy_solve(den, label: str):
+    """Solve sum_i w_i / den[..., j, i] = 1 for every j by one stacked dense
+    solve; returns (w, residual), residual = max_j |sum_i w_i / den[j, i] - 1|.
 
-    Rejects |den| < 1e-10 and checks the residual against
-    ``TOL.oracle_residual * max(1, |w|)``; ``label`` names the denominator
-    in the error messages.
+    Rejects |den| < 1e-10 before dividing, and a residual above
+    ``TOL.oracle_residual * max(1, |w|)``; ``label`` names den in messages.
     """
-    if np.abs(den).min() < 1e-10:
-        raise SingularChartPoint(f"vanishing denominator {label}")
+    _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
+                 f"vanishing denominator {label}")
     C = 1.0 / den
-    w = np.linalg.solve(C, np.ones(len(den), dtype=complex))
-    residual = np.abs(C @ w - 1.0).max()
-    if residual > TOL.oracle_residual * max(1.0, np.abs(w).max()):
-        raise ConsistencyError(f"solve residual {residual:.3g} ({label})")
-    return w
+    w = np.linalg.solve(C, np.ones(den.shape[:-1] + (1,), dtype=complex))
+    residual = np.abs(C @ w - 1.0).max(axis=(-2, -1))
+    w = w[..., 0]
+    _raise_first(residual > TOL.oracle_residual * np.maximum(1.0, np.abs(w).max(axis=-1)),
+                 ConsistencyError, f"{label} solve residual", residual)
+    return w, residual
 
 
 def _ratio(num, den) -> np.ndarray:
     """R = num / den off the diagonal and 1 on it; the diagonal is never divided."""
-    n = len(num)
-    return np.divide(num, den, out=np.ones((n, n), dtype=complex),
-                     where=~np.eye(n, dtype=bool))
+    return np.divide(num, den, out=np.ones(num.shape, dtype=complex),
+                     where=~np.eye(num.shape[-1], dtype=bool))
 
 
-def _row_products(num, den) -> np.ndarray:
-    """prod_{j != i} num[i, j] / den[i, j] for every i."""
-    return _ratio(num, den).prod(axis=1)
-
-
-def _pair_products(num, den):
-    """prod_{a in {i, j}, b not in {i, j}} num[a, b] / den[a, b] for every
-    pair i < j; returns (i, j, products) with the pairs in row-major order.
+def _pair_products(R):
+    """prod_{a in {i, j}, b not in {i, j}} R[..., a, b] for every pair i < j;
+    returns (i, j, products) with the pairs in row-major order.
 
     A masked (pairs x 2n) reduction.  Dividing P_i P_j by R_ij R_ji instead
-    would lose accuracy where num[i, j] or num[j, i] nears zero.
+    would lose accuracy where R_ij or R_ji nears zero.
     """
-    R = _ratio(num, den)
-    b = np.arange(len(R))
+    b = np.arange(R.shape[-1])
     i, j = np.nonzero(b[:, None] < b)
     inside = (b == i[:, None]) | (b == j[:, None])
-    factors = np.hstack([np.where(inside, 1.0, R[i]), np.where(inside, 1.0, R[j])])
-    return i, j, factors.prod(axis=1)
+    factors = np.concatenate([np.where(inside, 1.0, R[..., i, :]),
+                              np.where(inside, 1.0, R[..., j, :])], axis=-1)
+    return i, j, factors.prod(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -125,7 +138,7 @@ class CMPoint:
             raise ValueError("p and h must have the same length")
         _check_traceless(self.p, "p")
         _check_traceless(self.h, "h")
-        _check_distinct(self.h)
+        _check_chart(self.h)
 
     @property
     def n(self) -> int:
@@ -220,20 +233,46 @@ def cm_central_flow(x, g, grad_f, t: float):
     return x, mat_exp(t * as_matrix(grad_f(x))) @ g
 
 
+def _phi_psi_solve(h, kappa):
+    """(w, residual) of the oracle solve for every stacked h."""
+    return _cauchy_solve(h[..., None, :] - h[..., :, None] + kappa,   # row j, column i
+                         "h_i - h_j + kappa")
+
+
 def solve_phi_psi_oracle(h, kappa: complex) -> np.ndarray:
     """Solve the Cauchy-type system sum_i w_i/(h_i - h_j + kappa) = 1 for w.
 
     Direct dense solve; this is the oracle against which closed forms are
     judged.  Denominators must stay away from zero.
     """
-    h = np.asarray(h, dtype=complex).ravel()
-    return _cauchy_solve(h[None, :] - h[:, None] + kappa,   # row j, column i
-                         "h_i - h_j + kappa")
+    return _phi_psi_solve(np.asarray(h, dtype=complex).ravel(), kappa)[0]
 
 
-def _bare_product(h, kappa):
-    d = h[:, None] - h[None, :]
-    return _row_products(d + kappa, d)
+def _ruij_parts(h, u, kappa):
+    """(R, bare, g) for every stacked point: R_ij = (h_i-h_j+kappa)/(h_i-h_j)
+    off the diagonal, the bare products prod_{j != i} R_ij, and g with
+    g_ii = u_i bare_i, g_ij = kappa g_jj / (h_i - h_j + kappa)."""
+    d = h[..., :, None] - h[..., None, :]
+    R = _ratio(d + kappa, d)
+    bare = R.prod(axis=-1)
+    gdiag = u * bare
+    n = h.shape[-1]
+    g = np.divide(kappa * gdiag[..., None, :], d + kappa,
+                  out=gdiag[..., None, :] * np.eye(n), where=~np.eye(n, dtype=bool))
+    return R, bare, g
+
+
+def _select(w, bare, kappa):
+    """(kappa_scaled, res_bare, res_scaled) against the oracle w: kappa-scaled
+    is picked within ``TOL.formula_match`` or when closer; raises if neither
+    is within ``TOL.formula_reject``."""
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1))
+    res_bare = np.abs(bare - w).max(axis=-1) / scale
+    res_scaled = np.abs(kappa * bare - w).max(axis=-1) / scale
+    _raise_first(~(np.minimum(res_bare, res_scaled) <= TOL.formula_reject),
+                 FormulaMismatchError, "no candidate matches the oracle; bare residual",
+                 res_bare)
+    return (res_scaled <= TOL.formula_match) | (res_scaled < res_bare), res_bare, res_scaled
 
 
 @dataclass(frozen=True)
@@ -256,22 +295,10 @@ def phi_psi_closed_form(h, kappa: complex) -> PhiPsiSelection:
     """
     h = np.asarray(h, dtype=complex).ravel()
     w = solve_phi_psi_oracle(h, kappa)
-    bare = _bare_product(h, kappa)
-    scaled = kappa * bare
-    scale = max(1.0, np.abs(w).max())
-    res_bare = np.abs(bare - w).max() / scale
-    res_scaled = np.abs(scaled - w).max() / scale
-    if res_scaled <= TOL.formula_match:
-        return PhiPsiSelection(scaled, "kappa-scaled", res_bare, res_scaled)
-    if res_bare <= TOL.formula_match:
-        return PhiPsiSelection(bare, "bare", res_bare, res_scaled)
-    if min(res_bare, res_scaled) <= TOL.formula_reject:
-        matched = "kappa-scaled" if res_scaled < res_bare else "bare"
-        values = scaled if res_scaled < res_bare else bare
-        return PhiPsiSelection(values, matched, res_bare, res_scaled)
-    raise FormulaMismatchError(
-        f"no candidate matches the oracle (bare {res_bare:.3g}, "
-        f"kappa-scaled {res_scaled:.3g})")
+    bare = _ruij_parts(h, 1.0, kappa)[1]       # u drops out of the bare products
+    scaled, res_bare, res_scaled = _select(w, bare, kappa)
+    return PhiPsiSelection(kappa * bare if scaled else bare,
+                           "kappa-scaled" if scaled else "bare", res_bare, res_scaled)
 
 
 @dataclass(frozen=True)
@@ -287,20 +314,11 @@ class RuijPoint:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=complex).ravel())
         if self.h.shape != self.u.shape:
             raise ValueError("h and u must have the same length")
-        _check_distinct(self.h)
-        near = np.abs(self.h[:, None] - self.h[None, :] + self.kappa) < 1e-8
-        np.fill_diagonal(near, False)
-        if near.any():
-            raise SingularChartPoint(
-                "denominator h_i - h_j + kappa too close to zero")
+        _check_chart(self.h, self.kappa)
 
     @property
     def n(self) -> int:
         return len(self.h)
-
-
-def _g_diagonal(point: RuijPoint) -> np.ndarray:
-    return point.u * _bare_product(point.h, point.kappa)
 
 
 def reconstruct_g(point: RuijPoint) -> np.ndarray:
@@ -311,44 +329,49 @@ def reconstruct_g(point: RuijPoint) -> np.ndarray:
     x = diag(h) and mu = 1 w^T - kappa id (w from the oracle) the rebuilt g
     satisfies the defining relation (h_i - h_j) g_ij = sum_k mu_ik g_kj.
     """
-    gdiag = _g_diagonal(point)
-    den = point.h[:, None] - point.h[None, :] + point.kappa
-    return np.divide(point.kappa * gdiag[None, :], den, out=np.diag(gdiag),
-                     where=~np.eye(point.n, dtype=bool))
+    return _ruij_parts(point.h, point.u, point.kappa)[2]
+
+
+def _relation_residual(h, kappa, w, g):
+    mu = w[..., None, :] - kappa * np.eye(h.shape[-1])       # 1 w^T - kappa id
+    return (np.abs((h[..., :, None] - h[..., None, :]) * g - mu @ g).max(axis=(-2, -1))
+            / np.maximum(1.0, np.abs(g).max(axis=(-2, -1))))
 
 
 def relation_residual(point: RuijPoint) -> float:
     """Residual of (h_i - h_j) g_ij = sum_k mu_ik g_kj for the rebuilt g."""
-    g = reconstruct_g(point)
-    w = solve_phi_psi_oracle(point.h, point.kappa)
-    mu = np.outer(np.ones(point.n), w) - point.kappa * np.eye(point.n)
-    lhs = (point.h[:, None] - point.h[None, :]) * g
-    return float(np.abs(lhs - mu @ g).max() / max(1.0, np.abs(g).max()))
+    return float(_relation_residual(point.h, point.kappa,
+                                    solve_phi_psi_oracle(point.h, point.kappa),
+                                    reconstruct_g(point)))
 
 
-def _characters_reduced(point: RuijPoint):
-    gdiag = _g_diagonal(point)
-    tr1 = np.sum(gdiag)
-    den = point.h[:, None] - point.h[None, :]
-    tr2 = np.sum(point.kappa ** 2 * np.outer(gdiag, gdiag)
-                 / ((den + point.kappa) * (-den + point.kappa)))
-    return tr1, tr2
+def _characters_reduced(h, kappa, g):
+    """(tr g, tr g^2) from the reduced closed formulas, which read only diag g."""
+    gdiag = np.diagonal(g, axis1=-2, axis2=-1)
+    d = h[..., :, None] - h[..., None, :]
+    tr2 = np.sum(kappa ** 2 * (gdiag[..., :, None] * gdiag[..., None, :])
+                 / ((d + kappa) * (-d + kappa)), axis=(-2, -1))
+    return gdiag.sum(axis=-1), tr2
+
+
+def _dual_residuals(h, u, kappa, R, g, traces):
+    """Matrix ``traces`` (tr g, tr g^2) vs the reduced formulas, and character
+    vs product route of the Hamiltonian."""
+    (tr, tr_sq), (tr1, tr2) = traces, _characters_reduced(h, kappa, g)
+    i, j, prods = _pair_products(R)
+    h_prod = -np.sum(u[..., i] * u[..., j] * prods, axis=-1)
+    h_char = 0.5 * (tr_sq - tr ** 2)
+    scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
+    return (np.abs(tr - tr1) / scale, np.abs(tr_sq - tr2) / scale,
+            np.abs(h_char - h_prod) / np.maximum(1.0, np.abs(h_char)))
 
 
 def character_residuals(point: RuijPoint) -> dict:
     """Reduced-formula vs matrix-trace residuals for tr g, tr g^2 and both
     Hamiltonian routes."""
-    g = reconstruct_g(point)
-    tr_mat = traces_of_powers(g, 2)
-    tr1, tr2 = _characters_reduced(point)
-    h_char = 0.5 * (tr_mat[1] - tr_mat[0] ** 2)
-    h_prod = _h_ruij_product(point)
-    scale = max(1.0, np.abs(tr_mat).max())
-    return {
-        "tr_g": abs(tr_mat[0] - tr1) / scale,
-        "tr_g2": abs(tr_mat[1] - tr2) / scale,
-        "h_ruijsenaars": abs(h_char - h_prod) / max(1.0, abs(h_char)),
-    }
+    R, _, g = _ruij_parts(point.h, point.u, point.kappa)
+    return dict(zip(("tr_g", "tr_g2", "h_ruijsenaars"), _dual_residuals(
+        point.h, point.u, point.kappa, R, g, traces_of_powers(g, 2))))
 
 
 def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
@@ -359,19 +382,13 @@ def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
     """
     g = reconstruct_g(point)
     traces = traces_of_powers(g, kmax)
-    tr1, tr2 = _characters_reduced(point)
+    tr1, tr2 = _characters_reduced(point.h, point.kappa, g)
     scale = max(1.0, np.abs(traces[:2]).max() if kmax >= 2 else abs(traces[0]))
     if abs(traces[0] - tr1) > TOL.dual_path_reject * scale:
         raise ConsistencyError("tr g: reduced formula disagrees with matrix trace")
     if kmax >= 2 and abs(traces[1] - tr2) > TOL.dual_path_reject * scale:
         raise ConsistencyError("tr g^2: reduced formula disagrees with matrix trace")
     return traces
-
-
-def _h_ruij_product(point: RuijPoint) -> complex:
-    d = point.h[:, None] - point.h[None, :]
-    i, j, prods = _pair_products(d + point.kappa, d)
-    return -np.sum(point.u[i] * point.u[j] * prods)
 
 
 def h_rational_ruijsenaars(point: RuijPoint) -> complex:
@@ -382,14 +399,51 @@ def h_rational_ruijsenaars(point: RuijPoint) -> complex:
     The two must agree to ``TOL.dual_path``; the matrix route is returned.
     For n = 2 the product is empty and the value reduces to -u_1 u_2.
     """
-    g = reconstruct_g(point)
+    R, _, g = _ruij_parts(point.h, point.u, point.kappa)
     tr = traces_of_powers(g, 2)
-    via_char = 0.5 * (tr[1] - tr[0] ** 2)
-    via_prod = _h_ruij_product(point)
-    if abs(via_char - via_prod) > TOL.dual_path * max(1.0, abs(via_char)):
-        raise ConsistencyError(
-            f"Hamiltonian routes disagree: {abs(via_char - via_prod):.3g}")
-    return via_char
+    residual = _dual_residuals(point.h, point.u, point.kappa, R, g, tr)[2]
+    if residual > TOL.dual_path:
+        raise ConsistencyError(f"Hamiltonian routes disagree: {residual:.3g}")
+    return 0.5 * (tr[1] - tr[0] ** 2)
+
+
+# Samples per stacked pass of ``ruij_sweep``; bounds its working memory.
+_SWEEP_CHUNK = 64
+
+
+def ruij_sweep(h, u, kappa: complex) -> dict:
+    """The values and checks of ``solve_phi_psi_oracle``, ``phi_psi_closed_form``,
+    ``relation_residual`` and ``character_residuals`` for samples h, u of
+    shape (samples, n), as named columns, in stacked passes of
+    ``_SWEEP_CHUNK`` samples with one Cauchy solve each.  When samples fail,
+    the lowest-index one raises, with the checks in the per-point order.
+    """
+    h = np.asarray(h, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    passes = [_sweep_pass(h[s:s + _SWEEP_CHUNK], u[s:s + _SWEEP_CHUNK], kappa)
+              for s in range(0, max(len(h), 1), _SWEEP_CHUNK)]
+    return {name: np.concatenate([p[name] for p in passes]) for name in passes[0]}
+
+
+def _sweep_pass(h, u, kappa) -> dict:
+    try:
+        _check_chart(h, kappa)
+        w, oracle = _phi_psi_solve(h, kappa)
+        R, bare, g = _ruij_parts(h, u, kappa)
+        scaled, res_bare, res_scaled = _select(w, bare, kappa)
+        _raise_first(~np.isfinite(g).all(axis=(-2, -1)), NonFiniteMatrixError,
+                     "matrix has NaN or Inf entries")
+    except DegintError as exc:
+        # a lower sample that fails a later check raises instead
+        _sweep_pass(h[:exc.sample], u[:exc.sample], kappa)
+        raise
+    traces = np.trace(g, axis1=-2, axis2=-1), np.trace(g @ g, axis1=-2, axis2=-1)
+    tr_g, tr_g2, h_rR = _dual_residuals(h, u, kappa, R, g, traces)
+    return {"oracle-residual": oracle,
+            "matched": np.where(scaled, "kappa-scaled", "bare"),
+            "kappa-scaled-residual": res_scaled, "bare-residual": res_bare,
+            "relation-residual": _relation_residual(h, kappa, w, g),
+            "tr-g-dual": tr_g, "tr-g2-dual": tr_g2, "h-rR-dual": h_rR}
 
 
 # ----------------------------------------------------------------------
@@ -405,15 +459,8 @@ def joint_invariants(a, b, max_exp: int = 2) -> np.ndarray:
     for _ in range(max_exp):
         pa.append(pa[-1] @ a)
         pb.append(pb[-1] @ b)
-    vals = []
-    for i in range(max_exp + 1):
-        for j in range(max_exp + 1):
-            for k in range(max_exp + 1):
-                for l in range(max_exp + 1):
-                    if i + j + k + l == 0:
-                        continue
-                    vals.append(np.trace(pa[i] @ pb[j] @ pa[k] @ pb[l]))
-    return np.array(vals)
+    return np.array([np.trace(pa[i] @ pb[j] @ pa[k] @ pb[l])       # nested-loop order
+                     for i, j, k, l in np.ndindex((max_exp + 1,) * 4) if i + j + k + l])
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,8 @@ def _sl_sample(n, rng, spread=0.35):
 def _distinct_h(n, rng):
     while True:
         h = np.sort(rng.normal(size=n))
-        h -= h.mean()
-        if n == 1 or np.diff(h).min() > 0.1:
+        h -= h.sum() / n                  # bit for bit h.mean() and np.diff(h), but cheaper
+        if n == 1 or (h[1:] - h[:-1]).min() > 0.1:
             return h.astype(complex)
 
 
@@ -148,8 +148,8 @@ def _distinct_eigs(n, rng, spread=0.4):
     while True:
         x = np.exp(rng.normal(size=n) * spread + 1j * rng.normal(size=n) * spread)
         x /= np.prod(x) ** (1.0 / n)
-        gaps = [abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)]
-        if n == 1 or min(gaps) > 0.1:
+        gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
+        if gaps.min(initial=np.inf) > 0.1:
             return x
 
 
@@ -228,26 +228,21 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     spin = calogero.SpinData.rank_one(phi=rng.uniform(0.5, 1.5, size=n), kappa=kappa)
     resum = abs(calogero.h_scm(point, spin, "trigonometric") - calogero.h_cm(
         calogero.CMPoint(p=p, h=h, kappa=kappa)))
-    mu = spin.mu
-    rank1_res = max(abs(mu[i, j] * mu[j, i] - kappa ** 2)
-                    for i in range(n) for j in range(n) if i != j)
+    rank1_res = np.abs(spin.mu * spin.mu.T - kappa ** 2)[~np.eye(n, dtype=bool)].max()
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     ref = calogero.joint_invariants(x, g @ x @ np.linalg.inv(g), max_exp=3)
-    rows, drift = [], 0.0
-    series = {}
+    rows, devs = [], []
     for t in ts:
         _, gt = calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)
         cur = calogero.joint_invariants(x, gt @ x @ np.linalg.inv(gt), max_exp=3)
         dev = np.abs(cur - ref).max()
-        drift = max(drift, dev)
+        devs.append(dev)
         rows.append([_fmt(t), _fmt(dev)]
                     + [_fmt(v) for v in (np.real(cur[0]), np.imag(cur[0]),
                                          np.real(cur[1]), np.imag(cur[1]))])
-        series.setdefault("invariant-drift", ([], []))
-        series["invariant-drift"][0].append(t)
-        series["invariant-drift"][1].append(dev)
 
+    drift = max(devs)
     flags = []
     if drift > TOL.central_flow * max(1.0, np.abs(ref).max()):
         flags.append("tolerance-failure")
@@ -260,61 +255,39 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
                    ("h-cm", calogero.h_cm(point))],
         flags=flags,
         parameters={"n": n, "kappa": [kappa.real, kappa.imag]},
-        svg_series=series)
-
-
-def _ruij_sample(cfg, i):
-    rng = _rng_for(cfg, i + 1)
-    n = cfg.n
-    h = _distinct_h(n, rng)
-    u = rng.normal(size=n) + 1j * rng.normal(size=n)
-    pt = calogero.RuijPoint(h=h, u=u, kappa=cfg.kappa)
-    w = calogero.solve_phi_psi_oracle(h, cfg.kappa)
-    C = 1.0 / (h[None, :] - h[:, None] + cfg.kappa)
-    oracle_res = float(np.abs(C @ w - 1.0).max())
-    sel = calogero.phi_psi_closed_form(h, cfg.kappa)
-    rel_res = calogero.relation_residual(pt)
-    char_res = calogero.character_residuals(pt)
-    return (i, oracle_res, sel.matched, sel.residual_kappa_scaled,
-            sel.residual_bare, rel_res, char_res["tr_g"], char_res["tr_g2"],
-            char_res["h_ruijsenaars"])
+        svg_series={"invariant-drift": (ts, devs)})
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
-    results = [_ruij_sample(cfg, i) for i in range(cfg.samples)]
+    h = np.empty((cfg.samples, cfg.n), dtype=complex)
+    u = np.empty_like(h)
+    for i in range(cfg.samples):        # sample i draws h, then u, from seed + i + 1
+        rng = _rng_for(cfg, i + 1)
+        h[i] = _distinct_h(cfg.n, rng)
+        u[i] = rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)
+    columns = calogero.ruij_sweep(h, u, cfg.kappa)
 
-    rows = []
-    for (i, oracle_res, matched, res_scaled, res_bare, rel_res,
-         tr1, tr2, hres) in results:
-        rows.append([str(i), _fmt(oracle_res), matched, _fmt(res_scaled),
-                     _fmt(res_bare), _fmt(rel_res), _fmt(tr1), _fmt(tr2),
-                     _fmt(hres)])
-    matched_set = {r[2] for r in results}
-    flags = []
-    if matched_set != {"kappa-scaled"}:
-        flags.append("normalization-not-uniform")
-    maxima = {
-        "oracle-residual": max(r[1] for r in results),
-        "closed-form-residual": max(r[3] for r in results),
-        "relation-residual": max(r[5] for r in results),
-        "tr-g-dual": max(r[6] for r in results),
-        "tr-g2-dual": max(r[7] for r in results),
-        "h-ruijsenaars-dual": max(r[8] for r in results),
-    }
-    if maxima["oracle-residual"] > TOL.oracle_residual:
-        flags.append("tolerance-failure")
-    if max(maxima["tr-g-dual"], maxima["tr-g2-dual"],
-           maxima["h-ruijsenaars-dual"]) > TOL.dual_path:
+    matched = columns["matched"].tolist()
+    cells = [[str(i) for i in range(cfg.samples)]] + [
+        matched if name == "matched" else [_fmt(v) for v in col.tolist()]
+        for name, col in columns.items()]
+    maxima = {name: float(columns[key].max()) for name, key in zip(
+        ("oracle-residual", "closed-form-residual", "relation-residual",
+         "tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"),
+        ("oracle-residual", "kappa-scaled-residual", "relation-residual",
+         "tr-g-dual", "tr-g2-dual", "h-rR-dual"))}
+    flags = [] if set(matched) == {"kappa-scaled"} else ["normalization-not-uniform"]
+    if (maxima["oracle-residual"] > TOL.oracle_residual
+            or max(maxima[k] for k in ("tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"))
+            > TOL.dual_path):
         flags.append("tolerance-failure")
     return ScenarioResult(
-        csv_header=["sample", "oracle-residual", "matched", "kappa-scaled-residual",
-                    "bare-residual", "relation-residual", "tr-g-dual",
-                    "tr-g2-dual", "h-rR-dual"],
-        csv_rows=rows,
+        csv_header=["sample"] + list(columns),
+        csv_rows=list(zip(*cells)),
         residuals=sorted(maxima.items()),
         flags=flags,
         parameters={"n": cfg.n, "kappa": [cfg.kappa.real, cfg.kappa.imag],
-                    "samples": cfg.samples, "matched": sorted(matched_set)})
+                    "samples": cfg.samples, "matched": sorted(set(matched))})
 
 
 def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
@@ -504,9 +477,7 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
 
     rows = []
     for (tag, rep) in (("rational", rep1), ("relativistic", rep2)):
-        for i in range(rep.margins.shape[0]):
-            for j in range(rep.margins.shape[1]):
-                rows.append([tag, str(i), str(j), _fmt(rep.margins[i, j])])
+        rows += [[tag, str(i), str(j), _fmt(m)] for (i, j), m in np.ndenumerate(rep.margins)]
     flags = []
     for tag, rep in (("rational", rep1), ("relativistic", rep2)):
         if not rep.all_separated:

@@ -33,7 +33,7 @@ from .calogero import (
     FiberSeparationReport,
     _cauchy_solve,
     _pair_products,
-    _row_products,
+    _ratio,
     _separation_report,
 )
 from .config import TOL
@@ -173,7 +173,7 @@ def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
     """Dense solve of sum_i v_i / (x_j - q^{-1} x_i) = 1 for v_i = psi_i phi_i x_i."""
     x = np.asarray(x_eigs, dtype=complex).ravel()
     return _cauchy_solve(x[:, None] - x[None, :] / q,     # row j, column i
-                         "x_j - q^{-1} x_i")
+                         "x_j - q^{-1} x_i")[0]
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,8 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
     v = rank_one_consistency_oracle(x, q)
     products = v / x
     # naive and x_i-corrected product formulas for psi_i phi_i
-    corrected = (1.0 - 1.0 / q) * _row_products(1.0 - q * x[None, :] / x[:, None],
-                                                1.0 - x[None, :] / x[:, None])
+    corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
+                                         1.0 - x[None, :] / x[:, None]).prod(axis=-1)
     naive = corrected / x
     scale = max(1.0, np.abs(products).max())
     res_naive = float(np.abs(naive - products).max() / scale)
@@ -272,7 +272,8 @@ def relativistic_hamiltonians(x_eigs, u, q: complex, kmax: int = 2
     u = np.asarray(u, dtype=complex).ravel()
     own = 1.0 - x[:, None] / (q * x[None, :])       # 1 - q^{-1} x_i/x_j
     other = 1.0 - x[:, None] / x[None, :]           # 1 - x_i/x_j
-    ydiag = u * _row_products(own, other)
+    R = _ratio(own, other)
+    ydiag = u * R.prod(axis=-1)
     y = (1.0 - 1.0 / q) * ydiag[None, :] / own
     traces = traces_of_powers(y, max(kmax, 2))
 
@@ -280,7 +281,7 @@ def relativistic_hamiltonians(x_eigs, u, q: complex, kmax: int = 2
     tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * np.outer(ydiag, ydiag) / (own * own.T))
 
     h2_char = 0.5 * (traces[1] - traces[0] ** 2)
-    i, j, prods = _pair_products(own, other)
+    i, j, prods = _pair_products(R)
     h2_prod = -np.sum(u[i] * u[j] * prods / q)
 
     scale = max(1.0, np.abs(traces[:2]).max())

@@ -15,6 +15,7 @@ FLAG_NONFINITE = "nonfinite-state"
 FLAG_TOLERANCE = "tolerance-failure"
 FLAG_COLLISION = "collision"
 FLAG_DIVISOR = "factorization-divisor"
+FLAG_BUDGET = "step-budget-failure"
 
 
 @dataclass
@@ -121,7 +122,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
              max_steps: int = 1_000_000,
              guard: Optional[Callable[[np.ndarray], Optional[str]]] = None) -> Trajectory:
-    """Dormand-Prince 5(4) with embedded error control at local error <= tol."""
+    """Dormand-Prince 5(4) with embedded error control at local error <= tol;
+    flags ``step-budget-failure`` when ``max_steps`` run out before ``t_max``."""
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     z = np.asarray(x0, dtype=complex).ravel()
@@ -164,6 +166,8 @@ def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
             rejected += 1
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
+    if t < t_max and not flags:
+        flags.append(FLAG_BUDGET)
     return Trajectory(np.array(times), np.array(states),
                       accepted_steps=accepted, rejected_steps=rejected,
                       flags=tuple(flags))

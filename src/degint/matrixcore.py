@@ -62,7 +62,7 @@ class ULPair:
         return self.g_plus @ np.linalg.inv(self.g_minus)
 
 
-def mat_exp(a, tol: Tolerances = TOL) -> np.ndarray:
+def mat_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring around a truncated series.
 
     The argument is scaled by 2**-s until its 1-norm is below 1/4, the series
@@ -145,13 +145,10 @@ def spectral(m, tol: Tolerances = TOL):
     w, v = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
-    n = len(w)
-    if n > 1:
-        gaps = [abs(w[i] - w[j]) for i in range(n) for j in range(i + 1, n)]
-        if min(gaps) < tol.eigenvalue_gap:
-            raise NearDegenerateSpectrum(
-                f"minimal eigenvalue gap {min(gaps):.3g} below {tol.eigenvalue_gap:.3g}"
-            )
+    gap = np.abs(w[:, None] - w[None, :])[np.triu_indices(len(w), 1)].min(initial=np.inf)
+    if gap < tol.eigenvalue_gap:
+        raise NearDegenerateSpectrum(
+            f"minimal eigenvalue gap {gap:.3g} below {tol.eigenvalue_gap:.3g}")
     return w, v
 
 

@@ -1,15 +1,19 @@
 """Rational Calogero-Moser / Ruijsenaars tests: oracles first, closed forms
 arbitrated against them."""
 
+import json
+
 import numpy as np
 import pytest
 
+from degint import calogero, cli
 from degint.calogero import (
     _pair_products,
-    _row_products,
+    _ratio,
     CMPoint,
     RuijPoint,
     SpinData,
+    character_residuals,
     cm_central_flow,
     duality_fiber_check,
     h_cm,
@@ -21,9 +25,10 @@ from degint.calogero import (
     reconstruct_g,
     relation_residual,
     ruij_characters,
+    ruij_sweep,
     solve_phi_psi_oracle,
 )
-from degint.errors import SingularChartPoint
+from degint.errors import FormulaMismatchError, SingularChartPoint
 from degint.matrixcore import mat_exp
 
 RNG = np.random.default_rng(5)
@@ -314,8 +319,136 @@ class TestMaskedProducts:
             num = 1.0 - x[:, None] / (q * x[None, :])
             den = 1.0 - x[:, None] / x[None, :]
         rows, pairs = loop_products(lambda a, b: num[a, b] / den[a, b], n)
-        i, j, pair_products = _pair_products(num, den)
+        R = _ratio(num, den)
+        i, j, pair_products = _pair_products(R)
         assert list(zip(i, j)) == [(a, b) for a in range(n) for b in range(a + 1, n)]
-        for got, want in ((_row_products(num, den), rows), (pair_products, pairs)):
+        for got, want in ((R.prod(axis=-1), rows), (pair_products, pairs)):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def ruij_sample_oracle(h, u, kappa):
+    """Test-only oracle for ``ruij_sweep``: the per-point chain, one sample
+    at a time, as (oracle residual, matched, kappa-scaled residual, bare
+    residual, relation residual, tr g, tr g^2 and Hamiltonian residuals)."""
+    pt = RuijPoint(h=h, u=u, kappa=kappa)
+    w = solve_phi_psi_oracle(h, kappa)
+    C = 1.0 / (h[None, :] - h[:, None] + kappa)
+    oracle_res = float(np.abs(C @ w - 1.0).max())
+    sel = phi_psi_closed_form(h, kappa)
+    rel_res = relation_residual(pt)
+    char_res = character_residuals(pt)
+    return (oracle_res, sel.matched, sel.residual_kappa_scaled,
+            sel.residual_bare, rel_res, char_res["tr_g"], char_res["tr_g2"],
+            char_res["h_ruijsenaars"])
+
+
+def ruij_draws(cfg):
+    """The seeded (h, u) of every sample of a ruijsenaars-rational report."""
+    hs, us = [], []
+    for i in range(cfg.samples):
+        rng = cli._rng_for(cfg, i + 1)
+        hs.append(cli._distinct_h(cfg.n, rng))
+        us.append(rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n))
+    return np.array(hs), np.array(us)
+
+
+def ruij_cfg(n, samples, kappa=0.3, seed=0):
+    return cli.ScenarioConfig(scenario="ruijsenaars-rational", n=n, samples=samples,
+                              kappa=complex(kappa), seed=seed)
+
+
+def regular_samples(m, n=3):
+    """(h, u) of m regular samples, for planting singular ones."""
+    rng = np.random.default_rng(17)
+    h = np.array([cli._distinct_h(n, rng) for _ in range(m)])
+    return h, rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+
+
+# h_1 - h_0 + kappa = 0 at kappa = 0.3: RuijPoint rejects it
+SINGULAR_H = np.array([0.3, 0.0, -0.3], dtype=complex)
+# h_0 and h_1 2e-8 apart: the chart checks pass, the oracle solve is too
+# ill-conditioned for either closed form to match it
+MISMATCH_H = np.array([0.0, 2e-8, 1.0], dtype=complex) - (1.0 + 2e-8) / 3
+
+
+class TestRuijSweep:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kappa", [0.3, 0.4 + 0.1j])
+    def test_report_matches_loop_oracle(self, n, kappa):
+        """Every row of the report equals the per-point chain on the same
+        draws: the matched label exactly, every number to 1e-13."""
+        cfg = ruij_cfg(n, 60, kappa, seed=11)
+        rows = cli._scenario_ruijsenaars_rational(cfg).csv_rows
+        h, u = ruij_draws(cfg)
+        assert len(rows) == cfg.samples
+        for i, row in enumerate(rows):
+            want = ruij_sample_oracle(h[i], u[i], cfg.kappa)
+            assert row[0] == str(i)
+            assert row[2] == want[1]
+            got = np.array([float(row[k]) for k in (1, 3, 4, 5, 6, 7, 8)])
+            ref = np.array([want[k] for k in (0, 2, 3, 4, 5, 6, 7)])
+            assert np.abs(got - ref).max() <= 1e-13, (i, got - ref)
+
+    def test_prefix_rows_are_bitwise_equal_across_chunks(self):
+        m = 2 * calogero._SWEEP_CHUNK + 7
+        h, u = ruij_draws(ruij_cfg(4, m, 0.4 + 0.1j))
+        full = ruij_sweep(h, u, 0.4 + 0.1j)
+        for k in (1, 5, calogero._SWEEP_CHUNK - 1, calogero._SWEEP_CHUNK + 3):
+            part = ruij_sweep(h[:k], u[:k], 0.4 + 0.1j)
+            for name, col in part.items():
+                assert col.tobytes() == full[name][:k].tobytes(), (k, name)
+
+    def test_one_cauchy_solve_per_chunk(self, monkeypatch):
+        m = 2 * calogero._SWEEP_CHUNK + 7
+        h, u = ruij_draws(ruij_cfg(3, m))
+        solve, calls = np.linalg.solve, []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        ruij_sweep(h, u, 0.3)
+        chunk = calogero._SWEEP_CHUNK
+        assert [shape[0] for shape in calls] == [chunk, chunk, 7]
+
+    @pytest.mark.parametrize("planted,error", [
+        ({3: SINGULAR_H}, SingularChartPoint),
+        ({300: MISMATCH_H}, FormulaMismatchError),
+        ({2: MISMATCH_H, 5: SINGULAR_H}, FormulaMismatchError),
+        ({2: SINGULAR_H, 5: MISMATCH_H}, SingularChartPoint),
+        ({260: MISMATCH_H, 270: SINGULAR_H, 280: MISMATCH_H}, FormulaMismatchError),
+    ])
+    def test_lowest_failing_sample_decides_the_error(self, planted, error):
+        """The per-point chain stops at the lowest failing sample; so does
+        the sweep, even where a higher sample fails an earlier check."""
+        h, u = regular_samples(301)
+        for k, hk in planted.items():
+            h[k] = hk
+        with pytest.raises(error):
+            for i in range(len(h)):
+                ruij_sample_oracle(h[i], u[i], 0.3)
+        with pytest.raises(error) as caught:
+            ruij_sweep(h, u, 0.3)
+        # passes run in order; ``sample`` counts from the start of the pass
+        assert caught.value.sample == min(planted) % calogero._SWEEP_CHUNK
+
+    def test_cli_reports_the_per_point_failure(self, tmp_path, monkeypatch):
+        """A singular draw at sample 4 gives the report the flag the
+        per-point chain's exception names, and exit code 2."""
+        draws = []
+        distinct_h = cli._distinct_h
+
+        def planted(n, rng):
+            draws.append(distinct_h(n, rng))
+            return SINGULAR_H if len(draws) == 5 else draws[-1]
+
+        monkeypatch.setattr(cli, "_distinct_h", planted)
+        out = tmp_path / "r.json"
+        assert cli.main(["--scenario", "ruijsenaars-rational", "--samples", "9",
+                         "--out-json", str(out)]) == 2
+        with pytest.raises(SingularChartPoint) as caught:
+            ruij_sample_oracle(SINGULAR_H, np.ones(3), 0.3)
+        name = type(caught.value).__name__
+        assert json.loads(out.read_text())["flags"] == [f"numerical-failure:{name}"]

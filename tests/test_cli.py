@@ -178,6 +178,7 @@ class TestDeterminism:
         ("ruijsenaars-rational", ["--samples", "8"]),
         ("verify-brackets", ["--samples", "5"]),
         ("relativistic-ruijsenaars", ["--t-max", "0.05", "--samples", "2"]),
+        ("ruijsenaars-rational", ["--n", "6", "--samples", "500"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, scenario, extra):
         paths = []
