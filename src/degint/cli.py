@@ -23,7 +23,7 @@ import numpy as np
 
 from . import calogero, double, facto, kepler
 from .config import TOL
-from .errors import DegintError
+from .errors import DegintError, SingularChartPoint
 from .integrate import FLAG_DIVISOR, monitor, rk4
 from .poisson import (
     chart_canonical,
@@ -183,21 +183,21 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     report = monitor(traj, obs + [control])
 
     obs_values = np.real(report.values[:, :len(obs)])
-    rows = []
-    for t, z, vals in zip(traj.times, traj.states, obs_values):
-        rows.append([_fmt(v) for v in [t] + list(np.real(z)) + list(vals)])
+    table = np.column_stack([traj.times, np.real(traj.states), obs_values])
+    rows = [[_fmt(v) for v in row] for row in table.tolist()]
     header = (["t"] + [f"p{i}" for i in (1, 2, 3)] + [f"q{i}" for i in (1, 2, 3)]
               + [o.name for o in obs])
 
     stride = max(1, len(traj.states) // 50)
-    ma_res = quad_res = 0.0
-    for z in traj.states[::stride]:
-        pz = kepler.project_to_p5(kepler.KeplerState(
-            p=np.real(z[:3]), q=np.real(z[3:]), gamma=gamma))
-        ma_res = max(ma_res, abs(pz.M @ pz.A))
-        quad_res = max(quad_res, abs(
-            pz.A @ pz.A - gamma ** 2
-            - kepler.QUADRATIC_RELATION_SIGN * 2.0 * (pz.M @ pz.M) * pz.H))
+    q = np.real(traj.states[::stride, 3:])
+    if np.any(np.linalg.norm(q, axis=-1) <= TOL.collision_radius):
+        raise SingularChartPoint("state at the collision locus |q| = 0")
+    sampled = obs_values[::stride]
+    pz = kepler.P5Point(M=sampled[:, :3], A=sampled[:, 3:6], H=sampled[:, 6])
+    ma_res = np.abs(np.vecdot(pz.M, pz.A)).max()
+    quad_res = np.abs(
+        np.vecdot(pz.A, pz.A) - gamma ** 2
+        - kepler.QUADRATIC_RELATION_SIGN * 2.0 * np.vecdot(pz.M, pz.M) * pz.H).max()
 
     flags = list(report.flags)
     drifts = list(zip(report.names, report.max_abs_drift, report.max_rel_drift))
@@ -210,7 +210,7 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
         residuals=[("orthogonality-(M,A)", ma_res),
                    ("quadratic-relation", quad_res)],
         flags=flags,
-        parameters={"gamma": gamma, "energy": float(kepler.project_to_p5(state).H)},
+        parameters={"gamma": gamma, "energy": float(pt.H)},
         svg_series=svg)
 
 
@@ -232,15 +232,15 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     ref = calogero.joint_invariants(x, g @ x @ np.linalg.inv(g), max_exp=3)
-    rows, devs = [], []
+    devs, invs = [], []
     for t in ts:
         _, gt = calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)
         cur = calogero.joint_invariants(x, gt @ x @ np.linalg.inv(gt), max_exp=3)
-        dev = np.abs(cur - ref).max()
-        devs.append(dev)
-        rows.append([_fmt(t), _fmt(dev)]
-                    + [_fmt(v) for v in (np.real(cur[0]), np.imag(cur[0]),
-                                         np.real(cur[1]), np.imag(cur[1]))])
+        devs.append(np.abs(cur - ref).max())
+        invs.append(cur[:2])
+    # columns re(inv1), im(inv1), re(inv2), im(inv2)
+    parts = np.stack([np.real(invs), np.imag(invs)], axis=-1).reshape(len(ts), 4)
+    rows = [[_fmt(v) for v in row] for row in np.column_stack([ts, devs, parts]).tolist()]
 
     drift = max(devs)
     flags = []
@@ -255,7 +255,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
                    ("h-cm", calogero.h_cm(point))],
         flags=flags,
         parameters={"n": n, "kappa": [kappa.real, kappa.imag]},
-        svg_series={"invariant-drift": (ts, devs)})
+        svg_series={"re(inv1)": (ts, parts[:, 0]), "re(inv2)": (ts, parts[:, 2])})
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:

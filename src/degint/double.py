@@ -307,14 +307,18 @@ def entry_observable(n: int, block: str, i: int, j: int) -> Observable:
     e = np.zeros(2 * n * n, dtype=complex)
     e[idx] = 1.0
     return Observable(name=f"{block}{i + 1}{j + 1}",
-                      fn=lambda z, idx=idx: z[idx],
+                      fn=lambda z, idx=idx: np.take(z, idx, axis=-1),
                       grad=lambda z, e=e: e)
 
 
 def _block(z, n, which):
-    if which == "x":
-        return z[:n * n].reshape(n, n)
-    return z[n * n:].reshape(n, n)
+    """The x or y matrices of points stacked as (..., 2n^2): (..., n, n)."""
+    part = z[..., :n * n] if which == "x" else z[..., n * n:]
+    return part.reshape(z.shape[:-1] + (n, n))
+
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def trace_power_observable(n: int, block: str, k: int) -> Observable:
@@ -322,8 +326,7 @@ def trace_power_observable(n: int, block: str, k: int) -> Observable:
     offset = 0 if block == "x" else n * n
 
     def fn(z):
-        m = _block(z, n, block)
-        return np.trace(np.linalg.matrix_power(m, k))
+        return _trace(np.linalg.matrix_power(_block(z, n, block), k))
 
     def grad(z):
         m = _block(z, n, block)
@@ -341,11 +344,6 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
     and joint traces tr(x^a mu~^b).  ``family="ruijsenaars"`` (Hamiltonians
     f(y)): traces of y, of mu = x y x^{-1} y^{-1}, and joint traces.
     """
-    obs = []
-
-    def add(name, fn):
-        obs.append(Observable(name=name, fn=fn))
-
     if family == "cm":
         def aux(z):
             x, y = _block(z, n, "x"), _block(z, n, "y")
@@ -364,16 +362,13 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
         return _block(z, n, main_label)
 
     # each invariant evaluates aux(z), and so inverts x and y, at most once
+    fns = {}
     for k in range(1, kmax + 1):
-        add(f"tr({main_label}^{k})",
-            lambda z, k=k: np.trace(np.linalg.matrix_power(main(z), k)))
-        add(f"tr({aux_label}^{k})",
-            lambda z, k=k: np.trace(np.linalg.matrix_power(aux(z), k)))
-    add(f"tr({main_label} {aux_label})",
-        lambda z: np.trace(main(z) @ aux(z)))
-    add(f"tr({main_label}^2 {aux_label})",
-        lambda z: np.trace(main(z) @ main(z) @ aux(z)))
-    return obs
+        fns[f"tr({main_label}^{k})"] = lambda z, k=k: _trace(np.linalg.matrix_power(main(z), k))
+        fns[f"tr({aux_label}^{k})"] = lambda z, k=k: _trace(np.linalg.matrix_power(aux(z), k))
+    fns[f"tr({main_label} {aux_label})"] = lambda z: _trace(main(z) @ aux(z))
+    fns[f"tr({main_label}^2 {aux_label})"] = lambda z: _trace(main(z) @ main(z) @ aux(z))
+    return [Observable(name=name, fn=fn) for name, fn in fns.items()]
 
 
 def double_flow_conservation(pt: DoublePoint, H: Observable, t_max: float,

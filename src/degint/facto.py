@@ -128,17 +128,20 @@ def factorization_flow(x0, H: InvariantHamiltonian, t: float) -> np.ndarray:
 
 
 def _chart_observable(H: InvariantHamiltonian, n: int) -> Observable:
+    def stack(z):
+        return z.reshape(z.shape[:-1] + (n, n))
+
     if isinstance(H, TracePower):
         k = H.k
+        return Observable(
+            name=H.name,
+            fn=lambda z: np.trace(np.linalg.matrix_power(stack(z), k), axis1=-2, axis2=-1),
+            grad=lambda z: (k * np.linalg.matrix_power(stack(z), k - 1)).T.ravel())
+    def per_matrix(z):
+        # a custom invariant is a function of one matrix: map it over the stack
+        return np.array([H(x) for x in z.reshape(-1, n, n)]).reshape(z.shape[:-1])
 
-        def grad(z):
-            x = z.reshape(n, n)
-            return (k * np.linalg.matrix_power(x, k - 1)).T.ravel()
-
-        return Observable(name=H.name,
-                          fn=lambda z: np.trace(np.linalg.matrix_power(z.reshape(n, n), k)),
-                          grad=grad)
-    return Observable(name=H.name, fn=lambda z: H(z.reshape(n, n)))
+    return Observable(name=H.name, fn=per_matrix)
 
 
 def sklyanin_reference_flow(x0, H: InvariantHamiltonian, t: float,

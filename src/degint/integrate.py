@@ -175,11 +175,21 @@ def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
 
 def monitor(trajectory: Trajectory,
             observables: Sequence[Observable]) -> ConservationReport:
-    """Evaluate each observable along the trajectory and report drifts."""
+    """Evaluate each observable once, on the stacked ``(states, dim)`` array
+    of the whole trajectory, and report drifts.  An observable returns one
+    value per state, shape ``(states,)``, or a 0-d constant, which is
+    broadcast; any other shape raises ``ValueError`` naming it.
+    """
     names = tuple(o.name for o in observables)
     if len(set(names)) != len(names):
         raise ValueError("observable names must be unique")
-    values = np.array([[o(z) for o in observables] for z in trajectory.states])
+    m = len(trajectory.states)
+    values = np.empty((m, len(observables)), dtype=complex)
+    for j, o in enumerate(observables):
+        column = np.asarray(o(trajectory.states))
+        if column.shape not in ((), (m,)):
+            raise ValueError(f"observable {o.name!r} gave shape {column.shape} on {m} states")
+        values[:, j] = column
     initial = values[0]
     drift = np.abs(values - initial[None, :])
     max_abs = drift.max(axis=0)

@@ -78,11 +78,12 @@ class KeplerState:
 
 @dataclass(frozen=True)
 class P5Point:
-    """Image of a state under the projection (p, q) -> (M, A, H).
+    """Image of a state under the projection (p, q) -> (M, A, H), or of
+    states stacked along leading axes: M and A of shape (..., 3), H (...).
 
-    (M, A) = 0 holds identically and is enforced here; the quadratic
-    relation (A, A) = gamma^2 + QUADRATIC_RELATION_SIGN * 2 (M, M) H needs
-    the coupling and is asserted by the callers that know it.
+    (M, A) = 0 holds identically and is enforced at every point; the
+    quadratic relation (A, A) = gamma^2 + QUADRATIC_RELATION_SIGN * 2 (M, M) H
+    needs the coupling and is asserted by the callers that know it.
     """
 
     M: np.ndarray
@@ -90,8 +91,8 @@ class P5Point:
     H: float
 
     def __post_init__(self):
-        scale = max(1.0, float(np.abs(self.M).max()), float(np.abs(self.A).max()))
-        if abs(float(self.M @ self.A)) > 1e-10 * scale ** 2:
+        scale = np.maximum(1.0, np.abs([self.M, self.A]).max(axis=(0, -1)))
+        if np.any(np.abs(np.vecdot(self.M, self.A)) > 1e-10 * scale ** 2):
             raise ValueError("(M, A) must vanish")
 
 
@@ -118,11 +119,16 @@ class LevelSurface:
     sphere_radius: float = None
 
 
-def hamiltonian(p, q, gamma: float) -> float:
-    r = np.linalg.norm(q)
-    if r <= TOL.collision_radius:
+def _radius(q):
+    return np.sqrt(np.vecdot(q, q))       # bit for bit np.linalg.norm of each row
+
+
+def hamiltonian(p, q, gamma: float):
+    """H at one state, or at states stacked along leading axes of p and q."""
+    r = _radius(q)
+    if np.any(r <= TOL.collision_radius):
         raise SingularChartPoint("collision: |q| below threshold")
-    return 0.5 * float(np.dot(p, p)) - gamma / r
+    return 0.5 * np.vecdot(p, p) - gamma / r
 
 
 def _momentum(p, q):
@@ -130,7 +136,7 @@ def _momentum(p, q):
 
 
 def _lenz(p, q, gamma):
-    return np.cross(p, _momentum(p, q)) + gamma * q / np.linalg.norm(q)
+    return np.cross(p, _momentum(p, q)) + gamma * q / _radius(q)[..., None]
 
 
 def kepler_chart():
@@ -142,62 +148,44 @@ def kepler_observables(gamma: float):
     """Observables M1..M3, A1..A3, H on the canonical chart, exact gradients."""
 
     def split(z):
-        return np.real(z[:3]), np.real(z[3:])
+        return np.real(z[..., :3]), np.real(z[..., 3:])
 
     obs = []
     for k in range(3):
         def m_fn(z, k=k):
-            p, q = split(z)
-            return complex(_momentum(p, q)[k])
+            return _momentum(*split(z))[..., k]
 
-        def m_grad(z, k=k):
+        def m_grad(z, e=np.eye(3)[k]):
+            # M_k = eps_kab p_a q_b: d/dp = q x e_k, d/dq = e_k x p
             p, q = split(z)
-            g = np.zeros(6, dtype=complex)
-            # M_k = eps_kab p_a q_b
-            for a in range(3):
-                for b in range(3):
-                    e = _eps(k, a, b)
-                    if e:
-                        g[a] += e * q[b]
-                        g[3 + b] += e * p[a]
-            return g
+            return np.concatenate([np.cross(q, e), np.cross(e, p)]).astype(complex)
 
         obs.append(Observable(name=f"M{k + 1}", fn=m_fn, grad=m_grad))
 
     for k in range(3):
         def a_fn(z, k=k):
-            p, q = split(z)
-            return complex(_lenz(p, q, gamma)[k])
+            return _lenz(*split(z), gamma)[..., k]
 
-        def a_grad(z, k=k):
-            p, q = split(z)
-            r = np.linalg.norm(q)
-            g = np.zeros(6, dtype=complex)
+        def a_grad(z, k=k, e=np.eye(3)[k]):
             # A = p (p.q) - q |p|^2 + gamma q / |q|
-            pq = p @ q
-            for l in range(3):
-                g[l] = (k == l) * pq + p[k] * q[l] - 2.0 * p[l] * q[k]
-                g[3 + l] = (p[k] * p[l] - (k == l) * (p @ p)
-                            + gamma * ((k == l) / r - q[k] * q[l] / r ** 3))
-            return g
+            p, q = split(z)
+            r = _radius(q)
+            g_p = e * (p @ q) + p[k] * q - 2.0 * p * q[k]
+            g_q = p[k] * p - e * (p @ p) + gamma * (e / r - q[k] * q / r ** 3)
+            return np.concatenate([g_p, g_q]).astype(complex)
 
         obs.append(Observable(name=f"A{k + 1}", fn=a_fn, grad=a_grad))
 
     def h_fn(z):
-        p, q = split(z)
-        return complex(hamiltonian(p, q, gamma))
+        return hamiltonian(*split(z), gamma)
 
     def h_grad(z):
         p, q = split(z)
-        r = np.linalg.norm(q)
+        r = _radius(q)
         return np.concatenate([p, gamma * q / r ** 3]).astype(complex)
 
     obs.append(Observable(name="H", fn=h_fn, grad=h_grad))
     return obs
-
-
-def _eps(i, j, k):
-    return (i - j) * (j - k) * (k - i) // 2
 
 
 def project_to_p5(state: KeplerState) -> P5Point:
@@ -235,12 +223,8 @@ def orbit_conservation_report(state0: KeplerState, t_max: float,
     truncated there).  The frozen sign constants are appended to the flags
     for the record.
     """
-    chart = kepler_chart()
-    obs = kepler_observables(state0.gamma)
-    H = obs[-1]
-    traj = adaptive(chart, H, state0.as_point(), t_max, tol,
-                    guard=_collision_guard)
-    report = monitor(traj, obs)
+    report = monitor(integrate_orbit(state0, t_max, tol),
+                     kepler_observables(state0.gamma))
     report.flags = report.flags + (
         f"quadratic-relation-sign:{QUADRATIC_RELATION_SIGN:+d}",
         f"lenz-lenz-sign:{LENZ_LENZ_SIGN:+d}",
@@ -275,11 +259,9 @@ def radial_period(state0: KeplerState, t_max: float, dt: float = None) -> float:
                guard=_collision_guard)
     ts = traj.times
     pq = np.real(np.einsum("ij,ij->i", traj.states[:, :3], traj.states[:, 3:]))
-    crossings = []
-    for i in range(1, len(ts)):
-        if pq[i - 1] < 0.0 <= pq[i]:
-            frac = -pq[i - 1] / (pq[i] - pq[i - 1])
-            crossings.append(ts[i - 1] + frac * (ts[i] - ts[i - 1]))
+    i = np.flatnonzero((pq[:-1] < 0.0) & (0.0 <= pq[1:])) + 1
+    frac = -pq[i - 1] / (pq[i] - pq[i - 1])
+    crossings = ts[i - 1] + frac * (ts[i] - ts[i - 1])
     if len(crossings) < 2:
         raise RuntimeError("fewer than two perihelion passages detected")
     return crossings[1] - crossings[0]

@@ -81,13 +81,19 @@ class PoissonChart:
 
 @dataclass(frozen=True)
 class Observable:
-    """A scalar function on a chart, with an optional exact gradient."""
+    """A scalar function on a chart, with an optional exact gradient.
+
+    ``fn`` maps points stacked as ``(..., dim)`` to one value each, shape
+    ``(...)``, so :func:`degint.integrate.monitor` evaluates a trajectory in
+    one call; a constant may return one 0-d value.  ``grad`` maps a single
+    point ``(dim,)`` to its gradient.
+    """
 
     name: str
-    fn: Callable[[np.ndarray], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __call__(self, x) -> complex:
+    def __call__(self, x):
         return self.fn(x)
 
     def gradient(self, x, step: float = None) -> np.ndarray:
@@ -112,7 +118,7 @@ def coordinate(dim: int, index: int, label: str = None) -> Observable:
     e[index] = 1.0
     return Observable(
         name=label or f"z{index}",
-        fn=lambda z, i=index: z[i],
+        fn=lambda z, i=index: np.take(z, i, axis=-1),
         grad=lambda z, e=e: e,
     )
 

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degint import cli, double
+from degint import cli, double, kepler
 from degint.cli import (
     SCENARIOS,
     ScenarioConfig,
@@ -171,6 +171,20 @@ class TestOutputs:
               for y in re.findall(r",([-\d.]+)", pts)}
         assert len(ys) == 1
 
+    def test_cm_rational_svg_plots_the_tabulated_invariants(self, tmp_path):
+        """The plot draws re(inv1) and re(inv2), the invariants the CSV
+        tabulates, at their own heights: not their roundoff-sized drift."""
+        svg, csv = tmp_path / "p.svg", tmp_path / "t.csv"
+        assert main(["--scenario", "cm-rational", "--seed", "0",
+                     "--out-svg", str(svg), "--out-csv", str(csv)]) == 0
+        text = svg.read_text()
+        labels = re.findall(r">([^<>]+)</text>", text)
+        assert labels == ["re(inv1)", "re(inv2)"]
+        assert set(labels) <= set(csv.read_text().splitlines()[0].split(","))
+        heights = [{y for y in re.findall(r",([-\d.]+)", pts)}
+                   for pts in re.findall(r'points="([^"]*)"', text)]
+        assert len(heights) == 2 and heights[0] != heights[1]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario,extra", [
@@ -179,6 +193,7 @@ class TestDeterminism:
         ("verify-brackets", ["--samples", "5"]),
         ("relativistic-ruijsenaars", ["--t-max", "0.05", "--samples", "2"]),
         ("ruijsenaars-rational", ["--n", "6", "--samples", "500"]),
+        ("relativistic-cm", ["--t-max", "0.05"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, scenario, extra):
         paths = []
@@ -196,8 +211,9 @@ class TestDeterminism:
 class TestSingleEvaluation:
     def test_flow_report_evaluates_each_invariant_once_per_state(
             self, tmp_path, monkeypatch):
-        """The CSV rows come from the monitor's values, not from evaluating
-        the projection invariants again."""
+        """Each projection invariant is evaluated once per report, on the
+        stacked array of all 201 states, and the CSV rows come from the
+        monitor's values, not from evaluating the invariants again."""
         calls = Counter()
         reports = []
         make_invariants = double.projection_invariants
@@ -205,7 +221,7 @@ class TestSingleEvaluation:
 
         def counted(o):
             def fn(z):
-                calls[o.name] += 1
+                calls[o.name, z.shape] += 1
                 return o.fn(z)
             return dataclasses.replace(o, fn=fn)
 
@@ -221,10 +237,31 @@ class TestSingleEvaluation:
                      "--t-max", "0.2", "--dt", "1e-3", "--samples", "2",
                      "--seed", "0", "--out-csv", str(csv)]) == 0
 
-        assert len(calls) == 6 and set(calls.values()) == {201}
+        assert len(calls) == 6 and set(calls.values()) == {1}
+        assert {shape for _, shape in calls} == {(201, 18)}
         values = reports[0].values
         assert values.shape == (201, 6)
         rows = [line.split(",")[1:] for line in csv.read_text().splitlines()[1:]]
         expected = [[_fmt(part(v)) for v in row for part in (np.real, np.imag)]
                     for row in values]
         assert rows == expected
+
+    def test_kepler_relations_read_from_monitored_values(self):
+        """The (M, A) and quadratic-relation residuals, now read from the
+        monitor's values, equal the per-state projection loop they replaced
+        bit for bit, and the energy parameter is the initial state's H."""
+        cfg = ScenarioConfig(scenario="kepler", t_max=2 * np.pi, tol=1e-10, seed=1)
+        result = cli._scenario_kepler(cfg)
+        gamma = result.parameters["gamma"]
+        # 17 significant digits round-trip every float64 of the CSV
+        states = [kepler.KeplerState(p=z[:3], q=z[3:], gamma=gamma) for z in
+                  np.array([[float(c) for c in row[1:7]] for row in result.csv_rows])]
+        ma = quad = 0.0
+        for state in states[::max(1, len(states) // 50)]:
+            pz = kepler.project_to_p5(state)
+            ma = max(ma, abs(pz.M @ pz.A))
+            quad = max(quad, abs(pz.A @ pz.A - gamma ** 2 - kepler.QUADRATIC_RELATION_SIGN
+                                 * 2.0 * (pz.M @ pz.M) * pz.H))
+        assert dict(result.residuals) == {"orthogonality-(M,A)": ma,
+                                          "quadratic-relation": quad}
+        assert result.parameters["energy"] == kepler.project_to_p5(states[0]).H

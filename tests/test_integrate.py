@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from degint.double import trace_power_observable
-from degint.integrate import adaptive, monitor, rk4
+from degint.double import entry_observable, projection_invariants, trace_power_observable
+from degint.facto import CustomInvariant, TracePower, _chart_observable
+from degint.integrate import Trajectory, adaptive, monitor, rk4
+from degint.kepler import kepler_observables
 from degint.poisson import (
     Observable,
     PoissonChart,
     chart_canonical,
     chart_heisenberg_double,
     coordinate,
+    observable_product,
 )
 
 RNG = np.random.default_rng(2)
@@ -24,7 +27,7 @@ def free_particle():
 
 def harmonic():
     """H = (p^2 + q^2)/2; circles in phase space, energy exactly conserved."""
-    return Observable("H", lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2),
+    return Observable("H", lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2),
                       grad=lambda z: np.array([z[0], z[1]]))
 
 
@@ -163,3 +166,78 @@ class TestMonitor:
         traj = rk4(c, H, np.array([1.0, 0.0], dtype=complex), t_max=1.0, dt=0.01)
         rep = monitor(traj, [H])
         assert rep.drift("H") < 1e-10
+
+
+def loop_values(states, observables):
+    """Test-only oracle for ``monitor``: every observable called on one
+    state at a time."""
+    return np.array([[o(z) for o in observables] for z in states], dtype=complex)
+
+
+def stacked(states):
+    return Trajectory(np.arange(len(states), dtype=float), states,
+                      accepted_steps=len(states) - 1, rejected_steps=0, flags=())
+
+
+def kepler_states(m=40):
+    rng = np.random.default_rng(5)
+    q = rng.normal(size=(m, 3))
+    q += 0.5 * q / np.linalg.norm(q, axis=-1, keepdims=True)     # |q| >= 0.5
+    return np.concatenate([rng.normal(size=(m, 3)), q], axis=-1).astype(complex)
+
+
+def matrix_states(n, blocks, m=40):
+    """m random points (x[, y]) near the identity, stacked as (m, blocks * n^2)."""
+    rng = np.random.default_rng(6)
+    shape = (m, blocks, n, n)
+    g = np.eye(n) + 0.3 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return g.reshape(m, -1)
+
+
+KEPLER = kepler_observables(1.3)
+# family -> (stacked states, observables, whether every operation is elementwise)
+FAMILIES = {
+    "kepler-M": (kepler_states, KEPLER[:3], True),
+    "kepler-A-H": (kepler_states, KEPLER[3:], False),
+    "coordinate": (kepler_states, [coordinate(6, i) for i in range(6)], True),
+    "product": (kepler_states, [observable_product(KEPLER[0], coordinate(6, 4))], True),
+    "entry": (lambda: matrix_states(2, 2),
+              [entry_observable(2, b, i, j) for b in "xy" for i in (0, 1) for j in (0, 1)],
+              True),
+    "trace-power": (lambda: matrix_states(3, 2),
+                    [trace_power_observable(3, b, k) for b in "xy" for k in (1, 2, 3)],
+                    False),
+    "invariants-cm": (lambda: matrix_states(3, 2), projection_invariants(3, "cm", 3), False),
+    "invariants-ruijsenaars": (lambda: matrix_states(2, 2),
+                               projection_invariants(2, "ruijsenaars"), False),
+    "chart-trace-power": (lambda: matrix_states(3, 1),
+                          [_chart_observable(TracePower(k), 3) for k in (1, 2, 3)], False),
+    "chart-custom": (lambda: matrix_states(3, 1),
+                     [_chart_observable(CustomInvariant("det", np.linalg.det), 3),
+                      _chart_observable(CustomInvariant("tr2", lambda m: np.trace(m @ m)), 3)],
+                     True),
+}
+
+
+class TestMonitorOracle:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_batched_values_match_per_state_loop(self, family):
+        """One call per observable on the stacked states gives the per-state
+        values: bitwise where every operation is elementwise (or, for a
+        custom invariant, the same per-matrix call), otherwise to 1e-15
+        relative to max(1, |value|)."""
+        make_states, observables, elementwise = FAMILIES[family]
+        states = make_states()
+        got = monitor(stacked(states), observables).values
+        want = loop_values(states, observables)
+        assert got.shape == want.shape == (len(states), len(observables))
+        if elementwise:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("fn", [lambda z: z[0], lambda z: z[..., :1],
+                                    lambda z: z[:-1, 0]])
+    def test_wrong_shape_names_the_observable(self, fn):
+        with pytest.raises(ValueError, match="'pointwise'"):
+            monitor(stacked(kepler_states(9)), [coordinate(6, 0), Observable("pointwise", fn)])
