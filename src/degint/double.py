@@ -376,9 +376,5 @@ def double_flow_conservation(pt: DoublePoint, H: Observable, t_max: float,
                              kmax: int = 2) -> ConservationReport:
     """Integrate the flow of H on the full bracket chart and monitor the
     projection invariants of the chosen family."""
-    n = pt.n
-    if n > 3:
-        raise ValueError("full-bivector integration is limited to n <= 3")
-    chart = chart_heisenberg_double(n)
-    traj = rk4(chart, H, pt.as_point(), t_max, dt)
-    return monitor(traj, projection_invariants(n, family, kmax))
+    traj = rk4(chart_heisenberg_double(pt.n), H, pt.as_point(), t_max, dt)
+    return monitor(traj, projection_invariants(pt.n, family, kmax))

@@ -22,7 +22,7 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .integrate import rk4
-from .matrixcore import ULPair, as_matrix, mat_exp, ul_split_factorize
+from .matrixcore import ULPair, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
 from .poisson import Observable, chart_sklyanin
 
 __all__ = [
@@ -183,15 +183,12 @@ def flow_consistency_sweep(x0, H: InvariantHamiltonian,
     x0 = as_matrix(x0)
     n = x0.shape[0]
     t_grid = np.asarray(list(t_grid), dtype=float)
-    ref = np.array([np.trace(np.linalg.matrix_power(x0, k))
-                    for k in range(1, n + 1)])
+    ref = traces_of_powers(x0, n)
 
     semis, drifts, agrees = [], [], []
     for i, t1 in enumerate(t_grid):
         x1 = factorization_flow(x0, H, t1)
-        tr = np.array([np.trace(np.linalg.matrix_power(x1, k))
-                       for k in range(1, n + 1)])
-        drifts.append(np.abs(tr - ref).max())
+        drifts.append(np.abs(traces_of_powers(x1, n) - ref).max())
 
         xi = left_differential(H, x0)
         pair = ul_split_factorize(mat_exp(t1 * xi))

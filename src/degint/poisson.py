@@ -269,20 +269,15 @@ def standard_r(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("standard r-matrix needs n >= 2")
-    r = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r[:] += np.kron(_unit(n, i, j), _unit(n, j, i))
-    for a in range(n):
-        r[:] += 0.5 * np.kron(_unit(n, a, a), _unit(n, a, a))
-    r -= (0.5 / n) * np.eye(n * n)
-    return r
+    r = np.zeros((n, n, n, n), dtype=complex)
+    i, k = np.indices((n, n))
+    r[i, k, k, i] = _r_mask(n)
+    return r.reshape(n * n, n * n) - (0.5 / n) * np.eye(n * n)
 
 
-def _unit(n, i, j):
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
-    return m
+def _r_mask(n):
+    """u_ik = [i < k] + 1/2 delta_ik: r = sum_ik u_ik E_ik (x) E_ki - (1/2n) I."""
+    return np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
 
 
 def chart_heisenberg_double(n: int) -> PoissonChart:
@@ -319,7 +314,7 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     """
     m = n * n
     d = np.arange(n)
-    u = np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
+    u = _r_mask(n)
     # per block: the left r-factor mask (r for x-x and y-y, -r21 for x-y),
     # the right -r21 mask, and the surviving (1/2n) multiple of M
     left = np.stack([u, -u.T, u])[:, :, None, :, None]
@@ -366,19 +361,27 @@ def chart_sklyanin(n: int) -> PoissonChart:
     function x_ij along a basis element e_A is (e_A x)_ij, whose trace-form
     realization is x E_ji.  Conjugation-invariant functions Poisson-commute
     in this chart, and flows of such functions match the factorization flow.
-    """
-    r = standard_r(n)
 
-    def biv(z, n=n, r=r):
+    It is evaluated in closed form.  eta(x)(x (x) x) = (x (x) x) r - r (x (x) x)
+    and the pairing multiplies by x (x) x on the right, so {x_ij, x_kl} is
+    the [ik,jl] entry of that difference.  With M and u_ik as in
+    :func:`chart_heisenberg_double`, both products are masked transposes,
+
+        ((x (x) x) r)[ik,jl] = u_lj M[i,k,l,j] - (1/2n) M[i,k,j,l]
+        (r (x (x) x))[ik,jl] = u_ik M[k,i,j,l] - (1/2n) M[i,k,j,l]
+
+    so {x_ij, x_kl} = (u_lj - u_ik) x_il x_kj.  That mask is antisymmetric
+    (u_ab + u_ba = 1), but a complex product can round differently with its
+    factors swapped, so the strict upper triangle is formed and mirrored.
+    Antisymmetry self-check is enabled.
+    """
+    u = _r_mask(n)
+    mask = u.T[None, :, None, :] - u[:, None, :, None]      # [i,j,k,l] = u_lj - u_ik
+
+    def biv(z, n=n, mask=mask):
         x = z.reshape(n, n)
-        xx = np.kron(x, x)
-        eta = xx @ r @ np.linalg.inv(xx) - r
-        eta4 = eta.reshape(n, n, n, n)
-        T = np.empty((n * n, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                T[i * n + j] = x @ _unit(n, j, i)
-        return np.einsum("acbd,Aba,Bdc->AB", eta4, T, T)
+        P = np.triu((mask * (x[:, None, None, :] * x.T[None, :, :, None])).reshape(n * n, -1), 1)
+        return P - P.T
 
     labels = tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
     return PoissonChart(

@@ -87,6 +87,10 @@ class TestConfig:
                      id="factorization-n1"),
         pytest.param(None, ["--scenario", "verify-brackets", "--n", "1"],
                      id="brackets-n1"),
+        pytest.param(None, ["--scenario", "relativistic-cm", "--n", "4"],
+                     id="relativistic-cm-n4"),
+        pytest.param(None, ["--scenario", "duality-check", "--n", "1"],
+                     id="duality-n1"),
     ])
     def test_bad_input_exits_1_with_message(self, tmp_path, capsys, config, argv):
         if config is not None:
@@ -97,6 +101,18 @@ class TestConfig:
         assert main(argv + ["--out-json", str(out)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario,n,extra", [
+        ("factorization-flow", 8, []),
+        ("relativistic-ruijsenaars", 4, ["--t-max", "0.05"]),
+        ("duality-check", 5, []),
+    ])
+    def test_requested_n_is_the_n_run(self, tmp_path, scenario, n, extra):
+        """Above n = 3 a scenario runs at the n asked for, not a smaller one."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", scenario, "--n", str(n), "--seed", "0",
+                     "--out-json", str(out)] + extra) == 0
+        assert json.loads(out.read_text())["parameters"]["n"] == n
 
 
 class TestExitCodes:
@@ -194,6 +210,7 @@ class TestDeterminism:
         ("relativistic-ruijsenaars", ["--t-max", "0.05", "--samples", "2"]),
         ("ruijsenaars-rational", ["--n", "6", "--samples", "500"]),
         ("relativistic-cm", ["--t-max", "0.05"]),
+        ("factorization-flow", ["--n", "8"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, scenario, extra):
         paths = []

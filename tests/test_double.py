@@ -249,6 +249,19 @@ class TestDoubleFlows:
         assert abs(bracket(chart, try_, try2, z)) < 1e-5
         assert abs(bracket(chart, trx, try_, z)) > 1e-8
 
+    @pytest.mark.parametrize("family,block", [("cm", "x"), ("ruijsenaars", "y")])
+    def test_flow_conserves_projection_at_n4(self, family, block):
+        """The full bivector integrates above n = 3: a short n = 4 flow keeps
+        its projection invariants within the acceptance bound."""
+        rng = np.random.default_rng(44)
+        def sl(n):
+            m = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            return m / np.linalg.det(m) ** (1.0 / n)
+        rep = double_flow_conservation(DoublePoint(x=sl(4), y=sl(4)),
+                                       trace_power_observable(4, block, 1),
+                                       t_max=0.05, dt=1e-3, family=family)
+        assert rep.max_abs_drift.max() <= 1e-7
+
     def test_entry_observable_gradient(self):
         obs = entry_observable(2, "y", 0, 1)
         z = RNG.normal(size=8).astype(complex)

@@ -337,7 +337,86 @@ class TestHeisenbergDouble:
             assert abs(jacobi_defect(chart, f, g, h, z)) < JACOBI_TOL
 
 
+def _unit(n, i, j):
+    m = np.zeros((n, n), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def standard_r_kron_oracle(n):
+    """The standard r-matrix summed from Kronecker products of matrix units."""
+    r = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            r[:] += np.kron(_unit(n, i, j), _unit(n, j, i))
+    for a in range(n):
+        r[:] += 0.5 * np.kron(_unit(n, a, a), _unit(n, a, a))
+    r -= (0.5 / n) * np.eye(n * n)
+    return r
+
+
+def sklyanin_inverse_oracle(n, z):
+    """eta(x) = (x (x) x) r (x (x) x)^{-1} - r paired with T[(i,j)] = x E_ji
+    by an explicit inverse and einsum; reference for the closed form."""
+    r = standard_r(n)
+    x = z.reshape(n, n)
+    xx = np.kron(x, x)
+    eta4 = (xx @ r @ np.linalg.inv(xx) - r).reshape(n, n, n, n)
+    T = np.empty((n * n, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            T[i * n + j] = x @ _unit(n, j, i)
+    return np.einsum("acbd,Aba,Bdc->AB", eta4, T, T)
+
+
 class TestSklyanin:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_standard_r_bitwise_equals_kron_sum(self, n):
+        r, ref = standard_r(n), standard_r_kron_oracle(n)
+        assert r.view(float).tobytes() == ref.view(float).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_matches_inverse_oracle(self, n):
+        """Within 100 eps kappa_2(x)^2 max|Pi|: the oracle inverts x (x) x,
+        whose condition number is kappa_2(x)^2."""
+        rng = np.random.default_rng(200 + n)
+        chart = chart_sklyanin(n)
+        for _ in range(5):
+            m = np.eye(n) + 0.35 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            x = m / np.linalg.det(m) ** (1.0 / n)
+            P, ref = chart.pi(x.ravel()), sklyanin_inverse_oracle(n, x.ravel())
+            bound = 100 * np.finfo(float).eps * np.linalg.cond(x) ** 2 * np.abs(ref).max()
+            assert np.abs(P - ref).max() <= bound
+            assert np.all(P + P.T == 0)
+
+    def test_closed_form_symbolically_equals_eta_pairing(self):
+        """At n = 2 the chart's own bivector, run on symbols, equals eta(x)
+        paired with x E_ji exactly, with r built from its definition."""
+        sp = pytest.importorskip("sympy")
+        n = 2
+        x = sp.Matrix(n, n, sp.symbols(f"x:{n}:{n}"))
+
+        def unit(i, j):
+            e = sp.zeros(n, n)
+            e[i, j] = 1
+            return e
+
+        r = -sp.Rational(1, 2 * n) * sp.eye(n * n)
+        for i in range(n):
+            for k in range(n):
+                u = 1 if i < k else sp.Rational(1, 2) if i == k else 0
+                r += u * sp.kronecker_product(unit(i, k), unit(k, i))
+        xx = sp.kronecker_product(x, x)
+        eta = xx * r * sp.kronecker_product(x.inv(), x.inv()) - r
+        T = [x * unit(j, i) for i in range(n) for j in range(n)]
+        P = chart_sklyanin(n).bivector(np.array(list(x), dtype=object))
+        for A in range(n * n):
+            for B in range(n * n):
+                ref = sum(eta[a * n + c, b * n + d] * T[A][b, a] * T[B][d, c]
+                          for a in range(n) for b in range(n)
+                          for c in range(n) for d in range(n))
+                assert sp.cancel(sp.nsimplify(P[A, B], rational=True) - ref) == 0
+
     def test_vanishes_at_identity(self):
         chart = chart_sklyanin(2)
         P = chart.pi(np.eye(2).ravel().astype(complex))
