@@ -487,8 +487,7 @@ class FiberSeparationReport:
         return [tuple(ij) for ij in np.argwhere(self.margins <= self.threshold)]
 
 
-def _separation_report(first, second, base1, base2,
-                       threshold: float) -> FiberSeparationReport:
+def _separation_report(first, second, base1, base2) -> FiberSeparationReport:
     """Margins between two sampled fibers, each a list of (a, b) pairs.
 
     ``base1`` and ``base2`` are the base pair in the first and in the second
@@ -501,7 +500,7 @@ def _separation_report(first, second, base1, base2,
 
     margins = np.abs(table(first)[:, None, :] - table(second)[None, :, :]).max(axis=2)
     coincident = float(np.abs(base - joint_invariants(*base2)).max())
-    return FiberSeparationReport(margins=margins, threshold=threshold,
+    return FiberSeparationReport(margins=margins, threshold=TOL.separation_margin,
                                  coincident_margin=coincident)
 
 
@@ -512,8 +511,7 @@ def _torus_element(n, rng) -> np.ndarray:
 
 
 def duality_fiber_check(x, gamma, samples: int = 4,
-                        rng: np.random.Generator = None,
-                        threshold: float = None) -> FiberSeparationReport:
+                        rng: np.random.Generator = None) -> FiberSeparationReport:
     """Check that the two reduced-system fibers through (x, gamma) only meet
     at the base point.
 
@@ -524,7 +522,6 @@ def duality_fiber_check(x, gamma, samples: int = 4,
     some joint trace invariant must separate them.
     """
     rng = rng or np.random.default_rng(0)
-    threshold = TOL.separation_margin if threshold is None else threshold
     x = as_matrix(x)
     gamma = as_matrix(gamma)
     n = x.shape[0]
@@ -542,4 +539,4 @@ def duality_fiber_check(x, gamma, samples: int = 4,
     # z = 1, c = 0: both parametrizations land on the base point
     return _separation_report(
         first, second, (x, gamma @ np.eye(n)),
-        (x + v @ np.zeros((n, n)) @ np.linalg.inv(v), gamma), threshold)
+        (x + v @ np.zeros((n, n)) @ np.linalg.inv(v), gamma))

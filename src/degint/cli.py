@@ -147,9 +147,9 @@ def _distinct_h(n, rng):
             return h.astype(complex)
 
 
-def _distinct_eigs(n, rng, spread=0.4):
+def _distinct_eigs(n, rng):
     while True:
-        x = np.exp(rng.normal(size=n) * spread + 1j * rng.normal(size=n) * spread)
+        x = np.exp(rng.normal(size=n) * 0.4 + 1j * rng.normal(size=n) * 0.4)
         x /= np.prod(x) ** (1.0 / n)
         gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
         if gaps.min(initial=np.inf) > 0.1:

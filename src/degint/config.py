@@ -1,8 +1,9 @@
 """Central tolerance configuration.
 
-Every numerical threshold used by the library lives in one frozen record so
-acceptance suites have a single knob.  The defaults are the validated
-desk-scale values; construct a custom ``Tolerances`` to tighten or relax.
+Every numerical threshold used by the library lives in one frozen record,
+``TOL``, which the library reads directly; no function takes a tolerance
+record as a parameter.  The values are the validated desk-scale ones; a
+threshold is changed here, for every caller at once.
 """
 
 from dataclasses import dataclass

@@ -139,34 +139,33 @@ def inverse_duality_map(pt: DoublePoint) -> DoublePoint:
                        y=np.linalg.inv(pt.x))
 
 
-def _centralizer_element(m, rng, spread=0.3) -> np.ndarray:
+def _centralizer_element(m, rng) -> np.ndarray:
     """Random determinant-1 element commuting with m (m semisimple)."""
     _, v = spectral(m)
     n = m.shape[0]
-    lam = np.exp(rng.normal(size=n) * spread + 1j * rng.normal(size=n) * spread)
+    lam = np.exp(rng.normal(size=n) * 0.3 + 1j * rng.normal(size=n) * 0.3)
     lam /= np.prod(lam) ** (1.0 / n)
     return v @ np.diag(lam) @ np.linalg.inv(v)
 
 
 def fiber_check(pt: DoublePoint, samples: int = 4,
-                rng: np.random.Generator = None,
-                threshold: float = None) -> FiberSeparationReport:
+                rng: np.random.Generator = None) -> FiberSeparationReport:
     """Check transversality of the two projection fibers through (x, y).
 
     The first fiber is {(x, y z) : z in Z_x}, the second {(x z', y) :
     z' in Z_y}, centralizers computed from spectral decompositions.  For
     sampled z != 1 and z' != 1 some joint trace invariant must separate the
-    two points; margins below the threshold are flagged, not failed.
+    two points; margins below ``TOL.separation_margin`` are flagged, not
+    failed.
     """
     rng = rng or np.random.default_rng(0)
-    threshold = TOL.separation_margin if threshold is None else threshold
     first = [(pt.x, pt.y @ _centralizer_element(pt.x, rng))
              for _ in range(samples)]
     second = [(pt.x @ _centralizer_element(pt.y, rng), pt.y)
               for _ in range(samples)]
     eye = np.eye(pt.n)
     return _separation_report(first, second, (pt.x, pt.y @ eye),
-                              (pt.x @ eye, pt.y), threshold)
+                              (pt.x @ eye, pt.y))
 
 
 def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
@@ -251,15 +250,14 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
 class RelativisticHamiltonians:
     """Character Hamiltonians of the second family on the reduced chart."""
 
-    traces: np.ndarray        # (tr y, tr y^2, ..., tr y^kmax), matrix route
+    traces: np.ndarray        # (tr y, tr y^2), matrix route
     h2: complex               # second Hamiltonian, (tr y^2 - (tr y)^2)/2 route
     residual_tr_y: float      # reduced formula vs matrix trace
     residual_tr_y2: float
     residual_h2: float        # product formula vs character route
 
 
-def relativistic_hamiltonians(x_eigs, u, q: complex, kmax: int = 2
-                              ) -> RelativisticHamiltonians:
+def relativistic_hamiltonians(x_eigs, u, q: complex) -> RelativisticHamiltonians:
     """Evaluate tr y, tr y^2 and the second Hamiltonian by dual routes.
 
     The diagonal is y_ii = u_i prod_{j != i} (1-q^{-1}x_i/x_j)/(1-x_i/x_j)
@@ -275,7 +273,7 @@ def relativistic_hamiltonians(x_eigs, u, q: complex, kmax: int = 2
     R = _ratio(own, other)
     ydiag = u * R.prod(axis=-1)
     y = (1.0 - 1.0 / q) * ydiag[None, :] / own
-    traces = traces_of_powers(y, max(kmax, 2))
+    traces = traces_of_powers(y, 2)
 
     tr1_red = np.sum(ydiag)
     tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * np.outer(ydiag, ydiag) / (own * own.T))
@@ -291,7 +289,7 @@ def relativistic_hamiltonians(x_eigs, u, q: complex, kmax: int = 2
     for name, res in (("tr y", res1), ("tr y^2", res2), ("H2", resh)):
         if res > TOL.dual_path_reject:
             raise ConsistencyError(f"{name}: dual routes disagree by {res:.3g}")
-    return RelativisticHamiltonians(traces=traces[:kmax], h2=h2_char,
+    return RelativisticHamiltonians(traces=traces, h2=h2_char,
                                     residual_tr_y=res1, residual_tr_y2=res2,
                                     residual_h2=resh)
 
@@ -372,9 +370,8 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
 
 
 def double_flow_conservation(pt: DoublePoint, H: Observable, t_max: float,
-                             dt: float, family: str = "cm",
-                             kmax: int = 2) -> ConservationReport:
+                             dt: float, family: str = "cm") -> ConservationReport:
     """Integrate the flow of H on the full bracket chart and monitor the
     projection invariants of the chosen family."""
     traj = rk4(chart_heisenberg_double(pt.n), H, pt.as_point(), t_max, dt)
-    return monitor(traj, projection_invariants(pt.n, family, kmax))
+    return monitor(traj, projection_invariants(pt.n, family))

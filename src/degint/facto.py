@@ -78,15 +78,15 @@ def _traceless(m):
     return m - (np.trace(m) / n) * np.eye(n)
 
 
-def left_differential(H: InvariantHamiltonian, x,
-                      step: float = 1e-6) -> np.ndarray:
+def left_differential(H: InvariantHamiltonian, x) -> np.ndarray:
     """Trace-form realization of the left differential of H at x, traceless.
 
     Pairing convention: <d_l H(x), X> = d/dt H(exp(tX) x) at t = 0.  For
     tr(x^k) this gives k x^k (minus its trace part).  Custom invariants are
-    differentiated centrally over the matrix-unit basis; exp(h E_ab) is
-    formed exactly (E_ab is a unit or idempotent).
+    differentiated centrally, with step ``TOL.fd_step``, over the matrix-unit
+    basis; exp(h E_ab) is formed exactly (E_ab is a unit or idempotent).
     """
+    step = TOL.fd_step
     x = as_matrix(x)
     n = x.shape[0]
     if isinstance(H, TracePower):

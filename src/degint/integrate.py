@@ -1,6 +1,8 @@
 """Time integration of Hamiltonian vector fields on charts, with drift
 monitoring of declared conserved sets."""
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -56,67 +58,107 @@ class ConservationReport:
         return float(self.max_abs_drift[self.names.index(name)])
 
 
-def _field(chart: PoissonChart, H: Observable):
-    def f(z):
-        return ham_vector_field(chart, H, z)
-    return f
+# Butcher tableau of an explicit Runge-Kutta method; ``b_low`` holds the
+# embedded lower-order weights of an error-controlled pair
+_Tableau = namedtuple("_Tableau", "A b b_low", defaults=(None,))
+
+_RK4 = _Tableau(A=np.diag([0.5, 0.5, 1.0], -1), b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]))
+
+# Dormand-Prince 5(4); the seventh stage is evaluated on every attempted
+# step, not reused as the next step's first (no FSAL)
+_DP = _Tableau(
+    A=np.array([
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+    ]),
+    b=np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]),
+    b_low=np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                    -92097 / 339200, 187 / 2100, 1 / 40]),
+)
+
+
+def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau,
+         h: float, max_steps: int, tol: Optional[float],
+         guard: Optional[Callable[[np.ndarray], Optional[str]]]) -> Trajectory:
+    """Runge-Kutta steps of the Hamiltonian field of H from x0.  Without
+    ``tol``: ``max_steps`` steps of ``h``, the last clipped to end on
+    ``t_max``.  With ``tol``: at most ``max_steps`` attempts, each accepted
+    when the embedded error estimate is within ``tol``, with ``h`` adapted
+    after every attempt.  ``guard`` sees each accepted state and may return
+    a flag that stops the run."""
+    z = np.asarray(x0, dtype=complex).ravel()
+    # complex coefficients spare every stage product a cast from float
+    rows = [row[:i].astype(complex) for i, row in enumerate(tableau.A)]
+    b = tableau.b.astype(complex)
+    err_row = None if tol is None else b - tableau.b_low
+    K = np.empty((len(b), z.size), dtype=complex)
+    t, times, states, flags = 0.0, [0.0], [z], []
+    accepted = rejected = 0
+    while accepted + rejected < max_steps:
+        if tol is None:
+            if accepted == max_steps - 1:
+                h = t_max - t
+        elif t >= t_max:
+            break
+        else:
+            h = min(h, t_max - t)
+            if h < TOL.step_underflow:
+                flags.append(FLAG_TOLERANCE)
+                break
+        # ndarray.dot: the same products as @, without its ufunc dispatch
+        K[0] = ham_vector_field(chart, H, z)
+        for i in range(1, len(b)):
+            K[i] = ham_vector_field(chart, H, z + h * rows[i].dot(K[:i]))
+        z_next = z + h * b.dot(K)
+        finite = np.isfinite(z_next).all()
+        if finite and tol is not None:
+            scale = tol * np.maximum(1.0, np.maximum(np.abs(z), np.abs(z_next)))
+            err = np.sqrt(np.mean(np.abs(h * err_row.dot(K) / scale) ** 2))
+            finite = np.isfinite(err)       # err also weighs a stage that b weighs 0
+        if not finite:
+            flags.append(FLAG_NONFINITE)
+            break
+        h_taken = h
+        if tol is not None:
+            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if err > 1.0:
+                rejected += 1
+                continue
+        t += h_taken
+        z = z_next
+        accepted += 1
+        times.append(t)
+        states.append(z)
+        flag = guard(z) if guard is not None else None
+        if flag:
+            flags.append(flag)
+            break
+    if t < t_max and not flags:
+        flags.append(FLAG_BUDGET)
+    return Trajectory(np.array(times), np.array(states),
+                      accepted_steps=accepted, rejected_steps=rejected,
+                      flags=tuple(flags))
 
 
 def rk4(chart: PoissonChart, H: Observable, x0, t_max: float, dt: float,
         guard: Optional[Callable[[np.ndarray], Optional[str]]] = None) -> Trajectory:
     """Classical fourth-order steps of the Hamiltonian field of H.
 
-    The trajectory is sampled every step.  A ``guard`` may inspect each state
-    and return a flag string to abort integration.
+    Takes ceil(t_max / dt) steps of ``dt``, the last clipped so the run ends
+    on ``t_max``; a ratio within roundoff of an integer takes that many full
+    steps.  The trajectory is sampled every step.  A ``guard`` may inspect
+    each state and return a flag string to abort integration.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    z = np.asarray(x0, dtype=complex).ravel()
-    f = _field(chart, H)
-    nsteps = max(1, int(round(t_max / dt)))
-    times = [0.0]
-    states = [z.copy()]
-    flags = []
-    t = 0.0
-    for _ in range(nsteps):
-        h = min(dt, t_max - t)
-        if h <= 0:
-            break
-        k1 = f(z)
-        k2 = f(z + 0.5 * h * k1)
-        k3 = f(z + 0.5 * h * k2)
-        k4 = f(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        if not np.all(np.isfinite(z)):
-            flags.append(FLAG_NONFINITE)
-            break
-        times.append(t)
-        states.append(z.copy())
-        if guard is not None:
-            flag = guard(z)
-            if flag:
-                flags.append(flag)
-                break
-    return Trajectory(np.array(times), np.array(states),
-                      accepted_steps=len(times) - 1, rejected_steps=0,
-                      flags=tuple(flags))
-
-
-# Dormand-Prince 5(4) pair
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+    nsteps = math.ceil(t_max / dt * (1.0 - 1e-12))
+    return _run(chart, H, x0, t_max, _RK4, dt, nsteps, tol=None, guard=guard)
 
 
 def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
@@ -126,51 +168,8 @@ def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
     flags ``step-budget-failure`` when ``max_steps`` run out before ``t_max``."""
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
-    z = np.asarray(x0, dtype=complex).ravel()
-    f = _field(chart, H)
-    t = 0.0
     h = min(0.01 * max(t_max, 1e-8), t_max) or t_max
-    times = [0.0]
-    states = [z.copy()]
-    flags = []
-    accepted = rejected = 0
-    k = [None] * 7
-    while t < t_max and accepted + rejected < max_steps:
-        h = min(h, t_max - t)
-        if h < TOL.step_underflow:
-            flags.append(FLAG_TOLERANCE)
-            break
-        k[0] = f(z)
-        for i in range(1, 7):
-            zi = z + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = f(zi)
-        z5 = z + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b != 0.0)
-        z4 = z + h * sum(b * k[i] for i, b in enumerate(_DP_B4) if b != 0.0)
-        if not (np.all(np.isfinite(z5)) and np.all(np.isfinite(z4))):
-            flags.append(FLAG_NONFINITE)
-            break
-        scale = tol * np.maximum(1.0, np.maximum(np.abs(z), np.abs(z5)))
-        err = np.sqrt(np.mean(np.abs((z5 - z4) / scale) ** 2))
-        if err <= 1.0:
-            t += h
-            z = z5
-            accepted += 1
-            times.append(t)
-            states.append(z.copy())
-            if guard is not None:
-                flag = guard(z)
-                if flag:
-                    flags.append(flag)
-                    break
-        else:
-            rejected += 1
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-    if t < t_max and not flags:
-        flags.append(FLAG_BUDGET)
-    return Trajectory(np.array(times), np.array(states),
-                      accepted_steps=accepted, rejected_steps=rejected,
-                      flags=tuple(flags))
+    return _run(chart, H, x0, t_max, _DP, h, max_steps, tol=tol, guard=guard)
 
 
 def monitor(trajectory: Trajectory,

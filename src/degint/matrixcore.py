@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import (
     FactorizationNotDefined,
     MatrixOverflowError,
@@ -90,7 +90,7 @@ def mat_exp(a) -> np.ndarray:
     return result
 
 
-def ul_split_factorize(m, tol: Tolerances = TOL) -> ULPair:
+def ul_split_factorize(m) -> ULPair:
     """Split ``m = g_plus @ inv(g_minus)`` with reciprocal-diagonal factors.
 
     Computes the upper/diagonal/lower decomposition ``m = U d^2 L`` with
@@ -111,10 +111,10 @@ def ul_split_factorize(m, tol: Tolerances = TOL) -> ULPair:
     work = flipped.astype(complex).copy()
     for k in range(n):
         pivot = work[k, k]
-        if abs(pivot) < tol.pivot_minor * scale:
+        if abs(pivot) < TOL.pivot_minor * scale:
             raise FactorizationNotDefined(
                 f"pivot minor {k + 1} has modulus {abs(pivot):.3g} "
-                f"(threshold {tol.pivot_minor * scale:.3g})"
+                f"(threshold {TOL.pivot_minor * scale:.3g})"
             )
         for i in range(k + 1, n):
             f = work[i, k] / pivot
@@ -134,21 +134,21 @@ def ul_split_factorize(m, tol: Tolerances = TOL) -> ULPair:
     return ULPair(g_plus=g_plus, g_minus=g_minus)
 
 
-def spectral(m, tol: Tolerances = TOL):
+def spectral(m):
     """Eigendecomposition ``m = V diag(w) inv(V)`` for semisimple matrices.
 
     Eigenvalues are sorted lexicographically by (Re, Im) so cross-section
     choices are reproducible.  Raises when the smallest eigenvalue gap is
-    below ``tol.eigenvalue_gap``.
+    below ``TOL.eigenvalue_gap``.
     """
     m = as_matrix(m)
     w, v = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
     gap = np.abs(w[:, None] - w[None, :])[np.triu_indices(len(w), 1)].min(initial=np.inf)
-    if gap < tol.eigenvalue_gap:
+    if gap < TOL.eigenvalue_gap:
         raise NearDegenerateSpectrum(
-            f"minimal eigenvalue gap {gap:.3g} below {tol.eigenvalue_gap:.3g}")
+            f"minimal eigenvalue gap {gap:.3g} below {TOL.eigenvalue_gap:.3g}")
     return w, v
 
 

@@ -139,16 +139,14 @@ def bracket(chart: PoissonChart, f: Observable, g: Observable, x,
     return complex(f.gradient(z, step) @ chart.pi(z) @ g.gradient(z, step))
 
 
-def ham_vector_field(chart: PoissonChart, H: Observable, x,
-                     step: float = None) -> np.ndarray:
+def ham_vector_field(chart: PoissonChart, H: Observable, x) -> np.ndarray:
     """Pi(x) . grad H, the right-hand side handed to integrators."""
     z = chart.point(x)
-    return chart.pi(z) @ H.gradient(z, step)
+    return chart.pi(z) @ H.gradient(z)
 
 
 def jacobi_defect(chart: PoissonChart, f: Observable, g: Observable,
-                  h: Observable, x, step: float = None,
-                  nested_step: float = None) -> complex:
+                  h: Observable, x) -> complex:
     """{f,{g,h}} + {g,{h,f}} + {h,{f,g}} by nested finite-difference brackets.
 
     Inner brackets use exact gradients where available; the outer bracket
@@ -156,12 +154,12 @@ def jacobi_defect(chart: PoissonChart, f: Observable, g: Observable,
     registered gradient), with a coarser step to keep the difference of
     differences above roundoff.
     """
-    outer = TOL.fd_nested_step if nested_step is None else nested_step
+    outer = TOL.fd_nested_step
 
     def nest(a, b):
         return Observable(
             name=f"{{{a.name},{b.name}}}",
-            fn=lambda z: bracket(chart, a, b, z, step),
+            fn=lambda z: bracket(chart, a, b, z),
         )
 
     return (bracket(chart, f, nest(g, h), x, outer)
@@ -170,12 +168,12 @@ def jacobi_defect(chart: PoissonChart, f: Observable, g: Observable,
 
 
 def leibniz_defect(chart: PoissonChart, f: Observable, g: Observable,
-                   h: Observable, x, step: float = None) -> complex:
+                   h: Observable, x) -> complex:
     """{f, g*h} - {f,g} h - g {f,h}; zero for any honest bivector."""
     z = chart.point(x)
-    return (bracket(chart, f, observable_product(g, h), z, step)
-            - bracket(chart, f, g, z, step) * h(z)
-            - g(z) * bracket(chart, f, h, z, step))
+    return (bracket(chart, f, observable_product(g, h), z)
+            - bracket(chart, f, g, z) * h(z)
+            - g(z) * bracket(chart, f, h, z))
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,15 @@ class TestExitCodes:
                      "--out-json", str(tmp_path / "no" / "such" / "dir" / "r.json")])
         assert code == 3
 
+    def test_fixed_step_reference_ends_on_t_max(self, tmp_path):
+        """t_max / dt = 10/3: the rk4 reference clips its last step and ends
+        on t_max, where the exact flow is taken, so the cross-checks pass."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "factorization-flow", "--t-max", "0.1",
+                     "--dt", "0.03", "--out-json", str(out)]) == 0
+        residuals = {r["name"]: r["value"] for r in json.loads(out.read_text())["oracle_residuals"]}
+        assert max(v for k, v in residuals.items() if k.startswith("cross-check")) < 1e-6
+
     def test_numerical_failure_exit_2(self, tmp_path):
         """A tolerance too loose for the drift budget flags the run and
         exits 2, with the report still written."""
