@@ -6,7 +6,7 @@ dynamics on the group chart, all wired through one chart-based Poisson
 engine and cross-validated against independent brute-force oracles.
 """
 
-from .config import TOL, Tolerances
+from .config import TOL
 from .matrixcore import (
     ULPair,
     as_matrix,

@@ -448,7 +448,8 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
     rows = []
     residuals = []
     flags = []
-    for chart in _bracket_suite_charts(cfg.n):
+    charts = _bracket_suite_charts(cfg.n)
+    for chart in charts:
         out = [_chart_defects(chart, cfg, i) for i in range(cfg.samples)]
         worst = (max(r[1] for r in out), max(r[2] for r in out),
                  max(r[3] for r in out))
@@ -463,7 +464,8 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         csv_header=["chart", "point", "antisymmetry", "jacobi", "leibniz"],
         csv_rows=rows, residuals=residuals, flags=flags,
-        parameters={"n": cfg.n, "samples": cfg.samples})
+        parameters={"n": cfg.n, "samples": cfg.samples,
+                    "charts": [chart.name for chart in charts]})
 
 
 def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:

@@ -322,14 +322,18 @@ def _trace(m):
 def trace_power_observable(n: int, block: str, k: int) -> Observable:
     """tr(x^k) or tr(y^k) on the (x, y) chart, with exact gradient."""
     offset = 0 if block == "x" else n * n
+    eye = np.eye(n, dtype=complex)
 
     def fn(z):
         return _trace(np.linalg.matrix_power(_block(z, n, block), k))
 
     def grad(z):
         m = _block(z, n, block)
+        power = eye
+        for _ in range(k - 1):
+            power = power.dot(m)
         g = np.zeros(2 * n * n, dtype=complex)
-        g[offset:offset + n * n] = (k * np.linalg.matrix_power(m, k - 1)).T.ravel()
+        g[offset:offset + n * n] = (k * power).T.ravel()
         return g
 
     return Observable(name=f"tr({block}^{k})", fn=fn, grad=grad)

@@ -44,8 +44,11 @@ class PoissonChart:
     """A coordinate chart with a bivector evaluator.
 
     ``bivector`` maps a point (complex vector of length ``dim``) to the
-    dim x dim antisymmetric matrix Pi(x).  With ``selfcheck`` enabled every
-    evaluation asserts antisymmetry to ``TOL.antisymmetry``.
+    dim x dim antisymmetric matrix Pi(x).  An optional ``field`` maps a
+    point and a covector g to Pi(x) . g in closed form, without forming
+    Pi(x).  With ``selfcheck`` enabled every bivector evaluation asserts
+    antisymmetry to ``TOL.antisymmetry``, and every field evaluation
+    asserts its consequence g . Pi(x) . g = 0.
     """
 
     name: str
@@ -53,6 +56,7 @@ class PoissonChart:
     coord_labels: tuple
     bivector: Callable[[np.ndarray], np.ndarray]
     selfcheck: bool = False
+    field: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def point(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=complex).ravel()
@@ -62,8 +66,23 @@ class PoissonChart:
             )
         return z
 
-    def pi(self, x) -> np.ndarray:
+    def pi(self, x, g=None) -> np.ndarray:
+        """Pi(x), or Pi(x) . g for a covector g.  ``g`` may also be a
+        function of the validated point returning the covector, which lets
+        :func:`ham_vector_field` validate its point once."""
         z = self.point(x)
+        if callable(g):
+            g = g(z)
+        if g is not None and self.field is not None:
+            v = self.field(z, g)
+            if self.selfcheck:
+                defect = abs(g.dot(v))
+                if defect > TOL.antisymmetry * max(1.0, np.abs(g).max() * np.abs(v).max()):
+                    raise AssertionError(
+                        f"field of chart {self.name!r} lost antisymmetry: "
+                        f"|g . Pi g| = {defect:.3g}"
+                    )
+            return v
         P = np.asarray(self.bivector(z), dtype=complex)
         if P.shape != (self.dim, self.dim):
             raise DimensionMismatch(
@@ -76,7 +95,7 @@ class PoissonChart:
                 raise AssertionError(
                     f"bivector of chart {self.name!r} lost antisymmetry: {defect:.3g}"
                 )
-        return P
+        return P if g is None else P @ g
 
 
 @dataclass(frozen=True)
@@ -140,9 +159,10 @@ def bracket(chart: PoissonChart, f: Observable, g: Observable, x,
 
 
 def ham_vector_field(chart: PoissonChart, H: Observable, x) -> np.ndarray:
-    """Pi(x) . grad H, the right-hand side handed to integrators."""
-    z = chart.point(x)
-    return chart.pi(z) @ H.gradient(z)
+    """Pi(x) . grad H, the right-hand side handed to integrators.  One
+    :meth:`PoissonChart.pi` call, which validates the point and takes the
+    gradient there."""
+    return chart.pi(x, H.gradient)
 
 
 def jacobi_defect(chart: PoissonChart, f: Observable, g: Observable,
@@ -309,6 +329,14 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     +(1/n) x_ij y_kl in the x-y block.  All three blocks are computed in one
     pass over a leading axis of length 3; the y-x block is the negative
     transpose of the x-y block.  Antisymmetry self-check is enabled.
+
+    ``field`` sums these entries against a covector g in matrix form.  With
+    Gx, Gy the halves of g as n x n matrices, o the entrywise product,
+    <A, B> = sum A_ij B_ij, Px = x Gx^T, Qx = Gx^T x, Ry = y Gy^T,
+    Sy = Gy^T y, Dx = Px - Qx, Dy = Ry - Sy and E = Dx + Dy:
+
+        v_x = (u o (Dx - Sy) - u^T o Ry) x + x (u^T o E) + (<Gy, y>/n) x
+        v_y = (u o E) y + y (u^T o (Dy + Px) + u o Qx) - (<Gx, x>/n) y
     """
     m = n * n
     d = np.arange(n)
@@ -340,6 +368,22 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         P[m:, m:] = Q[2]
         return P
 
+    # complex masks spare each masked product a cast from float
+    uc, ut = u.astype(complex), u.T.astype(complex)
+
+    def field(z, g, n=n, m=m, uc=uc, ut=ut):
+        x, y = z.reshape(2, n, n)
+        gxt, gyt = g[:m].reshape(n, n).T, g[m:].reshape(n, n).T
+        px, qx = x.dot(gxt), gxt.dot(x)
+        ry, sy = y.dot(gyt), gyt.dot(y)
+        dx, dy = px - qx, ry - sy
+        e = dx + dy
+        vx = ((uc * (dx - sy) - ut * ry).dot(x) + x.dot(ut * e)
+              + (g[m:].dot(z[m:]) / n) * x)
+        vy = ((uc * e).dot(y) + y.dot(ut * (dy + px) + uc * qx)
+              - (g[:m].dot(z[:m]) / n) * y)
+        return np.concatenate([vx.ravel(), vy.ravel()])
+
     labels = (tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
               + tuple(f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)))
     return PoissonChart(
@@ -348,6 +392,7 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         coord_labels=labels,
         bivector=biv,
         selfcheck=True,
+        field=field,
     )
 
 
@@ -371,7 +416,9 @@ def chart_sklyanin(n: int) -> PoissonChart:
     so {x_ij, x_kl} = (u_lj - u_ik) x_il x_kj.  That mask is antisymmetric
     (u_ab + u_ba = 1), but a complex product can round differently with its
     factors swapped, so the strict upper triangle is formed and mirrored.
-    Antisymmetry self-check is enabled.
+    Antisymmetry self-check is enabled.  Summed against a covector g, with
+    G its n x n matrix and o the entrywise product, the same entries give
+    ``field``: Pi(x) . g = x (u o (G^T x)) - (u o (x G^T)) x.
     """
     u = _r_mask(n)
     mask = u.T[None, :, None, :] - u[:, None, :, None]      # [i,j,k,l] = u_lj - u_ik
@@ -381,6 +428,13 @@ def chart_sklyanin(n: int) -> PoissonChart:
         P = np.triu((mask * (x[:, None, None, :] * x.T[None, :, :, None])).reshape(n * n, -1), 1)
         return P - P.T
 
+    uc = u.astype(complex)
+
+    def field(z, g, n=n, uc=uc):
+        x = z.reshape(n, n)
+        gt = g.reshape(n, n).T
+        return (x.dot(uc * gt.dot(x)) - (uc * x.dot(gt)).dot(x)).ravel()
+
     labels = tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
     return PoissonChart(
         name=f"sklyanin(n={n})",
@@ -388,4 +442,5 @@ def chart_sklyanin(n: int) -> PoissonChart:
         coord_labels=labels,
         bivector=biv,
         selfcheck=True,
+        field=field,
     )

@@ -114,6 +114,18 @@ class TestConfig:
                      "--out-json", str(out)] + extra) == 0
         assert json.loads(out.read_text())["parameters"]["n"] == n
 
+    def test_bracket_report_lists_the_charts_it_ran(self, tmp_path):
+        """verify-brackets sizes only some of its charts by --n; its
+        parameters name every chart at the size it ran."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "verify-brackets", "--n", "4", "--samples", "1",
+                     "--seed", "0", "--out-json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        charts = payload["parameters"]["charts"]
+        assert "cm-loglinear(n=4)" in charts and "sklyanin(n=2)" in charts
+        assert len(charts) == 6
+        assert set(charts) == {r["name"].split(":", 1)[1] for r in payload["oracle_residuals"]}
+
 
 class TestExitCodes:
     def test_invalid_config_exit_1(self):
@@ -220,6 +232,7 @@ class TestDeterminism:
         ("ruijsenaars-rational", ["--n", "6", "--samples", "500"]),
         ("relativistic-cm", ["--t-max", "0.05"]),
         ("factorization-flow", ["--n", "8"]),
+        ("relativistic-ruijsenaars", ["--n", "6", "--t-max", "0.05"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, scenario, extra):
         paths = []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from degint import kepler
+from degint import integrate, kepler
 from degint.config import TOL
 from degint.double import entry_observable, projection_invariants, trace_power_observable
 from degint.facto import CustomInvariant, TracePower, _chart_observable
@@ -101,9 +101,9 @@ class TestRK4:
         calls = []
         pi = PoissonChart.pi
 
-        def counted(chart, x):
+        def counted(chart, *args):
             calls.append(chart.name)
-            return pi(chart, x)
+            return pi(chart, *args)
 
         monkeypatch.setattr(PoissonChart, "pi", counted)
         n, steps = 3, 25
@@ -113,6 +113,28 @@ class TestRK4:
                    x0, t_max=steps * 1e-3, dt=1e-3)
         assert traj.accepted_steps == steps
         assert calls == ["heisenberg-double(n=3)"] * (4 * steps)
+
+    def test_one_point_validation_per_field_evaluation(self, monkeypatch):
+        """Each ham_vector_field call checks its point once, inside pi."""
+        counts = {"point": 0, "field": 0}
+        point, field = PoissonChart.point, integrate.ham_vector_field
+
+        def counted_point(chart, x):
+            counts["point"] += 1
+            return point(chart, x)
+
+        def counted_field(*args):
+            counts["field"] += 1
+            return field(*args)
+
+        monkeypatch.setattr(PoissonChart, "point", counted_point)
+        monkeypatch.setattr(integrate, "ham_vector_field", counted_field)
+        n, steps = 2, 10
+        x0 = np.concatenate([np.eye(n).ravel(), np.eye(n).ravel()]).astype(complex)
+        x0[1] = 0.2
+        rk4(chart_heisenberg_double(n), trace_power_observable(n, "y", 2),
+            x0, t_max=steps * 1e-3, dt=1e-3)
+        assert counts == {"point": 4 * steps, "field": 4 * steps}
 
 
 class TestAdaptive:

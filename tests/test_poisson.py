@@ -1,8 +1,11 @@
 """Tests for the chart-based Poisson engine and the registered charts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from degint.double import trace_power_observable
 from degint.errors import DimensionMismatch, SingularChartPoint
 from degint.poisson import (
     Observable,
@@ -445,3 +448,87 @@ class TestSklyanin:
             idx = RNG.choice(4, size=3, replace=False)
             f, g, h = (coordinate(4, int(i)) for i in idx)
             assert abs(jacobi_defect(chart, f, g, h, z)) < JACOBI_TOL
+
+
+def _polarized_bivector(chart):
+    """The chart's own bivector as a polynomial in symbols z.  Both r-matrix
+    bivectors are homogeneous quadratic, so their values at e_a and
+    e_a + e_b give every coefficient; at n = 2 the coefficients are binary
+    fractions, exact in floating point.  The quadratic form is checked
+    against the bivector at a random point before it is used."""
+    sp = pytest.importorskip("sympy")
+    d = chart.dim
+    z = np.array(sp.symbols(f"z:{d}"), dtype=object)
+    basis = np.eye(d, dtype=complex)
+    single = [chart.bivector(e) for e in basis]
+    coeff = {}
+    for a in range(d):
+        coeff[a, a] = single[a]
+        for b in range(a + 1, d):
+            coeff[a, b] = chart.bivector(basis[a] + basis[b]) - single[a] - single[b]
+    w = RNG.normal(size=d) + 1j * RNG.normal(size=d)
+    numeric = sum(c * w[a] * w[b] for (a, b), c in coeff.items())
+    ref = chart.bivector(w)
+    assert np.abs(numeric - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert all(np.abs(c.imag).max() == 0 for c in coeff.values())
+    return z, sum(c.real * z[a] * z[b] for (a, b), c in coeff.items())
+
+
+class TestMatrixFormFields:
+    """``pi(z, g)`` of the r-matrix charts is Pi(z) . g in closed matrix form,
+    without forming Pi; the bivector route is its oracle."""
+
+    @pytest.mark.parametrize("make_chart", [chart_heisenberg_double, chart_sklyanin])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_field_matches_bivector_times_covector(self, make_chart, n):
+        rng = np.random.default_rng(300 + n)
+        chart = make_chart(n)
+        assert chart.field is not None
+        for _ in range(3):
+            z = np.tile(np.eye(n).ravel(), chart.dim // (n * n)) + 0.3 * (
+                rng.normal(size=chart.dim) + 1j * rng.normal(size=chart.dim))
+            g = rng.normal(size=chart.dim) + 1j * rng.normal(size=chart.dim)
+            ref = chart.pi(z) @ g
+            assert np.abs(chart.pi(z, g) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make_chart", [chart_heisenberg_double, chart_sklyanin])
+    def test_field_symbolically_equals_bivector_times_covector(self, make_chart):
+        """At n = 2 the chart's own field, run on symbols, expands to the
+        chart's own bivector times a symbolic covector exactly."""
+        sp = pytest.importorskip("sympy")
+        chart = make_chart(2)
+        z, P = _polarized_bivector(chart)
+        g = np.array(sp.symbols(f"g:{chart.dim}"), dtype=object)
+        v = chart.field(z, g)
+        for got, want in zip(v, P.dot(g)):
+            exact = sp.nsimplify(sp.expand(got), rational=True)
+            assert sp.expand(exact - sp.nsimplify(sp.expand(want), rational=True)) == 0
+
+    def test_ham_vector_field_takes_the_field_route(self):
+        """On an r-matrix chart the integrators' right-hand side is one
+        ``pi(z, g)`` call and never forms the bivector."""
+        chart = chart_heisenberg_double(2)
+
+        def refuse(z):
+            raise AssertionError("bivector formed on the field route")
+
+        blind = dataclasses.replace(chart, bivector=refuse)
+        z = heisenberg_point(2)
+        H = trace_power_observable(2, "y", 2)
+        v = ham_vector_field(blind, H, z)
+        ref = chart.pi(z) @ H.gradient(z)
+        assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make_chart", [chart_heisenberg_double, chart_sklyanin])
+    def test_selfcheck_rejects_a_field_that_is_not_antisymmetric(self, make_chart):
+        """With Pi never formed, the self-check tests g . Pi(z) g = 0: a field
+        with a planted symmetric part fails it, the true field passes."""
+        chart = make_chart(2)
+        bent = dataclasses.replace(
+            chart, field=lambda z, g, f=chart.field: f(z, g) + 1e-6 * g)
+        rng = np.random.default_rng(5)
+        z = np.tile(np.eye(2).ravel(), chart.dim // 4) + 0.3 * rng.normal(size=chart.dim)
+        g = rng.normal(size=chart.dim)
+        chart.pi(z, g)
+        with pytest.raises(AssertionError, match="lost antisymmetry"):
+            bent.pi(z, g)
