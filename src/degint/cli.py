@@ -126,8 +126,9 @@ class ScenarioResult:
     svg_series: dict = field(default_factory=dict)    # label -> (ts, values)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17e}"
+# One CSV cell in 17-significant-digit scientific notation; Python and numpy
+# floats and ints format alike, so rows go through it straight from .tolist().
+_fmt = "{:.17e}".format
 
 
 def _rng_for(cfg: ScenarioConfig, index: int = 0) -> np.random.Generator:
@@ -145,6 +146,42 @@ def _distinct_h(n, rng):
         h -= h.sum() / n                  # bit for bit h.mean() and np.diff(h), but cheaper
         if n == 1 or (h[1:] - h[:-1]).min() > 0.1:
             return h.astype(complex)
+
+
+# Rows each rank-1 sample draws in one block before its h is chosen.  A
+# sample none of whose first _DRAW_BLOCK rows passes the gap test
+# (probability 2e-4 at n = 6, 4% at n = 8) is redrawn the per-sample way.
+_DRAW_BLOCK = 16
+
+
+def _rank1_draws(cfg):
+    """The (samples, n) arrays h and u of ``ruijsenaars-rational``, bit for
+    bit the per-sample draws: from generator seed + i + 1, first
+    h = ``_distinct_h(n, rng)``, then u = normal(n) + 1j * normal(n).
+
+    A generator's normal stream does not depend on how it is split into
+    draws, so sample i draws _DRAW_BLOCK + 2 rows at once: h is the first of
+    its first _DRAW_BLOCK rows that passes the gap test, u the next two rows.
+    Passes of ``calogero._SWEEP_CHUNK`` samples keep the memory flat."""
+    n, block = cfg.n, _DRAW_BLOCK
+    h = np.empty((cfg.samples, n), dtype=complex)
+    u = np.empty_like(h)
+    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
+        stop = min(start + calogero._SWEEP_CHUNK, cfg.samples)
+        rows = np.stack([_rng_for(cfg, i + 1).normal(size=(block + 2, n))
+                         for i in range(start, stop)])
+        cand = np.sort(rows[:, :block], axis=-1)
+        cand -= cand.sum(axis=-1, keepdims=True) / n
+        ok = (cand[..., 1:] - cand[..., :-1]).min(axis=-1, initial=np.inf) > 0.1
+        first = ok.argmax(axis=1)
+        k = np.arange(stop - start)
+        h[start:stop] = cand[k, first]
+        u[start:stop] = rows[k, first + 1] + 1j * rows[k, first + 2]
+        for i in start + np.flatnonzero(~ok.any(axis=1)):
+            rng = _rng_for(cfg, int(i) + 1)
+            h[i] = _distinct_h(n, rng)
+            u[i] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return h, u
 
 
 def _distinct_eigs(n, rng):
@@ -187,7 +224,7 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
 
     obs_values = np.real(report.values[:, :len(obs)])
     table = np.column_stack([traj.times, np.real(traj.states), obs_values])
-    rows = [[_fmt(v) for v in row] for row in table.tolist()]
+    rows = [list(map(_fmt, row)) for row in table.tolist()]
     header = (["t"] + [f"p{i}" for i in (1, 2, 3)] + [f"q{i}" for i in (1, 2, 3)]
               + [o.name for o in obs])
 
@@ -243,7 +280,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
         invs.append(cur[:2])
     # columns re(inv1), im(inv1), re(inv2), im(inv2)
     parts = np.stack([np.real(invs), np.imag(invs)], axis=-1).reshape(len(ts), 4)
-    rows = [[_fmt(v) for v in row] for row in np.column_stack([ts, devs, parts]).tolist()]
+    rows = [list(map(_fmt, row)) for row in np.column_stack([ts, devs, parts]).tolist()]
 
     drift = max(devs)
     flags = []
@@ -262,17 +299,11 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
-    h = np.empty((cfg.samples, cfg.n), dtype=complex)
-    u = np.empty_like(h)
-    for i in range(cfg.samples):        # sample i draws h, then u, from seed + i + 1
-        rng = _rng_for(cfg, i + 1)
-        h[i] = _distinct_h(cfg.n, rng)
-        u[i] = rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)
-    columns = calogero.ruij_sweep(h, u, cfg.kappa)
+    columns = calogero.ruij_sweep(*_rank1_draws(cfg), cfg.kappa)
 
     matched = columns["matched"].tolist()
     cells = [[str(i) for i in range(cfg.samples)]] + [
-        matched if name == "matched" else [_fmt(v) for v in col.tolist()]
+        matched if name == "matched" else list(map(_fmt, col.tolist()))
         for name, col in columns.items()]
     maxima = {name: float(columns[key].max()) for name, key in zip(
         ("oracle-residual", "closed-form-residual", "relation-residual",
@@ -309,7 +340,7 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     values = report.values[::stride]
     # columns re(o1), im(o1), re(o2), ... for every sampled state
     pairs = np.stack([np.real(values), np.imag(values)], axis=-1).reshape(len(times), -1)
-    rows = [[_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(times, pairs)]
+    rows = [list(map(_fmt, row)) for row in np.column_stack([times, pairs]).tolist()]
     series = {o.name: (times, np.real(values[:, i])) for i, o in enumerate(observables[:2])}
 
     drifts = list(zip(report.names, report.max_abs_drift, report.max_rel_drift))
@@ -395,9 +426,8 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
         for t in np.linspace(0.0, cfg.t_max, 21):
             xt = facto.factorization_flow(x0, H, t)
             tr = traces_of_powers(xt, n)
-            rows.append([str(k), _fmt(t)]
-                        + [_fmt(v) for p in ((np.real(v), np.imag(v)) for v in tr)
-                           for v in p])
+            parts = np.stack([tr.real, tr.imag], axis=-1).ravel()   # re, im, re, ...
+            rows.append([str(k), _fmt(t)] + list(map(_fmt, parts.tolist())))
     header = ["power", "t"]
     for j in range(1, n + 1):
         header += [f"re(tr x^{j})", f"im(tr x^{j})"]

@@ -344,7 +344,8 @@ def ruij_sample_oracle(h, u, kappa):
 
 
 def ruij_draws(cfg):
-    """The seeded (h, u) of every sample of a ruijsenaars-rational report."""
+    """The seeded (h, u) of every sample of a ruijsenaars-rational report,
+    one sample at a time: the oracle for ``cli._rank1_draws``."""
     hs, us = [], []
     for i in range(cfg.samples):
         rng = cli._rng_for(cfg, i + 1)
@@ -370,6 +371,26 @@ SINGULAR_H = np.array([0.3, 0.0, -0.3], dtype=complex)
 # h_0 and h_1 2e-8 apart: the chart checks pass, the oracle solve is too
 # ill-conditioned for either closed form to match it
 MISMATCH_H = np.array([0.0, 2e-8, 1.0], dtype=complex) - (1.0 + 2e-8) / 3
+
+
+class TestRuijDraws:
+    """``cli._rank1_draws`` against the per-sample loop ``ruij_draws``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 500])
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_block_draws_equal_the_loop_bitwise(self, n, samples, seed):
+        cfg = ruij_cfg(n, samples, seed=seed)
+        h, u = cli._rank1_draws(cfg)
+        want_h, want_u = ruij_draws(cfg)
+        assert h.tobytes() == want_h.tobytes()
+        assert u.tobytes() == want_u.tobytes()
+
+    def test_samples_that_miss_their_block_equal_the_loop_bitwise(self, monkeypatch):
+        """With one row per block, most samples at n = 8 fail the gap test
+        on it and are redrawn the per-sample way."""
+        monkeypatch.setattr(cli, "_DRAW_BLOCK", 1)
+        self.test_block_draws_equal_the_loop_bitwise(8, 2 * calogero._SWEEP_CHUNK + 5, 3)
 
 
 class TestRuijSweep:
@@ -446,14 +467,14 @@ class TestRuijSweep:
     def test_cli_reports_the_per_point_failure(self, tmp_path, monkeypatch):
         """A singular draw at sample 4 gives the report the flag the
         per-point chain's exception names, and exit code 2."""
-        draws = []
-        distinct_h = cli._distinct_h
+        rank1_draws = cli._rank1_draws
 
-        def planted(n, rng):
-            draws.append(distinct_h(n, rng))
-            return SINGULAR_H if len(draws) == 5 else draws[-1]
+        def planted(cfg):
+            h, u = rank1_draws(cfg)
+            h[4] = SINGULAR_H
+            return h, u
 
-        monkeypatch.setattr(cli, "_distinct_h", planted)
+        monkeypatch.setattr(cli, "_rank1_draws", planted)
         out = tmp_path / "r.json"
         assert cli.main(["--scenario", "ruijsenaars-rational", "--samples", "9",
                          "--out-json", str(out)]) == 2

@@ -233,6 +233,7 @@ class TestDeterminism:
         ("relativistic-cm", ["--t-max", "0.05"]),
         ("factorization-flow", ["--n", "8"]),
         ("relativistic-ruijsenaars", ["--n", "6", "--t-max", "0.05"]),
+        ("ruijsenaars-rational", ["--n", "8", "--samples", "200"]),
     ])
     def test_byte_identical_reruns(self, tmp_path, scenario, extra):
         paths = []
