@@ -53,12 +53,15 @@ def _check_traceless(v, name):
         raise ValueError(f"{name} must sum to zero (traceless normalization)")
 
 
-def _raise_first(bad, error, message: str, value=None):
+def _raise_first(bad, error, message, value=None):
     """Raise ``error`` for the first sample flagged in ``bad`` (one flag per
-    sample), recording its index as ``sample`` and quoting its ``value``."""
+    sample), recording its index as ``sample`` and quoting its ``value``.
+    ``message`` may also be a function of that index returning the text."""
     flagged = np.flatnonzero(bad)
     if flagged.size:
         k = int(flagged[0])
+        if callable(message):
+            message = message(k)
         exc = error(message if value is None else f"{message} {np.ravel(value)[k]:.3g}")
         exc.sample = k
         raise exc
@@ -407,8 +410,35 @@ def h_rational_ruijsenaars(point: RuijPoint) -> complex:
     return 0.5 * (tr[1] - tr[0] ** 2)
 
 
-# Samples per stacked pass of ``ruij_sweep``; bounds its working memory.
+# Samples per stacked pass of a sweep; bounds its working memory.
 _SWEEP_CHUNK = 64
+
+
+def _stacked(kernel, *stacks) -> dict:
+    """``kernel(*parts)``, a dict of per-sample columns, over passes of
+    ``_SWEEP_CHUNK`` samples of the (samples, ...) ``stacks``, concatenated.
+
+    When samples fail, the lowest-index one raises, with the checks in the
+    per-point order: a pass that raises for sample k (``_raise_first``)
+    reruns the samples before k, one of which may fail a later check, and a
+    pass that numpy.linalg fails as a whole, for one singular matrix, reruns
+    its samples one at a time."""
+    passes = [_lowest_first(kernel, *(a[s:s + _SWEEP_CHUNK] for a in stacks))
+              for s in range(0, max(len(stacks[0]), 1), _SWEEP_CHUNK)]
+    return {name: np.concatenate([p[name] for p in passes]) for name in passes[0]}
+
+
+def _lowest_first(kernel, *stacks):
+    try:
+        return kernel(*stacks)
+    except (DegintError, ValueError) as exc:        # LinAlgError is a ValueError
+        k = getattr(exc, "sample", None)
+        if k:
+            _lowest_first(kernel, *(a[:k] for a in stacks))
+        elif k is None and len(stacks[0]) > 1:
+            for i in range(len(stacks[0])):
+                _lowest_first(kernel, *(a[i:i + 1] for a in stacks))
+        raise
 
 
 def ruij_sweep(h, u, kappa: complex) -> dict:
@@ -418,25 +448,17 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
     ``_SWEEP_CHUNK`` samples with one Cauchy solve each.  When samples fail,
     the lowest-index one raises, with the checks in the per-point order.
     """
-    h = np.asarray(h, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    passes = [_sweep_pass(h[s:s + _SWEEP_CHUNK], u[s:s + _SWEEP_CHUNK], kappa)
-              for s in range(0, max(len(h), 1), _SWEEP_CHUNK)]
-    return {name: np.concatenate([p[name] for p in passes]) for name in passes[0]}
+    return _stacked(lambda h, u: _sweep_pass(h, u, kappa),
+                    np.asarray(h, dtype=complex), np.asarray(u, dtype=complex))
 
 
 def _sweep_pass(h, u, kappa) -> dict:
-    try:
-        _check_chart(h, kappa)
-        w, oracle = _phi_psi_solve(h, kappa)
-        R, bare, g = _ruij_parts(h, u, kappa)
-        scaled, res_bare, res_scaled = _select(w, bare, kappa)
-        _raise_first(~np.isfinite(g).all(axis=(-2, -1)), NonFiniteMatrixError,
-                     "matrix has NaN or Inf entries")
-    except DegintError as exc:
-        # a lower sample that fails a later check raises instead
-        _sweep_pass(h[:exc.sample], u[:exc.sample], kappa)
-        raise
+    _check_chart(h, kappa)
+    w, oracle = _phi_psi_solve(h, kappa)
+    R, bare, g = _ruij_parts(h, u, kappa)
+    scaled, res_bare, res_scaled = _select(w, bare, kappa)
+    _raise_first(~np.isfinite(g).all(axis=(-2, -1)), NonFiniteMatrixError,
+                 "matrix has NaN or Inf entries")
     traces = np.trace(g, axis1=-2, axis2=-1), np.trace(g @ g, axis1=-2, axis2=-1)
     tr_g, tr_g2, h_rR = _dual_residuals(h, u, kappa, R, g, traces)
     return {"oracle-residual": oracle,

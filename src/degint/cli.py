@@ -124,6 +124,13 @@ class ScenarioResult:
     flags: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     svg_series: dict = field(default_factory=dict)    # label -> (ts, values)
+    metrics: dict = field(default_factory=dict)       # deterministic work counters
+
+
+def _integrator_metrics(trajectories) -> dict:
+    """The integrator's work over a report's runs, summed."""
+    return {key: sum(getattr(t, key) for t in trajectories)
+            for key in ("accepted_steps", "rejected_steps", "field_evaluations")}
 
 
 # One CSV cell in 17-significant-digit scientific notation; Python and numpy
@@ -148,9 +155,11 @@ def _distinct_h(n, rng):
             return h.astype(complex)
 
 
-# Rows each rank-1 sample draws in one block before its h is chosen.  A
-# sample none of whose first _DRAW_BLOCK rows passes the gap test
-# (probability 2e-4 at n = 6, 4% at n = 8) is redrawn the per-sample way.
+# Attempts each rank-1 sample draws in one block before the first passing
+# one is chosen: an h row of ruijsenaars-rational, an (re, im) pair of rows
+# for the x of relativistic-ruijsenaars.  A sample none of whose attempts
+# passes the gap test (for h 2e-4 at n = 6 and 4% at n = 8, for x 7e-11
+# and 3e-7) is redrawn the per-sample way.
 _DRAW_BLOCK = 16
 
 
@@ -184,13 +193,55 @@ def _rank1_draws(cfg):
     return h, u
 
 
+def _unimodular_eigs(re, im):
+    """exp(0.4 re + 0.4i im) scaled to product 1, for re, im stacked as (..., n)."""
+    x = np.exp(re * 0.4 + 1j * im * 0.4)
+    return x / double._scalar_power(np.prod(x, axis=-1, keepdims=True), 1.0 / x.shape[-1])
+
+
+def _eig_gap(x):
+    """The smallest |x_i - x_j|, i < j, of each stacked x (inf for n = 1)."""
+    i, j = np.triu_indices(x.shape[-1], 1)
+    return np.abs(x[..., :, None] - x[..., None, :])[..., i, j].min(axis=-1, initial=np.inf)
+
+
 def _distinct_eigs(n, rng):
     while True:
-        x = np.exp(rng.normal(size=n) * 0.4 + 1j * rng.normal(size=n) * 0.4)
-        x /= np.prod(x) ** (1.0 / n)
-        gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
-        if gaps.min(initial=np.inf) > 0.1:
+        x = _unimodular_eigs(rng.normal(size=n), rng.normal(size=n))
+        if _eig_gap(x) > 0.1:
             return x
+
+
+def _relativistic_draws(cfg):
+    """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``,
+    bit for bit the per-sample draws: from generator seed + 1000 + i, first
+    x = ``_distinct_eigs(n, rng)``, then u = normal(n) + 1j * normal(n), then
+    y_diag = normal(n) + 0.5.
+
+    As in ``_rank1_draws``, sample i draws 2 _DRAW_BLOCK + 3 rows at once:
+    x is the first of the _DRAW_BLOCK attempts (rows 2a, 2a+1) that passes
+    the gap test, u and y_diag the three rows after it."""
+    n, block = cfg.n, _DRAW_BLOCK
+    x = np.empty((cfg.samples, n), dtype=complex)
+    u = np.empty_like(x)
+    ydiag = np.empty((cfg.samples, n))
+    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
+        stop = min(start + calogero._SWEEP_CHUNK, cfg.samples)
+        rows = np.stack([_rng_for(cfg, 1000 + i).normal(size=(2 * block + 3, n))
+                         for i in range(start, stop)])
+        cand = _unimodular_eigs(rows[:, 0:2 * block:2], rows[:, 1:2 * block:2])
+        ok = _eig_gap(cand) > 0.1
+        first = ok.argmax(axis=1)
+        k = np.arange(stop - start)
+        x[start:stop] = cand[k, first]
+        u[start:stop] = rows[k, 2 * first + 2] + 1j * rows[k, 2 * first + 3]
+        ydiag[start:stop] = rows[k, 2 * first + 4] + 0.5
+        for i in start + np.flatnonzero(~ok.any(axis=1)):
+            rng = _rng_for(cfg, 1000 + int(i))
+            x[i] = _distinct_eigs(n, rng)
+            u[i] = rng.normal(size=n) + 1j * rng.normal(size=n)
+            ydiag[i] = rng.normal(size=n) + 0.5
+    return x, u, ydiag
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +302,7 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
                    ("quadratic-relation", quad_res)],
         flags=flags,
         parameters={"gamma": gamma, "energy": float(pt.H)},
-        svg_series=svg)
+        svg_series=svg, metrics=_integrator_metrics([traj]))
 
 
 def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
@@ -354,7 +405,7 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
                           flags=flags,
                           parameters={"n": n, "family": family,
                                       "hamiltonian": H.name},
-                          svg_series=series)
+                          svg_series=series, metrics=_integrator_metrics([traj]))
 
 
 def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
@@ -373,25 +424,11 @@ def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
     result = _flow_scenario(cfg, "ruijsenaars")
-    n = cfg.n
-    mu_dev = red_corr = tr_res = h2_res = 0.0
-    for i in range(cfg.samples):
-        rng = _rng_for(cfg, 1000 + i)
-        x = _distinct_eigs(n, rng)
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        red = double.rank_one_reduction(x, cfg.q, rng.normal(size=n) + 0.5)
-        mu_dev = max(mu_dev, red.mu_eigenvalue_deviation)
-        red_corr = max(red_corr, red.residual_corrected)
-        ham = double.relativistic_hamiltonians(x, u, cfg.q)
-        tr_res = max(tr_res, ham.residual_tr_y, ham.residual_tr_y2)
-        h2_res = max(h2_res, ham.residual_h2)
-    result.residuals += [
-        ("mu-eigenvalue-deviation", mu_dev),
-        ("psi-phi-corrected-residual", red_corr),
-        ("trace-dual-path", tr_res),
-        ("h2-dual-path", h2_res),
-    ]
-    if mu_dev > TOL.mu_eigenvalue or max(tr_res, h2_res) > TOL.dual_path:
+    worst = {name: float(column.max()) for name, column in
+             double._rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()}
+    result.residuals += list(worst.items())
+    if (worst["mu-eigenvalue-deviation"] > TOL.mu_eigenvalue
+            or max(worst["trace-dual-path"], worst["h2-dual-path"]) > TOL.dual_path):
         result.flags.append("tolerance-failure")
     result.parameters["q"] = [cfg.q.real, cfg.q.imag]
     result.parameters["samples"] = cfg.samples
@@ -405,14 +442,16 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     rows = []
     residuals = {}
     flags = []
+    runs = []
     for k in (1, 2):
         H = facto.TracePower(k)
         try:
             exact = facto.factorization_flow(x0, H, cfg.t_max)
-            ref = facto.sklyanin_reference_flow(x0, H, cfg.t_max, step=cfg.dt)
+            runs.append(facto._reference_trajectory(x0, H, cfg.t_max, cfg.dt))
         except DegintError:
             flags.append(FLAG_DIVISOR)
             continue
+        ref = runs[-1].final.reshape(n, n)
         cross = float(np.abs(exact - ref).max())
         sweep = facto.flow_consistency_sweep(x0, H, [cfg.t_max / 2, cfg.t_max / 2])
         residuals[f"cross-check-{H.name}"] = cross
@@ -433,7 +472,8 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
         header += [f"re(tr x^{j})", f"im(tr x^{j})"]
     return ScenarioResult(csv_header=header, csv_rows=rows,
                           residuals=sorted(residuals.items()), flags=flags,
-                          parameters={"n": n, "t": cfg.t_max, "step": cfg.dt})
+                          parameters={"n": n, "t": cfg.t_max, "step": cfg.dt},
+                          metrics=_integrator_metrics(runs))
 
 
 def _bracket_suite_charts(n: int):
@@ -633,6 +673,8 @@ def run(config: ScenarioConfig) -> int:
         # pinned for byte-identical reruns; the measured time goes to stdout
         "elapsed_seconds": 0.0,
     }
+    if result.metrics:
+        payload["metrics"] = result.metrics
     try:
         if config.out_csv:
             _write_csv(config.out_csv, result.csv_header, result.csv_rows)

@@ -33,13 +33,16 @@ from .calogero import (
     FiberSeparationReport,
     _cauchy_solve,
     _pair_products,
+    _raise_first,
     _ratio,
     _separation_report,
+    _stacked,
 )
 from .config import TOL
-from .errors import ConsistencyError, ReductionFailedError, SingularChartPoint
+from .errors import (ConsistencyError, NonFiniteMatrixError, ReductionFailedError,
+                     SingularChartPoint)
 from .integrate import ConservationReport, monitor, rk4
-from .matrixcore import as_matrix, spectral, traces_of_powers
+from .matrixcore import as_matrix, spectral
 from .poisson import Observable, chart_heisenberg_double
 
 __all__ = [
@@ -73,9 +76,7 @@ class DoublePoint:
         object.__setattr__(self, "y", y)
         if x.shape != y.shape:
             raise ValueError("x and y must have the same size")
-        for name, m in (("x", x), ("y", y)):
-            if abs(np.linalg.det(m) - 1.0) > 1e-9 * max(1.0, np.abs(m).max() ** m.shape[0]):
-                raise ValueError(f"det {name} must be 1 (got {np.linalg.det(m):.6g})")
+        _check_unimodular(x, y)
 
     @property
     def n(self) -> int:
@@ -83,6 +84,47 @@ class DoublePoint:
 
     def as_point(self) -> np.ndarray:
         return np.concatenate([self.x.ravel(), self.y.ravel()])
+
+
+# Stacked kernels that replace per-point code round as that code's numpy
+# scalars did: a complex exponent keeps numpy's array power off its sqrt and
+# square shortcuts, and hypot is the abs() of one complex scalar, which
+# numpy's vectorised complex abs does not always match bit for bit.
+
+def _scalar_power(a, p: float):
+    return a ** complex(p)
+
+
+def _scalar_abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _check_unimodular(x, y):
+    """ValueError for the first stacked pair (x, y) with det x or det y off 1
+    by more than 1e-9 max(1, max|m|^n), naming x when both are."""
+    dets = np.stack([np.linalg.det(x), np.linalg.det(y)], axis=-1)
+    sizes = np.stack([np.abs(x).max(axis=(-2, -1)), np.abs(y).max(axis=(-2, -1))], axis=-1)
+    off = np.abs(dets - 1.0) > 1e-9 * np.maximum(1.0, sizes ** x.shape[-1])
+
+    def message(k):
+        m = int(off.reshape(-1, 2)[k].argmax())
+        return f"det {'xy'[m]} must be 1 (got {dets.reshape(-1, 2)[k, m]:.6g})"
+
+    _raise_first(off.any(axis=-1), ValueError, message)
+
+
+def _check_pairing(q, phi, psi):
+    """ValueError for the first stacked (phi, psi) whose pairing is not
+    q^(n-1) - q^(-1)."""
+    target = q ** (phi.shape[-1] - 1) - 1.0 / q
+    _raise_first(np.abs((phi * psi).sum(axis=-1) - target) > 1e-10 * max(1.0, abs(target)),
+                 ValueError, "(phi, psi) must equal q^(n-1) - q^(-1)")
+
+
+def _class_eigenvalues(q, n):
+    """(q^{n-1}, q^{-1}, ..., q^{-1}) sorted by (Re, Im)."""
+    ev = np.array([q ** (n - 1)] + [1.0 / q] * (n - 1))
+    return ev[np.lexsort((ev.imag, ev.real))]
 
 
 @dataclass(frozen=True)
@@ -104,10 +146,7 @@ class RankOneClass:
         object.__setattr__(self, "psi", psi)
         if self.q == 0:
             raise ValueError("q must be nonzero")
-        n = len(phi)
-        target = self.q ** (n - 1) - 1.0 / self.q
-        if abs(np.dot(phi, psi) - target) > 1e-10 * max(1.0, abs(target)):
-            raise ValueError("(phi, psi) must equal q^(n-1) - q^(-1)")
+        _check_pairing(self.q, phi, psi)
 
     @property
     def n(self) -> int:
@@ -117,9 +156,7 @@ class RankOneClass:
         return np.outer(self.phi, self.psi) + np.eye(self.n) / self.q
 
     def eigenvalues(self) -> np.ndarray:
-        n = self.n
-        ev = np.array([self.q ** (n - 1)] + [1.0 / self.q] * (n - 1))
-        return ev[np.lexsort((ev.imag, ev.real))]
+        return _class_eigenvalues(self.q, self.n)
 
 
 def moment(pt: DoublePoint) -> np.ndarray:
@@ -169,9 +206,10 @@ def fiber_check(pt: DoublePoint, samples: int = 4,
 
 
 def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
-    """Dense solve of sum_i v_i / (x_j - q^{-1} x_i) = 1 for v_i = psi_i phi_i x_i."""
-    x = np.asarray(x_eigs, dtype=complex).ravel()
-    return _cauchy_solve(x[:, None] - x[None, :] / q,     # row j, column i
+    """Dense solve of sum_i v_i / (x_j - q^{-1} x_i) = 1 for v_i = psi_i phi_i x_i,
+    for x_eigs of shape (n,) or stacked as (..., n)."""
+    x = np.asarray(x_eigs, dtype=complex)
+    return _cauchy_solve(x[..., :, None] - x[..., None, :] / q,     # row j, column i
                          "x_j - q^{-1} x_i")[0]
 
 
@@ -202,48 +240,59 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
     """
     x = np.asarray(x_eigs, dtype=complex).ravel()
     ydiag = np.asarray(y_diag, dtype=complex).ravel()
-    n = len(x)
-    if len(ydiag) != n:
+    if len(ydiag) != len(x):
         raise ValueError("y_diag length must match x_eigs")
-    if np.abs(x).min() == 0.0:
-        raise ValueError("x eigenvalues must be nonzero")
+    r = _reductions(x[None], q, ydiag[None])
+    return RankOneReduction(
+        point=DoublePoint(x=r["x"][0], y=r["y"][0]),
+        rank_one=RankOneClass(q=q, phi=np.ones(len(x)), psi=r["products"][0]),
+        oracle_products=r["products"][0],
+        residual_naive=float(r["residual_naive"][0]),
+        residual_corrected=float(r["residual_corrected"][0]),
+        mu_eigenvalue_deviation=float(r["mu_eigenvalue_deviation"][0]))
 
-    v = rank_one_consistency_oracle(x, q)
-    products = v / x
+
+def _reductions(x, q, ydiag) -> dict:
+    """``rank_one_reduction`` for x and y_diag stacked as (samples, n): the
+    factors "x" and "y" and, per sample, the oracle "products", both
+    residuals and the moment's "mu_eigenvalue_deviation".  Each check of the
+    per-point path, in its order, raises for the first sample failing it."""
+    n = x.shape[-1]
+    _raise_first(np.abs(x).min(axis=-1) == 0.0, ValueError, "x eigenvalues must be nonzero")
+    products = rank_one_consistency_oracle(x, q) / x
     # naive and x_i-corrected product formulas for psi_i phi_i
-    corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
-                                         1.0 - x[None, :] / x[:, None]).prod(axis=-1)
+    corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[..., None, :] / x[..., :, None],
+                                         1.0 - x[..., None, :] / x[..., :, None]).prod(axis=-1)
     naive = corrected / x
-    scale = max(1.0, np.abs(products).max())
-    res_naive = float(np.abs(naive - products).max() / scale)
-    res_corrected = float(np.abs(corrected - products).max() / scale)
-    if res_corrected > TOL.formula_match:
-        raise ReductionFailedError(
-            f"corrected product formula off the oracle by {res_corrected:.3g}")
+    scale = np.maximum(1.0, np.abs(products).max(axis=-1))
+    res_naive = np.abs(naive - products).max(axis=-1) / scale
+    res_corrected = np.abs(corrected - products).max(axis=-1) / scale
+    _raise_first(res_corrected > TOL.formula_match, ReductionFailedError,
+                 "corrected product formula off the oracle by", res_corrected)
 
-    den = x[:, None] / x[None, :] - 1.0 / q
-    if np.abs(den).min() < 1e-10:
-        raise SingularChartPoint("reconstruction denominator vanishes")
-    y = (1.0 - 1.0 / q) * ydiag[None, :] / den
+    den = x[..., :, None] / x[..., None, :] - 1.0 / q
+    _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
+                 "reconstruction denominator vanishes")
+    y = (1.0 - 1.0 / q) * ydiag[..., None, :] / den
+    d = np.arange(n)
+    xmat = np.zeros(y.shape, dtype=complex)
+    xmat[..., d, d] = x
+    xmat /= _scalar_power(np.linalg.det(xmat), 1.0 / n)[..., None, None]
+    y = y / _scalar_power(np.linalg.det(y), 1.0 / n)[..., None, None]
+    # the checks of DoublePoint and RankOneClass
+    _raise_first(~(np.isfinite(xmat).all(axis=(-2, -1)) & np.isfinite(y).all(axis=(-2, -1))),
+                 NonFiniteMatrixError, "matrix has NaN or Inf entries")
+    _check_unimodular(xmat, y)
+    _check_pairing(q, np.ones(n), products)
 
-    xmat = np.diag(x)
-    det_fix_x = np.linalg.det(xmat) ** (1.0 / n)
-    det_fix_y = np.linalg.det(y) ** (1.0 / n)
-    pt = DoublePoint(x=xmat / det_fix_x, y=y / det_fix_y)
-
-    mu = moment(pt)
-    cls = RankOneClass(q=q, phi=np.ones(n), psi=products)
-    got = np.linalg.eigvals(mu)
-    got = got[np.lexsort((got.imag, got.real))]
-    dev = float(np.abs(got - cls.eigenvalues()).max())
-    if dev > TOL.reduction_reject:
-        raise ReductionFailedError(
-            f"moment eigenvalues off the rank-1 class by {dev:.3g} "
-            f"(naive residual {res_naive:.3g}, corrected {res_corrected:.3g})")
-    return RankOneReduction(point=pt, rank_one=cls, oracle_products=products,
-                            residual_naive=res_naive,
-                            residual_corrected=res_corrected,
-                            mu_eigenvalue_deviation=dev)
+    got = np.linalg.eigvals(xmat @ y @ np.linalg.inv(xmat) @ np.linalg.inv(y))
+    got = np.take_along_axis(got, np.lexsort((got.imag, got.real), axis=-1), axis=-1)
+    dev = np.abs(got - _class_eigenvalues(q, n)).max(axis=-1)
+    _raise_first(dev > TOL.reduction_reject, ReductionFailedError, lambda k: (
+        f"moment eigenvalues off the rank-1 class by {dev[k]:.3g} "
+        f"(naive residual {res_naive[k]:.3g}, corrected {res_corrected[k]:.3g})"))
+    return {"x": xmat, "y": y, "products": products, "residual_naive": res_naive,
+            "residual_corrected": res_corrected, "mu_eigenvalue_deviation": dev}
 
 
 @dataclass(frozen=True)
@@ -268,30 +317,68 @@ def relativistic_hamiltonians(x_eigs, u, q: complex) -> RelativisticHamiltonians
     """
     x = np.asarray(x_eigs, dtype=complex).ravel()
     u = np.asarray(u, dtype=complex).ravel()
-    own = 1.0 - x[:, None] / (q * x[None, :])       # 1 - q^{-1} x_i/x_j
-    other = 1.0 - x[:, None] / x[None, :]           # 1 - x_i/x_j
+    h = _hamiltonians(x[None], u[None], q)
+    return RelativisticHamiltonians(
+        traces=h["traces"][0], h2=h["h2"][0],
+        residual_tr_y=float(h["residual_tr_y"][0]),
+        residual_tr_y2=float(h["residual_tr_y2"][0]),
+        residual_h2=float(h["residual_h2"][0]))
+
+
+def _hamiltonians(x, u, q) -> dict:
+    """``relativistic_hamiltonians`` for x and u stacked as (samples, n):
+    per sample "traces" (tr y, tr y^2), "h2" and the three residuals.
+    Raises for the first sample whose y is not finite, and else for the
+    first whose dual routes disagree, naming its first disagreeing route."""
+    own = 1.0 - x[..., :, None] / (q * x[..., None, :])     # 1 - q^{-1} x_i/x_j
+    other = 1.0 - x[..., :, None] / x[..., None, :]         # 1 - x_i/x_j
     R = _ratio(own, other)
     ydiag = u * R.prod(axis=-1)
-    y = (1.0 - 1.0 / q) * ydiag[None, :] / own
-    traces = traces_of_powers(y, 2)
+    y = (1.0 - 1.0 / q) * ydiag[..., None, :] / own
+    _raise_first(~np.isfinite(y).all(axis=(-2, -1)), NonFiniteMatrixError,
+                 "matrix has NaN or Inf entries")
+    tr = np.trace(y, axis1=-2, axis2=-1)
+    tr_sq = np.trace(y @ y, axis1=-2, axis2=-1)
 
-    tr1_red = np.sum(ydiag)
-    tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * np.outer(ydiag, ydiag) / (own * own.T))
+    tr1_red = ydiag.sum(axis=-1)
+    tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * (ydiag[..., :, None] * ydiag[..., None, :])
+                     / (own * np.swapaxes(own, -2, -1)), axis=(-2, -1))
 
-    h2_char = 0.5 * (traces[1] - traces[0] ** 2)
+    h2_char = 0.5 * (tr_sq - _scalar_power(tr, 2))
     i, j, prods = _pair_products(R)
-    h2_prod = -np.sum(u[i] * u[j] * prods / q)
+    # summed in C order, the per-point order: numpy sums a contiguous row
+    # pairwise, a strided one (``prods`` is Fortran-ordered) sequentially
+    h2_prod = -np.ascontiguousarray(u[..., i] * u[..., j] * prods / q).sum(axis=-1)
 
-    scale = max(1.0, np.abs(traces[:2]).max())
-    res1 = float(abs(traces[0] - tr1_red) / scale)
-    res2 = float(abs(traces[1] - tr2_red) / scale)
-    resh = float(abs(h2_char - h2_prod) / max(1.0, abs(h2_char)))
-    for name, res in (("tr y", res1), ("tr y^2", res2), ("H2", resh)):
-        if res > TOL.dual_path_reject:
-            raise ConsistencyError(f"{name}: dual routes disagree by {res:.3g}")
-    return RelativisticHamiltonians(traces=traces, h2=h2_char,
-                                    residual_tr_y=res1, residual_tr_y2=res2,
-                                    residual_h2=resh)
+    scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
+    res = np.stack([_scalar_abs(tr - tr1_red) / scale, _scalar_abs(tr_sq - tr2_red) / scale,
+                    _scalar_abs(h2_char - h2_prod) / np.maximum(1.0, _scalar_abs(h2_char))],
+                   axis=-1)
+    bad = res > TOL.dual_path_reject
+
+    def message(k):
+        route = int(bad[k].argmax())
+        return f"{('tr y', 'tr y^2', 'H2')[route]}: dual routes disagree by {res[k, route]:.3g}"
+
+    _raise_first(bad.any(axis=-1), ConsistencyError, message)
+    return {"traces": np.stack([tr, tr_sq], axis=-1), "h2": h2_char,
+            "residual_tr_y": res[..., 0], "residual_tr_y2": res[..., 1],
+            "residual_h2": res[..., 2]}
+
+
+def _rank_one_samples(x, u, ydiag, q) -> dict:
+    """``rank_one_reduction(x[i], q, ydiag[i])`` then
+    ``relativistic_hamiltonians(x[i], u[i], q)`` for every sample i of the
+    (samples, n) stacks, as the report's columns, in stacked passes with the
+    lowest-index failure rule of ``calogero._stacked``."""
+    def kernel(x, u, ydiag):
+        red, ham = _reductions(x, q, ydiag), _hamiltonians(x, u, q)
+        return {"mu-eigenvalue-deviation": red["mu_eigenvalue_deviation"],
+                "psi-phi-corrected-residual": red["residual_corrected"],
+                "trace-dual-path": np.maximum(ham["residual_tr_y"], ham["residual_tr_y2"]),
+                "h2-dual-path": ham["residual_h2"]}
+
+    return _stacked(kernel, x, u, ydiag)
 
 
 # ----------------------------------------------------------------------
@@ -320,23 +407,28 @@ def _trace(m):
 
 
 def trace_power_observable(n: int, block: str, k: int) -> Observable:
-    """tr(x^k) or tr(y^k) on the (x, y) chart, with exact gradient."""
-    offset = 0 if block == "x" else n * n
-    eye = np.eye(n, dtype=complex)
+    """tr(x^k) or tr(y^k) on the (x, y) chart, with exact gradient
+    k (x^(k-1))^T in the block's half; for k = 1 that is the constant
+    identity, built once."""
+    m = n * n
+    part = slice(0, m) if block == "x" else slice(m, 2 * m)
+    zeros = np.zeros(m, dtype=complex)
+    eye = np.zeros(2 * m, dtype=complex)
+    eye[part] = np.eye(n).ravel()
 
     def fn(z):
         return _trace(np.linalg.matrix_power(_block(z, n, block), k))
 
     def grad(z):
-        m = _block(z, n, block)
-        power = eye
-        for _ in range(k - 1):
-            power = power.dot(m)
-        g = np.zeros(2 * n * n, dtype=complex)
-        g[offset:offset + n * n] = (k * power).T.ravel()
-        return g
+        a = z[part].reshape(n, n)
+        power = a
+        for _ in range(k - 2):
+            power = power.dot(a)
+        half = (k * power).T.ravel()
+        return np.concatenate([half, zeros] if block == "x" else [zeros, half])
 
-    return Observable(name=f"tr({block}^{k})", fn=fn, grad=grad)
+    return Observable(name=f"tr({block}^{k})", fn=fn,
+                      grad=(lambda z, e=eye: e) if k == 1 else grad)
 
 
 def projection_invariants(n: int, family: str, kmax: int = 2):

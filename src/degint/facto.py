@@ -152,10 +152,13 @@ def sklyanin_reference_flow(x0, H: InvariantHamiltonian, t: float,
     :func:`factorization_flow`; the two must agree to O(step^4).
     """
     x0 = as_matrix(x0)
+    return _reference_trajectory(x0, H, t, step).final.reshape(x0.shape)
+
+
+def _reference_trajectory(x0, H: InvariantHamiltonian, t: float, step: float):
+    """The rk4 run of :func:`sklyanin_reference_flow` from the matrix x0."""
     n = x0.shape[0]
-    chart = chart_sklyanin(n)
-    traj = rk4(chart, _chart_observable(H, n), x0.ravel(), t, step)
-    return traj.final.reshape(n, n)
+    return rk4(chart_sklyanin(n), _chart_observable(H, n), x0.ravel(), t, step)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ class Trajectory:
     accepted_steps: int
     rejected_steps: int
     flags: tuple
+    field_evaluations: int = 0   # Hamiltonian field evaluations, all stages
 
     @property
     def final(self) -> np.ndarray:
@@ -98,7 +99,7 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
     err_row = None if tol is None else b - tableau.b_low
     K = np.empty((len(b), z.size), dtype=complex)
     t, times, states, flags = 0.0, [0.0], [z], []
-    accepted = rejected = 0
+    accepted = rejected = evaluations = 0
     while accepted + rejected < max_steps:
         if tol is None:
             if accepted == max_steps - 1:
@@ -114,6 +115,7 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
         K[0] = ham_vector_field(chart, H, z)
         for i in range(1, len(b)):
             K[i] = ham_vector_field(chart, H, z + h * rows[i].dot(K[:i]))
+        evaluations += len(b)
         z_next = z + h * b.dot(K)
         finite = np.isfinite(z_next).all()
         if finite and tol is not None:
@@ -143,7 +145,7 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
         flags.append(FLAG_BUDGET)
     return Trajectory(np.array(times), np.array(states),
                       accepted_steps=accepted, rejected_steps=rejected,
-                      flags=tuple(flags))
+                      flags=tuple(flags), field_evaluations=evaluations)
 
 
 def rk4(chart: PoissonChart, H: Observable, x0, t_max: float, dt: float,

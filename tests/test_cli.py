@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from degint import cli, double, kepler
+from degint import cli, double, integrate, kepler, poisson
 from degint.cli import (
     SCENARIOS,
     ScenarioConfig,
@@ -305,3 +305,67 @@ class TestSingleEvaluation:
         assert dict(result.residuals) == {"orthogonality-(M,A)": ma,
                                           "quadratic-relation": quad}
         assert result.parameters["energy"] == kepler.project_to_p5(states[0]).H
+
+
+class TestIntegratorMetrics:
+    """The report's ``metrics`` counts the integrator's work; every field
+    evaluation is a real ``ham_vector_field`` call."""
+
+    @pytest.mark.parametrize("argv,stages,runs", [
+        (["--scenario", "kepler"], 7, 1),
+        (["--scenario", "relativistic-cm", "--n", "3", "--t-max", "0.05"], 4, 1),
+        (["--scenario", "relativistic-ruijsenaars", "--t-max", "0.05", "--samples", "2"], 4, 1),
+        (["--scenario", "factorization-flow", "--t-max", "0.02"], 4, 2),
+    ])
+    def test_field_evaluations_are_counted_calls(self, tmp_path, monkeypatch, argv,
+                                                 stages, runs):
+        calls = []
+        field = integrate.ham_vector_field
+
+        def counted(*args):
+            calls.append(1)
+            return field(*args)
+
+        monkeypatch.setattr(integrate, "ham_vector_field", counted)
+        out = tmp_path / "r.json"
+        assert main(argv + ["--seed", "0", "--out-json", str(out)]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["field_evaluations"] == len(calls) > 0
+        attempted = metrics["accepted_steps"] + metrics["rejected_steps"]
+        assert metrics["field_evaluations"] == stages * attempted
+        if stages == 4:
+            assert metrics["rejected_steps"] == 0
+            assert metrics["accepted_steps"] == runs * round(
+                float(argv[argv.index("--t-max") + 1]) / 1e-3)
+        else:
+            assert metrics["rejected_steps"] >= 1
+
+    def test_sample_sweeps_write_no_metrics(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "ruijsenaars-rational", "--samples", "3",
+                     "--out-json", str(out)]) == 0
+        assert "metrics" not in json.loads(out.read_text())
+
+
+class TestPairFlowFastPath:
+    """The pair-flow path takes the matrix-form field and exact gradients:
+    forming the bivector or differencing a gradient there fails the suite."""
+
+    @pytest.mark.parametrize("family", ["cm", "ruijsenaars"])
+    def test_flow_forms_no_bivector_and_no_difference(self, monkeypatch, family):
+        made = []
+
+        def refuse(*args):
+            raise AssertionError("pair flow left the fast path")
+
+        def blind_chart(n, make=cli.chart_heisenberg_double):
+            made.append(n)
+            return dataclasses.replace(make(n), bivector=refuse)
+
+        monkeypatch.setattr(cli, "chart_heisenberg_double", blind_chart)
+        monkeypatch.setattr(poisson, "_fd_gradient", refuse)
+        cfg = ScenarioConfig(scenario=f"relativistic-{family}", n=3, t_max=0.02, dt=1e-3)
+        result = cli._flow_scenario(cfg, family)
+        assert made == [3]
+        assert result.metrics["field_evaluations"] == 4 * 20
+        assert result.flags == []

@@ -1,9 +1,14 @@
 """Relativistic pair-system tests: moment map, duality, rank-1 reduction,
 reduced Hamiltonians, and conservation along bracket-chart flows."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from degint import calogero, cli, double
+from degint.calogero import _pair_products, _ratio
 from degint.double import (
     DoublePoint,
     RankOneClass,
@@ -18,7 +23,8 @@ from degint.double import (
     relativistic_hamiltonians,
     trace_power_observable,
 )
-from degint.errors import ReductionFailedError
+from degint.errors import ConsistencyError, ReductionFailedError, SingularChartPoint
+from degint.matrixcore import traces_of_powers
 from degint.poisson import bracket, chart_heisenberg_double
 
 RNG = np.random.default_rng(6)
@@ -268,3 +274,315 @@ class TestDoubleFlows:
         assert obs(z) == z[5]
         g = obs.gradient(z)
         assert g[5] == 1.0 and np.abs(np.delete(g, 5)).max() == 0.0
+
+
+# ----------------------------------------------------------------------
+# the relativistic rank-1 samples of relativistic-ruijsenaars, stacked,
+# against the per-sample loop they replaced
+# ----------------------------------------------------------------------
+
+def distinct_eigs_loop(n, rng):
+    """The per-sample rejection draw of the eigenvalues x."""
+    while True:
+        x = np.exp(rng.normal(size=n) * 0.4 + 1j * rng.normal(size=n) * 0.4)
+        x /= np.prod(x) ** (1.0 / n)
+        gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
+        if gaps.min(initial=np.inf) > 0.1:
+            return x
+
+
+def relativistic_draws_loop(cfg):
+    """The seeded (x, u, y_diag) of every sample, one sample at a time: the
+    oracle for ``cli._relativistic_draws``."""
+    xs, us, ys = [], [], []
+    for i in range(cfg.samples):
+        rng = cli._rng_for(cfg, 1000 + i)
+        xs.append(distinct_eigs_loop(cfg.n, rng))
+        us.append(rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n))
+        ys.append(rng.normal(size=cfg.n) + 0.5)
+    return np.array(xs), np.array(us), np.array(ys)
+
+
+def reduction_oracle(x, q, ydiag):
+    """The per-point rank-1 reduction: (moment deviation, corrected residual)."""
+    n = len(x)
+    if np.abs(x).min() == 0.0:
+        raise ValueError("x eigenvalues must be nonzero")
+    products = double.rank_one_consistency_oracle(x, q) / x
+    corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
+                                         1.0 - x[None, :] / x[:, None]).prod(axis=-1)
+    naive = corrected / x
+    scale = max(1.0, np.abs(products).max())
+    res_naive = float(np.abs(naive - products).max() / scale)
+    res_corrected = float(np.abs(corrected - products).max() / scale)
+    if res_corrected > double.TOL.formula_match:
+        raise ReductionFailedError(
+            f"corrected product formula off the oracle by {res_corrected:.3g}")
+    den = x[:, None] / x[None, :] - 1.0 / q
+    if np.abs(den).min() < 1e-10:
+        raise SingularChartPoint("reconstruction denominator vanishes")
+    y = (1.0 - 1.0 / q) * ydiag[None, :] / den
+    xmat = np.diag(x)
+    pt = DoublePoint(x=xmat / np.linalg.det(xmat) ** (1.0 / n),
+                     y=y / np.linalg.det(y) ** (1.0 / n))
+    cls = RankOneClass(q=q, phi=np.ones(n), psi=products)
+    got = np.linalg.eigvals(moment(pt))
+    got = got[np.lexsort((got.imag, got.real))]
+    dev = float(np.abs(got - cls.eigenvalues()).max())
+    if dev > double.TOL.reduction_reject:
+        raise ReductionFailedError(
+            f"moment eigenvalues off the rank-1 class by {dev:.3g} "
+            f"(naive residual {res_naive:.3g}, corrected {res_corrected:.3g})")
+    return dev, res_corrected
+
+
+def hamiltonians_oracle(x, u, q):
+    """The per-point dual routes: (tr y, tr y^2, H2) residuals."""
+    own = 1.0 - x[:, None] / (q * x[None, :])
+    R = _ratio(own, 1.0 - x[:, None] / x[None, :])
+    ydiag = u * R.prod(axis=-1)
+    y = (1.0 - 1.0 / q) * ydiag[None, :] / own
+    traces = traces_of_powers(y, 2)
+    tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * np.outer(ydiag, ydiag) / (own * own.T))
+    h2_char = 0.5 * (traces[1] - traces[0] ** 2)
+    i, j, prods = _pair_products(R)
+    h2_prod = -np.sum(u[i] * u[j] * prods / q)
+    scale = max(1.0, np.abs(traces[:2]).max())
+    res = (float(abs(traces[0] - np.sum(ydiag)) / scale),
+           float(abs(traces[1] - tr2_red) / scale),
+           float(abs(h2_char - h2_prod) / max(1.0, abs(h2_char))))
+    for name, r in zip(("tr y", "tr y^2", "H2"), res):
+        if r > double.TOL.dual_path_reject:
+            raise ConsistencyError(f"{name}: dual routes disagree by {r:.3g}")
+    return res
+
+
+COLUMNS = ("mu-eigenvalue-deviation", "psi-phi-corrected-residual",
+           "trace-dual-path", "h2-dual-path")
+
+
+def rank_one_loop(x, u, ydiag, q):
+    """Test-only oracle for ``double._rank_one_samples``: the reduction and
+    then the Hamiltonians of one sample at a time, as its four columns."""
+    rows = []
+    for i in range(len(x)):
+        dev, corrected = reduction_oracle(x[i], q, ydiag[i])
+        tr_y, tr_y2, h2 = hamiltonians_oracle(x[i], u[i], q)
+        rows.append((dev, corrected, max(tr_y, tr_y2), h2))
+    return dict(zip(COLUMNS, (np.array(column) for column in zip(*rows))))
+
+
+def relativistic_cfg(n, samples, seed=0, q=1.3):
+    return cli.ScenarioConfig(scenario="relativistic-ruijsenaars", n=n, samples=samples,
+                              seed=seed, q=complex(q), t_max=0.01)
+
+
+class TestRelativisticDraws:
+    """``cli._relativistic_draws`` against the per-sample loop."""
+
+    @pytest.mark.parametrize("block", [cli._DRAW_BLOCK, 1])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("samples", [1, 10, 63])
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_block_draws_equal_the_loop_bitwise(self, monkeypatch, block, n, samples, seed):
+        """With one attempt per block, a sample whose first x fails the gap
+        test (39% of them at n = 8) is redrawn the per-sample way."""
+        monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
+        cfg = relativistic_cfg(n, samples, seed)
+        for got, want in zip(cli._relativistic_draws(cfg), relativistic_draws_loop(cfg)):
+            assert got.tobytes() == want.tobytes()
+
+
+def record(values):
+    """(k, t): the first k >= 2 whose value exceeds every earlier one, and a
+    threshold between that value and the largest earlier one."""
+    for k in range(2, len(values)):
+        top = values[:k].max()
+        if values[k] > top:
+            return k, (top + values[k]) / 2
+    raise AssertionError("no record value")
+
+
+Q = 1.3
+# planted (x, u, y_diag) rows of one n = 3 sample; None keeps the draw
+PLANTS = {
+    "zero-eigenvalue": ([0.0, 1.0, 1.0], None, None),
+    "cauchy-denominator": ([1.0, 1 / Q, Q], None, None),
+    "singular-solve": ([1.0, 1 + 1e-7, 1 / (1 + 1e-7)], None, None),
+    "formula-match": ([1.0, 1 + 1e-4, 1 / (1 + 1e-4)], None, None),
+    "reconstruction-denominator": (
+        [5 / Q * (1 + 1e-10), 5.0, Q / (25 * (1 + 1e-10))], None, None),
+    "nonfinite-reduction": (None, None, [1e300, 1e300, 1.0]),
+    # det y underflows to a subnormal, so y / det(y)^(1/3) misses det 1
+    "unit-determinant": (None, None, [1e-107] * 3),
+    "nonfinite-hamiltonians": (None, [np.inf, 1.0, 1.0], None),
+}
+
+
+def planted_draws(cfg, plants):
+    x, u, ydiag = relativistic_draws_loop(cfg)
+    for k, name in plants.items():
+        for array, row in zip((x, u, ydiag), PLANTS[name]):
+            if row is not None:
+                array[k] = row
+    return x, u, ydiag
+
+
+def outcome(fn, *args):
+    """(exception type, message) of a call, or its result."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except Exception as exc:            # the types under test differ per plant
+        return type(exc), str(exc)
+
+
+class TestRankOneSamples:
+    """``double._rank_one_samples`` against the per-sample loop."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("q", [1.3, 1.25 + 0.15j])
+    def test_columns_match_the_loop(self, n, q):
+        """Every sample's four residuals, over two stacked passes, equal the
+        loop's to 1e-13 relative (bitwise with this numpy and OpenBLAS), and
+        the report's maxima are the loop's maxima."""
+        cfg = relativistic_cfg(n, calogero._SWEEP_CHUNK + 6, seed=3, q=q)
+        x, u, ydiag = relativistic_draws_loop(cfg)
+        want = rank_one_loop(x, u, ydiag, cfg.q)
+        got = double._rank_one_samples(x, u, ydiag, cfg.q)
+        assert list(got) == list(COLUMNS)
+        for name in COLUMNS:
+            assert got[name].shape == want[name].shape
+            assert np.all(np.abs(got[name] - want[name]) <= 1e-13 * np.abs(want[name]))
+        residuals = cli._scenario_relativistic_ruijsenaars(cfg).residuals
+        assert [name for name, _ in residuals] == list(COLUMNS)
+        for name, value in residuals:
+            assert abs(value - want[name].max()) <= 1e-13 * want[name].max()
+
+    def test_single_point_wrappers_equal_the_per_point_code(self):
+        x, u, ydiag = relativistic_draws_loop(relativistic_cfg(4, 20, seed=9))
+        for i in range(len(x)):
+            red = rank_one_reduction(x[i], Q, ydiag[i])
+            ham = relativistic_hamiltonians(x[i], u[i], Q)
+            assert (red.mu_eigenvalue_deviation, red.residual_corrected) == \
+                reduction_oracle(x[i], Q, ydiag[i])
+            assert (ham.residual_tr_y, ham.residual_tr_y2, ham.residual_h2) == \
+                hamiltonians_oracle(x[i], u[i], Q)
+
+    @pytest.mark.parametrize("plants", [
+        {4: name} for name in PLANTS] + [
+        {3: "nonfinite-hamiltonians", 6: "cauchy-denominator"},
+        {2: "reconstruction-denominator", 5: "zero-eigenvalue"},
+        {5: "formula-match", 1: "singular-solve"},
+        {1: "formula-match", 5: "singular-solve"},
+        {70: "nonfinite-reduction", 100: "zero-eigenvalue", 120: "singular-solve"},
+        {6: "unit-determinant", 7: "formula-match"},
+        {6: "nonfinite-hamiltonians", 7: "unit-determinant"},
+    ], ids=lambda plants: "+".join(f"{k}:{v}" for k, v in plants.items()))
+    def test_lowest_failing_sample_raises_as_in_the_loop(self, plants):
+        cfg = relativistic_cfg(3, 130 if max(plants) >= 64 else 9, seed=5)
+        draws = planted_draws(cfg, plants)
+        want = outcome(rank_one_loop, *draws, cfg.q)
+        assert isinstance(want, tuple) and isinstance(want[0], type), want
+        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+
+    @pytest.mark.parametrize("gate,error", [("oracle_residual", ConsistencyError),
+                                            ("reduction_reject", ReductionFailedError),
+                                            ("dual_path_reject", ConsistencyError)])
+    def test_tolerance_gates_fire_on_the_same_sample(self, monkeypatch, gate, error):
+        """With a gate's tolerance set between two samples' values, the first
+        sample over it raises, with the loop's type and message."""
+        cfg = relativistic_cfg(3, 40, seed=2)
+        x, u, ydiag = draws = relativistic_draws_loop(cfg)
+        if gate == "oracle_residual":
+            w, residual = calogero._cauchy_solve(
+                x[:, :, None] - x[:, None, :] / cfg.q, "x_j - q^{-1} x_i")
+            values = residual / np.maximum(1.0, np.abs(w).max(axis=-1))
+            module = calogero
+        else:
+            dev, _, tr, h2 = rank_one_loop(*draws, cfg.q).values()
+            values = dev if gate == "reduction_reject" else np.maximum(tr, h2)
+            module = double
+        k, threshold = record(values)
+        monkeypatch.setattr(module, "TOL", dataclasses.replace(module.TOL, **{gate: threshold}))
+        want = outcome(rank_one_loop, *draws, cfg.q)
+        assert want[0] is error
+        assert isinstance(outcome(rank_one_loop, *(a[:k] for a in draws), cfg.q), dict)
+        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+
+    def test_pairing_gate_fires_on_the_same_sample(self, monkeypatch):
+        """Oracle products nudged by 1e-9 at sample 4 pass the 1e-8 formula
+        gate and fail the 1e-10 (phi, psi) check of ``RankOneClass``."""
+        cfg = relativistic_cfg(3, 9, seed=5)
+        draws = relativistic_draws_loop(cfg)
+        solve, planted = double.rank_one_consistency_oracle, draws[0][4, 0]
+
+        def nudged(x, q):
+            v = solve(x, q)
+            v[..., 0] *= np.where(np.asarray(x)[..., 0] == planted, 1 + 1e-9, 1.0)
+            return v
+
+        monkeypatch.setattr(double, "rank_one_consistency_oracle", nudged)
+        want = outcome(rank_one_loop, *draws, cfg.q)
+        assert want == (ValueError, "(phi, psi) must equal q^(n-1) - q^(-1)")
+        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+
+    def test_dual_route_message_names_the_first_route_over(self, monkeypatch):
+        cfg = relativistic_cfg(3, 10, seed=2)
+        x, u, _ = draws = relativistic_draws_loop(cfg)
+        res = np.array([hamiltonians_oracle(x[i], u[i], cfg.q) for i in range(len(x))])
+        first = int(np.flatnonzero((res > 0).any(axis=1))[0])
+        assert (res[first] > 0).sum() >= 2
+        monkeypatch.setattr(double, "TOL", dataclasses.replace(double.TOL, dual_path_reject=0.0))
+        want = outcome(rank_one_loop, *draws, cfg.q)
+        assert want[0] is ConsistencyError
+        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+
+    @pytest.mark.parametrize("plants", [{4: "cauchy-denominator"},
+                                        {3: "nonfinite-hamiltonians", 6: "formula-match"}])
+    def test_cli_reports_the_loop_failure(self, tmp_path, monkeypatch, capsys, plants):
+        """A planted failing sample gives the stacked report the loop's exit
+        code, flag and message."""
+        cfg = relativistic_cfg(3, 9, seed=5)
+        draws = planted_draws(cfg, plants)
+        monkeypatch.setattr(cli, "_relativistic_draws", lambda cfg: draws)
+        argv = ["--scenario", "relativistic-ruijsenaars", "--n", "3", "--t-max", "0.01",
+                "--samples", "9", "--seed", "5"]
+        results = []
+        for route in (double._rank_one_samples, rank_one_loop):
+            monkeypatch.setattr(double, "_rank_one_samples", route)
+            out = tmp_path / "r.json"
+            with np.errstate(all="ignore"):
+                code = cli.main(argv + ["--out-json", str(out)])
+            results.append((code, json.loads(out.read_text())["flags"],
+                            capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 2 and results[0][2].startswith("numerical failure: ")
+
+
+class TestStackedChecks:
+    """The det and pairing checks of ``DoublePoint`` and ``RankOneClass``
+    (which the scenario's draws never fail) raise for the first failing
+    member of a stack, with the per-point message."""
+
+    def test_first_pair_off_unit_determinant(self):
+        x = np.stack([np.eye(2, dtype=complex)] * 5)
+        y = x.copy()
+        y[3] *= 1.1
+        x[4] *= 1.1
+        with pytest.raises(ValueError) as caught:
+            double._check_unimodular(x, y)
+        assert caught.value.sample == 3
+        assert str(caught.value) == f"det y must be 1 (got {np.linalg.det(y[3]):.6g})"
+        with pytest.raises(ValueError, match=r"det x must be 1 \(got 1\.21"):
+            DoublePoint(x=x[4], y=y[4])
+
+    def test_first_pairing_off_the_class(self):
+        psi = np.tile(rank_one_consistency_oracle([1.0, 1.5, 1 / 1.5], Q)
+                      / np.array([1.0, 1.5, 1 / 1.5]), (4, 1))
+        psi[2, 0] += 1e-6
+        with pytest.raises(ValueError, match=r"\(phi, psi\) must equal") as caught:
+            double._check_pairing(Q, np.ones(3), psi)
+        assert caught.value.sample == 2
+        with pytest.raises(ValueError, match=r"\(phi, psi\) must equal"):
+            RankOneClass(q=Q, phi=np.ones(3), psi=psi[2])

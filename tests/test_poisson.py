@@ -21,6 +21,7 @@ from degint.poisson import (
     leibniz_defect,
     observable_product,
     standard_r,
+    _r_mask,
 )
 
 RNG = np.random.default_rng(1)
@@ -518,6 +519,38 @@ class TestMatrixFormFields:
         v = ham_vector_field(blind, H, z)
         ref = chart.pi(z) @ H.gradient(z)
         assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make_chart,n", [
+        (chart_heisenberg_double, 2), (chart_heisenberg_double, 3),
+        (chart_sklyanin, 2), (chart_sklyanin, 3), (chart_sklyanin, 8)])
+    def test_bracket_takes_the_field_route(self, make_chart, n):
+        """``bracket`` is grad f . pi(z, grad g): it never forms the bivector
+        and equals grad f . Pi(z) . grad g."""
+        chart = make_chart(n)
+
+        def refuse(z):
+            raise AssertionError("bivector formed by bracket")
+
+        blind = dataclasses.replace(chart, bivector=refuse)
+        rng = np.random.default_rng(40 + n)
+        z = np.tile(np.eye(n).ravel(), chart.dim // (n * n)) + 0.3 * (
+            rng.normal(size=chart.dim) + 1j * rng.normal(size=chart.dim))
+        P = chart.pi(z)
+        for _ in range(4):
+            wf, wg = rng.normal(size=(2, chart.dim)) + 1j * rng.normal(size=(2, chart.dim))
+            f = Observable("f", lambda w, a=wf: w @ a, grad=lambda w, a=wf: a)
+            g = Observable("g", lambda w, a=wg: w @ a, grad=lambda w, a=wg: a)
+            ref = wf @ P @ wg
+            scale = np.abs(wf) @ np.abs(P) @ np.abs(wg)
+            assert abs(bracket(blind, f, g, z) - ref) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_r_mask_and_its_transpose_sum_to_one(self, n):
+        """u + u^T = 1 entrywise, exactly: the identity that folds the
+        Heisenberg-double field's five masked products into one."""
+        u = _r_mask(n)
+        assert np.array_equal(u + u.T, np.ones((n, n)))
+        assert set(np.unique(u)) <= {0.0, 0.5, 1.0}
 
     @pytest.mark.parametrize("make_chart", [chart_heisenberg_double, chart_sklyanin])
     def test_selfcheck_rejects_a_field_that_is_not_antisymmetric(self, make_chart):
