@@ -362,8 +362,11 @@ def _dual_residuals(h, u, kappa, R, g, traces):
     vs product route of the Hamiltonian."""
     (tr, tr_sq), (tr1, tr2) = traces, _characters_reduced(h, kappa, g)
     i, j, prods = _pair_products(R)
-    h_prod = -np.sum(u[..., i] * u[..., j] * prods, axis=-1)
-    h_char = 0.5 * (tr_sq - tr ** 2)
+    # summed in C order, the per-point order (see ``double._hamiltonians``)
+    h_prod = -np.ascontiguousarray(u[..., i] * u[..., j] * prods).sum(axis=-1)
+    # squared as an array: a single point's tr is a numpy scalar, and numpy
+    # squares a complex scalar with other roundings than its array loop
+    h_char = 0.5 * (tr_sq - np.asarray(tr) ** 2)
     scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
     return (np.abs(tr - tr1) / scale, np.abs(tr_sq - tr2) / scale,
             np.abs(h_char - h_prod) / np.maximum(1.0, np.abs(h_char)))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure (see the
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 import time
@@ -702,7 +703,10 @@ def list_scenarios() -> str:
     return "\n".join(f"{name}: {desc}" for name, desc in sorted(SCENARIOS.items()))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it
+    unchanged."""
     p = argparse.ArgumentParser(
         prog="degint",
         description="Reproducible experiments on degenerately integrable systems.")

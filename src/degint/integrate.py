@@ -120,8 +120,10 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
         finite = np.isfinite(z_next).all()
         if finite and tol is not None:
             scale = tol * np.maximum(1.0, np.maximum(np.abs(z), np.abs(z_next)))
-            err = np.sqrt(np.mean(np.abs(h * err_row.dot(K) / scale) ** 2))
-            finite = np.isfinite(err)       # err also weighs a stage that b weighs 0
+            # the root mean square, with the sum and count np.mean would use
+            e = np.abs(h * err_row.dot(K) / scale)
+            err = math.sqrt(np.add.reduce(e * e) / e.size)
+            finite = math.isfinite(err)     # err also weighs a stage that b weighs 0
         if not finite:
             flags.append(FLAG_NONFINITE)
             break

@@ -131,12 +131,20 @@ def hamiltonian(p, q, gamma: float):
     return 0.5 * np.vecdot(p, p) - gamma / r
 
 
+def _cross(a, b):
+    """a x b over the last axis, with the products and differences np.cross
+    forms (so bit for bit equal to it), without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _momentum(p, q):
-    return np.cross(p, q)
+    return _cross(p, q)
 
 
 def _lenz(p, q, gamma):
-    return np.cross(p, _momentum(p, q)) + gamma * q / _radius(q)[..., None]
+    return _cross(p, _momentum(p, q)) + gamma * q / _radius(q)[..., None]
 
 
 def kepler_chart():
@@ -158,7 +166,7 @@ def kepler_observables(gamma: float):
         def m_grad(z, e=np.eye(3)[k]):
             # M_k = eps_kab p_a q_b: d/dp = q x e_k, d/dq = e_k x p
             p, q = split(z)
-            return np.concatenate([np.cross(q, e), np.cross(e, p)]).astype(complex)
+            return np.concatenate([_cross(q, e), _cross(e, p)]).astype(complex)
 
         obs.append(Observable(name=f"M{k + 1}", fn=m_fn, grad=m_grad))
 
@@ -180,9 +188,11 @@ def kepler_observables(gamma: float):
         return hamiltonian(*split(z), gamma)
 
     def h_grad(z):
-        p, q = split(z)
-        r = _radius(q)
-        return np.concatenate([p, gamma * q / r ** 3]).astype(complex)
+        # (p, gamma q / |q|^3), written into one complex copy of Re z
+        g = z.real.astype(complex)
+        q = z.real[3:]
+        g[3:] = gamma * q / _radius(q) ** 3
+        return g
 
     obs.append(Observable(name="H", fn=h_fn, grad=h_grad))
     return obs
@@ -210,7 +220,7 @@ def classify_level_surface(E: float, gamma: float = 1.0) -> LevelSurface:
 
 
 def _collision_guard(z) -> str:
-    if np.linalg.norm(np.real(z[3:])) < TOL.collision_radius:
+    if _radius(z.real[3:]) < TOL.collision_radius:
         return FLAG_COLLISION
     return None
 

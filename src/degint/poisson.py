@@ -13,7 +13,7 @@ angular-momentum/Lenz bracket relations of the Kepler module come out in
 their standard orientation, and every other chart inherits it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -213,17 +213,21 @@ def leibniz_defect(chart: PoissonChart, f: Observable, g: Observable,
 def chart_canonical(n: int) -> PoissonChart:
     """Constant canonical chart in coordinates (p_1..p_n, q_1..q_n).
 
-    Sign convention: {p_i, q_j} = +delta_ij.
+    Sign convention: {p_i, q_j} = +delta_ij.  The field is the closed form
+    Pi . g = (g_q, -g_p), which never forms the constant bivector.
     """
     P = np.zeros((2 * n, 2 * n), dtype=complex)
     P[:n, n:] = np.eye(n)
     P[n:, :n] = -np.eye(n)
-    labels = tuple(f"p{i + 1}" for i in range(n)) + tuple(f"q{i + 1}" for i in range(n))
+    # (g_q, -g_p) as one gather and one product with a complex sign vector:
+    # fewer numpy calls than a concatenation, and no cast
+    swap, sign = np.r_[n:2 * n, :n], np.repeat([1.0 + 0j, -1.0 + 0j], n)
     return PoissonChart(
         name=f"canonical(n={n})",
         dim=2 * n,
-        coord_labels=labels,
+        coord_labels=tuple(f"{c}{i + 1}" for c in "pq" for i in range(n)),
         bivector=lambda z, P=P: P,
+        field=lambda z, g: g[swap] * sign,
     )
 
 
@@ -237,17 +241,8 @@ def chart_cm_loglinear(n: int, variant: str = "canonical") -> PoissonChart:
     log-linearly against the momenta.
     """
     if variant == "canonical":
-        P = np.zeros((2 * n, 2 * n), dtype=complex)
-        P[:n, n:] = np.eye(n)
-        P[n:, :n] = -np.eye(n)
-        labels = (tuple(f"h{i + 1}" for i in range(n))
-                  + tuple(f"u{i + 1}" for i in range(n)))
-        return PoissonChart(
-            name=f"cm-loglinear(n={n})",
-            dim=2 * n,
-            coord_labels=labels,
-            bivector=lambda z, P=P: P,
-        )
+        return replace(chart_canonical(n), name=f"cm-loglinear(n={n})",
+                       coord_labels=tuple(f"{c}{i + 1}" for c in "hu" for i in range(n)))
     if variant == "exponential":
         def biv(z, n=n):
             P = np.zeros((2 * n, 2 * n), dtype=complex)

@@ -399,14 +399,13 @@ class TestRuijSweep:
     def test_report_matches_loop_oracle(self, n, kappa):
         """Every row of the report equals the per-point chain on the same
         draws: the matched label exactly, every number to 1e-13, and every
-        residual column but h-rR-dual also to 1e-12 relative.
+        residual column also to 1e-12 relative.
 
         The residuals are roundoff-sized, so only the relative bound sees a
-        change in how one is formed (say a max turned into a min).  The
-        h-rR-dual column is exempt: its stacked pair sums round differently
-        from the per-point ones, so it moves at its own size (up to 2.6e-15
-        where the oracle reads 0); every other column is bitwise equal to
-        the oracle with this numpy and OpenBLAS."""
+        change in how one is formed (say a max turned into a min).  Every
+        column is bitwise equal to the oracle with this numpy and OpenBLAS;
+        h-rR-dual is, because the stacked pair sums run in the per-point
+        (C) order and a single point's tr is squared as an array."""
         cfg = ruij_cfg(n, 60, kappa, seed=11)
         rows = cli._scenario_ruijsenaars_rational(cfg).csv_rows
         h, u = ruij_draws(cfg)
@@ -418,7 +417,7 @@ class TestRuijSweep:
             got = np.array([float(row[k]) for k in (1, 3, 4, 5, 6, 7, 8)])
             ref = np.array([want[k] for k in (0, 2, 3, 4, 5, 6, 7)])
             assert np.abs(got - ref).max() <= 1e-13, (i, got - ref)
-            assert np.all(np.abs(got - ref)[:-1] <= 1e-12 * np.abs(ref[:-1])), (i, got, ref)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (i, got, ref)
 
     def test_prefix_rows_are_bitwise_equal_across_chunks(self):
         m = 2 * calogero._SWEEP_CHUNK + 7

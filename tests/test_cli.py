@@ -223,6 +223,34 @@ class TestOutputs:
         assert len(heights) == 2 and heights[0] != heights[1]
 
 
+class TestParserReuse:
+    """``main`` parses every call with the one parser of the process; no
+    call leaves state in it for the next."""
+
+    def test_calls_in_one_process_leak_no_state(self, tmp_path, capsys):
+        _build_parser.cache_clear()
+
+        def report(tag, *extra):
+            csv, js = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            code = main(["--scenario", "cm-rational", "--seed", "3",
+                         "--out-csv", str(csv), "--out-json", str(js), *extra])
+            return code, csv.read_bytes(), js.read_bytes()
+
+        first = report("first")
+        assert first[0] == 0
+        assert _build_parser() is _build_parser()
+        assert report("n5", "--n", "5")[0] == 0
+        code, _, js = report("default")
+        assert code == 0
+        assert json.loads(js)["parameters"]["n"] == cli._DEFAULTS["cm-rational"]["n"] != 5
+        with pytest.raises(SystemExit) as caught:
+            main(["--scenario", "kepler", "--no-such-flag"])
+        assert caught.value.code == 2
+        assert main(["--list-scenarios"]) == 0
+        assert report("again") == first
+        assert "usage:" in capsys.readouterr().err
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("scenario,extra", [
         ("kepler", ["--t-max", "1.0"]),

@@ -1,9 +1,13 @@
 """Kepler system tests: projection identities, bracket relations, level
 surfaces, and conservation along integrated orbits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from degint import kepler, poisson
+from degint.config import TOL
 from degint.errors import SingularChartPoint
 from degint.kepler import (
     LENZ_LENZ_SIGN,
@@ -277,3 +281,84 @@ class TestOrbits:
         rep = orbit_conservation_report(s, t_max=0.5, tol=1e-9)
         assert "quadratic-relation-sign:+1" in rep.flags
         assert "lenz-lenz-sign:-1" in rep.flags
+
+
+class TestEnergyGradient:
+    def test_one_pass_gradient_is_the_concatenated_form(self):
+        """The H gradient, written in place into one copy of Re z, is bit
+        for bit (p, gamma q / |q|^3) assembled by concatenation."""
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            gamma = rng.uniform(0.5, 2.0)
+            z = (rng.normal(size=6) * rng.uniform(0.1, 10.0)).astype(complex)
+            p, q = np.real(z[:3]), np.real(z[3:])
+            want = np.concatenate([p, gamma * q / np.linalg.norm(q) ** 3]).astype(complex)
+            got = kepler_observables(gamma)[-1].gradient(z)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestCross:
+    """``kepler._cross`` is np.cross, bit for bit, on the shapes it meets."""
+
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((3,), (3,)), ((5, 3), (5, 3)), ((4, 6, 3), (4, 6, 3)),
+        ((3,), (7, 3)), ((7, 3), (3,)),
+    ])
+    def test_bitwise_equal_to_np_cross(self, shape_a, shape_b):
+        rng = np.random.default_rng(17)
+        pairs = [(rng.normal(size=shape_a), rng.normal(size=shape_b)) for _ in range(20)]
+        if shape_a == shape_b == (3,):
+            # unit factors, as in the momentum gradient
+            v = pairs[0][0]
+            pairs += [(v, e) for e in np.eye(3)] + [(e, v) for e in np.eye(3)]
+        for a, b in pairs:
+            got, want = kepler._cross(a, b), np.cross(a, b)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+class TestCollisionGuard:
+    @pytest.mark.parametrize("factor,flag", [(1 - 1e-9, "collision"), (1 + 1e-9, None)])
+    def test_flags_just_below_the_collision_radius(self, factor, flag):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            u = rng.normal(size=3)
+            q = u / np.linalg.norm(u) * (TOL.collision_radius * factor)
+            z = np.concatenate([rng.normal(size=3), q]).astype(complex)
+            assert kepler._collision_guard(z) == flag
+
+    def test_radius_is_the_norm_of_a_state_row(self):
+        """The guard reads ``_radius``; it is bit for bit the norm the
+        guard took before, so the guard fires on the same states."""
+        rng = np.random.default_rng(20)
+        states = (rng.normal(size=(500, 6))
+                  * np.logspace(-13, 3, 500)[:, None]).astype(complex)
+        for z in states:
+            got = kepler._radius(z.real[3:])
+            assert got.tobytes() == np.linalg.norm(np.real(z[3:])).tobytes()
+
+
+class TestKeplerFastPath:
+    """An orbit takes the canonical chart's closed-form field and the exact
+    H gradient: forming the bivector or differencing a gradient there
+    fails the suite."""
+
+    def test_orbit_forms_no_bivector_and_no_difference(self, monkeypatch):
+        s = KeplerState(p=[0.1, 0.8, -0.2], q=[1.0, 0.1, 0.3], gamma=1.0)
+        assert project_to_p5(s).H < 0
+        want = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
+
+        def refuse(*args):
+            raise AssertionError("Kepler orbit left the fast path")
+
+        chart = kepler.kepler_chart
+        monkeypatch.setattr(kepler, "kepler_chart",
+                            lambda: dataclasses.replace(chart(), bivector=refuse))
+        monkeypatch.setattr(poisson, "_fd_gradient", refuse)
+        got = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
+        assert got.accepted_steps > 0 and got.flags == ()
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert ((got.accepted_steps, got.rejected_steps, got.field_evaluations, got.flags)
+                == (want.accepted_steps, want.rejected_steps, want.field_evaluations,
+                    want.flags))

@@ -118,6 +118,37 @@ class TestHamVectorField:
         assert np.abs(v).max() < 1e-9
 
 
+class TestCanonicalField:
+    """The canonical chart's closed-form field (g_q, -g_p) is the bivector
+    product, entry for entry."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_field_equals_bivector_product(self, n):
+        c, rng = chart_canonical(n), np.random.default_rng(n)
+        for _ in range(20):
+            z = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            g = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            got, want = c.pi(z, g), c.bivector(z) @ g
+            # array_equal counts -0.0 equal to 0.0: signed zeros may differ
+            assert np.array_equal(got.real, want.real)
+            assert np.array_equal(got.imag, want.imag)
+
+    def test_pi_without_covector_is_the_bivector(self):
+        c = chart_canonical(2)
+        P = c.pi(np.arange(4.0))
+        assert np.array_equal(P, c.bivector(None))
+        assert np.array_equal(P[:2, 2:], np.eye(2)) and np.array_equal(P, -P.T)
+
+    def test_cm_loglinear_chart_is_the_canonical_chart_relabelled(self):
+        c, ref = chart_cm_loglinear(3), chart_canonical(3)
+        assert c.coord_labels == ("h1", "h2", "h3", "u1", "u2", "u3")
+        assert ref.coord_labels == ("p1", "p2", "p3", "q1", "q2", "q3")
+        rng = np.random.default_rng(5)
+        z, g = rng.normal(size=(2, 6)).astype(complex)
+        assert np.array_equal(c.pi(z), ref.pi(z))
+        assert np.array_equal(c.pi(z, g), ref.pi(z, g))
+
+
 class TestJacobiAndLeibniz:
     @pytest.mark.parametrize("make_chart,sampler", [
         (lambda: chart_canonical(2), lambda: RNG.normal(size=4).astype(complex)),
