@@ -359,7 +359,7 @@ def _characters_reduced(h, kappa, g):
 
 def _dual_residuals(h, u, kappa, R, g, traces):
     """Matrix ``traces`` (tr g, tr g^2) vs the reduced formulas, and character
-    vs product route of the Hamiltonian."""
+    vs product route of the Hamiltonian; then the checked character value."""
     (tr, tr_sq), (tr1, tr2) = traces, _characters_reduced(h, kappa, g)
     i, j, prods = _pair_products(R)
     # summed in C order, the per-point order (see ``double._hamiltonians``)
@@ -369,7 +369,7 @@ def _dual_residuals(h, u, kappa, R, g, traces):
     h_char = 0.5 * (tr_sq - np.asarray(tr) ** 2)
     scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
     return (np.abs(tr - tr1) / scale, np.abs(tr_sq - tr2) / scale,
-            np.abs(h_char - h_prod) / np.maximum(1.0, np.abs(h_char)))
+            np.abs(h_char - h_prod) / np.maximum(1.0, np.abs(h_char)), h_char)
 
 
 def character_residuals(point: RuijPoint) -> dict:
@@ -377,7 +377,7 @@ def character_residuals(point: RuijPoint) -> dict:
     Hamiltonian routes."""
     R, _, g = _ruij_parts(point.h, point.u, point.kappa)
     return dict(zip(("tr_g", "tr_g2", "h_ruijsenaars"), _dual_residuals(
-        point.h, point.u, point.kappa, R, g, traces_of_powers(g, 2))))
+        point.h, point.u, point.kappa, R, g, traces_of_powers(g, 2))[:3]))
 
 
 def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
@@ -402,15 +402,16 @@ def h_rational_ruijsenaars(point: RuijPoint) -> complex:
 
     Route one: (tr g^2 - (tr g)^2)/2 from the rebuilt matrix.  Route two:
     -sum_{i<j} u_i u_j prod_{a in {i,j}, b outside} (h_a-h_b+kappa)/(h_a-h_b).
-    The two must agree to ``TOL.dual_path``; the matrix route is returned.
-    For n = 2 the product is empty and the value reduces to -u_1 u_2.
+    The two must agree to ``TOL.dual_path``; the matrix route, the value
+    that check compared, is returned.  For n = 2 the product is empty and
+    the value reduces to -u_1 u_2.
     """
     R, _, g = _ruij_parts(point.h, point.u, point.kappa)
-    tr = traces_of_powers(g, 2)
-    residual = _dual_residuals(point.h, point.u, point.kappa, R, g, tr)[2]
+    *_, residual, h_char = _dual_residuals(point.h, point.u, point.kappa, R, g,
+                                           traces_of_powers(g, 2))
     if residual > TOL.dual_path:
         raise ConsistencyError(f"Hamiltonian routes disagree: {residual:.3g}")
-    return 0.5 * (tr[1] - tr[0] ** 2)
+    return h_char
 
 
 # Samples per stacked pass of a sweep; bounds its working memory.
@@ -463,7 +464,7 @@ def _sweep_pass(h, u, kappa) -> dict:
     _raise_first(~np.isfinite(g).all(axis=(-2, -1)), NonFiniteMatrixError,
                  "matrix has NaN or Inf entries")
     traces = np.trace(g, axis1=-2, axis2=-1), np.trace(g @ g, axis1=-2, axis2=-1)
-    tr_g, tr_g2, h_rR = _dual_residuals(h, u, kappa, R, g, traces)
+    tr_g, tr_g2, h_rR, _ = _dual_residuals(h, u, kappa, R, g, traces)
     return {"oracle-residual": oracle,
             "matched": np.where(scaled, "kappa-scaled", "bare"),
             "kappa-scaled-residual": res_scaled, "bare-residual": res_bare,

@@ -17,8 +17,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,43 +38,12 @@ from .poisson import (
     leibniz_defect,
 )
 
-SCENARIOS = {
-    "kepler": "adaptive orbit; drifts of the momentum/Lenz/energy set",
-    "cm-rational": "central flow on the cotangent pair; joint-invariant drifts",
-    "ruijsenaars-rational": "rank-1 oracle sweep; closed forms vs dense solves",
-    "relativistic-cm": "tr(x) flow on the pair chart; first-projection drifts",
-    "relativistic-ruijsenaars": "rank-1 reduction and tr(y) flow; second-projection drifts",
-    "factorization-flow": "exact flow vs bivector integration; conservation",
-    "verify-brackets": "antisymmetry/Leibniz/Jacobi sweep over registered charts",
-    "duality-check": "fiber transversality margins for both dualities",
-}
-
-_DEFAULTS = {
-    "kepler": {"t_max": 2 * np.pi, "tol": 1e-10, "samples": 1},
-    "cm-rational": {"n": 3, "t_max": 1.0, "samples": 8},
-    "ruijsenaars-rational": {"n": 3, "samples": 50},
-    "relativistic-cm": {"n": 2, "t_max": 0.5, "dt": 1e-3},
-    "relativistic-ruijsenaars": {"n": 2, "t_max": 0.5, "dt": 1e-3, "samples": 10},
-    "factorization-flow": {"n": 3, "t_max": 0.1, "dt": 1e-3},
-    "verify-brackets": {"n": 3, "samples": 100},
-    "duality-check": {"n": 2, "samples": 4},
-}
-
-# [lo, hi] of the n a scenario runs at, if not [1, 8]; never clamped.
-_N_RANGE = {"cm-rational": (2, 8), "factorization-flow": (2, 8),
-            "verify-brackets": (2, 8), "duality-check": (2, 8),
-            # duality-moment-deviation reaches 9.8e-12 of its 1e-11 gate at n = 4
-            "relativistic-cm": (1, 3)}
-
-# Keys a JSON config file may set; the first nine are ScenarioConfig fields.
-_FIELD_KEYS = ("n", "t_max", "dt", "tol", "seed", "samples",
-               "out_csv", "out_json", "out_svg")
-_CONFIG_KEYS = frozenset(_FIELD_KEYS + ("scenario", "kappa_re", "kappa_im",
-                                        "q_re", "q_im"))
-
 
 @dataclass
 class ScenarioConfig:
+    """One run's settings.  A scenario reads its own options (``_SCENARIOS``),
+    the seed and the output paths; every other field keeps its default."""
+
     scenario: str
     n: int = 3
     kappa: complex = 0.3 + 0.0j
@@ -89,10 +58,10 @@ class ScenarioConfig:
     out_svg: Optional[str] = None
 
     def validate(self):
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in _SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; choose from "
-                + ", ".join(sorted(SCENARIOS)))
+                + ", ".join(sorted(_SCENARIOS)))
         for key in ("n", "seed", "samples"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -102,7 +71,7 @@ class ScenarioConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float, complex))
                     or not cmath.isfinite(value)):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
-        lo, hi = _N_RANGE.get(self.scenario, (1, 8))
+        lo, hi = _SCENARIOS[self.scenario].n_range
         if not lo <= self.n <= hi:
             raise ValueError(
                 f"n must be in [{lo}, {hi}] for {self.scenario}, got {self.n}")
@@ -346,7 +315,6 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
         residuals=[("spin-resummation", resum), ("rank1-product", rank1_res),
                    ("h-cm", calogero.h_cm(point))],
         flags=flags,
-        parameters={"n": n, "kappa": [kappa.real, kappa.imag]},
         svg_series={"re(inv1)": (ts, parts[:, 0]), "re(inv2)": (ts, parts[:, 2])})
 
 
@@ -372,8 +340,7 @@ def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
         csv_rows=list(zip(*cells)),
         residuals=sorted(maxima.items()),
         flags=flags,
-        parameters={"n": cfg.n, "kappa": [cfg.kappa.real, cfg.kappa.imag],
-                    "samples": cfg.samples, "matched": sorted(set(matched))})
+        parameters={"matched": sorted(set(matched))})
 
 
 def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
@@ -404,8 +371,7 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
         header += [f"re({o.name})", f"im({o.name})"]
     return ScenarioResult(csv_header=header, csv_rows=rows, drifts=drifts,
                           flags=flags,
-                          parameters={"n": n, "family": family,
-                                      "hamiltonian": H.name},
+                          parameters={"family": family, "hamiltonian": H.name},
                           svg_series=series, metrics=_integrator_metrics([traj]))
 
 
@@ -431,8 +397,6 @@ def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
     if (worst["mu-eigenvalue-deviation"] > TOL.mu_eigenvalue
             or max(worst["trace-dual-path"], worst["h2-dual-path"]) > TOL.dual_path):
         result.flags.append("tolerance-failure")
-    result.parameters["q"] = [cfg.q.real, cfg.q.imag]
-    result.parameters["samples"] = cfg.samples
     return result
 
 
@@ -473,39 +437,32 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
         header += [f"re(tr x^{j})", f"im(tr x^{j})"]
     return ScenarioResult(csv_header=header, csv_rows=rows,
                           residuals=sorted(residuals.items()), flags=flags,
-                          parameters={"n": n, "t": cfg.t_max, "step": cfg.dt},
                           metrics=_integrator_metrics(runs))
 
 
 def _bracket_suite_charts(n: int):
+    """(chart, point sampler) pairs of the ``verify-brackets`` sweep."""
+    def normal(dim):
+        return lambda rng: rng.normal(size=dim).astype(complex)
+
+    def group(m, blocks=1):             # unimodular m x m blocks, raveled and joined
+        return lambda rng: np.concatenate(
+            [_sl_sample(m, rng, 0.3).ravel() for _ in range(blocks)])
+
     return [
-        chart_canonical(3),
-        chart_cm_loglinear(n),
-        chart_relativistic_loglinear(n),
-        chart_heisenberg_double(2),
-        chart_sklyanin(2),
-        chart_sklyanin(3),
+        (chart_canonical(3), normal(6)),
+        (chart_cm_loglinear(n), normal(2 * n)),
+        (chart_relativistic_loglinear(n), lambda rng: rng.uniform(0.5, 2.0, size=2 * n)
+         * np.exp(1j * rng.uniform(-0.3, 0.3, size=2 * n))),
+        (chart_heisenberg_double(2), group(2, blocks=2)),
+        (chart_sklyanin(2), group(2)),
+        (chart_sklyanin(3), group(3)),
     ]
 
 
-def _chart_point(chart, rng):
-    name = chart.name
-    if name.startswith("canonical") or name.startswith("cm-loglinear"):
-        return rng.normal(size=chart.dim).astype(complex)
-    if name.startswith("relativistic"):
-        return (rng.uniform(0.5, 2.0, size=chart.dim)
-                * np.exp(1j * rng.uniform(-0.3, 0.3, size=chart.dim)))
-    if name.startswith("heisenberg"):
-        n = int(round(np.sqrt(chart.dim / 2)))
-        return np.concatenate([_sl_sample(n, rng, 0.3).ravel(),
-                               _sl_sample(n, rng, 0.3).ravel()])
-    n = int(round(np.sqrt(chart.dim)))
-    return _sl_sample(n, rng, 0.3).ravel()
-
-
-def _chart_defects(chart, cfg, i):
+def _chart_defects(chart, sample, cfg, i):
     rng = _rng_for(cfg, i + 1)
-    z = _chart_point(chart, rng)
+    z = sample(rng)
     P = chart.pi(z)
     antisym = float(np.abs(P + P.T).max() / max(1.0, np.abs(P).max()))
     idx = rng.choice(chart.dim, size=3, replace=False)
@@ -520,8 +477,8 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
     residuals = []
     flags = []
     charts = _bracket_suite_charts(cfg.n)
-    for chart in charts:
-        out = [_chart_defects(chart, cfg, i) for i in range(cfg.samples)]
+    for chart, sample in charts:
+        out = [_chart_defects(chart, sample, cfg, i) for i in range(cfg.samples)]
         worst = (max(r[1] for r in out), max(r[2] for r in out),
                  max(r[3] for r in out))
         for i, a, j, l in out:
@@ -535,8 +492,7 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         csv_header=["chart", "point", "antisymmetry", "jacobi", "leibniz"],
         csv_rows=rows, residuals=residuals, flags=flags,
-        parameters={"n": cfg.n, "samples": cfg.samples,
-                    "charts": [chart.name for chart in charts]})
+        parameters={"charts": [chart.name for chart, _ in charts]})
 
 
 def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
@@ -550,11 +506,9 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
                             y=_sl_sample(n, rng, 0.35))
     rep2 = double.fiber_check(pt, samples=cfg.samples, rng=_rng_for(cfg, 2))
 
-    rows = []
-    for (tag, rep) in (("rational", rep1), ("relativistic", rep2)):
-        rows += [[tag, str(i), str(j), _fmt(m)] for (i, j), m in np.ndenumerate(rep.margins)]
-    flags = []
+    rows, flags = [], []
     for tag, rep in (("rational", rep1), ("relativistic", rep2)):
+        rows += [[tag, str(i), str(j), _fmt(m)] for (i, j), m in np.ndenumerate(rep.margins)]
         if not rep.all_separated:
             flags.append(f"inconclusive-separation:{tag}")
     return ScenarioResult(
@@ -564,20 +518,67 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
                    ("rational-coincident", rep1.coincident_margin),
                    ("relativistic-min-margin", float(rep2.margins.min())),
                    ("relativistic-coincident", rep2.coincident_margin)],
-        flags=flags,
-        parameters={"n": n, "samples": cfg.samples})
+        flags=flags)
 
 
-_RUNNERS = {
-    "kepler": _scenario_kepler,
-    "cm-rational": _scenario_cm_rational,
-    "ruijsenaars-rational": _scenario_ruijsenaars_rational,
-    "relativistic-cm": _scenario_relativistic_cm,
-    "relativistic-ruijsenaars": _scenario_relativistic_ruijsenaars,
-    "factorization-flow": _scenario_factorization_flow,
-    "verify-brackets": _scenario_verify_brackets,
-    "duality-check": _scenario_duality_check,
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario's runner and description, the options it reads with their
+    defaults, and the [lo, hi] of the n it runs at (never clamped)."""
+
+    run: Callable[[ScenarioConfig], ScenarioResult]
+    description: str
+    options: dict
+    n_range: tuple = (1, 8)
+
+
+_SCENARIOS = {
+    "kepler": _Scenario(
+        _scenario_kepler, "adaptive orbit; drifts of the momentum/Lenz/energy set",
+        {"t_max": 2 * np.pi, "tol": 1e-10}),
+    "cm-rational": _Scenario(
+        _scenario_cm_rational, "central flow on the cotangent pair; joint-invariant drifts",
+        {"n": 3, "t_max": 1.0, "samples": 8, "kappa": 0.3 + 0.0j}, (2, 8)),
+    "ruijsenaars-rational": _Scenario(
+        _scenario_ruijsenaars_rational, "rank-1 oracle sweep; closed forms vs dense solves",
+        {"n": 3, "samples": 50, "kappa": 0.3 + 0.0j}),
+    "relativistic-cm": _Scenario(
+        _scenario_relativistic_cm, "tr(x) flow on the pair chart; first-projection drifts",
+        {"n": 2, "t_max": 0.5, "dt": 1e-3},
+        # duality-moment-deviation reaches 9.8e-12 of its 1e-11 gate at n = 4
+        (1, 3)),
+    "relativistic-ruijsenaars": _Scenario(
+        _scenario_relativistic_ruijsenaars,
+        "rank-1 reduction and tr(y) flow; second-projection drifts",
+        {"n": 2, "t_max": 0.5, "dt": 1e-3, "samples": 10, "q": 1.3 + 0.0j}),
+    "factorization-flow": _Scenario(
+        _scenario_factorization_flow, "exact flow vs bivector integration; conservation",
+        {"n": 3, "t_max": 0.1, "dt": 1e-3}, (2, 8)),
+    "verify-brackets": _Scenario(
+        _scenario_verify_brackets, "antisymmetry/Leibniz/Jacobi sweep over registered charts",
+        {"n": 3, "samples": 100}, (2, 8)),
+    "duality-check": _Scenario(
+        _scenario_duality_check, "fiber transversality margins for both dualities",
+        {"n": 2, "samples": 4}, (2, 8)),
 }
+
+
+def _option_keys(spec: _Scenario) -> dict:
+    """Flag / config-file key -> default of each option the scenario reads;
+    a complex option (kappa, q) is set by its real and imaginary parts."""
+    keys = {}
+    for key, default in spec.options.items():
+        if isinstance(default, complex):
+            keys[f"{key}_re"], keys[f"{key}_im"] = default.real, default.imag
+        else:
+            keys[key] = default
+    return keys
+
+
+def _usage(spec: _Scenario) -> str:
+    """The scenario's options as flags with their defaults."""
+    return " ".join(f"--{key.replace('_', '-')} {default}"
+                    for key, default in _option_keys(spec).items())
 
 
 # ----------------------------------------------------------------------
@@ -649,9 +650,10 @@ def run(config: ScenarioConfig) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
 
+    spec = _SCENARIOS[config.scenario]
     start = time.perf_counter()
     try:
-        result = _RUNNERS[config.scenario](config)
+        result = spec.run(config)
     except DegintError as exc:
         # still emit a report so the failure is machine readable
         result = ScenarioResult(csv_header=["error"], csv_rows=[],
@@ -659,13 +661,15 @@ def run(config: ScenarioConfig) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
     elapsed = time.perf_counter() - start
 
+    # the options the scenario read, then the values its runner computed
+    parameters = {key: getattr(config, key) for key in spec.options}
+    for key, value in parameters.items():
+        if isinstance(spec.options[key], complex):
+            parameters[key] = [complex(value).real, complex(value).imag]
     payload = {
         "scenario": config.scenario,
         "seed": config.seed,
-        "parameters": {
-            **result.parameters,
-            "t_max": config.t_max, "dt": config.dt, "tol": config.tol,
-        },
+        "parameters": {**parameters, **result.parameters},
         "drifts": [{"name": n, "max_abs": float(a), "max_rel": float(r)}
                    for n, a, r in result.drifts],
         "oracle_residuals": [{"name": n, "value": float(v)}
@@ -699,8 +703,10 @@ def run(config: ScenarioConfig) -> int:
 
 
 def list_scenarios() -> str:
-    """One line per scenario: name and description."""
-    return "\n".join(f"{name}: {desc}" for name, desc in sorted(SCENARIOS.items()))
+    """One line per scenario: name, description, and its options with their
+    defaults."""
+    return "\n".join(f"{name}: {spec.description} [{_usage(spec)}]"
+                     for name, spec in sorted(_SCENARIOS.items()))
 
 
 @functools.cache
@@ -737,10 +743,6 @@ def _config_from_args(args) -> ScenarioConfig:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ValueError("a config file must hold a JSON object")
-        unknown = sorted(set(values) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; "
-                             f"choose from {sorted(_CONFIG_KEYS)}")
         for key in ("scenario", "out_csv", "out_json", "out_svg"):
             if not isinstance(values.get(key, ""), str):
                 raise ValueError(f"{key} must be a string")
@@ -750,32 +752,29 @@ def _config_from_args(args) -> ScenarioConfig:
         raise ValueError("a scenario is required (--scenario or config file)")
 
     scenario = values["scenario"]
-    defaults = _DEFAULTS.get(scenario, {})
     cfg = ScenarioConfig(scenario=scenario)
-    for key, val in defaults.items():
-        setattr(cfg, key, val)
+    if scenario not in _SCENARIOS:
+        return cfg                      # validate() names the scenarios there are
+    spec = _SCENARIOS[scenario]
+    # every scenario takes the seed and the output paths besides its options
+    defaults = {**{key: getattr(cfg, key) for key in ("seed", "out_csv", "out_json", "out_svg")},
+                **_option_keys(spec)}
+    extra = sorted(set(values) - set(defaults) - {"scenario"}) + sorted(
+        "--" + key.replace("_", "-") for key, arg in vars(args).items() if arg is not None
+        and key not in defaults and key not in ("scenario", "config", "list_scenarios"))
+    if extra:
+        raise ValueError(f"{scenario} does not take {', '.join(extra)}; "
+                         f"its options: {_usage(spec)}")
 
-    for key in _FIELD_KEYS:
-        if key in values:
-            setattr(cfg, key, values[key])
-        arg = getattr(args, key, None)
-        if arg is not None:
-            setattr(cfg, key, arg)
-
-    def part(key, current):
-        arg = getattr(args, key, None)
-        value = arg if arg is not None else values.get(key, current)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key} must be a number, got {value!r}")
-        return value
-
-    def complex_from(prefix, current):
-        return complex(part(f"{prefix}_re", current.real),
-                       part(f"{prefix}_im", current.imag))
-
-    cfg.kappa = complex_from("kappa", cfg.kappa)
-    cfg.q = complex_from("q", cfg.q)
-    return cfg
+    given = {key: values.get(key, default) if getattr(args, key) is None
+             else getattr(args, key) for key, default in defaults.items()}
+    for key, default in spec.options.items():
+        if isinstance(default, complex):
+            parts = given.pop(f"{key}_re"), given.pop(f"{key}_im")
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in parts):
+                raise ValueError(f"{key}_re and {key}_im must be numbers, got {parts!r}")
+            given[key] = complex(*parts)
+    return replace(cfg, **given)
 
 
 def main(argv=None) -> int:

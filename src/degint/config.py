@@ -14,9 +14,6 @@ class Tolerances:
     # matrix kernel
     triangular: float = 1e-12          # relative off-triangle mass in UL factors
     pivot_minor: float = 1e-12         # pivot cutoff, relative to the matrix norm
-    reassembly: float = 1e-11          # |g+ g-^{-1} - m| after UL splitting
-    mat_exp_rel: float = 1e-12         # relative accuracy of the exponential
-    spectral_residual: float = 1e-9    # |m - V diag V^{-1}|
     eigenvalue_gap: float = 1e-8       # below this the spectrum counts as degenerate
 
     # Poisson engine
@@ -25,7 +22,6 @@ class Tolerances:
     antisymmetry: float = 1e-10
     jacobi: float = 1e-4
     leibniz: float = 1e-5
-    grad_check: float = 1e-5           # exact gradient vs finite differences
 
     # integration
     step_underflow: float = 1e-14
@@ -38,7 +34,6 @@ class Tolerances:
     oracle_residual: float = 1e-10     # linear-system solve residual
     formula_match: float = 1e-8        # closed form accepted against the oracle
     formula_reject: float = 1e-6       # beyond this no candidate is accepted
-    reconstruction: float = 1e-9       # defining-relation residual for rebuilt g
     dual_path: float = 1e-9            # reduced formula vs matrix trace
     dual_path_reject: float = 1e-6
     central_flow: float = 1e-9         # joint-invariant drift along central flows

@@ -255,6 +255,22 @@ class TestRationalRuijsenaarsHamiltonian:
                        kappa=0.05)
         assert np.real(h_rational_ruijsenaars(pt)) < 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_returns_the_checked_value(self, monkeypatch, n):
+        """The value returned is the character value the dual-route check
+        compared, bit for bit, not a second evaluation of its formula."""
+        checked = []
+        dual_residuals = calogero._dual_residuals
+
+        def recorded(*args):
+            checked.append(dual_residuals(*args))
+            return checked[-1]
+
+        monkeypatch.setattr(calogero, "_dual_residuals", recorded)
+        for h, u in zip(*ruij_draws(ruij_cfg(n, 44, seed=11))):
+            got = h_rational_ruijsenaars(RuijPoint(h=h, u=u, kappa=0.3))
+            assert np.complex128(got).tobytes() == np.complex128(checked[-1][-1]).tobytes()
+
 
 class TestDualityFiberCheck:
     def test_generic_separation(self):

@@ -10,7 +10,6 @@ import pytest
 
 from degint import cli, double, integrate, kepler, poisson
 from degint.cli import (
-    SCENARIOS,
     ScenarioConfig,
     _config_from_args,
     _build_parser,
@@ -28,7 +27,7 @@ class TestListScenarios:
         assert "factorization-flow" in list_scenarios()
 
     def test_count_is_eight(self):
-        assert len(SCENARIOS) == 8
+        assert len(cli._SCENARIOS) == 8
         assert len(list_scenarios().splitlines()) == 8
 
 
@@ -63,7 +62,7 @@ class TestConfig:
         assert main([]) == 1
 
     @pytest.mark.parametrize("config,argv", [
-        pytest.param({"scenario": "kepler", "n": "3"}, [], id="n-string"),
+        pytest.param({"scenario": "cm-rational", "n": "3"}, [], id="n-string"),
         pytest.param({"scenario": "kepler", "seed": True}, [], id="seed-bool"),
         pytest.param({"scenario": "ruijsenaars-rational", "samples": 5.0}, [],
                      id="samples-float"),
@@ -125,6 +124,140 @@ class TestConfig:
         assert "cm-loglinear(n=4)" in charts and "sklyanin(n=2)" in charts
         assert len(charts) == 6
         assert set(charts) == {r["name"].split(":", 1)[1] for r in payload["oracle_residuals"]}
+
+
+# Every numeric flag, with a value some scenario accepts.
+FLAG_VALUES = {"--n": "2", "--kappa-re": "0.5", "--kappa-im": "0.1", "--q-re": "1.5",
+               "--q-im": "0.1", "--t-max": "0.1", "--dt": "1e-3", "--tol": "1e-8",
+               "--samples": "3", "--seed": "4"}
+# Each scenario's declared options at a size that runs in well under a second.
+SMALL = {
+    "kepler": {"t_max": 0.5},
+    "cm-rational": {"t_max": 0.1, "samples": 2},
+    "ruijsenaars-rational": {"samples": 2},
+    "relativistic-cm": {"t_max": 0.01},
+    "relativistic-ruijsenaars": {"t_max": 0.01, "samples": 2},
+    "factorization-flow": {"t_max": 0.01},
+    "verify-brackets": {"samples": 1},
+    "duality-check": {"samples": 2},
+}
+# What each runner computes for the report's parameters.
+COMPUTED = {"kepler": {"gamma", "energy"}, "ruijsenaars-rational": {"matched"},
+            "relativistic-cm": {"family", "hamiltonian"},
+            "relativistic-ruijsenaars": {"family", "hamiltonian"},
+            "verify-brackets": {"charts"}}
+
+
+def _key(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _takes(scenario, flag):
+    return flag == "--seed" or _key(flag) in cli._option_keys(cli._SCENARIOS[scenario])
+
+
+PAIRS = [(s, flag) for s in sorted(cli._SCENARIOS) for flag in FLAG_VALUES]
+TAKEN = [pair for pair in PAIRS if _takes(*pair)]
+REFUSED = [pair for pair in PAIRS if not _takes(*pair)]
+
+
+class _ReadRecorder:
+    """A scenario config that records which fields are read from it."""
+
+    def __init__(self, cfg):
+        self.cfg, self.reads = cfg, set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self.cfg, name)
+
+
+class TestOptionTable:
+    """Each scenario takes exactly the options its runner reads, plus the
+    seed and the output paths; any other option exits 1 before running."""
+
+    def test_pair_counts(self):
+        assert len(SMALL) == len(cli._SCENARIOS) == 8
+        assert (len(TAKEN), len(REFUSED)) == (35, 45)
+
+    @pytest.mark.parametrize("scenario", sorted(SMALL))
+    def test_runner_reads_exactly_its_options(self, scenario):
+        spec = cli._SCENARIOS[scenario]
+        cfg = _ReadRecorder(ScenarioConfig(scenario=scenario, **{**spec.options,
+                                                                  **SMALL[scenario]}))
+        spec.run(cfg)
+        assert cfg.reads == {"seed", *spec.options}
+
+    @pytest.mark.parametrize("scenario,flag", TAKEN)
+    def test_declared_option_is_taken(self, scenario, flag):
+        cfg = _config_from_args(_build_parser().parse_args(
+            ["--scenario", scenario, flag, FLAG_VALUES[flag]]))
+        cfg.validate()
+        key = _key(flag)
+        part = {"_re": "real", "_im": "imag"}.get(key[-3:])
+        value = getattr(getattr(cfg, key[:-3]), part) if part else getattr(cfg, key)
+        assert value == float(FLAG_VALUES[flag])
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("scenario,flag", REFUSED)
+    def test_undeclared_option_exits_1(self, tmp_path, capsys, scenario, flag, source):
+        if source == "flag":
+            argv, name = ["--scenario", scenario, flag, FLAG_VALUES[flag]], flag
+        else:
+            name = _key(flag)
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": scenario,
+                                        name: json.loads(FLAG_VALUES[flag])}))
+            argv = ["--config", str(path)]
+        outs = {opt: tmp_path / f"r.{opt[-3:]}" for opt in ("--out-csv", "--out-json", "--out-svg")}
+        assert main(argv + [arg for opt, path in outs.items() for arg in (opt, str(path))]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid configuration: {scenario} does not take {name};" in err
+        assert not any(path.exists() for path in outs.values())
+
+    @pytest.mark.parametrize("scenario", sorted(SMALL))
+    def test_parameters_are_options_and_computed_entries(self, tmp_path, scenario):
+        out = tmp_path / "r.json"
+        argv = ["--scenario", scenario, "--out-json", str(out)]
+        for key, value in SMALL[scenario].items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        parameters = json.loads(out.read_text())["parameters"]
+        options = cli._SCENARIOS[scenario].options
+        assert set(parameters) == set(options) | COMPUTED.get(scenario, set())
+        for key, default in options.items():
+            value = SMALL[scenario].get(key, default)
+            assert parameters[key] == ([value.real, value.imag]
+                                       if isinstance(value, complex) else value)
+
+
+def chart_point_oracle(chart, rng):
+    """The point ``verify-brackets`` drew before each chart carried its own
+    sampler: a dispatch on the chart's name, n recovered from its dim."""
+    name = chart.name
+    if name.startswith("canonical") or name.startswith("cm-loglinear"):
+        return rng.normal(size=chart.dim).astype(complex)
+    if name.startswith("relativistic"):
+        return (rng.uniform(0.5, 2.0, size=chart.dim)
+                * np.exp(1j * rng.uniform(-0.3, 0.3, size=chart.dim)))
+    if name.startswith("heisenberg"):
+        n = int(round(np.sqrt(chart.dim / 2)))
+        return np.concatenate([cli._sl_sample(n, rng, 0.3).ravel(),
+                               cli._sl_sample(n, rng, 0.3).ravel()])
+    n = int(round(np.sqrt(chart.dim)))
+    return cli._sl_sample(n, rng, 0.3).ravel()
+
+
+class TestBracketSuiteSamplers:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_samplers_draw_what_the_name_dispatch_drew(self, n):
+        """Each chart's sampler takes the same draws, in the same order, as
+        the name dispatch it replaced, so the sweep's CSV is unchanged."""
+        for chart, sample in cli._bracket_suite_charts(n):
+            for seed in (0, 1, 7):
+                rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert sample(rng).tobytes() == chart_point_oracle(chart, oracle).tobytes()
+                assert rng.normal() == oracle.normal()      # the stream stays aligned
 
 
 class TestExitCodes:
@@ -242,7 +375,7 @@ class TestParserReuse:
         assert report("n5", "--n", "5")[0] == 0
         code, _, js = report("default")
         assert code == 0
-        assert json.loads(js)["parameters"]["n"] == cli._DEFAULTS["cm-rational"]["n"] != 5
+        assert json.loads(js)["parameters"]["n"] == cli._SCENARIOS["cm-rational"].options["n"] != 5
         with pytest.raises(SystemExit) as caught:
             main(["--scenario", "kepler", "--no-such-flag"])
         assert caught.value.code == 2
