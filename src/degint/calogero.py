@@ -84,6 +84,19 @@ def _check_chart(h, kappa=None):
 # acts on a stack of points along its leading axes
 # ----------------------------------------------------------------------
 
+# Stacked kernels that replace per-point code round as that code's numpy
+# scalars did: a complex exponent keeps numpy's array power off its sqrt and
+# square shortcuts, and hypot is the abs() of one complex scalar, which
+# numpy's vectorised complex abs does not always match bit for bit.
+
+def _scalar_power(a, p: float):
+    return a ** complex(p)
+
+
+def _scalar_abs(z):
+    return np.hypot(z.real, z.imag)
+
+
 def _cauchy_solve(den, label: str):
     """Solve sum_i w_i / den[..., j, i] = 1 for every j by one stacked dense
     solve; returns (w, residual), residual = max_j |sum_i w_i / den[j, i] - 1|.
@@ -121,6 +134,45 @@ def _pair_products(R):
     factors = np.concatenate([np.where(inside, 1.0, R[..., i, :]),
                               np.where(inside, 1.0, R[..., j, :])], axis=-1)
     return i, j, factors.prod(axis=-1)
+
+
+def _rank1_matrix(own, other, c, u):
+    """(R, prod, m) of a rank-1 system at every stacked point: R = own/other
+    off the diagonal and 1 on it, prod_i = prod_j R_ij, and
+    m_ij = c u_j prod_j / own_ij, the diagonal included (own_ii = c).  The
+    rational system takes (own, other, c) = (h_i - h_j + kappa, h_i - h_j,
+    kappa), the relativistic one (1 - x_i/(q x_j), 1 - x_i/x_j, 1 - 1/q)."""
+    R = _ratio(own, other)
+    prod = R.prod(axis=-1)
+    return R, prod, c * (u * prod)[..., None, :] / own
+
+
+def _dual_residuals(own, c, s, u, R, prod, m):
+    """(residuals, (tr m, tr m^2), h_char) of ``_rank1_matrix``'s m at every
+    stacked point.  The residuals compare the traces with sum_i d_i and
+    sum_ij c^2 d_i d_j / (own_ij own_ji), d = u prod, relative to
+    max(1, |tr m|, |tr m^2|), and h_char = (tr m^2 - (tr m)^2)/2 with
+    -sum_{i<j} u_i u_j prod_{a in {i,j}, b outside} R_ab / s, s = 1
+    (rational) or q (relativistic), relative to max(1, |h_char|).  Raises
+    for the first point whose m is not finite."""
+    _raise_first(~np.isfinite(m).all(axis=(-2, -1)), NonFiniteMatrixError,
+                 "matrix has NaN or Inf entries")
+    diag = u * prod
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr_sq = np.trace(m @ m, axis1=-2, axis2=-1)
+    tr2 = np.sum(c ** 2 * (diag[..., :, None] * diag[..., None, :])
+                 / (own * np.swapaxes(own, -2, -1)), axis=(-2, -1))
+    h_char = 0.5 * (tr_sq - _scalar_power(tr, 2))
+    i, j, prods = _pair_products(R)
+    # summed in C order, the per-point order: numpy sums a contiguous row
+    # pairwise, a strided one (``prods`` is Fortran-ordered) sequentially
+    h_prod = -np.ascontiguousarray(u[..., i] * u[..., j] * prods / s).sum(axis=-1)
+    scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
+    residuals = np.stack([_scalar_abs(tr - diag.sum(axis=-1)) / scale,
+                          _scalar_abs(tr_sq - tr2) / scale,
+                          _scalar_abs(h_char - h_prod) / np.maximum(1.0, _scalar_abs(h_char))],
+                         axis=-1)
+    return residuals, np.stack([tr, tr_sq], axis=-1), h_char
 
 
 @dataclass(frozen=True)
@@ -252,17 +304,13 @@ def solve_phi_psi_oracle(h, kappa: complex) -> np.ndarray:
 
 
 def _ruij_parts(h, u, kappa):
-    """(R, bare, g) for every stacked point: R_ij = (h_i-h_j+kappa)/(h_i-h_j)
-    off the diagonal, the bare products prod_{j != i} R_ij, and g with
-    g_ii = u_i bare_i, g_ij = kappa g_jj / (h_i - h_j + kappa)."""
+    """The arguments (own, c, s, u, R, bare, g) of ``_dual_residuals`` at
+    every stacked point: ``_rank1_matrix`` with own = h_i - h_j + kappa,
+    other = h_i - h_j, c = kappa and s = 1, so that
+    g_ij = kappa u_j bare_j / (h_i - h_j + kappa) and g_ii = u_i bare_i."""
     d = h[..., :, None] - h[..., None, :]
-    R = _ratio(d + kappa, d)
-    bare = R.prod(axis=-1)
-    gdiag = u * bare
-    n = h.shape[-1]
-    g = np.divide(kappa * gdiag[..., None, :], d + kappa,
-                  out=gdiag[..., None, :] * np.eye(n), where=~np.eye(n, dtype=bool))
-    return R, bare, g
+    own = d + kappa
+    return (own, kappa, 1.0, u, *_rank1_matrix(own, d, kappa, u))
 
 
 def _select(w, bare, kappa):
@@ -298,7 +346,7 @@ def phi_psi_closed_form(h, kappa: complex) -> PhiPsiSelection:
     """
     h = np.asarray(h, dtype=complex).ravel()
     w = solve_phi_psi_oracle(h, kappa)
-    bare = _ruij_parts(h, 1.0, kappa)[1]       # u drops out of the bare products
+    bare = _ruij_parts(h, 1.0, kappa)[-2]      # u drops out of the bare products
     scaled, res_bare, res_scaled = _select(w, bare, kappa)
     return PhiPsiSelection(kappa * bare if scaled else bare,
                            "kappa-scaled" if scaled else "bare", res_bare, res_scaled)
@@ -332,7 +380,7 @@ def reconstruct_g(point: RuijPoint) -> np.ndarray:
     x = diag(h) and mu = 1 w^T - kappa id (w from the oracle) the rebuilt g
     satisfies the defining relation (h_i - h_j) g_ij = sum_k mu_ik g_kj.
     """
-    return _ruij_parts(point.h, point.u, point.kappa)[2]
+    return _ruij_parts(point.h, point.u, point.kappa)[-1]
 
 
 def _relation_residual(h, kappa, w, g):
@@ -348,36 +396,11 @@ def relation_residual(point: RuijPoint) -> float:
                                     reconstruct_g(point)))
 
 
-def _characters_reduced(h, kappa, g):
-    """(tr g, tr g^2) from the reduced closed formulas, which read only diag g."""
-    gdiag = np.diagonal(g, axis1=-2, axis2=-1)
-    d = h[..., :, None] - h[..., None, :]
-    tr2 = np.sum(kappa ** 2 * (gdiag[..., :, None] * gdiag[..., None, :])
-                 / ((d + kappa) * (-d + kappa)), axis=(-2, -1))
-    return gdiag.sum(axis=-1), tr2
-
-
-def _dual_residuals(h, u, kappa, R, g, traces):
-    """Matrix ``traces`` (tr g, tr g^2) vs the reduced formulas, and character
-    vs product route of the Hamiltonian; then the checked character value."""
-    (tr, tr_sq), (tr1, tr2) = traces, _characters_reduced(h, kappa, g)
-    i, j, prods = _pair_products(R)
-    # summed in C order, the per-point order (see ``double._hamiltonians``)
-    h_prod = -np.ascontiguousarray(u[..., i] * u[..., j] * prods).sum(axis=-1)
-    # squared as an array: a single point's tr is a numpy scalar, and numpy
-    # squares a complex scalar with other roundings than its array loop
-    h_char = 0.5 * (tr_sq - np.asarray(tr) ** 2)
-    scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
-    return (np.abs(tr - tr1) / scale, np.abs(tr_sq - tr2) / scale,
-            np.abs(h_char - h_prod) / np.maximum(1.0, np.abs(h_char)), h_char)
-
-
 def character_residuals(point: RuijPoint) -> dict:
     """Reduced-formula vs matrix-trace residuals for tr g, tr g^2 and both
     Hamiltonian routes."""
-    R, _, g = _ruij_parts(point.h, point.u, point.kappa)
-    return dict(zip(("tr_g", "tr_g2", "h_ruijsenaars"), _dual_residuals(
-        point.h, point.u, point.kappa, R, g, traces_of_powers(g, 2))[:3]))
+    residuals = _dual_residuals(*_ruij_parts(point.h, point.u, point.kappa))[0]
+    return dict(zip(("tr_g", "tr_g2", "h_ruijsenaars"), residuals))
 
 
 def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
@@ -386,14 +409,16 @@ def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
     For k <= 2 the values are cross-checked against the reduced closed
     formulas; disagreement beyond ``TOL.dual_path_reject`` raises.
     """
-    g = reconstruct_g(point)
-    traces = traces_of_powers(g, kmax)
-    tr1, tr2 = _characters_reduced(point.h, point.kappa, g)
-    scale = max(1.0, np.abs(traces[:2]).max() if kmax >= 2 else abs(traces[0]))
-    if abs(traces[0] - tr1) > TOL.dual_path_reject * scale:
-        raise ConsistencyError("tr g: reduced formula disagrees with matrix trace")
-    if kmax >= 2 and abs(traces[1] - tr2) > TOL.dual_path_reject * scale:
-        raise ConsistencyError("tr g^2: reduced formula disagrees with matrix trace")
+    parts = _ruij_parts(point.h, point.u, point.kappa)
+    traces = traces_of_powers(parts[-1], kmax)
+    residuals, (tr, tr_sq), _ = _dual_residuals(*parts)
+    # the residuals are relative to max(1, |tr g|, |tr g^2|); with kmax = 1,
+    # tr g is checked relative to max(1, |tr g|) alone
+    both = max(1.0, abs(tr), abs(tr_sq))
+    limit = TOL.dual_path_reject * (1.0 if kmax >= 2 else max(1.0, abs(tr)) / both)
+    for k, name in enumerate(("tr g", "tr g^2")[:kmax]):
+        if residuals[k] > limit:
+            raise ConsistencyError(f"{name}: reduced formula disagrees with matrix trace")
     return traces
 
 
@@ -406,11 +431,9 @@ def h_rational_ruijsenaars(point: RuijPoint) -> complex:
     that check compared, is returned.  For n = 2 the product is empty and
     the value reduces to -u_1 u_2.
     """
-    R, _, g = _ruij_parts(point.h, point.u, point.kappa)
-    *_, residual, h_char = _dual_residuals(point.h, point.u, point.kappa, R, g,
-                                           traces_of_powers(g, 2))
-    if residual > TOL.dual_path:
-        raise ConsistencyError(f"Hamiltonian routes disagree: {residual:.3g}")
+    residuals, _, h_char = _dual_residuals(*_ruij_parts(point.h, point.u, point.kappa))
+    if residuals[2] > TOL.dual_path:
+        raise ConsistencyError(f"Hamiltonian routes disagree: {residuals[2]:.3g}")
     return h_char
 
 
@@ -459,17 +482,16 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
 def _sweep_pass(h, u, kappa) -> dict:
     _check_chart(h, kappa)
     w, oracle = _phi_psi_solve(h, kappa)
-    R, bare, g = _ruij_parts(h, u, kappa)
+    parts = _ruij_parts(h, u, kappa)
+    *_, bare, g = parts
     scaled, res_bare, res_scaled = _select(w, bare, kappa)
-    _raise_first(~np.isfinite(g).all(axis=(-2, -1)), NonFiniteMatrixError,
-                 "matrix has NaN or Inf entries")
-    traces = np.trace(g, axis1=-2, axis2=-1), np.trace(g @ g, axis1=-2, axis2=-1)
-    tr_g, tr_g2, h_rR, _ = _dual_residuals(h, u, kappa, R, g, traces)
+    residuals = _dual_residuals(*parts)[0]
     return {"oracle-residual": oracle,
             "matched": np.where(scaled, "kappa-scaled", "bare"),
             "kappa-scaled-residual": res_scaled, "bare-residual": res_bare,
             "relation-residual": _relation_residual(h, kappa, w, g),
-            "tr-g-dual": tr_g, "tr-g2-dual": tr_g2, "h-rR-dual": h_rR}
+            "tr-g-dual": residuals[..., 0], "tr-g2-dual": residuals[..., 1],
+            "h-rR-dual": residuals[..., 2]}
 
 
 # ----------------------------------------------------------------------

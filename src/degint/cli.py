@@ -39,50 +39,62 @@ from .poisson import (
 )
 
 
+# The ``ScenarioConfig`` fields that are options, each taken by some scenarios.
+_OPTIONS = ("n", "kappa", "q", "t_max", "dt", "tol", "samples")
+
+
 @dataclass
 class ScenarioConfig:
-    """One run's settings.  A scenario reads its own options (``_SCENARIOS``),
-    the seed and the output paths; every other field keeps its default."""
+    """One run's settings: the scenario, its options, the seed and the output
+    paths.  An option left unset (None) takes its default from ``_SCENARIOS``;
+    ``validate`` rejects one set that the scenario does not take."""
 
     scenario: str
-    n: int = 3
-    kappa: complex = 0.3 + 0.0j
-    q: complex = 1.3 + 0.0j
-    t_max: float = 1.0
-    dt: float = 1e-3
-    tol: float = 1e-10
+    n: Optional[int] = None
+    kappa: Optional[complex] = None
+    q: Optional[complex] = None
+    t_max: Optional[float] = None
+    dt: Optional[float] = None
+    tol: Optional[float] = None
     seed: int = 0
-    samples: int = 50
+    samples: Optional[int] = None
     out_csv: Optional[str] = None
     out_json: Optional[str] = None
     out_svg: Optional[str] = None
+
+    def __post_init__(self):
+        spec = _SCENARIOS.get(self.scenario)
+        for key, default in spec.options.items() if spec else ():
+            if getattr(self, key) is None:
+                setattr(self, key, default)
 
     def validate(self):
         if self.scenario not in _SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; choose from "
                 + ", ".join(sorted(_SCENARIOS)))
-        for key in ("n", "seed", "samples"):
+        spec = _SCENARIOS[self.scenario]
+        extra = [key for key in _OPTIONS if getattr(self, key) is not None
+                 and key not in spec.options]
+        if extra:
+            raise ValueError(_not_taken(self.scenario, extra))
+        lo, hi = spec.n_range
+        limits = {"n": (lambda n: lo <= n <= hi,
+                        f"n must be in [{lo}, {hi}] for {self.scenario}, got {self.n}"),
+                  "t_max": (lambda t: t >= 0, "t-max must be nonnegative"),
+                  "dt": (lambda dt: dt > 0, "dt must be positive"),
+                  "tol": (lambda tol: 1e-13 <= tol <= 1e-6, "tol must lie in [1e-13, 1e-6]"),
+                  "samples": (lambda m: m >= 1, "samples must be positive")}
+        for key in ("seed", *spec.options):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        for key in ("t_max", "dt", "tol", "kappa", "q"):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, (int, float, complex))
+            if key in ("n", "seed", "samples"):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
+            elif (isinstance(value, bool) or not isinstance(value, (int, float, complex))
                     or not cmath.isfinite(value)):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
-        lo, hi = _SCENARIOS[self.scenario].n_range
-        if not lo <= self.n <= hi:
-            raise ValueError(
-                f"n must be in [{lo}, {hi}] for {self.scenario}, got {self.n}")
-        if self.t_max < 0:
-            raise ValueError("t-max must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not (1e-13 <= self.tol <= 1e-6):
-            raise ValueError("tol must lie in [1e-13, 1e-6]")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+            if key in limits and not limits[key][0](value):
+                raise ValueError(limits[key][1])
 
 
 @dataclass
@@ -133,40 +145,49 @@ def _distinct_h(n, rng):
 _DRAW_BLOCK = 16
 
 
-def _rank1_draws(cfg):
-    """The (samples, n) arrays h and u of ``ruijsenaars-rational``, bit for
-    bit the per-sample draws: from generator seed + i + 1, first
-    h = ``_distinct_h(n, rng)``, then u = normal(n) + 1j * normal(n).
-
-    A generator's normal stream does not depend on how it is split into
-    draws, so sample i draws _DRAW_BLOCK + 2 rows at once: h is the first of
-    its first _DRAW_BLOCK rows that passes the gap test, u the next two rows.
+def _block_draws(cfg, offset, width, extra, candidates, redraw):
+    """Bit for bit the per-sample draws ``redraw(n, rng)`` (attempts of
+    ``width`` normal rows until one passes, then ``extra`` rows) from
+    generator seed + offset + i for sample i.  The normal stream does not
+    depend on how it is split, so each sample draws _DRAW_BLOCK attempts and
+    the extra rows at once; ``candidates`` maps each attempt with the rows
+    after it, (samples, _DRAW_BLOCK, width + extra, n), to (passes, values...).
     Passes of ``calogero._SWEEP_CHUNK`` samples keep the memory flat."""
     n, block = cfg.n, _DRAW_BLOCK
-    h = np.empty((cfg.samples, n), dtype=complex)
-    u = np.empty_like(h)
+    window = width * np.arange(block)[:, None] + np.arange(width + extra)
+    passes = []
     for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
         stop = min(start + calogero._SWEEP_CHUNK, cfg.samples)
-        rows = np.stack([_rng_for(cfg, i + 1).normal(size=(block + 2, n))
+        rows = np.stack([_rng_for(cfg, offset + i).normal(size=(block * width + extra, n))
                          for i in range(start, stop)])
-        cand = np.sort(rows[:, :block], axis=-1)
-        cand -= cand.sum(axis=-1, keepdims=True) / n
-        ok = (cand[..., 1:] - cand[..., :-1]).min(axis=-1, initial=np.inf) > 0.1
+        ok, *values = candidates(rows[:, window])
         first = ok.argmax(axis=1)
-        k = np.arange(stop - start)
-        h[start:stop] = cand[k, first]
-        u[start:stop] = rows[k, first + 1] + 1j * rows[k, first + 2]
-        for i in start + np.flatnonzero(~ok.any(axis=1)):
-            rng = _rng_for(cfg, int(i) + 1)
-            h[i] = _distinct_h(n, rng)
-            u[i] = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return h, u
+        values = [v[np.arange(stop - start), first] for v in values]
+        for i in np.flatnonzero(~ok.any(axis=1)):
+            for v, drawn in zip(values, redraw(n, _rng_for(cfg, offset + start + int(i)))):
+                v[i] = drawn
+        passes.append(values)
+    return tuple(np.concatenate(column) for column in zip(*passes))
+
+
+def _rank1_draws(cfg):
+    """The (samples, n) arrays h and u of ``ruijsenaars-rational``: from
+    generator seed + i + 1, first h = ``_distinct_h(n, rng)``, then
+    u = normal(n) + 1j * normal(n)."""
+    def candidates(w):
+        h = np.sort(w[..., 0, :], axis=-1)
+        h -= h.sum(axis=-1, keepdims=True) / cfg.n
+        gap = (h[..., 1:] - h[..., :-1]).min(axis=-1, initial=np.inf)
+        return gap > 0.1, h.astype(complex), w[..., 1, :] + 1j * w[..., 2, :]
+
+    return _block_draws(cfg, 1, 1, 2, candidates, lambda n, rng: (
+        _distinct_h(n, rng), rng.normal(size=n) + 1j * rng.normal(size=n)))
 
 
 def _unimodular_eigs(re, im):
     """exp(0.4 re + 0.4i im) scaled to product 1, for re, im stacked as (..., n)."""
     x = np.exp(re * 0.4 + 1j * im * 0.4)
-    return x / double._scalar_power(np.prod(x, axis=-1, keepdims=True), 1.0 / x.shape[-1])
+    return x / calogero._scalar_power(np.prod(x, axis=-1, keepdims=True), 1.0 / x.shape[-1])
 
 
 def _eig_gap(x):
@@ -183,35 +204,16 @@ def _distinct_eigs(n, rng):
 
 
 def _relativistic_draws(cfg):
-    """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``,
-    bit for bit the per-sample draws: from generator seed + 1000 + i, first
-    x = ``_distinct_eigs(n, rng)``, then u = normal(n) + 1j * normal(n), then
-    y_diag = normal(n) + 0.5.
+    """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``:
+    from generator seed + 1000 + i, first x = ``_distinct_eigs(n, rng)``,
+    then u = normal(n) + 1j * normal(n) and y_diag = normal(n) + 0.5."""
+    def candidates(w):
+        x = _unimodular_eigs(w[..., 0, :], w[..., 1, :])
+        return _eig_gap(x) > 0.1, x, w[..., 2, :] + 1j * w[..., 3, :], w[..., 4, :] + 0.5
 
-    As in ``_rank1_draws``, sample i draws 2 _DRAW_BLOCK + 3 rows at once:
-    x is the first of the _DRAW_BLOCK attempts (rows 2a, 2a+1) that passes
-    the gap test, u and y_diag the three rows after it."""
-    n, block = cfg.n, _DRAW_BLOCK
-    x = np.empty((cfg.samples, n), dtype=complex)
-    u = np.empty_like(x)
-    ydiag = np.empty((cfg.samples, n))
-    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
-        stop = min(start + calogero._SWEEP_CHUNK, cfg.samples)
-        rows = np.stack([_rng_for(cfg, 1000 + i).normal(size=(2 * block + 3, n))
-                         for i in range(start, stop)])
-        cand = _unimodular_eigs(rows[:, 0:2 * block:2], rows[:, 1:2 * block:2])
-        ok = _eig_gap(cand) > 0.1
-        first = ok.argmax(axis=1)
-        k = np.arange(stop - start)
-        x[start:stop] = cand[k, first]
-        u[start:stop] = rows[k, 2 * first + 2] + 1j * rows[k, 2 * first + 3]
-        ydiag[start:stop] = rows[k, 2 * first + 4] + 0.5
-        for i in start + np.flatnonzero(~ok.any(axis=1)):
-            rng = _rng_for(cfg, 1000 + int(i))
-            x[i] = _distinct_eigs(n, rng)
-            u[i] = rng.normal(size=n) + 1j * rng.normal(size=n)
-            ydiag[i] = rng.normal(size=n) + 0.5
-    return x, u, ydiag
+    return _block_draws(cfg, 1000, 2, 3, candidates, lambda n, rng: (
+        _distinct_eigs(n, rng), rng.normal(size=n) + 1j * rng.normal(size=n),
+        rng.normal(size=n) + 0.5))
 
 
 # ----------------------------------------------------------------------
@@ -581,6 +583,11 @@ def _usage(spec: _Scenario) -> str:
                     for key, default in _option_keys(spec).items())
 
 
+def _not_taken(scenario: str, extra) -> str:
+    return (f"{scenario} does not take {', '.join(extra)}; "
+            f"its options: {_usage(_SCENARIOS[scenario])}")
+
+
 # ----------------------------------------------------------------------
 # output writers
 # ----------------------------------------------------------------------
@@ -763,8 +770,7 @@ def _config_from_args(args) -> ScenarioConfig:
         "--" + key.replace("_", "-") for key, arg in vars(args).items() if arg is not None
         and key not in defaults and key not in ("scenario", "config", "list_scenarios"))
     if extra:
-        raise ValueError(f"{scenario} does not take {', '.join(extra)}; "
-                         f"its options: {_usage(spec)}")
+        raise ValueError(_not_taken(scenario, extra))
 
     given = {key: values.get(key, default) if getattr(args, key) is None
              else getattr(args, key) for key, default in defaults.items()}

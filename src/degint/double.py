@@ -32,9 +32,11 @@ import numpy as np
 from .calogero import (
     FiberSeparationReport,
     _cauchy_solve,
-    _pair_products,
+    _dual_residuals,
     _raise_first,
+    _rank1_matrix,
     _ratio,
+    _scalar_power,
     _separation_report,
     _stacked,
 )
@@ -84,19 +86,6 @@ class DoublePoint:
 
     def as_point(self) -> np.ndarray:
         return np.concatenate([self.x.ravel(), self.y.ravel()])
-
-
-# Stacked kernels that replace per-point code round as that code's numpy
-# scalars did: a complex exponent keeps numpy's array power off its sqrt and
-# square shortcuts, and hypot is the abs() of one complex scalar, which
-# numpy's vectorised complex abs does not always match bit for bit.
-
-def _scalar_power(a, p: float):
-    return a ** complex(p)
-
-
-def _scalar_abs(z):
-    return np.hypot(z.real, z.imag)
 
 
 def _check_unimodular(x, y):
@@ -332,28 +321,8 @@ def _hamiltonians(x, u, q) -> dict:
     first whose dual routes disagree, naming its first disagreeing route."""
     own = 1.0 - x[..., :, None] / (q * x[..., None, :])     # 1 - q^{-1} x_i/x_j
     other = 1.0 - x[..., :, None] / x[..., None, :]         # 1 - x_i/x_j
-    R = _ratio(own, other)
-    ydiag = u * R.prod(axis=-1)
-    y = (1.0 - 1.0 / q) * ydiag[..., None, :] / own
-    _raise_first(~np.isfinite(y).all(axis=(-2, -1)), NonFiniteMatrixError,
-                 "matrix has NaN or Inf entries")
-    tr = np.trace(y, axis1=-2, axis2=-1)
-    tr_sq = np.trace(y @ y, axis1=-2, axis2=-1)
-
-    tr1_red = ydiag.sum(axis=-1)
-    tr2_red = np.sum((1.0 - 1.0 / q) ** 2 * (ydiag[..., :, None] * ydiag[..., None, :])
-                     / (own * np.swapaxes(own, -2, -1)), axis=(-2, -1))
-
-    h2_char = 0.5 * (tr_sq - _scalar_power(tr, 2))
-    i, j, prods = _pair_products(R)
-    # summed in C order, the per-point order: numpy sums a contiguous row
-    # pairwise, a strided one (``prods`` is Fortran-ordered) sequentially
-    h2_prod = -np.ascontiguousarray(u[..., i] * u[..., j] * prods / q).sum(axis=-1)
-
-    scale = np.maximum(1.0, np.maximum(np.abs(tr), np.abs(tr_sq)))
-    res = np.stack([_scalar_abs(tr - tr1_red) / scale, _scalar_abs(tr_sq - tr2_red) / scale,
-                    _scalar_abs(h2_char - h2_prod) / np.maximum(1.0, _scalar_abs(h2_char))],
-                   axis=-1)
+    c = 1.0 - 1.0 / q
+    res, traces, h2 = _dual_residuals(own, c, q, u, *_rank1_matrix(own, other, c, u))
     bad = res > TOL.dual_path_reject
 
     def message(k):
@@ -361,7 +330,7 @@ def _hamiltonians(x, u, q) -> dict:
         return f"{('tr y', 'tr y^2', 'H2')[route]}: dual routes disagree by {res[k, route]:.3g}"
 
     _raise_first(bad.any(axis=-1), ConsistencyError, message)
-    return {"traces": np.stack([tr, tr_sq], axis=-1), "h2": h2_char,
+    return {"traces": traces, "h2": h2,
             "residual_tr_y": res[..., 0], "residual_tr_y2": res[..., 1],
             "residual_h2": res[..., 2]}
 

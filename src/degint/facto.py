@@ -115,7 +115,12 @@ def factorization_flow(x0, H: InvariantHamiltonian, t: float) -> np.ndarray:
     splitting is defined).  The g_minus conjugation must agree with the
     g_plus one to ``TOL.conjugation_agreement``.
     """
-    x0 = as_matrix(x0)
+    return _conjugations(as_matrix(x0), H, t)[0]
+
+
+def _conjugations(x0, H: InvariantHamiltonian, t: float):
+    """(g_plus^{-1} x0 g_plus, g_minus^{-1} x0 g_minus) of one splitting,
+    checked to agree as :func:`factorization_flow` states."""
     xi = left_differential(H, x0)
     pair: ULPair = ul_split_factorize(mat_exp(t * xi))
     via_plus = np.linalg.inv(pair.g_plus) @ x0 @ pair.g_plus
@@ -124,7 +129,7 @@ def factorization_flow(x0, H: InvariantHamiltonian, t: float) -> np.ndarray:
     if dev > TOL.conjugation_agreement:
         raise ConsistencyError(
             f"g_plus and g_minus conjugations disagree by {dev:.3g}")
-    return via_plus
+    return via_plus, via_minus
 
 
 def _chart_observable(H: InvariantHamiltonian, n: int) -> Observable:
@@ -190,13 +195,9 @@ def flow_consistency_sweep(x0, H: InvariantHamiltonian,
 
     semis, drifts, agrees = [], [], []
     for i, t1 in enumerate(t_grid):
-        x1 = factorization_flow(x0, H, t1)
+        x1, via_minus = _conjugations(x0, H, t1)
         drifts.append(np.abs(traces_of_powers(x1, n) - ref).max())
-
-        xi = left_differential(H, x0)
-        pair = ul_split_factorize(mat_exp(t1 * xi))
-        agrees.append(np.abs(np.linalg.inv(pair.g_plus) @ x0 @ pair.g_plus
-                             - np.linalg.inv(pair.g_minus) @ x0 @ pair.g_minus).max())
+        agrees.append(np.abs(x1 - via_minus).max())
 
         t2 = t_grid[(i + 1) % len(t_grid)]
         direct = factorization_flow(x0, H, t1 + t2)

@@ -28,7 +28,7 @@ from degint.calogero import (
     ruij_sweep,
     solve_phi_psi_oracle,
 )
-from degint.errors import FormulaMismatchError, SingularChartPoint
+from degint.errors import FormulaMismatchError, NonFiniteMatrixError, SingularChartPoint
 from degint.matrixcore import mat_exp
 
 RNG = np.random.default_rng(5)
@@ -270,6 +270,33 @@ class TestRationalRuijsenaarsHamiltonian:
         for h, u in zip(*ruij_draws(ruij_cfg(n, 44, seed=11))):
             got = h_rational_ruijsenaars(RuijPoint(h=h, u=u, kappa=0.3))
             assert np.complex128(got).tobytes() == np.complex128(checked[-1][-1]).tobytes()
+
+
+class TestNonFiniteRebuild:
+    @pytest.mark.parametrize("check", [character_residuals, h_rational_ruijsenaars,
+                                       lambda pt: ruij_characters(pt, 2)])
+    def test_infinite_u_raises_before_any_check(self, check):
+        """A non-finite rebuilt g raises, never a NaN residual that passes."""
+        pt = RuijPoint(h=random_h(3), u=np.array([np.inf, 1.0, 1.0]), kappa=0.3)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteMatrixError):
+            check(pt)
+
+
+class TestScalarRoundingShims:
+    """The stacked rank-1 kernels round as per-point code on complex scalars
+    does: ``_scalar_abs`` and ``_scalar_power(., 2)`` of an array equal the
+    scalar abs() and ** 2 of each entry bit for bit, where numpy's array abs
+    and square differ from them in the last bits on about a third of draws."""
+
+    def test_equal_to_scalar_abs_and_square(self):
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
+        scalars = [np.complex128(v) for v in z] + [complex(v) for v in z]
+        stacked = np.concatenate([z, z])
+        want_abs = np.array([abs(v) for v in scalars])
+        want_sq = np.array([v ** 2 for v in scalars])
+        assert calogero._scalar_abs(stacked).tobytes() == want_abs.tobytes()
+        assert calogero._scalar_power(stacked, 2).tobytes() == want_sq.tobytes()
 
 
 class TestDualityFiberCheck:

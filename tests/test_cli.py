@@ -231,6 +231,31 @@ class TestOptionTable:
                                        if isinstance(value, complex) else value)
 
 
+class TestScenarioDefaults:
+    """The option table is the one source of defaults, for configs built in
+    code as for the CLI."""
+
+    @pytest.mark.parametrize("scenario", sorted(cli._SCENARIOS))
+    def test_unset_options_take_the_table_defaults(self, scenario):
+        cfg = ScenarioConfig(scenario=scenario)
+        options = cli._SCENARIOS[scenario].options
+        for key in cli._OPTIONS:
+            assert getattr(cfg, key) == options.get(key), key
+        cfg.validate()
+
+    def test_undeclared_option_set_in_code_exits_1(self, tmp_path, capsys):
+        outs = {f"out_{ext}": str(tmp_path / f"r.{ext}") for ext in ("csv", "json", "svg")}
+        assert cli.run(ScenarioConfig(scenario="kepler", n=5, samples=7, **outs)) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration: kepler does not take n, samples; its options: " in err
+        assert not any(tmp_path.iterdir())
+
+    def test_code_built_kepler_runs_to_the_cli_horizon(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.run(ScenarioConfig(scenario="kepler", out_json=str(out))) == 0
+        assert json.loads(out.read_text())["parameters"]["t_max"] == 2 * np.pi
+
+
 def chart_point_oracle(chart, rng):
     """The point ``verify-brackets`` drew before each chart carried its own
     sampler: a dispatch on the chart's name, n recovered from its dim."""

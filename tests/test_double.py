@@ -215,6 +215,29 @@ class TestRelativisticHamiltonians:
         assert res.h2 == 0.0
 
 
+class TestRationalLimit:
+    """x = exp(eps h) and q = exp(-eps kappa) take the relativistic rank-1
+    denominators to -eps times the rational ones, so tr y, tr y^2 and H2
+    tend to tr g, tr g^2 and the rational Hamiltonian at first order."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_first_order_in_eps(self, n):
+        rng = np.random.default_rng(40 + n)
+        h, kappa = cli._distinct_h(n, rng), 0.3 + 0.1j
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pt = calogero.RuijPoint(h=h, u=u, kappa=kappa)
+        want = np.append(calogero.ruij_characters(pt, 2), calogero.h_rational_ruijsenaars(pt))
+        eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
+        errors = []
+        for e in eps:
+            got = relativistic_hamiltonians(np.exp(e * h), u, np.exp(-e * kappa))
+            errors.append(np.abs(np.append(got.traces, got.h2) - want).max()
+                          / max(1.0, np.abs(want).max()))
+        errors = np.array(errors)
+        assert np.all(errors <= n * abs(kappa) * eps), errors
+        assert np.all((errors[:-1] / errors[1:] > 8) & (errors[:-1] / errors[1:] < 12)), errors
+
+
 class TestDoubleFlows:
     def test_cm_flow_conserves_first_projection(self):
         """H = tr(x): the x-traces and the mu~-traces all stay put."""

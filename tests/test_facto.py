@@ -4,6 +4,7 @@ integration oracle, conservation, and the semigroup property."""
 import numpy as np
 import pytest
 
+from degint import facto
 from degint.facto import (
     CustomInvariant,
     TracePower,
@@ -12,7 +13,7 @@ from degint.facto import (
     left_differential,
     sklyanin_reference_flow,
 )
-from degint.matrixcore import traces_of_powers
+from degint.matrixcore import mat_exp, traces_of_powers, ul_split_factorize
 
 RNG = np.random.default_rng(7)
 
@@ -111,3 +112,25 @@ class TestConsistencySweep:
         composed = factorization_flow(factorization_flow(x0, TracePower(1), 0.1),
                                       TracePower(1), 0.0)
         assert np.abs(direct - composed).max() < 1e-12
+
+    @pytest.mark.parametrize("H", [TracePower(1), TracePower(2)], ids=lambda H: H.name)
+    def test_three_splittings_per_grid_point(self, monkeypatch, H):
+        """Each grid point splits exp(t xi) once for the flow to t1, whose
+        g_plus and g_minus conjugations give the agreement, and once each for
+        the direct and the composed flow; the agreements equal a separate
+        splitting's bit for bit."""
+        x0, grid = random_sl(3), [0.05, 0.02, 0.1]
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return ul_split_factorize(m)
+
+        monkeypatch.setattr(facto, "ul_split_factorize", counted)
+        rep = flow_consistency_sweep(x0, H, grid)
+        assert len(calls) == 3 * len(grid)
+        for t, agreement in zip(grid, rep.conjugation_agreements):
+            pair = ul_split_factorize(mat_exp(t * left_differential(H, x0)))
+            want = np.abs(np.linalg.inv(pair.g_plus) @ x0 @ pair.g_plus
+                          - np.linalg.inv(pair.g_minus) @ x0 @ pair.g_minus).max()
+            assert agreement == want
