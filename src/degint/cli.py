@@ -413,7 +413,9 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     for k in (1, 2):
         H = facto.TracePower(k)
         try:
-            exact = facto.factorization_flow(x0, H, cfg.t_max)
+            # the left differential at x0 serves the cross-check and every trace row
+            xi = facto.left_differential(H, x0)
+            exact = facto._conjugations(x0, xi, cfg.t_max)[0]
             runs.append(facto._reference_trajectory(x0, H, cfg.t_max, cfg.dt))
         except DegintError:
             flags.append(FLAG_DIVISOR)
@@ -430,7 +432,7 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
                 or sweep.max_trace_drift > TOL.trace_conservation):
             flags.append("tolerance-failure")
         for t in np.linspace(0.0, cfg.t_max, 21):
-            xt = facto.factorization_flow(x0, H, t)
+            xt = facto._conjugations(x0, xi, t)[0]
             tr = traces_of_powers(xt, n)
             parts = np.stack([tr.real, tr.imag], axis=-1).ravel()   # re, im, re, ...
             rows.append([str(k), _fmt(t)] + list(map(_fmt, parts.tolist())))

@@ -115,13 +115,14 @@ def factorization_flow(x0, H: InvariantHamiltonian, t: float) -> np.ndarray:
     splitting is defined).  The g_minus conjugation must agree with the
     g_plus one to ``TOL.conjugation_agreement``.
     """
-    return _conjugations(as_matrix(x0), H, t)[0]
+    x0 = as_matrix(x0)
+    return _conjugations(x0, left_differential(H, x0), t)[0]
 
 
-def _conjugations(x0, H: InvariantHamiltonian, t: float):
-    """(g_plus^{-1} x0 g_plus, g_minus^{-1} x0 g_minus) of one splitting,
-    checked to agree as :func:`factorization_flow` states."""
-    xi = left_differential(H, x0)
+def _conjugations(x0, xi, t: float):
+    """(g_plus^{-1} x0 g_plus, g_minus^{-1} x0 g_minus) of the splitting of
+    exp(t xi), xi the left differential at x0, checked to agree as
+    :func:`factorization_flow` states."""
     pair: ULPair = ul_split_factorize(mat_exp(t * xi))
     via_plus = np.linalg.inv(pair.g_plus) @ x0 @ pair.g_plus
     via_minus = np.linalg.inv(pair.g_minus) @ x0 @ pair.g_minus
@@ -187,20 +188,22 @@ class FlowConsistencyReport:
 def flow_consistency_sweep(x0, H: InvariantHamiltonian,
                            t_grid: Sequence[float]) -> FlowConsistencyReport:
     """Check flow(t1 + t2) = flow(t2) after flow(t1) across a time grid,
-    plus conservation of trace powers and g_plus/g_minus agreement."""
+    plus conservation of trace powers and g_plus/g_minus agreement.  The
+    left differential at x0 is formed once for the whole grid."""
     x0 = as_matrix(x0)
     n = x0.shape[0]
     t_grid = np.asarray(list(t_grid), dtype=float)
     ref = traces_of_powers(x0, n)
+    xi = left_differential(H, x0)
 
     semis, drifts, agrees = [], [], []
     for i, t1 in enumerate(t_grid):
-        x1, via_minus = _conjugations(x0, H, t1)
+        x1, via_minus = _conjugations(x0, xi, t1)
         drifts.append(np.abs(traces_of_powers(x1, n) - ref).max())
         agrees.append(np.abs(x1 - via_minus).max())
 
         t2 = t_grid[(i + 1) % len(t_grid)]
-        direct = factorization_flow(x0, H, t1 + t2)
+        direct = _conjugations(x0, xi, t1 + t2)[0]
         composed = factorization_flow(x1, H, t2)
         semis.append(np.abs(direct - composed).max()
                      / max(1.0, np.abs(direct).max()))

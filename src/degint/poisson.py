@@ -2,9 +2,10 @@
 
 Every bracket structure in the library (canonical, log-linear, Heisenberg
 double, Sklyanin) is registered as a :class:`PoissonChart`: a named
-coordinate chart carrying an evaluator for the antisymmetric bivector matrix
-Pi(x).  Brackets, Hamiltonian vector fields, Jacobi defects, and Leibniz
-defects are all computed uniformly through Pi.
+coordinate chart carrying one evaluator, its field Pi(x) . g for a
+covector g.  Brackets, Hamiltonian vector fields, Jacobi defects, and
+Leibniz defects are all computed uniformly through it, and the bivector
+matrix Pi(x) itself is built from it column by column.
 
 Points are complex vectors of length ``chart.dim``.  Real systems embed with
 zero imaginary parts.  The global sign convention of the constant canonical
@@ -41,22 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PoissonChart:
-    """A coordinate chart with a bivector evaluator.
+    """A coordinate chart with a field evaluator.
 
-    ``bivector`` maps a point (complex vector of length ``dim``) to the
-    dim x dim antisymmetric matrix Pi(x).  An optional ``field`` maps a
-    point and a covector g to Pi(x) . g in closed form, without forming
-    Pi(x).  With ``selfcheck`` enabled every bivector evaluation asserts
-    antisymmetry to ``TOL.antisymmetry``, and every field evaluation
-    asserts its consequence g . Pi(x) . g = 0.
+    ``field`` maps a point (complex vector of length ``dim``) and a
+    covector g to Pi(x) . g, without forming the dim x dim antisymmetric
+    bivector Pi(x).  With ``selfcheck`` enabled every field evaluation
+    asserts g . Pi(x) . g = 0, and every built Pi(x) asserts antisymmetry,
+    both to ``TOL.antisymmetry``.
     """
 
     name: str
     dim: int
     coord_labels: tuple
-    bivector: Callable[[np.ndarray], np.ndarray]
+    field: Callable[[np.ndarray, np.ndarray], np.ndarray]
     selfcheck: bool = False
-    field: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def point(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=complex).ravel()
@@ -67,37 +66,35 @@ class PoissonChart:
         return z
 
     def pi(self, x, g=None) -> np.ndarray:
-        """Pi(x), or Pi(x) . g for a covector g.  ``g`` may also be a
+        """Pi(x) . g for a covector g, one field call.  ``g`` may also be a
         function of the validated point returning the covector, which lets
-        :func:`ham_vector_field` and :func:`bracket` validate their point once."""
+        :func:`ham_vector_field` and :func:`bracket` validate their point
+        once.  Without ``g``, Pi(x) built one column at a time,
+        Pi[:, k] = field(x, e_k)."""
         z = self.point(x)
+        if g is None:
+            P = np.stack([self.field(z, e) for e in np.eye(self.dim, dtype=complex)],
+                         axis=1)
+            if self.selfcheck:
+                defect = np.abs(P + P.T).max()
+                if defect > TOL.antisymmetry * max(1.0, np.abs(P).max()):
+                    raise AssertionError(
+                        f"bivector of chart {self.name!r} lost antisymmetry: {defect:.3g}"
+                    )
+            return P
         if callable(g):
             g = g(z)
-        if g is not None and self.field is not None:
-            v = self.field(z, g)
-            if self.selfcheck:
-                defect = abs(g.dot(v))
-                # the scale is at least 1, so it is only needed past the bare bound
-                if defect > TOL.antisymmetry and defect > TOL.antisymmetry * max(
-                        1.0, np.abs(g).max() * np.abs(v).max()):
-                    raise AssertionError(
-                        f"field of chart {self.name!r} lost antisymmetry: "
-                        f"|g . Pi g| = {defect:.3g}"
-                    )
-            return v
-        P = np.asarray(self.bivector(z), dtype=complex)
-        if P.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"bivector of chart {self.name!r} returned shape {P.shape}"
-            )
+        v = self.field(z, g)
         if self.selfcheck:
-            scale = max(1.0, np.abs(P).max())
-            defect = np.abs(P + P.T).max()
-            if defect > TOL.antisymmetry * scale:
+            defect = abs(g.dot(v))
+            # the scale is at least 1, so it is only needed past the bare bound
+            if defect > TOL.antisymmetry and defect > TOL.antisymmetry * max(
+                    1.0, np.abs(g).max() * np.abs(v).max()):
                 raise AssertionError(
-                    f"bivector of chart {self.name!r} lost antisymmetry: {defect:.3g}"
+                    f"field of chart {self.name!r} lost antisymmetry: "
+                    f"|g . Pi g| = {defect:.3g}"
                 )
-        return P if g is None else P @ g
+        return v
 
 
 @dataclass(frozen=True)
@@ -156,8 +153,8 @@ def observable_product(f: Observable, g: Observable) -> Observable:
 def bracket(chart: PoissonChart, f: Observable, g: Observable, x,
             step: float = None) -> complex:
     """{f, g}(x) = grad f . (Pi(x) . grad g).  The one :meth:`PoissonChart.pi`
-    call validates the point and takes both gradients there; on a chart with
-    a ``field`` it never forms Pi(x)."""
+    call validates the point and takes both gradients there, and never
+    forms Pi(x)."""
     df = []
 
     def grad_g(z):
@@ -213,12 +210,8 @@ def leibniz_defect(chart: PoissonChart, f: Observable, g: Observable,
 def chart_canonical(n: int) -> PoissonChart:
     """Constant canonical chart in coordinates (p_1..p_n, q_1..q_n).
 
-    Sign convention: {p_i, q_j} = +delta_ij.  The field is the closed form
-    Pi . g = (g_q, -g_p), which never forms the constant bivector.
+    Sign convention: {p_i, q_j} = +delta_ij, so Pi . g = (g_q, -g_p).
     """
-    P = np.zeros((2 * n, 2 * n), dtype=complex)
-    P[:n, n:] = np.eye(n)
-    P[n:, :n] = -np.eye(n)
     # (g_q, -g_p) as one gather and one product with a complex sign vector:
     # fewer numpy calls than a concatenation, and no cast
     swap, sign = np.r_[n:2 * n, :n], np.repeat([1.0 + 0j, -1.0 + 0j], n)
@@ -226,7 +219,6 @@ def chart_canonical(n: int) -> PoissonChart:
         name=f"canonical(n={n})",
         dim=2 * n,
         coord_labels=tuple(f"{c}{i + 1}" for c in "pq" for i in range(n)),
-        bivector=lambda z, P=P: P,
         field=lambda z, g: g[swap] * sign,
     )
 
@@ -238,38 +230,30 @@ def chart_cm_loglinear(n: int, variant: str = "canonical") -> PoissonChart:
     {h_i, u_j} = delta_ij and vanishing h-h, u-u brackets (the rational
     reduced chart).  ``variant="exponential"``: coordinates (p_1..p_n,
     h_1..h_n) with {p_i, h_j} = delta_ij h_j, so ratios h_i/h_j bracket
-    log-linearly against the momenta.
+    log-linearly against the momenta; Pi . g = (h g_h, -h g_p).
     """
     if variant == "canonical":
         return replace(chart_canonical(n), name=f"cm-loglinear(n={n})",
                        coord_labels=tuple(f"{c}{i + 1}" for c in "hu" for i in range(n)))
     if variant == "exponential":
-        def biv(z, n=n):
-            P = np.zeros((2 * n, 2 * n), dtype=complex)
-            P[:n, n:] = np.diag(z[n:])
-            P[n:, :n] = -np.diag(z[n:])
-            return P
         labels = (tuple(f"p{i + 1}" for i in range(n))
                   + tuple(f"h{i + 1}" for i in range(n)))
         return PoissonChart(
             name=f"cm-exponential(n={n})",
             dim=2 * n,
             coord_labels=labels,
-            bivector=biv,
+            field=lambda z, g: np.concatenate([z[n:] * g[n:], -z[n:] * g[:n]]),
         )
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def chart_relativistic_loglinear(n: int) -> PoissonChart:
-    """Coordinates (x_1..x_n, u_1..u_n) with {x_i, u_j} = delta_ij x_i u_j."""
-    def biv(z, n=n):
-        x, u = z[:n], z[n:]
-        if np.abs(x).min() < 1e-300 or np.abs(u).min() < 1e-300:
+    """Coordinates (x_1..x_n, u_1..u_n) with {x_i, u_j} = delta_ij x_i u_j,
+    so Pi . g = (x u g_u, -x u g_x)."""
+    def field(z, g):
+        if np.abs(z).min() < 1e-300:
             raise SingularChartPoint("relativistic chart needs nonzero coordinates")
-        P = np.zeros((2 * n, 2 * n), dtype=complex)
-        P[:n, n:] = np.diag(x * u)
-        P[n:, :n] = -np.diag(x * u)
-        return P
+        return np.concatenate([z[:n] * z[n:] * g[n:], -z[:n] * z[n:] * g[:n]])
 
     labels = (tuple(f"x{i + 1}" for i in range(n))
               + tuple(f"u{i + 1}" for i in range(n)))
@@ -277,7 +261,7 @@ def chart_relativistic_loglinear(n: int) -> PoissonChart:
         name=f"relativistic-loglinear(n={n})",
         dim=2 * n,
         coord_labels=labels,
-        bivector=biv,
+        field=field,
     )
 
 
@@ -314,73 +298,29 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         {y1, y2} =  r12 y1 y2 - y1 y2 r21 + y1 r21 y2 - y2 r12 y1
 
     in the tensor square, with the standard r-matrix
-    r = sum_{i<k} E_ik (x) E_ki + 1/2 sum_a E_aa (x) E_aa - (1/2n) I.
-    It is evaluated in closed form rather than as n^2 x n^2 products.
-    Write a block as {a1, b2} with (a, b) = (x, x), (x, y) or (y, y),
-    M[i,k,j,l] = a_ij b_kl, u_ik = [i<k] + 1/2 delta_ik, and
-    {a_ij, b_kl} for the entry of row (i,k), column (j,l).  Because r has
-    O(n^2) non-zeros, each product with r is a masked transpose:
+    r = sum_{i<k} E_ik (x) E_ki + 1/2 sum_a E_aa (x) E_aa - (1/2n) I
+    = sum_ik u_ik E_ik (x) E_ki - (1/2n) I, u_ik = [i<k] + 1/2 delta_ik.
+    Antisymmetry self-check is enabled.
 
-        (r M)[ik,jl]   =  u_ik M[k,i,j,l] - (1/2n) M[i,k,j,l]
-        (r21 M)[ik,jl] =  u_ki M[k,i,j,l] - (1/2n) M[i,k,j,l]
-        (M r21)[ik,jl] =  u_jl M[i,k,l,j] - (1/2n) M[i,k,j,l]
-
-    and the two sandwich terms are supported on a diagonal:
-
-        (a1 r21 b2)[ik,jl] =  delta_kj sum_m u_km a_im b_ml - (1/2n) a_ij b_kl
-        (b2 r12 a1)[ik,jl] =  delta_il sum_m u_im b_km a_mj - (1/2n) a_ij b_kl
-
-    The (1/2n) parts cancel in the x-x and y-y blocks and leave
-    +(1/n) x_ij y_kl in the x-y block.  All three blocks are computed in one
-    pass over a leading axis of length 3; the y-x block is the negative
-    transpose of the x-y block.  Antisymmetry self-check is enabled.
-
-    ``field`` sums these entries against a covector g in matrix form.  With
-    Gx, Gy the halves of g as n x n matrices, o the entrywise product,
-    <A, B> = sum A_ij B_ij, Px = x Gx^T, Qx = Gx^T x, Ry = y Gy^T,
-    Sy = Gy^T y, Dy = Ry - Sy, E = Px - Qx + Dy and W = u o E:
+    ``field`` sums these relations against a covector g in matrix form, in
+    O(n^3) rather than as n^2 x n^2 products.  With Gx, Gy the halves of g
+    as n x n matrices, o the entrywise product, <A, B> = sum A_ij B_ij,
+    Px = x Gx^T, Qx = Gx^T x, Ry = y Gy^T, Sy = Gy^T y, Dy = Ry - Sy,
+    E = Px - Qx + Dy and W = u o E:
 
         v_x = (W - Ry) x + x (E - W) + (<Gy, y>/n) x
         v_y = W y + y (Dy + Px - W) - (<Gx, x>/n) y
 
-    The entries summed give five masked products, u o (Px - Qx - Sy),
-    u^T o Ry, u^T o E, u^T o (Dy + Px) and u o Qx; since u + u^T = 1
-    entrywise, u^T o A = A - u o A folds all five into the one W.  And
-    because u takes only the values 0, 1/2 and 1, E - W is u^T o E bit for
-    bit.
+    The (1/2n) parts of r cancel in the x-x and y-y relations and leave the
+    two trace terms.  The rest sum to five masked products,
+    u o (Px - Qx - Sy), u^T o Ry, u^T o E, u^T o (Dy + Px) and u o Qx;
+    since u + u^T = 1 entrywise, u^T o A = A - u o A folds all five into
+    the one W.  And because u takes only the values 0, 1/2 and 1, E - W is
+    u^T o E bit for bit.
     """
     m = n * n
-    d = np.arange(n)
-    u = _r_mask(n)
-    # per block: the left r-factor mask (r for x-x and y-y, -r21 for x-y),
-    # the right -r21 mask, and the surviving (1/2n) multiple of M
-    left = np.stack([u, -u.T, u])[:, :, None, :, None]
-    right = u[None, None, :, None, :]
-    trace_part = np.array([0.0, 1.0 / n, 0.0])[:, None, None, None, None]
-
-    def biv(z, n=n, m=m, d=d, u=u, left=left, right=right, trace_part=trace_part):
-        xy = z.reshape(2, n, n)
-        a = xy[[0, 0, 1]]           # x, x, y
-        b = xy[[0, 1, 1]]           # x, y, y
-        # Q[s,i,j,k,l] = {a_ij, b_kl} of block s; N[s,i,j,k,l] = a_ij b_kl
-        N = a[:, :, :, None, None] * b[:, None, None, :, :]
-        Q = (left * N.transpose(0, 3, 2, 1, 4)
-             - right * N.transpose(0, 1, 4, 3, 2)
-             + trace_part * N)
-        # sandwich terms: a1 r21 b2 on the diagonal j = k, b2 r12 a1 on l = i
-        Q[:, :, d, d, :] += (a[:, :, None, :] * u) @ b[:, None]
-        b2ra1 = (u[:, None, :] * b[:, None]) @ a[:, None]       # [s,i,k,j]
-        Q[:, d, :, :, d] -= b2ra1.transpose(1, 0, 3, 2)
-        Q = Q.reshape(3, m, m)
-        P = np.empty((2 * m, 2 * m), dtype=complex)
-        P[:m, :m] = Q[0]
-        P[:m, m:] = Q[1]
-        P[m:, :m] = -Q[1].T
-        P[m:, m:] = Q[2]
-        return P
-
     # a complex mask spares the masked product a cast from float
-    uc = u.astype(complex)
+    uc = _r_mask(n).astype(complex)
 
     def field(z, g, n=n, m=m, uc=uc):
         x, y = z.reshape(2, n, n)
@@ -399,9 +339,8 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         name=f"heisenberg-double(n={n})",
         dim=2 * n * n,
         coord_labels=labels,
-        bivector=biv,
-        selfcheck=True,
         field=field,
+        selfcheck=True,
     )
 
 
@@ -414,30 +353,15 @@ def chart_sklyanin(n: int) -> PoissonChart:
     realization is x E_ji.  Conjugation-invariant functions Poisson-commute
     in this chart, and flows of such functions match the factorization flow.
 
-    It is evaluated in closed form.  eta(x)(x (x) x) = (x (x) x) r - r (x (x) x)
-    and the pairing multiplies by x (x) x on the right, so {x_ij, x_kl} is
-    the [ik,jl] entry of that difference.  With M and u_ik as in
-    :func:`chart_heisenberg_double`, both products are masked transposes,
-
-        ((x (x) x) r)[ik,jl] = u_lj M[i,k,l,j] - (1/2n) M[i,k,j,l]
-        (r (x (x) x))[ik,jl] = u_ik M[k,i,j,l] - (1/2n) M[i,k,j,l]
-
-    so {x_ij, x_kl} = (u_lj - u_ik) x_il x_kj.  That mask is antisymmetric
-    (u_ab + u_ba = 1), but a complex product can round differently with its
-    factors swapped, so the strict upper triangle is formed and mirrored.
-    Antisymmetry self-check is enabled.  Summed against a covector g, with
-    G its n x n matrix and o the entrywise product, the same entries give
-    ``field``: Pi(x) . g = x (u o (G^T x)) - (u o (x G^T)) x.
+    eta(x)(x (x) x) = (x (x) x) r - r (x (x) x) and the pairing multiplies by
+    x (x) x on the right, so {x_ij, x_kl} is the [ik,jl] entry of that
+    difference; with u as in :func:`chart_heisenberg_double` it is
+    {x_ij, x_kl} = (u_lj - u_ik) x_il x_kj.  Summed against a covector g,
+    with G its n x n matrix and o the entrywise product, these entries give
+    ``field``: Pi(x) . g = x (u o (G^T x)) - (u o (x G^T)) x.  Antisymmetry
+    self-check is enabled.
     """
-    u = _r_mask(n)
-    mask = u.T[None, :, None, :] - u[:, None, :, None]      # [i,j,k,l] = u_lj - u_ik
-
-    def biv(z, n=n, mask=mask):
-        x = z.reshape(n, n)
-        P = np.triu((mask * (x[:, None, None, :] * x.T[None, :, :, None])).reshape(n * n, -1), 1)
-        return P - P.T
-
-    uc = u.astype(complex)
+    uc = _r_mask(n).astype(complex)
 
     def field(z, g, n=n, uc=uc):
         x = z.reshape(n, n)
@@ -449,7 +373,6 @@ def chart_sklyanin(n: int) -> PoissonChart:
         name=f"sklyanin(n={n})",
         dim=n * n,
         coord_labels=labels,
-        bivector=biv,
-        selfcheck=True,
         field=field,
+        selfcheck=True,
     )

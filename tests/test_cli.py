@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import re
+import shlex
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,35 @@ class TestListScenarios:
     def test_count_is_eight(self):
         assert len(cli._SCENARIOS) == 8
         assert len(list_scenarios().splitlines()) == 8
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_commands():
+    """The ``degint`` command lines of the README's code blocks, with their
+    backslash continuations joined."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README, re.S | re.M)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("degint ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_example_exits_zero(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        outs = [argv[i + 1] for i, a in enumerate(argv) if a.startswith("--out-")]
+        assert all((tmp_path / out).is_file() for out in outs)
+
+    def test_command_examples_are_found(self):
+        assert len(_readme_commands()) == 4
+
+    def test_option_table_names_every_scenario(self):
+        names = re.findall(r"^\| `([a-z-]+)` \|", README, re.M)
+        assert sorted(names) == sorted(cli._SCENARIOS)
+        assert len(names) == len(set(names))
 
 
 class TestConfig:
@@ -535,23 +566,38 @@ class TestIntegratorMetrics:
 
 class TestPairFlowFastPath:
     """The pair-flow path takes the matrix-form field and exact gradients:
-    forming the bivector or differencing a gradient there fails the suite."""
+    building the bivector or differencing a gradient there fails the suite."""
 
     @pytest.mark.parametrize("family", ["cm", "ruijsenaars"])
     def test_flow_forms_no_bivector_and_no_difference(self, monkeypatch, family):
-        made = []
+        made, fields, pis = [], [], []
 
         def refuse(*args):
             raise AssertionError("pair flow left the fast path")
 
-        def blind_chart(n, make=cli.chart_heisenberg_double):
+        def counted_chart(n, make=cli.chart_heisenberg_double):
             made.append(n)
-            return dataclasses.replace(make(n), bivector=refuse)
+            chart = make(n)
 
-        monkeypatch.setattr(cli, "chart_heisenberg_double", blind_chart)
+            def field(z, g):
+                fields.append(1)
+                return chart.field(z, g)
+
+            return dataclasses.replace(chart, field=field)
+
+        pi = poisson.PoissonChart.pi
+
+        def counted_pi(chart, *args):
+            pis.append(1)
+            return pi(chart, *args)
+
+        monkeypatch.setattr(cli, "chart_heisenberg_double", counted_chart)
+        monkeypatch.setattr(poisson.PoissonChart, "pi", counted_pi)
         monkeypatch.setattr(poisson, "_fd_gradient", refuse)
         cfg = ScenarioConfig(scenario=f"relativistic-{family}", n=3, t_max=0.02, dt=1e-3)
         result = cli._flow_scenario(cfg, family)
         assert made == [3]
+        # one field call per pi call: no pi call built the bivector
+        assert len(fields) == len(pis) == 4 * 20
         assert result.metrics["field_evaluations"] == 4 * 20
         assert result.flags == []

@@ -113,6 +113,37 @@ class TestConsistencySweep:
                                       TracePower(1), 0.0)
         assert np.abs(direct - composed).max() < 1e-12
 
+    @pytest.mark.parametrize("H", [
+        TracePower(2), CustomInvariant("tr(x^2)", lambda m: np.trace(m @ m))],
+        ids=["power", "custom"])
+    def test_one_left_differential_at_x0_per_sweep(self, monkeypatch, H):
+        """An m-point grid forms xi at x0 once and at each flow(t1) once,
+        m + 1 left differentials, and reports bit for bit what the
+        per-point flows give."""
+        x0, grid = random_sl(3), [0.05, 0.02, 0.1, 0.04]
+        semis, drifts, agrees = [], [], []
+        for i, t1 in enumerate(grid):
+            x1 = factorization_flow(x0, H, t1)
+            pair = ul_split_factorize(mat_exp(t1 * left_differential(H, x0)))
+            drifts.append(np.abs(traces_of_powers(x1, 3) - traces_of_powers(x0, 3)).max())
+            agrees.append(np.abs(x1 - np.linalg.inv(pair.g_minus) @ x0 @ pair.g_minus).max())
+            t2 = grid[(i + 1) % len(grid)]
+            direct = factorization_flow(x0, H, t1 + t2)
+            composed = factorization_flow(x1, H, t2)
+            semis.append(np.abs(direct - composed).max() / max(1.0, np.abs(direct).max()))
+        calls = []
+
+        def counted(H, x):
+            calls.append(1)
+            return left_differential(H, x)
+
+        monkeypatch.setattr(facto, "left_differential", counted)
+        rep = flow_consistency_sweep(x0, H, grid)
+        assert len(calls) == len(grid) + 1
+        for got, want in ((rep.semigroup_residuals, semis), (rep.trace_drifts, drifts),
+                          (rep.conjugation_agreements, agrees)):
+            assert got.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("H", [TracePower(1), TracePower(2)], ids=lambda H: H.name)
     def test_three_splittings_per_grid_point(self, monkeypatch, H):
         """Each grid point splits exp(t xi) once for the flow to t1, whose

@@ -340,23 +340,40 @@ class TestCollisionGuard:
 
 class TestKeplerFastPath:
     """An orbit takes the canonical chart's closed-form field and the exact
-    H gradient: forming the bivector or differencing a gradient there
+    H gradient: building the bivector or differencing a gradient there
     fails the suite."""
 
     def test_orbit_forms_no_bivector_and_no_difference(self, monkeypatch):
         s = KeplerState(p=[0.1, 0.8, -0.2], q=[1.0, 0.1, 0.3], gamma=1.0)
         assert project_to_p5(s).H < 0
         want = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
+        fields, pis = [], []
 
         def refuse(*args):
             raise AssertionError("Kepler orbit left the fast path")
 
-        chart = kepler.kepler_chart
-        monkeypatch.setattr(kepler, "kepler_chart",
-                            lambda: dataclasses.replace(chart(), bivector=refuse))
+        def counted_chart(make=kepler.kepler_chart):
+            chart = make()
+
+            def field(z, g):
+                fields.append(1)
+                return chart.field(z, g)
+
+            return dataclasses.replace(chart, field=field)
+
+        pi = poisson.PoissonChart.pi
+
+        def counted_pi(chart, *args):
+            pis.append(1)
+            return pi(chart, *args)
+
+        monkeypatch.setattr(kepler, "kepler_chart", counted_chart)
+        monkeypatch.setattr(poisson.PoissonChart, "pi", counted_pi)
         monkeypatch.setattr(poisson, "_fd_gradient", refuse)
         got = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
         assert got.accepted_steps > 0 and got.flags == ()
+        # one field call per pi call: no pi call built the bivector
+        assert len(fields) == len(pis) == got.field_evaluations
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
         assert ((got.accepted_steps, got.rejected_steps, got.field_evaluations, got.flags)
