@@ -24,7 +24,7 @@ import numpy as np
 from .config import TOL
 from .errors import (ConsistencyError, DegintError, FormulaMismatchError,
                      NonFiniteMatrixError, SingularChartPoint)
-from .matrixcore import as_matrix, mat_exp, spectral, traces_of_powers
+from .matrixcore import as_matrix, mat_exp, spectral, trace_words, traces_of_powers
 
 __all__ = [
     "CMPoint",
@@ -498,17 +498,14 @@ def _sweep_pass(h, u, kappa) -> dict:
 # duality diagnostics
 # ----------------------------------------------------------------------
 
+def _joint_words(max_exp: int) -> list:
+    """The words (i, j, k, l) of :func:`joint_invariants`, in nested-loop order."""
+    return [w for w in np.ndindex((max_exp + 1,) * 4) if sum(w)]
+
+
 def joint_invariants(a, b, max_exp: int = 2) -> np.ndarray:
     """All joint conjugation invariants tr(a^i b^j a^k b^l), exponents <= max_exp."""
-    a, b = as_matrix(a), as_matrix(b)
-    n = a.shape[0]
-    pa = [np.eye(n, dtype=complex)]
-    pb = [np.eye(n, dtype=complex)]
-    for _ in range(max_exp):
-        pa.append(pa[-1] @ a)
-        pb.append(pb[-1] @ b)
-    return np.array([np.trace(pa[i] @ pb[j] @ pa[k] @ pb[l])       # nested-loop order
-                     for i, j, k, l in np.ndindex((max_exp + 1,) * 4) if i + j + k + l])
+    return trace_words(as_matrix(a), as_matrix(b), _joint_words(max_exp))
 
 
 @dataclass(frozen=True)
@@ -530,24 +527,18 @@ class FiberSeparationReport:
     def all_separated(self) -> bool:
         return bool((self.margins > self.threshold).all())
 
-    @property
-    def inconclusive_pairs(self):
-        return [tuple(ij) for ij in np.argwhere(self.margins <= self.threshold)]
-
 
 def _separation_report(first, second, base1, base2) -> FiberSeparationReport:
     """Margins between two sampled fibers, each a list of (a, b) pairs.
 
     ``base1`` and ``base2`` are the base pair in the first and in the second
-    parametrisation.  The joint invariants are computed once per sample.
-    """
-    base = joint_invariants(*base1)
-
-    def table(fiber):       # (samples, invariants), also for zero samples
-        return np.reshape([joint_invariants(a, b) for a, b in fiber], (-1, len(base)))
-
-    margins = np.abs(table(first)[:, None, :] - table(second)[None, :, :]).max(axis=2)
-    coincident = float(np.abs(base - joint_invariants(*base2)).max())
+    parametrisation.  One stacked :func:`trace_words` call takes every pair."""
+    pairs = first + second + [base1, base2]
+    a, b = (np.stack([as_matrix(p[side]) for p in pairs]) for side in (0, 1))
+    table = trace_words(a, b, _joint_words(2))
+    s = len(first)
+    margins = np.abs(table[:s, None, :] - table[None, s:-2, :]).max(axis=2)
+    coincident = float(np.abs(table[-2] - table[-1]).max())
     return FiberSeparationReport(margins=margins, threshold=TOL.separation_margin,
                                  coincident_margin=coincident)
 

@@ -26,7 +26,7 @@ from . import calogero, double, facto, kepler
 from .config import TOL
 from .errors import DegintError, SingularChartPoint
 from .integrate import FLAG_DIVISOR, monitor, rk4
-from .matrixcore import traces_of_powers
+from .matrixcore import trace_words
 from .poisson import (
     chart_canonical,
     chart_cm_loglinear,
@@ -294,15 +294,14 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     rank1_res = np.abs(spin.mu * spin.mu.T - kappa ** 2)[~np.eye(n, dtype=bool)].max()
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
-    ref = calogero.joint_invariants(x, g @ x @ np.linalg.inv(g), max_exp=3)
-    devs, invs = [], []
-    for t in ts:
-        _, gt = calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)
-        cur = calogero.joint_invariants(x, gt @ x @ np.linalg.inv(gt), max_exp=3)
-        devs.append(np.abs(cur - ref).max())
-        invs.append(cur[:2])
+    # the conjugates g x g^-1 at t = 0 (the reference) and at every t, in one stack
+    gs = [g] + [calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)[1]
+                for t in ts]
+    conj = np.stack([gt @ x @ np.linalg.inv(gt) for gt in gs])
+    table = trace_words(np.broadcast_to(x, conj.shape), conj, calogero._joint_words(3))
+    ref, devs = table[0], np.abs(table[1:] - table[0]).max(axis=1)
     # columns re(inv1), im(inv1), re(inv2), im(inv2)
-    parts = np.stack([np.real(invs), np.imag(invs)], axis=-1).reshape(len(ts), 4)
+    parts = np.stack([table[1:, :2].real, table[1:, :2].imag], axis=-1).reshape(len(ts), 4)
     rows = [list(map(_fmt, row)) for row in np.column_stack([ts, devs, parts]).tolist()]
 
     drift = max(devs)
@@ -410,19 +409,20 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     residuals = {}
     flags = []
     runs = []
+    ts = np.linspace(0.0, cfg.t_max, 21)
     for k in (1, 2):
         H = facto.TracePower(k)
         try:
-            # the left differential at x0 serves the cross-check and every trace row
+            # xi serves every trace row; the t_max row is the exact flow cross-checked
             xi = facto.left_differential(H, x0)
-            exact = facto._conjugations(x0, xi, cfg.t_max)[0]
+            xts = np.stack([facto._conjugations(x0, xi, t)[0] for t in ts])
             runs.append(facto._reference_trajectory(x0, H, cfg.t_max, cfg.dt))
         except DegintError:
             flags.append(FLAG_DIVISOR)
             continue
         ref = runs[-1].final.reshape(n, n)
-        cross = float(np.abs(exact - ref).max())
-        sweep = facto.flow_consistency_sweep(x0, H, [cfg.t_max / 2, cfg.t_max / 2])
+        cross = float(np.abs(xts[-1] - ref).max())
+        sweep = facto.flow_consistency_sweep(x0, H, [cfg.t_max / 2])
         residuals[f"cross-check-{H.name}"] = cross
         residuals[f"semigroup-{H.name}"] = sweep.max_semigroup_residual
         residuals[f"trace-drift-{H.name}"] = sweep.max_trace_drift
@@ -431,11 +431,9 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
                 or sweep.max_semigroup_residual > TOL.semigroup
                 or sweep.max_trace_drift > TOL.trace_conservation):
             flags.append("tolerance-failure")
-        for t in np.linspace(0.0, cfg.t_max, 21):
-            xt = facto._conjugations(x0, xi, t)[0]
-            tr = traces_of_powers(xt, n)
-            parts = np.stack([tr.real, tr.imag], axis=-1).ravel()   # re, im, re, ...
-            rows.append([str(k), _fmt(t)] + list(map(_fmt, parts.tolist())))
+        tr = trace_words(xts, xts, [(j, 0, 0, 0) for j in range(1, n + 1)])
+        parts = np.stack([tr.real, tr.imag], axis=-1).reshape(len(ts), -1)   # re, im, re, ...
+        rows += [[str(k), _fmt(t)] + list(map(_fmt, row)) for t, row in zip(ts, parts.tolist())]
     header = ["power", "t"]
     for j in range(1, n + 1):
         header += [f"re(tr x^{j})", f"im(tr x^{j})"]

@@ -44,8 +44,8 @@ from .config import TOL
 from .errors import (ConsistencyError, NonFiniteMatrixError, ReductionFailedError,
                      SingularChartPoint)
 from .integrate import ConservationReport, monitor, rk4
-from .matrixcore import as_matrix, spectral
-from .poisson import Observable, chart_heisenberg_double
+from .matrixcore import as_matrix, spectral, trace_words
+from .poisson import Observable, chart_heisenberg_double, coordinate, trace_power
 
 __all__ = [
     "DoublePoint",
@@ -356,48 +356,12 @@ def _rank_one_samples(x, u, ydiag, q) -> dict:
 
 def entry_observable(n: int, block: str, i: int, j: int) -> Observable:
     """Matrix-entry coordinate on the (x, y) chart; block is "x" or "y"."""
-    offset = 0 if block == "x" else n * n
-    idx = offset + i * n + j
-    e = np.zeros(2 * n * n, dtype=complex)
-    e[idx] = 1.0
-    return Observable(name=f"{block}{i + 1}{j + 1}",
-                      fn=lambda z, idx=idx: np.take(z, idx, axis=-1),
-                      grad=lambda z, e=e: e)
-
-
-def _block(z, n, which):
-    """The x or y matrices of points stacked as (..., 2n^2): (..., n, n)."""
-    part = z[..., :n * n] if which == "x" else z[..., n * n:]
-    return part.reshape(z.shape[:-1] + (n, n))
-
-
-def _trace(m):
-    return np.trace(m, axis1=-2, axis2=-1)
+    return coordinate(2 * n * n, ("xy".index(block) * n + i) * n + j, f"{block}{i + 1}{j + 1}")
 
 
 def trace_power_observable(n: int, block: str, k: int) -> Observable:
-    """tr(x^k) or tr(y^k) on the (x, y) chart, with exact gradient
-    k (x^(k-1))^T in the block's half; for k = 1 that is the constant
-    identity, built once."""
-    m = n * n
-    part = slice(0, m) if block == "x" else slice(m, 2 * m)
-    zeros = np.zeros(m, dtype=complex)
-    eye = np.zeros(2 * m, dtype=complex)
-    eye[part] = np.eye(n).ravel()
-
-    def fn(z):
-        return _trace(np.linalg.matrix_power(_block(z, n, block), k))
-
-    def grad(z):
-        a = z[part].reshape(n, n)
-        power = a
-        for _ in range(k - 2):
-            power = power.dot(a)
-        half = (k * power).T.ravel()
-        return np.concatenate([half, zeros] if block == "x" else [zeros, half])
-
-    return Observable(name=f"tr({block}^{k})", fn=fn,
-                      grad=(lambda z, e=eye: e) if k == 1 else grad)
+    """tr(x^k) or tr(y^k) on the (x, y) chart: :func:`degint.poisson.trace_power`."""
+    return trace_power(n, k, "xy".index(block), 2)
 
 
 def projection_invariants(n: int, family: str, kmax: int = 2):
@@ -405,33 +369,27 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
 
     ``family="cm"`` (Hamiltonians f(x)): traces of x, of mu~ = y x^{-1} y^{-1},
     and joint traces tr(x^a mu~^b).  ``family="ruijsenaars"`` (Hamiltonians
-    f(y)): traces of y, of mu = x y x^{-1} y^{-1}, and joint traces.
+    f(y)): traces of y, of mu = x y x^{-1} y^{-1}, and joint traces.  Each is
+    a trace word in (main, aux) = (x, mu~) or (y, mu).
     """
-    if family == "cm":
-        def aux(z):
-            x, y = _block(z, n, "x"), _block(z, n, "y")
-            return y @ np.linalg.inv(x) @ np.linalg.inv(y)
-    elif family == "ruijsenaars":
-        def aux(z):
-            x, y = _block(z, n, "x"), _block(z, n, "y")
-            return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
-    else:
+    if family not in ("cm", "ruijsenaars"):
         raise ValueError(f"unknown family {family!r}")
+    main, other = ("x", "mu~") if family == "cm" else ("y", "mu")
+    words = {name: word for k in range(1, kmax + 1) for name, word in
+             ((f"tr({main}^{k})", (k, 0, 0, 0)), (f"tr({other}^{k})", (0, k, 0, 0)))}
+    words.update({f"tr({main} {other})": (1, 1, 0, 0), f"tr({main}^2 {other})": (2, 1, 0, 0)})
 
-    main_label = "x" if family == "cm" else "y"
-    aux_label = "mu~" if family == "cm" else "mu"
+    def invariant(word):
+        def fn(z):
+            x, y = np.moveaxis(z.reshape(z.shape[:-1] + (2, n, n)), -3, 0)
+            a = x if family == "cm" else y
+            # aux costs two inverses: formed once per invariant, if the word reads it
+            b = ((y if family == "cm" else x @ y) @ np.linalg.inv(x) @ np.linalg.inv(y)
+                 if word[1] else a)
+            return trace_words(a, b, [word])[..., 0]
+        return fn
 
-    def main(z):
-        return _block(z, n, main_label)
-
-    # each invariant evaluates aux(z), and so inverts x and y, at most once
-    fns = {}
-    for k in range(1, kmax + 1):
-        fns[f"tr({main_label}^{k})"] = lambda z, k=k: _trace(np.linalg.matrix_power(main(z), k))
-        fns[f"tr({aux_label}^{k})"] = lambda z, k=k: _trace(np.linalg.matrix_power(aux(z), k))
-    fns[f"tr({main_label} {aux_label})"] = lambda z: _trace(main(z) @ aux(z))
-    fns[f"tr({main_label}^2 {aux_label})"] = lambda z: _trace(main(z) @ main(z) @ aux(z))
-    return [Observable(name=name, fn=fn) for name, fn in fns.items()]
+    return [Observable(name=name, fn=invariant(word)) for name, word in words.items()]
 
 
 def double_flow_conservation(pt: DoublePoint, H: Observable, t_max: float,

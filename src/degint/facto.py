@@ -22,8 +22,9 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .integrate import rk4
-from .matrixcore import ULPair, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
-from .poisson import Observable, chart_sklyanin
+from .matrixcore import (ULPair, as_matrix, mat_exp, trace_words, traces_of_powers,
+                         ul_split_factorize)
+from .poisson import Observable, chart_sklyanin, trace_power
 
 __all__ = [
     "TracePower",
@@ -52,7 +53,7 @@ class TracePower:
         return f"tr(x^{self.k})"
 
     def __call__(self, x) -> complex:
-        return complex(np.trace(np.linalg.matrix_power(x, self.k)))
+        return complex(trace_words(x, x, [(self.k, 0, 0, 0)])[0])
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,9 @@ def _conjugations(x0, xi, t: float):
 
 
 def _chart_observable(H: InvariantHamiltonian, n: int) -> Observable:
-    def stack(z):
-        return z.reshape(z.shape[:-1] + (n, n))
-
     if isinstance(H, TracePower):
-        k = H.k
-        return Observable(
-            name=H.name,
-            fn=lambda z: np.trace(np.linalg.matrix_power(stack(z), k), axis1=-2, axis2=-1),
-            grad=lambda z: (k * np.linalg.matrix_power(stack(z), k - 1)).T.ravel())
+        return trace_power(n, H.k)
+
     def per_matrix(z):
         # a custom invariant is a function of one matrix: map it over the stack
         return np.array([H(x) for x in z.reshape(-1, n, n)]).reshape(z.shape[:-1])

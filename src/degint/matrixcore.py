@@ -1,6 +1,7 @@
 """Small dense complex linear algebra used by every other module.
 
-Matrices are plain ``numpy`` arrays of shape ``(n, n)`` and complex dtype.
+Matrices are plain ``numpy`` arrays of shape ``(n, n)`` and complex dtype;
+:func:`trace_words` also takes stacks of them.
 Validated use stays at n <= 16; nothing here is tuned for large n.
 """
 
@@ -23,6 +24,7 @@ __all__ = [
     "ul_split_factorize",
     "spectral",
     "traces_of_powers",
+    "trace_words",
 ]
 
 
@@ -157,10 +159,40 @@ def traces_of_powers(m, kmax: int) -> np.ndarray:
     m = as_matrix(m)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    out = np.empty(kmax, dtype=complex)
-    acc = m
-    out[0] = np.trace(acc)
-    for k in range(1, kmax):
-        acc = acc @ m
-        out[k] = np.trace(acc)
-    return out
+    return trace_words(m, m, [(k, 0, 0, 0) for k in range(1, kmax + 1)])
+
+
+def _powers(a, m: int) -> list:
+    """[a^0, a^1, ..., a^m] of the stack a, (..., n, n), each from the last."""
+    out = [np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape), a]
+    while len(out) <= m:
+        out.append(out[-1] @ a)
+    return out[:m + 1]
+
+
+def trace_words(a, b, words) -> np.ndarray:
+    """tr(a^i b^j a^k b^l) for each exponent word (i, j, k, l) of ``words``,
+    for a, b stacked alike as (..., n, n): shape (..., len(words)).  Each power
+    and each product a^i b^j that a word reads is formed once; a word is the
+    trace of the product of its halves a^i b^j and a^k b^l, which is skipped
+    when every word has k = l = 0 (it is by the identity, so exact)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    w = np.asarray(words, dtype=int).reshape(-1, 4)
+    if a.ndim < 2 or a.shape != b.shape or a.shape[-1] != a.shape[-2] or (w < 0).any():
+        raise ValueError("expected square stacks of one shape and exponents >= 0")
+    if not len(w):
+        return np.zeros(a.shape[:-2] + (0,), dtype=complex)
+    second = w[:, 2:].any()
+    halves = w.reshape(-1, 2) if second else w[:, :2]       # (i, j), then (k, l)
+    span = halves[:, 1].max() + 1
+    code = (halves[:, 0] * span + halves[:, 1]).tolist()
+    codes = sorted(set(code))                  # the products read, each once
+    pa, pb = _powers(a, halves[:, 0].max()), _powers(b, span - 1)
+    table = np.stack([pb[j] if not i else pa[i] if not j else pa[i] @ pb[j]
+                      for i, j in (divmod(c, span) for c in codes)], axis=-3)
+    index = np.searchsorted(codes, code)
+    if not second:
+        return np.trace(table, axis1=-2, axis2=-1)[..., index]
+    index = index.reshape(-1, 2)
+    return np.trace(table[..., index[:, 0], :, :] @ table[..., index[:, 1], :, :],
+                    axis1=-2, axis2=-1)

@@ -21,12 +21,14 @@ import numpy as np
 
 from .config import TOL
 from .errors import DimensionMismatch, SingularChartPoint
+from .matrixcore import _powers, trace_words
 
 __all__ = [
     "PoissonChart",
     "Observable",
     "coordinate",
     "observable_product",
+    "trace_power",
     "bracket",
     "ham_vector_field",
     "jacobi_defect",
@@ -148,6 +150,29 @@ def observable_product(f: Observable, g: Observable) -> Observable:
         def grad(z, f=f, g=g):
             return f(z) * g.gradient(z) + g(z) * f.gradient(z)
     return Observable(name=f"{f.name}*{g.name}", fn=lambda z: f(z) * g(z), grad=grad)
+
+
+def trace_power(n: int, k: int, block: int = 0, blocks: int = 1) -> Observable:
+    """tr(x^k) for x the ``block``-th of the ``blocks`` n x n matrices whose
+    entries, row-major, make up a chart point, named for it tr(x^k) or
+    tr(y^k).  Its exact gradient is k (x^(k-1))^T in that block: for k = 1
+    the identity, built once."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    part = slice(block * n * n, (block + 1) * n * n)
+    eye = np.zeros(blocks * n * n, dtype=complex)
+    eye[part] = np.eye(n).ravel()
+
+    def fn(z):
+        x = z[..., part].reshape(z.shape[:-1] + (n, n))
+        return trace_words(x, x, [(k, 0, 0, 0)])[..., 0]
+
+    def grad(z):
+        g = np.zeros(len(eye), dtype=complex)
+        g[part] = (k * _powers(z[part].reshape(n, n), k - 1)[-1]).T.ravel()
+        return g
+
+    return Observable(f"tr({'xy'[block]}^{k})", fn, (lambda z: eye) if k == 1 else grad)
 
 
 def bracket(chart: PoissonChart, f: Observable, g: Observable, x,

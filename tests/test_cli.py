@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degint import cli, double, integrate, kepler, poisson
+from degint import cli, double, facto, integrate, kepler, poisson
+from degint.matrixcore import traces_of_powers
 from degint.cli import (
     ScenarioConfig,
     _config_from_args,
@@ -600,4 +601,45 @@ class TestPairFlowFastPath:
         # one field call per pi call: no pi call built the bivector
         assert len(fields) == len(pis) == 4 * 20
         assert result.metrics["field_evaluations"] == 4 * 20
+        assert result.flags == []
+
+
+class TestFactorizationFlowSplits:
+    def test_each_split_is_made_once_and_the_outputs_are_the_repeating_routes(
+            self, monkeypatch):
+        """At its defaults the scenario makes 48 ``ul_split_factorize`` calls:
+        per power 21 trace rows and 3 for the one-point sweep.  The cross-check
+        reads the t_max row; the outputs equal those of the former route,
+        which split exp(t_max xi) again and swept the grid [t/2, t/2]."""
+        cfg = ScenarioConfig(scenario="factorization-flow")
+        splits = []
+        split = facto.ul_split_factorize
+
+        def counted(m):
+            splits.append(1)
+            return split(m)
+
+        monkeypatch.setattr(facto, "ul_split_factorize", counted)
+        result = cli._scenario_factorization_flow(cfg)
+        assert len(splits) == 48
+        monkeypatch.undo()
+
+        x0 = cli._sl_sample(cfg.n, cli._rng_for(cfg), 0.25)
+        rows, residuals = [], {}
+        for k in (1, 2):
+            H = facto.TracePower(k)
+            xi = facto.left_differential(H, x0)
+            exact = facto._conjugations(x0, xi, cfg.t_max)[0]
+            ref = facto._reference_trajectory(x0, H, cfg.t_max, cfg.dt).final.reshape(x0.shape)
+            sweep = facto.flow_consistency_sweep(x0, H, [cfg.t_max / 2, cfg.t_max / 2])
+            residuals.update({
+                f"cross-check-{H.name}": float(np.abs(exact - ref).max()),
+                f"semigroup-{H.name}": sweep.max_semigroup_residual,
+                f"trace-drift-{H.name}": sweep.max_trace_drift,
+                f"conjugation-{H.name}": float(sweep.conjugation_agreements.max())})
+            for t in np.linspace(0.0, cfg.t_max, 21):
+                tr = traces_of_powers(facto._conjugations(x0, xi, t)[0], cfg.n)
+                rows.append([str(k), _fmt(t)] + [_fmt(v) for z in tr for v in (z.real, z.imag)])
+        assert result.residuals == sorted(residuals.items())
+        assert result.csv_rows == rows
         assert result.flags == []

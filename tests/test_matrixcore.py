@@ -1,8 +1,15 @@
 """Tests for the dense matrix kernel."""
 
+import ast
+import csv
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from degint import calogero, cli, matrixcore
 from degint.errors import (
     FactorizationNotDefined,
     MatrixOverflowError,
@@ -14,6 +21,7 @@ from degint.matrixcore import (
     as_matrix,
     mat_exp,
     spectral,
+    trace_words,
     traces_of_powers,
     ul_split_factorize,
 )
@@ -167,3 +175,167 @@ class TestTraces:
         tr = traces_of_powers(m, 3)
         for k in range(1, 4):
             assert abs(tr[k - 1] - np.sum(w ** k)) < 1e-9 * max(1.0, abs(tr[k - 1]))
+
+
+# ----------------------------------------------------------------------
+# trace words: the stacked kernel against loop oracles
+# ----------------------------------------------------------------------
+
+def trace_words_loop(a, b, words):
+    """The loop the kernel replaced: powers by repeated multiplication, then
+    tr(a^i b^j a^k b^l) one word and one matrix at a time (the body of the
+    former ``calogero.joint_invariants``, mapped over a stack)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    top = max([e for w in words for e in w], default=0)
+    out = np.empty(a.shape[:-2] + (len(words),), dtype=complex)
+    for idx in np.ndindex(a.shape[:-2]):
+        pa = [np.eye(a.shape[-1], dtype=complex)]
+        pb = [np.eye(a.shape[-1], dtype=complex)]
+        for _ in range(top):
+            pa.append(pa[-1] @ a[idx])
+            pb.append(pb[-1] @ b[idx])
+        for w, (i, j, k, l) in enumerate(words):
+            out[idx + (w,)] = np.trace(pa[i] @ pb[j] @ pa[k] @ pb[l])
+    return out
+
+
+def traces_of_powers_oracle(m, kmax):
+    """(tr m, ..., tr m^kmax) through numpy's binary powering."""
+    return np.array([np.trace(np.linalg.matrix_power(m, k)) for k in range(1, kmax + 1)])
+
+
+# words with zero exponents in every place, repeated and unsorted
+MIXED_WORDS = [(0, 0, 0, 0), (0, 0, 0, 1), (2, 0, 0, 0), (0, 3, 0, 0), (1, 2, 0, 1),
+               (3, 0, 2, 0), (0, 1, 1, 0), (2, 2, 2, 2), (0, 0, 0, 1), (1, 1, 0, 0)]
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+class TestTraceWords:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_joint_invariants_match_the_loop_oracle(self, n):
+        a, b = random_matrix(n), random_matrix(n)
+        words = [w for w in np.ndindex(4, 4, 4, 4) if sum(w)]
+        got = calogero.joint_invariants(a, b, max_exp=3)
+        assert got.shape == (255,)
+        assert relative_error(got, trace_words_loop(a, b, words)) < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_traces_of_powers_match_matrix_power(self, n):
+        m = random_matrix(n)
+        assert relative_error(traces_of_powers(m, 7), traces_of_powers_oracle(m, 7)) < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_stacks_match_the_oracle_and_each_matrix_bit_for_bit(self, n):
+        a = np.stack([random_matrix(n) for _ in range(6)]).reshape(2, 3, n, n)
+        b = np.stack([random_matrix(n) for _ in range(6)]).reshape(2, 3, n, n)
+        got = trace_words(a, b, MIXED_WORDS)
+        assert got.shape == (2, 3, len(MIXED_WORDS))
+        assert relative_error(got, trace_words_loop(a, b, MIXED_WORDS)) < 1e-14
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], trace_words(a[idx], b[idx], MIXED_WORDS))
+
+    def test_two_letter_words_are_the_trace_of_one_product_bit_for_bit(self):
+        """Without a second half (k, l) the kernel multiplies nothing more,
+        so tr(a^i b^j) is the trace of a^i b^j as a product chain forms it;
+        the projection invariants of the flow scenarios rest on this."""
+        a = np.stack([random_matrix(3) for _ in range(5)])
+        b = np.stack([random_matrix(3) for _ in range(5)])
+        for (i, j), want in [((1, 0), np.trace(a, axis1=1, axis2=2)),
+                             ((2, 0), np.trace(a @ a, axis1=1, axis2=2)),
+                             ((0, 2), np.trace(b @ b, axis1=1, axis2=2)),
+                             ((1, 1), np.trace(a @ b, axis1=1, axis2=2)),
+                             ((2, 1), np.trace(a @ a @ b, axis1=1, axis2=2))]:
+            assert np.array_equal(trace_words(a, b, [(i, j, 0, 0)])[:, 0], want)
+
+    def test_traces_of_powers_is_the_two_letter_route(self):
+        m = random_matrix(4)
+        want = [np.trace(m), np.trace(m @ m), np.trace(m @ m @ m)]
+        assert np.array_equal(traces_of_powers(m, 3), want)
+
+    def test_no_words_gives_an_empty_axis(self):
+        assert trace_words(np.ones((3, 2, 2)), np.ones((3, 2, 2)), []).shape == (3, 0)
+
+    @pytest.mark.parametrize("a,b,words", [
+        (np.eye(2), np.eye(2), [(1, -1, 0, 0)]),
+        (np.ones((2, 3)), np.ones((2, 3)), [(1, 0, 0, 0)]),
+        (np.eye(2), np.eye(3), [(1, 0, 0, 0)]),
+        (np.ones(2), np.ones(2), [(1, 0, 0, 0)]),
+    ])
+    def test_rejects_bad_input(self, a, b, words):
+        with pytest.raises(ValueError):
+            trace_words(a, b, words)
+
+
+class TestOneTraceRoute:
+    def test_matrix_power_only_in_matrixcore_and_the_left_differential(self):
+        """A new trace route would most likely reach for numpy's
+        matrix_power: outside matrixcore only ``facto.left_differential``
+        may call it."""
+        src = Path(matrixcore.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "matrixcore.py":
+                continue
+            tree = ast.parse(path.read_text())
+            allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                       and (path.name, fn.name) == ("facto.py", "left_differential")
+                       for node in ast.walk(fn)}
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, (ast.Attribute, ast.Name))
+                      and "matrix_power" in (getattr(node, "attr", None), getattr(node, "id", None))
+                      and id(node) not in allowed]
+        assert found == []
+
+
+def _kernel_sites():
+    """Every (module, name) of a loaded degint module bound to the kernel."""
+    return [(module, name) for key, module in sorted(sys.modules.items())
+            if key == "degint" or key.startswith("degint.")
+            for name, value in vars(module).items() if value is matrixcore.trace_words]
+
+
+def _run(argv, tmp_path, tag):
+    csv_path, json_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+    code = cli.main(argv + ["--seed", "0", "--out-csv", str(csv_path),
+                            "--out-json", str(json_path)])
+    with open(csv_path) as f:
+        rows = list(csv.reader(f))
+    return code, rows, json.loads(json_path.read_text())
+
+
+class TestScenariosAgainstLoopOracle:
+    """Each scenario that reads trace words, run as shipped and with the
+    kernel swapped for the loop oracle at every binding site, reports the
+    same flags and CSV values within 1e-13 relative."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "cm-rational"],
+        ["--scenario", "duality-check"],
+        ["--scenario", "relativistic-cm"],
+        ["--scenario", "relativistic-ruijsenaars", "--n", "3", "--t-max", "0.2",
+         "--dt", "1e-3", "--samples", "10"],
+        ["--scenario", "factorization-flow"],
+    ])
+    def test_same_flags_and_values(self, argv, tmp_path, monkeypatch):
+        code, rows, report = _run(argv, tmp_path, "kernel")
+        sites = _kernel_sites()
+        assert {module.__name__ for module, _ in sites} >= {
+            "degint.matrixcore", "degint.poisson", "degint.double", "degint.facto",
+            "degint.calogero", "degint.cli"}
+        for module, name in sites:
+            monkeypatch.setattr(module, name, trace_words_loop)
+        code_loop, rows_loop, report_loop = _run(argv, tmp_path, "loop")
+
+        assert (code, report["flags"]) == (code_loop, report_loop["flags"])
+        assert rows[0] == rows_loop[0] and len(rows) == len(rows_loop)
+        for row, row_loop in zip(rows[1:], rows_loop[1:]):
+            for cell, cell_loop in zip(row, row_loop):
+                try:
+                    value, value_loop = float(cell), float(cell_loop)
+                except ValueError:
+                    assert cell == cell_loop
+                    continue
+                assert abs(value - value_loop) <= 1e-13 * max(abs(value), abs(value_loop))

@@ -121,6 +121,49 @@ class TestBracketBasics:
                 assert dev < 1e-5 * max(1.0, np.abs(obs.gradient(zz)).max())
 
 
+class TestTracePower:
+    """The one tr(x^k) builder, as the pair chart's trace_power_observable and
+    as the Sklyanin chart's TracePower observable."""
+
+    @staticmethod
+    def central_differences(obs, z, h=1e-5):
+        g = np.empty(len(z), dtype=complex)
+        for i in range(len(z)):
+            e = np.zeros(len(z)); e[i] = h
+            g[i] = (obs(z + e) - obs(z - e)) / (2 * h)
+        return g
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, k):
+        from degint.facto import TracePower, _chart_observable
+
+        cases = [(trace_power_observable(3, block, k), heisenberg_point(3)) for block in "xy"]
+        cases.append((_chart_observable(TracePower(k), 3), random_group_element(3).ravel()))
+        for obs, z in cases:
+            exact = obs.gradient(z)
+            assert exact.shape == z.shape
+            assert np.abs(exact - self.central_differences(obs, z)).max() < 1e-8 * max(
+                1.0, np.abs(exact).max())
+
+    def test_stacked_values_are_each_points_value(self):
+        obs = trace_power_observable(2, "y", 2)
+        zs = np.stack([heisenberg_point(2) for _ in range(4)])
+        y = zs[:, 4:].reshape(4, 2, 2)
+        assert np.array_equal(obs(zs), np.trace(y @ y, axis1=1, axis2=2))
+        assert np.array_equal(obs(zs), [obs(z) for z in zs])
+
+    def test_first_power_gradient_is_one_prebuilt_constant(self):
+        obs = trace_power_observable(2, "y", 1)
+        g = obs.gradient(heisenberg_point(2))
+        assert g is obs.gradient(heisenberg_point(2))
+        assert np.array_equal(g, np.r_[np.zeros(4), np.eye(2).ravel()])
+
+    def test_names_and_power_floor(self):
+        assert [trace_power_observable(2, b, 3).name for b in "xy"] == ["tr(x^3)", "tr(y^3)"]
+        with pytest.raises(ValueError):
+            trace_power_observable(2, "x", 0)
+
+
 class TestHamVectorField:
     def test_free_particle_direction(self):
         """H = p^2/2 moves only q, at speed |p|.
