@@ -29,13 +29,11 @@ from .poisson import (
     jacobi_defect,
     leibniz_defect,
     observable_product,
-    standard_r,
 )
 from .integrate import ConservationReport, Trajectory, adaptive, monitor, rk4
 from .kepler import (
     KeplerState,
     P5Point,
-    classify_level_surface,
     orbit_conservation_report,
     project_to_p5,
 )
@@ -46,11 +44,9 @@ from .calogero import (
     cm_central_flow,
     duality_fiber_check,
     h_cm,
-    h_rational_ruijsenaars,
     h_scm,
     phi_psi_closed_form,
     reconstruct_g,
-    ruij_characters,
     solve_phi_psi_oracle,
 )
 from .double import (
@@ -64,7 +60,6 @@ from .double import (
     relativistic_hamiltonians,
 )
 from .facto import (
-    CustomInvariant,
     TracePower,
     factorization_flow,
     flow_consistency_sweep,

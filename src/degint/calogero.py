@@ -24,7 +24,7 @@ import numpy as np
 from .config import TOL
 from .errors import (ConsistencyError, DegintError, FormulaMismatchError,
                      NonFiniteMatrixError, SingularChartPoint)
-from .matrixcore import as_matrix, mat_exp, spectral, trace_words, traces_of_powers
+from .matrixcore import as_matrix, mat_exp, spectral, trace_words
 
 __all__ = [
     "CMPoint",
@@ -38,9 +38,7 @@ __all__ = [
     "PhiPsiSelection",
     "phi_psi_closed_form",
     "reconstruct_g",
-    "ruij_characters",
     "character_residuals",
-    "h_rational_ruijsenaars",
     "ruij_sweep",
     "joint_invariants",
     "FiberSeparationReport",
@@ -231,14 +229,11 @@ def h_cm(point: CMPoint) -> float:
     Positions are read as angles; coincident angles (mod 2 pi) are singular.
     Inputs are expected real up to 1e-10 imaginary residue.
     """
-    p, q, kappa = point.p, point.h, point.kappa
-    value = np.dot(p, p)
-    for i in range(point.n):
-        for j in range(i + 1, point.n):
-            s = np.sin((q[i] - q[j]) / 2.0)
-            if abs(s) < 1e-12:
-                raise SingularChartPoint("coincident angles in the potential")
-            value += kappa ** 2 / (4.0 * s ** 2)
+    i, j = np.triu_indices(point.n, 1)
+    s = np.sin((point.h[i] - point.h[j]) / 2.0)
+    if np.any(np.abs(s) < 1e-12):
+        raise SingularChartPoint("coincident angles in the potential")
+    value = np.dot(point.p, point.p) + np.sum(point.kappa ** 2 / (4.0 * _scalar_power(s, 2)))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
         raise ValueError("imaginary residue in the real-form Hamiltonian")
     return float(value.real)
@@ -255,19 +250,17 @@ def h_scm(point: CMPoint, spin: SpinData, denominators: str = "rational") -> com
     mu = spin.mu
     if mu.shape[0] != point.n:
         raise ValueError("spin matrix size does not match the point")
-    value = np.dot(point.p, point.p)
-    for i in range(point.n):
-        for j in range(i + 1, point.n):
-            if denominators == "rational":
-                d = (point.h[i] - point.h[j]) ** 2
-            elif denominators == "trigonometric":
-                d = 4.0 * np.sin((point.h[i] - point.h[j]) / 2.0) ** 2
-            else:
-                raise ValueError(f"unknown denominator variant {denominators!r}")
-            if abs(d) < 1e-14:
-                raise SingularChartPoint("singular denominator in spin Hamiltonian")
-            value += mu[i, j] * mu[j, i] / d
-    return complex(value)
+    i, j = np.triu_indices(point.n, 1)
+    diff = point.h[i] - point.h[j]
+    if denominators == "rational":
+        d = _scalar_power(diff, 2)
+    elif denominators == "trigonometric":
+        d = 4.0 * _scalar_power(np.sin(diff / 2.0), 2)
+    else:
+        raise ValueError(f"unknown denominator variant {denominators!r}")
+    if np.any(np.abs(d) < 1e-14):
+        raise SingularChartPoint("singular denominator in spin Hamiltonian")
+    return complex(np.dot(point.p, point.p) + np.sum(mu[i, j] * mu[j, i] / d))
 
 
 def quadratic_casimir_gradient(x) -> np.ndarray:
@@ -346,7 +339,8 @@ def phi_psi_closed_form(h, kappa: complex) -> PhiPsiSelection:
     """
     h = np.asarray(h, dtype=complex).ravel()
     w = solve_phi_psi_oracle(h, kappa)
-    bare = _ruij_parts(h, 1.0, kappa)[-2]      # u drops out of the bare products
+    d = h[:, None] - h[None, :]
+    bare = _ratio(d + kappa, d).prod(axis=-1)
     scaled, res_bare, res_scaled = _select(w, bare, kappa)
     return PhiPsiSelection(kappa * bare if scaled else bare,
                            "kappa-scaled" if scaled else "bare", res_bare, res_scaled)
@@ -401,40 +395,6 @@ def character_residuals(point: RuijPoint) -> dict:
     Hamiltonian routes."""
     residuals = _dual_residuals(*_ruij_parts(point.h, point.u, point.kappa))[0]
     return dict(zip(("tr_g", "tr_g2", "h_ruijsenaars"), residuals))
-
-
-def ruij_characters(point: RuijPoint, kmax: int) -> np.ndarray:
-    """(tr g, tr g^2, ..., tr g^kmax) from the rebuilt matrix.
-
-    For k <= 2 the values are cross-checked against the reduced closed
-    formulas; disagreement beyond ``TOL.dual_path_reject`` raises.
-    """
-    parts = _ruij_parts(point.h, point.u, point.kappa)
-    traces = traces_of_powers(parts[-1], kmax)
-    residuals, (tr, tr_sq), _ = _dual_residuals(*parts)
-    # the residuals are relative to max(1, |tr g|, |tr g^2|); with kmax = 1,
-    # tr g is checked relative to max(1, |tr g|) alone
-    both = max(1.0, abs(tr), abs(tr_sq))
-    limit = TOL.dual_path_reject * (1.0 if kmax >= 2 else max(1.0, abs(tr)) / both)
-    for k, name in enumerate(("tr g", "tr g^2")[:kmax]):
-        if residuals[k] > limit:
-            raise ConsistencyError(f"{name}: reduced formula disagrees with matrix trace")
-    return traces
-
-
-def h_rational_ruijsenaars(point: RuijPoint) -> complex:
-    """Second character Hamiltonian, evaluated along two routes.
-
-    Route one: (tr g^2 - (tr g)^2)/2 from the rebuilt matrix.  Route two:
-    -sum_{i<j} u_i u_j prod_{a in {i,j}, b outside} (h_a-h_b+kappa)/(h_a-h_b).
-    The two must agree to ``TOL.dual_path``; the matrix route, the value
-    that check compared, is returned.  For n = 2 the product is empty and
-    the value reduces to -u_1 u_2.
-    """
-    residuals, _, h_char = _dual_residuals(*_ruij_parts(point.h, point.u, point.kappa))
-    if residuals[2] > TOL.dual_path:
-        raise ConsistencyError(f"Hamiltonian routes disagree: {residuals[2]:.3g}")
-    return h_char
 
 
 # Samples per stacked pass of a sweep; bounds its working memory.

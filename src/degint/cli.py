@@ -124,9 +124,16 @@ def _rng_for(cfg: ScenarioConfig, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(cfg.seed + index)
 
 
+def _sl_matrices(draws, spread):
+    """1 + spread (re + i im) scaled to det 1, from normal draws stacked as
+    (..., 2, n, n) with (re, im) on the axis before the matrices."""
+    n = draws.shape[-1]
+    m = np.eye(n) + spread * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    return m / calogero._scalar_power(np.linalg.det(m), 1.0 / n)[..., None, None]
+
+
 def _sl_sample(n, rng, spread=0.35):
-    m = np.eye(n) + spread * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    return m / np.linalg.det(m) ** (1.0 / n)
+    return _sl_matrices(rng.normal(size=(2, n, n)), spread)
 
 
 def _distinct_h(n, rng):
@@ -239,7 +246,6 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     else:
         raise DegintError("could not sample a well-separated bound orbit")
 
-    chart = kepler.kepler_chart()
     obs = kepler.kepler_observables(gamma)
     traj = kepler.integrate_orbit(state, cfg.t_max, cfg.tol)
     control = coordinate(6, 3, "q1-control")
@@ -378,12 +384,12 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
 
 def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
     result = _flow_scenario(cfg, "cm")
-    rng = _rng_for(cfg, 999)
-    dev = 0.0
-    for _ in range(100):
-        pt = double.DoublePoint(x=_sl_sample(cfg.n, rng, 0.3), y=_sl_sample(cfg.n, rng, 0.3))
-        dev = max(dev, float(np.abs(double.moment(double.duality_map(pt))
-                                    - double.moment(pt)).max()))
+    # 100 pairs (x, y), each drawn as two _sl_sample(n, rng, 0.3) calls draw it
+    n = cfg.n
+    x, y = np.moveaxis(_sl_matrices(_rng_for(cfg, 999).normal(size=(100, 2, 2, n, n)), 0.3),
+                       1, 0)
+    double._check_unimodular(x, y)
+    dev = float(np.abs(double._moment(*double._duality(x, y)) - double._moment(x, y)).max())
     result.residuals.append(("duality-moment-deviation", dev))
     if dev > TOL.duality_exact * 10:
         result.flags.append("tolerance-failure")

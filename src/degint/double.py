@@ -45,21 +45,19 @@ from .errors import (ConsistencyError, NonFiniteMatrixError, ReductionFailedErro
                      SingularChartPoint)
 from .integrate import ConservationReport, monitor, rk4
 from .matrixcore import as_matrix, spectral, trace_words
-from .poisson import Observable, chart_heisenberg_double, coordinate, trace_power
+from .poisson import Observable, chart_heisenberg_double, trace_power
 
 __all__ = [
     "DoublePoint",
     "RankOneClass",
     "moment",
     "duality_map",
-    "inverse_duality_map",
     "fiber_check",
     "rank_one_consistency_oracle",
     "RankOneReduction",
     "rank_one_reduction",
     "RelativisticHamiltonians",
     "relativistic_hamiltonians",
-    "entry_observable",
     "trace_power_observable",
     "double_flow_conservation",
 ]
@@ -148,21 +146,26 @@ class RankOneClass:
         return _class_eigenvalues(self.q, self.n)
 
 
+def _moment(x, y):
+    """x y x^{-1} y^{-1} for x and y stacked alike as (..., n, n)."""
+    return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
+
+
 def moment(pt: DoublePoint) -> np.ndarray:
     """Group-valued moment map x y x^{-1} y^{-1}."""
-    return pt.x @ pt.y @ np.linalg.inv(pt.x) @ np.linalg.inv(pt.y)
+    return _moment(pt.x, pt.y)
+
+
+def _duality(x, y):
+    """(y^{-1}, y x y^{-1}) for x and y stacked alike as (..., n, n)."""
+    yinv = np.linalg.inv(y)
+    return yinv, y @ x @ yinv
 
 
 def duality_map(pt: DoublePoint) -> DoublePoint:
     """(x, y) -> (y^{-1}, y x y^{-1}); preserves the moment map exactly."""
-    yinv = np.linalg.inv(pt.y)
-    return DoublePoint(x=yinv, y=pt.y @ pt.x @ yinv)
-
-
-def inverse_duality_map(pt: DoublePoint) -> DoublePoint:
-    """(x, y) -> (x y x^{-1}, x^{-1}); round-trips with :func:`duality_map`."""
-    return DoublePoint(x=pt.x @ pt.y @ np.linalg.inv(pt.x),
-                       y=np.linalg.inv(pt.x))
+    x, y = _duality(pt.x, pt.y)
+    return DoublePoint(x=x, y=y)
 
 
 def _centralizer_element(m, rng) -> np.ndarray:
@@ -274,7 +277,7 @@ def _reductions(x, q, ydiag) -> dict:
     _check_unimodular(xmat, y)
     _check_pairing(q, np.ones(n), products)
 
-    got = np.linalg.eigvals(xmat @ y @ np.linalg.inv(xmat) @ np.linalg.inv(y))
+    got = np.linalg.eigvals(_moment(xmat, y))
     got = np.take_along_axis(got, np.lexsort((got.imag, got.real), axis=-1), axis=-1)
     dev = np.abs(got - _class_eigenvalues(q, n)).max(axis=-1)
     _raise_first(dev > TOL.reduction_reject, ReductionFailedError, lambda k: (
@@ -353,11 +356,6 @@ def _rank_one_samples(x, u, ydiag, q) -> dict:
 # ----------------------------------------------------------------------
 # flows on the full bracket chart
 # ----------------------------------------------------------------------
-
-def entry_observable(n: int, block: str, i: int, j: int) -> Observable:
-    """Matrix-entry coordinate on the (x, y) chart; block is "x" or "y"."""
-    return coordinate(2 * n * n, ("xy".index(block) * n + i) * n + j, f"{block}{i + 1}{j + 1}")
-
 
 def trace_power_observable(n: int, block: str, k: int) -> Observable:
     """tr(x^k) or tr(y^k) on the (x, y) chart: :func:`degint.poisson.trace_power`."""

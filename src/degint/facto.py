@@ -15,7 +15,7 @@ the cross-check against direct integration of the group bracket chart.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from .errors import ConsistencyError
 from .integrate import rk4
 from .matrixcore import (ULPair, as_matrix, mat_exp, trace_words, traces_of_powers,
                          ul_split_factorize)
-from .poisson import Observable, chart_sklyanin, trace_power
+from .poisson import chart_sklyanin, trace_power
 
 __all__ = [
     "TracePower",
-    "CustomInvariant",
-    "InvariantHamiltonian",
     "left_differential",
     "factorization_flow",
     "sklyanin_reference_flow",
@@ -56,59 +54,22 @@ class TracePower:
         return complex(trace_words(x, x, [(self.k, 0, 0, 0)])[0])
 
 
-@dataclass(frozen=True)
-class CustomInvariant:
-    """A conjugation-invariant function given as a callable on matrices."""
-
-    name: str
-    fn: Callable[[np.ndarray], complex]
-
-    def __call__(self, x) -> complex:
-        return complex(self.fn(x))
-
-    def invariance_defect(self, x, g) -> float:
-        """|H(g x g^{-1}) - H(x)|; should vanish for an honest invariant."""
-        return abs(self(g @ x @ np.linalg.inv(g)) - self(x))
-
-
-InvariantHamiltonian = Union[TracePower, CustomInvariant]
-
-
 def _traceless(m):
     n = m.shape[0]
     return m - (np.trace(m) / n) * np.eye(n)
 
 
-def left_differential(H: InvariantHamiltonian, x) -> np.ndarray:
+def left_differential(H: TracePower, x) -> np.ndarray:
     """Trace-form realization of the left differential of H at x, traceless.
 
-    Pairing convention: <d_l H(x), X> = d/dt H(exp(tX) x) at t = 0.  For
-    tr(x^k) this gives k x^k (minus its trace part).  Custom invariants are
-    differentiated centrally, with step ``TOL.fd_step``, over the matrix-unit
-    basis; exp(h E_ab) is formed exactly (E_ab is a unit or idempotent).
+    Pairing convention: <d_l H(x), X> = d/dt H(exp(tX) x) at t = 0, which
+    for tr(x^k) gives k x^k minus its trace part.
     """
-    step = TOL.fd_step
     x = as_matrix(x)
-    n = x.shape[0]
-    if isinstance(H, TracePower):
-        return _traceless(H.k * np.linalg.matrix_power(x, H.k))
-    d = np.empty((n, n), dtype=complex)
-    eye = np.eye(n)
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n)); e[a, b] = 1.0
-            if a == b:
-                gp = eye + (np.exp(step) - 1.0) * e
-                gm = eye + (np.exp(-step) - 1.0) * e
-            else:
-                gp = eye + step * e
-                gm = eye - step * e
-            d[a, b] = (H(gp @ x) - H(gm @ x)) / (2.0 * step)
-    # tr(D E_ab) = d_ab  =>  D = d^T
-    return _traceless(d.T)
+    return _traceless(H.k * np.linalg.matrix_power(x, H.k))
 
 
-def factorization_flow(x0, H: InvariantHamiltonian, t: float) -> np.ndarray:
+def factorization_flow(x0, H: TracePower, t: float) -> np.ndarray:
     """x(t) = g_plus(t)^{-1} x0 g_plus(t) with exp(t xi) = g_plus g_minus^{-1}.
 
     Valid while the splitting of exp(t xi) exists; a vanishing pivot minor
@@ -134,18 +95,7 @@ def _conjugations(x0, xi, t: float):
     return via_plus, via_minus
 
 
-def _chart_observable(H: InvariantHamiltonian, n: int) -> Observable:
-    if isinstance(H, TracePower):
-        return trace_power(n, H.k)
-
-    def per_matrix(z):
-        # a custom invariant is a function of one matrix: map it over the stack
-        return np.array([H(x) for x in z.reshape(-1, n, n)]).reshape(z.shape[:-1])
-
-    return Observable(name=H.name, fn=per_matrix)
-
-
-def sklyanin_reference_flow(x0, H: InvariantHamiltonian, t: float,
+def sklyanin_reference_flow(x0, H: TracePower, t: float,
                             step: float = 1e-3) -> np.ndarray:
     """Independent route to x(t): fixed-step integration on the group chart.
 
@@ -156,10 +106,10 @@ def sklyanin_reference_flow(x0, H: InvariantHamiltonian, t: float,
     return _reference_trajectory(x0, H, t, step).final.reshape(x0.shape)
 
 
-def _reference_trajectory(x0, H: InvariantHamiltonian, t: float, step: float):
+def _reference_trajectory(x0, H: TracePower, t: float, step: float):
     """The rk4 run of :func:`sklyanin_reference_flow` from the matrix x0."""
     n = x0.shape[0]
-    return rk4(chart_sklyanin(n), _chart_observable(H, n), x0.ravel(), t, step)
+    return rk4(chart_sklyanin(n), trace_power(n, H.k), x0.ravel(), t, step)
 
 
 @dataclass(frozen=True)
@@ -180,7 +130,7 @@ class FlowConsistencyReport:
         return float(self.trace_drifts.max(initial=0.0))
 
 
-def flow_consistency_sweep(x0, H: InvariantHamiltonian,
+def flow_consistency_sweep(x0, H: TracePower,
                            t_grid: Sequence[float]) -> FlowConsistencyReport:
     """Check flow(t1 + t2) = flow(t2) after flow(t1) across a time grid,
     plus conservation of trace powers and g_plus/g_minus agreement.  The

@@ -2,8 +2,7 @@
 
 Conserved set: the momentum vector M = p x q, the Lenz vector
 A = p x M + gamma q/|q|, and the energy H.  The map (p, q) -> (M, A, H)
-projects phase space onto a five-dimensional Poisson manifold whose level
-surfaces of H are classified by the sign of the energy.
+projects phase space onto a five-dimensional Poisson manifold.
 
 Sign constants.  With the chart convention {p_i, q_j} = +delta_ij the
 bracket relations come out as
@@ -19,7 +18,6 @@ Both constants were determined by a bootstrap evaluation (see the test
 suite, which recomputes and asserts them) and are frozen here.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +39,10 @@ __all__ = [
     "LENZ_LENZ_SIGN",
     "KeplerState",
     "P5Point",
-    "EnergyRegime",
-    "LevelSurface",
     "kepler_chart",
     "kepler_observables",
     "hamiltonian",
     "project_to_p5",
-    "classify_level_surface",
     "orbit_conservation_report",
     "radial_period",
 ]
@@ -94,29 +89,6 @@ class P5Point:
         scale = np.maximum(1.0, np.abs([self.M, self.A]).max(axis=(0, -1)))
         if np.any(np.abs(np.vecdot(self.M, self.A)) > 1e-10 * scale ** 2):
             raise ValueError("(M, A) must vanish")
-
-
-class EnergyRegime(enum.Enum):
-    NEGATIVE_ENERGY = "negative"
-    ZERO_ENERGY = "zero"
-    POSITIVE_ENERGY = "positive"
-
-
-@dataclass(frozen=True)
-class LevelSurface:
-    """Symplectic leaf of the reduced space at fixed energy E.
-
-    E < 0: product of two spheres, both of radius gamma/sqrt(2|E|), split by
-    the combinations M -+ A/sqrt(2|E|).
-    E = 0: tangent bundle of a sphere of radius gamma, (A, A) = gamma^2.
-    E > 0: hyperboloid leaf cut out by (M, A) = 0 and the quadratic relation
-    restated as (A, A) - 2E (M, M) = gamma^2; no sphere radius applies.
-    """
-
-    regime: EnergyRegime
-    energy: float
-    gamma: float
-    sphere_radius: float = None
 
 
 def _radius(q):
@@ -206,17 +178,6 @@ def project_to_p5(state: KeplerState) -> P5Point:
         A=_lenz(p, q, gamma),
         H=hamiltonian(p, q, gamma),
     )
-
-
-def classify_level_surface(E: float, gamma: float = 1.0) -> LevelSurface:
-    """Classify the energy-E leaf of the reduced five-dimensional space."""
-    if E < 0:
-        return LevelSurface(EnergyRegime.NEGATIVE_ENERGY, E, gamma,
-                            sphere_radius=gamma / np.sqrt(2.0 * abs(E)))
-    if E == 0:
-        return LevelSurface(EnergyRegime.ZERO_ENERGY, E, gamma,
-                            sphere_radius=gamma)
-    return LevelSurface(EnergyRegime.POSITIVE_ENERGY, E, gamma)
 
 
 def _collision_guard(z) -> str:

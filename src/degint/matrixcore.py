@@ -60,9 +60,6 @@ class ULPair:
         if np.abs(np.diag(gp) * np.diag(gm) - 1.0).max() > 1e-12 * scale:
             raise ValueError("diagonals of g_plus and g_minus are not reciprocal")
 
-    def reassemble(self) -> np.ndarray:
-        return self.g_plus @ np.linalg.inv(self.g_minus)
-
 
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring around a truncated series.

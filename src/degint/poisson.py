@@ -38,7 +38,6 @@ __all__ = [
     "chart_relativistic_loglinear",
     "chart_heisenberg_double",
     "chart_sklyanin",
-    "standard_r",
 ]
 
 
@@ -288,23 +287,6 @@ def chart_relativistic_loglinear(n: int) -> PoissonChart:
         coord_labels=labels,
         field=field,
     )
-
-
-def standard_r(n: int) -> np.ndarray:
-    """Standard classical r-matrix in the defining representation.
-
-    r = (1/2) * Cartan part + sum_{i<j} E_ij (x) E_ji as an n^2 x n^2 matrix
-    on C^n (x) C^n.  The Cartan dual basis is taken for sl_n via the trace
-    form, i.e. the trace-part projection subtracts (1/2n) I (x) I.  Its
-    symmetric part is half the split Casimir and is Ad-invariant; it
-    satisfies the classical Yang-Baxter equation exactly.
-    """
-    if n < 2:
-        raise ValueError("standard r-matrix needs n >= 2")
-    r = np.zeros((n, n, n, n), dtype=complex)
-    i, k = np.indices((n, n))
-    r[i, k, k, i] = _r_mask(n)
-    return r.reshape(n * n, n * n) - (0.5 / n) * np.eye(n * n)
 
 
 def _r_mask(n):

@@ -17,17 +17,16 @@ from degint.calogero import (
     cm_central_flow,
     duality_fiber_check,
     h_cm,
-    h_rational_ruijsenaars,
     h_scm,
     joint_invariants,
     phi_psi_closed_form,
     quadratic_casimir_gradient,
     reconstruct_g,
     relation_residual,
-    ruij_characters,
     ruij_sweep,
     solve_phi_psi_oracle,
 )
+from degint.config import TOL
 from degint.errors import FormulaMismatchError, NonFiniteMatrixError, SingularChartPoint
 from degint.matrixcore import mat_exp
 
@@ -114,6 +113,86 @@ class TestHSCM:
         assert np.abs(np.diag(spin.mu)).max() < 1e-14
 
 
+def h_cm_loop(point):
+    """The per-pair loop of ``h_cm``: its oracle."""
+    p, q, kappa = point.p, point.h, point.kappa
+    value = np.dot(p, p)
+    for i in range(point.n):
+        for j in range(i + 1, point.n):
+            s = np.sin((q[i] - q[j]) / 2.0)
+            if abs(s) < 1e-12:
+                raise SingularChartPoint("coincident angles in the potential")
+            value += kappa ** 2 / (4.0 * s ** 2)
+    if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
+        raise ValueError("imaginary residue in the real-form Hamiltonian")
+    return float(value.real)
+
+
+def h_scm_loop(point, spin, denominators="rational"):
+    """The per-pair loop of ``h_scm``: its oracle."""
+    mu = spin.mu
+    value = np.dot(point.p, point.p)
+    for i in range(point.n):
+        for j in range(i + 1, point.n):
+            if denominators == "rational":
+                d = (point.h[i] - point.h[j]) ** 2
+            elif denominators == "trigonometric":
+                d = 4.0 * np.sin((point.h[i] - point.h[j]) / 2.0) ** 2
+            else:
+                raise ValueError(f"unknown denominator variant {denominators!r}")
+            if abs(d) < 1e-14:
+                raise SingularChartPoint("singular denominator in spin Hamiltonian")
+            value += mu[i, j] * mu[j, i] / d
+    return complex(value)
+
+
+class TestPairSumsAgainstLoops:
+    """``h_cm`` and ``h_scm`` sum over np.triu_indices pairs; the per-pair
+    loops agree to roundoff (the sums associate differently) and raise the
+    same errors."""
+
+    @staticmethod
+    def point(n, rng, kappa):
+        p = rng.normal(size=n)
+        h = np.sort(rng.uniform(-2.5, 2.5, size=n))
+        return CMPoint(p=p - p.mean(), h=h - h.mean(), kappa=kappa)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_values_match_the_loops(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(5):
+            pt = self.point(n, rng, 0.7)
+            mu = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            np.fill_diagonal(mu, 0.0)
+            spin = SpinData(mu)
+            want = h_cm_loop(pt)
+            assert abs(h_cm(pt) - want) <= 1e-14 * max(1.0, abs(want))
+            for variant in ("rational", "trigonometric"):
+                want = h_scm_loop(pt, spin, variant)
+                assert abs(h_scm(pt, spin, variant) - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_coincident_angles_raise(self):
+        pt = CMPoint(p=[0.5, -0.5], h=[np.pi, -np.pi], kappa=0.3)
+        spin = SpinData.rank_one(phi=[1.0, 2.0], kappa=0.3)
+        for fn in (h_cm, h_cm_loop, lambda pt: h_scm(pt, spin, "trigonometric"),
+                   lambda pt: h_scm_loop(pt, spin, "trigonometric")):
+            with pytest.raises(SingularChartPoint):
+                fn(pt)
+
+    def test_unknown_variant_raises(self):
+        pt = CMPoint(p=[0.5, -0.5], h=[0.3, -0.3], kappa=0.3)
+        spin = SpinData.rank_one(phi=[1.0, 2.0], kappa=0.3)
+        for fn in (h_scm, h_scm_loop):
+            with pytest.raises(ValueError, match="unknown denominator variant 'hyperbolic'"):
+                fn(pt, spin, "hyperbolic")
+
+    def test_imaginary_residue_raises(self):
+        pt = CMPoint(p=[0.5, -0.5], h=[0.3, -0.3], kappa=0.3j + 0.3)
+        for fn in (h_cm, h_cm_loop):
+            with pytest.raises(ValueError, match="imaginary residue"):
+                fn(pt)
+
+
 class TestCentralFlow:
     def test_time_zero_is_identity(self):
         x = np.diag([1.0, 2.0, -3.0]).astype(complex)
@@ -191,6 +270,15 @@ class TestPhiPsiClosedForm:
         assert sel.matched == "kappa-scaled"
         assert sel.residual_kappa_scaled < 1e-8
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_products_are_the_rebuilt_diagonal_bitwise(self, n):
+        """The products, taken without forming g, are kappa times the rank-1
+        kernel's prod_j R_ij bit for bit (u = 1, so g_ii)."""
+        h = random_h(n)
+        sel = phi_psi_closed_form(h, kappa=0.3 + 0.05j)
+        bare = calogero._ruij_parts(h, 1.0, 0.3 + 0.05j)[-2]
+        assert sel.values.tobytes() == ((0.3 + 0.05j) * bare).tobytes()
+
 
 class TestReconstruction:
     def test_defining_relation(self):
@@ -214,67 +302,60 @@ class TestReconstruction:
         assert g[0, 1] / g[1, 1] == pytest.approx(want)
 
 
+def characters(pt):
+    """(residuals, (tr g, tr g^2), h_char) of the rebuilt g, by the dual
+    routes that ``ruij_sweep`` and ``character_residuals`` run."""
+    return calogero._dual_residuals(*calogero._ruij_parts(pt.h, pt.u, pt.kappa))
+
+
 class TestCharacters:
     def test_trace_is_diagonal_sum(self):
         pt = random_ruij_point(3)
         g = reconstruct_g(pt)
-        tr = ruij_characters(pt, 1)
+        tr = characters(pt)[1]
         assert tr[0] == pytest.approx(np.trace(g))
 
     def test_dual_path_agreement(self):
         for n in (2, 3, 4):
             pt = random_ruij_point(n)
             g = reconstruct_g(pt)
-            tr = ruij_characters(pt, 2)
+            residuals, tr, _ = characters(pt)
             assert abs(tr[1] - np.trace(g @ g)) < 1e-10
+            assert residuals[:2].max() <= TOL.dual_path_reject
 
     def test_zero_u_gives_zero_characters(self):
         pt = RuijPoint(h=random_h(3), u=np.zeros(3), kappa=0.3)
-        assert np.abs(ruij_characters(pt, 2)).max() == 0.0
+        assert np.abs(characters(pt)[1]).max() == 0.0
 
 
 class TestRationalRuijsenaarsHamiltonian:
+    """The second character Hamiltonian (tr g^2 - (tr g)^2)/2 and its product
+    route -sum_{i<j} u_i u_j prod_{a in {i,j}, b outside} R_ab."""
+
     def test_single_nonzero_u_vanishes(self):
         u = np.zeros(3)
         u[1] = 1.7
         pt = RuijPoint(h=random_h(3), u=u, kappa=0.3)
-        assert abs(h_rational_ruijsenaars(pt)) < 1e-12
+        assert abs(characters(pt)[2]) < 1e-12
 
     def test_dual_paths_agree_n3(self):
         for _ in range(5):
             pt = random_ruij_point(3)
-            h_rational_ruijsenaars(pt)  # raises on disagreement beyond 1e-9
+            assert characters(pt)[0][2] <= TOL.dual_path
 
     def test_n2_is_minus_u1u2(self):
         pt = random_ruij_point(2)
-        assert h_rational_ruijsenaars(pt) == pytest.approx(-pt.u[0] * pt.u[1])
+        assert characters(pt)[2] == pytest.approx(-pt.u[0] * pt.u[1])
 
     def test_sign_for_positive_data(self):
         """All u_i > 0, real h, small real kappa: the value is negative."""
         pt = RuijPoint(h=random_h(4), u=RNG.uniform(0.5, 1.5, size=4),
                        kappa=0.05)
-        assert np.real(h_rational_ruijsenaars(pt)) < 0.0
-
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_returns_the_checked_value(self, monkeypatch, n):
-        """The value returned is the character value the dual-route check
-        compared, bit for bit, not a second evaluation of its formula."""
-        checked = []
-        dual_residuals = calogero._dual_residuals
-
-        def recorded(*args):
-            checked.append(dual_residuals(*args))
-            return checked[-1]
-
-        monkeypatch.setattr(calogero, "_dual_residuals", recorded)
-        for h, u in zip(*ruij_draws(ruij_cfg(n, 44, seed=11))):
-            got = h_rational_ruijsenaars(RuijPoint(h=h, u=u, kappa=0.3))
-            assert np.complex128(got).tobytes() == np.complex128(checked[-1][-1]).tobytes()
+        assert np.real(characters(pt)[2]) < 0.0
 
 
 class TestNonFiniteRebuild:
-    @pytest.mark.parametrize("check", [character_residuals, h_rational_ruijsenaars,
-                                       lambda pt: ruij_characters(pt, 2)])
+    @pytest.mark.parametrize("check", [character_residuals, lambda pt: characters(pt)])
     def test_infinite_u_raises_before_any_check(self, check):
         """A non-finite rebuilt g raises, never a NaN residual that passes."""
         pt = RuijPoint(h=random_h(3), u=np.array([np.inf, 1.0, 1.0]), kappa=0.3)

@@ -14,9 +14,7 @@ from degint.double import (
     RankOneClass,
     double_flow_conservation,
     duality_map,
-    entry_observable,
     fiber_check,
-    inverse_duality_map,
     moment,
     rank_one_consistency_oracle,
     rank_one_reduction,
@@ -46,6 +44,12 @@ def random_eigs(n, spread=0.4):
         gaps = [abs(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)]
         if min(gaps) > 0.1:
             return x
+
+
+def inverse_duality_map(pt):
+    """(x, y) -> (x y x^{-1}, x^{-1}): the inverse of ``duality_map``, the
+    oracle of its round trip."""
+    return DoublePoint(x=pt.x @ pt.y @ np.linalg.inv(pt.x), y=np.linalg.inv(pt.x))
 
 
 class TestMoment:
@@ -226,7 +230,8 @@ class TestRationalLimit:
         h, kappa = cli._distinct_h(n, rng), 0.3 + 0.1j
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         pt = calogero.RuijPoint(h=h, u=u, kappa=kappa)
-        want = np.append(calogero.ruij_characters(pt, 2), calogero.h_rational_ruijsenaars(pt))
+        _, traces, h_char = calogero._dual_residuals(*calogero._ruij_parts(pt.h, pt.u, kappa))
+        want = np.append(traces, h_char)
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errors = []
         for e in eps:
@@ -290,13 +295,6 @@ class TestDoubleFlows:
                                        trace_power_observable(4, block, 1),
                                        t_max=0.05, dt=1e-3, family=family)
         assert rep.max_abs_drift.max() <= 1e-7
-
-    def test_entry_observable_gradient(self):
-        obs = entry_observable(2, "y", 0, 1)
-        z = RNG.normal(size=8).astype(complex)
-        assert obs(z) == z[5]
-        g = obs.gradient(z)
-        assert g[5] == 1.0 and np.abs(np.delete(g, 5)).max() == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -609,3 +607,47 @@ class TestStackedChecks:
         assert caught.value.sample == 2
         with pytest.raises(ValueError, match=r"\(phi, psi\) must equal"):
             RankOneClass(q=Q, phi=np.ones(3), psi=psi[2])
+
+
+def sl_sample_loop(n, rng, spread):
+    """One det-1 matrix 1 + spread (re + i im), drawn and scaled on its own:
+    the oracle of ``cli._sl_matrices``."""
+    m = np.eye(n) + spread * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return m / np.linalg.det(m) ** (1.0 / n)
+
+
+def duality_moment_loop(cfg):
+    """The duality-moment deviation of ``relativistic-cm``, one pair at a
+    time: the oracle of the scenario's stacked check."""
+    rng = cli._rng_for(cfg, 999)
+    dev = 0.0
+    for _ in range(100):
+        pt = DoublePoint(x=sl_sample_loop(cfg.n, rng, 0.3), y=sl_sample_loop(cfg.n, rng, 0.3))
+        dev = max(dev, float(np.abs(moment(duality_map(pt)) - moment(pt)).max()))
+    return dev
+
+
+class TestStackedDualityCheck:
+    """``relativistic-cm`` checks its 100 drawn pairs in one stack; the
+    per-pair loop it replaced gives the same deviation bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("seed", [0, 7, 1000])
+    def test_equals_the_loop_bitwise(self, n, seed):
+        cfg = cli.ScenarioConfig(scenario="relativistic-cm", n=n, seed=seed, t_max=0.01)
+        got = dict(cli._scenario_relativistic_cm(cfg).residuals)["duality-moment-deviation"]
+        assert got == duality_moment_loop(cfg)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_sl_sample_is_the_per_matrix_draw_bitwise(self, n):
+        for spread in (0.25, 0.3, 0.35, 0.4):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(5):
+                assert (cli._sl_sample(n, rng, spread).tobytes()
+                        == sl_sample_loop(n, ref, spread).tobytes())
+
+    def test_moment_of_a_stack_is_each_pairs_moment(self):
+        pts = [random_pair(3) for _ in range(4)]
+        x, y = (np.stack([getattr(pt, side) for pt in pts]) for side in "xy")
+        for got, pt in zip(double._moment(*double._duality(x, y)), pts):
+            assert got.tobytes() == moment(duality_map(pt)).tobytes()

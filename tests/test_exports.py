@@ -1,0 +1,65 @@
+"""The package exports only what a scenario or an acceptance criterion runs."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import degint
+
+PACKAGE = Path(degint.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+# Exports that neither another src function nor the acceptance tests read.
+EXEMPT = {
+    "kepler.radial_period":
+        "the only reader of kepler.rk4, a binding the perfbench tracer test pins",
+    "kepler.orbit_conservation_report":
+        "the only reader of kepler.monitor, a binding the perfbench tracer test pins",
+}
+
+
+def _reads(path: Path) -> set:
+    """(name, top-level definition or None) of every name or attribute read
+    in the file, outside annotations."""
+    tree = ast.parse(path.read_text())
+    annotations = [a for node in ast.walk(tree) for a in (
+        getattr(node, "annotation", None), getattr(node, "returns", None)) if a is not None]
+    skip = {id(node) for a in annotations for node in ast.walk(a)}
+    return {(node.id if isinstance(node, ast.Name) else node.attr, getattr(top, "name", None))
+            for top in tree.body for node in ast.walk(top) if id(node) not in skip
+            and (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 or isinstance(node, ast.Attribute))}
+
+
+def test_every_export_has_a_reader():
+    """Each function or class in a module's ``__all__`` is read by a src
+    definition other than its own, or by ``tests/test_acceptance.py``; the
+    exemptions are exactly the ones listed, each with its reason."""
+    reads = {(name, (stem, top)) for stem in MODULES
+             for name, top in _reads(PACKAGE / f"{stem}.py")}
+    acceptance = {name for name, _ in _reads(Path(__file__).with_name("test_acceptance.py"))}
+    unread = set()
+    for stem in MODULES:
+        module = importlib.import_module(f"degint.{stem}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) or name in acceptance:
+                continue
+            if not any(read == name and site != (stem, name) for read, site in reads):
+                unread.add(f"{stem}.{name}")
+    assert unread == set(EXEMPT)
+
+
+def test_exported_names_exist():
+    """Every ``__all__`` name is defined, and every name the package imports
+    into ``degint`` is in its module's ``__all__`` where the module has one."""
+    for stem in MODULES:
+        module = importlib.import_module(f"degint.{stem}")
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(f"degint.{node.module}")
+            for alias in node.names:
+                assert hasattr(degint, alias.name)
+                assert alias.name in getattr(module, "__all__", (alias.name,)), alias.name

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from degint import facto
+from degint.config import TOL
 from degint.facto import (
-    CustomInvariant,
     TracePower,
     factorization_flow,
     flow_consistency_sweep,
@@ -23,6 +23,33 @@ def random_sl(n, spread=0.25):
     return m / np.linalg.det(m) ** (1.0 / n)
 
 
+def fd_left_differential(H, x):
+    """The left differential of an invariant H, any callable on matrices, by
+    central differences over the matrix-unit basis with step ``TOL.fd_step``;
+    exp(h E_ab) is formed exactly (E_ab is a unit or idempotent).  The
+    oracle of the closed form k x^k in ``left_differential``."""
+    step = TOL.fd_step
+    n = x.shape[0]
+    d = np.empty((n, n), dtype=complex)
+    eye = np.eye(n)
+    for a in range(n):
+        for b in range(n):
+            e = np.zeros((n, n)); e[a, b] = 1.0
+            if a == b:
+                gp = eye + (np.exp(step) - 1.0) * e
+                gm = eye + (np.exp(-step) - 1.0) * e
+            else:
+                gp = eye + step * e
+                gm = eye - step * e
+            d[a, b] = (H(gp @ x) - H(gm @ x)) / (2.0 * step)
+    # tr(D E_ab) = d_ab  =>  D = d^T
+    return d.T - (np.trace(d) / n) * eye
+
+
+def tr2(m):
+    return np.trace(m @ m)
+
+
 class TestLeftDifferential:
     def test_trace_power_one_explicit(self):
         """H = tr(x) at diag(2, 1/2): x minus its trace part."""
@@ -31,27 +58,24 @@ class TestLeftDifferential:
         assert np.abs(d - np.diag([0.75, -0.75])).max() < 1e-14
 
     def test_custom_matches_formula(self):
-        """Finite-difference differential of tr(x^2) is 2 x^2 traceless."""
+        """Finite-difference differential of tr(x^k) is k x^k traceless."""
         x = random_sl(3)
-        d_fd = left_differential(CustomInvariant("tr2", lambda m: np.trace(m @ m)), x)
         want = 2.0 * x @ x
         want -= np.trace(want) / 3.0 * np.eye(3)
-        assert np.abs(d_fd - want).max() < 1e-6
+        assert np.abs(fd_left_differential(tr2, x) - want).max() < 1e-6
+        for k in (1, 2, 3):
+            d_fd = fd_left_differential(TracePower(k), x)
+            assert np.abs(d_fd - left_differential(TracePower(k), x)).max() < 1e-6
 
     def test_constant_hamiltonian(self):
         x = random_sl(2)
-        d = left_differential(CustomInvariant("c", lambda m: 1.0), x)
+        d = fd_left_differential(lambda m: 1.0, x)
         assert np.abs(d).max() < 1e-9
 
     def test_traceless(self):
         x = random_sl(3)
         for H in (TracePower(1), TracePower(2), TracePower(3)):
             assert abs(np.trace(left_differential(H, x))) < 1e-12
-
-    def test_custom_invariance_defect(self):
-        H = CustomInvariant("tr2", lambda m: np.trace(m @ m))
-        x, g = random_sl(3), random_sl(3)
-        assert H.invariance_defect(x, g) < 1e-9
 
 
 class TestFactorizationFlow:
@@ -93,8 +117,7 @@ class TestFactorizationFlow:
     def test_custom_invariant_flow_matches_trace_power(self):
         x0 = random_sl(2)
         exact = factorization_flow(x0, TracePower(2), 0.1)
-        via_custom = factorization_flow(
-            x0, CustomInvariant("tr(x^2)", lambda m: np.trace(m @ m)), 0.1)
+        via_custom = facto._conjugations(x0, fd_left_differential(tr2, x0), 0.1)[0]
         assert np.abs(exact - via_custom).max() < 1e-5
 
 
@@ -113,9 +136,7 @@ class TestConsistencySweep:
                                       TracePower(1), 0.0)
         assert np.abs(direct - composed).max() < 1e-12
 
-    @pytest.mark.parametrize("H", [
-        TracePower(2), CustomInvariant("tr(x^2)", lambda m: np.trace(m @ m))],
-        ids=["power", "custom"])
+    @pytest.mark.parametrize("H", [TracePower(2)], ids=["power"])
     def test_one_left_differential_at_x0_per_sweep(self, monkeypatch, H):
         """An m-point grid forms xi at x0 once and at each flow(t1) once,
         m + 1 left differentials, and reports bit for bit what the

@@ -7,8 +7,7 @@ import pytest
 
 from degint import integrate, kepler
 from degint.config import TOL
-from degint.double import entry_observable, projection_invariants, trace_power_observable
-from degint.facto import CustomInvariant, TracePower, _chart_observable
+from degint.double import projection_invariants, trace_power_observable
 from degint.integrate import _DP, _RK4, Trajectory, adaptive, monitor, rk4
 from degint.kepler import kepler_observables
 from degint.poisson import (
@@ -19,6 +18,7 @@ from degint.poisson import (
     coordinate,
     ham_vector_field,
     observable_product,
+    trace_power,
 )
 
 RNG = np.random.default_rng(2)
@@ -442,6 +442,13 @@ def matrix_states(n, blocks, m=40):
     return g.reshape(m, -1)
 
 
+def per_matrix(name, fn, n):
+    """A function of one n x n matrix as an Observable on the one-matrix
+    chart, called once per matrix of the stacked points."""
+    return Observable(name, lambda z: np.array([fn(x) for x in z.reshape(-1, n, n)])
+                      .reshape(z.shape[:-1]))
+
+
 KEPLER = kepler_observables(1.3)
 # family -> (stacked states, observables, whether every operation is elementwise)
 FAMILIES = {
@@ -449,9 +456,7 @@ FAMILIES = {
     "kepler-A-H": (kepler_states, KEPLER[3:], False),
     "coordinate": (kepler_states, [coordinate(6, i) for i in range(6)], True),
     "product": (kepler_states, [observable_product(KEPLER[0], coordinate(6, 4))], True),
-    "entry": (lambda: matrix_states(2, 2),
-              [entry_observable(2, b, i, j) for b in "xy" for i in (0, 1) for j in (0, 1)],
-              True),
+    "entry": (lambda: matrix_states(2, 2), [coordinate(8, k) for k in range(8)], True),
     "trace-power": (lambda: matrix_states(3, 2),
                     [trace_power_observable(3, b, k) for b in "xy" for k in (1, 2, 3)],
                     False),
@@ -459,10 +464,10 @@ FAMILIES = {
     "invariants-ruijsenaars": (lambda: matrix_states(2, 2),
                                projection_invariants(2, "ruijsenaars"), False),
     "chart-trace-power": (lambda: matrix_states(3, 1),
-                          [_chart_observable(TracePower(k), 3) for k in (1, 2, 3)], False),
+                          [trace_power(3, k) for k in (1, 2, 3)], False),
     "chart-custom": (lambda: matrix_states(3, 1),
-                     [_chart_observable(CustomInvariant("det", np.linalg.det), 3),
-                      _chart_observable(CustomInvariant("tr2", lambda m: np.trace(m @ m)), 3)],
+                     [per_matrix("det", np.linalg.det, 3),
+                      per_matrix("tr2", lambda m: np.trace(m @ m), 3)],
                      True),
 }
 

@@ -12,10 +12,8 @@ from degint.errors import SingularChartPoint
 from degint.kepler import (
     LENZ_LENZ_SIGN,
     QUADRATIC_RELATION_SIGN,
-    EnergyRegime,
     KeplerState,
     P5Point,
-    classify_level_surface,
     kepler_chart,
     kepler_observables,
     orbit_conservation_report,
@@ -203,26 +201,19 @@ class TestBracketRelations:
 
 
 class TestLevelSurfaces:
-    def test_negative_energy_sphere_radius(self):
-        leaf = classify_level_surface(-0.5, gamma=1.0)
-        assert leaf.regime is EnergyRegime.NEGATIVE_ENERGY
-        assert leaf.sphere_radius == pytest.approx(1.0)
-
     def test_zero_energy_radius_is_gamma(self):
-        leaf = classify_level_surface(0.0, gamma=2.0)
-        assert leaf.regime is EnergyRegime.ZERO_ENERGY
-        assert leaf.sphere_radius == pytest.approx(2.0)
-        # on the zero leaf (A, A) = gamma^2 for circular-degenerate data:
-        # directly from the quadratic relation at H = 0
-        s = random_state(gamma=2.0)
+        """Zero-energy leaf: the quadratic relation at H = 0 puts A on the
+        sphere (A, A) = gamma^2."""
+        gamma = 2.0
+        s = random_state(gamma=gamma)
         pt = project_to_p5(s)
-        assert (pt.A @ pt.A - 4.0) == pytest.approx(
+        assert (pt.A @ pt.A - gamma ** 2) == pytest.approx(
             QUADRATIC_RELATION_SIGN * 2 * (pt.M @ pt.M) * pt.H, rel=1e-9)
-
-    def test_positive_energy(self):
-        leaf = classify_level_surface(1.0)
-        assert leaf.regime is EnergyRegime.POSITIVE_ENERGY
-        assert leaf.sphere_radius is None
+        # the same state with its momentum rescaled onto H = 0
+        p = s.p * np.sqrt(2.0 * gamma / np.linalg.norm(s.q)) / np.linalg.norm(s.p)
+        zero = project_to_p5(KeplerState(p=p, q=s.q, gamma=gamma))
+        assert abs(zero.H) < 1e-12
+        assert np.sqrt(zero.A @ zero.A) == pytest.approx(gamma, rel=1e-9)
 
     def test_hyperboloid_casimir_constant(self):
         """Scattering leaf: (A, A) - 2E (M, M) = gamma^2 for every state."""

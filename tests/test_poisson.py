@@ -20,7 +20,7 @@ from degint.poisson import (
     jacobi_defect,
     leibniz_defect,
     observable_product,
-    standard_r,
+    trace_power,
     _r_mask,
 )
 
@@ -123,7 +123,7 @@ class TestBracketBasics:
 
 class TestTracePower:
     """The one tr(x^k) builder, as the pair chart's trace_power_observable and
-    as the Sklyanin chart's TracePower observable."""
+    on the one-matrix chart that the Sklyanin reference flow integrates."""
 
     @staticmethod
     def central_differences(obs, z, h=1e-5):
@@ -135,10 +135,8 @@ class TestTracePower:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gradient_matches_central_differences(self, k):
-        from degint.facto import TracePower, _chart_observable
-
         cases = [(trace_power_observable(3, block, k), heisenberg_point(3)) for block in "xy"]
-        cases.append((_chart_observable(TracePower(k), 3), random_group_element(3).ravel()))
+        cases.append((trace_power(3, k), random_group_element(3).ravel()))
         for obs, z in cases:
             exact = obs.gradient(z)
             assert exact.shape == z.shape
@@ -292,6 +290,24 @@ class TestRelativisticChart:
         c = chart_relativistic_loglinear(2)
         with pytest.raises(SingularChartPoint):
             c.pi(np.array([0.0, 1.0, 1.0, 1.0], dtype=complex))
+
+
+def standard_r(n: int) -> np.ndarray:
+    """Standard classical r-matrix in the defining representation.
+
+    r = (1/2) * Cartan part + sum_{i<j} E_ij (x) E_ji as an n^2 x n^2 matrix
+    on C^n (x) C^n.  The Cartan dual basis is taken for sl_n via the trace
+    form, i.e. the trace-part projection subtracts (1/2n) I (x) I.  Its
+    symmetric part is half the split Casimir and is Ad-invariant; it
+    satisfies the classical Yang-Baxter equation exactly.
+
+    Built from ``poisson._r_mask``, the mask the Heisenberg-double and
+    Sklyanin fields read, so the r-matrix checks below check that mask.
+    """
+    r = np.zeros((n, n, n, n), dtype=complex)
+    i, k = np.indices((n, n))
+    r[i, k, k, i] = _r_mask(n)
+    return r.reshape(n * n, n * n) - (0.5 / n) * np.eye(n * n)
 
 
 class TestStandardR:
