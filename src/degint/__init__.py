@@ -51,7 +51,6 @@ from .calogero import (
 )
 from .double import (
     DoublePoint,
-    RankOneClass,
     double_flow_conservation,
     duality_map,
     fiber_check,

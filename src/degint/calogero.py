@@ -53,16 +53,14 @@ def _check_traceless(v, name):
 
 def _raise_first(bad, error, message, value=None):
     """Raise ``error`` for the first sample flagged in ``bad`` (one flag per
-    sample), recording its index as ``sample`` and quoting its ``value``.
-    ``message`` may also be a function of that index returning the text."""
+    sample), quoting its ``value``.  ``message`` may also be a function of
+    that sample's index returning the text."""
     flagged = np.flatnonzero(bad)
     if flagged.size:
         k = int(flagged[0])
         if callable(message):
             message = message(k)
-        exc = error(message if value is None else f"{message} {np.ravel(value)[k]:.3g}")
-        exc.sample = k
-        raise exc
+        raise error(message if value is None else f"{message} {np.ravel(value)[k]:.3g}")
 
 
 def _check_chart(h, kappa=None):
@@ -239,25 +237,14 @@ def h_cm(point: CMPoint) -> float:
     return float(value.real)
 
 
-def h_scm(point: CMPoint, spin: SpinData, denominators: str = "rational") -> complex:
-    """Spin Hamiltonian <p, p> + sum_{i<j} mu_ij mu_ji / d_ij.
-
-    ``denominators="rational"`` uses d_ij = (h_i - h_j)^2; ``"trigonometric"``
-    uses d_ij = 4 sin^2((h_i - h_j)/2) with positions read as angles.  Both
-    realizations are exposed because the reduced pairing can be taken in
-    either the additive or the compact picture.
-    """
+def h_scm(point: CMPoint, spin: SpinData) -> complex:
+    """Spin Hamiltonian <p, p> + sum_{i<j} mu_ij mu_ji / (4 sin^2((h_i - h_j)/2)),
+    positions read as angles."""
     mu = spin.mu
     if mu.shape[0] != point.n:
         raise ValueError("spin matrix size does not match the point")
     i, j = np.triu_indices(point.n, 1)
-    diff = point.h[i] - point.h[j]
-    if denominators == "rational":
-        d = _scalar_power(diff, 2)
-    elif denominators == "trigonometric":
-        d = 4.0 * _scalar_power(np.sin(diff / 2.0), 2)
-    else:
-        raise ValueError(f"unknown denominator variant {denominators!r}")
+    d = 4.0 * _scalar_power(np.sin((point.h[i] - point.h[j]) / 2.0), 2)
     if np.any(np.abs(d) < 1e-14):
         raise SingularChartPoint("singular denominator in spin Hamiltonian")
     return complex(np.dot(point.p, point.p) + np.sum(mu[i, j] * mu[j, i] / d))
@@ -406,26 +393,18 @@ def _stacked(kernel, *stacks) -> dict:
     ``_SWEEP_CHUNK`` samples of the (samples, ...) ``stacks``, concatenated.
 
     When samples fail, the lowest-index one raises, with the checks in the
-    per-point order: a pass that raises for sample k (``_raise_first``)
-    reruns the samples before k, one of which may fail a later check, and a
-    pass that numpy.linalg fails as a whole, for one singular matrix, reruns
-    its samples one at a time."""
-    passes = [_lowest_first(kernel, *(a[s:s + _SWEEP_CHUNK] for a in stacks))
-              for s in range(0, max(len(stacks[0]), 1), _SWEEP_CHUNK)]
+    per-point order: a pass that raises reruns its samples one at a time,
+    and the first of them that raises decides."""
+    passes = []
+    for s in range(0, max(len(stacks[0]), 1), _SWEEP_CHUNK):
+        part = [a[s:s + _SWEEP_CHUNK] for a in stacks]
+        try:
+            passes.append(kernel(*part))
+        except (DegintError, ValueError):           # LinAlgError is a ValueError
+            for i in range(len(part[0])):
+                kernel(*(a[i:i + 1] for a in part))
+            raise
     return {name: np.concatenate([p[name] for p in passes]) for name in passes[0]}
-
-
-def _lowest_first(kernel, *stacks):
-    try:
-        return kernel(*stacks)
-    except (DegintError, ValueError) as exc:        # LinAlgError is a ValueError
-        k = getattr(exc, "sample", None)
-        if k:
-            _lowest_first(kernel, *(a[:k] for a in stacks))
-        elif k is None and len(stacks[0]) > 1:
-            for i in range(len(stacks[0])):
-                _lowest_first(kernel, *(a[i:i + 1] for a in stacks))
-        raise
 
 
 def ruij_sweep(h, u, kappa: complex) -> dict:
@@ -527,15 +506,15 @@ def duality_fiber_check(x, gamma, samples: int = 4,
     if np.abs(x - np.diag(np.diag(x))).max() > 1e-12:
         raise ValueError("x must be diagonal (regular cross-section)")
     _, v = spectral(gamma)
+    vinv = np.linalg.inv(v)
 
     first = [(x, gamma @ _torus_element(n, rng)) for _ in range(samples)]
     second = []
     for _ in range(samples):
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         c -= c.mean()
-        second.append((x + v @ np.diag(c) @ np.linalg.inv(v), gamma))
+        second.append((x + v @ np.diag(c) @ vinv, gamma))
 
     # z = 1, c = 0: both parametrizations land on the base point
     return _separation_report(
-        first, second, (x, gamma @ np.eye(n)),
-        (x + v @ np.zeros((n, n)) @ np.linalg.inv(v), gamma))
+        first, second, (x, gamma @ np.eye(n)), (x + v @ np.zeros((n, n)) @ vinv, gamma))

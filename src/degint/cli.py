@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calogero, double, facto, kepler
 from .config import TOL
-from .errors import DegintError, SingularChartPoint
+from .errors import DegintError, FactorizationNotDefined, SingularChartPoint
 from .integrate import FLAG_DIVISOR, monitor, rk4
 from .matrixcore import trace_words
 from .poisson import (
@@ -84,7 +84,8 @@ class ScenarioConfig:
                   "t_max": (lambda t: t >= 0, "t-max must be nonnegative"),
                   "dt": (lambda dt: dt > 0, "dt must be positive"),
                   "tol": (lambda tol: 1e-13 <= tol <= 1e-6, "tol must lie in [1e-13, 1e-6]"),
-                  "samples": (lambda m: m >= 1, "samples must be positive")}
+                  "samples": (lambda m: m >= 1, "samples must be positive"),
+                  "q": (lambda q: q != 0, "q must be nonzero")}
         for key in ("seed", *spec.options):
             value = getattr(self, key)
             if key in ("n", "seed", "samples"):
@@ -111,8 +112,9 @@ class ScenarioResult:
 
 def _integrator_metrics(trajectories) -> dict:
     """The integrator's work over a report's runs, summed."""
-    return {key: sum(getattr(t, key) for t in trajectories)
-            for key in ("accepted_steps", "rejected_steps", "field_evaluations")}
+    return {"accepted_steps": sum(t.accepted_steps for t in trajectories),
+            "rejected_steps": sum(t.rejected_steps for t in trajectories),
+            "field_evaluations": sum(t.field_evaluations for t in trajectories)}
 
 
 # One CSV cell in 17-significant-digit scientific notation; Python and numpy
@@ -148,31 +150,40 @@ def _distinct_h(n, rng):
 # one is chosen: an h row of ruijsenaars-rational, an (re, im) pair of rows
 # for the x of relativistic-ruijsenaars.  A sample none of whose attempts
 # passes the gap test (for h 2e-4 at n = 6 and 4% at n = 8, for x 7e-11
-# and 3e-7) is redrawn the per-sample way.
+# and 3e-7) draws a window twice as long from its own generator, then 4x
+# and so on.
 _DRAW_BLOCK = 16
 
 
-def _block_draws(cfg, offset, width, extra, candidates, redraw):
-    """Bit for bit the per-sample draws ``redraw(n, rng)`` (attempts of
-    ``width`` normal rows until one passes, then ``extra`` rows) from
-    generator seed + offset + i for sample i.  The normal stream does not
-    depend on how it is split, so each sample draws _DRAW_BLOCK attempts and
-    the extra rows at once; ``candidates`` maps each attempt with the rows
-    after it, (samples, _DRAW_BLOCK, width + extra, n), to (passes, values...).
-    Passes of ``calogero._SWEEP_CHUNK`` samples keep the memory flat."""
-    n, block = cfg.n, _DRAW_BLOCK
-    window = width * np.arange(block)[:, None] + np.arange(width + extra)
-    passes = []
-    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
-        stop = min(start + calogero._SWEEP_CHUNK, cfg.samples)
-        rows = np.stack([_rng_for(cfg, offset + i).normal(size=(block * width + extra, n))
-                         for i in range(start, stop)])
+def _block_draws(cfg, offset, width, extra, candidates):
+    """For sample i, from generator seed + offset + i: attempts of ``width``
+    normal rows until one passes, then ``extra`` rows.  ``candidates`` maps
+    each attempt with the rows after it, (samples, attempts, width + extra,
+    n), to (passes, values...), and the values of the first passing attempt
+    are kept.  The normal stream does not depend on how it is split, so
+    each sample draws _DRAW_BLOCK attempts and the extra rows at once, and
+    a sample with no passing attempt draws a window twice as long, then 4x
+    and so on: bit for bit the per-sample loop.  Passes of
+    ``calogero._SWEEP_CHUNK`` samples keep the memory flat."""
+    def first_passing(samples, block):
+        window = width * np.arange(block)[:, None] + np.arange(width + extra)
+        rows = np.stack([_rng_for(cfg, offset + i).normal(size=(block * width + extra, cfg.n))
+                         for i in samples])
         ok, *values = candidates(rows[:, window])
         first = ok.argmax(axis=1)
-        values = [v[np.arange(stop - start), first] for v in values]
-        for i in np.flatnonzero(~ok.any(axis=1)):
-            for v, drawn in zip(values, redraw(n, _rng_for(cfg, offset + start + int(i)))):
-                v[i] = drawn
+        return ok.any(axis=1), [v[np.arange(len(samples)), first] for v in values]
+
+    passes = []
+    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
+        samples = list(range(start, min(start + calogero._SWEEP_CHUNK, cfg.samples)))
+        found, values = first_passing(samples, _DRAW_BLOCK)
+        missed, block = np.flatnonzero(~found), _DRAW_BLOCK
+        while missed.size:
+            block *= 2
+            found, redrawn = first_passing([samples[i] for i in missed], block)
+            for v, drawn in zip(values, redrawn):
+                v[missed] = drawn
+            missed = missed[~found]
         passes.append(values)
     return tuple(np.concatenate(column) for column in zip(*passes))
 
@@ -187,8 +198,7 @@ def _rank1_draws(cfg):
         gap = (h[..., 1:] - h[..., :-1]).min(axis=-1, initial=np.inf)
         return gap > 0.1, h.astype(complex), w[..., 1, :] + 1j * w[..., 2, :]
 
-    return _block_draws(cfg, 1, 1, 2, candidates, lambda n, rng: (
-        _distinct_h(n, rng), rng.normal(size=n) + 1j * rng.normal(size=n)))
+    return _block_draws(cfg, 1, 1, 2, candidates)
 
 
 def _unimodular_eigs(re, im):
@@ -218,9 +228,7 @@ def _relativistic_draws(cfg):
         x = _unimodular_eigs(w[..., 0, :], w[..., 1, :])
         return _eig_gap(x) > 0.1, x, w[..., 2, :] + 1j * w[..., 3, :], w[..., 4, :] + 0.5
 
-    return _block_draws(cfg, 1000, 2, 3, candidates, lambda n, rng: (
-        _distinct_eigs(n, rng), rng.normal(size=n) + 1j * rng.normal(size=n),
-        rng.normal(size=n) + 0.5))
+    return _block_draws(cfg, 1000, 2, 3, candidates)
 
 
 # ----------------------------------------------------------------------
@@ -295,8 +303,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     p -= p.mean()
     point = calogero.CMPoint(p=p, h=h, kappa=kappa)
     spin = calogero.SpinData.rank_one(phi=rng.uniform(0.5, 1.5, size=n), kappa=kappa)
-    resum = abs(calogero.h_scm(point, spin, "trigonometric") - calogero.h_cm(
-        calogero.CMPoint(p=p, h=h, kappa=kappa)))
+    resum = abs(calogero.h_scm(point, spin) - calogero.h_cm(point))
     rank1_res = np.abs(spin.mu * spin.mu.T - kappa ** 2)[~np.eye(n, dtype=bool)].max()
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
@@ -423,7 +430,7 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
             xi = facto.left_differential(H, x0)
             xts = np.stack([facto._conjugations(x0, xi, t)[0] for t in ts])
             runs.append(facto._reference_trajectory(x0, H, cfg.t_max, cfg.dt))
-        except DegintError:
+        except FactorizationNotDefined:
             flags.append(FLAG_DIVISOR)
             continue
         ref = runs[-1].final.reshape(n, n)

@@ -49,7 +49,6 @@ from .poisson import Observable, chart_heisenberg_double, trace_power
 
 __all__ = [
     "DoublePoint",
-    "RankOneClass",
     "moment",
     "duality_map",
     "fiber_check",
@@ -114,38 +113,6 @@ def _class_eigenvalues(q, n):
     return ev[np.lexsort((ev.imag, ev.real))]
 
 
-@dataclass(frozen=True)
-class RankOneClass:
-    """Rank-1 conjugacy class data: z = phi psi^T + q^{-1} id.
-
-    Invariants: (phi, psi) = q^{n-1} - q^{-1}, and the eigenvalues of z are
-    (q^{n-1}, q^{-1}, ..., q^{-1}).
-    """
-
-    q: complex
-    phi: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex).ravel()
-        psi = np.asarray(self.psi, dtype=complex).ravel()
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-        _check_pairing(self.q, phi, psi)
-
-    @property
-    def n(self) -> int:
-        return len(self.phi)
-
-    def matrix(self) -> np.ndarray:
-        return np.outer(self.phi, self.psi) + np.eye(self.n) / self.q
-
-    def eigenvalues(self) -> np.ndarray:
-        return _class_eigenvalues(self.q, self.n)
-
-
 def _moment(x, y):
     """x y x^{-1} y^{-1} for x and y stacked alike as (..., n, n)."""
     return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
@@ -168,13 +135,18 @@ def duality_map(pt: DoublePoint) -> DoublePoint:
     return DoublePoint(x=x, y=y)
 
 
-def _centralizer_element(m, rng) -> np.ndarray:
-    """Random determinant-1 element commuting with m (m semisimple)."""
+def _centralizer_elements(m, samples, rng) -> list:
+    """Random determinant-1 elements commuting with m (m semisimple), one
+    per sample; the eigenvector matrix of m and its inverse are formed once."""
     _, v = spectral(m)
+    vinv = np.linalg.inv(v)
     n = m.shape[0]
-    lam = np.exp(rng.normal(size=n) * 0.3 + 1j * rng.normal(size=n) * 0.3)
-    lam /= np.prod(lam) ** (1.0 / n)
-    return v @ np.diag(lam) @ np.linalg.inv(v)
+    out = []
+    for _ in range(samples):
+        lam = np.exp(rng.normal(size=n) * 0.3 + 1j * rng.normal(size=n) * 0.3)
+        lam /= np.prod(lam) ** (1.0 / n)
+        out.append(v @ np.diag(lam) @ vinv)
+    return out
 
 
 def fiber_check(pt: DoublePoint, samples: int = 4,
@@ -188,10 +160,8 @@ def fiber_check(pt: DoublePoint, samples: int = 4,
     failed.
     """
     rng = rng or np.random.default_rng(0)
-    first = [(pt.x, pt.y @ _centralizer_element(pt.x, rng))
-             for _ in range(samples)]
-    second = [(pt.x @ _centralizer_element(pt.y, rng), pt.y)
-              for _ in range(samples)]
+    first = [(pt.x, pt.y @ z) for z in _centralizer_elements(pt.x, samples, rng)]
+    second = [(pt.x @ z, pt.y) for z in _centralizer_elements(pt.y, samples, rng)]
     eye = np.eye(pt.n)
     return _separation_report(first, second, (pt.x, pt.y @ eye),
                               (pt.x @ eye, pt.y))
@@ -207,13 +177,10 @@ def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankOneReduction:
-    """Result of the rank-1 reduction, with its arbitration record."""
+    """Result of the rank-1 reduction: the pair and how far its moment value
+    lies from the rank-1 class."""
 
     point: DoublePoint
-    rank_one: RankOneClass
-    oracle_products: np.ndarray          # psi_i phi_i from the dense solve
-    residual_naive: float                # naive product formula vs oracle
-    residual_corrected: float            # x_i-corrected formula vs oracle
     mu_eigenvalue_deviation: float
 
 
@@ -223,9 +190,9 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
     x = diag(x_eigs), gauge phi_i = 1.  The off-diagonal entries are
     y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}); the supplied ``y_diag``
     fills the diagonal.  The products psi_i phi_i come from the consistency
-    oracle; both closed-form candidates are compared against it and the
-    residuals recorded.  The moment value mu(x, y) is then tested against
-    the class eigenvalues (q^{n-1}, q^{-1}, ..., q^{-1}).
+    oracle; both closed-form candidates are compared against it, and the
+    x_i-corrected one must match.  The moment value mu(x, y) is then tested
+    against the class eigenvalues (q^{n-1}, q^{-1}, ..., q^{-1}).
 
     Both factors are rescaled to unit determinant before pairing (the
     moment value is insensitive to scalar factors).
@@ -235,13 +202,8 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
     if len(ydiag) != len(x):
         raise ValueError("y_diag length must match x_eigs")
     r = _reductions(x[None], q, ydiag[None])
-    return RankOneReduction(
-        point=DoublePoint(x=r["x"][0], y=r["y"][0]),
-        rank_one=RankOneClass(q=q, phi=np.ones(len(x)), psi=r["products"][0]),
-        oracle_products=r["products"][0],
-        residual_naive=float(r["residual_naive"][0]),
-        residual_corrected=float(r["residual_corrected"][0]),
-        mu_eigenvalue_deviation=float(r["mu_eigenvalue_deviation"][0]))
+    return RankOneReduction(point=DoublePoint(x=r["x"][0], y=r["y"][0]),
+                            mu_eigenvalue_deviation=float(r["mu_eigenvalue_deviation"][0]))
 
 
 def _reductions(x, q, ydiag) -> dict:
@@ -271,7 +233,7 @@ def _reductions(x, q, ydiag) -> dict:
     xmat[..., d, d] = x
     xmat /= _scalar_power(np.linalg.det(xmat), 1.0 / n)[..., None, None]
     y = y / _scalar_power(np.linalg.det(y), 1.0 / n)[..., None, None]
-    # the checks of DoublePoint and RankOneClass
+    # the checks of DoublePoint, and the pairing of the rank-1 class
     _raise_first(~(np.isfinite(xmat).all(axis=(-2, -1)) & np.isfinite(y).all(axis=(-2, -1))),
                  NonFiniteMatrixError, "matrix has NaN or Inf entries")
     _check_unimodular(xmat, y)
@@ -289,10 +251,9 @@ def _reductions(x, q, ydiag) -> dict:
 
 @dataclass(frozen=True)
 class RelativisticHamiltonians:
-    """Character Hamiltonians of the second family on the reduced chart."""
+    """Dual-route residuals of the second family's character Hamiltonians
+    on the reduced chart."""
 
-    traces: np.ndarray        # (tr y, tr y^2), matrix route
-    h2: complex               # second Hamiltonian, (tr y^2 - (tr y)^2)/2 route
     residual_tr_y: float      # reduced formula vs matrix trace
     residual_tr_y2: float
     residual_h2: float        # product formula vs character route
@@ -311,7 +272,6 @@ def relativistic_hamiltonians(x_eigs, u, q: complex) -> RelativisticHamiltonians
     u = np.asarray(u, dtype=complex).ravel()
     h = _hamiltonians(x[None], u[None], q)
     return RelativisticHamiltonians(
-        traces=h["traces"][0], h2=h["h2"][0],
         residual_tr_y=float(h["residual_tr_y"][0]),
         residual_tr_y2=float(h["residual_tr_y2"][0]),
         residual_h2=float(h["residual_h2"][0]))

@@ -22,8 +22,7 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .integrate import rk4
-from .matrixcore import (ULPair, as_matrix, mat_exp, trace_words, traces_of_powers,
-                         ul_split_factorize)
+from .matrixcore import ULPair, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
 from .poisson import chart_sklyanin, trace_power
 
 __all__ = [
@@ -49,9 +48,6 @@ class TracePower:
     @property
     def name(self) -> str:
         return f"tr(x^{self.k})"
-
-    def __call__(self, x) -> complex:
-        return complex(trace_words(x, x, [(self.k, 0, 0, 0)])[0])
 
 
 def _traceless(m):
@@ -114,9 +110,9 @@ def _reference_trajectory(x0, H: TracePower, t: float, step: float):
 
 @dataclass(frozen=True)
 class FlowConsistencyReport:
-    """Semigroup and conservation diagnostics for the exact flow."""
+    """Semigroup and conservation diagnostics for the exact flow, one entry
+    per point of the time grid."""
 
-    t_grid: np.ndarray
     semigroup_residuals: np.ndarray      # flow(t_i + t_{i+1}) vs composition
     trace_drifts: np.ndarray             # max drift of tr(x^k), k <= n
     conjugation_agreements: np.ndarray   # g_plus vs g_minus per grid point
@@ -154,7 +150,6 @@ def flow_consistency_sweep(x0, H: TracePower,
                      / max(1.0, np.abs(direct).max()))
 
     return FlowConsistencyReport(
-        t_grid=t_grid,
         semigroup_residuals=np.array(semis),
         trace_drifts=np.array(drifts),
         conjugation_agreements=np.array(agrees),

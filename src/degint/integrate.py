@@ -48,15 +48,9 @@ class ConservationReport:
 
     names: tuple
     values: np.ndarray           # (states, observables)
-    initial: np.ndarray
     max_abs_drift: np.ndarray
     max_rel_drift: np.ndarray
-    accepted_steps: int
-    rejected_steps: int
     flags: tuple
-
-    def drift(self, name: str) -> float:
-        return float(self.max_abs_drift[self.names.index(name)])
 
 
 # Butcher tableau of an explicit Runge-Kutta method; ``b_low`` holds the
@@ -200,10 +194,7 @@ def monitor(trajectory: Trajectory,
     return ConservationReport(
         names=names,
         values=values,
-        initial=initial,
         max_abs_drift=max_abs,
         max_rel_drift=max_rel,
-        accepted_steps=trajectory.accepted_steps,
-        rejected_steps=trajectory.rejected_steps,
         flags=trajectory.flags,
     )

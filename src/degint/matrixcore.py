@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import (
+    ConsistencyError,
     FactorizationNotDefined,
     MatrixOverflowError,
     NearDegenerateSpectrum,
@@ -54,11 +55,11 @@ class ULPair:
         gp, gm = self.g_plus, self.g_minus
         scale = max(np.abs(gp).max(), np.abs(gm).max(), 1.0)
         if np.abs(np.tril(gp, -1)).max(initial=0.0) > TOL.triangular * scale:
-            raise ValueError("g_plus is not upper triangular")
+            raise ConsistencyError("g_plus is not upper triangular")
         if np.abs(np.triu(gm, 1)).max(initial=0.0) > TOL.triangular * scale:
-            raise ValueError("g_minus is not lower triangular")
+            raise ConsistencyError("g_minus is not lower triangular")
         if np.abs(np.diag(gp) * np.diag(gm) - 1.0).max() > 1e-12 * scale:
-            raise ValueError("diagonals of g_plus and g_minus are not reciprocal")
+            raise ConsistencyError("diagonals of g_plus and g_minus are not reciprocal")
 
 
 def mat_exp(a) -> np.ndarray:

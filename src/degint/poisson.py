@@ -54,7 +54,6 @@ class PoissonChart:
 
     name: str
     dim: int
-    coord_labels: tuple
     field: Callable[[np.ndarray, np.ndarray], np.ndarray]
     selfcheck: bool = False
 
@@ -242,33 +241,14 @@ def chart_canonical(n: int) -> PoissonChart:
     return PoissonChart(
         name=f"canonical(n={n})",
         dim=2 * n,
-        coord_labels=tuple(f"{c}{i + 1}" for c in "pq" for i in range(n)),
         field=lambda z, g: g[swap] * sign,
     )
 
 
-def chart_cm_loglinear(n: int, variant: str = "canonical") -> PoissonChart:
-    """Reduced Calogero-Moser charts.
-
-    ``variant="canonical"``: coordinates (h_1..h_n, u_1..u_n) with
-    {h_i, u_j} = delta_ij and vanishing h-h, u-u brackets (the rational
-    reduced chart).  ``variant="exponential"``: coordinates (p_1..p_n,
-    h_1..h_n) with {p_i, h_j} = delta_ij h_j, so ratios h_i/h_j bracket
-    log-linearly against the momenta; Pi . g = (h g_h, -h g_p).
-    """
-    if variant == "canonical":
-        return replace(chart_canonical(n), name=f"cm-loglinear(n={n})",
-                       coord_labels=tuple(f"{c}{i + 1}" for c in "hu" for i in range(n)))
-    if variant == "exponential":
-        labels = (tuple(f"p{i + 1}" for i in range(n))
-                  + tuple(f"h{i + 1}" for i in range(n)))
-        return PoissonChart(
-            name=f"cm-exponential(n={n})",
-            dim=2 * n,
-            coord_labels=labels,
-            field=lambda z, g: np.concatenate([z[n:] * g[n:], -z[n:] * g[:n]]),
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+def chart_cm_loglinear(n: int) -> PoissonChart:
+    """Reduced rational Calogero-Moser chart: coordinates (h_1..h_n,
+    u_1..u_n) with {h_i, u_j} = delta_ij and vanishing h-h, u-u brackets."""
+    return replace(chart_canonical(n), name=f"cm-loglinear(n={n})")
 
 
 def chart_relativistic_loglinear(n: int) -> PoissonChart:
@@ -279,12 +259,9 @@ def chart_relativistic_loglinear(n: int) -> PoissonChart:
             raise SingularChartPoint("relativistic chart needs nonzero coordinates")
         return np.concatenate([z[:n] * z[n:] * g[n:], -z[:n] * z[n:] * g[:n]])
 
-    labels = (tuple(f"x{i + 1}" for i in range(n))
-              + tuple(f"u{i + 1}" for i in range(n)))
     return PoissonChart(
         name=f"relativistic-loglinear(n={n})",
         dim=2 * n,
-        coord_labels=labels,
         field=field,
     )
 
@@ -340,12 +317,9 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         vy = w.dot(y) + y.dot(dy + px - w) - (g[:m].dot(z[:m]) / n) * y
         return np.concatenate([vx.ravel(), vy.ravel()])
 
-    labels = (tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
-              + tuple(f"y{i + 1}{j + 1}" for i in range(n) for j in range(n)))
     return PoissonChart(
         name=f"heisenberg-double(n={n})",
         dim=2 * n * n,
-        coord_labels=labels,
         field=field,
         selfcheck=True,
     )
@@ -375,11 +349,9 @@ def chart_sklyanin(n: int) -> PoissonChart:
         gt = g.reshape(n, n).T
         return (x.dot(uc * gt.dot(x)) - (uc * x.dot(gt)).dot(x)).ravel()
 
-    labels = tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
     return PoissonChart(
         name=f"sklyanin(n={n})",
         dim=n * n,
-        coord_labels=labels,
         field=field,
         selfcheck=True,
     )

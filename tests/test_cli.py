@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from degint import cli, double, facto, integrate, kepler, poisson
+from degint.errors import ConsistencyError, FactorizationNotDefined
 from degint.matrixcore import traces_of_powers
 from degint.cli import (
     ScenarioConfig,
@@ -113,6 +114,8 @@ class TestConfig:
                      id="kappa-nan"),
         pytest.param(None, ["--scenario", "relativistic-ruijsenaars", "--q-im", "inf"],
                      id="q-inf"),
+        pytest.param(None, ["--scenario", "relativistic-ruijsenaars", "--q-re", "0"],
+                     id="q-zero"),
         pytest.param(None, ["--scenario", "cm-rational", "--n", "1"], id="cm-n1"),
         pytest.param(None, ["--scenario", "factorization-flow", "--n", "1"],
                      id="factorization-n1"),
@@ -348,6 +351,30 @@ class TestExitCodes:
                      "--tol", "1e-6", "--seed", "1", "--out-json", str(out)])
         assert code == 2
         assert "tolerance-failure" in json.loads(out.read_text())["flags"]
+
+    @pytest.mark.parametrize("t_max", ["10", "60", "200"])
+    def test_split_that_fails_its_check_exits_2(self, tmp_path, capsys, t_max):
+        """Far out, the k = 2 split of exp(t xi) loses its triangularity: a
+        numerical failure with the report written, not a traceback."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "factorization-flow", "--t-max", t_max,
+                     "--out-json", str(out)]) == 2
+        assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConsistencyError"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,code,flags", [
+        (FactorizationNotDefined, 0, ["factorization-divisor"]),
+        (ConsistencyError, 2, ["numerical-failure:ConsistencyError"]),
+    ])
+    def test_only_a_vanishing_minor_is_the_divisor_flag(self, tmp_path, monkeypatch,
+                                                        error, code, flags):
+        def fail(m):
+            raise error("planted")
+
+        monkeypatch.setattr(facto, "ul_split_factorize", fail)
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "factorization-flow", "--out-json", str(out)]) == code
+        assert json.loads(out.read_text())["flags"] == flags
 
 
 class TestOutputs:

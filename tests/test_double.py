@@ -11,7 +11,6 @@ from degint import calogero, cli, double
 from degint.calogero import _pair_products, _ratio
 from degint.double import (
     DoublePoint,
-    RankOneClass,
     double_flow_conservation,
     duality_map,
     fiber_check,
@@ -106,6 +105,14 @@ class TestFiberCheck:
         assert rep.coincident_margin < 1e-12
         assert rep.all_separated
 
+    def test_each_factor_is_decomposed_once(self, monkeypatch):
+        """The centralizer draws of a fiber share one eigendecomposition."""
+        calls, spectral = [], double.spectral
+        monkeypatch.setattr(double, "spectral", lambda m: calls.append(m) or spectral(m))
+        pt = DoublePoint(x=np.diag(random_eigs(2)), y=random_sl(2))
+        fiber_check(pt, samples=4, rng=np.random.default_rng(12))
+        assert [c.tobytes() for c in calls] == [pt.x.tobytes(), pt.y.tobytes()]
+
     def test_first_fiber_preserves_projection_invariants(self):
         """Points (x, y z) with z central for x share tr(x^a), tr(mu~^b),
         and joint traces; mu~ = y x^{-1} y^{-1}."""
@@ -149,20 +156,19 @@ class TestRankOneOracle:
 
 class TestRankOneClass:
     def test_matrix_eigenvalues(self):
+        """z = phi psi^T + q^{-1} id, psi from the oracle products, has the
+        class eigenvalues (q^{n-1}, q^{-1}, ..., q^{-1})."""
         n = 3
         q = 1.4 + 0.1j
-        phi = np.ones(n)
-        # psi via the oracle products at a generic spectrum
         x = random_eigs(n)
         psi = rank_one_consistency_oracle(x, q) / x
-        cls = RankOneClass(q=q, phi=phi, psi=psi)
-        ev = np.linalg.eigvals(cls.matrix())
+        ev = np.linalg.eigvals(np.outer(np.ones(n), psi) + np.eye(n) / q)
         ev = ev[np.lexsort((ev.imag, ev.real))]
-        assert np.abs(ev - cls.eigenvalues()).max() < 1e-8
+        assert np.abs(ev - double._class_eigenvalues(q, n)).max() < 1e-8
 
     def test_pairing_constraint_enforced(self):
         with pytest.raises(ValueError):
-            RankOneClass(q=1.5, phi=np.ones(2), psi=np.ones(2))
+            double._check_pairing(1.5, np.ones(2), np.ones(2))
 
 
 class TestRankOneReduction:
@@ -177,9 +183,9 @@ class TestRankOneReduction:
         """The stray x_i^{-1} prefactor shows up as a large recorded residual
         while the corrected form matches to 1e-8."""
         x = random_eigs(2)
-        red = rank_one_reduction(x, 1.3 + 0.1j, np.array([1.0, 1.0]))
-        assert red.residual_corrected < 1e-8
-        assert red.residual_naive > 1e-3
+        r = double._reductions(x[None], 1.3 + 0.1j, np.array([[1.0, 1.0]]))
+        assert r["residual_corrected"][0] < 1e-8
+        assert r["residual_naive"][0] > 1e-3
 
     def test_q_near_one_commutes(self):
         """q -> 1: the class tends to the identity and the pair commutes."""
@@ -214,9 +220,9 @@ class TestRelativisticHamiltonians:
 
     def test_zero_u_zero_hamiltonians(self):
         x = random_eigs(3)
-        res = relativistic_hamiltonians(x, np.zeros(3), q=1.3)
-        assert np.abs(res.traces).max() == 0.0
-        assert res.h2 == 0.0
+        res = double._hamiltonians(x[None], np.zeros((1, 3)), 1.3)
+        assert np.abs(res["traces"]).max() == 0.0
+        assert res["h2"][0] == 0.0
 
 
 class TestRationalLimit:
@@ -235,8 +241,8 @@ class TestRationalLimit:
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errors = []
         for e in eps:
-            got = relativistic_hamiltonians(np.exp(e * h), u, np.exp(-e * kappa))
-            errors.append(np.abs(np.append(got.traces, got.h2) - want).max()
+            got = double._hamiltonians(np.exp(e * h)[None], u[None], np.exp(-e * kappa))
+            errors.append(np.abs(np.append(got["traces"][0], got["h2"][0]) - want).max()
                           / max(1.0, np.abs(want).max()))
         errors = np.array(errors)
         assert np.all(errors <= n * abs(kappa) * eps), errors
@@ -346,10 +352,13 @@ def reduction_oracle(x, q, ydiag):
     xmat = np.diag(x)
     pt = DoublePoint(x=xmat / np.linalg.det(xmat) ** (1.0 / n),
                      y=y / np.linalg.det(y) ** (1.0 / n))
-    cls = RankOneClass(q=q, phi=np.ones(n), psi=products)
+    target = q ** (n - 1) - 1.0 / q
+    if abs(products.sum() - target) > 1e-10 * max(1.0, abs(target)):
+        raise ValueError("(phi, psi) must equal q^(n-1) - q^(-1)")
+    ev = np.array([q ** (n - 1)] + [1.0 / q] * (n - 1))
     got = np.linalg.eigvals(moment(pt))
     got = got[np.lexsort((got.imag, got.real))]
-    dev = float(np.abs(got - cls.eigenvalues()).max())
+    dev = float(np.abs(got - ev[np.lexsort((ev.imag, ev.real))]).max())
     if dev > double.TOL.reduction_reject:
         raise ReductionFailedError(
             f"moment eigenvalues off the rank-1 class by {dev:.3g} "
@@ -407,7 +416,8 @@ class TestRelativisticDraws:
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_block_draws_equal_the_loop_bitwise(self, monkeypatch, block, n, samples, seed):
         """With one attempt per block, a sample whose first x fails the gap
-        test (39% of them at n = 8) is redrawn the per-sample way."""
+        test (39% of them at n = 8) draws a longer window from its own
+        generator."""
         monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
         cfg = relativistic_cfg(n, samples, seed)
         for got, want in zip(cli._relativistic_draws(cfg), relativistic_draws_loop(cfg)):
@@ -485,7 +495,8 @@ class TestRankOneSamples:
         for i in range(len(x)):
             red = rank_one_reduction(x[i], Q, ydiag[i])
             ham = relativistic_hamiltonians(x[i], u[i], Q)
-            assert (red.mu_eigenvalue_deviation, red.residual_corrected) == \
+            corrected = double._reductions(x[i][None], Q, ydiag[i][None])["residual_corrected"]
+            assert (red.mu_eigenvalue_deviation, float(corrected[0])) == \
                 reduction_oracle(x[i], Q, ydiag[i])
             assert (ham.residual_tr_y, ham.residual_tr_y2, ham.residual_h2) == \
                 hamiltonians_oracle(x[i], u[i], Q)
@@ -533,7 +544,7 @@ class TestRankOneSamples:
 
     def test_pairing_gate_fires_on_the_same_sample(self, monkeypatch):
         """Oracle products nudged by 1e-9 at sample 4 pass the 1e-8 formula
-        gate and fail the 1e-10 (phi, psi) check of ``RankOneClass``."""
+        gate and fail the 1e-10 (phi, psi) check of the rank-1 class."""
         cfg = relativistic_cfg(3, 9, seed=5)
         draws = relativistic_draws_loop(cfg)
         solve, planted = double.rank_one_consistency_oracle, draws[0][4, 0]
@@ -582,9 +593,9 @@ class TestRankOneSamples:
 
 
 class TestStackedChecks:
-    """The det and pairing checks of ``DoublePoint`` and ``RankOneClass``
-    (which the scenario's draws never fail) raise for the first failing
-    member of a stack, with the per-point message."""
+    """The det check of ``DoublePoint`` and the pairing check of the rank-1
+    class (which the scenario's draws never fail) raise for the first
+    failing member of a stack, with the per-point message."""
 
     def test_first_pair_off_unit_determinant(self):
         x = np.stack([np.eye(2, dtype=complex)] * 5)
@@ -593,7 +604,10 @@ class TestStackedChecks:
         x[4] *= 1.1
         with pytest.raises(ValueError) as caught:
             double._check_unimodular(x, y)
-        assert caught.value.sample == 3
+        with pytest.raises(ValueError) as want:
+            for i in range(len(x)):
+                DoublePoint(x=x[i], y=y[i])
+        assert str(caught.value) == str(want.value)
         assert str(caught.value) == f"det y must be 1 (got {np.linalg.det(y[3]):.6g})"
         with pytest.raises(ValueError, match=r"det x must be 1 \(got 1\.21"):
             DoublePoint(x=x[4], y=y[4])
@@ -602,11 +616,11 @@ class TestStackedChecks:
         psi = np.tile(rank_one_consistency_oracle([1.0, 1.5, 1 / 1.5], Q)
                       / np.array([1.0, 1.5, 1 / 1.5]), (4, 1))
         psi[2, 0] += 1e-6
-        with pytest.raises(ValueError, match=r"\(phi, psi\) must equal") as caught:
-            double._check_pairing(Q, np.ones(3), psi)
-        assert caught.value.sample == 2
         with pytest.raises(ValueError, match=r"\(phi, psi\) must equal"):
-            RankOneClass(q=Q, phi=np.ones(3), psi=psi[2])
+            double._check_pairing(Q, np.ones(3), psi)
+        double._check_pairing(Q, np.ones(3), psi[:2])
+        with pytest.raises(ValueError, match=r"\(phi, psi\) must equal"):
+            double._check_pairing(Q, np.ones(3), psi[2])
 
 
 def sl_sample_loop(n, rng, spread):

@@ -1,6 +1,7 @@
 """The package exports only what a scenario or an acceptance criterion runs."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -9,6 +10,7 @@ import degint
 
 PACKAGE = Path(degint.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 # Exports that neither another src function nor the acceptance tests read.
 EXEMPT = {
@@ -20,13 +22,19 @@ EXEMPT = {
 
 
 def _reads(path: Path) -> set:
-    """(name, top-level definition or None) of every name or attribute read
-    in the file, outside annotations."""
+    """(name, site, whether it is an attribute) of every name or attribute
+    read in the file, outside annotations.  The site is the top-level
+    definition (or None) and, inside a class, the method in its body (or
+    None)."""
     tree = ast.parse(path.read_text())
     annotations = [a for node in ast.walk(tree) for a in (
         getattr(node, "annotation", None), getattr(node, "returns", None)) if a is not None]
     skip = {id(node) for a in annotations for node in ast.walk(a)}
-    return {(node.id if isinstance(node, ast.Name) else node.attr, getattr(top, "name", None))
+    method = {id(node): stmt.name for top in tree.body if isinstance(top, ast.ClassDef)
+              for stmt in top.body if isinstance(stmt, ast.FunctionDef)
+              for node in ast.walk(stmt)}
+    return {(node.id if isinstance(node, ast.Name) else node.attr,
+             (getattr(top, "name", None), method.get(id(node))), isinstance(node, ast.Attribute))
             for top in tree.body for node in ast.walk(top) if id(node) not in skip
             and (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                  or isinstance(node, ast.Attribute))}
@@ -37,8 +45,8 @@ def test_every_export_has_a_reader():
     definition other than its own, or by ``tests/test_acceptance.py``; the
     exemptions are exactly the ones listed, each with its reason."""
     reads = {(name, (stem, top)) for stem in MODULES
-             for name, top in _reads(PACKAGE / f"{stem}.py")}
-    acceptance = {name for name, _ in _reads(Path(__file__).with_name("test_acceptance.py"))}
+             for name, (top, _), _ in _reads(PACKAGE / f"{stem}.py")}
+    acceptance = {name for name, _, _ in _reads(ACCEPTANCE)}
     unread = set()
     for stem in MODULES:
         module = importlib.import_module(f"degint.{stem}")
@@ -49,6 +57,32 @@ def test_every_export_has_a_reader():
             if not any(read == name and site != (stem, name) for read, site in reads):
                 unread.add(f"{stem}.{name}")
     assert unread == set(EXEMPT)
+
+
+def test_every_member_has_a_reader():
+    """Each dataclass field, public method and property of a class in a
+    module's ``__all__`` is read as an attribute by src code outside that
+    method's own body, or by ``tests/test_acceptance.py``; a field its
+    class's own methods read counts as read.  There are no exemptions."""
+    reads = {(name, (stem, *site)) for stem in MODULES
+             for name, site, attribute in _reads(PACKAGE / f"{stem}.py") if attribute}
+    acceptance = {name for name, _, attribute in _reads(ACCEPTANCE) if attribute}
+    unread = set()
+    for stem in MODULES:
+        module = importlib.import_module(f"degint.{stem}")
+        for cls in (getattr(module, name) for name in getattr(module, "__all__", ())):
+            if not inspect.isclass(cls):
+                continue
+            fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+            members = [f.name for f in fields] + [
+                name for name, value in vars(cls).items() if not name.startswith("_")
+                and (inspect.isfunction(value) or isinstance(value, (property, classmethod)))]
+            for member in members:
+                site = (stem, cls.__name__, member)
+                if member not in acceptance and not any(
+                        read == member and where != site for read, where in reads):
+                    unread.add(".".join(site))
+    assert unread == set()
 
 
 def test_exported_names_exist():

@@ -64,7 +64,7 @@ class TestLeftDifferential:
         want -= np.trace(want) / 3.0 * np.eye(3)
         assert np.abs(fd_left_differential(tr2, x) - want).max() < 1e-6
         for k in (1, 2, 3):
-            d_fd = fd_left_differential(TracePower(k), x)
+            d_fd = fd_left_differential(lambda m: np.trace(np.linalg.matrix_power(m, k)), x)
             assert np.abs(d_fd - left_differential(TracePower(k), x)).max() < 1e-6
 
     def test_constant_hamiltonian(self):

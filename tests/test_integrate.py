@@ -408,13 +408,6 @@ class TestMonitor:
             monitor(traj, [Observable("a", lambda z: 1.0),
                            Observable("a", lambda z: 2.0)])
 
-    def test_drift_lookup_by_name(self):
-        c = chart_canonical(1)
-        H = harmonic()
-        traj = rk4(c, H, np.array([1.0, 0.0], dtype=complex), t_max=1.0, dt=0.01)
-        rep = monitor(traj, [H])
-        assert rep.drift("H") < 1e-10
-
 
 def loop_values(states, observables):
     """Test-only oracle for ``monitor``: every observable called on one

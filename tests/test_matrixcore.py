@@ -11,6 +11,7 @@ import pytest
 
 from degint import calogero, cli, matrixcore
 from degint.errors import (
+    ConsistencyError,
     FactorizationNotDefined,
     MatrixOverflowError,
     NearDegenerateSpectrum,
@@ -129,7 +130,7 @@ class TestULSplit:
             ul_split_factorize(m)
 
     def test_pair_validates_triangularity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConsistencyError, match="g_plus is not upper triangular"):
             ULPair(g_plus=np.array([[1.0, 0.0], [1.0, 1.0]]),
                    g_minus=np.eye(2))
 
@@ -323,8 +324,8 @@ class TestScenariosAgainstLoopOracle:
         code, rows, report = _run(argv, tmp_path, "kernel")
         sites = _kernel_sites()
         assert {module.__name__ for module, _ in sites} >= {
-            "degint.matrixcore", "degint.poisson", "degint.double", "degint.facto",
-            "degint.calogero", "degint.cli"}
+            "degint.matrixcore", "degint.poisson", "degint.double", "degint.calogero",
+            "degint.cli"}
         for module, name in sites:
             monkeypatch.setattr(module, name, trace_words_loop)
         code_loop, rows_loop, report_loop = _run(argv, tmp_path, "loop")

@@ -45,8 +45,7 @@ def heisenberg_point(n, spread=0.3):
 
 def log_linear_oracle(w):
     """Pi = [[0, diag(w)], [-diag(w), 0]] as a dense matrix: the bivector of
-    the canonical chart (w = 1), of the exponential Calogero-Moser chart
-    (w = h) and of the relativistic chart (w = x u)."""
+    the canonical chart (w = 1) and of the relativistic chart (w = x u)."""
     n = len(w)
     P = np.zeros((2 * n, 2 * n), dtype=complex)
     P[:n, n:] = np.diag(w)
@@ -206,8 +205,7 @@ class TestCanonicalField:
 
     def test_cm_loglinear_chart_is_the_canonical_chart_relabelled(self):
         c, ref = chart_cm_loglinear(3), chart_canonical(3)
-        assert c.coord_labels == ("h1", "h2", "h3", "u1", "u2", "u3")
-        assert ref.coord_labels == ("p1", "p2", "p3", "q1", "q2", "q3")
+        assert (c.name, c.dim) == ("cm-loglinear(n=3)", ref.dim)
         rng = np.random.default_rng(5)
         z, g = rng.normal(size=(2, 6)).astype(complex)
         assert np.array_equal(c.pi(z), ref.pi(z))
@@ -218,8 +216,6 @@ class TestJacobiAndLeibniz:
     @pytest.mark.parametrize("make_chart,sampler", [
         (lambda: chart_canonical(2), lambda: RNG.normal(size=4).astype(complex)),
         (lambda: chart_cm_loglinear(3), lambda: RNG.normal(size=6).astype(complex)),
-        (lambda: chart_cm_loglinear(2, "exponential"),
-         lambda: np.concatenate([RNG.normal(size=2), RNG.uniform(0.5, 2.0, size=2)]).astype(complex)),
         (lambda: chart_relativistic_loglinear(2),
          lambda: RNG.uniform(0.5, 2.0, size=4).astype(complex)),
         (lambda: chart_heisenberg_double(2), lambda: heisenberg_point(2)),
@@ -257,24 +253,6 @@ class TestCMLogLinearCharts:
         h1, u1, u2 = coordinate(6, 0), coordinate(6, 3), coordinate(6, 4)
         assert bracket(c, h1, u1, z) == pytest.approx(1.0)
         assert bracket(c, h1, u2, z) == pytest.approx(0.0)
-
-    def test_exponential_chart_root_bracket(self):
-        """{p_k, h_i/h_j} = (delta_ki - delta_kj) h_i/h_j: the log-linear
-        bracket against root-type ratios."""
-        c = chart_cm_loglinear(3, "exponential")
-        z = np.concatenate([RNG.normal(size=3),
-                            RNG.uniform(0.5, 2.0, size=3)]).astype(complex)
-        ratio = Observable("h1/h2", lambda z: z[3] / z[4])
-        p1, p2, p3 = (coordinate(6, i, f"p{i+1}") for i in range(3))
-        val = z[3] / z[4]
-        assert bracket(c, p1, ratio, z) == pytest.approx(val, rel=1e-6)
-        assert bracket(c, p2, ratio, z) == pytest.approx(-val, rel=1e-6)
-        assert abs(bracket(c, p3, ratio, z)) < 1e-8
-
-    def test_exponential_chart_h_commute(self):
-        c = chart_cm_loglinear(2, "exponential")
-        z = np.array([0.3, -0.3, 1.2, 0.8], dtype=complex)
-        assert bracket(c, coordinate(4, 2), coordinate(4, 3), z) == pytest.approx(0.0)
 
 
 class TestRelativisticChart:
@@ -689,7 +667,6 @@ def _near_identity(n, blocks):
 EVERY_CHART = [
     (chart_canonical(3), _normal(6), lambda z: log_linear_oracle(np.ones(3))),
     (chart_cm_loglinear(2), _normal(4), lambda z: log_linear_oracle(np.ones(2))),
-    (chart_cm_loglinear(3, "exponential"), _normal(6), lambda z: log_linear_oracle(z[3:])),
     (chart_relativistic_loglinear(3), _normal(6),
      lambda z: log_linear_oracle(z[:3] * z[3:])),
     (chart_heisenberg_double(2), _near_identity(2, 2),
