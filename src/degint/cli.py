@@ -150,37 +150,38 @@ def _distinct_h(n, rng):
 # one is chosen: an h row of ruijsenaars-rational, an (re, im) pair of rows
 # for the x of relativistic-ruijsenaars.  A sample none of whose attempts
 # passes the gap test (for h 2e-4 at n = 6 and 4% at n = 8, for x 7e-11
-# and 3e-7) draws a window twice as long from its own generator, then 4x
-# and so on.
+# and 3e-7) draws a window twice as long from the report's generator, after
+# its pass's blocks, then 4x and so on.
 _DRAW_BLOCK = 16
 
 
 def _block_draws(cfg, offset, width, extra, candidates):
-    """For sample i, from generator seed + offset + i: attempts of ``width``
-    normal rows until one passes, then ``extra`` rows.  ``candidates`` maps
-    each attempt with the rows after it, (samples, attempts, width + extra,
-    n), to (passes, values...), and the values of the first passing attempt
-    are kept.  The normal stream does not depend on how it is split, so
-    each sample draws _DRAW_BLOCK attempts and the extra rows at once, and
-    a sample with no passing attempt draws a window twice as long, then 4x
-    and so on: bit for bit the per-sample loop.  Passes of
-    ``calogero._SWEEP_CHUNK`` samples keep the memory flat."""
-    def first_passing(samples, block):
+    """Every sample's rank-1 draws, from the one generator seed + offset:
+    attempts of ``width`` normal rows until one passes, then ``extra`` rows.
+    ``candidates`` maps each attempt with the rows after it, (samples,
+    attempts, width + extra, n), to (passes, values...), and the values of
+    the first passing attempt are kept.  Per pass of
+    ``calogero._SWEEP_CHUNK`` samples (flat memory), one call draws each
+    sample's window of _DRAW_BLOCK attempts and the extra rows, in sample
+    order; right after it, samples with no passing attempt draw windows
+    twice as long, in sample order, then 4x and so on."""
+    rng = _rng_for(cfg, offset)
+
+    def first_passing(count, block):
         window = width * np.arange(block)[:, None] + np.arange(width + extra)
-        rows = np.stack([_rng_for(cfg, offset + i).normal(size=(block * width + extra, cfg.n))
-                         for i in samples])
+        rows = rng.normal(size=(count, block * width + extra, cfg.n))
         ok, *values = candidates(rows[:, window])
         first = ok.argmax(axis=1)
-        return ok.any(axis=1), [v[np.arange(len(samples)), first] for v in values]
+        return ok.any(axis=1), [v[np.arange(count), first] for v in values]
 
     passes = []
     for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
-        samples = list(range(start, min(start + calogero._SWEEP_CHUNK, cfg.samples)))
-        found, values = first_passing(samples, _DRAW_BLOCK)
+        found, values = first_passing(min(calogero._SWEEP_CHUNK, cfg.samples - start),
+                                      _DRAW_BLOCK)
         missed, block = np.flatnonzero(~found), _DRAW_BLOCK
         while missed.size:
             block *= 2
-            found, redrawn = first_passing([samples[i] for i in missed], block)
+            found, redrawn = first_passing(missed.size, block)
             for v, drawn in zip(values, redrawn):
                 v[missed] = drawn
             missed = missed[~found]
@@ -189,9 +190,9 @@ def _block_draws(cfg, offset, width, extra, candidates):
 
 
 def _rank1_draws(cfg):
-    """The (samples, n) arrays h and u of ``ruijsenaars-rational``: from
-    generator seed + i + 1, first h = ``_distinct_h(n, rng)``, then
-    u = normal(n) + 1j * normal(n)."""
+    """The (samples, n) arrays h and u of ``ruijsenaars-rational``, from
+    generator seed + 1: h is the first row that passes ``_distinct_h``'s
+    test, then u = row + 1j * row."""
     def candidates(w):
         h = np.sort(w[..., 0, :], axis=-1)
         h -= h.sum(axis=-1, keepdims=True) / cfg.n
@@ -221,9 +222,9 @@ def _distinct_eigs(n, rng):
 
 
 def _relativistic_draws(cfg):
-    """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``:
-    from generator seed + 1000 + i, first x = ``_distinct_eigs(n, rng)``,
-    then u = normal(n) + 1j * normal(n) and y_diag = normal(n) + 0.5."""
+    """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``,
+    from generator seed + 1000: x from the first pair of rows that passes
+    ``_distinct_eigs``' test, then u = row + 1j * row and y_diag = row + 0.5."""
     def candidates(w):
         x = _unimodular_eigs(w[..., 0, :], w[..., 1, :])
         return _eig_gap(x) > 0.1, x, w[..., 2, :] + 1j * w[..., 3, :], w[..., 4, :] + 0.5

@@ -41,8 +41,8 @@ from .calogero import (
     _stacked,
 )
 from .config import TOL
-from .errors import (ConsistencyError, NonFiniteMatrixError, ReductionFailedError,
-                     SingularChartPoint)
+from .errors import (ConsistencyError, ConstraintViolation, NonFiniteMatrixError,
+                     ReductionFailedError, SingularChartPoint)
 from .integrate import ConservationReport, monitor, rk4
 from .matrixcore import as_matrix, spectral, trace_words
 from .poisson import Observable, chart_heisenberg_double, trace_power
@@ -86,8 +86,8 @@ class DoublePoint:
 
 
 def _check_unimodular(x, y):
-    """ValueError for the first stacked pair (x, y) with det x or det y off 1
-    by more than 1e-9 max(1, max|m|^n), naming x when both are."""
+    """ConstraintViolation for the first stacked pair (x, y) with det x or
+    det y off 1 by more than 1e-9 max(1, max|m|^n), naming x when both are."""
     dets = np.stack([np.linalg.det(x), np.linalg.det(y)], axis=-1)
     sizes = np.stack([np.abs(x).max(axis=(-2, -1)), np.abs(y).max(axis=(-2, -1))], axis=-1)
     off = np.abs(dets - 1.0) > 1e-9 * np.maximum(1.0, sizes ** x.shape[-1])
@@ -96,15 +96,15 @@ def _check_unimodular(x, y):
         m = int(off.reshape(-1, 2)[k].argmax())
         return f"det {'xy'[m]} must be 1 (got {dets.reshape(-1, 2)[k, m]:.6g})"
 
-    _raise_first(off.any(axis=-1), ValueError, message)
+    _raise_first(off.any(axis=-1), ConstraintViolation, message)
 
 
 def _check_pairing(q, phi, psi):
-    """ValueError for the first stacked (phi, psi) whose pairing is not
-    q^(n-1) - q^(-1)."""
+    """ConstraintViolation for the first stacked (phi, psi) whose pairing is
+    not q^(n-1) - q^(-1)."""
     target = q ** (phi.shape[-1] - 1) - 1.0 / q
     _raise_first(np.abs((phi * psi).sum(axis=-1) - target) > 1e-10 * max(1.0, abs(target)),
-                 ValueError, "(phi, psi) must equal q^(n-1) - q^(-1)")
+                 ConstraintViolation, "(phi, psi) must equal q^(n-1) - q^(-1)")
 
 
 def _class_eigenvalues(q, n):
@@ -337,14 +337,22 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
              ((f"tr({main}^{k})", (k, 0, 0, 0)), (f"tr({other}^{k})", (0, k, 0, 0)))}
     words.update({f"tr({main} {other})": (1, 1, 0, 0), f"tr({main}^2 {other})": (2, 1, 0, 0)})
 
+    last = [None, None]         # the key of the states aux was last formed on, and aux
+
+    def aux(z, x, y):
+        # two inverses: formed once for all the invariants that read it on the
+        # same states, keyed by their bytes, so states changed in place are not
+        # served a stale aux
+        key = (z.shape, z.dtype.str, z.tobytes())
+        if last[0] != key:
+            last[:] = key, (y if family == "cm" else x @ y) @ np.linalg.inv(x) @ np.linalg.inv(y)
+        return last[1]
+
     def invariant(word):
         def fn(z):
             x, y = np.moveaxis(z.reshape(z.shape[:-1] + (2, n, n)), -3, 0)
             a = x if family == "cm" else y
-            # aux costs two inverses: formed once per invariant, if the word reads it
-            b = ((y if family == "cm" else x @ y) @ np.linalg.inv(x) @ np.linalg.inv(y)
-                 if word[1] else a)
-            return trace_words(a, b, [word])[..., 0]
+            return trace_words(a, aux(z, x, y) if word[1] else a, [word])[..., 0]
         return fn
 
     return [Observable(name=name, fn=invariant(word)) for name, word in words.items()]

@@ -40,3 +40,9 @@ class ConsistencyError(DegintError):
 
 class ReductionFailedError(DegintError):
     """Rank-1 reduction produced a moment value outside the target class."""
+
+
+class ConstraintViolation(DegintError, ValueError):
+    """A point breaks a defining constraint of its space: det 1 for a pair
+    of group elements, the pairing of the rank-1 class.  Also a ValueError,
+    since a constructor given such a point was given a bad value."""

@@ -456,12 +456,30 @@ def ruij_sample_oracle(h, u, kappa):
 
 def ruij_draws(cfg):
     """The seeded (h, u) of every sample of a ruijsenaars-rational report,
-    one sample at a time: the oracle for ``cli._rank1_draws``."""
-    hs, us = [], []
-    for i in range(cfg.samples):
-        rng = cli._rng_for(cfg, i + 1)
-        hs.append(cli._distinct_h(cfg.n, rng))
-        us.append(rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n))
+    one sample at a time: the oracle for ``cli._rank1_draws``.  All come
+    from one generator, seed + 1.  Each pass of ``calogero._SWEEP_CHUNK``
+    samples draws every sample's window of ``cli._DRAW_BLOCK`` rows plus
+    two, in sample order; the samples whose window held no passing row
+    then draw windows twice as long, in sample order, then 4x and so on.
+    Each window is scanned one row at a time: h is the first row that,
+    sorted and centred, has neighbours more than 0.1 apart, and u is the
+    next row plus 1j times the row after it."""
+    rng, n, hs, us = cli._rng_for(cfg, 1), cfg.n, [], []
+    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
+        pending = range(min(calogero._SWEEP_CHUNK, cfg.samples - start))
+        found, block = {}, cli._DRAW_BLOCK
+        while pending:
+            for i in pending:
+                rows = rng.normal(size=(block + 2, n))
+                for k in range(block):
+                    h = np.sort(rows[k])
+                    h -= h.sum() / n
+                    if n == 1 or np.diff(h).min() > 0.1:
+                        found[i] = h.astype(complex), rows[k + 1] + 1j * rows[k + 2]
+                        break
+            pending, block = [i for i in pending if i not in found], 2 * block
+        hs += [found[i][0] for i in range(len(found))]
+        us += [found[i][1] for i in range(len(found))]
     return np.array(hs), np.array(us)
 
 
@@ -499,7 +517,7 @@ class TestRuijDraws:
 
     def test_samples_that_miss_their_block_equal_the_loop_bitwise(self, monkeypatch):
         """With one row per block, most samples at n = 8 fail the gap test
-        on it and are redrawn the per-sample way."""
+        on it and draw longer windows after their pass's blocks."""
         monkeypatch.setattr(cli, "_DRAW_BLOCK", 1)
         self.test_block_draws_equal_the_loop_bitwise(8, 2 * calogero._SWEEP_CHUNK + 5, 3)
 

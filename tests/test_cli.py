@@ -1,6 +1,7 @@
 """CLI tests: scenario wiring, exit codes, output files, determinism."""
 
 import dataclasses
+import importlib.util
 import json
 import re
 import shlex
@@ -376,6 +377,80 @@ class TestExitCodes:
         assert main(["--scenario", "factorization-flow", "--out-json", str(out)]) == code
         assert json.loads(out.read_text())["flags"] == flags
 
+
+    def test_constraint_violation_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        """Oracle products nudged by 1e-9 pass the formula gate and fail the
+        (phi, psi) pairing of the rank-1 class: exit 2 with the flag of the
+        library error, not a traceback."""
+        solve = double.rank_one_consistency_oracle
+
+        def nudged(x, q):
+            v = solve(x, q)
+            v[..., 0] *= 1 + 1e-9
+            return v
+
+        monkeypatch.setattr(double, "rank_one_consistency_oracle", nudged)
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "relativistic-ruijsenaars", "--t-max", "0.01",
+                     "--out-json", str(out)]) == 2
+        assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConstraintViolation"]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: (phi, psi) must equal")
+        assert "Traceback" not in err
+
+
+class TestRankOneGenerators:
+    """A report's rank-1 draws come from one generator, however many samples
+    it draws and redraws."""
+
+    @pytest.fixture
+    def offsets(self, monkeypatch):
+        """The offset of every generator ``cli._rng_for`` builds."""
+        built, rng_for = [], cli._rng_for
+        monkeypatch.setattr(cli, "_rng_for",
+                            lambda cfg, index=0: built.append(index) or rng_for(cfg, index))
+        return built
+
+    @pytest.mark.parametrize("block", [cli._DRAW_BLOCK, 1])
+    def test_rational_report_builds_one_generator(self, tmp_path, monkeypatch, offsets, block):
+        monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
+        assert main(["--scenario", "ruijsenaars-rational", "--n", "6", "--samples", "500",
+                     "--out-json", str(tmp_path / "r.json")]) == 0
+        assert offsets == [1]
+
+    @pytest.mark.parametrize("block", [cli._DRAW_BLOCK, 1])
+    def test_relativistic_draws_build_one_generator(self, tmp_path, monkeypatch, offsets,
+                                                    block):
+        """One for the flow point and one for all the rank-1 samples."""
+        monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
+        assert main(["--scenario", "relativistic-ruijsenaars", "--n", "8", "--samples", "200",
+                     "--t-max", "0.01", "--out-json", str(tmp_path / "r.json")]) == 0
+        assert offsets == [0, 1000]
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkPools:
+    """The benchmark's correctness gate at the first ten seeds of its pools."""
+
+    @pytest.mark.parametrize("name", ["rank1-sweep", "pair-flow"])
+    def test_pool_seeds_exit_0_without_flags(self, tmp_path, name):
+        workloads = _benchmark_workloads()
+        csv, out = str(tmp_path / "r.csv"), tmp_path / "r.json"
+        failed = []
+        for seed in range(0, 10 * workloads.SEED_STRIDE, workloads.SEED_STRIDE):
+            code = main(workloads.report_argv(workloads.WORKLOADS[name], seed, csv, str(out)))
+            flags = json.loads(out.read_text())["flags"]
+            if code or flags:
+                failed.append((seed, code, flags))
+        assert failed == []
 
 class TestOutputs:
     def test_report_schema(self, tmp_path):

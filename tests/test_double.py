@@ -20,7 +20,8 @@ from degint.double import (
     relativistic_hamiltonians,
     trace_power_observable,
 )
-from degint.errors import ConsistencyError, ReductionFailedError, SingularChartPoint
+from degint.errors import (ConsistencyError, ConstraintViolation, ReductionFailedError,
+                           SingularChartPoint)
 from degint.matrixcore import traces_of_powers
 from degint.poisson import bracket, chart_heisenberg_double
 
@@ -289,6 +290,32 @@ class TestDoubleFlows:
         assert abs(bracket(chart, try_, try2, z)) < 1e-5
         assert abs(bracket(chart, trx, try_, z)) > 1e-8
 
+    @pytest.mark.parametrize("family", ["cm", "ruijsenaars"])
+    def test_aux_is_formed_once_per_states_and_never_stale(self, monkeypatch, family):
+        """The invariants that read aux share one formation (two inverses) on
+        the same states, also on an equal copy; states changed in place form
+        it afresh, and every value equals a fresh set of invariants' bitwise."""
+        def values(z):
+            return np.stack([o(z) for o in observables])
+
+        def fresh(z):
+            return np.stack([o(z) for o in double.projection_invariants(3, family)])
+
+        observables = double.projection_invariants(3, family)
+        z = np.stack([random_pair(3).as_point() for _ in range(5)])
+        inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m.shape) or inv(m))
+        first = values(z)
+        assert calls == [(5, 3, 3)] * 2
+        assert values(z.copy()).tobytes() == first.tobytes()
+        assert len(calls) == 2
+        z[2] = random_pair(3).as_point()
+        changed = values(z)
+        assert len(calls) == 4
+        assert changed.tobytes() == fresh(z).tobytes()
+        assert np.abs(changed[:, 2] - first[:, 2]).max() > 1e-3
+        assert changed[:, [0, 1, 3, 4]].tobytes() == first[:, [0, 1, 3, 4]].tobytes()
+
     @pytest.mark.parametrize("family,block", [("cm", "x"), ("ruijsenaars", "y")])
     def test_flow_conserves_projection_at_n4(self, family, block):
         """The full bivector integrates above n = 3: a short n = 4 flow keeps
@@ -308,26 +335,40 @@ class TestDoubleFlows:
 # against the per-sample loop they replaced
 # ----------------------------------------------------------------------
 
-def distinct_eigs_loop(n, rng):
-    """The per-sample rejection draw of the eigenvalues x."""
-    while True:
-        x = np.exp(rng.normal(size=n) * 0.4 + 1j * rng.normal(size=n) * 0.4)
-        x /= np.prod(x) ** (1.0 / n)
-        gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
-        if gaps.min(initial=np.inf) > 0.1:
-            return x
+def distinct_eigs(re, im):
+    """The eigenvalues x of one attempt, scaled to product 1 on their own,
+    or None where two lie within 0.1 of each other."""
+    n = len(re)
+    x = np.exp(re * 0.4 + 1j * im * 0.4)
+    x /= np.prod(x) ** (1.0 / n)
+    gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
+    return x if gaps.min(initial=np.inf) > 0.1 else None
 
 
 def relativistic_draws_loop(cfg):
     """The seeded (x, u, y_diag) of every sample, one sample at a time: the
-    oracle for ``cli._relativistic_draws``."""
-    xs, us, ys = [], [], []
-    for i in range(cfg.samples):
-        rng = cli._rng_for(cfg, 1000 + i)
-        xs.append(distinct_eigs_loop(cfg.n, rng))
-        us.append(rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n))
-        ys.append(rng.normal(size=cfg.n) + 0.5)
-    return np.array(xs), np.array(us), np.array(ys)
+    oracle for ``cli._relativistic_draws``.  All come from one generator,
+    seed + 1000.  Each pass of ``calogero._SWEEP_CHUNK`` samples draws every
+    sample's window of ``cli._DRAW_BLOCK`` row pairs plus three rows, in
+    sample order; the samples whose window held no passing pair then draw
+    windows twice as long, in sample order, then 4x and so on.  Each window
+    is scanned one pair at a time: x comes from the first passing pair, u
+    is the next row plus 1j times the row after it, y_diag the next + 0.5."""
+    rng, n, draws = cli._rng_for(cfg, 1000), cfg.n, []
+    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
+        pending = range(min(calogero._SWEEP_CHUNK, cfg.samples - start))
+        found, block = {}, cli._DRAW_BLOCK
+        while pending:
+            for i in pending:
+                rows = rng.normal(size=(2 * block + 3, n))
+                for k in range(0, 2 * block, 2):
+                    x = distinct_eigs(rows[k], rows[k + 1])
+                    if x is not None:
+                        found[i] = x, rows[k + 2] + 1j * rows[k + 3], rows[k + 4] + 0.5
+                        break
+            pending, block = [i for i in pending if i not in found], 2 * block
+        draws += [found[i] for i in range(len(found))]
+    return tuple(np.array(column) for column in zip(*draws))
 
 
 def reduction_oracle(x, q, ydiag):
@@ -354,7 +395,7 @@ def reduction_oracle(x, q, ydiag):
                      y=y / np.linalg.det(y) ** (1.0 / n))
     target = q ** (n - 1) - 1.0 / q
     if abs(products.sum() - target) > 1e-10 * max(1.0, abs(target)):
-        raise ValueError("(phi, psi) must equal q^(n-1) - q^(-1)")
+        raise ConstraintViolation("(phi, psi) must equal q^(n-1) - q^(-1)")
     ev = np.array([q ** (n - 1)] + [1.0 / q] * (n - 1))
     got = np.linalg.eigvals(moment(pt))
     got = got[np.lexsort((got.imag, got.real))]
@@ -416,8 +457,8 @@ class TestRelativisticDraws:
     @pytest.mark.parametrize("seed", [0, 7, 123456])
     def test_block_draws_equal_the_loop_bitwise(self, monkeypatch, block, n, samples, seed):
         """With one attempt per block, a sample whose first x fails the gap
-        test (39% of them at n = 8) draws a longer window from its own
-        generator."""
+        test (39% of them at n = 8) draws a longer window after its pass's
+        blocks."""
         monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
         cfg = relativistic_cfg(n, samples, seed)
         for got, want in zip(cli._relativistic_draws(cfg), relativistic_draws_loop(cfg)):
@@ -556,7 +597,7 @@ class TestRankOneSamples:
 
         monkeypatch.setattr(double, "rank_one_consistency_oracle", nudged)
         want = outcome(rank_one_loop, *draws, cfg.q)
-        assert want == (ValueError, "(phi, psi) must equal q^(n-1) - q^(-1)")
+        assert want == (ConstraintViolation, "(phi, psi) must equal q^(n-1) - q^(-1)")
         assert outcome(double._rank_one_samples, *draws, cfg.q) == want
 
     def test_dual_route_message_names_the_first_route_over(self, monkeypatch):
@@ -607,6 +648,7 @@ class TestStackedChecks:
         with pytest.raises(ValueError) as want:
             for i in range(len(x)):
                 DoublePoint(x=x[i], y=y[i])
+        assert type(caught.value) is type(want.value) is ConstraintViolation
         assert str(caught.value) == str(want.value)
         assert str(caught.value) == f"det y must be 1 (got {np.linalg.det(y[3]):.6g})"
         with pytest.raises(ValueError, match=r"det x must be 1 \(got 1\.21"):
