@@ -24,8 +24,8 @@ import numpy as np
 
 from . import calogero, double, facto, kepler
 from .config import TOL
-from .errors import DegintError, FactorizationNotDefined, SingularChartPoint
-from .integrate import FLAG_DIVISOR, monitor, rk4
+from .errors import DegintError, FactorizationNotDefined
+from .integrate import FLAG_DIVISOR, FLAG_NONFINITE, FLAG_TOLERANCE, monitor, rk4
 from .matrixcore import trace_words
 from .poisson import (
     chart_canonical,
@@ -100,10 +100,10 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    csv_header: list
-    csv_rows: list
+    columns: dict                                     # CSV column name -> values
     drifts: list = field(default_factory=list)        # (name, max_abs, max_rel)
     residuals: list = field(default_factory=list)     # (name, value)
+    bounds: dict = field(default_factory=dict)        # drift or residual name -> cap
     flags: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     svg_series: dict = field(default_factory=dict)    # label -> (ts, values)
@@ -115,11 +115,6 @@ def _integrator_metrics(trajectories) -> dict:
     return {"accepted_steps": sum(t.accepted_steps for t in trajectories),
             "rejected_steps": sum(t.rejected_steps for t in trajectories),
             "field_evaluations": sum(t.field_evaluations for t in trajectories)}
-
-
-# One CSV cell in 17-significant-digit scientific notation; Python and numpy
-# floats and ints format alike, so rows go through it straight from .tolist().
-_fmt = "{:.17e}".format
 
 
 def _rng_for(cfg: ScenarioConfig, index: int = 0) -> np.random.Generator:
@@ -138,12 +133,19 @@ def _sl_sample(n, rng, spread=0.35):
     return _sl_matrices(rng.normal(size=(2, n, n)), spread)
 
 
+def _gapped_h(rows):
+    """Each stacked row sorted and centred, as complex h, and whether its
+    closest pair lies more than 0.1 apart (always, for n = 1)."""
+    h = np.sort(rows, axis=-1)
+    h -= h.sum(axis=-1, keepdims=True) / h.shape[-1]   # bit for bit h.mean(), but cheaper
+    return (h[..., 1:] - h[..., :-1]).min(axis=-1, initial=np.inf) > 0.1, h.astype(complex)
+
+
 def _distinct_h(n, rng):
     while True:
-        h = np.sort(rng.normal(size=n))
-        h -= h.sum() / n                  # bit for bit h.mean() and np.diff(h), but cheaper
-        if n == 1 or (h[1:] - h[:-1]).min() > 0.1:
-            return h.astype(complex)
+        ok, h = _gapped_h(rng.normal(size=n))
+        if ok:
+            return h
 
 
 # Attempts each rank-1 sample draws in one block before the first passing
@@ -191,13 +193,10 @@ def _block_draws(cfg, offset, width, extra, candidates):
 
 def _rank1_draws(cfg):
     """The (samples, n) arrays h and u of ``ruijsenaars-rational``, from
-    generator seed + 1: h is the first row that passes ``_distinct_h``'s
+    generator seed + 1: h is the first row that passes ``_gapped_h``'s
     test, then u = row + 1j * row."""
     def candidates(w):
-        h = np.sort(w[..., 0, :], axis=-1)
-        h -= h.sum(axis=-1, keepdims=True) / cfg.n
-        gap = (h[..., 1:] - h[..., :-1]).min(axis=-1, initial=np.inf)
-        return gap > 0.1, h.astype(complex), w[..., 1, :] + 1j * w[..., 2, :]
+        return *_gapped_h(w[..., 0, :]), w[..., 1, :] + 1j * w[..., 2, :]
 
     return _block_draws(cfg, 1, 1, 2, candidates)
 
@@ -261,15 +260,11 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     report = monitor(traj, obs + [control])
 
     obs_values = np.real(report.values[:, :len(obs)])
-    table = np.column_stack([traj.times, np.real(traj.states), obs_values])
-    rows = [list(map(_fmt, row)) for row in table.tolist()]
-    header = (["t"] + [f"p{i}" for i in (1, 2, 3)] + [f"q{i}" for i in (1, 2, 3)]
-              + [o.name for o in obs])
+    labels = [f"{c}{i}" for c in "pq" for i in (1, 2, 3)] + [o.name for o in obs]
+    columns = {"t": traj.times,
+               **dict(zip(labels, np.column_stack([np.real(traj.states), obs_values]).T))}
 
     stride = max(1, len(traj.states) // 50)
-    q = np.real(traj.states[::stride, 3:])
-    if np.any(np.linalg.norm(q, axis=-1) <= TOL.collision_radius):
-        raise SingularChartPoint("state at the collision locus |q| = 0")
     sampled = obs_values[::stride]
     pz = kepler.P5Point(M=sampled[:, :3], A=sampled[:, 3:6], H=sampled[:, 6])
     ma_res = np.abs(np.vecdot(pz.M, pz.A)).max()
@@ -277,17 +272,14 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
         np.vecdot(pz.A, pz.A) - gamma ** 2
         - kepler.QUADRATIC_RELATION_SIGN * 2.0 * np.vecdot(pz.M, pz.M) * pz.H).max()
 
-    flags = list(report.flags)
-    drifts = list(zip(report.names, report.max_abs_drift, report.max_rel_drift))
-    conserved_drift = max(d for name, d, _ in drifts if name != "q1-control")
-    if conserved_drift > TOL.orbit_drift:
-        flags.append("tolerance-failure")
     svg = {o.name: (traj.times, obs_values[:, i]) for i, o in enumerate(obs[:3])}
     return ScenarioResult(
-        csv_header=header, csv_rows=rows, drifts=drifts,
+        columns=columns,
+        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift)),
         residuals=[("orthogonality-(M,A)", ma_res),
                    ("quadratic-relation", quad_res)],
-        flags=flags,
+        bounds=dict.fromkeys((o.name for o in obs), TOL.orbit_drift),
+        flags=list(report.flags),
         parameters={"gamma": gamma, "energy": float(pt.H)},
         svg_series=svg, metrics=_integrator_metrics([traj]))
 
@@ -313,49 +305,33 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
                 for t in ts]
     conj = np.stack([gt @ x @ np.linalg.inv(gt) for gt in gs])
     table = trace_words(np.broadcast_to(x, conj.shape), conj, calogero._joint_words(3))
-    ref, devs = table[0], np.abs(table[1:] - table[0]).max(axis=1)
-    # columns re(inv1), im(inv1), re(inv2), im(inv2)
-    parts = np.stack([table[1:, :2].real, table[1:, :2].imag], axis=-1).reshape(len(ts), 4)
-    rows = [list(map(_fmt, row)) for row in np.column_stack([ts, devs, parts]).tolist()]
-
-    drift = max(devs)
-    flags = []
-    if drift > TOL.central_flow * max(1.0, np.abs(ref).max()):
-        flags.append("tolerance-failure")
+    devs = np.abs(table[1:] - table[0]).max(axis=1)
+    drift, scale = devs.max(), max(1.0, np.abs(table[0]).max())
     return ScenarioResult(
-        csv_header=["t", "joint-invariant-drift", "re(inv1)", "im(inv1)",
-                    "re(inv2)", "im(inv2)"],
-        csv_rows=rows,
-        drifts=[("joint-invariants", drift, drift / max(1.0, np.abs(ref).max()))],
+        columns={"t": ts, "joint-invariant-drift": devs,
+                 "inv1": table[1:, 0], "inv2": table[1:, 1]},
+        drifts=[("joint-invariants", drift, drift / scale)],
         residuals=[("spin-resummation", resum), ("rank1-product", rank1_res),
                    ("h-cm", calogero.h_cm(point))],
-        flags=flags,
-        svg_series={"re(inv1)": (ts, parts[:, 0]), "re(inv2)": (ts, parts[:, 2])})
+        bounds={"joint-invariants": TOL.central_flow * scale},
+        svg_series={"re(inv1)": (ts, table[1:, 0].real), "re(inv2)": (ts, table[1:, 1].real)})
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
     columns = calogero.ruij_sweep(*_rank1_draws(cfg), cfg.kappa)
-
-    matched = columns["matched"].tolist()
-    cells = [[str(i) for i in range(cfg.samples)]] + [
-        matched if name == "matched" else list(map(_fmt, col.tolist()))
-        for name, col in columns.items()]
+    matched = sorted(set(columns["matched"].tolist()))
     maxima = {name: float(columns[key].max()) for name, key in zip(
         ("oracle-residual", "closed-form-residual", "relation-residual",
          "tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"),
         ("oracle-residual", "kappa-scaled-residual", "relation-residual",
          "tr-g-dual", "tr-g2-dual", "h-rR-dual"))}
-    flags = [] if set(matched) == {"kappa-scaled"} else ["normalization-not-uniform"]
-    if (maxima["oracle-residual"] > TOL.oracle_residual
-            or max(maxima[k] for k in ("tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"))
-            > TOL.dual_path):
-        flags.append("tolerance-failure")
     return ScenarioResult(
-        csv_header=["sample"] + list(columns),
-        csv_rows=list(zip(*cells)),
+        columns={"sample": np.arange(cfg.samples), **columns},
         residuals=sorted(maxima.items()),
-        flags=flags,
-        parameters={"matched": sorted(set(matched))})
+        bounds={"oracle-residual": TOL.oracle_residual, "tr-g-dual": TOL.dual_path,
+                "tr-g2-dual": TOL.dual_path, "h-ruijsenaars-dual": TOL.dual_path},
+        flags=[] if matched == ["kappa-scaled"] else ["normalization-not-uniform"],
+        parameters={"matched": matched})
 
 
 def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
@@ -372,22 +348,14 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     stride = max(1, len(traj.times) // 200)
     times = traj.times[::stride]
     values = report.values[::stride]
-    # columns re(o1), im(o1), re(o2), ... for every sampled state
-    pairs = np.stack([np.real(values), np.imag(values)], axis=-1).reshape(len(times), -1)
-    rows = [list(map(_fmt, row)) for row in np.column_stack([times, pairs]).tolist()]
     series = {o.name: (times, np.real(values[:, i])) for i, o in enumerate(observables[:2])}
-
-    drifts = list(zip(report.names, report.max_abs_drift, report.max_rel_drift))
-    flags = list(report.flags)
-    if report.max_abs_drift.max() > TOL.projection_drift:
-        flags.append("tolerance-failure")
-    header = ["t"]
-    for o in observables:
-        header += [f"re({o.name})", f"im({o.name})"]
-    return ScenarioResult(csv_header=header, csv_rows=rows, drifts=drifts,
-                          flags=flags,
-                          parameters={"family": family, "hamiltonian": H.name},
-                          svg_series=series, metrics=_integrator_metrics([traj]))
+    return ScenarioResult(
+        columns={"t": times, **{o.name: values[:, i] for i, o in enumerate(observables)}},
+        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift)),
+        bounds=dict.fromkeys(report.names, TOL.projection_drift),
+        flags=list(report.flags),
+        parameters={"family": family, "hamiltonian": H.name},
+        svg_series=series, metrics=_integrator_metrics([traj]))
 
 
 def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
@@ -399,8 +367,7 @@ def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
     double._check_unimodular(x, y)
     dev = float(np.abs(double._moment(*double._duality(x, y)) - double._moment(x, y)).max())
     result.residuals.append(("duality-moment-deviation", dev))
-    if dev > TOL.duality_exact * 10:
-        result.flags.append("tolerance-failure")
+    result.bounds["duality-moment-deviation"] = TOL.duality_exact * 10
     return result
 
 
@@ -409,9 +376,8 @@ def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
     worst = {name: float(column.max()) for name, column in
              double._rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()}
     result.residuals += list(worst.items())
-    if (worst["mu-eigenvalue-deviation"] > TOL.mu_eigenvalue
-            or max(worst["trace-dual-path"], worst["h2-dual-path"]) > TOL.dual_path):
-        result.flags.append("tolerance-failure")
+    result.bounds.update({"mu-eigenvalue-deviation": TOL.mu_eigenvalue,
+                          "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path})
     return result
 
 
@@ -419,10 +385,7 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
     x0 = _sl_sample(n, rng, 0.25)
-    rows = []
-    residuals = {}
-    flags = []
-    runs = []
+    powers, traces, residuals, bounds, flags, runs = [], [], {}, {}, [], []
     ts = np.linspace(0.0, cfg.t_max, 21)
     for k in (1, 2):
         H = facto.TracePower(k)
@@ -441,19 +404,17 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
         residuals[f"semigroup-{H.name}"] = sweep.max_semigroup_residual
         residuals[f"trace-drift-{H.name}"] = sweep.max_trace_drift
         residuals[f"conjugation-{H.name}"] = float(sweep.conjugation_agreements.max())
-        if (cross > TOL.flow_cross_check
-                or sweep.max_semigroup_residual > TOL.semigroup
-                or sweep.max_trace_drift > TOL.trace_conservation):
-            flags.append("tolerance-failure")
-        tr = trace_words(xts, xts, [(j, 0, 0, 0) for j in range(1, n + 1)])
-        parts = np.stack([tr.real, tr.imag], axis=-1).reshape(len(ts), -1)   # re, im, re, ...
-        rows += [[str(k), _fmt(t)] + list(map(_fmt, row)) for t, row in zip(ts, parts.tolist())]
-    header = ["power", "t"]
-    for j in range(1, n + 1):
-        header += [f"re(tr x^{j})", f"im(tr x^{j})"]
-    return ScenarioResult(csv_header=header, csv_rows=rows,
-                          residuals=sorted(residuals.items()), flags=flags,
-                          metrics=_integrator_metrics(runs))
+        bounds.update({f"cross-check-{H.name}": TOL.flow_cross_check,
+                       f"semigroup-{H.name}": TOL.semigroup,
+                       f"trace-drift-{H.name}": TOL.trace_conservation})
+        powers.append(k)
+        traces.append(trace_words(xts, xts, [(j, 0, 0, 0) for j in range(1, n + 1)]))
+    traces = np.array(traces, dtype=complex).reshape(-1, n)
+    return ScenarioResult(
+        columns={"power": np.repeat(powers, len(ts)), "t": np.tile(ts, len(powers)),
+                 **{f"tr x^{j}": traces[:, j - 1] for j in range(1, n + 1)}},
+        residuals=sorted(residuals.items()), bounds=bounds, flags=flags,
+        metrics=_integrator_metrics(runs))
 
 
 def _bracket_suite_charts(n: int):
@@ -483,32 +444,24 @@ def _chart_defects(chart, sample, cfg, i):
     antisym = float(np.abs(P + P.T).max() / max(1.0, np.abs(P).max()))
     idx = rng.choice(chart.dim, size=3, replace=False)
     f, g, h = (coordinate(chart.dim, int(j)) for j in idx)
-    jac = abs(jacobi_defect(chart, f, g, h, z))
-    lei = abs(leibniz_defect(chart, f, g, h, z))
-    return i, antisym, jac, lei
+    return antisym, abs(jacobi_defect(chart, f, g, h, z)), abs(leibniz_defect(chart, f, g, h, z))
 
 
 def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
-    rows = []
-    residuals = []
-    flags = []
     charts = _bracket_suite_charts(cfg.n)
-    for chart, sample in charts:
-        out = [_chart_defects(chart, sample, cfg, i) for i in range(cfg.samples)]
-        worst = (max(r[1] for r in out), max(r[2] for r in out),
-                 max(r[3] for r in out))
-        for i, a, j, l in out:
-            rows.append([chart.name, str(i), _fmt(a), _fmt(j), _fmt(l)])
-        residuals += [(f"antisymmetry:{chart.name}", worst[0]),
-                      (f"jacobi:{chart.name}", worst[1]),
-                      (f"leibniz:{chart.name}", worst[2])]
-        if (worst[0] > TOL.antisymmetry or worst[1] > TOL.jacobi
-                or worst[2] > TOL.leibniz):
-            flags.append("tolerance-failure")
+    names = [chart.name for chart, _ in charts]
+    caps = {"antisymmetry": TOL.antisymmetry, "jacobi": TOL.jacobi, "leibniz": TOL.leibniz}
+    # (charts, samples, defects), the defects in the order of caps
+    defects = np.array([[_chart_defects(chart, sample, cfg, i) for i in range(cfg.samples)]
+                        for chart, sample in charts])
     return ScenarioResult(
-        csv_header=["chart", "point", "antisymmetry", "jacobi", "leibniz"],
-        csv_rows=rows, residuals=residuals, flags=flags,
-        parameters={"charts": [chart.name for chart, _ in charts]})
+        columns={"chart": np.repeat(names, cfg.samples),
+                 "point": np.tile(np.arange(cfg.samples), len(charts)),
+                 **{check: defects[..., k].ravel() for k, check in enumerate(caps)}},
+        residuals=[(f"{check}:{name}", value) for name, row in zip(names, defects.max(axis=1))
+                   for check, value in zip(caps, row)],
+        bounds={f"{check}:{name}": cap for name in names for check, cap in caps.items()},
+        parameters={"charts": names})
 
 
 def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
@@ -522,19 +475,18 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
                             y=_sl_sample(n, rng, 0.35))
     rep2 = double.fiber_check(pt, samples=cfg.samples, rng=_rng_for(cfg, 2))
 
-    rows, flags = [], []
-    for tag, rep in (("rational", rep1), ("relativistic", rep2)):
-        rows += [[tag, str(i), str(j), _fmt(m)] for (i, j), m in np.ndenumerate(rep.margins)]
-        if not rep.all_separated:
-            flags.append(f"inconclusive-separation:{tag}")
+    reps = {"rational": rep1, "relativistic": rep2}
+    cells = [(tag, i, j, m) for tag, rep in reps.items()
+             for (i, j), m in np.ndenumerate(rep.margins)]
     return ScenarioResult(
-        csv_header=["system", "first-fiber-sample", "second-fiber-sample", "margin"],
-        csv_rows=rows,
+        columns=dict(zip(("system", "first-fiber-sample", "second-fiber-sample", "margin"),
+                         map(np.array, zip(*cells)))),
         residuals=[("rational-min-margin", float(rep1.margins.min())),
                    ("rational-coincident", rep1.coincident_margin),
                    ("relativistic-min-margin", float(rep2.margins.min())),
                    ("relativistic-coincident", rep2.coincident_margin)],
-        flags=flags)
+        flags=[f"inconclusive-separation:{tag}" for tag, rep in reps.items()
+               if not rep.all_separated])
 
 
 @dataclass(frozen=True)
@@ -606,7 +558,28 @@ def _not_taken(scenario: str, extra) -> str:
 # output writers
 # ----------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
+# One CSV cell in 17-significant-digit scientific notation; Python and numpy
+# floats format alike.
+_fmt = "{:.17e}".format
+
+
+def _csv_table(columns):
+    """The header and rows of a report's named columns: a complex column is
+    written as re(name) and im(name), floats with ``_fmt`` and everything
+    else with ``str``."""
+    header, cells = [], []
+    for name, column in columns.items():
+        column = np.asarray(column)
+        parts = ({f"re({name})": column.real, f"im({name})": column.imag}
+                 if column.dtype.kind == "c" else {name: column})
+        for label, part in parts.items():
+            header.append(label)
+            cells.append(list(map(_fmt if part.dtype.kind == "f" else str, part.tolist())))
+    return header, list(zip(*cells))
+
+
+def _write_csv(path, columns):
+    header, rows = _csv_table(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -675,12 +648,17 @@ def run(config: ScenarioConfig) -> int:
     start = time.perf_counter()
     try:
         result = spec.run(config)
-    except DegintError as exc:
+    except (DegintError, np.linalg.LinAlgError) as exc:
         # still emit a report so the failure is machine readable
-        result = ScenarioResult(csv_header=["error"], csv_rows=[],
+        result = ScenarioResult(columns={"error": []},
                                 flags=[f"numerical-failure:{type(exc).__name__}"])
         print(f"numerical failure: {exc}", file=sys.stderr)
     elapsed = time.perf_counter() - start
+
+    # a capped value fails the report unless it is within its cap (so NaN fails)
+    reported = {name: value for name, value, _ in result.drifts} | dict(result.residuals)
+    if any(not reported[name] <= cap for name, cap in result.bounds.items()):
+        result.flags.append(FLAG_TOLERANCE)
 
     # the options the scenario read, then the values its runner computed
     parameters = {key: getattr(config, key) for key in spec.options}
@@ -703,7 +681,7 @@ def run(config: ScenarioConfig) -> int:
         payload["metrics"] = result.metrics
     try:
         if config.out_csv:
-            _write_csv(config.out_csv, result.csv_header, result.csv_rows)
+            _write_csv(config.out_csv, result.columns)
         if config.out_json:
             _write_json(config.out_json, payload)
         if config.out_svg:
@@ -718,7 +696,7 @@ def run(config: ScenarioConfig) -> int:
         print(f"  drift {item['name']}: {item['max_abs']:.3e}")
     for item in payload["oracle_residuals"]:
         print(f"  residual {item['name']}: {item['value']:.3e}")
-    failed = any("failure" in f or f.startswith("inconclusive")
+    failed = any("failure" in f or f.startswith("inconclusive") or f == FLAG_NONFINITE
                  for f in payload["flags"])
     return 2 if failed else 0
 

@@ -212,7 +212,8 @@ def _reductions(x, q, ydiag) -> dict:
     residuals and the moment's "mu_eigenvalue_deviation".  Each check of the
     per-point path, in its order, raises for the first sample failing it."""
     n = x.shape[-1]
-    _raise_first(np.abs(x).min(axis=-1) == 0.0, ValueError, "x eigenvalues must be nonzero")
+    _raise_first(np.abs(x).min(axis=-1) == 0.0, SingularChartPoint,
+                 "x eigenvalues must be nonzero")
     products = rank_one_consistency_oracle(x, q) / x
     # naive and x_i-corrected product formulas for psi_i phi_i
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[..., None, :] / x[..., :, None],

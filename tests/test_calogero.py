@@ -536,7 +536,7 @@ class TestRuijSweep:
         h-rR-dual is, because the stacked pair sums run in the per-point
         (C) order and a single point's tr is squared as an array."""
         cfg = ruij_cfg(n, 60, kappa, seed=11)
-        rows = cli._scenario_ruijsenaars_rational(cfg).csv_rows
+        rows = cli._csv_table(cli._scenario_ruijsenaars_rational(cfg).columns)[1]
         h, u = ruij_draws(cfg)
         assert len(rows) == cfg.samples
         for i, row in enumerate(rows):

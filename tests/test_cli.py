@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from degint import cli, double, facto, integrate, kepler, poisson
+from degint.config import TOL
 from degint.errors import ConsistencyError, FactorizationNotDefined
 from degint.matrixcore import traces_of_powers
 from degint.cli import (
     ScenarioConfig,
     _config_from_args,
     _build_parser,
+    _csv_table,
     _fmt,
     list_scenarios,
     main,
@@ -363,6 +365,36 @@ class TestExitCodes:
         assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConsistencyError"]
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "kepler", "--t-max", "1e300"],
+        ["--scenario", "relativistic-ruijsenaars", "--dt", "1e300", "--t-max", "1e301"],
+    ], ids=lambda argv: argv[1])
+    def test_nonfinite_state_exits_2(self, tmp_path, argv):
+        """An integrator that stops at a non-finite state fails the report,
+        though its one stored state has no drift."""
+        out = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out-json", str(out)]) == 2
+        payload = json.loads(out.read_text())
+        assert payload["flags"] == [integrate.FLAG_NONFINITE]
+        assert payload["metrics"]["accepted_steps"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "relativistic-cm", "--n", "3", "--dt", "1", "--t-max", "1000"],
+        ["--scenario", "relativistic-ruijsenaars", "--dt", "20", "--t-max", "20000",
+         "--seed", "7"],
+    ], ids=lambda argv: argv[1])
+    def test_singular_matrix_is_a_numerical_failure(self, tmp_path, capsys, argv):
+        """A flow that runs into a singular matrix exits 2 with the report
+        written, not with a traceback."""
+        outs = {ext: tmp_path / f"r.{ext}" for ext in ("csv", "json")}
+        with np.errstate(all="ignore"):
+            assert main(argv + ["--out-csv", str(outs["csv"]),
+                                "--out-json", str(outs["json"])]) == 2
+        assert json.loads(outs["json"].read_text())["flags"] == ["numerical-failure:LinAlgError"]
+        assert outs["csv"].read_text() == "error\n"
+        assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
     @pytest.mark.parametrize("error,code,flags", [
         (FactorizationNotDefined, 0, ["factorization-divisor"]),
         (ConsistencyError, 2, ["numerical-failure:ConsistencyError"]),
@@ -451,6 +483,89 @@ class TestBenchmarkPools:
             if code or flags:
                 failed.append((seed, code, flags))
         assert failed == []
+
+
+# The values each scenario caps at its defaults, with their caps.  The cap of
+# cm-rational is scaled by the largest |invariant|, so only its floor is pinned.
+_CHARTS = ("canonical(n=3)", "cm-loglinear(n=3)", "relativistic-loglinear(n=3)",
+           "heisenberg-double(n=2)", "sklyanin(n=2)", "sklyanin(n=3)")
+CAPS = {
+    "kepler": dict.fromkeys(["M1", "M2", "M3", "A1", "A2", "A3", "H"], TOL.orbit_drift),
+    "cm-rational": {"joint-invariants": TOL.central_flow},
+    "ruijsenaars-rational": {"oracle-residual": TOL.oracle_residual,
+                             **dict.fromkeys(["tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"],
+                                             TOL.dual_path)},
+    "relativistic-cm": {**dict.fromkeys(["tr(x^1)", "tr(x^2)", "tr(mu~^1)", "tr(mu~^2)",
+                                         "tr(x mu~)", "tr(x^2 mu~)"], TOL.projection_drift),
+                        "duality-moment-deviation": TOL.duality_exact * 10},
+    "relativistic-ruijsenaars": {
+        **dict.fromkeys(["tr(y^1)", "tr(y^2)", "tr(mu^1)", "tr(mu^2)", "tr(y mu)",
+                         "tr(y^2 mu)"], TOL.projection_drift),
+        "mu-eigenvalue-deviation": TOL.mu_eigenvalue,
+        "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path},
+    "factorization-flow": {f"{check}-tr(x^{k})": cap for k in (1, 2) for check, cap in (
+        ("cross-check", TOL.flow_cross_check), ("semigroup", TOL.semigroup),
+        ("trace-drift", TOL.trace_conservation))},
+    "verify-brackets": {f"{check}:{chart}": cap for chart in _CHARTS for check, cap in (
+        ("antisymmetry", TOL.antisymmetry), ("jacobi", TOL.jacobi), ("leibniz", TOL.leibniz))},
+    "duality-check": {},
+}
+
+
+class TestReportRule:
+    """Scenarios return named columns and capped values; ``run`` writes the
+    one CSV format and applies the one cap rule."""
+
+    def test_every_scenario_is_pinned(self):
+        assert sorted(CAPS) == sorted(cli._SCENARIOS)
+
+    @pytest.mark.parametrize("scenario", sorted(CAPS))
+    def test_caps_at_the_defaults(self, scenario):
+        result = cli._SCENARIOS[scenario].run(ScenarioConfig(scenario=scenario))
+        assert set(result.bounds) == set(CAPS[scenario])
+        for name, cap in CAPS[scenario].items():
+            if scenario == "cm-rational":
+                assert result.bounds[name] >= cap
+            else:
+                assert result.bounds[name] == cap, name
+
+    def run_with(self, monkeypatch, tmp_path, **result):
+        spec = cli._SCENARIOS["kepler"]
+        monkeypatch.setitem(cli._SCENARIOS, "kepler", dataclasses.replace(
+            spec, run=lambda cfg: cli.ScenarioResult(columns={}, **result)))
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "kepler", "--out-json", str(out)])
+        return code, json.loads(out.read_text())["flags"]
+
+    @pytest.mark.parametrize("value,code,flags", [
+        (1e-9, 0, []), (1e-9 * (1 + 1e-15), 2, ["tolerance-failure"]),
+        (np.nan, 2, ["tolerance-failure"]), (np.inf, 2, ["tolerance-failure"])])
+    @pytest.mark.parametrize("kind", ["drift", "residual"])
+    def test_a_value_not_within_its_cap_fails(self, monkeypatch, tmp_path, kind, value, code,
+                                              flags):
+        reported = ({"drifts": [("a", value, 0.0)]} if kind == "drift"
+                    else {"residuals": [("a", value)]})
+        assert self.run_with(monkeypatch, tmp_path, bounds={"a": 1e-9},
+                             **reported) == (code, flags)
+
+    def test_an_uncapped_value_never_fails(self, monkeypatch, tmp_path):
+        assert self.run_with(monkeypatch, tmp_path, drifts=[("a", 1.0, 1.0)],
+                             residuals=[("b", np.nan)]) == (0, [])
+
+    def test_a_cap_on_an_unreported_name_raises(self, monkeypatch, tmp_path):
+        with pytest.raises(KeyError, match="missing"):
+            self.run_with(monkeypatch, tmp_path, residuals=[("a", 0.0)],
+                          bounds={"missing": 1.0})
+
+    def test_the_one_csv_format(self):
+        header, rows = _csv_table({"tag": ["a", "b"], "k": np.arange(2), "t": [0.5, -2.0],
+                                   "z": np.array([1 + 2j, -0.25j])})
+        assert header == ["tag", "k", "t", "re(z)", "im(z)"]
+        assert rows == [("a", "0", _fmt(0.5), _fmt(1.0), _fmt(2.0)),
+                        ("b", "1", _fmt(-2.0), _fmt(-0.0), _fmt(-0.25))]
+        assert _fmt(0.5) == "5.00000000000000000e-01"
+        assert _csv_table({"error": []}) == (["error"], [])
+
 
 class TestOutputs:
     def test_report_schema(self, tmp_path):
@@ -615,7 +730,8 @@ class TestSingleEvaluation:
         gamma = result.parameters["gamma"]
         # 17 significant digits round-trip every float64 of the CSV
         states = [kepler.KeplerState(p=z[:3], q=z[3:], gamma=gamma) for z in
-                  np.array([[float(c) for c in row[1:7]] for row in result.csv_rows])]
+                  np.array([[float(c) for c in row[1:7]]
+                            for row in _csv_table(result.columns)[1]])]
         ma = quad = 0.0
         for state in states[::max(1, len(states) // 50)]:
             pz = kepler.project_to_p5(state)
@@ -743,5 +859,5 @@ class TestFactorizationFlowSplits:
                 tr = traces_of_powers(facto._conjugations(x0, xi, t)[0], cfg.n)
                 rows.append([str(k), _fmt(t)] + [_fmt(v) for z in tr for v in (z.real, z.imag)])
         assert result.residuals == sorted(residuals.items())
-        assert result.csv_rows == rows
+        assert _csv_table(result.columns)[1] == list(map(tuple, rows))
         assert result.flags == []

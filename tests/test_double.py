@@ -375,7 +375,7 @@ def reduction_oracle(x, q, ydiag):
     """The per-point rank-1 reduction: (moment deviation, corrected residual)."""
     n = len(x)
     if np.abs(x).min() == 0.0:
-        raise ValueError("x eigenvalues must be nonzero")
+        raise SingularChartPoint("x eigenvalues must be nonzero")
     products = double.rank_one_consistency_oracle(x, q) / x
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
                                          1.0 - x[None, :] / x[:, None]).prod(axis=-1)
@@ -612,7 +612,8 @@ class TestRankOneSamples:
         assert outcome(double._rank_one_samples, *draws, cfg.q) == want
 
     @pytest.mark.parametrize("plants", [{4: "cauchy-denominator"},
-                                        {3: "nonfinite-hamiltonians", 6: "formula-match"}])
+                                        {3: "nonfinite-hamiltonians", 6: "formula-match"},
+                                        {4: "zero-eigenvalue"}])
     def test_cli_reports_the_loop_failure(self, tmp_path, monkeypatch, capsys, plants):
         """A planted failing sample gives the stacked report the loop's exit
         code, flag and message."""
