@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import (ConsistencyError, DegintError, FormulaMismatchError,
-                     NonFiniteMatrixError, SingularChartPoint)
+from .errors import (ConsistencyError, DegintError, NonFiniteMatrixError,
+                     SingularChartPoint)
 from .matrixcore import as_matrix, mat_exp, spectral, trace_words
 
 __all__ = [
@@ -295,14 +295,10 @@ def _ruij_parts(h, u, kappa):
 
 def _select(w, bare, kappa):
     """(kappa_scaled, res_bare, res_scaled) against the oracle w: kappa-scaled
-    is picked within ``TOL.formula_match`` or when closer; raises if neither
-    is within ``TOL.formula_reject``."""
+    is picked within ``TOL.formula_match`` or when closer."""
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
     res_bare = np.abs(bare - w).max(axis=-1) / scale
     res_scaled = np.abs(kappa * bare - w).max(axis=-1) / scale
-    _raise_first(~(np.minimum(res_bare, res_scaled) <= TOL.formula_reject),
-                 FormulaMismatchError, "no candidate matches the oracle; bare residual",
-                 res_bare)
     return (res_scaled <= TOL.formula_match) | (res_scaled < res_bare), res_bare, res_scaled
 
 
@@ -321,8 +317,7 @@ def phi_psi_closed_form(h, kappa: complex) -> PhiPsiSelection:
 
     Candidates: bare  prod_{j!=i} (h_i-h_j+kappa)/(h_i-h_j)  and the same
     scaled by kappa.  Exactly one of them solves the defining system; which
-    one is recorded in the result.  Raises when neither candidate is within
-    ``TOL.formula_reject`` of the oracle.
+    one is recorded in the result, with both residuals.
     """
     h = np.asarray(h, dtype=complex).ravel()
     w = solve_phi_psi_oracle(h, kappa)

@@ -311,15 +311,14 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
         columns={"t": ts, "joint-invariant-drift": devs,
                  "inv1": table[1:, 0], "inv2": table[1:, 1]},
         drifts=[("joint-invariants", drift, drift / scale)],
-        residuals=[("spin-resummation", resum), ("rank1-product", rank1_res),
-                   ("h-cm", calogero.h_cm(point))],
+        residuals=[("spin-resummation", resum), ("rank1-product", rank1_res)],
         bounds={"joint-invariants": TOL.central_flow * scale},
+        parameters={"h-cm": calogero.h_cm(point)},
         svg_series={"re(inv1)": (ts, table[1:, 0].real), "re(inv2)": (ts, table[1:, 1].real)})
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
     columns = calogero.ruij_sweep(*_rank1_draws(cfg), cfg.kappa)
-    matched = sorted(set(columns["matched"].tolist()))
     maxima = {name: float(columns[key].max()) for name, key in zip(
         ("oracle-residual", "closed-form-residual", "relation-residual",
          "tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"),
@@ -328,10 +327,10 @@ def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         columns={"sample": np.arange(cfg.samples), **columns},
         residuals=sorted(maxima.items()),
-        bounds={"oracle-residual": TOL.oracle_residual, "tr-g-dual": TOL.dual_path,
+        bounds={"oracle-residual": TOL.oracle_residual,
+                "closed-form-residual": TOL.formula_match, "tr-g-dual": TOL.dual_path,
                 "tr-g2-dual": TOL.dual_path, "h-ruijsenaars-dual": TOL.dual_path},
-        flags=[] if matched == ["kappa-scaled"] else ["normalization-not-uniform"],
-        parameters={"matched": matched})
+        parameters={"matched": sorted(set(columns["matched"].tolist()))})
 
 
 def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
@@ -377,6 +376,7 @@ def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
              double._rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()}
     result.residuals += list(worst.items())
     result.bounds.update({"mu-eigenvalue-deviation": TOL.mu_eigenvalue,
+                          "psi-phi-corrected-residual": TOL.formula_match,
                           "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path})
     return result
 

@@ -33,13 +33,10 @@ class Tolerances:
     # rank-1 systems
     oracle_residual: float = 1e-10     # linear-system solve residual
     formula_match: float = 1e-8        # closed form accepted against the oracle
-    formula_reject: float = 1e-6       # beyond this no candidate is accepted
     dual_path: float = 1e-9            # reduced formula vs matrix trace
-    dual_path_reject: float = 1e-6
     central_flow: float = 1e-9         # joint-invariant drift along central flows
     duality_exact: float = 1e-12       # algebraic identities of the duality map
     mu_eigenvalue: float = 1e-7        # rank-1 class membership of the moment value
-    reduction_reject: float = 1e-6
     projection_drift: float = 1e-7     # projection invariants along double flows
     separation_margin: float = 1e-6    # fiber checks count as separated above this
 

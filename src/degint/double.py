@@ -16,7 +16,8 @@ arbitrated by oracles here and in the test suite:
 * the consistency system  sum_i v_i / (x_j - q^{-1} x_i) = 1  determines
   v_i = psi_i phi_i x_i (dense solve = oracle); the matching product formula
   is psi_i phi_i = (1 - q^{-1}) prod_{j != i} (1 - q x_j/x_i)/(1 - x_j/x_i),
-  i.e. the naive form with its stray x_i^{-1} prefactor dropped;
+  i.e. the naive form with its stray x_i^{-1} prefactor dropped (the naive
+  form is checked against the oracle only in the test suite);
 * the off-diagonal reconstruction uses denominators (x_i/x_j - q^{-1});
   with (1 - q^{-1} x_i/x_j) instead, mu lands in the class of q^{-1} rather
   than q (the two conventions are exchanged by q -> 1/q);
@@ -40,9 +41,7 @@ from .calogero import (
     _separation_report,
     _stacked,
 )
-from .config import TOL
-from .errors import (ConsistencyError, ConstraintViolation, NonFiniteMatrixError,
-                     ReductionFailedError, SingularChartPoint)
+from .errors import ConstraintViolation, NonFiniteMatrixError, SingularChartPoint
 from .integrate import ConservationReport, monitor, rk4
 from .matrixcore import as_matrix, spectral, trace_words
 from .poisson import Observable, chart_heisenberg_double, trace_power
@@ -177,10 +176,12 @@ def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankOneReduction:
-    """Result of the rank-1 reduction: the pair and how far its moment value
-    lies from the rank-1 class."""
+    """Result of the rank-1 reduction: the pair, how far the corrected
+    product formula lies from the oracle, and how far the moment value lies
+    from the rank-1 class."""
 
     point: DoublePoint
+    psi_phi_residual: float
     mu_eigenvalue_deviation: float
 
 
@@ -190,9 +191,9 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
     x = diag(x_eigs), gauge phi_i = 1.  The off-diagonal entries are
     y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}); the supplied ``y_diag``
     fills the diagonal.  The products psi_i phi_i come from the consistency
-    oracle; both closed-form candidates are compared against it, and the
-    x_i-corrected one must match.  The moment value mu(x, y) is then tested
-    against the class eigenvalues (q^{n-1}, q^{-1}, ..., q^{-1}).
+    oracle; the x_i-corrected closed form is compared against it, and the
+    moment value mu(x, y) against the class eigenvalues
+    (q^{n-1}, q^{-1}, ..., q^{-1}); both deviations are returned.
 
     Both factors are rescaled to unit determinant before pairing (the
     moment value is insensitive to scalar factors).
@@ -203,27 +204,25 @@ def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
         raise ValueError("y_diag length must match x_eigs")
     r = _reductions(x[None], q, ydiag[None])
     return RankOneReduction(point=DoublePoint(x=r["x"][0], y=r["y"][0]),
+                            psi_phi_residual=float(r["residual_corrected"][0]),
                             mu_eigenvalue_deviation=float(r["mu_eigenvalue_deviation"][0]))
 
 
 def _reductions(x, q, ydiag) -> dict:
     """``rank_one_reduction`` for x and y_diag stacked as (samples, n): the
-    factors "x" and "y" and, per sample, the oracle "products", both
-    residuals and the moment's "mu_eigenvalue_deviation".  Each check of the
-    per-point path, in its order, raises for the first sample failing it."""
+    factors "x" and "y" and, per sample, the corrected formula's
+    "residual_corrected" and the moment's "mu_eigenvalue_deviation".  Each
+    check of the per-point path, in its order, raises for the first sample
+    failing it."""
     n = x.shape[-1]
     _raise_first(np.abs(x).min(axis=-1) == 0.0, SingularChartPoint,
                  "x eigenvalues must be nonzero")
     products = rank_one_consistency_oracle(x, q) / x
-    # naive and x_i-corrected product formulas for psi_i phi_i
+    # the x_i-corrected product formula for psi_i phi_i
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[..., None, :] / x[..., :, None],
                                          1.0 - x[..., None, :] / x[..., :, None]).prod(axis=-1)
-    naive = corrected / x
-    scale = np.maximum(1.0, np.abs(products).max(axis=-1))
-    res_naive = np.abs(naive - products).max(axis=-1) / scale
-    res_corrected = np.abs(corrected - products).max(axis=-1) / scale
-    _raise_first(res_corrected > TOL.formula_match, ReductionFailedError,
-                 "corrected product formula off the oracle by", res_corrected)
+    res_corrected = (np.abs(corrected - products).max(axis=-1)
+                     / np.maximum(1.0, np.abs(products).max(axis=-1)))
 
     den = x[..., :, None] / x[..., None, :] - 1.0 / q
     _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
@@ -242,12 +241,8 @@ def _reductions(x, q, ydiag) -> dict:
 
     got = np.linalg.eigvals(_moment(xmat, y))
     got = np.take_along_axis(got, np.lexsort((got.imag, got.real), axis=-1), axis=-1)
-    dev = np.abs(got - _class_eigenvalues(q, n)).max(axis=-1)
-    _raise_first(dev > TOL.reduction_reject, ReductionFailedError, lambda k: (
-        f"moment eigenvalues off the rank-1 class by {dev[k]:.3g} "
-        f"(naive residual {res_naive[k]:.3g}, corrected {res_corrected[k]:.3g})"))
-    return {"x": xmat, "y": y, "products": products, "residual_naive": res_naive,
-            "residual_corrected": res_corrected, "mu_eigenvalue_deviation": dev}
+    return {"x": xmat, "y": y, "residual_corrected": res_corrected,
+            "mu_eigenvalue_deviation": np.abs(got - _class_eigenvalues(q, n)).max(axis=-1)}
 
 
 @dataclass(frozen=True)
@@ -266,8 +261,9 @@ def relativistic_hamiltonians(x_eigs, u, q: complex) -> RelativisticHamiltonians
     The diagonal is y_ii = u_i prod_{j != i} (1-q^{-1}x_i/x_j)/(1-x_i/x_j)
     and the off-diagonal reconstruction uses (1 - q^{-1} x_i/x_j)
     denominators (internally consistent with the reduced trace formulas).
-    Reduced closed formulas and matrix traces must agree; so must the
-    product formula for the second Hamiltonian and its character route.
+    Returns how far the reduced closed formulas lie from the matrix traces,
+    and the product formula for the second Hamiltonian from its character
+    route.
     """
     x = np.asarray(x_eigs, dtype=complex).ravel()
     u = np.asarray(u, dtype=complex).ravel()
@@ -281,19 +277,11 @@ def relativistic_hamiltonians(x_eigs, u, q: complex) -> RelativisticHamiltonians
 def _hamiltonians(x, u, q) -> dict:
     """``relativistic_hamiltonians`` for x and u stacked as (samples, n):
     per sample "traces" (tr y, tr y^2), "h2" and the three residuals.
-    Raises for the first sample whose y is not finite, and else for the
-    first whose dual routes disagree, naming its first disagreeing route."""
+    Raises for the first sample whose y is not finite."""
     own = 1.0 - x[..., :, None] / (q * x[..., None, :])     # 1 - q^{-1} x_i/x_j
     other = 1.0 - x[..., :, None] / x[..., None, :]         # 1 - x_i/x_j
     c = 1.0 - 1.0 / q
     res, traces, h2 = _dual_residuals(own, c, q, u, *_rank1_matrix(own, other, c, u))
-    bad = res > TOL.dual_path_reject
-
-    def message(k):
-        route = int(bad[k].argmax())
-        return f"{('tr y', 'tr y^2', 'H2')[route]}: dual routes disagree by {res[k, route]:.3g}"
-
-    _raise_first(bad.any(axis=-1), ConsistencyError, message)
     return {"traces": traces, "h2": h2,
             "residual_tr_y": res[..., 0], "residual_tr_y2": res[..., 1],
             "residual_h2": res[..., 2]}

@@ -30,16 +30,8 @@ class DimensionMismatch(DegintError):
     """A point or gradient does not match the chart dimension."""
 
 
-class FormulaMismatchError(DegintError):
-    """No closed-form candidate reproduces the oracle solution."""
-
-
 class ConsistencyError(DegintError):
     """Two independently computed routes to the same quantity disagree."""
-
-
-class ReductionFailedError(DegintError):
-    """Rank-1 reduction produced a moment value outside the target class."""
 
 
 class ConstraintViolation(DegintError, ValueError):

@@ -116,10 +116,8 @@ def ul_split_factorize(m) -> ULPair:
                 f"pivot minor {k + 1} has modulus {abs(pivot):.3g} "
                 f"(threshold {TOL.pivot_minor * scale:.3g})"
             )
-        for i in range(k + 1, n):
-            f = work[i, k] / pivot
-            lower[i, k] = f
-            work[i, k:] -= f * work[k, k:]
+        lower[k + 1:, k] = work[k + 1:, k] / pivot
+        work[k + 1:, k:] -= lower[k + 1:, k, None] * work[k, k:]
 
     diag = np.diag(work).copy()
     upper_unit = work / diag[:, None]

@@ -176,7 +176,8 @@ def test_criterion_4_central_flow_invariants():
 
 def test_criterion_5_relativistic_suite():
     """n in {2, 3}: moment preserved by duality <= 1e-12 at 100 points;
-    rank-1 moment eigenvalues <= 1e-7; dual-path tr y, tr y^2, H2 <= 1e-9;
+    corrected psi-phi products off the oracle <= 1e-8, rank-1 moment
+    eigenvalues <= 1e-7; dual-path tr y, tr y^2, H2 <= 1e-9;
     projection invariants drift <= 1e-7 along tr(x) and tr(y) flows."""
     with criterion(5, "relativistic pair-system suite", 60.0):
         for n in (2, 3):
@@ -199,6 +200,7 @@ def test_criterion_5_relativistic_suite():
                         break
                 red = double.rank_one_reduction(
                     x, q, rng.normal(size=n) + 0.5 + 0.1j * rng.normal(size=n))
+                assert red.psi_phi_residual <= 1e-8
                 assert red.mu_eigenvalue_deviation <= 1e-7
 
                 u = rng.normal(size=n) + 1j * rng.normal(size=n)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degint import cli, double, facto, integrate, kepler, poisson
+from degint import calogero, cli, double, facto, integrate, kepler, poisson
 from degint.config import TOL
 from degint.errors import ConsistencyError, FactorizationNotDefined
 from degint.matrixcore import traces_of_powers
@@ -180,7 +180,8 @@ SMALL = {
     "duality-check": {"samples": 2},
 }
 # What each runner computes for the report's parameters.
-COMPUTED = {"kepler": {"gamma", "energy"}, "ruijsenaars-rational": {"matched"},
+COMPUTED = {"kepler": {"gamma", "energy"}, "cm-rational": {"h-cm"},
+            "ruijsenaars-rational": {"matched"},
             "relativistic-cm": {"family", "hamiltonian"},
             "relativistic-ruijsenaars": {"family", "hamiltonian"},
             "verify-brackets": {"charts"}}
@@ -411,9 +412,9 @@ class TestExitCodes:
 
 
     def test_constraint_violation_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
-        """Oracle products nudged by 1e-9 pass the formula gate and fail the
-        (phi, psi) pairing of the rank-1 class: exit 2 with the flag of the
-        library error, not a traceback."""
+        """Oracle products nudged by 1e-9 fail the (phi, psi) pairing of the
+        rank-1 class: exit 2 with the flag of the library error, not a
+        traceback."""
         solve = double.rank_one_consistency_oracle
 
         def nudged(x, q):
@@ -493,6 +494,7 @@ CAPS = {
     "kepler": dict.fromkeys(["M1", "M2", "M3", "A1", "A2", "A3", "H"], TOL.orbit_drift),
     "cm-rational": {"joint-invariants": TOL.central_flow},
     "ruijsenaars-rational": {"oracle-residual": TOL.oracle_residual,
+                             "closed-form-residual": TOL.formula_match,
                              **dict.fromkeys(["tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"],
                                              TOL.dual_path)},
     "relativistic-cm": {**dict.fromkeys(["tr(x^1)", "tr(x^2)", "tr(mu~^1)", "tr(mu~^2)",
@@ -502,6 +504,7 @@ CAPS = {
         **dict.fromkeys(["tr(y^1)", "tr(y^2)", "tr(mu^1)", "tr(mu^2)", "tr(y mu)",
                          "tr(y^2 mu)"], TOL.projection_drift),
         "mu-eigenvalue-deviation": TOL.mu_eigenvalue,
+        "psi-phi-corrected-residual": TOL.formula_match,
         "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path},
     "factorization-flow": {f"{check}-tr(x^{k})": cap for k in (1, 2) for check, cap in (
         ("cross-check", TOL.flow_cross_check), ("semigroup", TOL.semigroup),
@@ -565,6 +568,49 @@ class TestReportRule:
                         ("b", "1", _fmt(-2.0), _fmt(-0.0), _fmt(-0.25))]
         assert _fmt(0.5) == "5.00000000000000000e-01"
         assert _csv_table({"error": []}) == (["error"], [])
+
+
+# One defect per capped rank-1 value, each in one route of that value:
+# (argv, module, function, the planted function made from the original).
+RELATIVISTIC = ["--scenario", "relativistic-ruijsenaars", "--t-max", "0.01"]
+RANK_ONE_PLANTS = {
+    # the kappa-scaled product formula times 1 + 2e-6
+    "closed-form-residual": (["--scenario", "ruijsenaars-rational"], calogero, "_select",
+                             lambda select: lambda w, bare, kappa:
+                             select(w, (1 + 2e-6) * bare, kappa)),
+    # every factor of the corrected psi-phi product formula times 1 + 1e-6
+    "psi-phi-corrected-residual": (RELATIVISTIC, double, "_ratio",
+                                   lambda ratio: lambda num, den: (1 + 1e-6) * ratio(num, den)),
+    # the rank-1 class eigenvalues shifted by 1e-5
+    "mu-eigenvalue-deviation": (RELATIVISTIC, double, "_class_eigenvalues",
+                                lambda eigenvalues: lambda q, n: eigenvalues(q, n) + 1e-5),
+    # the diagonal products of the reduced trace formulas times 1 + 1e-5
+    "trace-dual-path": (RELATIVISTIC, double, "_dual_residuals",
+                        lambda dual: lambda *parts: dual(*parts[:-2], (1 + 1e-5) * parts[-2],
+                                                         parts[-1])),
+    # the product route of H2 times 1 + 1e-5
+    "h2-dual-path": (RELATIVISTIC, calogero, "_pair_products",
+                     lambda pairs: lambda R: pairs(R)[:2] + ((1 + 1e-5) * pairs(R)[2],)),
+}
+
+
+class TestRankOneCaps:
+    """Negative controls of the rank-1 caps: a defect that puts a value past
+    1e-6, and so past its cap, fails the report by that cap alone: exit 2,
+    ``tolerance-failure``, and the value in the report."""
+
+    @pytest.mark.parametrize("name", sorted(RANK_ONE_PLANTS))
+    def test_a_planted_defect_fails_its_cap(self, tmp_path, monkeypatch, name):
+        argv, module, function, plant = RANK_ONE_PLANTS[name]
+        monkeypatch.setattr(module, function, plant(getattr(module, function)))
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out-json", str(out)]) == 2
+        payload = json.loads(out.read_text())
+        assert payload["flags"] == ["tolerance-failure"]
+        values = {r["name"]: r["value"] for r in payload["oracle_residuals"]}
+        caps = CAPS[argv[1]]
+        assert [v for v in values if v in caps and not values[v] <= caps[v]] == [name]
+        assert values[name] > 1e-6
 
 
 class TestOutputs:

@@ -20,8 +20,7 @@ from degint.double import (
     relativistic_hamiltonians,
     trace_power_observable,
 )
-from degint.errors import (ConsistencyError, ConstraintViolation, ReductionFailedError,
-                           SingularChartPoint)
+from degint.errors import ConsistencyError, ConstraintViolation, SingularChartPoint
 from degint.matrixcore import traces_of_powers
 from degint.poisson import bracket, chart_heisenberg_double
 
@@ -181,12 +180,16 @@ class TestRankOneReduction:
             assert red.mu_eigenvalue_deviation < 1e-7
 
     def test_naive_formula_recorded_as_off(self):
-        """The stray x_i^{-1} prefactor shows up as a large recorded residual
-        while the corrected form matches to 1e-8."""
-        x = random_eigs(2)
-        r = double._reductions(x[None], 1.3 + 0.1j, np.array([[1.0, 1.0]]))
-        assert r["residual_corrected"][0] < 1e-8
-        assert r["residual_naive"][0] > 1e-3
+        """The naive transcription, the corrected form with its stray x_i^{-1}
+        prefactor kept, is off the oracle by more than 1e-3 while the
+        corrected form matches to 1e-8."""
+        x, q = random_eigs(2), 1.3 + 0.1j
+        products = rank_one_consistency_oracle(x, q) / x
+        corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
+                                             1.0 - x[None, :] / x[:, None]).prod(axis=-1)
+        scale = max(1.0, np.abs(products).max())
+        assert rank_one_reduction(x, q, np.ones(2)).psi_phi_residual < 1e-8
+        assert np.abs(corrected / x - products).max() / scale > 1e-3
 
     def test_q_near_one_commutes(self):
         """q -> 1: the class tends to the identity and the pair commutes."""
@@ -198,7 +201,8 @@ class TestRankOneReduction:
         assert np.abs(mu - np.eye(n)).max() < 1e-5
 
     def test_failure_raises_with_residuals(self):
-        with pytest.raises((ReductionFailedError, Exception)):
+        """Coincident x make the consistency system singular."""
+        with pytest.raises(np.linalg.LinAlgError):
             rank_one_reduction(np.array([1.0, 1.0]), 1.3, np.array([1.0, 1.0]))
 
 
@@ -379,13 +383,7 @@ def reduction_oracle(x, q, ydiag):
     products = double.rank_one_consistency_oracle(x, q) / x
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
                                          1.0 - x[None, :] / x[:, None]).prod(axis=-1)
-    naive = corrected / x
-    scale = max(1.0, np.abs(products).max())
-    res_naive = float(np.abs(naive - products).max() / scale)
-    res_corrected = float(np.abs(corrected - products).max() / scale)
-    if res_corrected > double.TOL.formula_match:
-        raise ReductionFailedError(
-            f"corrected product formula off the oracle by {res_corrected:.3g}")
+    res_corrected = float(np.abs(corrected - products).max() / max(1.0, np.abs(products).max()))
     den = x[:, None] / x[None, :] - 1.0 / q
     if np.abs(den).min() < 1e-10:
         raise SingularChartPoint("reconstruction denominator vanishes")
@@ -399,12 +397,7 @@ def reduction_oracle(x, q, ydiag):
     ev = np.array([q ** (n - 1)] + [1.0 / q] * (n - 1))
     got = np.linalg.eigvals(moment(pt))
     got = got[np.lexsort((got.imag, got.real))]
-    dev = float(np.abs(got - ev[np.lexsort((ev.imag, ev.real))]).max())
-    if dev > double.TOL.reduction_reject:
-        raise ReductionFailedError(
-            f"moment eigenvalues off the rank-1 class by {dev:.3g} "
-            f"(naive residual {res_naive:.3g}, corrected {res_corrected:.3g})")
-    return dev, res_corrected
+    return float(np.abs(got - ev[np.lexsort((ev.imag, ev.real))]).max()), res_corrected
 
 
 def hamiltonians_oracle(x, u, q):
@@ -419,13 +412,9 @@ def hamiltonians_oracle(x, u, q):
     i, j, prods = _pair_products(R)
     h2_prod = -np.sum(u[i] * u[j] * prods / q)
     scale = max(1.0, np.abs(traces[:2]).max())
-    res = (float(abs(traces[0] - np.sum(ydiag)) / scale),
-           float(abs(traces[1] - tr2_red) / scale),
-           float(abs(h2_char - h2_prod) / max(1.0, abs(h2_char))))
-    for name, r in zip(("tr y", "tr y^2", "H2"), res):
-        if r > double.TOL.dual_path_reject:
-            raise ConsistencyError(f"{name}: dual routes disagree by {r:.3g}")
-    return res
+    return (float(abs(traces[0] - np.sum(ydiag)) / scale),
+            float(abs(traces[1] - tr2_red) / scale),
+            float(abs(h2_char - h2_prod) / max(1.0, abs(h2_char))))
 
 
 COLUMNS = ("mu-eigenvalue-deviation", "psi-phi-corrected-residual",
@@ -481,6 +470,8 @@ PLANTS = {
     "zero-eigenvalue": ([0.0, 1.0, 1.0], None, None),
     "cauchy-denominator": ([1.0, 1 / Q, Q], None, None),
     "singular-solve": ([1.0, 1 + 1e-7, 1 / (1 + 1e-7)], None, None),
+    # near-coincident x: the ill-conditioned solve puts the closed form off
+    # the oracle, and its products off the (phi, psi) pairing of the class
     "formula-match": ([1.0, 1 + 1e-4, 1 / (1 + 1e-4)], None, None),
     "reconstruction-denominator": (
         [5 / Q * (1 + 1e-10), 5.0, Q / (25 * (1 + 1e-10))], None, None),
@@ -536,8 +527,7 @@ class TestRankOneSamples:
         for i in range(len(x)):
             red = rank_one_reduction(x[i], Q, ydiag[i])
             ham = relativistic_hamiltonians(x[i], u[i], Q)
-            corrected = double._reductions(x[i][None], Q, ydiag[i][None])["residual_corrected"]
-            assert (red.mu_eigenvalue_deviation, float(corrected[0])) == \
+            assert (red.mu_eigenvalue_deviation, red.psi_phi_residual) == \
                 reduction_oracle(x[i], Q, ydiag[i])
             assert (ham.residual_tr_y, ham.residual_tr_y2, ham.residual_h2) == \
                 hamiltonians_oracle(x[i], u[i], Q)
@@ -559,33 +549,25 @@ class TestRankOneSamples:
         assert isinstance(want, tuple) and isinstance(want[0], type), want
         assert outcome(double._rank_one_samples, *draws, cfg.q) == want
 
-    @pytest.mark.parametrize("gate,error", [("oracle_residual", ConsistencyError),
-                                            ("reduction_reject", ReductionFailedError),
-                                            ("dual_path_reject", ConsistencyError)])
+    @pytest.mark.parametrize("gate,error", [("oracle_residual", ConsistencyError)])
     def test_tolerance_gates_fire_on_the_same_sample(self, monkeypatch, gate, error):
-        """With a gate's tolerance set between two samples' values, the first
-        sample over it raises, with the loop's type and message."""
+        """With the oracle solve's tolerance set between two samples' values,
+        the first sample over it raises, with the loop's type and message."""
         cfg = relativistic_cfg(3, 40, seed=2)
         x, u, ydiag = draws = relativistic_draws_loop(cfg)
-        if gate == "oracle_residual":
-            w, residual = calogero._cauchy_solve(
-                x[:, :, None] - x[:, None, :] / cfg.q, "x_j - q^{-1} x_i")
-            values = residual / np.maximum(1.0, np.abs(w).max(axis=-1))
-            module = calogero
-        else:
-            dev, _, tr, h2 = rank_one_loop(*draws, cfg.q).values()
-            values = dev if gate == "reduction_reject" else np.maximum(tr, h2)
-            module = double
-        k, threshold = record(values)
-        monkeypatch.setattr(module, "TOL", dataclasses.replace(module.TOL, **{gate: threshold}))
+        w, residual = calogero._cauchy_solve(
+            x[:, :, None] - x[:, None, :] / cfg.q, "x_j - q^{-1} x_i")
+        k, threshold = record(residual / np.maximum(1.0, np.abs(w).max(axis=-1)))
+        monkeypatch.setattr(calogero, "TOL",
+                            dataclasses.replace(calogero.TOL, **{gate: threshold}))
         want = outcome(rank_one_loop, *draws, cfg.q)
         assert want[0] is error
         assert isinstance(outcome(rank_one_loop, *(a[:k] for a in draws), cfg.q), dict)
         assert outcome(double._rank_one_samples, *draws, cfg.q) == want
 
     def test_pairing_gate_fires_on_the_same_sample(self, monkeypatch):
-        """Oracle products nudged by 1e-9 at sample 4 pass the 1e-8 formula
-        gate and fail the 1e-10 (phi, psi) check of the rank-1 class."""
+        """Oracle products nudged by 1e-9 at sample 4 fail the 1e-10
+        (phi, psi) check of the rank-1 class."""
         cfg = relativistic_cfg(3, 9, seed=5)
         draws = relativistic_draws_loop(cfg)
         solve, planted = double.rank_one_consistency_oracle, draws[0][4, 0]
@@ -598,17 +580,6 @@ class TestRankOneSamples:
         monkeypatch.setattr(double, "rank_one_consistency_oracle", nudged)
         want = outcome(rank_one_loop, *draws, cfg.q)
         assert want == (ConstraintViolation, "(phi, psi) must equal q^(n-1) - q^(-1)")
-        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
-
-    def test_dual_route_message_names_the_first_route_over(self, monkeypatch):
-        cfg = relativistic_cfg(3, 10, seed=2)
-        x, u, _ = draws = relativistic_draws_loop(cfg)
-        res = np.array([hamiltonians_oracle(x[i], u[i], cfg.q) for i in range(len(x))])
-        first = int(np.flatnonzero((res > 0).any(axis=1))[0])
-        assert (res[first] > 0).sum() >= 2
-        monkeypatch.setattr(double, "TOL", dataclasses.replace(double.TOL, dual_path_reject=0.0))
-        want = outcome(rank_one_loop, *draws, cfg.q)
-        assert want[0] is ConsistencyError
         assert outcome(double._rank_one_samples, *draws, cfg.q) == want
 
     @pytest.mark.parametrize("plants", [{4: "cauchy-denominator"},

@@ -96,7 +96,36 @@ class TestMatExp:
             mat_exp(1e4 * np.eye(2))
 
 
+def ul_split_loop(m):
+    """The UL splitting with the elimination written one row at a time: the
+    oracle of ``ul_split_factorize``'s column elimination (the vanishing
+    minor check left out)."""
+    n = m.shape[0]
+    lower = np.eye(n, dtype=complex)
+    work = m[::-1, ::-1].astype(complex).copy()
+    for k in range(n):
+        pivot = work[k, k]
+        for i in range(k + 1, n):
+            f = work[i, k] / pivot
+            lower[i, k] = f
+            work[i, k:] -= f * work[k, k:]
+    diag = np.diag(work).copy()
+    d = np.sqrt(diag[::-1].astype(complex))
+    return (lower[::-1, ::-1] * d[None, :],
+            np.linalg.inv(d[:, None] * (work / diag[:, None])[::-1, ::-1]))
+
+
 class TestULSplit:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_column_elimination_equals_the_row_loop_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        for scale in (0.1, 0.5, 2.0):
+            for _ in range(20):
+                m = np.eye(n) + scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                pair = ul_split_factorize(m)
+                for got, want in zip((pair.g_plus, pair.g_minus), ul_split_loop(m)):
+                    assert got.tobytes() == want.tobytes()
+
     def test_identity(self):
         pair = ul_split_factorize(np.eye(3))
         assert np.abs(pair.g_plus - np.eye(3)).max() < 1e-14
