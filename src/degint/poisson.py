@@ -290,32 +290,67 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     O(n^3) rather than as n^2 x n^2 products.  With Gx, Gy the halves of g
     as n x n matrices, o the entrywise product, <A, B> = sum A_ij B_ij,
     Px = x Gx^T, Qx = Gx^T x, Ry = y Gy^T, Sy = Gy^T y, Dy = Ry - Sy,
-    E = Px - Qx + Dy and W = u o E:
+    E = Px - Qx + Dy and W = u o E, the relations sum to
 
         v_x = (W - Ry) x + x (E - W) + (<Gy, y>/n) x
-        v_y = W y + y (Dy + Px - W) - (<Gx, x>/n) y
+        v_y = W y + y (Dy + Px - W) - (<Gx, x>/n) y.
 
     The (1/2n) parts of r cancel in the x-x and y-y relations and leave the
     two trace terms.  The rest sum to five masked products,
     u o (Px - Qx - Sy), u^T o Ry, u^T o E, u^T o (Dy + Px) and u o Qx;
     since u + u^T = 1 entrywise, u^T o A = A - u o A folds all five into
-    the one W.  And because u takes only the values 0, 1/2 and 1, E - W is
-    u^T o E bit for bit.
+    the one W.
+
+    The field is linear in g, so it is the sum of one field per covector
+    block, and ``field`` evaluates only the blocks where g is nonzero: the
+    gradient of tr(x^k) or tr(y^k) lies in one block, so its flow pays for
+    that block alone, and g = 0 gives exact zeros.  With Gx = 0, so that
+    Px = Qx = 0, the y block has E = Dy and
+
+        v_x = (W - Ry) x + x (E - W) + (<Gy, y>/n) x,   v_y = W y + y (E - W);
+
+    with Gy = 0, so that Ry = Sy = 0, the x block has E = Px - Qx and
+
+        v_x = W x + x (E - W),   v_y = W y + y (Px - W) - (<Gx, x>/n) y.
+
+    Each block adds only its terms that are not exactly zero, in the
+    combined formula's order, so on a one-block covector the field is the
+    combined formula's value bit for bit (a zero may differ in sign).  With
+    [x; y] the point as one 2n x n matrix, the y block's x (E - W) and
+    y (E - W) are one product [x; y] (E - W), and the x block's W x and W y
+    one product of W with the stacked pair.  Each block forms its own E and
+    W = u o E, and since u takes only the values 0, 1/2 and 1, E - W is
+    u^T o E bit for bit in each.
     """
     m = n * n
     # a complex mask spares the masked product a cast from float
     uc = _r_mask(n).astype(complex)
 
     def field(z, g, n=n, m=m, uc=uc):
-        x, y = z.reshape(2, n, n)
-        gxt, gyt = g[:m].reshape(n, n).T, g[m:].reshape(n, n).T
-        px, ry = x.dot(gxt), y.dot(gyt)
-        dy = ry - gyt.dot(y)
-        e = px - gxt.dot(x) + dy
-        w = uc * e
-        vx = (w - ry).dot(x) + x.dot(e - w) + (g[m:].dot(z[m:]) / n) * x
-        vy = w.dot(y) + y.dot(dy + px - w) - (g[:m].dot(z[:m]) / n) * y
-        return np.concatenate([vx.ravel(), vy.ravel()])
+        xy = z.reshape(2 * n, n)
+        x, y = xy[:n], xy[n:]
+        gx, gy = g[:m], g[m:]
+        v = None
+        if np.count_nonzero(gy):
+            gyt = gy.reshape(n, n).T
+            ry = y.dot(gyt)
+            e = ry - gyt.dot(y)
+            w = uc * e
+            v = xy.dot(e - w)
+            v[:n] += (w - ry).dot(x)
+            v[:n] += (gy.dot(z[m:]) / n) * x
+            v[n:] += w.dot(y)
+        if np.count_nonzero(gx):
+            gxt = gx.reshape(n, n).T
+            px = x.dot(gxt)
+            e = px - gxt.dot(x)
+            w = uc * e
+            b = np.matmul(w, z.reshape(2, n, n)).reshape(2 * n, n)
+            b[:n] += x.dot(e - w)
+            b[n:] += y.dot(px - w)
+            b[n:] -= (gx.dot(z[:m]) / n) * y
+            v = b if v is None else v + b
+        return np.zeros(2 * m, dtype=complex) if v is None else v.ravel()
 
     return PoissonChart(
         name=f"heisenberg-double(n={n})",

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from degint import cli
 from degint.double import trace_power_observable
 from degint.errors import DimensionMismatch, SingularChartPoint
 from degint.poisson import (
@@ -371,9 +372,40 @@ def heisenberg_kron_oracle(n, z):
     return np.block([[Pxx, Pxy], [-Pxy.T, Pyy]])
 
 
+def heisenberg_combined_oracle(n):
+    """The Heisenberg-double field as one formula over both covector blocks
+    (the combined formula of :func:`chart_heisenberg_double`'s docstring): it
+    forms every product of both blocks, also those that a zero block makes
+    exactly zero.  Reference for the chart's field, which evaluates only the
+    blocks the covector touches."""
+    m = n * n
+    uc = _r_mask(n).astype(complex)
+
+    def field(z, g):
+        x, y = z.reshape(2, n, n)
+        gxt, gyt = g[:m].reshape(n, n).T, g[m:].reshape(n, n).T
+        px, ry = x.dot(gxt), y.dot(gyt)
+        dy = ry - gyt.dot(y)
+        e = px - gxt.dot(x) + dy
+        w = uc * e
+        vx = (w - ry).dot(x) + x.dot(e - w) + (g[m:].dot(z[m:]) / n) * x
+        vy = w.dot(y) + y.dot(dy + px - w) - (g[:m].dot(z[:m]) / n) * y
+        return np.concatenate([vx.ravel(), vy.ravel()])
+
+    return field
+
+
+def _field_scale(ref, g, z):
+    """The scale of a field error: the reference's largest entry, or, at
+    n = 1, where r = 0 and the Heisenberg-double bivector vanishes, the
+    field's own scale |g| |z|^2."""
+    return np.abs(ref).max() or np.abs(g).max() * np.abs(z).max() ** 2
+
+
 class TestHeisenbergDouble:
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_closed_form_matches_kron_oracle(self, n):
+        """``pi(z)``, built from the basis covectors e_k, each in one block."""
         rng = np.random.default_rng(100 + n)
         chart = chart_heisenberg_double(n)
         for _ in range(3):
@@ -382,7 +414,7 @@ class TestHeisenbergDouble:
                     for _ in range(2))
             z = np.concatenate([x.ravel(), y.ravel()])
             ref = heisenberg_kron_oracle(n, z)
-            assert np.abs(chart.pi(z) - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(chart.pi(z) - ref).max() <= 1e-13 * _field_scale(ref, 1.0, z)
 
     def test_antisymmetry_selfcheck(self):
         chart = chart_heisenberg_double(2)
@@ -431,6 +463,77 @@ class TestHeisenbergDouble:
             g = coordinate(8, int(RNG.integers(4, 8)))
             h = coordinate(8, int(RNG.integers(0, 8)))
             assert abs(jacobi_defect(chart, f, g, h, z)) < JACOBI_TOL
+
+
+class TestHeisenbergBlockField:
+    """The Heisenberg-double field is the sum of one field per covector
+    block and evaluates only the blocks where g is nonzero."""
+
+    @staticmethod
+    def covector(n, blocks, rng):
+        """A random covector nonzero in the named blocks only."""
+        m = n * n
+        g = np.zeros(2 * m, dtype=complex)
+        for b in blocks:
+            part = slice(0, m) if b == "x" else slice(m, 2 * m)
+            g[part] = rng.normal(size=m) + 1j * rng.normal(size=m)
+        return g
+
+    @pytest.mark.parametrize("blocks", ["x", "y", "xy"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_field_matches_kron_oracle(self, n, blocks):
+        rng = np.random.default_rng(200 + n)
+        chart = chart_heisenberg_double(n)
+        for _ in range(3):
+            z, g = _near_identity(n, 2)(rng), self.covector(n, blocks, rng)
+            ref = heisenberg_kron_oracle(n, z) @ g
+            assert np.abs(chart.pi(z, g) - ref).max() <= 1e-13 * _field_scale(ref, g, z)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_zero_covector_gives_exact_zeros(self, n):
+        chart = chart_heisenberg_double(n)
+        z = _near_identity(n, 2)(np.random.default_rng(n))
+        v = chart.pi(z, np.zeros(chart.dim, dtype=complex))
+        assert v.shape == (2 * n * n,)
+        assert np.array_equal(v, np.zeros(2 * n * n)) and not np.signbit(v.view(float)).any()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trace_gradients_give_the_combined_formula_bit_for_bit(self, n):
+        """On (I, 0) and (0, I), the gradients of tr(x) and tr(y), each block
+        field adds the combined formula's terms that are not exactly zero, in
+        its order: the two fields agree bit for bit.  Only the sign of a zero
+        entry may differ, where the combined formula adds a zero term that the
+        block field leaves out, so the values are compared, not the bytes."""
+        rng = np.random.default_rng(400 + n)
+        field, oracle = chart_heisenberg_double(n).field, heisenberg_combined_oracle(n)
+        eye, zero = np.eye(n).ravel().astype(complex), np.zeros(n * n, dtype=complex)
+        for _ in range(50):
+            z = _near_identity(n, 2)(rng)
+            for g in (np.concatenate([eye, zero]), np.concatenate([zero, eye])):
+                assert np.array_equal(field(z, g), oracle(z, g))
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "relativistic-ruijsenaars", "--n", "3", "--t-max", "0.2",
+         "--dt", "1e-3", "--samples", "10", "--seed", "0"],
+        ["--scenario", "relativistic-cm"]], ids=["ruijsenaars", "cm"])
+    def test_flow_scenarios_write_the_combined_formulas_bytes(
+            self, argv, tmp_path, monkeypatch):
+        def run(tag):
+            outs = [tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"]
+            assert cli.main(argv + ["--out-csv", str(outs[0]),
+                                    "--out-json", str(outs[1])]) == 0
+            return [out.read_bytes() for out in outs]
+
+        block = run("block")
+        made = []
+
+        def combined_chart(n, make=cli.chart_heisenberg_double):
+            made.append(n)
+            return dataclasses.replace(make(n), field=heisenberg_combined_oracle(n))
+
+        monkeypatch.setattr(cli, "chart_heisenberg_double", combined_chart)
+        assert run("combined") == block
+        assert len(made) == 1
 
 
 def _unit(n, i, j):
