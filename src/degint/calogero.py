@@ -41,7 +41,6 @@ __all__ = [
     "character_residuals",
     "ruij_sweep",
     "joint_invariants",
-    "FiberSeparationReport",
     "duality_fiber_check",
 ]
 
@@ -418,14 +417,13 @@ def _sweep_pass(h, u, kappa) -> dict:
     w, oracle = _phi_psi_solve(h, kappa)
     parts = _ruij_parts(h, u, kappa)
     *_, bare, g = parts
-    scaled, res_bare, res_scaled = _select(w, bare, kappa)
+    _, res_bare, res_scaled = _select(w, bare, kappa)
     residuals = _dual_residuals(*parts)[0]
     return {"oracle-residual": oracle,
-            "matched": np.where(scaled, "kappa-scaled", "bare"),
-            "kappa-scaled-residual": res_scaled, "bare-residual": res_bare,
+            "closed-form-residual": res_scaled, "bare-residual": res_bare,
             "relation-residual": _relation_residual(h, kappa, w, g),
             "tr-g-dual": residuals[..., 0], "tr-g2-dual": residuals[..., 1],
-            "h-rR-dual": residuals[..., 2]}
+            "h-ruijsenaars-dual": residuals[..., 2]}
 
 
 # ----------------------------------------------------------------------
@@ -442,39 +440,16 @@ def joint_invariants(a, b, max_exp: int = 2) -> np.ndarray:
     return trace_words(as_matrix(a), as_matrix(b), _joint_words(max_exp))
 
 
-@dataclass(frozen=True)
-class FiberSeparationReport:
-    """Pairwise separation margins between two sampled fibers.
-
+def _separation_margins(first, second) -> np.ndarray:
+    """Margins between two sampled fibers, each a list of (a, b) pairs:
     ``margins[i, j]`` is the largest difference of any joint trace invariant
-    between the i-th sample of the first fiber and the j-th sample of the
-    second.  Pairs below the threshold are inconclusive (flagged, not
-    failed).  ``coincident_margin`` is the margin between the two base
-    points, which must be zero.
-    """
-
-    margins: np.ndarray
-    threshold: float
-    coincident_margin: float
-
-    @property
-    def all_separated(self) -> bool:
-        return bool((self.margins > self.threshold).all())
-
-
-def _separation_report(first, second, base1, base2) -> FiberSeparationReport:
-    """Margins between two sampled fibers, each a list of (a, b) pairs.
-
-    ``base1`` and ``base2`` are the base pair in the first and in the second
-    parametrisation.  One stacked :func:`trace_words` call takes every pair."""
-    pairs = first + second + [base1, base2]
+    between the i-th pair of ``first`` and the j-th pair of ``second``.  One
+    stacked :func:`trace_words` call takes every pair."""
+    pairs = first + second
     a, b = (np.stack([as_matrix(p[side]) for p in pairs]) for side in (0, 1))
     table = trace_words(a, b, _joint_words(2))
     s = len(first)
-    margins = np.abs(table[:s, None, :] - table[None, s:-2, :]).max(axis=2)
-    coincident = float(np.abs(table[-2] - table[-1]).max())
-    return FiberSeparationReport(margins=margins, threshold=TOL.separation_margin,
-                                 coincident_margin=coincident)
+    return np.abs(table[:s, None, :] - table[None, s:, :]).max(axis=2)
 
 
 def _torus_element(n, rng) -> np.ndarray:
@@ -483,8 +458,7 @@ def _torus_element(n, rng) -> np.ndarray:
     return np.diag(full)
 
 
-def duality_fiber_check(x, gamma, samples: int = 4,
-                        rng: np.random.Generator = None) -> FiberSeparationReport:
+def duality_fiber_check(x, gamma, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Check that the two reduced-system fibers through (x, gamma) only meet
     at the base point.
 
@@ -492,9 +466,9 @@ def duality_fiber_check(x, gamma, samples: int = 4,
     points (x, gamma z).  The second moves x inside the centralizer of gamma:
     points (x + c, gamma) with c = V diag(...) V^{-1} traceless, V the
     eigenvector matrix of gamma.  For every sampled pair (z != 1, c != 0)
-    some joint trace invariant must separate them.
+    some joint trace invariant must separate them: returns the
+    (samples, samples) margins of ``_separation_margins``.
     """
-    rng = rng or np.random.default_rng(0)
     x = as_matrix(x)
     gamma = as_matrix(gamma)
     n = x.shape[0]
@@ -509,7 +483,4 @@ def duality_fiber_check(x, gamma, samples: int = 4,
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         c -= c.mean()
         second.append((x + v @ np.diag(c) @ vinv, gamma))
-
-    # z = 1, c = 0: both parametrizations land on the base point
-    return _separation_report(
-        first, second, (x, gamma @ np.eye(n)), (x + v @ np.zeros((n, n)) @ vinv, gamma))
+    return _separation_margins(first, second)

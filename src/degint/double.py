@@ -31,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calogero import (
-    FiberSeparationReport,
     _cauchy_solve,
     _dual_residuals,
     _raise_first,
     _rank1_matrix,
     _ratio,
     _scalar_power,
-    _separation_report,
+    _separation_margins,
     _stacked,
 )
 from .errors import ConstraintViolation, NonFiniteMatrixError, SingularChartPoint
@@ -148,22 +147,18 @@ def _centralizer_elements(m, samples, rng) -> list:
     return out
 
 
-def fiber_check(pt: DoublePoint, samples: int = 4,
-                rng: np.random.Generator = None) -> FiberSeparationReport:
+def fiber_check(pt: DoublePoint, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Check transversality of the two projection fibers through (x, y).
 
     The first fiber is {(x, y z) : z in Z_x}, the second {(x z', y) :
     z' in Z_y}, centralizers computed from spectral decompositions.  For
     sampled z != 1 and z' != 1 some joint trace invariant must separate the
-    two points; margins below ``TOL.separation_margin`` are flagged, not
-    failed.
+    two points: returns the (samples, samples) margins of
+    ``calogero._separation_margins``.
     """
-    rng = rng or np.random.default_rng(0)
     first = [(pt.x, pt.y @ z) for z in _centralizer_elements(pt.x, samples, rng)]
     second = [(pt.x @ z, pt.y) for z in _centralizer_elements(pt.y, samples, rng)]
-    eye = np.eye(pt.n)
-    return _separation_report(first, second, (pt.x, pt.y @ eye),
-                              (pt.x @ eye, pt.y))
+    return _separation_margins(first, second)
 
 
 def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:

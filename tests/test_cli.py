@@ -1,11 +1,13 @@
 """CLI tests: scenario wiring, exit codes, output files, determinism."""
 
 import dataclasses
+import functools
 import importlib.util
 import json
 import re
 import shlex
 from collections import Counter
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +183,6 @@ SMALL = {
 }
 # What each runner computes for the report's parameters.
 COMPUTED = {"kepler": {"gamma", "energy"}, "cm-rational": {"h-cm"},
-            "ruijsenaars-rational": {"matched"},
             "relativistic-cm": {"family", "hamiltonian"},
             "relativistic-ruijsenaars": {"family", "hamiltonian"},
             "verify-brackets": {"charts"}}
@@ -397,7 +398,7 @@ class TestExitCodes:
         assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
 
     @pytest.mark.parametrize("error,code,flags", [
-        (FactorizationNotDefined, 0, ["factorization-divisor"]),
+        (FactorizationNotDefined, 2, ["factorization-divisor"]),
         (ConsistencyError, 2, ["numerical-failure:ConsistencyError"]),
     ])
     def test_only_a_vanishing_minor_is_the_divisor_flag(self, tmp_path, monkeypatch,
@@ -515,6 +516,19 @@ CAPS = {
 }
 
 
+@functools.cache
+def _default_result(scenario):
+    """The scenario's ``ScenarioResult`` at its defaults, run once."""
+    return cli._SCENARIOS[scenario].run(ScenarioConfig(scenario=scenario))
+
+
+def _readme_uncapped():
+    """The backticked names of the README's "Reported without a cap"
+    paragraph; a ``*`` in one matches any run of characters."""
+    paragraph = re.search(r"^Reported without a cap:(.*?)\n\n", README, re.S | re.M)[1]
+    return re.findall(r"`([^`]+)`", paragraph)
+
+
 class TestReportRule:
     """Scenarios return named columns and capped values; ``run`` writes the
     one CSV format and applies the one cap rule."""
@@ -524,13 +538,21 @@ class TestReportRule:
 
     @pytest.mark.parametrize("scenario", sorted(CAPS))
     def test_caps_at_the_defaults(self, scenario):
-        result = cli._SCENARIOS[scenario].run(ScenarioConfig(scenario=scenario))
+        result = _default_result(scenario)
         assert set(result.bounds) == set(CAPS[scenario])
         for name, cap in CAPS[scenario].items():
             if scenario == "cm-rational":
                 assert result.bounds[name] >= cap
             else:
                 assert result.bounds[name] == cap, name
+
+    @pytest.mark.parametrize("scenario", sorted(CAPS))
+    def test_every_uncapped_value_is_named_in_the_readme(self, scenario):
+        result = _default_result(scenario)
+        names = [name for name, *_ in result.drifts] + [name for name, _ in result.residuals]
+        patterns = _readme_uncapped()
+        assert [name for name in names if name not in result.bounds
+                and not any(fnmatchcase(name, p) for p in patterns)] == []
 
     def run_with(self, monkeypatch, tmp_path, **result):
         spec = cli._SCENARIOS["kepler"]
@@ -611,6 +633,53 @@ class TestRankOneCaps:
         caps = CAPS[argv[1]]
         assert [v for v in values if v in caps and not values[v] <= caps[v]] == [name]
         assert values[name] > 1e-6
+
+
+class TestSeparationFlag:
+    """Negative controls of ``inconclusive-separation``: a fiber check whose
+    samples do not leave the base point flags its system, and the flag reads
+    each margin against ``TOL.separation_margin``."""
+
+    def report(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "duality-check", "--out-json", str(out)])
+        payload = json.loads(out.read_text())
+        return code, payload["flags"], {r["name"]: r["value"]
+                                        for r in payload["oracle_residuals"]}
+
+    def test_identity_centralizer_elements_flag_the_relativistic_fibers(self, tmp_path,
+                                                                      monkeypatch):
+        monkeypatch.setattr(double, "_centralizer_elements",
+                            lambda m, samples, rng: [np.eye(len(m))] * samples)
+        code, flags, values = self.report(tmp_path)
+        assert (code, flags) == (2, ["inconclusive-separation:relativistic"])
+        assert values["relativistic-min-margin"] == 0.0
+        assert values["rational-min-margin"] > TOL.separation_margin
+
+    def test_zero_normals_flag_the_rational_fibers(self, tmp_path, monkeypatch):
+        """Every normal 0 makes the torus element 1 and c = 0: each sample
+        of either fiber is the base point."""
+        class Zeros:
+            def normal(self, size=None):
+                return np.zeros(size)
+
+        rng_for = cli._rng_for
+        monkeypatch.setattr(cli, "_rng_for",
+                            lambda cfg, index=0: Zeros() if index == 1 else rng_for(cfg, index))
+        code, flags, values = self.report(tmp_path)
+        assert (code, flags) == (2, ["inconclusive-separation:rational"])
+        assert values["rational-min-margin"] == 0.0
+        assert values["relativistic-min-margin"] > TOL.separation_margin
+
+    @pytest.mark.parametrize("margin,code,flags", [
+        (TOL.separation_margin, 2, ["inconclusive-separation:rational"]),
+        (np.nextafter(TOL.separation_margin, np.inf), 0, []),
+        (np.nan, 2, ["inconclusive-separation:rational"])])
+    def test_a_margin_not_above_the_threshold_flags(self, tmp_path, monkeypatch, margin,
+                                                    code, flags):
+        monkeypatch.setattr(calogero, "duality_fiber_check",
+                            lambda x, gamma, samples, rng: np.full((samples, samples), margin))
+        assert self.report(tmp_path)[:2] == (code, flags)
 
 
 class TestOutputs:
