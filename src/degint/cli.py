@@ -42,6 +42,9 @@ from .poisson import (
 # The ``ScenarioConfig`` fields that are options, each taken by some scenarios.
 _OPTIONS = ("n", "kappa", "q", "t_max", "dt", "tol", "samples")
 
+# The most steps a fixed-step run may take; the defaults take at most 500.
+_STEP_BUDGET = 100_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -96,6 +99,10 @@ class ScenarioConfig:
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
             if key in limits and not limits[key][0](value):
                 raise ValueError(limits[key][1])
+        # budget * dt, unlike t_max / dt, cannot overflow
+        if "dt" in spec.options and self.t_max > _STEP_BUDGET * self.dt:
+            raise ValueError(f"t-max / dt must not exceed the budget of {_STEP_BUDGET} "
+                             f"fixed steps, got t-max {self.t_max:g} and dt {self.dt:g}")
 
 
 @dataclass

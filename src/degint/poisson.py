@@ -321,6 +321,23 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     one product of W with the stacked pair.  Each block forms its own E and
     W = u o E, and since u takes only the values 0, 1/2 and 1, E - W is
     u^T o E bit for bit in each.
+
+    A block whose covector commutes with its matrix has E = 0, so W = 0 and
+    every term with E or W is zero: the y block is
+    v_x = (<Gy, y>/n) x - Ry x, v_y = 0, and the x block is v_x = 0,
+    v_y = y Px - (<Gx, x>/n) y.  These are the flows of conjugation-invariant
+    functions, the dressing action, on which the r-matrix part of the
+    bracket drops out.  ``field`` takes this branch when E is exactly zero;
+    it leaves out only exact zeros, so its values are the full formula's
+    bit for bit (a zero may differ in sign).  E is exactly zero on the
+    gradients of tr(y) and tr(y^2).  For tr(y), Gy^T = I, and each entry of
+    y I and of I y is y_ij plus products with exact zeros.  For tr(y^2),
+    Gy^T = 2y, and each entry of y (2y) and of (2y) y sums the same
+    products 2 y_il y_lj (doubling is exact) in the same order.  For k >= 3
+    the gradient k y^(k-1) is itself a rounded product, and y y^(k-1)
+    associates its factors otherwise than y^(k-1) y, so E is roundoff but in
+    general not zero, and the full formula runs.  The same holds for Gx
+    and x.
     """
     m = n * n
     # a complex mask spares the masked product a cast from float
@@ -335,19 +352,27 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
             gyt = gy.reshape(n, n).T
             ry = y.dot(gyt)
             e = ry - gyt.dot(y)
-            w = uc * e
-            v = xy.dot(e - w)
-            v[:n] += (w - ry).dot(x)
+            if np.count_nonzero(e):
+                w = uc * e
+                v = xy.dot(e - w)
+                v[:n] += (w - ry).dot(x)
+                v[n:] += w.dot(y)
+            else:
+                v = np.zeros((2 * n, n), dtype=complex)
+                v[:n] -= ry.dot(x)
             v[:n] += (gy.dot(z[m:]) / n) * x
-            v[n:] += w.dot(y)
         if np.count_nonzero(gx):
             gxt = gx.reshape(n, n).T
             px = x.dot(gxt)
             e = px - gxt.dot(x)
-            w = uc * e
-            b = np.matmul(w, z.reshape(2, n, n)).reshape(2 * n, n)
-            b[:n] += x.dot(e - w)
-            b[n:] += y.dot(px - w)
+            if np.count_nonzero(e):
+                w = uc * e
+                b = np.matmul(w, z.reshape(2, n, n)).reshape(2 * n, n)
+                b[:n] += x.dot(e - w)
+                b[n:] += y.dot(px - w)
+            else:
+                b = np.zeros((2 * n, n), dtype=complex)
+                b[n:] += y.dot(px)
             b[n:] -= (gx.dot(z[:m]) / n) * y
             v = b if v is None else v + b
         return np.zeros(2 * m, dtype=complex) if v is None else v.ravel()

@@ -52,6 +52,14 @@ def _readme_commands():
             if line.startswith("degint ")]
 
 
+def _option_table_names(readme):
+    """The scenario names of the README's option table, the table whose
+    header is ``| scenario | options (defaults) |``, in their order."""
+    table = re.search(r"^\| scenario \| options \(defaults\) \|\n((?:\|.*\n)*)",
+                      readme, re.M)[1]
+    return re.findall(r"^\| `([a-z-]+)` \|", table, re.M)
+
+
 class TestReadme:
     @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
     def test_command_example_exits_zero(self, argv, tmp_path, monkeypatch):
@@ -64,9 +72,14 @@ class TestReadme:
         assert len(_readme_commands()) == 4
 
     def test_option_table_names_every_scenario(self):
-        names = re.findall(r"^\| `([a-z-]+)` \|", README, re.M)
+        names = _option_table_names(README)
         assert sorted(names) == sorted(cli._SCENARIOS)
         assert len(names) == len(set(names))
+
+    def test_a_second_scenario_table_is_not_read(self):
+        other = "\n| scenario | caps |\n|---|---|\n" + "".join(
+            f"| `{name}` | none |\n" for name in cli._SCENARIOS)
+        assert _option_table_names(README + other) == _option_table_names(README)
 
 
 class TestConfig:
@@ -130,6 +143,10 @@ class TestConfig:
                      id="relativistic-cm-n4"),
         pytest.param(None, ["--scenario", "duality-check", "--n", "1"],
                      id="duality-n1"),
+        pytest.param(None, ["--scenario", "relativistic-cm", "--t-max", "1e300",
+                            "--dt", "1e-300"], id="steps-overflow"),
+        pytest.param(None, ["--scenario", "relativistic-cm", "--t-max", "1e6",
+                            "--dt", "1e-6"], id="steps-past-budget"),
     ])
     def test_bad_input_exits_1_with_message(self, tmp_path, capsys, config, argv):
         if config is not None:
@@ -140,6 +157,19 @@ class TestConfig:
         assert main(argv + ["--out-json", str(out)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", sorted(
+        name for name, spec in cli._SCENARIOS.items() if "dt" in spec.options))
+    def test_fixed_step_budget(self, scenario, capsys):
+        """A fixed-step run of up to 10^5 steps passes validation; one more
+        step's worth of t-max exits 1 naming the budget, before any run."""
+        def argv(t_max):
+            return ["--scenario", scenario, "--t-max", t_max, "--dt", "1e-3"]
+
+        for t_max in ("99.999", "100"):
+            _config_from_args(_build_parser().parse_args(argv(t_max))).validate()
+        assert main(argv("100.001")) == 1
+        assert "budget of 100000 fixed steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario,n,extra", [
         ("factorization-flow", 8, []),
@@ -357,12 +387,14 @@ class TestExitCodes:
         assert code == 2
         assert "tolerance-failure" in json.loads(out.read_text())["flags"]
 
-    @pytest.mark.parametrize("t_max", ["10", "60", "200"])
-    def test_split_that_fails_its_check_exits_2(self, tmp_path, capsys, t_max):
+    @pytest.mark.parametrize("t_max,dt", [("10", "1e-3"), ("60", "1e-3"), ("200", "1e-2")],
+                             ids=["10", "60", "200"])
+    def test_split_that_fails_its_check_exits_2(self, tmp_path, capsys, t_max, dt):
         """Far out, the k = 2 split of exp(t xi) loses its triangularity: a
-        numerical failure with the report written, not a traceback."""
+        numerical failure with the report written, not a traceback.  At
+        t-max 200 a dt of 1e-2 keeps the run within the fixed-step budget."""
         out = tmp_path / "r.json"
-        assert main(["--scenario", "factorization-flow", "--t-max", t_max,
+        assert main(["--scenario", "factorization-flow", "--t-max", t_max, "--dt", dt,
                      "--out-json", str(out)]) == 2
         assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConsistencyError"]
         assert "Traceback" not in capsys.readouterr().err
@@ -633,6 +665,73 @@ class TestRankOneCaps:
         caps = CAPS[argv[1]]
         assert [v for v in values if v in caps and not values[v] <= caps[v]] == [name]
         assert values[name] > 1e-6
+
+
+# (scenario, projection drift, eps): eps (a)0, with (a)0 the traceless part
+# of the matrix the flow holds fixed (x for relativistic-cm, y for
+# relativistic-ruijsenaars), added to that block of the pair-chart field,
+# at the smallest power of ten eps that puts the drift past its cap.
+# Measured at the defaults, eps = 1e-6: tr(mu~^1) 1.6e-7, tr(x^2) 1.7e-7,
+# tr(mu~^2) 4.5e-7, tr(x^2 mu~) 1.3e-7, tr(y^2) 3.5e-7, tr(mu^2) 2.6e-7,
+# tr(y^2 mu) 2.7e-7; eps = 1e-5: tr(x mu~) 7.0e-7, tr(mu^1) 6.6e-7.  Each
+# drift is linear in eps, so at eps / 10 it is within the cap.
+DRIFT_PLANTS = [
+    ("relativistic-cm", "tr(mu~^1)", 1e-6), ("relativistic-cm", "tr(x^2)", 1e-6),
+    ("relativistic-cm", "tr(mu~^2)", 1e-6), ("relativistic-cm", "tr(x mu~)", 1e-5),
+    ("relativistic-cm", "tr(x^2 mu~)", 1e-6),
+    ("relativistic-ruijsenaars", "tr(mu^1)", 1e-5),
+    ("relativistic-ruijsenaars", "tr(y^2)", 1e-6),
+    ("relativistic-ruijsenaars", "tr(mu^2)", 1e-6),
+    ("relativistic-ruijsenaars", "tr(y^2 mu)", 1e-6),
+]
+# the projection drifts that no traceless plant trips, with the reason
+UNPLANTABLE_DRIFTS = {
+    ("relativistic-cm", "tr(x^1)"): "a traceless velocity of x leaves tr(x) fixed",
+    ("relativistic-ruijsenaars", "tr(y^1)"): "a traceless velocity of y leaves tr(y) fixed",
+    ("relativistic-ruijsenaars", "tr(y mu)"): "tr(y x y x^-1 y^-1) = tr(x y x^-1) = tr(y)",
+}
+
+
+class TestProjectionDriftCaps:
+    """Negative controls of the projection-drift caps of the two pair flows.
+    The plant is traceless: a plant with a trace in the block of the flow's
+    gradient fails the field's antisymmetry self-check before any drift."""
+
+    def drifts(self, tmp_path, monkeypatch, scenario, eps):
+        def planted_chart(n):
+            chart = poisson.chart_heisenberg_double(n)
+            part = slice(0, n * n) if scenario == "relativistic-cm" else slice(n * n, None)
+
+            def field(z, g):
+                a = z[part].reshape(n, n)
+                v = chart.field(z, g)
+                v[part] += eps * (a - np.trace(a) / n * np.eye(n)).ravel()
+                return v
+
+            return dataclasses.replace(chart, field=field)
+
+        monkeypatch.setattr(cli, "chart_heisenberg_double", planted_chart)
+        out = tmp_path / "r.json"
+        code = main(["--scenario", scenario, "--out-json", str(out)])
+        payload = json.loads(out.read_text())
+        return code, payload["flags"], {d["name"]: d["max_abs"] for d in payload["drifts"]}
+
+    @pytest.mark.parametrize("scenario,name,eps", DRIFT_PLANTS,
+                             ids=[f"{s}-{name}" for s, name, _ in DRIFT_PLANTS])
+    def test_a_planted_velocity_fails_the_cap(self, tmp_path, monkeypatch, scenario, name,
+                                              eps):
+        code, flags, drifts = self.drifts(tmp_path, monkeypatch, scenario, eps)
+        assert (code, flags) == (2, ["tolerance-failure"])
+        assert drifts[name] > CAPS[scenario][name]
+        assert self.drifts(tmp_path, monkeypatch, scenario, eps / 10)[2][name] <= \
+            CAPS[scenario][name]
+
+    def test_every_projection_drift_is_planted_or_listed(self):
+        names = {(scenario, name) for scenario, cap in CAPS.items() for name in cap
+                 if scenario.startswith("relativistic-") and name.startswith("tr(")}
+        planted = {(scenario, name) for scenario, name, _ in DRIFT_PLANTS}
+        assert not planted & set(UNPLANTABLE_DRIFTS)
+        assert planted | set(UNPLANTABLE_DRIFTS) == names
 
 
 class TestSeparationFlag:
