@@ -140,6 +140,22 @@ def _sl_sample(n, rng, spread=0.35):
     return _sl_matrices(rng.normal(size=(2, n, n)), spread)
 
 
+def _first_passing(rng, count, shape, passes):
+    """The first ``count`` candidates that ``passes`` accepts, stacked as
+    (count, *shape).  A candidate is one ``shape`` block of normals from
+    ``rng``, holding every row its sample needs; ``passes`` maps stacked
+    candidates to whether each passes.  Each round draws only as many
+    candidates as are still missing, so the result, and ``rng``'s state
+    after it, are those of drawing one candidate at a time until ``count``
+    pass."""
+    kept, need = [], count
+    while need:
+        drawn = rng.normal(size=(need, *shape))
+        kept.append(drawn[passes(drawn)])
+        need -= len(kept[-1])
+    return np.concatenate(kept)
+
+
 def _gapped_h(rows):
     """Each stacked row sorted and centred, as complex h, and whether its
     closest pair lies more than 0.1 apart (always, for n = 1)."""
@@ -148,64 +164,22 @@ def _gapped_h(rows):
     return (h[..., 1:] - h[..., :-1]).min(axis=-1, initial=np.inf) > 0.1, h.astype(complex)
 
 
+def _h_passes(candidates):
+    """Whether the first row of each stacked candidate, as h, passes ``_gapped_h``."""
+    return _gapped_h(candidates[:, 0])[0]
+
+
 def _distinct_h(n, rng):
-    while True:
-        ok, h = _gapped_h(rng.normal(size=n))
-        if ok:
-            return h
-
-
-# Attempts each rank-1 sample draws in one block before the first passing
-# one is chosen: an h row of ruijsenaars-rational, an (re, im) pair of rows
-# for the x of relativistic-ruijsenaars.  A sample none of whose attempts
-# passes the gap test (for h 2e-4 at n = 6 and 4% at n = 8, for x 7e-11
-# and 3e-7) draws a window twice as long from the report's generator, after
-# its pass's blocks, then 4x and so on.
-_DRAW_BLOCK = 16
-
-
-def _block_draws(cfg, offset, width, extra, candidates):
-    """Every sample's rank-1 draws, from the one generator seed + offset:
-    attempts of ``width`` normal rows until one passes, then ``extra`` rows.
-    ``candidates`` maps each attempt with the rows after it, (samples,
-    attempts, width + extra, n), to (passes, values...), and the values of
-    the first passing attempt are kept.  Per pass of
-    ``calogero._SWEEP_CHUNK`` samples (flat memory), one call draws each
-    sample's window of _DRAW_BLOCK attempts and the extra rows, in sample
-    order; right after it, samples with no passing attempt draw windows
-    twice as long, in sample order, then 4x and so on."""
-    rng = _rng_for(cfg, offset)
-
-    def first_passing(count, block):
-        window = width * np.arange(block)[:, None] + np.arange(width + extra)
-        rows = rng.normal(size=(count, block * width + extra, cfg.n))
-        ok, *values = candidates(rows[:, window])
-        first = ok.argmax(axis=1)
-        return ok.any(axis=1), [v[np.arange(count), first] for v in values]
-
-    passes = []
-    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
-        found, values = first_passing(min(calogero._SWEEP_CHUNK, cfg.samples - start),
-                                      _DRAW_BLOCK)
-        missed, block = np.flatnonzero(~found), _DRAW_BLOCK
-        while missed.size:
-            block *= 2
-            found, redrawn = first_passing(missed.size, block)
-            for v, drawn in zip(values, redrawn):
-                v[missed] = drawn
-            missed = missed[~found]
-        passes.append(values)
-    return tuple(np.concatenate(column) for column in zip(*passes))
+    return _gapped_h(_first_passing(rng, 1, (1, n), _h_passes)[0, 0])[1]
 
 
 def _rank1_draws(cfg):
     """The (samples, n) arrays h and u of ``ruijsenaars-rational``, from
-    generator seed + 1: h is the first row that passes ``_gapped_h``'s
-    test, then u = row + 1j * row."""
-    def candidates(w):
-        return *_gapped_h(w[..., 0, :]), w[..., 1, :] + 1j * w[..., 2, :]
-
-    return _block_draws(cfg, 1, 1, 2, candidates)
+    generator seed + 1: each sample is the first candidate of three rows
+    that passes ``_h_passes``, with h from its first row and
+    u = row + 1j * row."""
+    rows = _first_passing(_rng_for(cfg, 1), cfg.samples, (3, cfg.n), _h_passes)
+    return _gapped_h(rows[:, 0])[1], rows[:, 1] + 1j * rows[:, 2]
 
 
 def _unimodular_eigs(re, im):
@@ -220,22 +194,24 @@ def _eig_gap(x):
     return np.abs(x[..., :, None] - x[..., None, :])[..., i, j].min(axis=-1, initial=np.inf)
 
 
+def _x_passes(candidates):
+    """Whether the x of each stacked candidate's first two rows (re, im)
+    has its eigenvalues more than 0.1 apart."""
+    return _eig_gap(_unimodular_eigs(candidates[:, 0], candidates[:, 1])) > 0.1
+
+
 def _distinct_eigs(n, rng):
-    while True:
-        x = _unimodular_eigs(rng.normal(size=n), rng.normal(size=n))
-        if _eig_gap(x) > 0.1:
-            return x
+    return _unimodular_eigs(*_first_passing(rng, 1, (2, n), _x_passes)[0])
 
 
 def _relativistic_draws(cfg):
     """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``,
-    from generator seed + 1000: x from the first pair of rows that passes
-    ``_distinct_eigs``' test, then u = row + 1j * row and y_diag = row + 0.5."""
-    def candidates(w):
-        x = _unimodular_eigs(w[..., 0, :], w[..., 1, :])
-        return _eig_gap(x) > 0.1, x, w[..., 2, :] + 1j * w[..., 3, :], w[..., 4, :] + 0.5
-
-    return _block_draws(cfg, 1000, 2, 3, candidates)
+    from generator seed + 1000: each sample is the first candidate of five
+    rows that passes ``_x_passes``, with x from its first two rows, then
+    u = row + 1j * row and y_diag = row + 0.5."""
+    rows = _first_passing(_rng_for(cfg, 1000), cfg.samples, (5, cfg.n), _x_passes)
+    return (_unimodular_eigs(rows[:, 0], rows[:, 1]), rows[:, 2] + 1j * rows[:, 3],
+            rows[:, 4] + 0.5)
 
 
 # ----------------------------------------------------------------------

@@ -311,15 +311,18 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
 
     ``family="cm"`` (Hamiltonians f(x)): traces of x, of mu~ = y x^{-1} y^{-1},
     and joint traces tr(x^a mu~^b).  ``family="ruijsenaars"`` (Hamiltonians
-    f(y)): traces of y, of mu = x y x^{-1} y^{-1}, and joint traces.  Each is
-    a trace word in (main, aux) = (x, mu~) or (y, mu).
+    f(y)): traces of y, of mu = x y x^{-1} y^{-1}, and joint traces, without
+    tr(y mu) = tr(x y x^{-1}) = tr(y).  Each is a trace word in
+    (main, aux) = (x, mu~) or (y, mu).
     """
     if family not in ("cm", "ruijsenaars"):
         raise ValueError(f"unknown family {family!r}")
     main, other = ("x", "mu~") if family == "cm" else ("y", "mu")
     words = {name: word for k in range(1, kmax + 1) for name, word in
              ((f"tr({main}^{k})", (k, 0, 0, 0)), (f"tr({other}^{k})", (0, k, 0, 0)))}
-    words.update({f"tr({main} {other})": (1, 1, 0, 0), f"tr({main}^2 {other})": (2, 1, 0, 0)})
+    if family == "cm":
+        words["tr(x mu~)"] = (1, 1, 0, 0)
+    words[f"tr({main}^2 {other})"] = (2, 1, 0, 0)
 
     last = [None, None]         # the key of the states aux was last formed on, and aux
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, SingularChartPoint
+from .errors import ConsistencyError, DimensionMismatch, SingularChartPoint
 from .matrixcore import _powers, trace_words
 
 __all__ = [
@@ -48,8 +48,8 @@ class PoissonChart:
     ``field`` maps a point (complex vector of length ``dim``) and a
     covector g to Pi(x) . g, without forming the dim x dim antisymmetric
     bivector Pi(x).  With ``selfcheck`` enabled every field evaluation
-    asserts g . Pi(x) . g = 0, and every built Pi(x) asserts antisymmetry,
-    both to ``TOL.antisymmetry``.
+    checks g . Pi(x) . g = 0, and every built Pi(x) its antisymmetry, both
+    to ``TOL.antisymmetry``; a failed check raises ``ConsistencyError``.
     """
 
     name: str
@@ -78,7 +78,7 @@ class PoissonChart:
             if self.selfcheck:
                 defect = np.abs(P + P.T).max()
                 if defect > TOL.antisymmetry * max(1.0, np.abs(P).max()):
-                    raise AssertionError(
+                    raise ConsistencyError(
                         f"bivector of chart {self.name!r} lost antisymmetry: {defect:.3g}"
                     )
             return P
@@ -90,7 +90,7 @@ class PoissonChart:
             # the scale is at least 1, so it is only needed past the bare bound
             if defect > TOL.antisymmetry and defect > TOL.antisymmetry * max(
                     1.0, np.abs(g).max() * np.abs(v).max()):
-                raise AssertionError(
+                raise ConsistencyError(
                     f"field of chart {self.name!r} lost antisymmetry: "
                     f"|g . Pi g| = {defect:.3g}"
                 )

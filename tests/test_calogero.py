@@ -456,30 +456,18 @@ def ruij_sample_oracle(h, u, kappa):
 
 def ruij_draws(cfg):
     """The seeded (h, u) of every sample of a ruijsenaars-rational report,
-    one sample at a time: the oracle for ``cli._rank1_draws``.  All come
-    from one generator, seed + 1.  Each pass of ``calogero._SWEEP_CHUNK``
-    samples draws every sample's window of ``cli._DRAW_BLOCK`` rows plus
-    two, in sample order; the samples whose window held no passing row
-    then draw windows twice as long, in sample order, then 4x and so on.
-    Each window is scanned one row at a time: h is the first row that,
-    sorted and centred, has neighbours more than 0.1 apart, and u is the
-    next row plus 1j times the row after it."""
+    one candidate at a time: the oracle for ``cli._rank1_draws``.  All come
+    from one generator, seed + 1.  A candidate is three rows of normals; it
+    passes when its first row, sorted and centred as h, has neighbours more
+    than 0.1 apart, and then u is its second row plus 1j times its third."""
     rng, n, hs, us = cli._rng_for(cfg, 1), cfg.n, [], []
-    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
-        pending = range(min(calogero._SWEEP_CHUNK, cfg.samples - start))
-        found, block = {}, cli._DRAW_BLOCK
-        while pending:
-            for i in pending:
-                rows = rng.normal(size=(block + 2, n))
-                for k in range(block):
-                    h = np.sort(rows[k])
-                    h -= h.sum() / n
-                    if n == 1 or np.diff(h).min() > 0.1:
-                        found[i] = h.astype(complex), rows[k + 1] + 1j * rows[k + 2]
-                        break
-            pending, block = [i for i in pending if i not in found], 2 * block
-        hs += [found[i][0] for i in range(len(found))]
-        us += [found[i][1] for i in range(len(found))]
+    while len(hs) < cfg.samples:
+        rows = rng.normal(size=(3, n))
+        h = np.sort(rows[0])
+        h -= h.sum() / n
+        if n == 1 or np.diff(h).min() > 0.1:
+            hs.append(h.astype(complex))
+            us.append(rows[1] + 1j * rows[2])
     return np.array(hs), np.array(us)
 
 
@@ -504,23 +492,17 @@ MISMATCH_H = np.array([0.0, 2e-8, 1.0], dtype=complex) - (1.0 + 2e-8) / 3
 
 
 class TestRuijDraws:
-    """``cli._rank1_draws`` against the per-sample loop ``ruij_draws``."""
+    """``cli._rank1_draws`` against the one-candidate-at-a-time loop ``ruij_draws``."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("samples", [1, 63, 64, 65, 500])
     @pytest.mark.parametrize("seed", [0, 7, 123456])
-    def test_block_draws_equal_the_loop_bitwise(self, n, samples, seed):
+    def test_draws_equal_the_loop_bitwise(self, n, samples, seed):
         cfg = ruij_cfg(n, samples, seed=seed)
         h, u = cli._rank1_draws(cfg)
         want_h, want_u = ruij_draws(cfg)
         assert h.tobytes() == want_h.tobytes()
         assert u.tobytes() == want_u.tobytes()
-
-    def test_samples_that_miss_their_block_equal_the_loop_bitwise(self, monkeypatch):
-        """With one row per block, most samples at n = 8 fail the gap test
-        on it and draw longer windows after their pass's blocks."""
-        monkeypatch.setattr(cli, "_DRAW_BLOCK", 1)
-        self.test_block_draws_equal_the_loop_bitwise(8, 2 * calogero._SWEEP_CHUNK + 5, 3)
 
 
 class TestRuijSweep:

@@ -443,6 +443,23 @@ class TestExitCodes:
         assert main(["--scenario", "factorization-flow", "--out-json", str(out)]) == code
         assert json.loads(out.read_text())["flags"] == flags
 
+    def test_a_field_that_loses_antisymmetry_is_a_numerical_failure(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        """A pair-chart field with 1e-6 g added fails the chart's self-check:
+        exit 2 with the flag of the library error and the report written,
+        not a traceback."""
+        def bent_chart(n):
+            chart = poisson.chart_heisenberg_double(n)
+            return dataclasses.replace(chart, field=lambda z, g: chart.field(z, g) + 1e-6 * g)
+
+        monkeypatch.setattr(cli, "chart_heisenberg_double", bent_chart)
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "relativistic-ruijsenaars", "--t-max", "0.01",
+                     "--out-json", str(out)]) == 2
+        assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConsistencyError"]
+        err = capsys.readouterr().err
+        assert "lost antisymmetry" in err
+        assert "Traceback" not in err
 
     def test_constraint_violation_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
         """Oracle products nudged by 1e-9 fail the (phi, psi) pairing of the
@@ -466,8 +483,8 @@ class TestExitCodes:
 
 
 class TestRankOneGenerators:
-    """A report's rank-1 draws come from one generator, however many samples
-    it draws and redraws."""
+    """A report's rank-1 draws come from one generator, however many
+    candidates fail their test."""
 
     @pytest.fixture
     def offsets(self, monkeypatch):
@@ -477,21 +494,77 @@ class TestRankOneGenerators:
                             lambda cfg, index=0: built.append(index) or rng_for(cfg, index))
         return built
 
-    @pytest.mark.parametrize("block", [cli._DRAW_BLOCK, 1])
-    def test_rational_report_builds_one_generator(self, tmp_path, monkeypatch, offsets, block):
-        monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
+    def test_rational_report_builds_one_generator(self, tmp_path, offsets):
         assert main(["--scenario", "ruijsenaars-rational", "--n", "6", "--samples", "500",
                      "--out-json", str(tmp_path / "r.json")]) == 0
         assert offsets == [1]
 
-    @pytest.mark.parametrize("block", [cli._DRAW_BLOCK, 1])
-    def test_relativistic_draws_build_one_generator(self, tmp_path, monkeypatch, offsets,
-                                                    block):
+    def test_relativistic_draws_build_one_generator(self, tmp_path, offsets):
         """One for the flow point and one for all the rank-1 samples."""
-        monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
         assert main(["--scenario", "relativistic-ruijsenaars", "--n", "8", "--samples", "200",
                      "--t-max", "0.01", "--out-json", str(tmp_path / "r.json")]) == 0
         assert offsets == [0, 1000]
+
+
+def distinct_h_loop(n, rng):
+    """h of one gapped sample, one row of n normals at a time."""
+    while True:
+        ok, h = cli._gapped_h(rng.normal(size=n))
+        if ok:
+            return h
+
+
+def distinct_eigs_loop(n, rng):
+    """x of one gapped sample, one (re, im) pair of rows at a time."""
+    while True:
+        x = cli._unimodular_eigs(rng.normal(size=n), rng.normal(size=n))
+        if cli._eig_gap(x) > 0.1:
+            return x
+
+
+class TestFirstPassing:
+    """``cli._first_passing`` keeps what drawing one candidate at a time
+    until ``count`` pass keeps, and leaves the generator where that loop
+    leaves it, whatever the round sizes."""
+
+    @pytest.mark.parametrize("count", [1, 2, 37])
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_kept_candidates_and_generator_state(self, count, seed):
+        def passes(w):                  # about 30% of candidates pass
+            return w[:, 0, 0] > 0.5
+
+        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = cli._first_passing(rng, count, (2, 3), passes)
+        want = []
+        while len(want) < count:
+            candidate = loop.normal(size=(2, 3))
+            if passes(candidate[None])[0]:
+                want.append(candidate)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("sampler,loop", [(cli._distinct_h, distinct_h_loop),
+                                              (cli._distinct_eigs, distinct_eigs_loop)],
+                             ids=["h", "eigs"])
+    def test_one_sample_equals_the_loop(self, sampler, loop, n, seed):
+        """``count = 1``, as cm-rational and duality-check draw, keeps their
+        samples and the generator state their later draws start from."""
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sampler(n, rng).tobytes() == loop(n, want_rng).tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("scenario,draws", [
+        ("ruijsenaars-rational", cli._rank1_draws),
+        ("relativistic-ruijsenaars", cli._relativistic_draws)])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_fewer_samples_are_a_prefix(self, scenario, draws, n):
+        """A report of m samples draws the first m samples of a report of M."""
+        few, many = (draws(ScenarioConfig(scenario=scenario, n=n, samples=m, seed=3))
+                     for m in (7, 150))
+        for short, full in zip(few, many):
+            assert short.tobytes() == full[:7].tobytes()
 
 
 def _benchmark_workloads():
@@ -534,8 +607,8 @@ CAPS = {
                                          "tr(x mu~)", "tr(x^2 mu~)"], TOL.projection_drift),
                         "duality-moment-deviation": TOL.duality_exact * 10},
     "relativistic-ruijsenaars": {
-        **dict.fromkeys(["tr(y^1)", "tr(y^2)", "tr(mu^1)", "tr(mu^2)", "tr(y mu)",
-                         "tr(y^2 mu)"], TOL.projection_drift),
+        **dict.fromkeys(["tr(y^1)", "tr(y^2)", "tr(mu^1)", "tr(mu^2)", "tr(y^2 mu)"],
+                        TOL.projection_drift),
         "mu-eigenvalue-deviation": TOL.mu_eigenvalue,
         "psi-phi-corrected-residual": TOL.formula_match,
         "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path},
@@ -624,38 +697,57 @@ class TestReportRule:
         assert _csv_table({"error": []}) == (["error"], [])
 
 
-# One defect per capped rank-1 value, each in one route of that value:
-# (argv, module, function, the planted function made from the original).
+# One defect in one route of the capped rank-1 values: (the caps it trips,
+# argv, module, function, the planted function made from the original).
+RATIONAL = ["--scenario", "ruijsenaars-rational"]
 RELATIVISTIC = ["--scenario", "relativistic-ruijsenaars", "--t-max", "0.01"]
-RANK_ONE_PLANTS = {
+
+
+def _scaled_diagonal_products(dual):
+    """``_dual_residuals`` with the diagonal products (prod) times 1 + 1e-5."""
+    return lambda *parts: dual(*parts[:-2], (1 + 1e-5) * parts[-2], parts[-1])
+
+
+def _scaled_pair_products(pairs):
+    """``_pair_products`` with the products times 1 + 1e-5."""
+    return lambda R: pairs(R)[:2] + ((1 + 1e-5) * pairs(R)[2],)
+
+
+RANK_ONE_PLANTS = [
     # the kappa-scaled product formula times 1 + 2e-6
-    "closed-form-residual": (["--scenario", "ruijsenaars-rational"], calogero, "_select",
-                             lambda select: lambda w, bare, kappa:
-                             select(w, (1 + 2e-6) * bare, kappa)),
+    (["closed-form-residual"], RATIONAL, calogero, "_select",
+     lambda select: lambda w, bare, kappa: select(w, (1 + 2e-6) * bare, kappa)),
+    # measured at the defaults: tr-g-dual 1.0e-5, tr-g2-dual 2.0e-5
+    (["tr-g-dual", "tr-g2-dual"], RATIONAL, calogero, "_dual_residuals",
+     _scaled_diagonal_products),
+    # measured at the defaults: 1.0e-5
+    (["h-ruijsenaars-dual"], RATIONAL, calogero, "_pair_products", _scaled_pair_products),
     # every factor of the corrected psi-phi product formula times 1 + 1e-6
-    "psi-phi-corrected-residual": (RELATIVISTIC, double, "_ratio",
-                                   lambda ratio: lambda num, den: (1 + 1e-6) * ratio(num, den)),
+    (["psi-phi-corrected-residual"], RELATIVISTIC, double, "_ratio",
+     lambda ratio: lambda num, den: (1 + 1e-6) * ratio(num, den)),
     # the rank-1 class eigenvalues shifted by 1e-5
-    "mu-eigenvalue-deviation": (RELATIVISTIC, double, "_class_eigenvalues",
-                                lambda eigenvalues: lambda q, n: eigenvalues(q, n) + 1e-5),
-    # the diagonal products of the reduced trace formulas times 1 + 1e-5
-    "trace-dual-path": (RELATIVISTIC, double, "_dual_residuals",
-                        lambda dual: lambda *parts: dual(*parts[:-2], (1 + 1e-5) * parts[-2],
-                                                         parts[-1])),
-    # the product route of H2 times 1 + 1e-5
-    "h2-dual-path": (RELATIVISTIC, calogero, "_pair_products",
-                     lambda pairs: lambda R: pairs(R)[:2] + ((1 + 1e-5) * pairs(R)[2],)),
+    (["mu-eigenvalue-deviation"], RELATIVISTIC, double, "_class_eigenvalues",
+     lambda eigenvalues: lambda q, n: eigenvalues(q, n) + 1e-5),
+    (["trace-dual-path"], RELATIVISTIC, double, "_dual_residuals", _scaled_diagonal_products),
+    (["h2-dual-path"], RELATIVISTIC, calogero, "_pair_products", _scaled_pair_products),
+]
+# the capped rank-1 values that no plant trips first, with the reason
+UNPLANTABLE_RANK_ONE = {
+    "oracle-residual": "calogero._cauchy_solve raises ConsistencyError past "
+                       "TOL.oracle_residual * max(1, |w|), so the cap can fail first only "
+                       "where |w| > 1, and at the defaults the smallest max |w| is 0.37",
 }
 
 
 class TestRankOneCaps:
-    """Negative controls of the rank-1 caps: a defect that puts a value past
-    1e-6, and so past its cap, fails the report by that cap alone: exit 2,
-    ``tolerance-failure``, and the value in the report."""
+    """Negative controls of the rank-1 caps: a defect that puts values past
+    1e-6, and so past their caps, fails the report by those caps alone:
+    exit 2, ``tolerance-failure``, and the values in the report."""
 
-    @pytest.mark.parametrize("name", sorted(RANK_ONE_PLANTS))
-    def test_a_planted_defect_fails_its_cap(self, tmp_path, monkeypatch, name):
-        argv, module, function, plant = RANK_ONE_PLANTS[name]
+    @pytest.mark.parametrize("tripped,argv,module,function,plant", RANK_ONE_PLANTS,
+                             ids=["+".join(plant[0]) for plant in RANK_ONE_PLANTS])
+    def test_a_planted_defect_fails_its_cap(self, tmp_path, monkeypatch, tripped, argv,
+                                            module, function, plant):
         monkeypatch.setattr(module, function, plant(getattr(module, function)))
         out = tmp_path / "r.json"
         assert main(argv + ["--out-json", str(out)]) == 2
@@ -663,8 +755,30 @@ class TestRankOneCaps:
         assert payload["flags"] == ["tolerance-failure"]
         values = {r["name"]: r["value"] for r in payload["oracle_residuals"]}
         caps = CAPS[argv[1]]
-        assert [v for v in values if v in caps and not values[v] <= caps[v]] == [name]
-        assert values[name] > 1e-6
+        assert [v for v in values if v in caps and not values[v] <= caps[v]] == tripped
+        assert min(values[v] for v in tripped) > 1e-6
+
+    def test_every_rank_one_cap_is_planted_or_listed(self):
+        names = {name for scenario in ("ruijsenaars-rational", "relativistic-ruijsenaars")
+                 for name in CAPS[scenario] if not name.startswith("tr(")}
+        planted = [name for tripped, *_ in RANK_ONE_PLANTS for name in tripped]
+        assert len(planted) == len(set(planted))
+        assert not set(planted) & set(UNPLANTABLE_RANK_ONE)
+        assert set(planted) | set(UNPLANTABLE_RANK_ONE) == names
+
+    def test_a_solve_defect_past_the_oracle_cap_raises_first(self, tmp_path, monkeypatch,
+                                                            capsys):
+        """Every oracle solution times 1 + 2e-10 puts every oracle residual
+        near 2e-10, past its cap of 1e-10, but the solve's own check stops
+        the run first: exit 2 with ``ConsistencyError``, no capped value."""
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1 + 2e-10) * solve(a, b))
+        out = tmp_path / "r.json"
+        assert main(RATIONAL + ["--out-json", str(out)]) == 2
+        payload = json.loads(out.read_text())
+        assert payload["flags"] == ["numerical-failure:ConsistencyError"]
+        assert payload["oracle_residuals"] == []
+        assert "solve residual" in capsys.readouterr().err
 
 
 # (scenario, projection drift, eps): eps (a)0, with (a)0 the traceless part
@@ -688,7 +802,6 @@ DRIFT_PLANTS = [
 UNPLANTABLE_DRIFTS = {
     ("relativistic-cm", "tr(x^1)"): "a traceless velocity of x leaves tr(x) fixed",
     ("relativistic-ruijsenaars", "tr(y^1)"): "a traceless velocity of y leaves tr(y) fixed",
-    ("relativistic-ruijsenaars", "tr(y mu)"): "tr(y x y x^-1 y^-1) = tr(x y x^-1) = tr(y)",
 }
 
 
@@ -926,10 +1039,11 @@ class TestSingleEvaluation:
                      "--t-max", "0.2", "--dt", "1e-3", "--samples", "2",
                      "--seed", "0", "--out-csv", str(csv)]) == 0
 
-        assert len(calls) == 6 and set(calls.values()) == {1}
+        # tr(y^1), tr(mu^1), tr(y^2), tr(mu^2), tr(y^2 mu)
+        assert len(calls) == 5 and set(calls.values()) == {1}
         assert {shape for _, shape in calls} == {(201, 18)}
         values = reports[0].values
-        assert values.shape == (201, 6)
+        assert values.shape == (201, 5)
         rows = [line.split(",")[1:] for line in csv.read_text().splitlines()[1:]]
         expected = [[_fmt(part(v)) for v in row for part in (np.real, np.imag)]
                     for row in values]

@@ -408,28 +408,17 @@ def distinct_eigs(re, im):
 
 
 def relativistic_draws_loop(cfg):
-    """The seeded (x, u, y_diag) of every sample, one sample at a time: the
-    oracle for ``cli._relativistic_draws``.  All come from one generator,
-    seed + 1000.  Each pass of ``calogero._SWEEP_CHUNK`` samples draws every
-    sample's window of ``cli._DRAW_BLOCK`` row pairs plus three rows, in
-    sample order; the samples whose window held no passing pair then draw
-    windows twice as long, in sample order, then 4x and so on.  Each window
-    is scanned one pair at a time: x comes from the first passing pair, u
-    is the next row plus 1j times the row after it, y_diag the next + 0.5."""
+    """The seeded (x, u, y_diag) of every sample, one candidate at a time:
+    the oracle for ``cli._relativistic_draws``.  All come from one
+    generator, seed + 1000.  A candidate is five rows of normals; it passes
+    when ``distinct_eigs`` accepts its first two rows, and then u is its
+    third row plus 1j times its fourth and y_diag its fifth + 0.5."""
     rng, n, draws = cli._rng_for(cfg, 1000), cfg.n, []
-    for start in range(0, cfg.samples, calogero._SWEEP_CHUNK):
-        pending = range(min(calogero._SWEEP_CHUNK, cfg.samples - start))
-        found, block = {}, cli._DRAW_BLOCK
-        while pending:
-            for i in pending:
-                rows = rng.normal(size=(2 * block + 3, n))
-                for k in range(0, 2 * block, 2):
-                    x = distinct_eigs(rows[k], rows[k + 1])
-                    if x is not None:
-                        found[i] = x, rows[k + 2] + 1j * rows[k + 3], rows[k + 4] + 0.5
-                        break
-            pending, block = [i for i in pending if i not in found], 2 * block
-        draws += [found[i] for i in range(len(found))]
+    while len(draws) < cfg.samples:
+        rows = rng.normal(size=(5, n))
+        x = distinct_eigs(rows[0], rows[1])
+        if x is not None:
+            draws.append((x, rows[2] + 1j * rows[3], rows[4] + 0.5))
     return tuple(np.array(column) for column in zip(*draws))
 
 
@@ -496,17 +485,13 @@ def relativistic_cfg(n, samples, seed=0, q=1.3):
 
 
 class TestRelativisticDraws:
-    """``cli._relativistic_draws`` against the per-sample loop."""
+    """``cli._relativistic_draws`` against the one-candidate-at-a-time loop."""
 
-    @pytest.mark.parametrize("block", [cli._DRAW_BLOCK, 1])
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("samples", [1, 10, 63])
     @pytest.mark.parametrize("seed", [0, 7, 123456])
-    def test_block_draws_equal_the_loop_bitwise(self, monkeypatch, block, n, samples, seed):
-        """With one attempt per block, a sample whose first x fails the gap
-        test (39% of them at n = 8) draws a longer window after its pass's
-        blocks."""
-        monkeypatch.setattr(cli, "_DRAW_BLOCK", block)
+    def test_draws_equal_the_loop_bitwise(self, n, samples, seed):
+        """At n = 8, 39% of the candidates fail the gap test."""
         cfg = relativistic_cfg(n, samples, seed)
         for got, want in zip(cli._relativistic_draws(cfg), relativistic_draws_loop(cfg)):
             assert got.tobytes() == want.tobytes()

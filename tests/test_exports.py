@@ -21,11 +21,19 @@ EXEMPT = {
 }
 
 
+def _defined_name(top):
+    """The name a top-level statement defines: a function's or a class's, an
+    assignment's first target, or None."""
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        top = top.targets[0] if isinstance(top, ast.Assign) else top.target
+    return getattr(top, "name", getattr(top, "id", None))
+
+
 def _reads(path: Path) -> set:
     """(name, site, whether it is an attribute) of every name or attribute
-    read in the file, outside annotations.  The site is the top-level
-    definition (or None) and, inside a class, the method in its body (or
-    None)."""
+    read in the file, outside annotations.  The site is the name the
+    top-level statement defines (or None) and, inside a class, the method in
+    its body (or None)."""
     tree = ast.parse(path.read_text())
     annotations = [a for node in ast.walk(tree) for a in (
         getattr(node, "annotation", None), getattr(node, "returns", None)) if a is not None]
@@ -34,7 +42,7 @@ def _reads(path: Path) -> set:
               for stmt in top.body if isinstance(stmt, ast.FunctionDef)
               for node in ast.walk(stmt)}
     return {(node.id if isinstance(node, ast.Name) else node.attr,
-             (getattr(top, "name", None), method.get(id(node))), isinstance(node, ast.Attribute))
+              (_defined_name(top), method.get(id(node))), isinstance(node, ast.Attribute))
             for top in tree.body for node in ast.walk(top) if id(node) not in skip
             and (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                  or isinstance(node, ast.Attribute))}
@@ -57,6 +65,23 @@ def test_every_export_has_a_reader():
             if not any(read == name and site != (stem, name) for read, site in reads):
                 unread.add(f"{stem}.{name}")
     assert unread == set(EXEMPT)
+
+
+def test_every_private_definition_has_a_reader():
+    """Each module-level ``_``-prefixed function, class and constant of a src
+    module is read by a src definition other than its own, in any module.
+    There are no exemptions: a private name only tests read belongs in the
+    tests."""
+    reads = {(name, (stem, top)) for stem in MODULES
+             for name, (top, _), _ in _reads(PACKAGE / f"{stem}.py")}
+    unread = set()
+    for stem in MODULES:
+        for top in ast.parse((PACKAGE / f"{stem}.py").read_text()).body:
+            name = _defined_name(top)
+            if name and name.startswith("_") and not name.startswith("__") and not any(
+                    read == name and site != (stem, name) for read, site in reads):
+                unread.add(f"{stem}.{name}")
+    assert unread == set()
 
 
 def test_every_member_has_a_reader():

@@ -7,7 +7,7 @@ import pytest
 
 from degint import cli
 from degint.double import trace_power_observable
-from degint.errors import DimensionMismatch, SingularChartPoint
+from degint.errors import ConsistencyError, DimensionMismatch, SingularChartPoint
 from degint.poisson import (
     Observable,
     bracket,
@@ -770,8 +770,9 @@ class TestMatrixFormFields:
 
     @pytest.mark.parametrize("make_chart", [chart_heisenberg_double, chart_sklyanin])
     def test_selfcheck_rejects_a_field_that_is_not_antisymmetric(self, make_chart):
-        """With Pi never formed, the self-check tests g . Pi(z) g = 0: a field
-        with a planted symmetric part fails it, the true field passes."""
+        """With Pi never formed, the self-check tests g . Pi(z) g = 0, and on
+        the built Pi its antisymmetry: a field with a planted symmetric part
+        fails both as a library error, the true field passes."""
         chart = make_chart(2)
         bent = dataclasses.replace(
             chart, field=lambda z, g, f=chart.field: f(z, g) + 1e-6 * g)
@@ -779,8 +780,11 @@ class TestMatrixFormFields:
         z = np.tile(np.eye(2).ravel(), chart.dim // 4) + 0.3 * rng.normal(size=chart.dim)
         g = rng.normal(size=chart.dim)
         chart.pi(z, g)
-        with pytest.raises(AssertionError, match="lost antisymmetry"):
+        chart.pi(z)
+        with pytest.raises(ConsistencyError, match="field of chart .* lost antisymmetry"):
             bent.pi(z, g)
+        with pytest.raises(ConsistencyError, match="bivector of chart .* lost antisymmetry"):
+            bent.pi(z)
 
 
 def _normal(dim):
