@@ -131,9 +131,11 @@ def _fd_gradient(fn, x, h):
 
 
 def coordinate(dim: int, index: int, label: str = None) -> Observable:
-    """The index-th coordinate function, with its trivial exact gradient."""
+    """The index-th coordinate function, with its trivial exact gradient:
+    one read-only array, handed to every caller."""
     e = np.zeros(dim, dtype=complex)
     e[index] = 1.0
+    e.flags.writeable = False
     return Observable(
         name=label or f"z{index}",
         fn=lambda z, i=index: np.take(z, i, axis=-1),
@@ -154,12 +156,14 @@ def trace_power(n: int, k: int, block: int = 0, blocks: int = 1) -> Observable:
     """tr(x^k) for x the ``block``-th of the ``blocks`` n x n matrices whose
     entries, row-major, make up a chart point, named for it tr(x^k) or
     tr(y^k).  Its exact gradient is k (x^(k-1))^T in that block: for k = 1
-    the identity, built once."""
+    the identity, built once and read-only, since every caller is handed
+    the same array."""
     if k < 1:
         raise ValueError("power must be at least 1")
     part = slice(block * n * n, (block + 1) * n * n)
     eye = np.zeros(blocks * n * n, dtype=complex)
     eye[part] = np.eye(n).ravel()
+    eye.flags.writeable = False
 
     def fn(z):
         x = z[..., part].reshape(z.shape[:-1] + (n, n))
@@ -266,6 +270,18 @@ def chart_relativistic_loglinear(n: int) -> PoissonChart:
     )
 
 
+def _block_products(a, ga, n):
+    """One covector block's products for :func:`chart_heisenberg_double`:
+    with a the block's matrix and Ga its covector block, both flat,
+    (R, E, c) = (a Ga^T, R - Ga^T a, <Ga, a>/n), E None where it is exactly
+    zero."""
+    gat = ga.reshape(n, n).T
+    mat = a.reshape(n, n)
+    r = mat.dot(gat)
+    e = r - gat.dot(mat)
+    return r, (e if np.count_nonzero(e) else None), ga.dot(a) / n
+
+
 def _r_mask(n):
     """u_ik = [i < k] + 1/2 delta_ik: r = sum_ik u_ik E_ik (x) E_ki - (1/2n) I."""
     return np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
@@ -338,10 +354,33 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     associates its factors otherwise than y^(k-1) y, so E is roundoff but in
     general not zero, and the full formula runs.  The same holds for Gx
     and x.
+
+    A block's products R = a Ga^T, E = R - Ga^T a (or "exactly zero") and
+    c = <Ga, a>/n depend on that block's matrix a and covector block Ga
+    alone, and each chart keeps the last ones it formed, one entry per
+    block, keyed on the dtypes and bytes of a and Ga.  Equal bytes are equal
+    operands, so a hit returns what forming the products again would give,
+    bit for bit, and a point changed in place between two calls misses.
+    Along a dressing flow (the flow of tr(a) or tr(a^2)) the flow's own
+    block and its gradient stay fixed bit for bit over every stage, so
+    every call after the first hits, and the commuting branch is left with
+    the one product R x (or y P) per call.  Callers whose covectors change
+    from call to call, such as the columns of Pi(x) and the bracket checks
+    of ``verify-brackets``, miss and pay for the key on top; they hit only
+    where a finite-difference step moved the other block alone.  The masked
+    product u o E is never kept.
     """
     m = n * n
     # a complex mask spares the masked product a cast from float
     uc = _r_mask(n).astype(complex)
+    last = {}       # per block: the key of its last products, and the products
+
+    def products(block, a, ga):
+        key = (a.dtype, ga.dtype, a.tobytes(), ga.tobytes())
+        hit = last.get(block)
+        if hit is None or hit[0] != key:
+            hit = last[block] = key, _block_products(a, ga, n)
+        return hit[1]
 
     def field(z, g, n=n, m=m, uc=uc):
         xy = z.reshape(2 * n, n)
@@ -349,31 +388,27 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         gx, gy = g[:m], g[m:]
         v = None
         if np.count_nonzero(gy):
-            gyt = gy.reshape(n, n).T
-            ry = y.dot(gyt)
-            e = ry - gyt.dot(y)
-            if np.count_nonzero(e):
+            ry, e, c = products("y", z[m:], gy)
+            if e is None:
+                v = np.zeros((2 * n, n), dtype=complex)
+                np.subtract(c * x, ry.dot(x), out=v[:n])
+            else:
                 w = uc * e
                 v = xy.dot(e - w)
                 v[:n] += (w - ry).dot(x)
                 v[n:] += w.dot(y)
-            else:
-                v = np.zeros((2 * n, n), dtype=complex)
-                v[:n] -= ry.dot(x)
-            v[:n] += (gy.dot(z[m:]) / n) * x
+                v[:n] += c * x
         if np.count_nonzero(gx):
-            gxt = gx.reshape(n, n).T
-            px = x.dot(gxt)
-            e = px - gxt.dot(x)
-            if np.count_nonzero(e):
+            px, e, c = products("x", z[:m], gx)
+            if e is None:
+                b = np.zeros((2 * n, n), dtype=complex)
+                np.subtract(y.dot(px), c * y, out=b[n:])
+            else:
                 w = uc * e
                 b = np.matmul(w, z.reshape(2, n, n)).reshape(2 * n, n)
                 b[:n] += x.dot(e - w)
                 b[n:] += y.dot(px - w)
-            else:
-                b = np.zeros((2 * n, n), dtype=complex)
-                b[n:] += y.dot(px)
-            b[n:] -= (gx.dot(z[:m]) / n) * y
+                b[n:] -= c * y
             v = b if v is None else v + b
         return np.zeros(2 * m, dtype=complex) if v is None else v.ravel()
 

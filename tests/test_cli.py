@@ -847,6 +847,40 @@ class TestProjectionDriftCaps:
         assert planted | set(UNPLANTABLE_DRIFTS) == names
 
 
+# A drag force, dp/dt gaining -eps p, added to the Kepler field: a
+# non-conservative plant that moves every monitored quantity.  Measured at
+# the defaults, eps = 1e-8: M1 4.0e-8, M2 4.3e-8, M3 4.3e-8, A1 2.5e-8,
+# A2 4.7e-8, A3 5.2e-8, H 4.8e-8; eps = 1e-9: 2.2e-9 to 4.8e-9; unplanted:
+# 1.4e-10 to 4.5e-10.  So every drift cap is planted, and no Kepler drift
+# needs a table of unplantable names.
+KEPLER_DRAG = 1e-8
+
+
+class TestKeplerDriftCaps:
+    """Negative control of the Kepler drift caps: the orbit integrated with
+    a planted drag, swapped in through ``kepler.kepler_chart``."""
+
+    def drifts(self, tmp_path, monkeypatch, eps, chart=kepler.kepler_chart()):
+        def field(z, g):
+            return chart.field(z, g) + eps * np.r_[-z[:3], np.zeros(3)]
+
+        monkeypatch.setattr(kepler, "kepler_chart",
+                            lambda: dataclasses.replace(chart, field=field))
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "kepler", "--out-json", str(out)])
+        payload = json.loads(out.read_text())
+        return code, payload["flags"], {d["name"]: d["max_abs"] for d in payload["drifts"]}
+
+    def test_a_planted_drag_fails_every_drift_cap(self, tmp_path, monkeypatch):
+        caps = CAPS["kepler"]
+        code, flags, drifts = self.drifts(tmp_path, monkeypatch, KEPLER_DRAG)
+        assert (code, flags) == (2, ["tolerance-failure"])
+        assert [name for name, cap in caps.items() if not drifts[name] > cap] == []
+        code, flags, drifts = self.drifts(tmp_path, monkeypatch, KEPLER_DRAG / 10)
+        assert (code, flags) == (0, [])
+        assert [name for name, cap in caps.items() if not drifts[name] <= cap] == []
+
+
 class TestSeparationFlag:
     """Negative controls of ``inconclusive-separation``: a fiber check whose
     samples do not leave the base point flags its system, and the flag reads

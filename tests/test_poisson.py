@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from degint import cli
+from degint import cli, poisson
 from degint.double import trace_power_observable
 from degint.errors import ConsistencyError, DimensionMismatch, SingularChartPoint
 from degint.poisson import (
@@ -155,6 +155,22 @@ class TestTracePower:
         g = obs.gradient(heisenberg_point(2))
         assert g is obs.gradient(heisenberg_point(2))
         assert np.array_equal(g, np.r_[np.zeros(4), np.eye(2).ravel()])
+
+    @pytest.mark.parametrize("obs,expected", [
+        (trace_power_observable(2, "y", 1), np.r_[np.zeros(4), np.eye(2).ravel()]),
+        (trace_power(3, 1), np.eye(3).ravel()),
+        (coordinate(8, 5), np.eye(8)[5])], ids=["tr(y)", "tr(x)", "z5"])
+    def test_a_shared_gradient_is_read_only(self, obs, expected):
+        """The gradients of tr(x) and of a coordinate are one array handed to
+        every caller: writing into it raises, so a later caller's gradient
+        is unchanged."""
+        z = np.ones(len(expected), dtype=complex)
+        g = obs.gradient(z)
+        with pytest.raises(ValueError, match="read-only"):
+            g[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            g += 1.0
+        assert np.array_equal(obs.gradient(z), expected)
 
     def test_names_and_power_floor(self):
         assert [trace_power_observable(2, b, 3).name for b in "xy"] == ["tr(x^3)", "tr(y^3)"]
@@ -560,6 +576,118 @@ class TestHeisenbergBlockField:
         monkeypatch.setattr(cli, "chart_heisenberg_double", combined_chart)
         assert run("combined") == block
         assert len(made) == 1
+
+
+class TestHeisenbergBlockMemo:
+    """Each pair chart keeps the last products R, E and c of each covector
+    block, keyed on the bytes of the block and its covector: a call
+    sequence on one chart gives at every call the value a fresh chart gives,
+    and a dressing flow forms its block's products once."""
+
+    @staticmethod
+    def counted_products(monkeypatch):
+        """``poisson._block_products`` wrapped to count its calls: one per
+        block evaluation that misses."""
+        misses = []
+        products = poisson._block_products
+
+        def counted(a, ga, n):
+            misses.append(n)
+            return products(a, ga, n)
+
+        monkeypatch.setattr(poisson, "_block_products", counted)
+        return misses
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_a_call_sequence_equals_fresh_charts(self, n, monkeypatch):
+        """x-block, y-block, two-block and zero covectors interleaved, points
+        repeated, and a point or a covector changed in place between two
+        calls.  Against the combined formula the values are equal on
+        covectors in at most one block (a zero's sign may differ, so values
+        are compared, not bytes), and equal to roundoff on two-block ones,
+        which the block field sums in another order."""
+        rng, m = np.random.default_rng(600 + n), n * n
+        chart, oracle = chart_heisenberg_double(n), heisenberg_combined_oracle(n)
+        points = [_near_identity(n, 2)(rng) for _ in range(3)]
+        randoms = [TestHeisenbergBlockField.covector(n, blocks, rng)
+                   for blocks in ("x", "y", "xy", "xy")]
+        gradients = [trace_power(n, k, block, 2).gradient for k in (1, 2, 3) for block in (0, 1)]
+        misses = self.counted_products(monkeypatch)
+        evaluations = hits = 0
+        for step in range(80):
+            z = points[rng.integers(len(points))]
+            choice = rng.integers(len(randoms) + len(gradients) + 1)
+            if choice < len(randoms):
+                g = randoms[choice]
+            elif choice < len(randoms) + len(gradients):
+                g = gradients[choice - len(randoms)](z)
+            else:
+                g = np.zeros(2 * m, dtype=complex)
+            for repeat in range(2):
+                before = len(misses)
+                v = chart.field(z, g)
+                blocks = bool(np.count_nonzero(g[:m])) + bool(np.count_nonzero(g[m:]))
+                evaluations, hits = evaluations + blocks, hits + blocks - (len(misses) - before)
+                assert np.array_equal(v, chart_heisenberg_double(n).field(z, g))
+                ref = oracle(z, g)
+                if blocks == 2:
+                    assert np.abs(v - ref).max() <= 1e-13 * _field_scale(ref, g, z)
+                else:
+                    assert np.array_equal(v, ref)
+                # between the two calls, change the point or a writable covector in place
+                target = z if step % 2 or not g.flags.writeable else g
+                target[rng.integers(2 * m)] += 0.25
+        # some block evaluations hit and some missed, so the sequence tested both
+        assert 0 < hits < evaluations
+
+    def flow_counts(self, monkeypatch, tmp_path, argv):
+        """The report's exit code, the pair-chart block evaluations with the
+        misses that the bytes of each block and its covector predict, and the
+        misses counted."""
+        misses = self.counted_products(monkeypatch)
+        evaluations, predicted, last = [0], [0], {}
+        make = cli.chart_heisenberg_double
+
+        def counted_chart(n):
+            chart, m = make(n), n * n
+
+            def field(z, g):
+                for block, part in (("x", slice(0, m)), ("y", slice(m, None))):
+                    if np.count_nonzero(g[part]):
+                        evaluations[0] += 1
+                        key = (z[part].tobytes(), g[part].tobytes())
+                        predicted[0] += last.get((n, block)) != key
+                        last[(n, block)] = key
+                return chart.field(z, g)
+
+            return dataclasses.replace(chart, field=field)
+
+        monkeypatch.setattr(cli, "chart_heisenberg_double", counted_chart)
+        code = cli.main(argv + ["--out-json", str(tmp_path / "r.json")])
+        return code, evaluations[0], predicted[0], len(misses)
+
+    @pytest.mark.parametrize("argv,evaluations", [
+        (["--scenario", "relativistic-ruijsenaars", "--n", "3", "--t-max", "0.2",
+          "--dt", "1e-3", "--samples", "10", "--seed", "0"], 800),
+        (["--scenario", "relativistic-cm"], 2000)], ids=["pair-flow", "relativistic-cm"])
+    def test_a_dressing_flow_forms_its_block_products_once(self, monkeypatch, tmp_path, argv,
+                                                          evaluations):
+        """The flow of tr(y) (the benchmark's pair-flow argv) or tr(x)
+        (relativistic-cm at its defaults) holds its block and gradient fixed
+        bit for bit: of its 4 field calls per rk4 step, only the first of
+        the run forms products."""
+        assert self.flow_counts(monkeypatch, tmp_path, argv) == (0, evaluations, 1, 1)
+
+    def test_bracket_checks_miss_where_a_block_or_its_covector_changed(self, monkeypatch,
+                                                                       tmp_path):
+        """verify-brackets changes its covector or its point from call to
+        call: its block evaluations miss except where a finite-difference
+        step moved only the other block, and the misses are exactly the
+        evaluations whose block or covector bytes changed."""
+        code, evaluations, predicted, misses = self.flow_counts(
+            monkeypatch, tmp_path, ["--scenario", "verify-brackets"])
+        assert code == 0 and misses == predicted
+        assert evaluations / 2 < misses < evaluations
 
 
 def _unit(n, i, j):
