@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import (ConsistencyError, DegintError, NonFiniteMatrixError,
-                     SingularChartPoint)
+from .errors import (ConsistencyError, ConstraintViolation, DegintError,
+                     NonFiniteMatrixError, SingularChartPoint)
 from .matrixcore import as_matrix, mat_exp, spectral, trace_words
 
 __all__ = [
@@ -232,7 +232,7 @@ def h_cm(point: CMPoint) -> float:
         raise SingularChartPoint("coincident angles in the potential")
     value = np.dot(point.p, point.p) + np.sum(point.kappa ** 2 / (4.0 * _scalar_power(s, 2)))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
-        raise ValueError("imaginary residue in the real-form Hamiltonian")
+        raise ConstraintViolation("imaginary residue in the real-form Hamiltonian")
     return float(value.real)
 
 

@@ -214,57 +214,61 @@ def _relativistic_draws(cfg):
             rows[:, 4] + 0.5)
 
 
+def _orbit_passes(candidates, gamma):
+    """Whether each stacked Kepler candidate (p, q / 1.2) of coupling gamma has
+    |q| >= 0.4, energy E < -0.1, its perihelion (gamma - |A|) / (2|E|) beyond
+    0.2, away from collision, and its semi-major axis gamma / (2|E|) below 4."""
+    p, q = candidates[:, 0], candidates[:, 1] * 1.2
+    r = kepler._radius(q)
+    energy = 0.5 * np.vecdot(p, p) - gamma / r
+    return ((r >= 0.4) & (energy < -0.1)
+            & ((gamma - kepler._radius(kepler._lenz(p, q, gamma))) / (2.0 * abs(energy)) > 0.2)
+            & (gamma / (2.0 * abs(energy)) < 4.0))
+
+
+def _flow_report(traj, observables, cap, plotted, rows=None, control=None):
+    """One ``monitor`` call on ``traj``: the drifts, each capped at ``cap``,
+    then the uncapped one of ``control``; the flags; the integrator metrics;
+    and, at every max(1, states // rows)-th state (every state without
+    ``rows``), the ``t`` column, the first ``plotted`` real parts as SVG
+    series and, returned beside the result, the values, the control's last."""
+    report = monitor(traj, observables + ([control] if control else []))
+    stride = max(1, len(traj.times) // rows) if rows else 1
+    times, values = traj.times[::stride], report.values[::stride]
+    return ScenarioResult(
+        columns={"t": times},
+        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift)),
+        bounds=dict.fromkeys((o.name for o in observables), cap),
+        flags=list(report.flags),
+        svg_series={o.name: (times, values[:, i].real)
+                    for i, o in enumerate(observables[:plotted])},
+        metrics=_integrator_metrics([traj])), values
+
+
 # ----------------------------------------------------------------------
 # scenarios
 # ----------------------------------------------------------------------
 
 def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
-    rng = _rng_for(cfg)
     gamma = 1.0
-    for _ in range(10000):
-        p = rng.normal(size=3)
-        q = rng.normal(size=3) * 1.2
-        if np.linalg.norm(q) < 0.4:
-            continue
-        state = kepler.KeplerState(p=p, q=q, gamma=gamma)
-        pt = kepler.project_to_p5(state)
-        if pt.H >= -0.1:
-            continue
-        # perihelion distance (gamma - |A|) / (2|E|) away from collision
-        r_min = (gamma - np.linalg.norm(pt.A)) / (2.0 * abs(pt.H))
-        if r_min > 0.2 and gamma / (2.0 * abs(pt.H)) < 4.0:
-            break
-    else:
-        raise DegintError("could not sample a well-separated bound orbit")
-
+    p, q = _first_passing(_rng_for(cfg), 1, (2, 3), lambda c: _orbit_passes(c, gamma))[0]
     obs = kepler.kepler_observables(gamma)
-    traj = kepler.integrate_orbit(state, cfg.t_max, cfg.tol)
-    control = coordinate(6, 3, "q1-control")
-    report = monitor(traj, obs + [control])
-
-    obs_values = np.real(report.values[:, :len(obs)])
+    traj = kepler.integrate_orbit(kepler.KeplerState(p=p, q=q * 1.2, gamma=gamma),
+                                  cfg.t_max, cfg.tol)
+    result, values = _flow_report(traj, obs, TOL.orbit_drift, plotted=3,
+                                  control=coordinate(6, 3, "q1-control"))
+    values = values[:, :len(obs)].real
     labels = [f"{c}{i}" for c in "pq" for i in (1, 2, 3)] + [o.name for o in obs]
-    columns = {"t": traj.times,
-               **dict(zip(labels, np.column_stack([np.real(traj.states), obs_values]).T))}
+    result.columns.update(zip(labels, np.column_stack([traj.states.real, values]).T))
 
-    stride = max(1, len(traj.states) // 50)
-    sampled = obs_values[::stride]
-    pz = kepler.P5Point(M=sampled[:, :3], A=sampled[:, 3:6], H=sampled[:, 6])
-    ma_res = np.abs(np.vecdot(pz.M, pz.A)).max()
-    quad_res = np.abs(
-        np.vecdot(pz.A, pz.A) - gamma ** 2
-        - kepler.QUADRATIC_RELATION_SIGN * 2.0 * np.vecdot(pz.M, pz.M) * pz.H).max()
-
-    svg = {o.name: (traj.times, obs_values[:, i]) for i, o in enumerate(obs[:3])}
-    return ScenarioResult(
-        columns=columns,
-        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift)),
-        residuals=[("orthogonality-(M,A)", ma_res),
-                   ("quadratic-relation", quad_res)],
-        bounds=dict.fromkeys((o.name for o in obs), TOL.orbit_drift),
-        flags=list(report.flags),
-        parameters={"gamma": gamma, "energy": float(pt.H)},
-        svg_series=svg, metrics=_integrator_metrics([traj]))
+    sampled = values[::max(1, len(traj.states) // 50)]
+    M, A, H = sampled[:, :3], sampled[:, 3:6], sampled[:, 6]
+    result.residuals = [
+        ("orthogonality-(M,A)", np.abs(np.vecdot(M, A)).max()),
+        ("quadratic-relation", np.abs(np.vecdot(A, A) - gamma ** 2 - kepler.QUADRATIC_RELATION_SIGN
+                                      * 2.0 * np.vecdot(M, M) * H).max())]
+    result.parameters = {"gamma": gamma, "energy": float(values[0, 6])}
+    return result
 
 
 def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
@@ -322,19 +326,10 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     chart = chart_heisenberg_double(n)
     traj = rk4(chart, H, pt.as_point(), cfg.t_max, cfg.dt)
     observables = double.projection_invariants(n, family)
-    report = monitor(traj, observables)
-
-    stride = max(1, len(traj.times) // 200)
-    times = traj.times[::stride]
-    values = report.values[::stride]
-    series = {o.name: (times, np.real(values[:, i])) for i, o in enumerate(observables[:2])}
-    return ScenarioResult(
-        columns={"t": times, **{o.name: values[:, i] for i, o in enumerate(observables)}},
-        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift)),
-        bounds=dict.fromkeys(report.names, TOL.projection_drift),
-        flags=list(report.flags),
-        parameters={"family": family, "hamiltonian": H.name},
-        svg_series=series, metrics=_integrator_metrics([traj]))
+    result, values = _flow_report(traj, observables, TOL.projection_drift, plotted=2, rows=200)
+    result.columns.update((o.name, values[:, i]) for i, o in enumerate(observables))
+    result.parameters = {"family": family, "hamiltonian": H.name}
+    return result
 
 
 def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:

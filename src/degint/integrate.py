@@ -77,6 +77,10 @@ _DP = _Tableau(
 )
 
 
+# The most steps, accepted or rejected, an ``adaptive`` run may attempt
+_ATTEMPT_BUDGET = 1_000_000
+
+
 def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau,
          h: float, max_steps: int, tol: Optional[float],
          guard: Optional[Callable[[np.ndarray], Optional[str]]]) -> Trajectory:
@@ -160,14 +164,13 @@ def rk4(chart: PoissonChart, H: Observable, x0, t_max: float, dt: float,
 
 
 def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
-             max_steps: int = 1_000_000,
              guard: Optional[Callable[[np.ndarray], Optional[str]]] = None) -> Trajectory:
     """Dormand-Prince 5(4) with embedded error control at local error <= tol;
-    flags ``step-budget-failure`` when ``max_steps`` run out before ``t_max``."""
+    flags ``step-budget-failure`` when ``_ATTEMPT_BUDGET`` runs out before ``t_max``."""
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     h = min(0.01 * max(t_max, 1e-8), t_max) or t_max
-    return _run(chart, H, x0, t_max, _DP, h, max_steps, tol=tol, guard=guard)
+    return _run(chart, H, x0, t_max, _DP, h, _ATTEMPT_BUDGET, tol=tol, guard=guard)
 
 
 def monitor(trajectory: Trajectory,

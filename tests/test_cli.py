@@ -481,6 +481,17 @@ class TestExitCodes:
         assert err.startswith("numerical failure: (phi, psi) must equal")
         assert "Traceback" not in err
 
+    def test_complex_coupling_is_a_numerical_failure(self, tmp_path, capsys):
+        """A kappa off the real axis leaves an imaginary residue in the
+        real-form rank-1 Hamiltonian: exit 2 with the flag of the library
+        error and the report written, not a traceback."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "cm-rational", "--kappa-im", "0.5",
+                     "--out-json", str(out)]) == 2
+        assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConstraintViolation"]
+        assert capsys.readouterr().err == (
+            "numerical failure: imaginary residue in the real-form Hamiltonian\n")
+
 
 class TestRankOneGenerators:
     """A report's rank-1 draws come from one generator, however many
@@ -522,6 +533,25 @@ def distinct_eigs_loop(n, rng):
             return x
 
 
+def kepler_orbit_loop(rng, gamma=1.0):
+    """(p, q) of the first well-separated bound orbit, one candidate at a
+    time: the draw ``_scenario_kepler`` made before ``_first_passing``."""
+    for _ in range(10000):
+        p = rng.normal(size=3)
+        q = rng.normal(size=3) * 1.2
+        if np.linalg.norm(q) < 0.4:
+            continue
+        state = kepler.KeplerState(p=p, q=q, gamma=gamma)
+        pt = kepler.project_to_p5(state)
+        if pt.H >= -0.1:
+            continue
+        # perihelion distance (gamma - |A|) / (2|E|) away from collision
+        r_min = (gamma - np.linalg.norm(pt.A)) / (2.0 * abs(pt.H))
+        if r_min > 0.2 and gamma / (2.0 * abs(pt.H)) < 4.0:
+            return p, q
+    raise AssertionError("could not sample a well-separated bound orbit")
+
+
 class TestFirstPassing:
     """``cli._first_passing`` keeps what drawing one candidate at a time
     until ``count`` pass keeps, and leaves the generator where that loop
@@ -553,6 +583,18 @@ class TestFirstPassing:
         samples and the generator state their later draws start from."""
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert sampler(n, rng).tobytes() == loop(n, want_rng).tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_kepler_orbit_equals_the_loop(self, seed):
+        """The Kepler orbit, drawn through ``_orbit_passes``, is the loop's
+        (p, q) bit for bit, and the generator ends where the loop's does."""
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p, q = cli._first_passing(rng, 1, (2, 3),
+                                  functools.partial(cli._orbit_passes, gamma=1.0))[0]
+        want_p, want_q = kepler_orbit_loop(want_rng)
+        assert p.tobytes() == want_p.tobytes()
+        assert (q * 1.2).tobytes() == want_q.tobytes()
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("scenario,draws", [

@@ -122,3 +122,10 @@ def test_exported_names_exist():
             for alias in node.names:
                 assert hasattr(degint, alias.name)
                 assert alias.name in getattr(module, "__all__", (alias.name,)), alias.name
+
+
+def test_cli_reads_monitor_only_in_flow_report():
+    """Every monitored scenario builds its drifts, caps, flags and metrics
+    through ``cli._flow_report``, the one place ``cli.py`` reads ``monitor``."""
+    sites = {site for name, site, _ in _reads(PACKAGE / "cli.py") if name == "monitor"}
+    assert sites == {("_flow_report", None)}

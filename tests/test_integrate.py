@@ -164,17 +164,20 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             adaptive(c, harmonic(), np.zeros(2), t_max=1.0, tol=1e-3)
 
-    def test_spent_step_budget_is_flagged(self):
-        """Stopping on max_steps short of t_max is a failure, not a silent
-        truncation; a budget that suffices adds no flag."""
+    def test_spent_step_budget_is_flagged(self, monkeypatch):
+        """Stopping on the attempt budget short of t_max is a failure, not a
+        silent truncation; a budget that suffices adds no flag."""
         c = chart_canonical(1)
         z0 = np.array([1.0, 0.0], dtype=complex)
-        traj = adaptive(c, harmonic(), z0, t_max=100.0, tol=1e-10, max_steps=50)
+        assert integrate._ATTEMPT_BUDGET == 1_000_000
+        monkeypatch.setattr(integrate, "_ATTEMPT_BUDGET", 50)
+        traj = adaptive(c, harmonic(), z0, t_max=100.0, tol=1e-10)
         assert traj.accepted_steps + traj.rejected_steps == 50
         assert traj.times[-1] < 100.0
         assert traj.flags == ("step-budget-failure",)
         assert any("failure" in f for f in traj.flags)     # the CLI exits 2
-        full = adaptive(c, harmonic(), z0, t_max=1.0, tol=1e-10, max_steps=10_000)
+        monkeypatch.setattr(integrate, "_ATTEMPT_BUDGET", 10_000)
+        full = adaptive(c, harmonic(), z0, t_max=1.0, tol=1e-10)
         assert full.times[-1] == 1.0 and full.flags == ()
 
 
