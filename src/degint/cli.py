@@ -534,6 +534,19 @@ def _not_taken(scenario: str, extra) -> str:
 _fmt = "{:.17e}".format
 
 
+def _float_cells(part):
+    """A float column's cells, each distinct bit pattern formatted once: the
+    integer view keeps 0.0 and -0.0 apart.  A column whose sorted values
+    hold no equal neighbours, and one of a width no integer view has, is
+    formatted value by value."""
+    ordered = np.sort(part)
+    if part.itemsize <= 8 and (ordered[1:] == ordered[:-1]).any():
+        distinct, inverse = np.unique(part.view(f"i{part.itemsize}"), return_inverse=True)
+        text = list(map(_fmt, distinct.view(part.dtype).tolist()))
+        return [text[i] for i in inverse.tolist()]
+    return list(map(_fmt, part.tolist()))
+
+
 def _csv_table(columns):
     """The header and rows of a report's named columns: a complex column is
     written as re(name) and im(name), floats with ``_fmt`` and everything
@@ -545,22 +558,23 @@ def _csv_table(columns):
                  if column.dtype.kind == "c" else {name: column})
         for label, part in parts.items():
             header.append(label)
-            cells.append(list(map(_fmt if part.dtype.kind == "f" else str, part.tolist())))
+            cells.append(_float_cells(part) if part.dtype.kind == "f"
+                         else list(map(str, part.tolist())))
     return header, list(zip(*cells))
 
 
 def _write_csv(path, columns):
+    """The table as one string, written in one call."""
     header, rows = _csv_table(columns)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(map(",".join, [header, *rows])) + "\n")
 
 
 def _write_json(path, payload):
+    """One ``json.dumps`` string, written in one call; ``json.dump`` would
+    write it in many small pieces."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

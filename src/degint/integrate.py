@@ -81,6 +81,19 @@ _DP = _Tableau(
 _ATTEMPT_BUDGET = 1_000_000
 
 
+def _stage_row(row):
+    """A tableau row as (stages, a), its stage sum being a.dot(K[stages]).
+    A row whose one nonzero coefficient is on stage j gives j and that
+    coefficient as a 0-d array, so the sum is the one product a K[j]: what
+    the dot over the whole row gives, less its products with exact zeros,
+    which can change only the sign of a zero.  Any other row gives all of
+    its stages."""
+    nonzero = np.flatnonzero(row)
+    if len(nonzero) == 1:
+        return int(nonzero[0]), np.array(row[nonzero[0]])
+    return slice(len(row)), row
+
+
 def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau,
          h: float, max_steps: int, tol: Optional[float],
          guard: Optional[Callable[[np.ndarray], Optional[str]]]) -> Trajectory:
@@ -92,7 +105,7 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
     a flag that stops the run."""
     z = np.asarray(x0, dtype=complex).ravel()
     # complex coefficients spare every stage product a cast from float
-    rows = [row[:i].astype(complex) for i, row in enumerate(tableau.A)]
+    rows = [_stage_row(row[:i].astype(complex)) for i, row in enumerate(tableau.A)]
     b = tableau.b.astype(complex)
     err_row = None if tol is None else b - tableau.b_low
     K = np.empty((len(b), z.size), dtype=complex)
@@ -109,17 +122,21 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
             if h < TOL.step_underflow:
                 flags.append(FLAG_TOLERANCE)
                 break
-        # ndarray.dot: the same products as @, without its ufunc dispatch
+        # h as a 0-d complex array multiplies as the float does, converted to
+        # complex, with less dispatch; ndarray.dot: the same products as @,
+        # without its ufunc dispatch
+        hc = np.array(h, dtype=complex)
         K[0] = ham_vector_field(chart, H, z)
         for i in range(1, len(b)):
-            K[i] = ham_vector_field(chart, H, z + h * rows[i].dot(K[:i]))
+            stages, a = rows[i]
+            K[i] = ham_vector_field(chart, H, z + hc * a.dot(K[stages]))
         evaluations += len(b)
-        z_next = z + h * b.dot(K)
-        finite = np.isfinite(z_next).all()
+        z_next = z + hc * b.dot(K)
+        finite = np.logical_and.reduce(np.isfinite(z_next))
         if finite and tol is not None:
             scale = tol * np.maximum(1.0, np.maximum(np.abs(z), np.abs(z_next)))
             # the root mean square, with the sum and count np.mean would use
-            e = np.abs(h * err_row.dot(K) / scale)
+            e = np.abs(hc * err_row.dot(K) / scale)
             err = math.sqrt(np.add.reduce(e * e) / e.size)
             finite = math.isfinite(err)     # err also weighs a stage that b weighs 0
         if not finite:

@@ -40,6 +40,8 @@ __all__ = [
     "chart_sklyanin",
 ]
 
+_COMPLEX = np.dtype(complex)
+
 
 @dataclass(frozen=True)
 class PoissonChart:
@@ -58,6 +60,10 @@ class PoissonChart:
     selfcheck: bool = False
 
     def point(self, x) -> np.ndarray:
+        """``x`` as a complex ``(dim,)`` vector: ``x`` itself when it already
+        is one, which a type, a dtype and a shape test tell."""
+        if type(x) is np.ndarray and x.dtype is _COMPLEX and x.shape == (self.dim,):
+            return x
         z = np.asarray(x, dtype=complex).ravel()
         if z.shape != (self.dim,):
             raise DimensionMismatch(
@@ -69,8 +75,9 @@ class PoissonChart:
         """Pi(x) . g for a covector g, one field call.  ``g`` may also be a
         function of the validated point returning the covector, which lets
         :func:`ham_vector_field` and :func:`bracket` validate their point
-        once.  Without ``g``, Pi(x) built one column at a time,
-        Pi[:, k] = field(x, e_k)."""
+        once; a covector that is not an ndarray is converted once, and one
+        whose shape is not ``(dim,)`` raises ``DimensionMismatch``.  Without
+        ``g``, Pi(x) built one column at a time, Pi[:, k] = field(x, e_k)."""
         z = self.point(x)
         if g is None:
             P = np.stack([self.field(z, e) for e in np.eye(self.dim, dtype=complex)],
@@ -84,6 +91,12 @@ class PoissonChart:
             return P
         if callable(g):
             g = g(z)
+        if type(g) is not np.ndarray:
+            g = np.asarray(g)
+        if g.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"chart {self.name!r} has dim {self.dim}, got covector of shape {g.shape}"
+            )
         v = self.field(z, g)
         if self.selfcheck:
             defect = abs(g.dot(v))
@@ -282,6 +295,11 @@ def _block_products(a, ga, n):
     return r, (e if np.count_nonzero(e) else None), ga.dot(a) / n
 
 
+def _covector_blocks(g, m):
+    """The nonzero counts of the x and the y block of a pair-chart covector."""
+    return np.count_nonzero(g[:m]), np.count_nonzero(g[m:])
+
+
 def _r_mask(n):
     """u_ik = [i < k] + 1/2 delta_ik: r = sum_ik u_ik E_ik (x) E_ki - (1/2n) I."""
     return np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
@@ -369,11 +387,20 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     of ``verify-brackets``, miss and pay for the key on top; they hit only
     where a finite-difference step moved the other block alone.  The masked
     product u o E is never kept.
+
+    Which blocks of g are nonzero is decided once per covector: the chart
+    also keeps the last covector's dtype and bytes with the nonzero counts
+    of its two blocks.  Along a flow whose gradient stays fixed bit for bit
+    (the flow of tr(x) or tr(y), whose gradient is one read-only array) the
+    blocks are counted once per run; a covector changed in place, or equal
+    bytes under another dtype, is counted again.  Each branch slices only
+    the blocks of the point that it reads.
     """
     m = n * n
     # a complex mask spares the masked product a cast from float
     uc = _r_mask(n).astype(complex)
     last = {}       # per block: the key of its last products, and the products
+    seen = [None, None]     # the last covector's key, and its blocks' nonzero counts
 
     def products(block, a, ga):
         key = (a.dtype, ga.dtype, a.tobytes(), ga.tobytes())
@@ -383,12 +410,15 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         return hit[1]
 
     def field(z, g, n=n, m=m, uc=uc):
+        key = (g.dtype, g.tobytes())
+        if key != seen[0]:
+            seen[:] = key, _covector_blocks(g, m)
+        in_x, in_y = seen[1]
         xy = z.reshape(2 * n, n)
-        x, y = xy[:n], xy[n:]
-        gx, gy = g[:m], g[m:]
         v = None
-        if np.count_nonzero(gy):
-            ry, e, c = products("y", z[m:], gy)
+        if in_y:
+            ry, e, c = products("y", z[m:], g[m:])
+            x = xy[:n]
             if e is None:
                 v = np.zeros((2 * n, n), dtype=complex)
                 np.subtract(c * x, ry.dot(x), out=v[:n])
@@ -396,17 +426,18 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
                 w = uc * e
                 v = xy.dot(e - w)
                 v[:n] += (w - ry).dot(x)
-                v[n:] += w.dot(y)
+                v[n:] += w.dot(xy[n:])
                 v[:n] += c * x
-        if np.count_nonzero(gx):
-            px, e, c = products("x", z[:m], gx)
+        if in_x:
+            px, e, c = products("x", z[:m], g[:m])
+            y = xy[n:]
             if e is None:
                 b = np.zeros((2 * n, n), dtype=complex)
                 np.subtract(y.dot(px), c * y, out=b[n:])
             else:
                 w = uc * e
                 b = np.matmul(w, z.reshape(2, n, n)).reshape(2 * n, n)
-                b[:n] += x.dot(e - w)
+                b[:n] += xy[:n].dot(e - w)
                 b[n:] += y.dot(px - w)
                 b[n:] -= c * y
             v = b if v is None else v + b

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degint import calogero, cli, double, facto, integrate, kepler, poisson
 from degint.config import TOL
@@ -676,6 +678,28 @@ def _readme_uncapped():
     return re.findall(r"`([^`]+)`", paragraph)
 
 
+# +-0.0, NaNs of either sign and with a payload, +-inf, subnormals and the
+# float extremes, for the table tests' columns
+PAYLOAD_NAN = float(np.array([0x7FF8000000000001]).view(float)[0])
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, PAYLOAD_NAN, np.inf, -np.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, np.finfo(float).max, -np.finfo(float).tiny, 1.0,
+                  1.0 + 2.0 ** -52]
+
+
+def csv_table_per_cell(columns):
+    """Test-only oracle: ``cli._csv_table`` as it was before each distinct
+    value was formatted once, every cell formatted on its own."""
+    header, cells = [], []
+    for name, column in columns.items():
+        column = np.asarray(column)
+        parts = ({f"re({name})": column.real, f"im({name})": column.imag}
+                 if column.dtype.kind == "c" else {name: column})
+        for label, part in parts.items():
+            header.append(label)
+            cells.append(list(map(_fmt if part.dtype.kind == "f" else str, part.tolist())))
+    return header, list(zip(*cells))
+
+
 class TestReportRule:
     """Scenarios return named columns and capped values; ``run`` writes the
     one CSV format and applies the one cap rule."""
@@ -737,6 +761,51 @@ class TestReportRule:
                         ("b", "1", _fmt(-2.0), _fmt(-0.0), _fmt(-0.25))]
         assert _fmt(0.5) == "5.00000000000000000e-01"
         assert _csv_table({"error": []}) == (["error"], [])
+
+    def test_special_columns_equal_the_per_cell_writer(self):
+        """Each named case in one column of its own: 0.0 beside -0.0 (and
+        in a complex column's parts), NaNs of either sign and with a
+        payload, infinities beside a subnormal, a constant column, a column
+        without repeats, float32, int, bool and str."""
+        columns = {"zeros": [0.0, -0.0, 0.0, -0.0],
+                   "nans": [np.nan, -np.nan, PAYLOAD_NAN, np.nan],
+                   "infs": [np.inf, -np.inf, np.inf, 5e-324], "constant": [1.5] * 4,
+                   "distinct": [1.0, 2.0, 3.0, 4.0],
+                   "z": np.array([1 + 0j, complex(1, -0.0), complex(-0.0, 0.0), 1 + 0j]),
+                   "f4": np.array([0.1, 0.1, -0.0, 0.0], dtype=np.float32),
+                   "k": np.arange(4), "b": np.arange(4) > 1, "s": ["a", "b", "a", "b"]}
+        header, rows = _csv_table(columns)
+        assert (header, rows) == csv_table_per_cell(columns)
+        assert rows[0][0] != rows[1][0] and rows[0][0] == rows[2][0] == _fmt(0.0)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_the_table_equals_the_per_cell_writer(self, data):
+        """Each distinct float bit pattern formatted once gives the table of
+        the writer that formats every cell: on repeated and constant columns,
+        +-0.0, NaNs of either sign, +-inf, subnormals, float32, long double
+        (no integer view), complex, int, bool and str columns."""
+        rows = data.draw(st.integers(0, 12))
+        columns = {}
+        for name in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(["f8", "f4", "g", "c16", "i8", "?", "U"]))
+            if kind in ("f8", "f4", "g", "c16"):
+                # every part draws from a few values, so that values repeat
+                pool = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                                          min_size=1, max_size=4))
+                column = np.empty(rows, dtype=kind)
+                for part in (column.real, column.imag) if kind == "c16" else (column,):
+                    with np.errstate(over="ignore"):
+                        part[:] = data.draw(st.lists(st.sampled_from(pool), min_size=rows,
+                                                     max_size=rows))
+            elif kind == "U":
+                column = data.draw(st.lists(st.sampled_from(["a", "b,c", ""]), min_size=rows,
+                                            max_size=rows))
+            else:
+                column = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=rows,
+                                                     max_size=rows))).astype(kind)
+            columns[f"c{name}"] = column
+        assert _csv_table(columns) == csv_table_per_cell(columns)
 
 
 # One defect in one route of the capped rank-1 values: (the caps it trips,
@@ -821,6 +890,68 @@ class TestRankOneCaps:
         assert payload["flags"] == ["numerical-failure:ConsistencyError"]
         assert payload["oracle_residuals"] == []
         assert "solve residual" in capsys.readouterr().err
+
+
+def _scaled_field(make_chart, eps):
+    """``facto.chart_sklyanin`` with its field times 1 + eps: the rk4
+    reference runs its flow at the wrong speed."""
+    def planted(n):
+        chart = make_chart(n)
+        return dataclasses.replace(chart, field=lambda z, g: (1 + eps) * chart.field(z, g))
+
+    return planted
+
+
+# One defect in one route of the factorization checks: (the check whose
+# tr(x^1) and tr(x^2) caps it trips, the ``facto`` function it replaces,
+# the planted function made from the original and eps, the eps that trips
+# the caps, a smaller eps within them).  Measured at the defaults:
+#  - cross-check: 1.5e-6 and 6.3e-6 at eps = 1e-4, 1.5e-7 and 6.3e-7 at
+#    1e-5 (unplanted 4.5e-16, 1.1e-14); the rk4 reference runs through
+#    ``integrate._run``;
+#  - semigroup, the composed flow's time times 1 + eps: 6.3e-7 and 2.7e-6
+#    at 1e-4, 6.3e-9 and 2.7e-8 at 1e-6;
+#  - trace-drift, both conjugations times 1 + eps, so that x(t) leaves its
+#    conjugacy class: 8.8e-9 at 1e-9 (and cross-check 1.2e-9, semigroup
+#    1.0e-9, within their caps), 8.8e-11 at 1e-11.
+FACTORIZATION_PLANTS = [
+    ("cross-check", "chart_sklyanin", _scaled_field, 1e-4, 1e-5),
+    ("semigroup", "factorization_flow",
+     lambda flow, eps: lambda x0, H, t: flow(x0, H, (1 + eps) * t), 1e-4, 1e-6),
+    ("trace-drift", "_conjugations",
+     lambda conj, eps: lambda x0, xi, t: tuple((1 + eps) * c for c in conj(x0, xi, t)),
+     1e-9, 1e-11),
+]
+
+
+class TestFactorizationCaps:
+    """Negative controls of the factorization-flow caps: a defect in the
+    route of one check puts both of its values (k = 1, 2) past their caps,
+    which alone fail the report; the same defect at a smaller eps passes."""
+
+    def run_planted(self, tmp_path, monkeypatch, function, plant, eps, original):
+        monkeypatch.setattr(facto, function, plant(original, eps))
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "factorization-flow", "--out-json", str(out)])
+        payload = json.loads(out.read_text())
+        return code, payload["flags"], {r["name"]: r["value"] for r in payload["oracle_residuals"]}
+
+    @pytest.mark.parametrize("check,function,plant,eps,within", FACTORIZATION_PLANTS,
+                             ids=[plant[0] for plant in FACTORIZATION_PLANTS])
+    def test_a_planted_defect_fails_its_caps(self, tmp_path, monkeypatch, check, function,
+                                             plant, eps, within):
+        caps, original = CAPS["factorization-flow"], getattr(facto, function)
+        code, flags, values = self.run_planted(tmp_path, monkeypatch, function, plant, eps,
+                                               original)
+        assert (code, flags) == (2, ["tolerance-failure"])
+        assert [name for name, cap in caps.items() if not values[name] <= cap] == \
+            [f"{check}-tr(x^1)", f"{check}-tr(x^2)"]
+        assert self.run_planted(tmp_path, monkeypatch, function, plant, within,
+                                original)[:2] == (0, [])
+
+    def test_every_factorization_cap_is_planted(self):
+        planted = [f"{check}-tr(x^{k})" for check, *_ in FACTORIZATION_PLANTS for k in (1, 2)]
+        assert sorted(planted) == sorted(CAPS["factorization-flow"])
 
 
 # (scenario, projection drift, eps): eps (a)0, with (a)0 the traceless part

@@ -336,6 +336,36 @@ class TestTableaux:
         assert np.abs(met).max() <= 1e-15
         assert np.abs(order_residuals(A, b, order + 1)).max() > 1e-4
 
+    @pytest.mark.parametrize("tableau,single", [(_RK4, 3), (_DP, 1)], ids=["rk4", "dp"])
+    def test_stage_inputs_equal_the_dense_dot(self, tableau, single):
+        """On random finite stages, each stage input of one ``_run`` step is
+        z + h * row.dot(K[:i]) over the whole tableau row, bit for bit:
+        ``single`` rows (every rk4 row, the second Dormand-Prince one) have
+        one nonzero coefficient and take the one-product path."""
+        rng, dim = np.random.default_rng(29), 6
+        inputs, fields = [], []
+
+        def field(z, g):
+            inputs.append(z.copy())
+            fields.append(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            return fields[-1]
+
+        chart = PoissonChart("random stages", dim, field)
+        rows = [row[:i].astype(complex) for i, row in enumerate(tableau.A)]
+        assert sum(isinstance(integrate._stage_row(row)[0], int) for row in rows) == single
+        tol = None if tableau.b_low is None else 1e-8
+        for _ in range(50):
+            inputs.clear()
+            fields.clear()
+            z, h = rng.normal(size=dim) + 1j * rng.normal(size=dim), rng.uniform(1e-3, 1.0)
+            # one step of h: a fixed-step run's one step ends on t_max
+            integrate._run(chart, coordinate(dim, 0), z, h if tol is None else 2 * h,
+                           tableau, h, 1, tol, None)
+            K = np.array(fields)
+            assert len(inputs) == len(rows) and inputs[0].tobytes() == z.tobytes()
+            for i in range(1, len(rows)):
+                assert inputs[i].tobytes() == (z + h * rows[i].dot(K[:i])).tobytes()
+
 
 def random_bound_kepler_states(count, seed=3):
     rng = np.random.default_rng(seed)

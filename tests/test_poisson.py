@@ -1,6 +1,7 @@
 """Tests for the chart-based Poisson engine and the registered charts."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -666,17 +667,99 @@ class TestHeisenbergBlockMemo:
         code = cli.main(argv + ["--out-json", str(tmp_path / "r.json")])
         return code, evaluations[0], predicted[0], len(misses)
 
-    @pytest.mark.parametrize("argv,evaluations", [
+    # the flow of tr(y) (the benchmark's pair-flow argv) or tr(x)
+    # (relativistic-cm at its defaults), with its pair-chart block evaluations
+    FLOWS = pytest.mark.parametrize("argv,evaluations", [
         (["--scenario", "relativistic-ruijsenaars", "--n", "3", "--t-max", "0.2",
           "--dt", "1e-3", "--samples", "10", "--seed", "0"], 800),
         (["--scenario", "relativistic-cm"], 2000)], ids=["pair-flow", "relativistic-cm"])
+
+    @FLOWS
     def test_a_dressing_flow_forms_its_block_products_once(self, monkeypatch, tmp_path, argv,
                                                           evaluations):
-        """The flow of tr(y) (the benchmark's pair-flow argv) or tr(x)
-        (relativistic-cm at its defaults) holds its block and gradient fixed
-        bit for bit: of its 4 field calls per rk4 step, only the first of
-        the run forms products."""
+        """A dressing flow holds its block and gradient fixed bit for bit:
+        of its 4 field calls per rk4 step, only the first of the run forms
+        products."""
         assert self.flow_counts(monkeypatch, tmp_path, argv) == (0, evaluations, 1, 1)
+
+    @staticmethod
+    def counted_blocks(monkeypatch):
+        """``poisson._covector_blocks`` wrapped to count its calls: one per
+        field call whose covector differs from the last one's."""
+        counts = []
+        blocks = poisson._covector_blocks
+
+        def counted(g, m):
+            counts.append(m)
+            return blocks(g, m)
+
+        monkeypatch.setattr(poisson, "_covector_blocks", counted)
+        return counts
+
+    @FLOWS
+    def test_a_dressing_flow_counts_its_covector_blocks_once(self, monkeypatch, tmp_path, argv,
+                                                            evaluations):
+        """The gradient of tr(y) or tr(x) is one read-only array at every
+        stage, so a report tests which of its blocks are nonzero once."""
+        counts = self.counted_blocks(monkeypatch)
+        assert cli.main(argv + ["--out-json", str(tmp_path / "r.json")]) == 0
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_covector_changed_in_place_is_counted_again(self, n, monkeypatch):
+        """A y-block covector, then the same array with its x block filled
+        in place, then with its y block zeroed: each change is counted once
+        over two calls, and every call gives a fresh chart's value."""
+        rng, m = np.random.default_rng(700 + n), n * n
+        chart, z = chart_heisenberg_double(n), _near_identity(n, 2)(rng)
+        g = TestHeisenbergBlockField.covector(n, "y", rng)
+        x_block = TestHeisenbergBlockField.covector(n, "x", rng)[:m]
+        counts = self.counted_blocks(monkeypatch)
+        for change in ("none", "x block filled", "y block zeroed"):
+            if change == "x block filled":
+                g[:m] = x_block
+            elif change == "y block zeroed":
+                g[m:] = 0.0
+            want = chart_heisenberg_double(n).field(z, g)
+            before = len(counts)
+            for _ in range(2):
+                assert np.array_equal(chart.field(z, g), want)
+            assert len(counts) == before + 1
+
+    def test_equal_bytes_under_another_dtype_are_counted_again(self, monkeypatch):
+        """A float covector whose x block is all -0.0 has no nonzero x
+        entry; its int64 view, the same bytes, has nothing but nonzero
+        entries there.  Each call counts its covector's blocks, and the int
+        call evaluates the x block a fresh chart evaluates."""
+        n, m = 2, 4
+        rng = np.random.default_rng(710)
+        chart, z = chart_heisenberg_double(n), _near_identity(n, 2)(rng)
+        g = np.concatenate([np.full(m, -0.0), rng.normal(size=m)])
+        bits = g.view(np.int64)
+        want = [chart_heisenberg_double(n).field(z, a) for a in (g, bits, g)]
+        counts = self.counted_blocks(monkeypatch)
+        for a, value in zip((g, bits, g), want):
+            assert np.array_equal(chart.field(z, a), value)
+        assert len(counts) == 3
+        assert not np.array_equal(want[0], want[1])
+
+    def test_a_zero_covector_forms_nothing_and_gives_exact_zeros(self, monkeypatch):
+        """After a two-block covector, a zero one gives +0.0 everywhere, is
+        counted once over three calls and forms no products; the two-block
+        covector again is counted again and hits both blocks' products."""
+        n, m = 3, 9
+        rng = np.random.default_rng(720)
+        chart, z = chart_heisenberg_double(n), _near_identity(n, 2)(rng)
+        g, zero = TestHeisenbergBlockField.covector(n, "xy", rng), np.zeros(2 * m, dtype=complex)
+        misses, counts = self.counted_products(monkeypatch), self.counted_blocks(monkeypatch)
+        want = chart.field(z, g)
+        assert (len(misses), len(counts)) == (2, 1)
+        for _ in range(3):
+            v = chart.field(z, zero)
+            assert np.array_equal(v, zero) and not np.signbit(v.view(float)).any()
+        assert (len(misses), len(counts)) == (2, 2)
+        assert np.array_equal(chart.field(z, g), want)
+        assert (len(misses), len(counts)) == (2, 3)
 
     def test_bracket_checks_miss_where_a_block_or_its_covector_changed(self, monkeypatch,
                                                                        tmp_path):
@@ -953,3 +1036,21 @@ def test_pi_is_antisymmetric_its_field_and_its_oracle(chart, sample, oracle):
         assert np.abs(P + P.T).max() <= 4 * EPS * np.abs(P).max()
         assert np.abs(P @ g - v).max() <= 1e-13 * np.abs(v).max()
         assert np.abs(P - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("chart,sample", [(chart, sample) for chart, sample, _ in EVERY_CHART],
+                         ids=[chart.name for chart, _, _ in EVERY_CHART])
+def test_pi_rejects_a_covector_of_another_length(chart, sample):
+    """A covector one entry short or one entry long, given as an array, as a
+    list or by a function of the point, raises ``DimensionMismatch`` naming
+    the chart, its dim and the length; a list of the right length is
+    converted once and gives the array's value."""
+    rng = np.random.default_rng(chart.dim)
+    z, g = sample(rng), _normal(chart.dim)(rng)
+    for bad in (g[:-1], np.append(g, 1.0)):
+        message = (rf"chart {re.escape(repr(chart.name))} has dim {chart.dim}, "
+                   rf"got covector of shape \({len(bad)},\)")
+        for given in (bad, list(bad), lambda z, bad=bad: bad):
+            with pytest.raises(DimensionMismatch, match=message):
+                chart.pi(z, given)
+    assert np.array_equal(chart.pi(z, list(g)), chart.pi(z, g))
