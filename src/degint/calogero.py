@@ -24,7 +24,7 @@ import numpy as np
 from .config import TOL
 from .errors import (ConsistencyError, ConstraintViolation, DegintError,
                      NonFiniteMatrixError, SingularChartPoint)
-from .matrixcore import as_matrix, mat_exp, spectral, trace_words
+from .matrixcore import _diagonals, _scalar_power, as_matrix, mat_exp, spectral, trace_words
 
 __all__ = [
     "CMPoint",
@@ -80,13 +80,9 @@ def _check_chart(h, kappa=None):
 # ----------------------------------------------------------------------
 
 # Stacked kernels that replace per-point code round as that code's numpy
-# scalars did: a complex exponent keeps numpy's array power off its sqrt and
-# square shortcuts, and hypot is the abs() of one complex scalar, which
-# numpy's vectorised complex abs does not always match bit for bit.
-
-def _scalar_power(a, p: float):
-    return a ** complex(p)
-
+# scalars did (see also ``matrixcore._scalar_power``): hypot is the abs() of
+# one complex scalar, which numpy's vectorised complex abs does not always
+# match bit for bit.
 
 def _scalar_abs(z):
     return np.hypot(z.real, z.imag)
@@ -220,6 +216,7 @@ class SpinData:
         return cls(np.outer(phi, psi) - kappa * np.eye(len(phi)))
 
 
+@np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def h_cm(point: CMPoint) -> float:
     """Trigonometric rank-1 Hamiltonian <p, p> + sum kappa^2 / (4 sin^2((q_i-q_j)/2)).
 
@@ -230,12 +227,17 @@ def h_cm(point: CMPoint) -> float:
     s = np.sin((point.h[i] - point.h[j]) / 2.0)
     if np.any(np.abs(s) < 1e-12):
         raise SingularChartPoint("coincident angles in the potential")
-    value = np.dot(point.p, point.p) + np.sum(point.kappa ** 2 / (4.0 * _scalar_power(s, 2)))
+    # kappa * kappa: kappa ** 2 of a Python complex raises OverflowError
+    value = np.dot(point.p, point.p) + np.sum(point.kappa * point.kappa
+                                              / (4.0 * _scalar_power(s, 2)))
+    if not np.isfinite(value):
+        raise NonFiniteMatrixError(f"Hamiltonian is not finite: {value}")
     if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
         raise ConstraintViolation("imaginary residue in the real-form Hamiltonian")
     return float(value.real)
 
 
+@np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def h_scm(point: CMPoint, spin: SpinData) -> complex:
     """Spin Hamiltonian <p, p> + sum_{i<j} mu_ij mu_ji / (4 sin^2((h_i - h_j)/2)),
     positions read as angles."""
@@ -246,7 +248,10 @@ def h_scm(point: CMPoint, spin: SpinData) -> complex:
     d = 4.0 * _scalar_power(np.sin((point.h[i] - point.h[j]) / 2.0), 2)
     if np.any(np.abs(d) < 1e-14):
         raise SingularChartPoint("singular denominator in spin Hamiltonian")
-    return complex(np.dot(point.p, point.p) + np.sum(mu[i, j] * mu[j, i] / d))
+    value = np.dot(point.p, point.p) + np.sum(mu[i, j] * mu[j, i] / d)
+    if not np.isfinite(value):
+        raise NonFiniteMatrixError(f"spin Hamiltonian is not finite: {value}")
+    return complex(value)
 
 
 def quadratic_casimir_gradient(x) -> np.ndarray:
@@ -440,22 +445,14 @@ def joint_invariants(a, b, max_exp: int = 2) -> np.ndarray:
     return trace_words(as_matrix(a), as_matrix(b), _joint_words(max_exp))
 
 
-def _separation_margins(first, second) -> np.ndarray:
-    """Margins between two sampled fibers, each a list of (a, b) pairs:
-    ``margins[i, j]`` is the largest difference of any joint trace invariant
-    between the i-th pair of ``first`` and the j-th pair of ``second``.  One
-    stacked :func:`trace_words` call takes every pair."""
-    pairs = first + second
-    a, b = (np.stack([as_matrix(p[side]) for p in pairs]) for side in (0, 1))
-    table = trace_words(a, b, _joint_words(2))
-    s = len(first)
-    return np.abs(table[:s, None, :] - table[None, s:, :]).max(axis=2)
-
-
-def _torus_element(n, rng) -> np.ndarray:
-    lam = np.exp(rng.normal(size=n - 1) * 0.4 + 1j * rng.normal(size=n - 1) * 0.4)
-    full = np.append(lam, 1.0 / np.prod(lam))
-    return np.diag(full)
+def _separation_margins(x, ys, xs, y) -> np.ndarray:
+    """Margins between the fibers of pairs (x, ys[i]) and (xs[j], y), ys and xs
+    stacked as (samples, n, n): ``margins[i, j]`` is the largest difference of
+    any joint trace invariant between the i-th pair of the first and the j-th
+    of the second.  One stacked :func:`trace_words` call takes every pair."""
+    table = trace_words(np.concatenate([np.broadcast_to(x, ys.shape), xs]),
+                        np.concatenate([ys, np.broadcast_to(y, xs.shape)]), _joint_words(2))
+    return np.abs(table[:len(ys), None, :] - table[None, len(ys):, :]).max(axis=2)
 
 
 def duality_fiber_check(x, gamma, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -465,22 +462,20 @@ def duality_fiber_check(x, gamma, samples: int, rng: np.random.Generator) -> np.
     The first fiber moves gamma by the centralizer torus of the diagonal x:
     points (x, gamma z).  The second moves x inside the centralizer of gamma:
     points (x + c, gamma) with c = V diag(...) V^{-1} traceless, V the
-    eigenvector matrix of gamma.  For every sampled pair (z != 1, c != 0)
+    eigenvector matrix of gamma.  Each fiber draws its samples as one block
+    of normals, the torus first.  For every sampled pair (z != 1, c != 0)
     some joint trace invariant must separate them: returns the
     (samples, samples) margins of ``_separation_margins``.
     """
-    x = as_matrix(x)
-    gamma = as_matrix(gamma)
+    x, gamma = as_matrix(x), as_matrix(gamma)
     n = x.shape[0]
     if np.abs(x - np.diag(np.diag(x))).max() > 1e-12:
         raise ValueError("x must be diagonal (regular cross-section)")
     _, v = spectral(gamma)
-    vinv = np.linalg.inv(v)
-
-    first = [(x, gamma @ _torus_element(n, rng)) for _ in range(samples)]
-    second = []
-    for _ in range(samples):
-        c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c -= c.mean()
-        second.append((x + v @ np.diag(c) @ vinv, gamma))
-    return _separation_margins(first, second)
+    re, im = np.moveaxis(rng.normal(size=(samples, 2, n - 1)), 1, 0)
+    lam = np.exp(re * 0.4 + 1j * im * 0.4)
+    z = _diagonals(np.concatenate([lam, 1.0 / lam.prod(axis=-1, keepdims=True)], axis=-1))
+    re, im = np.moveaxis(rng.normal(size=(samples, 2, n)), 1, 0)
+    c = re + 1j * im
+    c -= c.mean(axis=-1, keepdims=True)
+    return _separation_margins(x, gamma @ z, x + v @ _diagonals(c) @ np.linalg.inv(v), gamma)

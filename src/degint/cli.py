@@ -26,7 +26,7 @@ from . import calogero, double, facto, kepler
 from .config import TOL
 from .errors import DegintError, FactorizationNotDefined
 from .integrate import FLAG_DIVISOR, FLAG_TOLERANCE, monitor, rk4
-from .matrixcore import trace_words
+from .matrixcore import _eig_gap, _scalar_power, _unimodular_eigs, trace_words
 from .poisson import (
     chart_canonical,
     chart_cm_loglinear,
@@ -133,7 +133,7 @@ def _sl_matrices(draws, spread):
     (..., 2, n, n) with (re, im) on the axis before the matrices."""
     n = draws.shape[-1]
     m = np.eye(n) + spread * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
-    return m / calogero._scalar_power(np.linalg.det(m), 1.0 / n)[..., None, None]
+    return m / _scalar_power(np.linalg.det(m), 1.0 / n)[..., None, None]
 
 
 def _sl_sample(n, rng, spread=0.35):
@@ -182,26 +182,14 @@ def _rank1_draws(cfg):
     return _gapped_h(rows[:, 0])[1], rows[:, 1] + 1j * rows[:, 2]
 
 
-def _unimodular_eigs(re, im):
-    """exp(0.4 re + 0.4i im) scaled to product 1, for re, im stacked as (..., n)."""
-    x = np.exp(re * 0.4 + 1j * im * 0.4)
-    return x / calogero._scalar_power(np.prod(x, axis=-1, keepdims=True), 1.0 / x.shape[-1])
-
-
-def _eig_gap(x):
-    """The smallest |x_i - x_j|, i < j, of each stacked x (inf for n = 1)."""
-    i, j = np.triu_indices(x.shape[-1], 1)
-    return np.abs(x[..., :, None] - x[..., None, :])[..., i, j].min(axis=-1, initial=np.inf)
-
-
 def _x_passes(candidates):
     """Whether the x of each stacked candidate's first two rows (re, im)
     has its eigenvalues more than 0.1 apart."""
-    return _eig_gap(_unimodular_eigs(candidates[:, 0], candidates[:, 1])) > 0.1
+    return _eig_gap(_unimodular_eigs(candidates[:, 0], candidates[:, 1], 0.4)) > 0.1
 
 
 def _distinct_eigs(n, rng):
-    return _unimodular_eigs(*_first_passing(rng, 1, (2, n), _x_passes)[0])
+    return _unimodular_eigs(*_first_passing(rng, 1, (2, n), _x_passes)[0], 0.4)
 
 
 def _relativistic_draws(cfg):
@@ -210,7 +198,7 @@ def _relativistic_draws(cfg):
     rows that passes ``_x_passes``, with x from its first two rows, then
     u = row + 1j * row and y_diag = row + 0.5."""
     rows = _first_passing(_rng_for(cfg, 1000), cfg.samples, (5, cfg.n), _x_passes)
-    return (_unimodular_eigs(rows[:, 0], rows[:, 1]), rows[:, 2] + 1j * rows[:, 3],
+    return (_unimodular_eigs(rows[:, 0], rows[:, 1], 0.4), rows[:, 2] + 1j * rows[:, 3],
             rows[:, 4] + 0.5)
 
 
@@ -284,24 +272,24 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     point = calogero.CMPoint(p=p, h=h, kappa=kappa)
     spin = calogero.SpinData.rank_one(phi=rng.uniform(0.5, 1.5, size=n), kappa=kappa)
     resum = abs(calogero.h_scm(point, spin) - calogero.h_cm(point))
-    rank1_res = np.abs(spin.mu * spin.mu.T - kappa ** 2)[~np.eye(n, dtype=bool)].max()
+    rank1_res = np.abs(spin.mu * spin.mu.T - kappa * kappa)[~np.eye(n, dtype=bool)].max()
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
-    # the conjugates g x g^-1 at t = 0 (the reference) and at every t, in one stack
-    gs = [g] + [calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)[1]
-                for t in ts]
-    conj = np.stack([gt @ x @ np.linalg.inv(gt) for gt in gs])
+    # g x g^-1 at every t, in one stack; the reference is t = 0, where exp(0) g = g
+    gs = np.stack([calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)[1]
+                   for t in ts])
+    conj = gs @ x @ np.linalg.inv(gs)
     table = trace_words(np.broadcast_to(x, conj.shape), conj, calogero._joint_words(3))
-    devs = np.abs(table[1:] - table[0]).max(axis=1)
+    devs = np.abs(table - table[0]).max(axis=1)
     drift, scale = devs.max(), max(1.0, np.abs(table[0]).max())
     return ScenarioResult(
         columns={"t": ts, "joint-invariant-drift": devs,
-                 "inv1": table[1:, 0], "inv2": table[1:, 1]},
+                 "inv1": table[:, 0], "inv2": table[:, 1]},
         drifts=[("joint-invariants", drift, drift / scale)],
         residuals=[("spin-resummation", resum), ("rank1-product", rank1_res)],
         bounds={"joint-invariants": TOL.central_flow * scale},
         parameters={"h-cm": calogero.h_cm(point)},
-        svg_series={"re(inv1)": (ts, table[1:, 0].real), "re(inv2)": (ts, table[1:, 1].real)})
+        svg_series={"re(inv1)": (ts, table[:, 0].real), "re(inv2)": (ts, table[:, 1].real)})
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
@@ -444,8 +432,7 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.n
     h = _distinct_h(n, rng)
     gamma = _sl_sample(n, rng, 0.4)
-    pt = double.DoublePoint(x=np.diag(_distinct_eigs(n, rng)),
-                            y=_sl_sample(n, rng, 0.35))
+    pt = double.DoublePoint(x=np.diag(_distinct_eigs(n, rng)), y=_sl_sample(n, rng, 0.35))
     margins = {"rational": calogero.duality_fiber_check(np.diag(h), gamma, cfg.samples,
                                                         _rng_for(cfg, 1)),
                "relativistic": double.fiber_check(pt, cfg.samples, _rng_for(cfg, 2))}

@@ -36,13 +36,13 @@ from .calogero import (
     _raise_first,
     _rank1_matrix,
     _ratio,
-    _scalar_power,
     _separation_margins,
     _stacked,
 )
 from .errors import ConstraintViolation, NonFiniteMatrixError, SingularChartPoint
 from .integrate import ConservationReport, monitor, rk4
-from .matrixcore import as_matrix, spectral, trace_words
+from .matrixcore import (_diagonals, _scalar_power, _unimodular_eigs, as_matrix, spectral,
+                         trace_words)
 from .poisson import Observable, chart_heisenberg_double, trace_power
 
 __all__ = [
@@ -133,18 +133,12 @@ def duality_map(pt: DoublePoint) -> DoublePoint:
     return DoublePoint(x=x, y=y)
 
 
-def _centralizer_elements(m, samples, rng) -> list:
-    """Random determinant-1 elements commuting with m (m semisimple), one
-    per sample; the eigenvector matrix of m and its inverse are formed once."""
+def _centralizer_elements(m, samples, rng) -> np.ndarray:
+    """Random determinant-1 elements commuting with m (m semisimple), stacked
+    as (samples, n, n), from one (samples, 2, n) block of normals."""
     _, v = spectral(m)
-    vinv = np.linalg.inv(v)
-    n = m.shape[0]
-    out = []
-    for _ in range(samples):
-        lam = np.exp(rng.normal(size=n) * 0.3 + 1j * rng.normal(size=n) * 0.3)
-        lam /= np.prod(lam) ** (1.0 / n)
-        out.append(v @ np.diag(lam) @ vinv)
-    return out
+    draws = rng.normal(size=(samples, 2, m.shape[0]))
+    return v @ _diagonals(_unimodular_eigs(draws[:, 0], draws[:, 1], 0.3)) @ np.linalg.inv(v)
 
 
 def fiber_check(pt: DoublePoint, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,9 +150,8 @@ def fiber_check(pt: DoublePoint, samples: int, rng: np.random.Generator) -> np.n
     two points: returns the (samples, samples) margins of
     ``calogero._separation_margins``.
     """
-    first = [(pt.x, pt.y @ z) for z in _centralizer_elements(pt.x, samples, rng)]
-    second = [(pt.x @ z, pt.y) for z in _centralizer_elements(pt.y, samples, rng)]
-    return _separation_margins(first, second)
+    return _separation_margins(pt.x, pt.y @ _centralizer_elements(pt.x, samples, rng),
+                               pt.x @ _centralizer_elements(pt.y, samples, rng), pt.y)
 
 
 def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
@@ -223,9 +216,7 @@ def _reductions(x, q, ydiag) -> dict:
     _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
                  "reconstruction denominator vanishes")
     y = (1.0 - 1.0 / q) * ydiag[..., None, :] / den
-    d = np.arange(n)
-    xmat = np.zeros(y.shape, dtype=complex)
-    xmat[..., d, d] = x
+    xmat = _diagonals(x)
     xmat /= _scalar_power(np.linalg.det(xmat), 1.0 / n)[..., None, None]
     y = y / _scalar_power(np.linalg.det(y), 1.0 / n)[..., None, None]
     # the checks of DoublePoint, and the pairing of the rank-1 class
@@ -324,25 +315,21 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
         words["tr(x mu~)"] = (1, 1, 0, 0)
     words[f"tr({main}^2 {other})"] = (2, 1, 0, 0)
 
-    last = [None, None]         # the key of the states aux was last formed on, and aux
+    last = [None, None]         # the key of the states last tabulated, and their table
 
-    def aux(z, x, y):
-        # two inverses: formed once for all the invariants that read it on the
-        # same states, keyed by their bytes, so states changed in place are not
-        # served a stale aux
+    def table(z):
+        # every word by one trace_words call, once per stack of states, keyed
+        # by their bytes, so states changed in place are not served a stale one
         key = (z.shape, z.dtype.str, z.tobytes())
         if last[0] != key:
-            last[:] = key, (y if family == "cm" else x @ y) @ np.linalg.inv(x) @ np.linalg.inv(y)
+            x, y = np.moveaxis(z.reshape(z.shape[:-1] + (2, n, n)), -3, 0)
+            a, aux = ((x, y @ np.linalg.inv(x) @ np.linalg.inv(y)) if family == "cm"
+                      else (y, _moment(x, y)))
+            last[:] = key, trace_words(a, aux, list(words.values()))
         return last[1]
 
-    def invariant(word):
-        def fn(z):
-            x, y = np.moveaxis(z.reshape(z.shape[:-1] + (2, n, n)), -3, 0)
-            a = x if family == "cm" else y
-            return trace_words(a, aux(z, x, y) if word[1] else a, [word])[..., 0]
-        return fn
-
-    return [Observable(name=name, fn=invariant(word)) for name, word in words.items()]
+    return [Observable(name=name, fn=lambda z, k=k: table(z)[..., k].copy())
+            for k, name in enumerate(words)]
 
 
 def double_flow_conservation(pt: DoublePoint, H: Observable, t_max: float,

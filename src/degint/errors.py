@@ -6,7 +6,7 @@ class DegintError(Exception):
 
 
 class NonFiniteMatrixError(DegintError):
-    """A matrix contains NaN or Inf entries."""
+    """A matrix, or a value computed from one, has NaN or Inf entries."""
 
 
 class MatrixOverflowError(DegintError):

@@ -50,11 +50,6 @@ class TracePower:
         return f"tr(x^{self.k})"
 
 
-def _traceless(m):
-    n = m.shape[0]
-    return m - (np.trace(m) / n) * np.eye(n)
-
-
 def left_differential(H: TracePower, x) -> np.ndarray:
     """Trace-form realization of the left differential of H at x, traceless.
 
@@ -62,7 +57,8 @@ def left_differential(H: TracePower, x) -> np.ndarray:
     for tr(x^k) gives k x^k minus its trace part.
     """
     x = as_matrix(x)
-    return _traceless(H.k * np.linalg.matrix_power(x, H.k))
+    m = H.k * np.linalg.matrix_power(x, H.k)
+    return m - (np.trace(m) / len(m)) * np.eye(len(m))
 
 
 def factorization_flow(x0, H: TracePower, t: float) -> np.ndarray:

@@ -118,10 +118,11 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
         elif t >= t_max:
             break
         else:
-            h = min(h, t_max - t)
-            if h < TOL.step_underflow:
+            # a step below the floor underflows, unless no more than the floor is left
+            if h < TOL.step_underflow < t_max - t:
                 flags.append(FLAG_TOLERANCE)
                 break
+            h = min(h, t_max - t)
         # h as a 0-d complex array multiplies as the float does, converted to
         # complex, with less dispatch; ndarray.dot: the same products as @,
         # without its ufunc dispatch

@@ -111,12 +111,8 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _momentum(p, q):
-    return _cross(p, q)
-
-
 def _lenz(p, q, gamma):
-    return _cross(p, _momentum(p, q)) + gamma * q / _radius(q)[..., None]
+    return _cross(p, _cross(p, q)) + gamma * q / _radius(q)[..., None]
 
 
 def kepler_chart():
@@ -133,7 +129,7 @@ def kepler_observables(gamma: float):
     obs = []
     for k in range(3):
         def m_fn(z, k=k):
-            return _momentum(*split(z))[..., k]
+            return _cross(*split(z))[..., k]
 
         def m_grad(z, e=np.eye(3)[k]):
             # M_k = eps_kab p_a q_b: d/dp = q x e_k, d/dq = e_k x p
@@ -174,7 +170,7 @@ def project_to_p5(state: KeplerState) -> P5Point:
     """(p, q) -> (M, A, H).  (M, A) = 0 holds identically."""
     p, q, gamma = state.p, state.q, state.gamma
     return P5Point(
-        M=_momentum(p, q),
+        M=_cross(p, q),
         A=_lenz(p, q, gamma),
         H=hamiltonian(p, q, gamma),
     )

@@ -39,6 +39,26 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+# A complex exponent keeps numpy's array power off its sqrt and square
+# shortcuts, so a stacked power rounds as the power of one numpy scalar does.
+def _scalar_power(a, p: float):
+    return a ** complex(p)
+
+
+def _unimodular_eigs(re, im, spread: float):
+    """exp(spread (re + i im)) scaled to product 1, for re, im stacked as (..., n)."""
+    x = np.exp(re * spread + 1j * im * spread)
+    return x / _scalar_power(np.prod(x, axis=-1, keepdims=True), 1.0 / x.shape[-1])
+
+
+def _diagonals(entries):
+    """Each stacked row of entries, (..., n), as a diagonal matrix, (..., n, n)."""
+    d = np.arange(entries.shape[-1])
+    out = np.zeros(entries.shape + entries.shape[-1:], dtype=complex)
+    out[..., d, d] = entries
+    return out
+
+
 @dataclass(frozen=True)
 class ULPair:
     """Upper/lower factor pair with reciprocal diagonals.
@@ -132,6 +152,12 @@ def ul_split_factorize(m) -> ULPair:
     return ULPair(g_plus=g_plus, g_minus=g_minus)
 
 
+def _eig_gap(w):
+    """The smallest |w_i - w_j|, i < j, of each stacked w (inf for n = 1)."""
+    i, j = np.triu_indices(w.shape[-1], 1)
+    return np.abs(w[..., :, None] - w[..., None, :])[..., i, j].min(axis=-1, initial=np.inf)
+
+
 def spectral(m):
     """Eigendecomposition ``m = V diag(w) inv(V)`` for semisimple matrices.
 
@@ -143,7 +169,7 @@ def spectral(m):
     w, v = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real))
     w, v = w[order], v[:, order]
-    gap = np.abs(w[:, None] - w[None, :])[np.triu_indices(len(w), 1)].min(initial=np.inf)
+    gap = _eig_gap(w)
     if gap < TOL.eigenvalue_gap:
         raise NearDegenerateSpectrum(
             f"minimal eigenvalue gap {gap:.3g} below {TOL.eigenvalue_gap:.3g}")

@@ -28,7 +28,7 @@ from degint.calogero import (
 )
 from degint.config import TOL
 from degint.errors import NonFiniteMatrixError, SingularChartPoint
-from degint.matrixcore import mat_exp
+from degint.matrixcore import as_matrix, mat_exp, spectral
 
 RNG = np.random.default_rng(5)
 
@@ -391,6 +391,40 @@ class TestDualityFiberCheck:
         with pytest.raises(ValueError):
             duality_fiber_check(np.ones((2, 2)), np.eye(2), samples=4,
                                 rng=np.random.default_rng(9))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (4, 9), (7, 3)])
+    def test_stacked_fibers_equal_the_loop(self, n, samples, seed):
+        """The stacked draws and conjugations give the margins of the loop
+        bit for bit, and leave the generator where the loop leaves it."""
+        rng = np.random.default_rng(100 + n)
+        x = np.diag(random_h(n))
+        gamma = np.eye(n) + 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = duality_fiber_check(x, gamma, samples, got_rng)
+        assert got.tobytes() == duality_fiber_loop(x, gamma, samples, want_rng).tobytes()
+        assert got_rng.normal() == want_rng.normal()
+
+
+def duality_fiber_loop(x, gamma, samples, rng):
+    """Test-only oracle: ``duality_fiber_check`` one sample at a time, each
+    torus element and each c drawn, built and paired on its own, and one
+    joint-invariant row per pair."""
+    n = len(x)
+    _, v = spectral(as_matrix(gamma))
+    vinv = np.linalg.inv(v)
+    first = []
+    for _ in range(samples):
+        lam = np.exp(rng.normal(size=n - 1) * 0.4 + 1j * rng.normal(size=n - 1) * 0.4)
+        first.append((x, gamma @ np.diag(np.append(lam, 1.0 / np.prod(lam)))))
+    second = []
+    for _ in range(samples):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c -= c.mean()
+        second.append((x + v @ np.diag(c) @ vinv, gamma))
+    rows = [joint_invariants(a, b) for a, b in first + second]
+    return np.array([[np.abs(rows[i] - rows[samples + j]).max() for j in range(samples)]
+                     for i in range(samples)])
 
 
 def loop_products(ratio, n):

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import re
 import shlex
+import warnings
 from collections import Counter
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -494,6 +495,54 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "numerical failure: imaginary residue in the real-form Hamiltonian\n")
 
+    @pytest.mark.parametrize("flag", ["--kappa-re", "--kappa-im"])
+    def test_an_overflowing_coupling_is_a_numerical_failure(self, tmp_path, capsys, flag):
+        """kappa = 1e160 overflows kappa^2 and the spin products mu_ij mu_ji,
+        so the Hamiltonians are not finite: exit 2 with the flag of the
+        library error and the report written, not an OverflowError, and no
+        overflow warning."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "cm-rational", flag, "1e160",
+                     "--out-json", str(out)]) == 2
+        assert json.loads(out.read_text())["flags"] == ["numerical-failure:NonFiniteMatrixError"]
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: spin Hamiltonian is not finite")
+
+    @pytest.mark.parametrize("t_max", ["1e-15", "1e-300"])
+    def test_a_horizon_below_the_step_floor_is_one_step(self, tmp_path, t_max):
+        """A horizon shorter than ``TOL.step_underflow`` is one short step,
+        not a step underflow."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "kepler", "--t-max", t_max, "--out-json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["flags"] == []
+        assert payload["metrics"]["accepted_steps"] == 1
+
+
+# Every scenario with each of its numeric options but n and samples (the
+# seed is not one) at each extreme value, the other options at their
+# defaults; "--flag=value", since argparse reads a bare -1e300 as a flag
+EXTREME_ARGVS = [["--scenario", scenario, f"--{key.replace('_', '-')}={value}"]
+                 for scenario, spec in sorted(cli._SCENARIOS.items())
+                 for key in cli._option_keys(spec) if key not in ("n", "samples")
+                 for value in ("1e-300", "1e160", "1e300", "-1e300")]
+
+
+class TestExtremeOptions:
+    """Extreme option values end in an exit code, never in an exception:
+    0, 1 for a value the configuration rejects, or 2 with the report
+    written.  Warnings are ignored here, since an extreme value may
+    overflow on its way to a flag."""
+
+    @pytest.mark.parametrize("argv", EXTREME_ARGVS, ids=lambda argv: " ".join(argv[1:]))
+    def test_an_extreme_value_ends_in_an_exit_code(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--out-json", str(out)])
+        assert code in (0, 1, 2)
+        assert code != 2 or json.loads(out.read_text())["flags"]
+
 
 class TestRankOneGenerators:
     """A report's rank-1 draws come from one generator, however many
@@ -530,7 +579,7 @@ def distinct_h_loop(n, rng):
 def distinct_eigs_loop(n, rng):
     """x of one gapped sample, one (re, im) pair of rows at a time."""
     while True:
-        x = cli._unimodular_eigs(rng.normal(size=n), rng.normal(size=n))
+        x = cli._unimodular_eigs(rng.normal(size=n), rng.normal(size=n), 0.4)
         if cli._eig_gap(x) > 0.1:
             return x
 
@@ -1052,6 +1101,118 @@ class TestKeplerDriftCaps:
         code, flags, drifts = self.drifts(tmp_path, monkeypatch, KEPLER_DRAG / 10)
         assert (code, flags) == (0, [])
         assert [name for name, cap in caps.items() if not drifts[name] <= cap] == []
+
+
+class TestJointInvariantCap:
+    """Negative control of ``cm-rational``'s ``joint-invariants`` cap: the
+    central flow's gradient x + eps N, N the upper shift, does not commute
+    with the diagonal x, so exp(t grad) g moves g x g^-1 off the conjugacy
+    class its joint invariants fix.  Measured at the defaults: 8.4e-8 at
+    eps = 1e-6, 8.4e-11 at 1e-9 (unplanted 1.3e-16), against a cap of at
+    least 1e-9."""
+
+    def report(self, tmp_path, monkeypatch, eps):
+        monkeypatch.setattr(calogero, "quadratic_casimir_gradient",
+                            lambda x: x + eps * np.eye(len(x), k=1))
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "cm-rational", "--out-json", str(out)])
+        return code, json.loads(out.read_text())["flags"]
+
+    def test_a_noncommuting_gradient_fails_the_cap(self, tmp_path, monkeypatch):
+        assert self.report(tmp_path, monkeypatch, 1e-6) == (2, ["tolerance-failure"])
+        assert self.report(tmp_path, monkeypatch, 1e-9) == (0, [])
+
+
+def _symmetric_term(field, dim, eps):
+    """The field plus eps g: Pi + eps id, whose symmetric part is eps id."""
+    return lambda z, g: field(z, g) + eps * g
+
+
+def _scaled_antisymmetric_term(field, dim, eps):
+    """The field plus eps (sum z) A g, A the constant antisymmetric matrix
+    with ones above the diagonal: antisymmetric, but not Poisson.  A
+    rescaled field f Pi would not do: on a rank-2 bivector, as on
+    sklyanin(n=2), f Pi is Poisson for every f."""
+    a = np.triu(np.ones((dim, dim)), 1)
+    a -= a.T
+    return lambda z, g: field(z, g) + eps * z.sum() * a.dot(g)
+
+
+# One defect in the fields of the verify-brackets charts: (the check whose
+# caps it trips, the plant made from a chart's field, its dim and eps, the
+# eps that trips the caps, a smaller eps within them, whether a chart with
+# the self-check is planted).  Measured at the defaults:
+#  - antisymmetry, a symmetric term: 2e-9 on each chart at eps = 1e-9,
+#    2e-11 at 1e-11 (unplanted 0);
+#  - jacobi: 1.0e-3 (canonical, cm-loglinear) to 2.8e-2
+#    (relativistic-loglinear) at eps = 1e-3, 10^-3 of that at 1e-6
+#    (unplanted 9.0e-11 or less).
+BRACKET_PLANTS = [
+    ("antisymmetry", _symmetric_term, 1e-9, 1e-11, False),
+    ("jacobi", _scaled_antisymmetric_term, 1e-3, 1e-6, True),
+]
+# the bracket caps that no field plant trips, with the reason
+UNPLANTABLE_BRACKET = {
+    **{f"antisymmetry:{chart}": "the chart's self-check raises ConsistencyError on the "
+                                "first field or bivector that loses antisymmetry"
+       for chart in _CHARTS if chart.startswith(("heisenberg", "sklyanin"))},
+    **{f"leibniz:{chart}": "leibniz_defect differences brackets whose gradients obey the "
+                           "product rule, and a field linear in the covector is a derivation "
+                           "of them, so no field moves it past roundoff"
+       for chart in _CHARTS},
+}
+
+
+class TestBracketCaps:
+    """Negative controls of the ``verify-brackets`` caps: a defect in the
+    fields puts the values of one check past their caps on every planted
+    chart, and those caps alone fail the report; the same defect at a
+    smaller eps passes."""
+
+    def report(self, tmp_path, monkeypatch, plant, eps, planted, argv=(),
+               suite=cli._bracket_suite_charts):
+        """The report with ``plant`` in the field of each chart ``planted``
+        accepts."""
+        monkeypatch.setattr(cli, "_bracket_suite_charts", lambda n: [
+            (dataclasses.replace(chart, field=plant(chart.field, chart.dim, eps))
+             if planted(chart) else chart, sample) for chart, sample in suite(n)])
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "verify-brackets", *argv, "--out-json", str(out)])
+        payload = json.loads(out.read_text())
+        return code, payload["flags"], {r["name"]: r["value"]
+                                        for r in payload["oracle_residuals"]}
+
+    @pytest.mark.parametrize("check,plant,eps,within,selfchecked", BRACKET_PLANTS,
+                             ids=[plant[0] for plant in BRACKET_PLANTS])
+    def test_a_planted_field_fails_its_caps(self, tmp_path, monkeypatch, check, plant, eps,
+                                            within, selfchecked):
+        def planted(chart):
+            return selfchecked or not chart.selfcheck
+
+        caps = CAPS["verify-brackets"]
+        code, flags, values = self.report(tmp_path, monkeypatch, plant, eps, planted)
+        assert (code, flags) == (2, ["tolerance-failure"])
+        assert [name for name, cap in caps.items() if not values[name] <= cap] == [
+            f"{check}:{chart.name}" for chart, _ in cli._bracket_suite_charts(3)
+            if planted(chart)]
+        assert self.report(tmp_path, monkeypatch, plant, within, planted)[:2] == (0, [])
+
+    @pytest.mark.parametrize("name", [chart.name for chart, _ in cli._bracket_suite_charts(3)
+                                      if chart.selfcheck])
+    def test_a_symmetric_term_on_a_self_checked_chart_raises_first(self, tmp_path,
+                                                                   monkeypatch, capsys, name):
+        code, flags, values = self.report(tmp_path, monkeypatch, _symmetric_term, 1e-9,
+                                          lambda chart: chart.name == name, ["--samples", "2"])
+        assert (code, flags, values) == (2, ["numerical-failure:ConsistencyError"], {})
+        assert f"chart {name!r} lost antisymmetry" in capsys.readouterr().err
+
+    def test_every_bracket_cap_is_planted_or_listed(self):
+        planted = [f"{check}:{chart.name}" for check, *_, selfchecked in BRACKET_PLANTS
+                   for chart, _ in cli._bracket_suite_charts(3)
+                   if selfchecked or not chart.selfcheck]
+        assert len(planted) == len(set(planted))
+        assert not set(planted) & set(UNPLANTABLE_BRACKET)
+        assert set(planted) | set(UNPLANTABLE_BRACKET) == set(CAPS["verify-brackets"])
 
 
 class TestSeparationFlag:

@@ -23,7 +23,7 @@ from degint.double import (
 from degint.config import TOL
 from degint.errors import ConsistencyError, ConstraintViolation, SingularChartPoint
 from degint.integrate import rk4
-from degint.matrixcore import mat_exp, traces_of_powers
+from degint.matrixcore import mat_exp, spectral, traces_of_powers
 from degint.poisson import bracket, chart_heisenberg_double, trace_power
 
 RNG = np.random.default_rng(6)
@@ -100,6 +100,19 @@ class TestDualityMap:
             assert np.abs(back.y - pt.y).max() < 1e-10
 
 
+def centralizer_loop(m, samples, rng):
+    """Test-only oracle: ``double._centralizer_elements`` one sample at a
+    time, each torus element drawn, scaled and conjugated on its own."""
+    _, v = spectral(m)
+    vinv = np.linalg.inv(v)
+    out = []
+    for _ in range(samples):
+        lam = np.exp(rng.normal(size=len(m)) * 0.3 + 1j * rng.normal(size=len(m)) * 0.3)
+        lam /= np.prod(lam) ** (1.0 / len(m))
+        out.append(v @ np.diag(lam) @ vinv)
+    return np.array(out)
+
+
 class TestFiberCheck:
     def test_generic_separation(self):
         pt = DoublePoint(x=np.diag(random_eigs(2)), y=random_sl(2))
@@ -114,6 +127,18 @@ class TestFiberCheck:
         pt = DoublePoint(x=np.diag(random_eigs(2)), y=random_sl(2))
         fiber_check(pt, samples=4, rng=np.random.default_rng(12))
         assert [c.tobytes() for c in calls] == [pt.x.tobytes(), pt.y.tobytes()]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (4, 12), (7, 3)])
+    def test_stacked_centralizer_elements_equal_the_loop(self, n, samples, seed):
+        """One block of normals gives the elements of the per-sample loop bit
+        for bit, and leaves the generator where the loop leaves it."""
+        m = np.diag(random_eigs(n)) if n > 1 else np.eye(1, dtype=complex)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = double._centralizer_elements(m, samples, got_rng)
+        assert got.shape == (samples, n, n)
+        assert got.tobytes() == centralizer_loop(m, samples, want_rng).tobytes()
+        assert got_rng.normal() == want_rng.normal()
 
     def test_first_fiber_preserves_projection_invariants(self):
         """Points (x, y z) with z central for x share tr(x^a), tr(mu~^b),
@@ -321,6 +346,23 @@ class TestDoubleFlows:
         assert changed.tobytes() == fresh(z).tobytes()
         assert np.abs(changed[:, 2] - first[:, 2]).max() > 1e-3
         assert changed[:, [0, 1, 3, 4]].tobytes() == first[:, [0, 1, 3, 4]].tobytes()
+
+    @pytest.mark.parametrize("family,words", [("cm", 6), ("ruijsenaars", 5)])
+    def test_one_trace_word_table_per_states(self, monkeypatch, family, words):
+        """Every invariant reads its column of one ``trace_words`` table of
+        all the family's words, formed once per stack of states."""
+        calls, table = [], double.trace_words
+        monkeypatch.setattr(double, "trace_words",
+                            lambda a, b, w: calls.append(len(w)) or table(a, b, w))
+        observables = double.projection_invariants(3, family)
+        z = np.stack([random_pair(3).as_point() for _ in range(4)])
+        for o in observables:
+            o(z)
+        assert calls == [words]
+        z[0] = random_pair(3).as_point()
+        for o in observables:
+            o(z)
+        assert calls == [words] * 2
 
     @pytest.mark.parametrize("family,block", [("cm", "x"), ("ruijsenaars", "y")])
     def test_flow_conserves_projection_at_n4(self, family, block):
