@@ -417,6 +417,7 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
                     np.asarray(h, dtype=complex), np.asarray(u, dtype=complex))
 
 
+@np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def _sweep_pass(h, u, kappa) -> dict:
     _check_chart(h, kappa)
     w, oracle = _phi_psi_solve(h, kappa)

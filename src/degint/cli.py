@@ -702,6 +702,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", help="JSON report output path")
     p.add_argument("--out-svg", help="optional SVG line plot output path")
     p.add_argument("--config", help="JSON config file; flags override its values")
+
+    def error(message):
+        # a usage error is an invalid configuration, which ``main`` reports
+        p.print_usage(sys.stderr)
+        raise ValueError(message)
+
+    p.error = error
     return p
 
 
@@ -746,11 +753,11 @@ def _config_from_args(args) -> ScenarioConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.list_scenarios:
-        print(list_scenarios())
-        return 0
     try:
+        args = _build_parser().parse_args(argv)
+        if args.list_scenarios:
+            print(list_scenarios())
+            return 0
         cfg = _config_from_args(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -94,6 +94,7 @@ def _stage_row(row):
     return slice(len(row)), row
 
 
+@np.errstate(over="ignore", invalid="ignore")      # a non-finite step ends the run
 def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau,
          h: float, max_steps: int, tol: Optional[float],
          guard: Optional[Callable[[np.ndarray], Optional[str]]]) -> Trajectory:

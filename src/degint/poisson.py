@@ -74,10 +74,10 @@ class PoissonChart:
     def pi(self, x, g=None) -> np.ndarray:
         """Pi(x) . g for a covector g, one field call.  ``g`` may also be a
         function of the validated point returning the covector, which lets
-        :func:`ham_vector_field` and :func:`bracket` validate their point
-        once; a covector that is not an ndarray is converted once, and one
-        whose shape is not ``(dim,)`` raises ``DimensionMismatch``.  Without
-        ``g``, Pi(x) built one column at a time, Pi[:, k] = field(x, e_k)."""
+        :func:`ham_vector_field` validate its point once; a covector that
+        is not an ndarray is converted once, and one whose shape is not
+        ``(dim,)`` raises ``DimensionMismatch``.  Without ``g``, Pi(x) built
+        one column at a time, Pi[:, k] = field(x, e_k)."""
         z = self.point(x)
         if g is None:
             P = np.stack([self.field(z, e) for e in np.eye(self.dim, dtype=complex)],
@@ -192,17 +192,11 @@ def trace_power(n: int, k: int, block: int = 0, blocks: int = 1) -> Observable:
 
 def bracket(chart: PoissonChart, f: Observable, g: Observable, x,
             step: float = None) -> complex:
-    """{f, g}(x) = grad f . (Pi(x) . grad g).  The one :meth:`PoissonChart.pi`
-    call validates the point and takes both gradients there, and never
-    forms Pi(x)."""
-    df = []
-
-    def grad_g(z):
-        df.append(f.gradient(z, step))
-        return g.gradient(z, step)
-
-    v = chart.pi(x, grad_g)
-    return complex(df[0] @ v)
+    """{f, g}(x) = grad f . (Pi(x) . grad g), both gradients taken at the
+    validated point, f's first: one :meth:`PoissonChart.pi` call, which
+    never forms Pi(x)."""
+    z = chart.point(x)
+    return complex(f.gradient(z, step) @ chart.pi(z, g.gradient(z, step)))
 
 
 def ham_vector_field(chart: PoissonChart, H: Observable, x) -> np.ndarray:
@@ -323,55 +317,41 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     ``field`` sums these relations against a covector g in matrix form, in
     O(n^3) rather than as n^2 x n^2 products.  With Gx, Gy the halves of g
     as n x n matrices, o the entrywise product, <A, B> = sum A_ij B_ij,
-    Px = x Gx^T, Qx = Gx^T x, Ry = y Gy^T, Sy = Gy^T y, Dy = Ry - Sy,
-    E = Px - Qx + Dy and W = u o E, the relations sum to
+    Px = x Gx^T, Ex = Px - Gx^T x, cx = <Gx, x>/n, Ry = y Gy^T,
+    Ey = Ry - Gy^T y, cy = <Gy, y>/n, E = Ex + Ey and W = u o E, the
+    relations sum to
 
-        v_x = (W - Ry) x + x (E - W) + (<Gy, y>/n) x
-        v_y = W y + y (Dy + Px - W) - (<Gx, x>/n) y.
+        v_x = (W - Ry) x + x (E - W) + cy x
+        v_y = W y + y (Ey + Px - W) - cx y.
 
     The (1/2n) parts of r cancel in the x-x and y-y relations and leave the
-    two trace terms.  The rest sum to five masked products,
-    u o (Px - Qx - Sy), u^T o Ry, u^T o E, u^T o (Dy + Px) and u o Qx;
-    since u + u^T = 1 entrywise, u^T o A = A - u o A folds all five into
-    the one W.
+    two trace terms.  With Qx = Gx^T x and Sy = Gy^T y the rest sum to five
+    masked products, u o (Px - Qx - Sy), u^T o Ry, u^T o E, u^T o (Ey + Px)
+    and u o Qx; since u + u^T = 1 entrywise, u^T o A = A - u o A folds all
+    five into the one W.
 
-    The field is linear in g, so it is the sum of one field per covector
-    block, and ``field`` evaluates only the blocks where g is nonzero: the
-    gradient of tr(x^k) or tr(y^k) lies in one block, so its flow pays for
-    that block alone, and g = 0 gives exact zeros.  With Gx = 0, so that
-    Px = Qx = 0, the y block has E = Dy and
+    A block where g is zero contributes the scalar 0 as its Px or Ry, its
+    E and its c, so g = 0 gives exact zeros, and the flow of tr(x^k) or
+    tr(y^k), whose gradient lies in one block, pays for that block alone.
+    A scalar zero added or subtracted leaves each value as the zero matrix
+    would, so the field is the formula's value bit for bit (a zero may
+    differ in sign).
 
-        v_x = (W - Ry) x + x (E - W) + (<Gy, y>/n) x,   v_y = W y + y (E - W);
-
-    with Gy = 0, so that Ry = Sy = 0, the x block has E = Px - Qx and
-
-        v_x = W x + x (E - W),   v_y = W y + y (Px - W) - (<Gx, x>/n) y.
-
-    Each block adds only its terms that are not exactly zero, in the
-    combined formula's order, so on a one-block covector the field is the
-    combined formula's value bit for bit (a zero may differ in sign).  With
-    [x; y] the point as one 2n x n matrix, the y block's x (E - W) and
-    y (E - W) are one product [x; y] (E - W), and the x block's W x and W y
-    one product of W with the stacked pair.  Each block forms its own E and
-    W = u o E, and since u takes only the values 0, 1/2 and 1, E - W is
-    u^T o E bit for bit in each.
-
-    A block whose covector commutes with its matrix has E = 0, so W = 0 and
-    every term with E or W is zero: the y block is
-    v_x = (<Gy, y>/n) x - Ry x, v_y = 0, and the x block is v_x = 0,
-    v_y = y Px - (<Gx, x>/n) y.  These are the flows of conjugation-invariant
+    A block whose covector commutes with its matrix has E = 0, and E enters
+    the formula as the scalar 0 where it is exactly zero.  When no block has
+    E != 0, W = 0 and every term with E or W is zero: v_x = cy x - Ry x and
+    v_y = y Px - cx y.  These are the flows of conjugation-invariant
     functions, the dressing action, on which the r-matrix part of the
-    bracket drops out.  ``field`` takes this branch when E is exactly zero;
-    it leaves out only exact zeros, so its values are the full formula's
-    bit for bit (a zero may differ in sign).  E is exactly zero on the
-    gradients of tr(y) and tr(y^2).  For tr(y), Gy^T = I, and each entry of
-    y I and of I y is y_ij plus products with exact zeros.  For tr(y^2),
-    Gy^T = 2y, and each entry of y (2y) and of (2y) y sums the same
-    products 2 y_il y_lj (doubling is exact) in the same order.  For k >= 3
-    the gradient k y^(k-1) is itself a rounded product, and y y^(k-1)
-    associates its factors otherwise than y^(k-1) y, so E is roundoff but in
-    general not zero, and the full formula runs.  The same holds for Gx
-    and x.
+    bracket drops out.  ``field`` takes this branch when every E is exactly
+    zero; it leaves out only exact zeros, so its values are the full
+    formula's bit for bit (a zero may differ in sign).  E is exactly zero on
+    the gradients of tr(y) and tr(y^2).  For tr(y), Gy^T = I, and each entry
+    of y I and of I y is y_ij plus products with exact zeros.  For tr(y^2),
+    Gy^T = 2y, and each entry of y (2y) and of (2y) y sums the same products
+    2 y_il y_lj (doubling is exact) in the same order.  For k >= 3 the
+    gradient k y^(k-1) is itself a rounded product, and y y^(k-1) associates
+    its factors otherwise than y^(k-1) y, so E is roundoff but in general
+    not zero, and the full formula runs.  The same holds for Gx and x.
 
     A block's products R = a Ga^T, E = R - Ga^T a (or "exactly zero") and
     c = <Ga, a>/n depend on that block's matrix a and covector block Ga
@@ -393,8 +373,7 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     of its two blocks.  Along a flow whose gradient stays fixed bit for bit
     (the flow of tr(x) or tr(y), whose gradient is one read-only array) the
     blocks are counted once per run; a covector changed in place, or equal
-    bytes under another dtype, is counted again.  Each branch slices only
-    the blocks of the point that it reads.
+    bytes under another dtype, is counted again.
     """
     m = n * n
     # a complex mask spares the masked product a cast from float
@@ -414,34 +393,24 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
         if key != seen[0]:
             seen[:] = key, _covector_blocks(g, m)
         in_x, in_y = seen[1]
-        xy = z.reshape(2 * n, n)
-        v = None
-        if in_y:
-            ry, e, c = products("y", z[m:], g[m:])
-            x = xy[:n]
-            if e is None:
-                v = np.zeros((2 * n, n), dtype=complex)
-                np.subtract(c * x, ry.dot(x), out=v[:n])
-            else:
-                w = uc * e
-                v = xy.dot(e - w)
-                v[:n] += (w - ry).dot(x)
-                v[n:] += w.dot(xy[n:])
-                v[:n] += c * x
-        if in_x:
-            px, e, c = products("x", z[:m], g[:m])
-            y = xy[n:]
-            if e is None:
-                b = np.zeros((2 * n, n), dtype=complex)
-                np.subtract(y.dot(px), c * y, out=b[n:])
-            else:
-                w = uc * e
-                b = np.matmul(w, z.reshape(2, n, n)).reshape(2 * n, n)
-                b[:n] += xy[:n].dot(e - w)
-                b[n:] += y.dot(px - w)
-                b[n:] -= c * y
-            v = b if v is None else v + b
-        return np.zeros(2 * m, dtype=complex) if v is None else v.ravel()
+        px, ex, cx = products("x", z[:m], g[:m]) if in_x else (0, None, 0)
+        ry, ey, cy = products("y", z[m:], g[m:]) if in_y else (0, None, 0)
+        if ex is None and ey is None:
+            v = np.zeros((2 * n, n), dtype=complex)
+            if in_y:
+                x = z[:m].reshape(n, n)
+                np.subtract(cy * x, ry.dot(x), out=v[:n])
+            if in_x:
+                y = z[m:].reshape(n, n)
+                np.subtract(y.dot(px), cx * y, out=v[n:])
+            return v.ravel()
+        x, y = z.reshape(2, n, n)
+        ey = 0 if ey is None else ey
+        e = (0 if ex is None else ex) + ey
+        w = uc * e
+        vx = (w - ry).dot(x) + x.dot(e - w) + cy * x
+        vy = w.dot(y) + y.dot(ey + px - w) - cx * y
+        return np.concatenate([vx.ravel(), vy.ravel()])
 
     return PoissonChart(
         name=f"heisenberg-double(n={n})",

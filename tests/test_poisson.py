@@ -483,8 +483,9 @@ class TestHeisenbergDouble:
 
 
 class TestHeisenbergBlockField:
-    """The Heisenberg-double field is the sum of one field per covector
-    block and evaluates only the blocks where g is nonzero."""
+    """The Heisenberg-double field is one formula over both covector
+    blocks, in which a block where g is zero is the scalar 0: it forms
+    the products of the blocks where g is nonzero only."""
 
     @staticmethod
     def covector(n, blocks, rng):
@@ -517,11 +518,11 @@ class TestHeisenbergBlockField:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_trace_gradients_give_the_combined_formula_bit_for_bit(self, n):
         """On (I, 0) and (0, I), the gradients of tr(x) and tr(y), and on the
-        gradients of tr(x^2) and tr(y^2), each block field adds the combined
+        gradients of tr(x^2) and tr(y^2), the dressing branch adds the combined
         formula's terms that are not exactly zero, in its order: the two
         fields agree bit for bit.  Only the sign of a zero entry may differ,
-        where the combined formula adds a zero term that the block field
-        leaves out, so the values are compared, not the bytes."""
+        where the combined formula adds a zero term that the branch leaves
+        out, so the values are compared, not the bytes."""
         rng = np.random.default_rng(400 + n)
         field, oracle = chart_heisenberg_double(n).field, heisenberg_combined_oracle(n)
         eye, zero = np.eye(n).ravel().astype(complex), np.zeros(n * n, dtype=complex)
@@ -603,10 +604,9 @@ class TestHeisenbergBlockMemo:
     def test_a_call_sequence_equals_fresh_charts(self, n, monkeypatch):
         """x-block, y-block, two-block and zero covectors interleaved, points
         repeated, and a point or a covector changed in place between two
-        calls.  Against the combined formula the values are equal on
-        covectors in at most one block (a zero's sign may differ, so values
-        are compared, not bytes), and equal to roundoff on two-block ones,
-        which the block field sums in another order."""
+        calls.  Against the combined formula the values are equal on every
+        covector (a zero's sign may differ, so values are compared, not
+        bytes)."""
         rng, m = np.random.default_rng(600 + n), n * n
         chart, oracle = chart_heisenberg_double(n), heisenberg_combined_oracle(n)
         points = [_near_identity(n, 2)(rng) for _ in range(3)]
@@ -630,11 +630,7 @@ class TestHeisenbergBlockMemo:
                 blocks = bool(np.count_nonzero(g[:m])) + bool(np.count_nonzero(g[m:]))
                 evaluations, hits = evaluations + blocks, hits + blocks - (len(misses) - before)
                 assert np.array_equal(v, chart_heisenberg_double(n).field(z, g))
-                ref = oracle(z, g)
-                if blocks == 2:
-                    assert np.abs(v - ref).max() <= 1e-13 * _field_scale(ref, g, z)
-                else:
-                    assert np.array_equal(v, ref)
+                assert np.array_equal(v, oracle(z, g))
                 # between the two calls, change the point or a writable covector in place
                 target = z if step % 2 or not g.flags.writeable else g
                 target[rng.integers(2 * m)] += 0.25
