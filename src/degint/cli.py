@@ -88,7 +88,8 @@ class ScenarioConfig:
                   "dt": (lambda dt: dt > 0, "dt must be positive"),
                   "tol": (lambda tol: 1e-13 <= tol <= 1e-6, "tol must lie in [1e-13, 1e-6]"),
                   "samples": (lambda m: m >= 1, "samples must be positive"),
-                  "q": (lambda q: q != 0, "q must be nonzero")}
+                  "q": (lambda q: q != 0, "q must be nonzero"),
+                  "seed": (lambda seed: seed >= 0, "seed must be nonnegative")}
         for key in ("seed", *spec.options):
             value = getattr(self, key)
             if key in ("n", "seed", "samples"):
@@ -108,9 +109,8 @@ class ScenarioConfig:
 @dataclass
 class ScenarioResult:
     columns: dict                                     # CSV column name -> values
-    drifts: list = field(default_factory=list)        # (name, max_abs, max_rel)
-    residuals: list = field(default_factory=list)     # (name, value)
-    bounds: dict = field(default_factory=dict)        # drift or residual name -> cap
+    drifts: list = field(default_factory=list)        # (name, max_abs, max_rel, cap)
+    residuals: list = field(default_factory=list)     # (name, value, cap)
     flags: list = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     svg_series: dict = field(default_factory=dict)    # label -> (ts, values)
@@ -214,19 +214,19 @@ def _orbit_passes(candidates, gamma):
             & (gamma / (2.0 * abs(energy)) < 4.0))
 
 
-def _flow_report(traj, observables, cap, plotted, rows=None, control=None):
-    """One ``monitor`` call on ``traj``: the drifts, each capped at ``cap``,
-    then the uncapped one of ``control``; the flags; the integrator metrics;
-    and, at every max(1, states // rows)-th state (every state without
-    ``rows``), the ``t`` column, the first ``plotted`` real parts as SVG
-    series and, returned beside the result, the values, the control's last."""
-    report = monitor(traj, observables + ([control] if control else []))
+def _flow_report(traj, capped, plotted, rows=None):
+    """One ``monitor`` call on ``traj`` over the (observable, cap) pairs
+    ``capped``: the drifts, each with its cap; the flags; the integrator
+    metrics; and, at every max(1, states // rows)-th state (every state
+    without ``rows``), the ``t`` column, the first ``plotted`` real parts
+    as SVG series and, returned beside the result, the values."""
+    observables, caps = zip(*capped)
+    report = monitor(traj, observables)
     stride = max(1, len(traj.times) // rows) if rows else 1
     times, values = traj.times[::stride], report.values[::stride]
     return ScenarioResult(
         columns={"t": times},
-        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift)),
-        bounds=dict.fromkeys((o.name for o in observables), cap),
+        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift, caps)),
         flags=list(report.flags),
         svg_series={o.name: (times, values[:, i].real)
                     for i, o in enumerate(observables[:plotted])},
@@ -243,8 +243,8 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     obs = kepler.kepler_observables(gamma)
     traj = kepler.integrate_orbit(kepler.KeplerState(p=p, q=q * 1.2, gamma=gamma),
                                   cfg.t_max, cfg.tol)
-    result, values = _flow_report(traj, obs, TOL.orbit_drift, plotted=3,
-                                  control=coordinate(6, 3, "q1-control"))
+    result, values = _flow_report(traj, [(o, TOL.orbit_drift) for o in obs]
+                                  + [(coordinate(6, 3, "q1-control"), None)], plotted=3)
     values = values[:, :len(obs)].real
     labels = [f"{c}{i}" for c in "pq" for i in (1, 2, 3)] + [o.name for o in obs]
     result.columns.update(zip(labels, np.column_stack([traj.states.real, values]).T))
@@ -252,9 +252,9 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     sampled = values[::max(1, len(traj.states) // 50)]
     M, A, H = sampled[:, :3], sampled[:, 3:6], sampled[:, 6]
     result.residuals = [
-        ("orthogonality-(M,A)", np.abs(np.vecdot(M, A)).max()),
+        ("orthogonality-(M,A)", np.abs(np.vecdot(M, A)).max(), None),
         ("quadratic-relation", np.abs(np.vecdot(A, A) - gamma ** 2 - kepler.QUADRATIC_RELATION_SIGN
-                                      * 2.0 * np.vecdot(M, M) * H).max())]
+                                      * 2.0 * np.vecdot(M, M) * H).max(), None)]
     result.parameters = {"gamma": gamma, "energy": float(values[0, 6])}
     return result
 
@@ -285,24 +285,21 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         columns={"t": ts, "joint-invariant-drift": devs,
                  "inv1": table[:, 0], "inv2": table[:, 1]},
-        drifts=[("joint-invariants", drift, drift / scale)],
-        residuals=[("spin-resummation", resum), ("rank1-product", rank1_res)],
-        bounds={"joint-invariants": TOL.central_flow * scale},
+        drifts=[("joint-invariants", drift, drift / scale, TOL.central_flow * scale)],
+        residuals=[("spin-resummation", resum, None), ("rank1-product", rank1_res, None)],
         parameters={"h-cm": calogero.h_cm(point)},
         svg_series={"re(inv1)": (ts, table[:, 0].real), "re(inv2)": (ts, table[:, 1].real)})
 
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
     columns = calogero.ruij_sweep(*_rank1_draws(cfg), cfg.kappa)
-    bounds = {"oracle-residual": TOL.oracle_residual,
-              "closed-form-residual": TOL.formula_match, "tr-g-dual": TOL.dual_path,
-              "tr-g2-dual": TOL.dual_path, "h-ruijsenaars-dual": TOL.dual_path}
+    caps = {"oracle-residual": TOL.oracle_residual, "closed-form-residual": TOL.formula_match,
+            "tr-g-dual": TOL.dual_path, "tr-g2-dual": TOL.dual_path,
+            "h-ruijsenaars-dual": TOL.dual_path, "relation-residual": None}
     return ScenarioResult(
         columns={"sample": np.arange(cfg.samples), **columns},
         # bare-residual, the miss of the other normalization, is a column only
-        residuals=sorted((name, float(columns[name].max()))
-                         for name in [*bounds, "relation-residual"]),
-        bounds=bounds)
+        residuals=sorted((name, float(columns[name].max()), cap) for name, cap in caps.items()))
 
 
 def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
@@ -314,7 +311,8 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     chart = chart_heisenberg_double(n)
     traj = rk4(chart, H, pt.as_point(), cfg.t_max, cfg.dt)
     observables = double.projection_invariants(n, family)
-    result, values = _flow_report(traj, observables, TOL.projection_drift, plotted=2, rows=200)
+    result, values = _flow_report(traj, [(o, TOL.projection_drift) for o in observables],
+                                  plotted=2, rows=200)
     result.columns.update((o.name, values[:, i]) for i, o in enumerate(observables))
     result.parameters = {"family": family, "hamiltonian": H.name}
     return result
@@ -328,19 +326,17 @@ def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
                        1, 0)
     double._check_unimodular(x, y)
     dev = float(np.abs(double._moment(*double._duality(x, y)) - double._moment(x, y)).max())
-    result.residuals.append(("duality-moment-deviation", dev))
-    result.bounds["duality-moment-deviation"] = TOL.duality_exact * 10
+    result.residuals.append(("duality-moment-deviation", dev, TOL.duality_exact * 10))
     return result
 
 
 def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
     result = _flow_scenario(cfg, "ruijsenaars")
-    worst = {name: float(column.max()) for name, column in
-             double._rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()}
-    result.residuals += list(worst.items())
-    result.bounds.update({"mu-eigenvalue-deviation": TOL.mu_eigenvalue,
-                          "psi-phi-corrected-residual": TOL.formula_match,
-                          "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path})
+    caps = {"mu-eigenvalue-deviation": TOL.mu_eigenvalue,
+            "psi-phi-corrected-residual": TOL.formula_match,
+            "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path}
+    result.residuals += [(name, float(column.max()), caps[name]) for name, column in
+                         double._rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()]
     return result
 
 
@@ -348,7 +344,7 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
     x0 = _sl_sample(n, rng, 0.25)
-    powers, traces, residuals, bounds, flags, runs = [], [], {}, {}, [], []
+    powers, traces, residuals, flags, runs = [], [], [], [], []
     ts = np.linspace(0.0, cfg.t_max, 21)
     for k in (1, 2):
         H = facto.TracePower(k)
@@ -360,23 +356,19 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
         except FactorizationNotDefined:
             flags.append(FLAG_DIVISOR)
             continue
-        ref = runs[-1].final.reshape(n, n)
-        cross = float(np.abs(xts[-1] - ref).max())
+        cross = float(np.abs(xts[-1] - runs[-1].final.reshape(n, n)).max())
         sweep = facto.flow_consistency_sweep(x0, H, [cfg.t_max / 2])
-        residuals[f"cross-check-{H.name}"] = cross
-        residuals[f"semigroup-{H.name}"] = sweep.max_semigroup_residual
-        residuals[f"trace-drift-{H.name}"] = sweep.max_trace_drift
-        residuals[f"conjugation-{H.name}"] = float(sweep.conjugation_agreements.max())
-        bounds.update({f"cross-check-{H.name}": TOL.flow_cross_check,
-                       f"semigroup-{H.name}": TOL.semigroup,
-                       f"trace-drift-{H.name}": TOL.trace_conservation})
+        residuals += [(f"cross-check-{H.name}", cross, TOL.flow_cross_check),
+                      (f"semigroup-{H.name}", sweep.max_semigroup_residual, TOL.semigroup),
+                      (f"trace-drift-{H.name}", sweep.max_trace_drift, TOL.trace_conservation),
+                      (f"conjugation-{H.name}", float(sweep.conjugation_agreements.max()), None)]
         powers.append(k)
         traces.append(trace_words(xts, xts, [(j, 0, 0, 0) for j in range(1, n + 1)]))
     traces = np.array(traces, dtype=complex).reshape(-1, n)
     return ScenarioResult(
         columns={"power": np.repeat(powers, len(ts)), "t": np.tile(ts, len(powers)),
                  **{f"tr x^{j}": traces[:, j - 1] for j in range(1, n + 1)}},
-        residuals=sorted(residuals.items()), bounds=bounds, flags=flags,
+        residuals=sorted(residuals), flags=flags,
         metrics=_integrator_metrics(runs))
 
 
@@ -421,9 +413,8 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
         columns={"chart": np.repeat(names, cfg.samples),
                  "point": np.tile(np.arange(cfg.samples), len(charts)),
                  **{check: defects[..., k].ravel() for k, check in enumerate(caps)}},
-        residuals=[(f"{check}:{name}", value) for name, row in zip(names, defects.max(axis=1))
-                   for check, value in zip(caps, row)],
-        bounds={f"{check}:{name}": cap for name in names for check, cap in caps.items()},
+        residuals=[(f"{check}:{name}", value, cap) for name, row in zip(names, defects.max(axis=1))
+                   for (check, cap), value in zip(caps.items(), row)],
         parameters={"charts": names})
 
 
@@ -441,7 +432,8 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         columns=dict(zip(("system", "first-fiber-sample", "second-fiber-sample", "margin"),
                          map(np.array, zip(*cells)))),
-        residuals=[(f"{tag}-min-margin", float(table.min())) for tag, table in margins.items()],
+        residuals=[(f"{tag}-min-margin", float(table.min()), None)
+                   for tag, table in margins.items()],
         # a pair of samples within the margin is inconclusive (NaN included)
         flags=[f"inconclusive-separation:{tag}" for tag, table in margins.items()
                if not (table > TOL.separation_margin).all()])
@@ -627,9 +619,9 @@ def run(config: ScenarioConfig) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
     elapsed = time.perf_counter() - start
 
-    # a capped value fails the report unless it is within its cap (so NaN fails)
-    reported = {name: value for name, value, _ in result.drifts} | dict(result.residuals)
-    if any(not reported[name] <= cap for name, cap in result.bounds.items()):
+    # a value (a drift's max_abs) with a cap fails unless within it, so NaN fails
+    if any(cap is not None and not value <= cap for _, value, *_, cap
+           in result.drifts + result.residuals):
         result.flags.append(FLAG_TOLERANCE)
 
     # the options the scenario read, then the values its runner computed
@@ -642,9 +634,9 @@ def run(config: ScenarioConfig) -> int:
         "seed": config.seed,
         "parameters": {**parameters, **result.parameters},
         "drifts": [{"name": n, "max_abs": float(a), "max_rel": float(r)}
-                   for n, a, r in result.drifts],
+                   for n, a, r, _ in result.drifts],
         "oracle_residuals": [{"name": n, "value": float(v)}
-                             for n, v in result.residuals],
+                             for n, v, _ in result.residuals],
         "flags": sorted(set(result.flags)),
         # pinned for byte-identical reruns; the measured time goes to stdout
         "elapsed_seconds": 0.0,

@@ -278,6 +278,7 @@ def _rank_one_samples(x, u, ydiag, q) -> dict:
     ``relativistic_hamiltonians(x[i], u[i], q)`` for every sample i of the
     (samples, n) stacks, as the report's columns, in stacked passes with the
     lowest-index failure rule of ``calogero._stacked``."""
+    @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
     def kernel(x, u, ydiag):
         red, ham = _reductions(x, q, ydiag), _hamiltonians(x, u, q)
         return {"mu-eigenvalue-deviation": red["mu_eigenvalue_deviation"],

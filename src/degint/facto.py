@@ -22,7 +22,7 @@ import numpy as np
 from .config import TOL
 from .errors import ConsistencyError
 from .integrate import rk4
-from .matrixcore import ULPair, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
+from .matrixcore import ULPair, _powers, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
 from .poisson import chart_sklyanin, trace_power
 
 __all__ = [
@@ -57,7 +57,7 @@ def left_differential(H: TracePower, x) -> np.ndarray:
     for tr(x^k) gives k x^k minus its trace part.
     """
     x = as_matrix(x)
-    m = H.k * np.linalg.matrix_power(x, H.k)
+    m = H.k * _powers(x, H.k)[-1]
     return m - (np.trace(m) / len(m)) * np.eye(len(m))
 
 

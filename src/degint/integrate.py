@@ -178,6 +178,8 @@ def rk4(chart: PoissonChart, H: Observable, x0, t_max: float, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and nonnegative")
     nsteps = math.ceil(t_max / dt * (1.0 - 1e-12))
     return _run(chart, H, x0, t_max, _RK4, dt, nsteps, tol=None, guard=guard)
 
@@ -188,6 +190,8 @@ def adaptive(chart: PoissonChart, H: Observable, x0, t_max: float, tol: float,
     flags ``step-budget-failure`` when ``_ATTEMPT_BUDGET`` runs out before ``t_max``."""
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
+    if not 0 <= t_max < math.inf:
+        raise ValueError("t_max must be finite and nonnegative")
     h = min(0.01 * max(t_max, 1e-8), t_max) or t_max
     return _run(chart, H, x0, t_max, _DP, h, _ATTEMPT_BUDGET, tol=tol, guard=guard)
 

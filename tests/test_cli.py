@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import importlib.util
+import itertools
 import json
 import re
 import shlex
@@ -118,6 +119,8 @@ class TestConfig:
     @pytest.mark.parametrize("config,argv", [
         pytest.param({"scenario": "cm-rational", "n": "3"}, [], id="n-string"),
         pytest.param({"scenario": "kepler", "seed": True}, [], id="seed-bool"),
+        pytest.param({"scenario": "kepler", "seed": -1}, [], id="seed-negative-config"),
+        pytest.param(None, ["--scenario", "kepler", "--seed", "-1"], id="seed-negative"),
         pytest.param({"scenario": "ruijsenaars-rational", "samples": 5.0}, [],
                      id="samples-float"),
         pytest.param({"scenario": "ruijsenaars-rational", "samlpes": 5}, [],
@@ -164,6 +167,13 @@ class TestConfig:
         assert main(argv + ["--out-json", str(out)]) == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", sorted(cli._SCENARIOS))
+    def test_a_code_built_negative_seed_exits_1(self, scenario, capsys):
+        """A negative seed, which no generator takes, is rejected before any
+        run, also in the scenarios whose generators start at seed + 1."""
+        assert cli.run(ScenarioConfig(scenario=scenario, seed=-1)) == 1
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", sorted(
         name for name, spec in cli._SCENARIOS.items() if "dt" in spec.options))
@@ -530,6 +540,15 @@ EXTREME_ARGVS = [["--scenario", scenario, f"--{key.replace('_', '-')}={value}"]
                  for scenario, spec in sorted(cli._SCENARIOS.items())
                  for key in cli._option_keys(spec) if key not in ("n", "samples")
                  for value in ("1e-300", "1e160", "1e300", "-1e300")]
+# Every pair of those options set together, each at each of these values
+# (0 and the smallest of either sign besides), the others at their defaults
+EXTREME_PAIRS = [["--scenario", scenario, f"--{a.replace('_', '-')}={va}",
+                  f"--{b.replace('_', '-')}={vb}"]
+                 for scenario, spec in sorted(cli._SCENARIOS.items())
+                 for a, b in itertools.combinations(
+                     [key for key in cli._option_keys(spec) if key not in ("n", "samples")], 2)
+                 for va, vb in itertools.product(
+                     ("0", "1e-300", "-1e-300", "1e160", "1e300", "-1e300"), repeat=2)]
 
 
 class TestExtremeOptions:
@@ -538,7 +557,11 @@ class TestExtremeOptions:
     report written.  An extreme value may overflow on its way to a flag;
     the code that decides the flag silences that overflow."""
 
-    @pytest.mark.parametrize("argv", EXTREME_ARGVS, ids=lambda argv: " ".join(argv[1:]))
+    def test_counts(self):
+        assert (len(EXTREME_ARGVS), len(EXTREME_PAIRS)) == (60, 468)
+
+    @pytest.mark.parametrize("argv", EXTREME_ARGVS + EXTREME_PAIRS,
+                             ids=lambda argv: " ".join(argv[1:]))
     def test_an_extreme_value_ends_in_an_exit_code(self, tmp_path, argv):
         out = tmp_path / "r.json"
         with warnings.catch_warnings():
@@ -724,6 +747,11 @@ def _default_result(scenario):
     return cli._SCENARIOS[scenario].run(ScenarioConfig(scenario=scenario))
 
 
+def _caps(result):
+    """Name -> cap of each drift and residual of ``result`` reported with a cap."""
+    return {name: cap for name, *_, cap in result.drifts + result.residuals if cap is not None}
+
+
 def _readme_uncapped():
     """The backticked names of the README's "Reported without a cap"
     paragraph; a ``*`` in one matches any run of characters."""
@@ -762,20 +790,20 @@ class TestReportRule:
 
     @pytest.mark.parametrize("scenario", sorted(CAPS))
     def test_caps_at_the_defaults(self, scenario):
-        result = _default_result(scenario)
-        assert set(result.bounds) == set(CAPS[scenario])
+        caps = _caps(_default_result(scenario))
+        assert set(caps) == set(CAPS[scenario])
         for name, cap in CAPS[scenario].items():
             if scenario == "cm-rational":
-                assert result.bounds[name] >= cap
+                assert caps[name] >= cap
             else:
-                assert result.bounds[name] == cap, name
+                assert caps[name] == cap, name
 
     @pytest.mark.parametrize("scenario", sorted(CAPS))
     def test_every_uncapped_value_is_named_in_the_readme(self, scenario):
         result = _default_result(scenario)
-        names = [name for name, *_ in result.drifts] + [name for name, _ in result.residuals]
+        names = [name for name, *_ in result.drifts + result.residuals]
         patterns = _readme_uncapped()
-        assert [name for name in names if name not in result.bounds
+        assert [name for name in names if name not in _caps(result)
                 and not any(fnmatchcase(name, p) for p in patterns)] == []
 
     def run_with(self, monkeypatch, tmp_path, **result):
@@ -792,19 +820,13 @@ class TestReportRule:
     @pytest.mark.parametrize("kind", ["drift", "residual"])
     def test_a_value_not_within_its_cap_fails(self, monkeypatch, tmp_path, kind, value, code,
                                               flags):
-        reported = ({"drifts": [("a", value, 0.0)]} if kind == "drift"
-                    else {"residuals": [("a", value)]})
-        assert self.run_with(monkeypatch, tmp_path, bounds={"a": 1e-9},
-                             **reported) == (code, flags)
+        reported = ({"drifts": [("a", value, 0.0, 1e-9)]} if kind == "drift"
+                    else {"residuals": [("a", value, 1e-9)]})
+        assert self.run_with(monkeypatch, tmp_path, **reported) == (code, flags)
 
     def test_an_uncapped_value_never_fails(self, monkeypatch, tmp_path):
-        assert self.run_with(monkeypatch, tmp_path, drifts=[("a", 1.0, 1.0)],
-                             residuals=[("b", np.nan)]) == (0, [])
-
-    def test_a_cap_on_an_unreported_name_raises(self, monkeypatch, tmp_path):
-        with pytest.raises(KeyError, match="missing"):
-            self.run_with(monkeypatch, tmp_path, residuals=[("a", 0.0)],
-                          bounds={"missing": 1.0})
+        assert self.run_with(monkeypatch, tmp_path, drifts=[("a", 1.0, 1.0, None)],
+                             residuals=[("b", np.nan, None)]) == (0, [])
 
     def test_the_one_csv_format(self):
         header, rows = _csv_table({"tag": ["a", "b"], "k": np.arange(2), "t": [0.5, -2.0],
@@ -1436,8 +1458,8 @@ class TestSingleEvaluation:
             ma = max(ma, abs(pz.M @ pz.A))
             quad = max(quad, abs(pz.A @ pz.A - gamma ** 2 - kepler.QUADRATIC_RELATION_SIGN
                                  * 2.0 * (pz.M @ pz.M) * pz.H))
-        assert dict(result.residuals) == {"orthogonality-(M,A)": ma,
-                                          "quadratic-relation": quad}
+        assert {name: value for name, value, _ in result.residuals} == {
+            "orthogonality-(M,A)": ma, "quadratic-relation": quad}
         assert result.parameters["energy"] == kepler.project_to_p5(states[0]).H
 
 
@@ -1556,6 +1578,6 @@ class TestFactorizationFlowSplits:
             for t in np.linspace(0.0, cfg.t_max, 21):
                 tr = traces_of_powers(facto._conjugations(x0, xi, t)[0], cfg.n)
                 rows.append([str(k), _fmt(t)] + [_fmt(v) for z in tr for v in (z.real, z.imag)])
-        assert result.residuals == sorted(residuals.items())
+        assert [(name, value) for name, value, _ in result.residuals] == sorted(residuals.items())
         assert _csv_table(result.columns)[1] == list(map(tuple, rows))
         assert result.flags == []

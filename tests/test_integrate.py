@@ -164,6 +164,15 @@ class TestAdaptive:
         with pytest.raises(ValueError):
             adaptive(c, harmonic(), np.zeros(2), t_max=1.0, tol=1e-3)
 
+    @pytest.mark.parametrize("t_max", [-1.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("integrator,step", [(rk4, 1e-3), (adaptive, 1e-10)],
+                             ids=["rk4", "adaptive"])
+    def test_rejects_a_negative_or_nonfinite_horizon(self, integrator, step, t_max):
+        """Either integrator raises for such a horizon, rather than returning
+        one state without a flag, a non-finite run or a bare conversion error."""
+        with pytest.raises(ValueError, match="t_max must be finite and nonnegative"):
+            integrator(chart_canonical(1), harmonic(), np.zeros(2), t_max, step)
+
     def test_spent_step_budget_is_flagged(self, monkeypatch):
         """Stopping on the attempt budget short of t_max is a failure, not a
         silent truncation; a budget that suffices adds no flag."""

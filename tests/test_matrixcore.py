@@ -300,23 +300,14 @@ class TestTraceWords:
 
 
 class TestOneTraceRoute:
-    def test_matrix_power_only_in_matrixcore_and_the_left_differential(self):
+    def test_matrix_power_only_in_matrixcore(self):
         """A new trace route would most likely reach for numpy's
-        matrix_power: outside matrixcore only ``facto.left_differential``
-        may call it."""
+        matrix_power: no module outside matrixcore reads it."""
         src = Path(matrixcore.__file__).parent
-        found = []
-        for path in sorted(src.glob("*.py")):
-            if path.name == "matrixcore.py":
-                continue
-            tree = ast.parse(path.read_text())
-            allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                       and (path.name, fn.name) == ("facto.py", "left_differential")
-                       for node in ast.walk(fn)}
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, (ast.Attribute, ast.Name))
-                      and "matrix_power" in (getattr(node, "attr", None), getattr(node, "id", None))
-                      and id(node) not in allowed]
+        found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 if path.name != "matrixcore.py" for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Attribute, ast.Name))
+                 and "matrix_power" in (getattr(node, "attr", None), getattr(node, "id", None))]
         assert found == []
 
 
