@@ -26,24 +26,6 @@ from .errors import (ConsistencyError, ConstraintViolation, DegintError,
                      NonFiniteMatrixError, SingularChartPoint)
 from .matrixcore import _diagonals, _scalar_power, as_matrix, mat_exp, spectral, trace_words
 
-__all__ = [
-    "CMPoint",
-    "SpinData",
-    "RuijPoint",
-    "h_cm",
-    "h_scm",
-    "quadratic_casimir_gradient",
-    "cm_central_flow",
-    "solve_phi_psi_oracle",
-    "PhiPsiSelection",
-    "phi_psi_closed_form",
-    "reconstruct_g",
-    "character_residuals",
-    "ruij_sweep",
-    "joint_invariants",
-    "duality_fiber_check",
-]
-
 
 def _check_traceless(v, name):
     if abs(np.sum(v)) > 1e-10 * max(1.0, np.abs(v).max()):

@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 invalid configuration, 2 any flag in the report's
 """
 
 import argparse
-import cmath
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -41,6 +41,10 @@ from .poisson import (
 
 # The ``ScenarioConfig`` fields that are options, each taken by some scenarios.
 _OPTIONS = ("n", "kappa", "q", "t_max", "dt", "tol", "samples")
+
+# The values an option takes, by the type of its default, and their name.
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a finite real number"),
+          complex: ((int, float, complex), "a finite number")}
 
 # The most steps a fixed-step run may take; the defaults take at most 500.
 _STEP_BUDGET = 100_000
@@ -90,16 +94,17 @@ class ScenarioConfig:
                   "samples": (lambda m: m >= 1, "samples must be positive"),
                   "q": (lambda q: q != 0, "q must be nonzero"),
                   "seed": (lambda seed: seed >= 0, "seed must be nonnegative")}
-        for key in ("seed", *spec.options):
-            value = getattr(self, key)
-            if key in ("n", "seed", "samples"):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{key} must be an integer, got {value!r}")
-            elif (isinstance(value, bool) or not isinstance(value, (int, float, complex))
-                    or not cmath.isfinite(value)):
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        for key, default in {"seed": 0, **spec.options}.items():
+            value, (kinds, kind) = getattr(self, key), _KINDS[type(default)]
+            # both parts of a real or complex option lie in the float range; NaN does not
+            if isinstance(value, bool) or not isinstance(value, kinds) or kinds != (int,) and not (
+                    abs(value.real) <= sys.float_info.max >= abs(value.imag)):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
             if key in limits and not limits[key][0](value):
                 raise ValueError(limits[key][1])
+        for key in ("out_csv", "out_json", "out_svg"):
+            if not isinstance(getattr(self, key), (type(None), str, os.PathLike)):
+                raise ValueError(f"{key} must be a path, got {getattr(self, key)!r}")
         # budget * dt, unlike t_max / dt, cannot overflow
         if "dt" in spec.options and self.t_max > _STEP_BUDGET * self.dt:
             raise ValueError(f"t-max / dt must not exceed the budget of {_STEP_BUDGET} "
@@ -711,9 +716,8 @@ def _config_from_args(args) -> ScenarioConfig:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ValueError("a config file must hold a JSON object")
-        for key in ("scenario", "out_csv", "out_json", "out_svg"):
-            if not isinstance(values.get(key, ""), str):
-                raise ValueError(f"{key} must be a string")
+        if not isinstance(values.get("scenario", ""), str):
+            raise ValueError("scenario must be a string")
     if args.scenario:
         values["scenario"] = args.scenario
     if "scenario" not in values:
@@ -751,7 +755,7 @@ def main(argv=None) -> int:
             print(list_scenarios())
             return 0
         cfg = _config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
     return run(cfg)

@@ -45,20 +45,6 @@ from .matrixcore import (_diagonals, _scalar_power, _unimodular_eigs, as_matrix,
                          trace_words)
 from .poisson import Observable, chart_heisenberg_double, trace_power
 
-__all__ = [
-    "DoublePoint",
-    "moment",
-    "duality_map",
-    "fiber_check",
-    "rank_one_consistency_oracle",
-    "RankOneReduction",
-    "rank_one_reduction",
-    "RelativisticHamiltonians",
-    "relativistic_hamiltonians",
-    "trace_power_observable",
-    "double_flow_conservation",
-]
-
 
 @dataclass(frozen=True)
 class DoublePoint:

@@ -25,15 +25,6 @@ from .integrate import rk4
 from .matrixcore import ULPair, _powers, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
 from .poisson import chart_sklyanin, trace_power
 
-__all__ = [
-    "TracePower",
-    "left_differential",
-    "factorization_flow",
-    "sklyanin_reference_flow",
-    "FlowConsistencyReport",
-    "flow_consistency_sweep",
-]
-
 
 @dataclass(frozen=True)
 class TracePower:

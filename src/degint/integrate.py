@@ -11,8 +11,6 @@ import numpy as np
 from .config import TOL
 from .poisson import Observable, PoissonChart, ham_vector_field
 
-__all__ = ["Trajectory", "ConservationReport", "rk4", "adaptive", "monitor"]
-
 FLAG_NONFINITE = "nonfinite-state"
 FLAG_TOLERANCE = "tolerance-failure"
 FLAG_COLLISION = "collision"

@@ -34,19 +34,6 @@ from .integrate import (
 )
 from .poisson import Observable, chart_canonical
 
-__all__ = [
-    "QUADRATIC_RELATION_SIGN",
-    "LENZ_LENZ_SIGN",
-    "KeplerState",
-    "P5Point",
-    "kepler_chart",
-    "kepler_observables",
-    "hamiltonian",
-    "project_to_p5",
-    "orbit_conservation_report",
-    "radial_period",
-]
-
 QUADRATIC_RELATION_SIGN = +1
 LENZ_LENZ_SIGN = -1
 

@@ -18,16 +18,6 @@ from .errors import (
     NonFiniteMatrixError,
 )
 
-__all__ = [
-    "ULPair",
-    "as_matrix",
-    "mat_exp",
-    "ul_split_factorize",
-    "spectral",
-    "traces_of_powers",
-    "trace_words",
-]
-
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a square complex matrix with finite entries."""

@@ -23,23 +23,6 @@ from .config import TOL
 from .errors import ConsistencyError, DimensionMismatch, SingularChartPoint
 from .matrixcore import _powers, trace_words
 
-__all__ = [
-    "PoissonChart",
-    "Observable",
-    "coordinate",
-    "observable_product",
-    "trace_power",
-    "bracket",
-    "ham_vector_field",
-    "jacobi_defect",
-    "leibniz_defect",
-    "chart_canonical",
-    "chart_cm_loglinear",
-    "chart_relativistic_loglinear",
-    "chart_heisenberg_double",
-    "chart_sklyanin",
-]
-
 _COMPLEX = np.dtype(complex)
 
 

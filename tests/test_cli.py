@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import os
 import re
 import shlex
 import warnings
@@ -174,6 +175,56 @@ class TestConfig:
         run, also in the scenarios whose generators start at seed + 1."""
         assert cli.run(ScenarioConfig(scenario=scenario, seed=-1)) == 1
         assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "kepler", "t_max": 1j}, {"scenario": "kepler", "t_max": 2 + 0j},
+        {"scenario": "kepler", "tol": 1e-8 + 0j}, {"scenario": "relativistic-cm", "dt": 1e-3 + 0j},
+    ], ids=str)
+    def test_a_code_built_complex_real_option_exits_1(self, config, capsys):
+        """Only kappa and q, whose defaults are complex, take a complex value."""
+        assert cli.run(ScenarioConfig(**config)) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_a_code_built_bool_path_exits_1_and_writes_nothing(self, capfd):
+        """True is no path, though ``open`` would take it as descriptor 1."""
+        assert cli.run(ScenarioConfig(scenario="kepler", t_max=0.1, out_csv=True)) == 1
+        out, err = capfd.readouterr()
+        assert out == "" and "invalid configuration" in err
+
+    def test_a_code_built_descriptor_path_exits_1_and_leaves_it_open(self):
+        read, write = os.pipe()
+        try:
+            assert cli.run(ScenarioConfig(scenario="kepler", t_max=0.1, out_json=write)) == 1
+            os.fstat(write)
+        finally:
+            os.close(read)
+            os.close(write)
+
+    def test_a_code_built_pathlib_path_is_written(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.run(ScenarioConfig(scenario="kepler", t_max=0.1, out_json=out)) == 0
+        assert json.loads(out.read_text())["scenario"] == "kepler"
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(cli._SCENARIOS)), st.dictionaries(
+        st.sampled_from(cli._OPTIONS + ("seed", "out_csv", "out_json", "out_svg")),
+        st.none() | st.booleans() | st.integers() | st.floats() | st.complex_numbers()
+        | st.text(max_size=3) | st.just([1.0]) | st.just(Path("r.json"))))
+    def test_validate_returns_or_raises_value_error(self, scenario, values):
+        """A code-built config of any mix of value types either validates,
+        with every option of its default's kind and every output a path, or
+        raises ``ValueError``; never another exception."""
+        cfg = ScenarioConfig(scenario=scenario, **values)
+        try:
+            cfg.validate()
+        except ValueError:
+            return
+        kinds = {int: int, float: (int, float), complex: (int, float, complex)}
+        for key, default in {"seed": 0, **cli._SCENARIOS[scenario].options}.items():
+            value = getattr(cfg, key)
+            assert not isinstance(value, bool) and isinstance(value, kinds[type(default)]), key
+        for key in ("out_csv", "out_json", "out_svg"):
+            assert isinstance(getattr(cfg, key), (type(None), str, os.PathLike)), key
 
     @pytest.mark.parametrize("scenario", sorted(
         name for name, spec in cli._SCENARIOS.items() if "dt" in spec.options))

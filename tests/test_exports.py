@@ -48,8 +48,16 @@ def _reads(path: Path) -> set:
                  or isinstance(node, ast.Attribute))}
 
 
+def _public(module) -> dict:
+    """The functions and classes ``module`` defines under a name without a
+    leading underscore."""
+    return {name: obj for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__}
+
+
 def test_every_export_has_a_reader():
-    """Each function or class in a module's ``__all__`` is read by a src
+    """Each public function or class of a module is read by a src
     definition other than its own, or by ``tests/test_acceptance.py``; the
     exemptions are exactly the ones listed, each with its reason."""
     reads = {(name, (stem, top)) for stem in MODULES
@@ -58,9 +66,8 @@ def test_every_export_has_a_reader():
     unread = set()
     for stem in MODULES:
         module = importlib.import_module(f"degint.{stem}")
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            if not (inspect.isfunction(obj) or inspect.isclass(obj)) or name in acceptance:
+        for name in _public(module):
+            if name in acceptance:
                 continue
             if not any(read == name and site != (stem, name) for read, site in reads):
                 unread.add(f"{stem}.{name}")
@@ -85,8 +92,8 @@ def test_every_private_definition_has_a_reader():
 
 
 def test_every_member_has_a_reader():
-    """Each dataclass field, public method and property of a class in a
-    module's ``__all__`` is read as an attribute by src code outside that
+    """Each dataclass field, public method and property of a public class
+    of a module is read as an attribute by src code outside that
     method's own body, or by ``tests/test_acceptance.py``; a field its
     class's own methods read counts as read.  There are no exemptions."""
     reads = {(name, (stem, *site)) for stem in MODULES
@@ -95,9 +102,7 @@ def test_every_member_has_a_reader():
     unread = set()
     for stem in MODULES:
         module = importlib.import_module(f"degint.{stem}")
-        for cls in (getattr(module, name) for name in getattr(module, "__all__", ())):
-            if not inspect.isclass(cls):
-                continue
+        for cls in filter(inspect.isclass, _public(module).values()):
             fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
             members = [f.name for f in fields] + [
                 name for name, value in vars(cls).items() if not name.startswith("_")
@@ -110,18 +115,14 @@ def test_every_member_has_a_reader():
     assert unread == set()
 
 
-def test_exported_names_exist():
-    """Every ``__all__`` name is defined, and every name the package imports
-    into ``degint`` is in its module's ``__all__`` where the module has one."""
+def test_public_means_no_leading_underscore():
+    """No module lists its public names in ``__all__``, and the package
+    re-exports nothing: a name is public by its spelling alone."""
     for stem in MODULES:
-        module = importlib.import_module(f"degint.{stem}")
-        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
-    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"degint.{node.module}")
-            for alias in node.names:
-                assert hasattr(degint, alias.name)
-                assert alias.name in getattr(module, "__all__", (alias.name,)), alias.name
+        assert not hasattr(importlib.import_module(f"degint.{stem}"), "__all__"), stem
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
 def test_cli_reads_monitor_only_in_flow_report():
