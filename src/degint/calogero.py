@@ -12,9 +12,10 @@ Closed forms vs the oracle.  The products w_i = phi_i psi_i are defined by
 the linear system  sum_i w_i / (h_i - h_j + kappa) = 1  for every j.  Two
 product-formula candidates are carried for w_i: the bare form
 prod_{j != i} (h_i - h_j + kappa)/(h_i - h_j) and the kappa-scaled form
-(the same product multiplied by kappa).  The dense solve is the oracle and
-arbitrates; the kappa-scaled form is the one that satisfies the system
-(already visible at n = 1, where the system forces w_1 = kappa).
+(the same product multiplied by kappa).  The dense solve is the oracle;
+``ruij_sweep`` reports how far each candidate lies from it.  The
+kappa-scaled form is the one that satisfies the system (already visible at
+n = 1, where the system forces w_1 = kappa).
 """
 
 from dataclasses import dataclass
@@ -280,89 +281,18 @@ def _ruij_parts(h, u, kappa):
 
 
 def _select(w, bare, kappa):
-    """(kappa_scaled, res_bare, res_scaled) against the oracle w: kappa-scaled
-    is picked within ``TOL.formula_match`` or when closer."""
+    """(res_bare, res_scaled): how far the bare and the kappa-scaled product
+    formulas lie from the oracle w, relative to max(1, |w|)."""
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
-    res_bare = np.abs(bare - w).max(axis=-1) / scale
-    res_scaled = np.abs(kappa * bare - w).max(axis=-1) / scale
-    return (res_scaled <= TOL.formula_match) | (res_scaled < res_bare), res_bare, res_scaled
-
-
-@dataclass(frozen=True)
-class PhiPsiSelection:
-    """Oracle-arbitrated product formula for the phi_i psi_i."""
-
-    values: np.ndarray
-    matched: str                 # "kappa-scaled" or "bare"
-    residual_bare: float
-    residual_kappa_scaled: float
-
-
-def phi_psi_closed_form(h, kappa: complex) -> PhiPsiSelection:
-    """Evaluate both product-formula candidates and return the oracle's pick.
-
-    Candidates: bare  prod_{j!=i} (h_i-h_j+kappa)/(h_i-h_j)  and the same
-    scaled by kappa.  Exactly one of them solves the defining system; which
-    one is recorded in the result, with both residuals.
-    """
-    h = np.asarray(h, dtype=complex).ravel()
-    w = solve_phi_psi_oracle(h, kappa)
-    d = h[:, None] - h[None, :]
-    bare = _ratio(d + kappa, d).prod(axis=-1)
-    scaled, res_bare, res_scaled = _select(w, bare, kappa)
-    return PhiPsiSelection(kappa * bare if scaled else bare,
-                           "kappa-scaled" if scaled else "bare", res_bare, res_scaled)
-
-
-@dataclass(frozen=True)
-class RuijPoint:
-    """Reduced rational Ruijsenaars point (h, u, kappa) in the log-canonical chart."""
-
-    h: np.ndarray
-    u: np.ndarray
-    kappa: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=complex).ravel())
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=complex).ravel())
-        if self.h.shape != self.u.shape:
-            raise ValueError("h and u must have the same length")
-        _check_chart(self.h, self.kappa)
-
-    @property
-    def n(self) -> int:
-        return len(self.h)
-
-
-def reconstruct_g(point: RuijPoint) -> np.ndarray:
-    """Rebuild the group element g from the reduced coordinates.
-
-    Gauge phi_i = 1.  Diagonal: g_ii = u_i prod_{j!=i}(h_i-h_j+kappa)/(h_i-h_j).
-    Off-diagonal: g_ij = kappa g_jj / (h_i - h_j + kappa).  Together with
-    x = diag(h) and mu = 1 w^T - kappa id (w from the oracle) the rebuilt g
-    satisfies the defining relation (h_i - h_j) g_ij = sum_k mu_ik g_kj.
-    """
-    return _ruij_parts(point.h, point.u, point.kappa)[-1]
+    return (np.abs(bare - w).max(axis=-1) / scale,
+            np.abs(kappa * bare - w).max(axis=-1) / scale)
 
 
 def _relation_residual(h, kappa, w, g):
-    mu = w[..., None, :] - kappa * np.eye(h.shape[-1])       # 1 w^T - kappa id
+    """Residual of (h_i - h_j) g_ij = sum_k mu_ik g_kj, mu = 1 w^T - kappa id."""
+    mu = w[..., None, :] - kappa * np.eye(h.shape[-1])
     return (np.abs((h[..., :, None] - h[..., None, :]) * g - mu @ g).max(axis=(-2, -1))
             / np.maximum(1.0, np.abs(g).max(axis=(-2, -1))))
-
-
-def relation_residual(point: RuijPoint) -> float:
-    """Residual of (h_i - h_j) g_ij = sum_k mu_ik g_kj for the rebuilt g."""
-    return float(_relation_residual(point.h, point.kappa,
-                                    solve_phi_psi_oracle(point.h, point.kappa),
-                                    reconstruct_g(point)))
-
-
-def character_residuals(point: RuijPoint) -> dict:
-    """Reduced-formula vs matrix-trace residuals for tr g, tr g^2 and both
-    Hamiltonian routes."""
-    residuals = _dual_residuals(*_ruij_parts(point.h, point.u, point.kappa))[0]
-    return dict(zip(("tr_g", "tr_g2", "h_ruijsenaars"), residuals))
 
 
 # Samples per stacked pass of a sweep; bounds its working memory.
@@ -374,8 +304,8 @@ def _stacked(kernel, *stacks) -> dict:
     ``_SWEEP_CHUNK`` samples of the (samples, ...) ``stacks``, concatenated.
 
     When samples fail, the lowest-index one raises, with the checks in the
-    per-point order: a pass that raises reruns its samples one at a time,
-    and the first of them that raises decides."""
+    order one sample runs them: a pass that raises reruns its samples one at
+    a time, and the first of them that raises decides."""
     passes = []
     for s in range(0, max(len(stacks[0]), 1), _SWEEP_CHUNK):
         part = [a[s:s + _SWEEP_CHUNK] for a in stacks]
@@ -389,11 +319,19 @@ def _stacked(kernel, *stacks) -> dict:
 
 
 def ruij_sweep(h, u, kappa: complex) -> dict:
-    """The values and checks of ``solve_phi_psi_oracle``, ``phi_psi_closed_form``,
-    ``relation_residual`` and ``character_residuals`` for samples h, u of
-    shape (samples, n), as named columns, in stacked passes of
-    ``_SWEEP_CHUNK`` samples with one Cauchy solve each.  When samples fail,
-    the lowest-index one raises, with the checks in the per-point order.
+    """The rank-1 checks of the rational spin Ruijsenaars system for samples
+    h, u of shape (samples, n), as named per-sample columns, in stacked
+    passes of ``_SWEEP_CHUNK`` samples with one Cauchy solve each.
+
+    "oracle-residual" is the solve's for the w_i = phi_i psi_i of the
+    module docstring; "closed-form-residual" and
+    "bare-residual" are how far the kappa-scaled and the bare product
+    formulas lie from w.  The group element g of ``_ruij_parts``, with
+    x = diag(h) and mu = 1 w^T - kappa id, satisfies (h_i - h_j) g_ij =
+    sum_k mu_ik g_kj to "relation-residual"; "tr-g-dual", "tr-g2-dual" and
+    "h-ruijsenaars-dual" are the dual-route residuals of ``_dual_residuals``.
+    When samples fail, the lowest-index one raises, with the checks in the
+    order a single sample runs them.
     """
     return _stacked(lambda h, u: _sweep_pass(h, u, kappa),
                     np.asarray(h, dtype=complex), np.asarray(u, dtype=complex))
@@ -405,7 +343,7 @@ def _sweep_pass(h, u, kappa) -> dict:
     w, oracle = _phi_psi_solve(h, kappa)
     parts = _ruij_parts(h, u, kappa)
     *_, bare, g = parts
-    _, res_bare, res_scaled = _select(w, bare, kappa)
+    res_bare, res_scaled = _select(w, bare, kappa)
     residuals = _dual_residuals(*parts)[0]
     return {"oracle-residual": oracle,
             "closed-form-residual": res_scaled, "bare-residual": res_bare,

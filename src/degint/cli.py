@@ -341,7 +341,7 @@ def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
             "psi-phi-corrected-residual": TOL.formula_match,
             "trace-dual-path": TOL.dual_path, "h2-dual-path": TOL.dual_path}
     result.residuals += [(name, float(column.max()), caps[name]) for name, column in
-                         double._rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()]
+                         double.rank_one_samples(*_relativistic_draws(cfg), cfg.q).items()]
     return result
 
 
@@ -742,8 +742,10 @@ def _config_from_args(args) -> ScenarioConfig:
     for key, default in spec.options.items():
         if isinstance(default, complex):
             parts = given.pop(f"{key}_re"), given.pop(f"{key}_im")
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in parts):
-                raise ValueError(f"{key}_re and {key}_im must be numbers, got {parts!r}")
+            if any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   or not abs(v) <= sys.float_info.max for v in parts):
+                raise ValueError(f"{key}_re and {key}_im must be numbers in the float range, "
+                                 f"got {parts!r}")
             given[key] = complex(*parts)
     return replace(cfg, **given)
 

@@ -148,46 +148,17 @@ def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
                          "x_j - q^{-1} x_i")[0]
 
 
-@dataclass(frozen=True)
-class RankOneReduction:
-    """Result of the rank-1 reduction: the pair, how far the corrected
-    product formula lies from the oracle, and how far the moment value lies
-    from the rank-1 class."""
-
-    point: DoublePoint
-    psi_phi_residual: float
-    mu_eigenvalue_deviation: float
-
-
-def rank_one_reduction(x_eigs, q: complex, y_diag) -> RankOneReduction:
-    """Build the pair (x, y) whose moment value lies in the rank-1 class of q.
-
-    x = diag(x_eigs), gauge phi_i = 1.  The off-diagonal entries are
-    y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}); the supplied ``y_diag``
-    fills the diagonal.  The products psi_i phi_i come from the consistency
-    oracle; the x_i-corrected closed form is compared against it, and the
-    moment value mu(x, y) against the class eigenvalues
-    (q^{n-1}, q^{-1}, ..., q^{-1}); both deviations are returned.
-
-    Both factors are rescaled to unit determinant before pairing (the
-    moment value is insensitive to scalar factors).
-    """
-    x = np.asarray(x_eigs, dtype=complex).ravel()
-    ydiag = np.asarray(y_diag, dtype=complex).ravel()
-    if len(ydiag) != len(x):
-        raise ValueError("y_diag length must match x_eigs")
-    r = _reductions(x[None], q, ydiag[None])
-    return RankOneReduction(point=DoublePoint(x=r["x"][0], y=r["y"][0]),
-                            psi_phi_residual=float(r["residual_corrected"][0]),
-                            mu_eigenvalue_deviation=float(r["mu_eigenvalue_deviation"][0]))
-
-
 def _reductions(x, q, ydiag) -> dict:
-    """``rank_one_reduction`` for x and y_diag stacked as (samples, n): the
-    factors "x" and "y" and, per sample, the corrected formula's
-    "residual_corrected" and the moment's "mu_eigenvalue_deviation".  Each
-    check of the per-point path, in its order, raises for the first sample
-    failing it."""
+    """The reduction's columns for x and y_diag stacked as (samples, n).
+
+    The pair is diag(x) and y, gauge phi_i = 1: y_diag fills the diagonal
+    of y and y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}) the rest.  Both factors are rescaled to unit determinant before pairing
+    (the moment value is insensitive to scalar factors).  The products
+    psi_i phi_i come from the consistency oracle; per sample,
+    "psi-phi-corrected-residual" is how far the x_i-corrected closed form
+    lies from them and "mu-eigenvalue-deviation" how far the eigenvalues of
+    mu(x, y) lie from the class eigenvalues (q^{n-1}, q^{-1}, ..., q^{-1}).
+    Each check raises for the first sample failing it."""
     n = x.shape[-1]
     _raise_first(np.abs(x).min(axis=-1) == 0.0, SingularChartPoint,
                  "x eigenvalues must be nonzero")
@@ -213,64 +184,35 @@ def _reductions(x, q, ydiag) -> dict:
 
     got = np.linalg.eigvals(_moment(xmat, y))
     got = np.take_along_axis(got, np.lexsort((got.imag, got.real), axis=-1), axis=-1)
-    return {"x": xmat, "y": y, "residual_corrected": res_corrected,
-            "mu_eigenvalue_deviation": np.abs(got - _class_eigenvalues(q, n)).max(axis=-1)}
+    return {"mu-eigenvalue-deviation": np.abs(got - _class_eigenvalues(q, n)).max(axis=-1),
+            "psi-phi-corrected-residual": res_corrected}
 
 
-@dataclass(frozen=True)
-class RelativisticHamiltonians:
-    """Dual-route residuals of the second family's character Hamiltonians
-    on the reduced chart."""
-
-    residual_tr_y: float      # reduced formula vs matrix trace
-    residual_tr_y2: float
-    residual_h2: float        # product formula vs character route
-
-
-def relativistic_hamiltonians(x_eigs, u, q: complex) -> RelativisticHamiltonians:
-    """Evaluate tr y, tr y^2 and the second Hamiltonian by dual routes.
-
-    The diagonal is y_ii = u_i prod_{j != i} (1-q^{-1}x_i/x_j)/(1-x_i/x_j)
-    and the off-diagonal reconstruction uses (1 - q^{-1} x_i/x_j)
-    denominators (internally consistent with the reduced trace formulas).
-    Returns how far the reduced closed formulas lie from the matrix traces,
-    and the product formula for the second Hamiltonian from its character
-    route.
-    """
-    x = np.asarray(x_eigs, dtype=complex).ravel()
-    u = np.asarray(u, dtype=complex).ravel()
-    h = _hamiltonians(x[None], u[None], q)
-    return RelativisticHamiltonians(
-        residual_tr_y=float(h["residual_tr_y"][0]),
-        residual_tr_y2=float(h["residual_tr_y2"][0]),
-        residual_h2=float(h["residual_h2"][0]))
-
-
-def _hamiltonians(x, u, q) -> dict:
-    """``relativistic_hamiltonians`` for x and u stacked as (samples, n):
-    per sample "traces" (tr y, tr y^2), "h2" and the three residuals.
-    Raises for the first sample whose y is not finite."""
-    own = 1.0 - x[..., :, None] / (q * x[..., None, :])     # 1 - q^{-1} x_i/x_j
-    other = 1.0 - x[..., :, None] / x[..., None, :]         # 1 - x_i/x_j
+def _relativistic_parts(x, u, q):
+    """The arguments (own, c, s, u, R, prod, y) of ``calogero._dual_residuals``
+    at every stacked point: ``_rank1_matrix`` with own = 1 - q^{-1} x_i/x_j,
+    other = 1 - x_i/x_j, c = 1 - q^{-1} and s = q, so that
+    y_ii = u_i prod_{j != i} (1 - q^{-1} x_i/x_j)/(1 - x_i/x_j) and the
+    off-diagonal reconstruction uses (1 - q^{-1} x_i/x_j) denominators
+    (internally consistent with the reduced trace formulas)."""
+    own = 1.0 - x[..., :, None] / (q * x[..., None, :])
     c = 1.0 - 1.0 / q
-    res, traces, h2 = _dual_residuals(own, c, q, u, *_rank1_matrix(own, other, c, u))
-    return {"traces": traces, "h2": h2,
-            "residual_tr_y": res[..., 0], "residual_tr_y2": res[..., 1],
-            "residual_h2": res[..., 2]}
+    return (own, c, q, u, *_rank1_matrix(own, 1.0 - x[..., :, None] / x[..., None, :], c, u))
 
 
-def _rank_one_samples(x, u, ydiag, q) -> dict:
-    """``rank_one_reduction(x[i], q, ydiag[i])`` then
-    ``relativistic_hamiltonians(x[i], u[i], q)`` for every sample i of the
-    (samples, n) stacks, as the report's columns, in stacked passes with the
-    lowest-index failure rule of ``calogero._stacked``."""
+def rank_one_samples(x, u, ydiag, q) -> dict:
+    """The rank-1 checks of the relativistic spin Ruijsenaars system for
+    samples x, u and y_diag of shape (samples, n), as named per-sample
+    columns, in stacked passes with the lowest-index failure rule of
+    ``calogero._stacked``: the two of ``_reductions``, then
+    "trace-dual-path", the larger of the tr y and tr y^2 residuals of
+    ``_dual_residuals``, and "h2-dual-path", its second-Hamiltonian one."""
     @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
     def kernel(x, u, ydiag):
-        red, ham = _reductions(x, q, ydiag), _hamiltonians(x, u, q)
-        return {"mu-eigenvalue-deviation": red["mu_eigenvalue_deviation"],
-                "psi-phi-corrected-residual": red["residual_corrected"],
-                "trace-dual-path": np.maximum(ham["residual_tr_y"], ham["residual_tr_y2"]),
-                "h2-dual-path": ham["residual_h2"]}
+        columns = _reductions(x, q, ydiag)
+        res = _dual_residuals(*_relativistic_parts(x, u, q))[0]
+        return {**columns, "trace-dual-path": np.maximum(res[..., 0], res[..., 1]),
+                "h2-dual-path": res[..., 2]}
 
     return _stacked(kernel, x, u, ydiag)
 
@@ -284,7 +226,7 @@ def trace_power_observable(n: int, block: str, k: int) -> Observable:
     return trace_power(n, k, "xy".index(block), 2)
 
 
-def projection_invariants(n: int, family: str, kmax: int = 2):
+def projection_invariants(n: int, family: str):
     """Conserved observables for the two reduced families on the (x, y) chart.
 
     ``family="cm"`` (Hamiltonians f(x)): traces of x, of mu~ = y x^{-1} y^{-1},
@@ -296,7 +238,7 @@ def projection_invariants(n: int, family: str, kmax: int = 2):
     if family not in ("cm", "ruijsenaars"):
         raise ValueError(f"unknown family {family!r}")
     main, other = ("x", "mu~") if family == "cm" else ("y", "mu")
-    words = {name: word for k in range(1, kmax + 1) for name, word in
+    words = {name: word for k in (1, 2) for name, word in
              ((f"tr({main}^{k})", (k, 0, 0, 0)), (f"tr({other}^{k})", (0, k, 0, 0)))}
     if family == "cm":
         words["tr(x mu~)"] = (1, 1, 0, 0)

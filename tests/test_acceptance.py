@@ -125,11 +125,11 @@ def test_criterion_2_kepler_conservation():
 
 def test_criterion_3_ruijsenaars_oracle_suite():
     """50 seeded (h, kappa) draws, n <= 6: solve residual <= 1e-10, exactly
-    one product normalization matches <= 1e-8 uniformly, reconstruction
-    residual <= 1e-9, dual-path characters <= 1e-9."""
+    one product normalization matches <= 1e-8, the kappa-scaled one, at
+    every draw; reconstruction residual <= 1e-9, dual-path characters
+    <= 1e-9."""
     with criterion(3, "rational Ruijsenaars oracle suite", 10.0):
         rng = np.random.default_rng(777)
-        matched = set()
         for draw in range(50):
             n = 2 + draw % 5          # n in 2..6
             while True:
@@ -144,19 +144,14 @@ def test_criterion_3_ruijsenaars_oracle_suite():
             C = 1.0 / (h[None, :] - h[:, None] + kappa)
             assert np.abs(C @ w - 1.0).max() <= 1e-10
 
-            sel = calogero.phi_psi_closed_form(h.astype(complex), kappa)
-            matched.add(sel.matched)
-            assert min(sel.residual_bare, sel.residual_kappa_scaled) <= 1e-8
-            assert max(sel.residual_bare, sel.residual_kappa_scaled) > 1e-8, \
-                "both candidates matched; arbitration is vacuous"
-
-            pt = calogero.RuijPoint(h=h, u=u, kappa=kappa)
-            assert calogero.relation_residual(pt) <= 1e-9
-            res = calogero.character_residuals(pt)
-            assert res["tr_g"] <= 1e-9
-            assert res["tr_g2"] <= 1e-9
-            assert res["h_ruijsenaars"] <= 1e-9
-        assert matched == {"kappa-scaled"}, f"normalization not uniform: {matched}"
+            res = {name: col[0] for name, col in calogero.ruij_sweep(h[None], u[None],
+                                                                     kappa).items()}
+            assert res["closed-form-residual"] <= 1e-8 < res["bare-residual"], \
+                "the kappa-scaled normalization must match alone"
+            assert res["relation-residual"] <= 1e-9
+            assert res["tr-g-dual"] <= 1e-9
+            assert res["tr-g2-dual"] <= 1e-9
+            assert res["h-ruijsenaars-dual"] <= 1e-9
 
 
 def test_criterion_4_central_flow_invariants():
@@ -198,16 +193,14 @@ def test_criterion_5_relativistic_suite():
                             for b in x[i + 1:]]
                     if not gaps or min(gaps) > 0.15:
                         break
-                red = double.rank_one_reduction(
-                    x, q, rng.normal(size=n) + 0.5 + 0.1j * rng.normal(size=n))
-                assert red.psi_phi_residual <= 1e-8
-                assert red.mu_eigenvalue_deviation <= 1e-7
-
+                ydiag = rng.normal(size=n) + 0.5 + 0.1j * rng.normal(size=n)
                 u = rng.normal(size=n) + 1j * rng.normal(size=n)
-                ham = double.relativistic_hamiltonians(x, u, q)
-                assert ham.residual_tr_y <= 1e-9
-                assert ham.residual_tr_y2 <= 1e-9
-                assert ham.residual_h2 <= 1e-9
+                res = {name: col[0] for name, col in double.rank_one_samples(
+                    x[None], u[None], ydiag[None], q).items()}
+                assert res["psi-phi-corrected-residual"] <= 1e-8
+                assert res["mu-eigenvalue-deviation"] <= 1e-7
+                assert res["trace-dual-path"] <= 1e-9       # tr y and tr y^2
+                assert res["h2-dual-path"] <= 1e-9
 
             pt = double.DoublePoint(x=_sl_sample(n, rng), y=_sl_sample(n, rng))
             for block, family in (("x", "cm"), ("y", "ruijsenaars")):

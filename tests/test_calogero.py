@@ -11,18 +11,13 @@ from degint.calogero import (
     _pair_products,
     _ratio,
     CMPoint,
-    RuijPoint,
     SpinData,
-    character_residuals,
     cm_central_flow,
     duality_fiber_check,
     h_cm,
     h_scm,
     joint_invariants,
-    phi_psi_closed_form,
     quadratic_casimir_gradient,
-    reconstruct_g,
-    relation_residual,
     ruij_sweep,
     solve_phi_psi_oracle,
 )
@@ -41,11 +36,19 @@ def random_h(n, spread=1.0):
             return h.astype(complex)
 
 
-def random_ruij_point(n, kappa=None):
-    kappa = (0.3 + 0.1j) if kappa is None else kappa
-    h = random_h(n)
-    u = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-    return RuijPoint(h=h, u=u, kappa=kappa)
+def random_ruij_point(n, kappa=0.3 + 0.1j):
+    """(h, u, kappa) of one regular rational Ruijsenaars point."""
+    return random_h(n), RNG.normal(size=n) + 1j * RNG.normal(size=n), kappa
+
+
+def sweep_row(h, u, kappa):
+    """``ruij_sweep``'s columns at the one point (h, u)."""
+    return {name: col[0] for name, col in ruij_sweep(h[None], u[None], kappa).items()}
+
+
+def rebuilt_g(h, u, kappa):
+    """The group element g of ``calogero._ruij_parts`` at one point."""
+    return calogero._ruij_parts(h, u, kappa)[-1]
 
 
 class TestCMPoint:
@@ -241,78 +244,65 @@ class TestPhiPsiClosedForm:
         """The bare product fails the defining system; the kappa-scaled one
         matches the oracle.  Frozen n=2 values: oracle (0.75, 0.25), bare
         candidate (1.5, 0.5)."""
-        sel = phi_psi_closed_form(np.array([0.5, -0.5]), kappa=0.5)
-        assert sel.matched == "kappa-scaled"
-        assert np.allclose(sel.values, [0.75, 0.25])
-        assert sel.residual_bare > 0.1
-        assert sel.residual_kappa_scaled < 1e-12
+        h = np.array([0.5, -0.5], dtype=complex)
+        row = sweep_row(h, np.ones(2), 0.5)
+        assert np.allclose(calogero._ruij_parts(h, 1.0, 0.5)[-2], [1.5, 0.5])
+        assert row["bare-residual"] > 0.1
+        assert row["closed-form-residual"] < 1e-12
 
     def test_n1_selects_kappa(self):
-        sel = phi_psi_closed_form(np.array([0.0]), kappa=0.4)
-        assert sel.matched == "kappa-scaled"
-        assert sel.values[0] == pytest.approx(0.4)
+        """At n = 1 the system forces w_1 = kappa and the bare product is 1."""
+        row = sweep_row(np.zeros(1, dtype=complex), np.ones(1), 0.4)
+        assert row["closed-form-residual"] == 0.0
+        assert row["bare-residual"] == pytest.approx(0.6)
 
     def test_random_n5(self):
-        sel = phi_psi_closed_form(random_h(5), kappa=0.3 + 0.05j)
-        assert sel.matched == "kappa-scaled"
-        assert sel.residual_kappa_scaled < 1e-8
-
-    @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_products_are_the_rebuilt_diagonal_bitwise(self, n):
-        """The products, taken without forming g, are kappa times the rank-1
-        kernel's prod_j R_ij bit for bit (u = 1, so g_ii)."""
-        h = random_h(n)
-        sel = phi_psi_closed_form(h, kappa=0.3 + 0.05j)
-        bare = calogero._ruij_parts(h, 1.0, 0.3 + 0.05j)[-2]
-        assert sel.values.tobytes() == ((0.3 + 0.05j) * bare).tobytes()
+        row = sweep_row(random_h(5), np.ones(5), 0.3 + 0.05j)
+        assert row["closed-form-residual"] < 1e-8 < row["bare-residual"]
 
 
 class TestReconstruction:
     def test_defining_relation(self):
         """(h_i - h_j) g_ij = sum_k mu_ik g_kj with oracle-validated mu."""
         for n in (2, 3, 5):
-            pt = random_ruij_point(n)
-            assert relation_residual(pt) < 1e-9
+            assert sweep_row(*random_ruij_point(n))["relation-residual"] < 1e-9
 
     def test_kappa_zero_limit_is_diagonal(self):
         h = random_h(3)
         u = RNG.normal(size=3).astype(complex)
-        pt = RuijPoint(h=h, u=u, kappa=1e-13)
-        g = reconstruct_g(pt)
+        g = rebuilt_g(h, u, 1e-13)
         assert np.abs(g - np.diag(u)).max() < 1e-9
 
     def test_n2_offdiagonal_ratio(self):
         """g_12 / g_22 = kappa / (h_1 - h_2 + kappa)."""
-        pt = random_ruij_point(2)
-        g = reconstruct_g(pt)
-        want = pt.kappa / (pt.h[0] - pt.h[1] + pt.kappa)
+        h, u, kappa = random_ruij_point(2)
+        g = rebuilt_g(h, u, kappa)
+        want = kappa / (h[0] - h[1] + kappa)
         assert g[0, 1] / g[1, 1] == pytest.approx(want)
 
 
-def characters(pt):
+def characters(h, u, kappa):
     """(residuals, (tr g, tr g^2), h_char) of the rebuilt g, by the dual
-    routes that ``ruij_sweep`` and ``character_residuals`` run."""
-    return calogero._dual_residuals(*calogero._ruij_parts(pt.h, pt.u, pt.kappa))
+    routes that ``ruij_sweep`` runs."""
+    return calogero._dual_residuals(*calogero._ruij_parts(h, u, kappa))
 
 
 class TestCharacters:
     def test_trace_is_diagonal_sum(self):
         pt = random_ruij_point(3)
-        g = reconstruct_g(pt)
-        tr = characters(pt)[1]
-        assert tr[0] == pytest.approx(np.trace(g))
+        tr = characters(*pt)[1]
+        assert tr[0] == pytest.approx(np.trace(rebuilt_g(*pt)))
 
     def test_dual_path_agreement(self):
         for n in (2, 3, 4):
             pt = random_ruij_point(n)
-            g = reconstruct_g(pt)
-            residuals, tr, _ = characters(pt)
+            g = rebuilt_g(*pt)
+            residuals, tr, _ = characters(*pt)
             assert abs(tr[1] - np.trace(g @ g)) < 1e-10
             assert residuals[:2].max() <= TOL.dual_path
 
     def test_zero_u_gives_zero_characters(self):
-        pt = RuijPoint(h=random_h(3), u=np.zeros(3), kappa=0.3)
-        assert np.abs(characters(pt)[1]).max() == 0.0
+        assert np.abs(characters(random_h(3), np.zeros(3), 0.3)[1]).max() == 0.0
 
 
 class TestRationalRuijsenaarsHamiltonian:
@@ -322,32 +312,27 @@ class TestRationalRuijsenaarsHamiltonian:
     def test_single_nonzero_u_vanishes(self):
         u = np.zeros(3)
         u[1] = 1.7
-        pt = RuijPoint(h=random_h(3), u=u, kappa=0.3)
-        assert abs(characters(pt)[2]) < 1e-12
+        assert abs(characters(random_h(3), u, 0.3)[2]) < 1e-12
 
     def test_dual_paths_agree_n3(self):
         for _ in range(5):
-            pt = random_ruij_point(3)
-            assert characters(pt)[0][2] <= TOL.dual_path
+            assert characters(*random_ruij_point(3))[0][2] <= TOL.dual_path
 
     def test_n2_is_minus_u1u2(self):
-        pt = random_ruij_point(2)
-        assert characters(pt)[2] == pytest.approx(-pt.u[0] * pt.u[1])
+        h, u, kappa = random_ruij_point(2)
+        assert characters(h, u, kappa)[2] == pytest.approx(-u[0] * u[1])
 
     def test_sign_for_positive_data(self):
         """All u_i > 0, real h, small real kappa: the value is negative."""
-        pt = RuijPoint(h=random_h(4), u=RNG.uniform(0.5, 1.5, size=4),
-                       kappa=0.05)
-        assert np.real(characters(pt)[2]) < 0.0
+        assert np.real(characters(random_h(4), RNG.uniform(0.5, 1.5, size=4), 0.05)[2]) < 0.0
 
 
 class TestNonFiniteRebuild:
-    @pytest.mark.parametrize("check", [character_residuals, lambda pt: characters(pt)])
+    @pytest.mark.parametrize("check", [sweep_row, characters])
     def test_infinite_u_raises_before_any_check(self, check):
         """A non-finite rebuilt g raises, never a NaN residual that passes."""
-        pt = RuijPoint(h=random_h(3), u=np.array([np.inf, 1.0, 1.0]), kappa=0.3)
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteMatrixError):
-            check(pt)
+            check(random_h(3), np.array([np.inf, 1.0, 1.0]), 0.3)
 
 
 class TestScalarRoundingShims:
@@ -473,19 +458,20 @@ class TestMaskedProducts:
 
 
 def ruij_sample_oracle(h, u, kappa):
-    """Test-only oracle for ``ruij_sweep``: the per-point chain, one sample
-    at a time, as (oracle residual, kappa-scaled residual, bare residual,
+    """Test-only oracle for ``ruij_sweep``: its kernels run on one unstacked
+    (n,) sample, as (oracle residual, kappa-scaled residual, bare residual,
     relation residual, tr g, tr g^2 and Hamiltonian residuals): the report's
     columns after ``sample``, in order."""
-    pt = RuijPoint(h=h, u=u, kappa=kappa)
+    calogero._check_chart(h, kappa)
     w = solve_phi_psi_oracle(h, kappa)
     C = 1.0 / (h[None, :] - h[:, None] + kappa)
     oracle_res = float(np.abs(C @ w - 1.0).max())
-    sel = phi_psi_closed_form(h, kappa)
-    rel_res = relation_residual(pt)
-    char_res = character_residuals(pt)
-    return (oracle_res, sel.residual_kappa_scaled, sel.residual_bare, rel_res,
-            char_res["tr_g"], char_res["tr_g2"], char_res["h_ruijsenaars"])
+    parts = calogero._ruij_parts(h, u, kappa)
+    *_, bare, g = parts
+    res_bare, res_scaled = calogero._select(w, bare, kappa)
+    char_res = calogero._dual_residuals(*parts)[0]
+    return (oracle_res, res_scaled, res_bare, calogero._relation_residual(h, kappa, w, g),
+            *char_res)
 
 
 def ruij_draws(cfg):
@@ -517,7 +503,7 @@ def regular_samples(m, n=3):
     return h, rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
 
-# h_1 - h_0 + kappa = 0 at kappa = 0.3: RuijPoint rejects it
+# h_1 - h_0 + kappa = 0 at kappa = 0.3: the chart check rejects it
 SINGULAR_H = np.array([0.3, 0.0, -0.3], dtype=complex)
 # h_0 and h_1 2e-8 apart: the chart checks pass, the oracle solve is too
 # ill-conditioned for either closed form to match it, and the sweep reports

@@ -128,6 +128,11 @@ class TestConfig:
                      id="unknown-key"),
         pytest.param({"scenario": "ruijsenaars-rational", "kappa_re": "0.3"}, [],
                      id="kappa-string"),
+        *[pytest.param({"scenario": scenario, key: 10 ** 400}, [], id=f"{key}-past-float")
+          for scenario, key in (("ruijsenaars-rational", "kappa_re"),
+                                ("ruijsenaars-rational", "kappa_im"),
+                                ("relativistic-ruijsenaars", "q_re"),
+                                ("relativistic-ruijsenaars", "q_im"))],
         pytest.param({"scenario": "kepler", "t_max": "1.0"}, [], id="t-max-string"),
         pytest.param({"scenario": "kepler", "out_csv": 5}, [], id="path-int"),
         pytest.param({"scenario": ["kepler"]}, [], id="scenario-list"),

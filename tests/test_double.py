@@ -16,8 +16,7 @@ from degint.double import (
     fiber_check,
     moment,
     rank_one_consistency_oracle,
-    rank_one_reduction,
-    relativistic_hamiltonians,
+    rank_one_samples,
     trace_power_observable,
 )
 from degint.config import TOL
@@ -198,13 +197,27 @@ class TestRankOneClass:
             double._check_pairing(1.5, np.ones(2), np.ones(2))
 
 
+def sample_row(x, q, ydiag, u=None):
+    """``rank_one_samples``' columns at the one point (x, u, y_diag); u = 1
+    unless given."""
+    u = np.ones(len(x)) if u is None else u
+    return {name: col[0] for name, col in rank_one_samples(x[None], u[None], ydiag[None],
+                                                           q).items()}
+
+
+def hamiltonian_routes(x, u, q):
+    """(residuals, (tr y, tr y^2), H2) of the rebuilt y, by the dual routes
+    that ``rank_one_samples`` runs."""
+    return calogero._dual_residuals(*double._relativistic_parts(x, u, q))
+
+
 class TestRankOneReduction:
     def test_moment_lands_in_class(self):
         for n in (2, 3):
             x = random_eigs(n)
             q = 1.25 + 0.15j
-            red = rank_one_reduction(x, q, RNG.normal(size=n) + 1j * RNG.normal(size=n))
-            assert red.mu_eigenvalue_deviation < 1e-7
+            row = sample_row(x, q, RNG.normal(size=n) + 1j * RNG.normal(size=n))
+            assert row["mu-eigenvalue-deviation"] < 1e-7
 
     def test_naive_formula_recorded_as_off(self):
         """The naive transcription, the corrected form with its stray x_i^{-1}
@@ -215,22 +228,25 @@ class TestRankOneReduction:
         corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
                                              1.0 - x[None, :] / x[:, None]).prod(axis=-1)
         scale = max(1.0, np.abs(products).max())
-        assert rank_one_reduction(x, q, np.ones(2)).psi_phi_residual < 1e-8
+        assert sample_row(x, q, np.ones(2))["psi-phi-corrected-residual"] < 1e-8
         assert np.abs(corrected / x - products).max() / scale > 1e-3
 
     def test_q_near_one_commutes(self):
-        """q -> 1: the class tends to the identity and the pair commutes."""
+        """q -> 1: the class tends to the identity and the pair commutes.
+        The pair is the per-point oracle's, whose moment deviation is the
+        stacked kernel's."""
         n = 2
         x = random_eigs(n)
         q = 1.0 + 1e-7
-        red = rank_one_reduction(x, q, np.array([1.0, 2.0]))
-        mu = moment(red.point)
-        assert np.abs(mu - np.eye(n)).max() < 1e-5
+        ydiag = np.array([1.0, 2.0])
+        assert np.abs(moment(reduced_pair(x, q, ydiag)) - np.eye(n)).max() < 1e-5
+        want = reduction_oracle(x, q, ydiag)[0]
+        assert abs(sample_row(x, q, ydiag)["mu-eigenvalue-deviation"] - want) <= 1e-13 * want
 
     def test_failure_raises_with_residuals(self):
         """Coincident x make the consistency system singular."""
         with pytest.raises(np.linalg.LinAlgError):
-            rank_one_reduction(np.array([1.0, 1.0]), 1.3, np.array([1.0, 1.0]))
+            sample_row(np.array([1.0, 1.0]), 1.3, np.array([1.0, 1.0]))
 
 
 class TestRelativisticHamiltonians:
@@ -238,23 +254,20 @@ class TestRelativisticHamiltonians:
         n = 3
         x = random_eigs(n)
         u = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-        res = relativistic_hamiltonians(x, u, q=1.3 + 0.1j)
-        assert res.residual_tr_y < 1e-12
+        assert hamiltonian_routes(x, u, 1.3 + 0.1j)[0][0] < 1e-12
 
     def test_dual_paths(self):
         for n in (2, 3):
             x = random_eigs(n)
             u = RNG.normal(size=n) + 1j * RNG.normal(size=n)
-            res = relativistic_hamiltonians(x, u, q=1.2 - 0.1j)
-            assert res.residual_tr_y < 1e-9
-            assert res.residual_tr_y2 < 1e-9
-            assert res.residual_h2 < 1e-9
+            row = sample_row(x, 1.2 - 0.1j, np.ones(n), u)
+            assert row["trace-dual-path"] < 1e-9
+            assert row["h2-dual-path"] < 1e-9
 
     def test_zero_u_zero_hamiltonians(self):
-        x = random_eigs(3)
-        res = double._hamiltonians(x[None], np.zeros((1, 3)), 1.3)
-        assert np.abs(res["traces"]).max() == 0.0
-        assert res["h2"][0] == 0.0
+        _, traces, h2 = hamiltonian_routes(random_eigs(3), np.zeros(3), 1.3)
+        assert np.abs(traces).max() == 0.0
+        assert h2 == 0.0
 
 
 class TestRationalLimit:
@@ -267,14 +280,13 @@ class TestRationalLimit:
         rng = np.random.default_rng(40 + n)
         h, kappa = cli._distinct_h(n, rng), 0.3 + 0.1j
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        pt = calogero.RuijPoint(h=h, u=u, kappa=kappa)
-        _, traces, h_char = calogero._dual_residuals(*calogero._ruij_parts(pt.h, pt.u, kappa))
+        _, traces, h_char = calogero._dual_residuals(*calogero._ruij_parts(h, u, kappa))
         want = np.append(traces, h_char)
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errors = []
         for e in eps:
-            got = double._hamiltonians(np.exp(e * h)[None], u[None], np.exp(-e * kappa))
-            errors.append(np.abs(np.append(got["traces"][0], got["h2"][0]) - want).max()
+            _, traces, h2 = hamiltonian_routes(np.exp(e * h), u, np.exp(-e * kappa))
+            errors.append(np.abs(np.append(traces, h2) - want).max()
                           / max(1.0, np.abs(want).max()))
         errors = np.array(errors)
         assert np.all(errors <= n * abs(kappa) * eps), errors
@@ -464,6 +476,20 @@ def relativistic_draws_loop(cfg):
     return tuple(np.array(column) for column in zip(*draws))
 
 
+def reduced_pair(x, q, ydiag):
+    """The per-point pair (x, y) of the rank-1 reduction, gauge phi_i = 1:
+    y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}), both factors rescaled to
+    unit determinant."""
+    n = len(x)
+    den = x[:, None] / x[None, :] - 1.0 / q
+    if np.abs(den).min() < 1e-10:
+        raise SingularChartPoint("reconstruction denominator vanishes")
+    y = (1.0 - 1.0 / q) * ydiag[None, :] / den
+    xmat = np.diag(x)
+    return DoublePoint(x=xmat / np.linalg.det(xmat) ** (1.0 / n),
+                       y=y / np.linalg.det(y) ** (1.0 / n))
+
+
 def reduction_oracle(x, q, ydiag):
     """The per-point rank-1 reduction: (moment deviation, corrected residual)."""
     n = len(x)
@@ -473,13 +499,7 @@ def reduction_oracle(x, q, ydiag):
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
                                          1.0 - x[None, :] / x[:, None]).prod(axis=-1)
     res_corrected = float(np.abs(corrected - products).max() / max(1.0, np.abs(products).max()))
-    den = x[:, None] / x[None, :] - 1.0 / q
-    if np.abs(den).min() < 1e-10:
-        raise SingularChartPoint("reconstruction denominator vanishes")
-    y = (1.0 - 1.0 / q) * ydiag[None, :] / den
-    xmat = np.diag(x)
-    pt = DoublePoint(x=xmat / np.linalg.det(xmat) ** (1.0 / n),
-                     y=y / np.linalg.det(y) ** (1.0 / n))
+    pt = reduced_pair(x, q, ydiag)
     target = q ** (n - 1) - 1.0 / q
     if abs(products.sum() - target) > 1e-10 * max(1.0, abs(target)):
         raise ConstraintViolation("(phi, psi) must equal q^(n-1) - q^(-1)")
@@ -511,7 +531,7 @@ COLUMNS = ("mu-eigenvalue-deviation", "psi-phi-corrected-residual",
 
 
 def rank_one_loop(x, u, ydiag, q):
-    """Test-only oracle for ``double._rank_one_samples``: the reduction and
+    """Test-only oracle for ``double.rank_one_samples``: the reduction and
     then the Hamiltonians of one sample at a time, as its four columns."""
     rows = []
     for i in range(len(x)):
@@ -586,7 +606,7 @@ def outcome(fn, *args):
 
 
 class TestRankOneSamples:
-    """``double._rank_one_samples`` against the per-sample loop."""
+    """``double.rank_one_samples`` against the per-sample loop."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("q", [1.3, 1.25 + 0.15j])
@@ -597,7 +617,7 @@ class TestRankOneSamples:
         cfg = relativistic_cfg(n, calogero._SWEEP_CHUNK + 6, seed=3, q=q)
         x, u, ydiag = relativistic_draws_loop(cfg)
         want = rank_one_loop(x, u, ydiag, cfg.q)
-        got = double._rank_one_samples(x, u, ydiag, cfg.q)
+        got = double.rank_one_samples(x, u, ydiag, cfg.q)
         assert list(got) == list(COLUMNS)
         for name in COLUMNS:
             assert got[name].shape == want[name].shape
@@ -606,16 +626,6 @@ class TestRankOneSamples:
         assert [name for name, *_ in residuals] == list(COLUMNS)
         for name, value, _ in residuals:
             assert abs(value - want[name].max()) <= 1e-13 * want[name].max()
-
-    def test_single_point_wrappers_equal_the_per_point_code(self):
-        x, u, ydiag = relativistic_draws_loop(relativistic_cfg(4, 20, seed=9))
-        for i in range(len(x)):
-            red = rank_one_reduction(x[i], Q, ydiag[i])
-            ham = relativistic_hamiltonians(x[i], u[i], Q)
-            assert (red.mu_eigenvalue_deviation, red.psi_phi_residual) == \
-                reduction_oracle(x[i], Q, ydiag[i])
-            assert (ham.residual_tr_y, ham.residual_tr_y2, ham.residual_h2) == \
-                hamiltonians_oracle(x[i], u[i], Q)
 
     @pytest.mark.parametrize("plants", [
         {4: name} for name in PLANTS] + [
@@ -632,7 +642,7 @@ class TestRankOneSamples:
         draws = planted_draws(cfg, plants)
         want = outcome(rank_one_loop, *draws, cfg.q)
         assert isinstance(want, tuple) and isinstance(want[0], type), want
-        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+        assert outcome(double.rank_one_samples, *draws, cfg.q) == want
 
     @pytest.mark.parametrize("gate,error", [("oracle_residual", ConsistencyError)])
     def test_tolerance_gates_fire_on_the_same_sample(self, monkeypatch, gate, error):
@@ -648,7 +658,7 @@ class TestRankOneSamples:
         want = outcome(rank_one_loop, *draws, cfg.q)
         assert want[0] is error
         assert isinstance(outcome(rank_one_loop, *(a[:k] for a in draws), cfg.q), dict)
-        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+        assert outcome(double.rank_one_samples, *draws, cfg.q) == want
 
     def test_pairing_gate_fires_on_the_same_sample(self, monkeypatch):
         """Oracle products nudged by 1e-9 at sample 4 fail the 1e-10
@@ -665,7 +675,7 @@ class TestRankOneSamples:
         monkeypatch.setattr(double, "rank_one_consistency_oracle", nudged)
         want = outcome(rank_one_loop, *draws, cfg.q)
         assert want == (ConstraintViolation, "(phi, psi) must equal q^(n-1) - q^(-1)")
-        assert outcome(double._rank_one_samples, *draws, cfg.q) == want
+        assert outcome(double.rank_one_samples, *draws, cfg.q) == want
 
     @pytest.mark.parametrize("plants", [{4: "cauchy-denominator"},
                                         {3: "nonfinite-hamiltonians", 6: "formula-match"},
@@ -679,8 +689,8 @@ class TestRankOneSamples:
         argv = ["--scenario", "relativistic-ruijsenaars", "--n", "3", "--t-max", "0.01",
                 "--samples", "9", "--seed", "5"]
         results = []
-        for route in (double._rank_one_samples, rank_one_loop):
-            monkeypatch.setattr(double, "_rank_one_samples", route)
+        for route in (double.rank_one_samples, rank_one_loop):
+            monkeypatch.setattr(double, "rank_one_samples", route)
             out = tmp_path / "r.json"
             with np.errstate(all="ignore"):
                 code = cli.main(argv + ["--out-json", str(out)])

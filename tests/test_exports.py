@@ -130,3 +130,19 @@ def test_cli_reads_monitor_only_in_flow_report():
     through ``cli._flow_report``, the one place ``cli.py`` reads ``monitor``."""
     sites = {site for name, site, _ in _reads(PACKAGE / "cli.py") if name == "monitor"}
     assert sites == {("_flow_report", None)}
+
+
+
+
+def test_acceptance_reads_only_public_names():
+    """``tests/test_acceptance.py`` imports no ``_``-prefixed name from
+    ``degint`` and reads no ``_``-prefixed attribute of what it imports from
+    it: the acceptance criteria run the public API alone."""
+    tree = ast.parse(ACCEPTANCE.read_text())
+    imports = [alias for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "degint" for alias in node.names]
+    bound = {alias.asname or alias.name for alias in imports}
+    private = [alias.name for alias in imports if alias.name.startswith("_")] + [
+        ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and ast.unparse(node.value).split(".")[0] in bound]
+    assert bound and private == []

@@ -495,7 +495,7 @@ FAMILIES = {
     "trace-power": (lambda: matrix_states(3, 2),
                     [trace_power_observable(3, b, k) for b in "xy" for k in (1, 2, 3)],
                     False),
-    "invariants-cm": (lambda: matrix_states(3, 2), projection_invariants(3, "cm", 3), False),
+    "invariants-cm": (lambda: matrix_states(3, 2), projection_invariants(3, "cm"), False),
     "invariants-ruijsenaars": (lambda: matrix_states(2, 2),
                                projection_invariants(2, "ruijsenaars"), False),
     "chart-trace-power": (lambda: matrix_states(3, 1),
