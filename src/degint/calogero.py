@@ -255,19 +255,17 @@ def cm_central_flow(x, g, grad_f, t: float):
     return x, mat_exp(t * as_matrix(grad_f(x))) @ g
 
 
-def _phi_psi_solve(h, kappa):
-    """(w, residual) of the oracle solve for every stacked h."""
-    return _cauchy_solve(h[..., None, :] - h[..., :, None] + kappa,   # row j, column i
-                         "h_i - h_j + kappa")
-
-
-def solve_phi_psi_oracle(h, kappa: complex) -> np.ndarray:
-    """Solve the Cauchy-type system sum_i w_i/(h_i - h_j + kappa) = 1 for w.
+def solve_phi_psi_oracle(h, kappa: complex):
+    """Solve the Cauchy-type system sum_i w_i/(h_i - h_j + kappa) = 1 for w,
+    for h of shape (n,) or stacked as (..., n): returns (w, residual) of
+    ``_cauchy_solve``.
 
     Direct dense solve; this is the oracle against which closed forms are
     judged.  Denominators must stay away from zero.
     """
-    return _phi_psi_solve(np.asarray(h, dtype=complex).ravel(), kappa)[0]
+    h = np.asarray(h, dtype=complex)
+    return _cauchy_solve(h[..., None, :] - h[..., :, None] + kappa,   # row j, column i
+                         "h_i - h_j + kappa")
 
 
 def _ruij_parts(h, u, kappa):
@@ -340,7 +338,7 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
 @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def _sweep_pass(h, u, kappa) -> dict:
     _check_chart(h, kappa)
-    w, oracle = _phi_psi_solve(h, kappa)
+    w, oracle = solve_phi_psi_oracle(h, kappa)
     parts = _ruij_parts(h, u, kappa)
     *_, bare, g = parts
     res_bare, res_scaled = _select(w, bare, kappa)
@@ -356,23 +354,21 @@ def _sweep_pass(h, u, kappa) -> dict:
 # duality diagnostics
 # ----------------------------------------------------------------------
 
-def _joint_words(max_exp: int) -> list:
-    """The words (i, j, k, l) of :func:`joint_invariants`, in nested-loop order."""
-    return [w for w in np.ndindex((max_exp + 1,) * 4) if sum(w)]
-
-
-def joint_invariants(a, b, max_exp: int = 2) -> np.ndarray:
-    """All joint conjugation invariants tr(a^i b^j a^k b^l), exponents <= max_exp."""
-    return trace_words(as_matrix(a), as_matrix(b), _joint_words(max_exp))
+def joint_invariants(a, b, max_exp: int) -> np.ndarray:
+    """All joint conjugation invariants tr(a^i b^j a^k b^l), exponents <=
+    max_exp, for a and b stacked alike as (..., n, n): the words (i, j, k, l)
+    in nested-loop order along the last axis."""
+    return trace_words(a, b, [w for w in np.ndindex((max_exp + 1,) * 4) if sum(w)])
 
 
 def _separation_margins(x, ys, xs, y) -> np.ndarray:
     """Margins between the fibers of pairs (x, ys[i]) and (xs[j], y), ys and xs
     stacked as (samples, n, n): ``margins[i, j]`` is the largest difference of
     any joint trace invariant between the i-th pair of the first and the j-th
-    of the second.  One stacked :func:`trace_words` call takes every pair."""
-    table = trace_words(np.concatenate([np.broadcast_to(x, ys.shape), xs]),
-                        np.concatenate([ys, np.broadcast_to(y, xs.shape)]), _joint_words(2))
+    of the second.  One stacked :func:`joint_invariants` call takes every
+    pair."""
+    table = joint_invariants(np.concatenate([np.broadcast_to(x, ys.shape), xs]),
+                             np.concatenate([ys, np.broadcast_to(y, xs.shape)]), 2)
     return np.abs(table[:len(ys), None, :] - table[None, len(ys):, :]).max(axis=2)
 
 

@@ -276,7 +276,8 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     p -= p.mean()
     point = calogero.CMPoint(p=p, h=h, kappa=kappa)
     spin = calogero.SpinData.rank_one(phi=rng.uniform(0.5, 1.5, size=n), kappa=kappa)
-    resum = abs(calogero.h_scm(point, spin) - calogero.h_cm(point))
+    h_scm, h_cm = calogero.h_scm(point, spin), calogero.h_cm(point)
+    resum = abs(h_scm - h_cm)
     rank1_res = np.abs(spin.mu * spin.mu.T - kappa * kappa)[~np.eye(n, dtype=bool)].max()
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
@@ -284,7 +285,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     gs = np.stack([calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)[1]
                    for t in ts])
     conj = gs @ x @ np.linalg.inv(gs)
-    table = trace_words(np.broadcast_to(x, conj.shape), conj, calogero._joint_words(3))
+    table = calogero.joint_invariants(np.broadcast_to(x, conj.shape), conj, 3)
     devs = np.abs(table - table[0]).max(axis=1)
     drift, scale = devs.max(), max(1.0, np.abs(table[0]).max())
     return ScenarioResult(
@@ -292,7 +293,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
                  "inv1": table[:, 0], "inv2": table[:, 1]},
         drifts=[("joint-invariants", drift, drift / scale, TOL.central_flow * scale)],
         residuals=[("spin-resummation", resum, None), ("rank1-product", rank1_res, None)],
-        parameters={"h-cm": calogero.h_cm(point)},
+        parameters={"h-cm": h_cm},
         svg_series={"re(inv1)": (ts, table[:, 0].real), "re(inv2)": (ts, table[:, 1].real)})
 
 
@@ -329,8 +330,7 @@ def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.n
     x, y = np.moveaxis(_sl_matrices(_rng_for(cfg, 999).normal(size=(100, 2, 2, n, n)), 0.3),
                        1, 0)
-    double._check_unimodular(x, y)
-    dev = float(np.abs(double._moment(*double._duality(x, y)) - double._moment(x, y)).max())
+    dev = float(np.abs(double.moment(*double.duality_map(x, y)) - double.moment(x, y)).max())
     result.residuals.append(("duality-moment-deviation", dev, TOL.duality_exact * 10))
     return result
 
@@ -351,22 +351,23 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     x0 = _sl_sample(n, rng, 0.25)
     powers, traces, residuals, flags, runs = [], [], [], [], []
     ts = np.linspace(0.0, cfg.t_max, 21)
+    caps = {"semigroup": TOL.semigroup, "trace-drift": TOL.trace_conservation,
+            "conjugation": None}
     for k in (1, 2):
         H = facto.TracePower(k)
         try:
             # xi serves every trace row; the t_max row is the exact flow cross-checked
             xi = facto.left_differential(H, x0)
             xts = np.stack([facto._conjugations(x0, xi, t)[0] for t in ts])
-            runs.append(facto._reference_trajectory(x0, H, cfg.t_max, cfg.dt))
+            runs.append(facto.sklyanin_reference_flow(x0, H, cfg.t_max, cfg.dt))
         except FactorizationNotDefined:
             flags.append(FLAG_DIVISOR)
             continue
         cross = float(np.abs(xts[-1] - runs[-1].final.reshape(n, n)).max())
         sweep = facto.flow_consistency_sweep(x0, H, [cfg.t_max / 2])
-        residuals += [(f"cross-check-{H.name}", cross, TOL.flow_cross_check),
-                      (f"semigroup-{H.name}", sweep.max_semigroup_residual, TOL.semigroup),
-                      (f"trace-drift-{H.name}", sweep.max_trace_drift, TOL.trace_conservation),
-                      (f"conjugation-{H.name}", float(sweep.conjugation_agreements.max()), None)]
+        residuals += [(f"cross-check-{H.name}", cross, TOL.flow_cross_check)] + [
+            (f"{check}-{H.name}", float(column.max()), caps[check])
+            for check, column in sweep.items()]
         powers.append(k)
         traces.append(trace_words(xts, xts, [(j, 0, 0, 0) for j in range(1, n + 1)]))
     traces = np.array(traces, dtype=complex).reshape(-1, n)
@@ -713,7 +714,10 @@ def _config_from_args(args) -> ScenarioConfig:
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except RecursionError:      # nesting deeper than the parser's stack
+                raise ValueError("a config file must not nest that deeply") from None
         if not isinstance(values, dict):
             raise ValueError("a config file must hold a JSON object")
         if not isinstance(values.get("scenario", ""), str):

@@ -97,26 +97,19 @@ def _class_eigenvalues(q, n):
     return ev[np.lexsort((ev.imag, ev.real))]
 
 
-def _moment(x, y):
-    """x y x^{-1} y^{-1} for x and y stacked alike as (..., n, n)."""
+def moment(x, y) -> np.ndarray:
+    """Group-valued moment map x y x^{-1} y^{-1}, for x and y stacked alike
+    as (..., n, n)."""
     return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
 
 
-def moment(pt: DoublePoint) -> np.ndarray:
-    """Group-valued moment map x y x^{-1} y^{-1}."""
-    return _moment(pt.x, pt.y)
-
-
-def _duality(x, y):
-    """(y^{-1}, y x y^{-1}) for x and y stacked alike as (..., n, n)."""
+def duality_map(x, y):
+    """(x, y) -> (y^{-1}, y x y^{-1}) for x and y stacked alike as
+    (..., n, n); preserves the moment map exactly.  Raises for the first
+    pair off unit determinant."""
+    _check_unimodular(x, y)
     yinv = np.linalg.inv(y)
     return yinv, y @ x @ yinv
-
-
-def duality_map(pt: DoublePoint) -> DoublePoint:
-    """(x, y) -> (y^{-1}, y x y^{-1}); preserves the moment map exactly."""
-    x, y = _duality(pt.x, pt.y)
-    return DoublePoint(x=x, y=y)
 
 
 def _centralizer_elements(m, samples, rng) -> np.ndarray:
@@ -152,8 +145,9 @@ def _reductions(x, q, ydiag) -> dict:
     """The reduction's columns for x and y_diag stacked as (samples, n).
 
     The pair is diag(x) and y, gauge phi_i = 1: y_diag fills the diagonal
-    of y and y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}) the rest.  Both factors are rescaled to unit determinant before pairing
-    (the moment value is insensitive to scalar factors).  The products
+    of y and y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}) the rest.  Both
+    factors are rescaled to unit determinant before pairing (the moment
+    value is insensitive to scalar factors).  The products
     psi_i phi_i come from the consistency oracle; per sample,
     "psi-phi-corrected-residual" is how far the x_i-corrected closed form
     lies from them and "mu-eigenvalue-deviation" how far the eigenvalues of
@@ -182,7 +176,7 @@ def _reductions(x, q, ydiag) -> dict:
     _check_unimodular(xmat, y)
     _check_pairing(q, np.ones(n), products)
 
-    got = np.linalg.eigvals(_moment(xmat, y))
+    got = np.linalg.eigvals(moment(xmat, y))
     got = np.take_along_axis(got, np.lexsort((got.imag, got.real), axis=-1), axis=-1)
     return {"mu-eigenvalue-deviation": np.abs(got - _class_eigenvalues(q, n)).max(axis=-1),
             "psi-phi-corrected-residual": res_corrected}
@@ -253,7 +247,7 @@ def projection_invariants(n: int, family: str):
         if last[0] != key:
             x, y = np.moveaxis(z.reshape(z.shape[:-1] + (2, n, n)), -3, 0)
             a, aux = ((x, y @ np.linalg.inv(x) @ np.linalg.inv(y)) if family == "cm"
-                      else (y, _moment(x, y)))
+                      else (y, moment(x, y)))
             last[:] = key, trace_words(a, aux, list(words.values()))
         return last[1]
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import TOL
 from .errors import ConsistencyError
-from .integrate import rk4
+from .integrate import Trajectory, rk4
 from .matrixcore import ULPair, _powers, as_matrix, mat_exp, traces_of_powers, ul_split_factorize
 from .poisson import chart_sklyanin, trace_power
 
@@ -78,46 +78,24 @@ def _conjugations(x0, xi, t: float):
     return via_plus, via_minus
 
 
-def sklyanin_reference_flow(x0, H: TracePower, t: float,
-                            step: float = 1e-3) -> np.ndarray:
-    """Independent route to x(t): fixed-step integration on the group chart.
+def sklyanin_reference_flow(x0, H: TracePower, t: float, step: float) -> Trajectory:
+    """Independent route to x(t): the fixed-step rk4 run on the group chart
+    from x0, whose final state, reshaped to a matrix, is x(t).
 
     This is the oracle that pins the exponent interpretation in
     :func:`factorization_flow`; the two must agree to O(step^4).
     """
     x0 = as_matrix(x0)
-    return _reference_trajectory(x0, H, t, step).final.reshape(x0.shape)
-
-
-def _reference_trajectory(x0, H: TracePower, t: float, step: float):
-    """The rk4 run of :func:`sklyanin_reference_flow` from the matrix x0."""
     n = x0.shape[0]
     return rk4(chart_sklyanin(n), trace_power(n, H.k), x0.ravel(), t, step)
 
 
-@dataclass(frozen=True)
-class FlowConsistencyReport:
-    """Semigroup and conservation diagnostics for the exact flow, one entry
-    per point of the time grid."""
-
-    semigroup_residuals: np.ndarray      # flow(t_i + t_{i+1}) vs composition
-    trace_drifts: np.ndarray             # max drift of tr(x^k), k <= n
-    conjugation_agreements: np.ndarray   # g_plus vs g_minus per grid point
-
-    @property
-    def max_semigroup_residual(self) -> float:
-        return float(self.semigroup_residuals.max(initial=0.0))
-
-    @property
-    def max_trace_drift(self) -> float:
-        return float(self.trace_drifts.max(initial=0.0))
-
-
-def flow_consistency_sweep(x0, H: TracePower,
-                           t_grid: Sequence[float]) -> FlowConsistencyReport:
+def flow_consistency_sweep(x0, H: TracePower, t_grid: Sequence[float]) -> dict:
     """Check flow(t1 + t2) = flow(t2) after flow(t1) across a time grid,
-    plus conservation of trace powers and g_plus/g_minus agreement.  The
-    left differential at x0 is formed once for the whole grid."""
+    plus conservation of trace powers and g_plus/g_minus agreement: one
+    entry per grid point in each of the columns "semigroup" (relative to
+    max(1, |flow|)), "trace-drift" (over tr(x^k), k <= n) and "conjugation".
+    The left differential at x0 is formed once for the whole grid."""
     x0 = as_matrix(x0)
     n = x0.shape[0]
     t_grid = np.asarray(list(t_grid), dtype=float)
@@ -136,8 +114,5 @@ def flow_consistency_sweep(x0, H: TracePower,
         semis.append(np.abs(direct - composed).max()
                      / max(1.0, np.abs(direct).max()))
 
-    return FlowConsistencyReport(
-        semigroup_residuals=np.array(semis),
-        trace_drifts=np.array(drifts),
-        conjugation_agreements=np.array(agrees),
-    )
+    return {"semigroup": np.array(semis), "trace-drift": np.array(drifts),
+            "conjugation": np.array(agrees)}

@@ -102,13 +102,8 @@ def _lenz(p, q, gamma):
     return _cross(p, _cross(p, q)) + gamma * q / _radius(q)[..., None]
 
 
-def kepler_chart():
-    """Canonical chart on R^6, coordinates (p1, p2, p3, q1, q2, q3)."""
-    return chart_canonical(3)
-
-
 def kepler_observables(gamma: float):
-    """Observables M1..M3, A1..A3, H on the canonical chart, exact gradients."""
+    """Observables M1..M3, A1..A3, H on the canonical chart of (p, q), exact gradients."""
 
     def split(z):
         return np.real(z[..., :3]), np.real(z[..., 3:])
@@ -188,9 +183,8 @@ def orbit_conservation_report(state0: KeplerState, t_max: float,
 
 def integrate_orbit(state0: KeplerState, t_max: float,
                     tol: float = 1e-10) -> Trajectory:
-    chart = kepler_chart()
     H = kepler_observables(state0.gamma)[-1]
-    return adaptive(chart, H, state0.as_point(), t_max, tol,
+    return adaptive(chart_canonical(3), H, state0.as_point(), t_max, tol,
                     guard=_collision_guard)
 
 
@@ -207,9 +201,8 @@ def radial_period(state0: KeplerState, t_max: float, dt: float = None) -> float:
     T_est = 2.0 * np.pi * state0.gamma / (2.0 * abs(E)) ** 1.5
     if dt is None:
         dt = T_est / 4000.0
-    chart = kepler_chart()
     H = kepler_observables(state0.gamma)[-1]
-    traj = rk4(chart, H, state0.as_point(), min(t_max, 2.5 * T_est), dt,
+    traj = rk4(chart_canonical(3), H, state0.as_point(), min(t_max, 2.5 * T_est), dt,
                guard=_collision_guard)
     ts = traj.times
     pq = np.real(np.einsum("ij,ij->i", traj.states[:, :3], traj.states[:, 3:]))

@@ -46,10 +46,22 @@ def random_eigs(n, spread=0.4):
             return x
 
 
-def inverse_duality_map(pt):
+def inverse_duality_map(x, y):
     """(x, y) -> (x y x^{-1}, x^{-1}): the inverse of ``duality_map``, the
     oracle of its round trip."""
-    return DoublePoint(x=pt.x @ pt.y @ np.linalg.inv(pt.x), y=np.linalg.inv(pt.x))
+    return x @ y @ np.linalg.inv(x), np.linalg.inv(x)
+
+
+def pair_moment(pt):
+    """x y x^{-1} y^{-1} of one pair: the per-point oracle of ``moment``."""
+    return pt.x @ pt.y @ np.linalg.inv(pt.x) @ np.linalg.inv(pt.y)
+
+
+def pair_duality(pt):
+    """The image (y^{-1}, y x y^{-1}) of one pair, checked as a
+    ``DoublePoint``: the per-point oracle of ``duality_map``."""
+    yinv = np.linalg.inv(pt.y)
+    return DoublePoint(x=yinv, y=pt.y @ pt.x @ yinv)
 
 
 class TestMoment:
@@ -57,17 +69,17 @@ class TestMoment:
         x = np.diag([2.0, 0.5]).astype(complex)
         y = np.diag([0.25, 4.0]).astype(complex)
         pt = DoublePoint(x=x, y=y)
-        assert np.abs(moment(pt) - np.eye(2)).max() < 1e-14
+        assert np.abs(moment(pt.x, pt.y) - np.eye(2)).max() < 1e-14
 
     def test_equal_pair(self):
         x = random_sl(3)
         pt = DoublePoint(x=x, y=x)
-        assert np.abs(moment(pt) - np.eye(3)).max() < 1e-12
+        assert np.abs(moment(pt.x, pt.y) - np.eye(3)).max() < 1e-12
 
     def test_unimodular(self):
         for n in (2, 3):
             pt = random_pair(n)
-            assert abs(np.linalg.det(moment(pt)) - 1.0) < 1e-9
+            assert abs(np.linalg.det(moment(pt.x, pt.y)) - 1.0) < 1e-9
 
 
 class TestDualityMap:
@@ -76,27 +88,25 @@ class TestDualityMap:
         for n in (2, 3):
             for _ in range(50):
                 pt = random_pair(n)
-                dev = np.abs(moment(duality_map(pt)) - moment(pt)).max()
+                dev = np.abs(moment(*duality_map(pt.x, pt.y)) - moment(pt.x, pt.y)).max()
                 assert dev < 1e-12
 
     def test_hamiltonian_exchange(self):
         """tr(x) of the image equals tr(y^{-1}) of the source."""
         pt = random_pair(3)
-        img = duality_map(pt)
-        assert np.trace(img.x) == pytest.approx(np.trace(np.linalg.inv(pt.y)))
+        img_x, _ = duality_map(pt.x, pt.y)
+        assert np.trace(img_x) == pytest.approx(np.trace(np.linalg.inv(pt.y)))
 
     def test_identity_fixed(self):
-        pt = DoublePoint(x=np.eye(2), y=np.eye(2))
-        img = duality_map(pt)
-        assert np.abs(img.x - np.eye(2)).max() < 1e-14
-        assert np.abs(img.y - np.eye(2)).max() < 1e-14
+        for img in duality_map(np.eye(2), np.eye(2)):
+            assert np.abs(img - np.eye(2)).max() < 1e-14
 
     def test_round_trip(self):
         for _ in range(20):
             pt = random_pair(2)
-            back = inverse_duality_map(duality_map(pt))
-            assert np.abs(back.x - pt.x).max() < 1e-10
-            assert np.abs(back.y - pt.y).max() < 1e-10
+            back_x, back_y = inverse_duality_map(*duality_map(pt.x, pt.y))
+            assert np.abs(back_x - pt.x).max() < 1e-10
+            assert np.abs(back_y - pt.y).max() < 1e-10
 
 
 def centralizer_loop(m, samples, rng):
@@ -239,7 +249,7 @@ class TestRankOneReduction:
         x = random_eigs(n)
         q = 1.0 + 1e-7
         ydiag = np.array([1.0, 2.0])
-        assert np.abs(moment(reduced_pair(x, q, ydiag)) - np.eye(n)).max() < 1e-5
+        assert np.abs(pair_moment(reduced_pair(x, q, ydiag)) - np.eye(n)).max() < 1e-5
         want = reduction_oracle(x, q, ydiag)[0]
         assert abs(sample_row(x, q, ydiag)["mu-eigenvalue-deviation"] - want) <= 1e-13 * want
 
@@ -504,7 +514,7 @@ def reduction_oracle(x, q, ydiag):
     if abs(products.sum() - target) > 1e-10 * max(1.0, abs(target)):
         raise ConstraintViolation("(phi, psi) must equal q^(n-1) - q^(-1)")
     ev = np.array([q ** (n - 1)] + [1.0 / q] * (n - 1))
-    got = np.linalg.eigvals(moment(pt))
+    got = np.linalg.eigvals(pair_moment(pt))
     got = got[np.lexsort((got.imag, got.real))]
     return float(np.abs(got - ev[np.lexsort((ev.imag, ev.real))]).max()), res_corrected
 
@@ -701,9 +711,10 @@ class TestRankOneSamples:
 
 
 class TestStackedChecks:
-    """The det check of ``DoublePoint`` and the pairing check of the rank-1
-    class (which the scenario's draws never fail) raise for the first
-    failing member of a stack, with the per-point message."""
+    """The det check of ``DoublePoint``, run on a stack by ``duality_map``,
+    and the pairing check of the rank-1 class (which the scenario's draws
+    never fail) raise for the first failing member of a stack, with the
+    per-point message."""
 
     def test_first_pair_off_unit_determinant(self):
         x = np.stack([np.eye(2, dtype=complex)] * 5)
@@ -711,7 +722,7 @@ class TestStackedChecks:
         y[3] *= 1.1
         x[4] *= 1.1
         with pytest.raises(ValueError) as caught:
-            double._check_unimodular(x, y)
+            duality_map(x, y)
         with pytest.raises(ValueError) as want:
             for i in range(len(x)):
                 DoublePoint(x=x[i], y=y[i])
@@ -746,7 +757,7 @@ def duality_moment_loop(cfg):
     dev = 0.0
     for _ in range(100):
         pt = DoublePoint(x=sl_sample_loop(cfg.n, rng, 0.3), y=sl_sample_loop(cfg.n, rng, 0.3))
-        dev = max(dev, float(np.abs(moment(duality_map(pt)) - moment(pt)).max()))
+        dev = max(dev, float(np.abs(pair_moment(pair_duality(pt)) - pair_moment(pt)).max()))
     return dev
 
 
@@ -773,5 +784,5 @@ class TestStackedDualityCheck:
     def test_moment_of_a_stack_is_each_pairs_moment(self):
         pts = [random_pair(3) for _ in range(4)]
         x, y = (np.stack([getattr(pt, side) for pt in pts]) for side in "xy")
-        for got, pt in zip(double._moment(*double._duality(x, y)), pts):
-            assert got.tobytes() == moment(duality_map(pt)).tobytes()
+        for got, pt in zip(moment(*duality_map(x, y)), pts):
+            assert got.tobytes() == pair_moment(pair_duality(pt)).tobytes()

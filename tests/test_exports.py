@@ -132,6 +132,11 @@ def test_cli_reads_monitor_only_in_flow_report():
     assert sites == {("_flow_report", None)}
 
 
+def test_no_src_line_exceeds_99_characters():
+    """Every line of every module of the package fits in 99 characters."""
+    long = [f"{path.name}:{i}" for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 99]
+    assert long == []
 
 
 def test_acceptance_reads_only_public_names():

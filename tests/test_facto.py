@@ -111,7 +111,7 @@ class TestFactorizationFlow:
         bracket chart, t = 0.1, step 1e-3, n = 3."""
         x0 = random_sl(3)
         exact = factorization_flow(x0, TracePower(k), 0.1)
-        ref = sklyanin_reference_flow(x0, TracePower(k), 0.1, step=1e-3)
+        ref = sklyanin_reference_flow(x0, TracePower(k), 0.1, step=1e-3).final.reshape(3, 3)
         assert np.abs(exact - ref).max() < 1e-6
 
     def test_custom_invariant_flow_matches_trace_power(self):
@@ -125,9 +125,11 @@ class TestConsistencySweep:
     def test_semigroup_and_conservation(self):
         x0 = random_sl(2)
         rep = flow_consistency_sweep(x0, TracePower(1), [0.05, 0.05, 0.1])
-        assert rep.max_semigroup_residual < 1e-7
-        assert rep.max_trace_drift < 1e-10
-        assert rep.conjugation_agreements.max() < 1e-9
+        assert sorted(rep) == ["conjugation", "semigroup", "trace-drift"]
+        assert all(len(column) == 3 for column in rep.values())
+        assert rep["semigroup"].max() < 1e-7
+        assert rep["trace-drift"].max() < 1e-10
+        assert rep["conjugation"].max() < 1e-9
 
     def test_zero_second_leg_trivial(self):
         x0 = random_sl(2)
@@ -161,8 +163,8 @@ class TestConsistencySweep:
         monkeypatch.setattr(facto, "left_differential", counted)
         rep = flow_consistency_sweep(x0, H, grid)
         assert len(calls) == len(grid) + 1
-        for got, want in ((rep.semigroup_residuals, semis), (rep.trace_drifts, drifts),
-                          (rep.conjugation_agreements, agrees)):
+        for got, want in ((rep["semigroup"], semis), (rep["trace-drift"], drifts),
+                          (rep["conjugation"], agrees)):
             assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("H", [TracePower(1), TracePower(2)], ids=lambda H: H.name)
@@ -181,7 +183,7 @@ class TestConsistencySweep:
         monkeypatch.setattr(facto, "ul_split_factorize", counted)
         rep = flow_consistency_sweep(x0, H, grid)
         assert len(calls) == 3 * len(grid)
-        for t, agreement in zip(grid, rep.conjugation_agreements):
+        for t, agreement in zip(grid, rep["conjugation"]):
             pair = ul_split_factorize(mat_exp(t * left_differential(H, x0)))
             want = np.abs(np.linalg.inv(pair.g_plus) @ x0 @ pair.g_plus
                           - np.linalg.inv(pair.g_minus) @ x0 @ pair.g_minus).max()

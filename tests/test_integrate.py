@@ -417,7 +417,7 @@ class TestLoopOracles:
         over one nominal period of six bound orbits."""
         s = random_bound_kepler_states(6)[index]
         got = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
-        want = adaptive_loop_oracle(kepler.kepler_chart(), kepler_observables(s.gamma)[-1],
+        want = adaptive_loop_oracle(chart_canonical(3), kepler_observables(s.gamma)[-1],
                                     s.as_point(), 2 * np.pi, 1e-10,
                                     guard=kepler._collision_guard)
         assert (got.accepted_steps, got.rejected_steps) == (want.accepted_steps,

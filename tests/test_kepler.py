@@ -14,13 +14,12 @@ from degint.kepler import (
     QUADRATIC_RELATION_SIGN,
     KeplerState,
     P5Point,
-    kepler_chart,
     kepler_observables,
     orbit_conservation_report,
     project_to_p5,
     radial_period,
 )
-from degint.poisson import bracket
+from degint.poisson import bracket, chart_canonical
 
 RNG = np.random.default_rng(4)
 
@@ -81,7 +80,7 @@ class TestProjection:
         rhs = 2.0 * (pt.M @ pt.M) * pt.H
         assert np.sign(lhs / rhs) == QUADRATIC_RELATION_SIGN
 
-        chart = kepler_chart()
+        chart = chart_canonical(3)
         obs = kepler_observables(gamma)
         z = s.as_point()
         a1a2 = bracket(chart, obs[3], obs[4], z)
@@ -145,7 +144,7 @@ class TestBracketRelations:
     def test_momentum_algebra(self):
         """{M_i, M_j} = eps_ijk M_k at random states."""
         gamma = 1.0
-        chart = kepler_chart()
+        chart = chart_canonical(3)
         obs = kepler_observables(gamma)
         for _ in range(10):
             s = random_state(gamma=gamma)
@@ -160,7 +159,7 @@ class TestBracketRelations:
     def test_momentum_lenz_algebra(self):
         """{M_i, A_j} = eps_ijk A_k."""
         gamma = 1.2
-        chart = kepler_chart()
+        chart = chart_canonical(3)
         obs = kepler_observables(gamma)
         for _ in range(10):
             s = random_state(gamma=gamma)
@@ -175,7 +174,7 @@ class TestBracketRelations:
     def test_lenz_lenz_algebra_with_frozen_sign(self):
         """{A_i, A_j} = sigma 2 H eps_ijk M_k with the bootstrap sign."""
         gamma = 0.8
-        chart = kepler_chart()
+        chart = chart_canonical(3)
         obs = kepler_observables(gamma)
         for _ in range(10):
             s = random_state(gamma=gamma)
@@ -191,7 +190,7 @@ class TestBracketRelations:
     def test_hamiltonian_commutes_with_conserved_set(self):
         """{H, M_i} = {H, A_i} = 0 at 100 random states."""
         gamma = 1.0
-        chart = kepler_chart()
+        chart = chart_canonical(3)
         obs = kepler_observables(gamma)
         H = obs[-1]
         for _ in range(100):
@@ -343,8 +342,8 @@ class TestKeplerFastPath:
         def refuse(*args):
             raise AssertionError("Kepler orbit left the fast path")
 
-        def counted_chart(make=kepler.kepler_chart):
-            chart = make()
+        def counted_chart(n, make=kepler.chart_canonical):
+            chart = make(n)
 
             def field(z, g):
                 fields.append(1)
@@ -358,7 +357,7 @@ class TestKeplerFastPath:
             pis.append(1)
             return pi(chart, *args)
 
-        monkeypatch.setattr(kepler, "kepler_chart", counted_chart)
+        monkeypatch.setattr(kepler, "chart_canonical", counted_chart)
         monkeypatch.setattr(poisson.PoissonChart, "pi", counted_pi)
         monkeypatch.setattr(poisson, "_fd_gradient", refuse)
         got = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
