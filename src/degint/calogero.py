@@ -18,19 +18,12 @@ kappa-scaled form is the one that satisfies the system (already visible at
 n = 1, where the system forces w_1 = kappa).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import TOL
 from .errors import (ConsistencyError, ConstraintViolation, DegintError,
                      NonFiniteMatrixError, SingularChartPoint)
 from .matrixcore import _diagonals, _scalar_power, as_matrix, mat_exp, spectral, trace_words
-
-
-def _check_traceless(v, name):
-    if abs(np.sum(v)) > 1e-10 * max(1.0, np.abs(v).max()):
-        raise ValueError(f"{name} must sum to zero (traceless normalization)")
 
 
 def _raise_first(bad, error, message, value=None):
@@ -149,70 +142,57 @@ def _dual_residuals(own, c, s, u, R, prod, m):
     return residuals, np.stack([tr, tr_sq], axis=-1), h_char
 
 
-@dataclass(frozen=True)
-class CMPoint:
-    """Reduced Calogero-Moser point: momenta p, positions h, coupling kappa.
+def _check_point(p, h):
+    """p and h as complex vectors of one length, both traceless, with
+    distinct h: the checks a reduced Calogero-Moser point (momenta p,
+    positions h) runs on entry."""
+    p = np.asarray(p, dtype=complex).ravel()
+    h = np.asarray(h, dtype=complex).ravel()
+    if p.shape != h.shape:
+        raise ValueError("p and h must have the same length")
+    for v, name in ((p, "p"), (h, "h")):
+        if abs(np.sum(v)) > 1e-10 * max(1.0, np.abs(v).max()):
+            raise ValueError(f"{name} must sum to zero (traceless normalization)")
+    _check_chart(h)
+    return p, h
 
-    For the compact (trigonometric) Hamiltonian the h_i are read as angles.
+
+def _check_spin(mu):
+    """mu as a square, finite complex matrix with vanishing diagonal (the
+    torus-reduction constraint): the checks a spin matrix runs on entry."""
+    mu = as_matrix(mu)
+    if np.abs(np.diag(mu)).max() > 1e-12 * max(1.0, np.abs(mu).max()):
+        raise ValueError("spin matrix must have zero diagonal")
+    return mu
+
+
+def rank_one_spin(phi, kappa: complex) -> np.ndarray:
+    """The spin matrix mu = phi psi^T - kappa id with psi_i = kappa / phi_i.
+
+    The choice of psi makes every diagonal entry vanish and gives
+    mu_ij mu_ji = kappa^2 off the diagonal.
     """
-
-    p: np.ndarray
-    h: np.ndarray
-    kappa: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=complex).ravel())
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=complex).ravel())
-        if self.p.shape != self.h.shape:
-            raise ValueError("p and h must have the same length")
-        _check_traceless(self.p, "p")
-        _check_traceless(self.h, "h")
-        _check_chart(self.h)
-
-    @property
-    def n(self) -> int:
-        return len(self.h)
-
-
-@dataclass(frozen=True)
-class SpinData:
-    """Spin matrix mu with vanishing diagonal (the torus-reduction constraint)."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", as_matrix(self.mu))
-        if np.abs(np.diag(self.mu)).max() > 1e-12 * max(1.0, np.abs(self.mu).max()):
-            raise ValueError("spin matrix must have zero diagonal")
-
-    @classmethod
-    def rank_one(cls, phi, kappa: complex) -> "SpinData":
-        """mu = phi psi^T - kappa id with psi_i = kappa / phi_i.
-
-        The choice of psi makes every diagonal entry vanish and gives
-        mu_ij mu_ji = kappa^2 off the diagonal.
-        """
-        phi = np.asarray(phi, dtype=complex).ravel()
-        if np.abs(phi).min() == 0.0:
-            raise ValueError("phi entries must be nonzero")
-        psi = kappa / phi
-        return cls(np.outer(phi, psi) - kappa * np.eye(len(phi)))
+    phi = np.asarray(phi, dtype=complex).ravel()
+    if np.abs(phi).min() == 0.0:
+        raise ValueError("phi entries must be nonzero")
+    return _check_spin(np.outer(phi, kappa / phi) - kappa * np.eye(len(phi)))
 
 
 @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
-def h_cm(point: CMPoint) -> float:
-    """Trigonometric rank-1 Hamiltonian <p, p> + sum kappa^2 / (4 sin^2((q_i-q_j)/2)).
+def h_cm(p, h, kappa: complex) -> float:
+    """Trigonometric rank-1 Hamiltonian <p, p> + sum kappa^2 / (4 sin^2((h_i-h_j)/2))
+    at the point (p, h) that ``_check_point`` checks first.
 
     Positions are read as angles; coincident angles (mod 2 pi) are singular.
     Inputs are expected real up to 1e-10 imaginary residue.
     """
-    i, j = np.triu_indices(point.n, 1)
-    s = np.sin((point.h[i] - point.h[j]) / 2.0)
+    p, h = _check_point(p, h)
+    i, j = np.triu_indices(len(h), 1)
+    s = np.sin((h[i] - h[j]) / 2.0)
     if np.any(np.abs(s) < 1e-12):
         raise SingularChartPoint("coincident angles in the potential")
     # kappa * kappa: kappa ** 2 of a Python complex raises OverflowError
-    value = np.dot(point.p, point.p) + np.sum(point.kappa * point.kappa
-                                              / (4.0 * _scalar_power(s, 2)))
+    value = np.dot(p, p) + np.sum(kappa * kappa / (4.0 * _scalar_power(s, 2)))
     if not np.isfinite(value):
         raise NonFiniteMatrixError(f"Hamiltonian is not finite: {value}")
     if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
@@ -221,38 +201,35 @@ def h_cm(point: CMPoint) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
-def h_scm(point: CMPoint, spin: SpinData) -> complex:
+def h_scm(p, h, mu) -> complex:
     """Spin Hamiltonian <p, p> + sum_{i<j} mu_ij mu_ji / (4 sin^2((h_i - h_j)/2)),
-    positions read as angles."""
-    mu = spin.mu
-    if mu.shape[0] != point.n:
+    positions read as angles, at the point (p, h) that ``_check_point``
+    checks and the spin matrix mu that ``_check_spin`` checks, in that order."""
+    p, h = _check_point(p, h)
+    mu = _check_spin(mu)
+    if mu.shape[0] != len(h):
         raise ValueError("spin matrix size does not match the point")
-    i, j = np.triu_indices(point.n, 1)
-    d = 4.0 * _scalar_power(np.sin((point.h[i] - point.h[j]) / 2.0), 2)
+    i, j = np.triu_indices(len(h), 1)
+    d = 4.0 * _scalar_power(np.sin((h[i] - h[j]) / 2.0), 2)
     if np.any(np.abs(d) < 1e-14):
         raise SingularChartPoint("singular denominator in spin Hamiltonian")
-    value = np.dot(point.p, point.p) + np.sum(mu[i, j] * mu[j, i] / d)
+    value = np.dot(p, p) + np.sum(mu[i, j] * mu[j, i] / d)
     if not np.isfinite(value):
         raise NonFiniteMatrixError(f"spin Hamiltonian is not finite: {value}")
     return complex(value)
 
 
-def quadratic_casimir_gradient(x) -> np.ndarray:
-    """Trace-form gradient of the quadratic Casimir F = tr(x^2)/2."""
-    return as_matrix(x)
+def cm_central_flow(x, g, t: float):
+    """Flow of the quadratic Casimir F = tr(x^2)/2, whose trace-form
+    gradient is x: (x, g) -> (x, exp(t x) g).
 
-
-def cm_central_flow(x, g, grad_f, t: float):
-    """Flow of a central function F: (x, g) -> (x, exp(t grad F(x)) g).
-
-    ``grad_f`` maps the matrix x to the trace-form gradient of F at x.  The
-    first component never moves; because grad F(x) commutes with x, the pair
-    (x, g x g^{-1}) moves by simultaneous conjugation, so all joint trace
-    invariants are preserved.
+    The first component never moves; because x commutes with itself, the
+    pair (x, g x g^{-1}) moves by simultaneous conjugation, so all joint
+    trace invariants are preserved.
     """
     x = as_matrix(x)
     g = as_matrix(g)
-    return x, mat_exp(t * as_matrix(grad_f(x))) @ g
+    return x, mat_exp(t * x) @ g
 
 
 def solve_phi_psi_oracle(h, kappa: complex):

@@ -274,16 +274,14 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
 
     p = rng.normal(size=n)
     p -= p.mean()
-    point = calogero.CMPoint(p=p, h=h, kappa=kappa)
-    spin = calogero.SpinData.rank_one(phi=rng.uniform(0.5, 1.5, size=n), kappa=kappa)
-    h_scm, h_cm = calogero.h_scm(point, spin), calogero.h_cm(point)
+    mu = calogero.rank_one_spin(rng.uniform(0.5, 1.5, size=n), kappa)
+    h_scm, h_cm = calogero.h_scm(p, h, mu), calogero.h_cm(p, h, kappa)
     resum = abs(h_scm - h_cm)
-    rank1_res = np.abs(spin.mu * spin.mu.T - kappa * kappa)[~np.eye(n, dtype=bool)].max()
+    rank1_res = np.abs(mu * mu.T - kappa * kappa)[~np.eye(n, dtype=bool)].max()
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     # g x g^-1 at every t, in one stack; the reference is t = 0, where exp(0) g = g
-    gs = np.stack([calogero.cm_central_flow(x, g, calogero.quadratic_casimir_gradient, t)[1]
-                   for t in ts])
+    gs = np.stack([calogero.cm_central_flow(x, g, t)[1] for t in ts])
     conj = gs @ x @ np.linalg.inv(gs)
     table = calogero.joint_invariants(np.broadcast_to(x, conj.shape), conj, 3)
     devs = np.abs(table - table[0]).max(axis=1)
@@ -311,11 +309,12 @@ def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
 def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
-    pt = double.DoublePoint(x=_sl_sample(n, rng, 0.3), y=_sl_sample(n, rng, 0.3))
+    # unimodular by _sl_matrices' scaling, so the pair needs no det check
+    z0 = np.concatenate([_sl_sample(n, rng, 0.3).ravel(), _sl_sample(n, rng, 0.3).ravel()])
     block = "x" if family == "cm" else "y"
     H = double.trace_power_observable(n, block, 1)
     chart = chart_heisenberg_double(n)
-    traj = rk4(chart, H, pt.as_point(), cfg.t_max, cfg.dt)
+    traj = rk4(chart, H, z0, cfg.t_max, cfg.dt)
     observables = double.projection_invariants(n, family)
     result, values = _flow_report(traj, [(o, TOL.projection_drift) for o in observables],
                                   plotted=2, rows=200)
@@ -379,7 +378,8 @@ def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _bracket_suite_charts(n: int):
-    """(chart, point sampler) pairs of the ``verify-brackets`` sweep."""
+    """(chart, point sampler) pairs of the ``verify-brackets`` sweep: the
+    Kepler chart ``canonical(3)`` and the other four charts at ``n``."""
     def normal(dim):
         return lambda rng: rng.normal(size=dim).astype(complex)
 
@@ -392,9 +392,8 @@ def _bracket_suite_charts(n: int):
         (chart_cm_loglinear(n), normal(2 * n)),
         (chart_relativistic_loglinear(n), lambda rng: rng.uniform(0.5, 2.0, size=2 * n)
          * np.exp(1j * rng.uniform(-0.3, 0.3, size=2 * n))),
-        (chart_heisenberg_double(2), group(2, blocks=2)),
-        (chart_sklyanin(2), group(2)),
-        (chart_sklyanin(3), group(3)),
+        (chart_heisenberg_double(n), group(n, blocks=2)),
+        (chart_sklyanin(n), group(n)),
     ]
 
 
@@ -429,10 +428,10 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.n
     h = _distinct_h(n, rng)
     gamma = _sl_sample(n, rng, 0.4)
-    pt = double.DoublePoint(x=np.diag(_distinct_eigs(n, rng)), y=_sl_sample(n, rng, 0.35))
+    x, y = np.diag(_distinct_eigs(n, rng)), _sl_sample(n, rng, 0.35)
     margins = {"rational": calogero.duality_fiber_check(np.diag(h), gamma, cfg.samples,
                                                         _rng_for(cfg, 1)),
-               "relativistic": double.fiber_check(pt, cfg.samples, _rng_for(cfg, 2))}
+               "relativistic": double.fiber_check(x, y, cfg.samples, _rng_for(cfg, 2))}
     cells = [(tag, i, j, m) for tag, table in margins.items()
              for (i, j), m in np.ndenumerate(table)]
     return ScenarioResult(

@@ -26,8 +26,6 @@ arbitrated by oracles here and in the test suite:
   second Hamiltonian's product formula agree with its character route.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calogero import (
@@ -46,29 +44,6 @@ from .matrixcore import (_diagonals, _scalar_power, _unimodular_eigs, as_matrix,
 from .poisson import Observable, chart_heisenberg_double, trace_power
 
 
-@dataclass(frozen=True)
-class DoublePoint:
-    """Pair of unimodular matrices (x, y)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x, y = as_matrix(self.x), as_matrix(self.y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if x.shape != y.shape:
-            raise ValueError("x and y must have the same size")
-        _check_unimodular(x, y)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    def as_point(self) -> np.ndarray:
-        return np.concatenate([self.x.ravel(), self.y.ravel()])
-
-
 def _check_unimodular(x, y):
     """ConstraintViolation for the first stacked pair (x, y) with det x or
     det y off 1 by more than 1e-9 max(1, max|m|^n), naming x when both are."""
@@ -81,6 +56,16 @@ def _check_unimodular(x, y):
         return f"det {'xy'[m]} must be 1 (got {dets.reshape(-1, 2)[k, m]:.6g})"
 
     _raise_first(off.any(axis=-1), ConstraintViolation, message)
+
+
+def _check_pair(x, y):
+    """x and y as square, finite complex matrices of one shape and unit
+    determinant, the checks a pair of group elements runs on entry."""
+    x, y = as_matrix(x), as_matrix(y)
+    if x.shape != y.shape:
+        raise ValueError("x and y must have the same size")
+    _check_unimodular(x, y)
+    return x, y
 
 
 def _check_pairing(q, phi, psi):
@@ -120,8 +105,9 @@ def _centralizer_elements(m, samples, rng) -> np.ndarray:
     return v @ _diagonals(_unimodular_eigs(draws[:, 0], draws[:, 1], 0.3)) @ np.linalg.inv(v)
 
 
-def fiber_check(pt: DoublePoint, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Check transversality of the two projection fibers through (x, y).
+def fiber_check(x, y, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Check transversality of the two projection fibers through the pair
+    (x, y), which ``_check_pair`` checks first.
 
     The first fiber is {(x, y z) : z in Z_x}, the second {(x z', y) :
     z' in Z_y}, centralizers computed from spectral decompositions.  For
@@ -129,8 +115,9 @@ def fiber_check(pt: DoublePoint, samples: int, rng: np.random.Generator) -> np.n
     two points: returns the (samples, samples) margins of
     ``calogero._separation_margins``.
     """
-    return _separation_margins(pt.x, pt.y @ _centralizer_elements(pt.x, samples, rng),
-                               pt.x @ _centralizer_elements(pt.y, samples, rng), pt.y)
+    x, y = _check_pair(x, y)
+    return _separation_margins(x, y @ _centralizer_elements(x, samples, rng),
+                               x @ _centralizer_elements(y, samples, rng), y)
 
 
 def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
@@ -170,7 +157,7 @@ def _reductions(x, q, ydiag) -> dict:
     xmat = _diagonals(x)
     xmat /= _scalar_power(np.linalg.det(xmat), 1.0 / n)[..., None, None]
     y = y / _scalar_power(np.linalg.det(y), 1.0 / n)[..., None, None]
-    # the checks of DoublePoint, and the pairing of the rank-1 class
+    # the checks of _check_pair, and the pairing of the rank-1 class
     _raise_first(~(np.isfinite(xmat).all(axis=(-2, -1)) & np.isfinite(y).all(axis=(-2, -1))),
                  NonFiniteMatrixError, "matrix has NaN or Inf entries")
     _check_unimodular(xmat, y)
@@ -255,9 +242,12 @@ def projection_invariants(n: int, family: str):
             for k, name in enumerate(words)]
 
 
-def double_flow_conservation(pt: DoublePoint, H: Observable, t_max: float,
-                             dt: float, family: str = "cm") -> ConservationReport:
-    """Integrate the flow of H on the full bracket chart and monitor the
-    projection invariants of the chosen family."""
-    traj = rk4(chart_heisenberg_double(pt.n), H, pt.as_point(), t_max, dt)
-    return monitor(traj, projection_invariants(pt.n, family))
+def double_flow_conservation(x, y, H: Observable, t_max: float, dt: float,
+                             family: str = "cm") -> ConservationReport:
+    """Integrate the flow of H on the full bracket chart from the pair
+    (x, y), which ``_check_pair`` checks first, and monitor the projection
+    invariants of the chosen family."""
+    x, y = _check_pair(x, y)
+    n = len(x)
+    traj = rk4(chart_heisenberg_double(n), H, np.concatenate([x.ravel(), y.ravel()]), t_max, dt)
+    return monitor(traj, projection_invariants(n, family))

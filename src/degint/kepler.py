@@ -1,8 +1,9 @@
 """The Kepler system: H = p^2/2 - gamma/|q| on R^6.
 
 Conserved set: the momentum vector M = p x q, the Lenz vector
-A = p x M + gamma q/|q|, and the energy H.  The map (p, q) -> (M, A, H)
-projects phase space onto a five-dimensional Poisson manifold.
+A = p x M + gamma q/|q|, and the energy H.  The map (p, q) -> (M, A, H),
+evaluated by ``kepler_observables``, projects phase space onto a
+five-dimensional Poisson manifold.
 
 Sign constants.  With the chart convention {p_i, q_j} = +delta_ij the
 bracket relations come out as
@@ -56,26 +57,6 @@ class KeplerState:
 
     def as_point(self) -> np.ndarray:
         return np.concatenate([self.p, self.q]).astype(complex)
-
-
-@dataclass(frozen=True)
-class P5Point:
-    """Image of a state under the projection (p, q) -> (M, A, H), or of
-    states stacked along leading axes: M and A of shape (..., 3), H (...).
-
-    (M, A) = 0 holds identically and is enforced at every point; the
-    quadratic relation (A, A) = gamma^2 + QUADRATIC_RELATION_SIGN * 2 (M, M) H
-    needs the coupling and is asserted by the callers that know it.
-    """
-
-    M: np.ndarray
-    A: np.ndarray
-    H: float
-
-    def __post_init__(self):
-        scale = np.maximum(1.0, np.abs([self.M, self.A]).max(axis=(0, -1)))
-        if np.any(np.abs(np.vecdot(self.M, self.A)) > 1e-10 * scale ** 2):
-            raise ValueError("(M, A) must vanish")
 
 
 def _radius(q):
@@ -148,16 +129,6 @@ def kepler_observables(gamma: float):
     return obs
 
 
-def project_to_p5(state: KeplerState) -> P5Point:
-    """(p, q) -> (M, A, H).  (M, A) = 0 holds identically."""
-    p, q, gamma = state.p, state.q, state.gamma
-    return P5Point(
-        M=_cross(p, q),
-        A=_lenz(p, q, gamma),
-        H=hamiltonian(p, q, gamma),
-    )
-
-
 def _collision_guard(z) -> str:
     if _radius(z.real[3:]) < TOL.collision_radius:
         return FLAG_COLLISION
@@ -195,7 +166,7 @@ def radial_period(state0: KeplerState, t_max: float, dt: float = None) -> float:
     p.q = d(|q|^2)/dt / 2, refined by linear interpolation on a dense grid.
     Only meaningful for bound orbits.
     """
-    E = project_to_p5(state0).H
+    E = hamiltonian(state0.p, state0.q, state0.gamma)
     if E >= 0:
         raise ValueError("radial period needs a bound orbit (E < 0)")
     T_est = 2.0 * np.pi * state0.gamma / (2.0 * abs(E)) ** 1.5

@@ -10,14 +10,12 @@ from degint import calogero, cli
 from degint.calogero import (
     _pair_products,
     _ratio,
-    CMPoint,
-    SpinData,
     cm_central_flow,
     duality_fiber_check,
     h_cm,
     h_scm,
     joint_invariants,
-    quadratic_casimir_gradient,
+    rank_one_spin,
     ruij_sweep,
     solve_phi_psi_oracle,
 )
@@ -51,77 +49,120 @@ def rebuilt_g(h, u, kappa):
     return calogero._ruij_parts(h, u, kappa)[-1]
 
 
-class TestCMPoint:
-    def test_traceless_enforced(self):
-        with pytest.raises(ValueError):
-            CMPoint(p=[1.0, 1.0], h=[1.0, -1.0], kappa=1.0)
+# A valid point (p, h), coupling kappa and spin matrix mu.
+P, H, KAPPA = [1.0, -1.0], [0.5, -0.5], 0.3
+MU = rank_one_spin([1.0, 2.0], KAPPA)
 
-    def test_coincident_positions_rejected(self):
-        with pytest.raises(SingularChartPoint):
-            CMPoint(p=[1.0, -1.0], h=[0.0, 0.0], kappa=1.0)
+# Each check the routes of a reduced point and a spin matrix run on entry:
+# (the arguments of h_cm or h_scm, the exception type, its message).
+POINT_CHECKS = {
+    "lengths-differ": (([1.0, -1.0, 0.0], H), ValueError, "p and h must have the same length"),
+    "p-not-traceless": (([1.0, 1.0], H), ValueError,
+                        "p must sum to zero (traceless normalization)"),
+    "h-not-traceless": ((P, [1.0, 2.0]), ValueError,
+                        "h must sum to zero (traceless normalization)"),
+    "coincident-h": ((P, [0.0, 0.0]), SingularChartPoint, "two positions closer than 1e-08"),
+}
+SPIN_CHECKS = {
+    "mu-not-square": (np.ones((2, 3)), ValueError, "expected a square matrix, got shape (2, 3)"),
+    "mu-not-finite": (np.array([[0.0, np.inf], [1.0, 0.0]]), NonFiniteMatrixError,
+                      "matrix has NaN or Inf entries"),
+    "mu-diagonal": (np.ones((2, 2)), ValueError, "spin matrix must have zero diagonal"),
+    "mu-size": (np.zeros((3, 3)), ValueError, "spin matrix size does not match the point"),
+}
+
+
+def raised(fn, *args):
+    """(type, message) of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as caught:
+        fn(*args)
+    return type(caught.value), str(caught.value)
+
+
+class TestEntryChecks:
+    """Every check of a reduced point and a spin matrix raises through each
+    route that takes one, with its type and message."""
+
+    @pytest.mark.parametrize("check", POINT_CHECKS)
+    @pytest.mark.parametrize("route", ["h_cm", "h_scm"])
+    def test_point_checks(self, route, check):
+        (p, h), error, message = POINT_CHECKS[check]
+        third = KAPPA if route == "h_cm" else MU
+        assert raised(getattr(calogero, route), p, h, third) == (error, message)
+
+    @pytest.mark.parametrize("check", SPIN_CHECKS)
+    def test_spin_checks(self, check):
+        mu, error, message = SPIN_CHECKS[check]
+        assert raised(h_scm, P, H, mu) == (error, message)
+
+    def test_point_checks_run_before_spin_checks(self):
+        assert raised(h_scm, [1.0, 1.0], H, np.ones((2, 2)))[1].startswith("p must sum")
+
+    def test_rank_one_spin_checks_phi_and_its_matrix(self):
+        assert raised(rank_one_spin, [1.0, 0.0], KAPPA) == (ValueError,
+                                                             "phi entries must be nonzero")
+        with np.errstate(over="ignore", invalid="ignore"):     # kappa / phi overflows
+            assert raised(rank_one_spin, [1e-300, 1.0], 1e10) == (
+                NonFiniteMatrixError, "matrix has NaN or Inf entries")
+
+    def test_valid_arguments_pass(self):
+        assert h_cm(P, H, KAPPA) == pytest.approx(h_scm(P, H, MU).real)
 
 
 class TestHCM:
     def test_reference_value(self):
         """n=2, p=(1,-1), q=(pi/2,-pi/2), kappa=1: 2 + 1/(4 sin^2(pi/2))."""
-        pt = CMPoint(p=[1.0, -1.0], h=[np.pi / 2, -np.pi / 2], kappa=1.0)
-        assert h_cm(pt) == pytest.approx(2.25)
+        assert h_cm([1.0, -1.0], [np.pi / 2, -np.pi / 2], 1.0) == pytest.approx(2.25)
 
     def test_free_limit(self):
-        pt = CMPoint(p=[1.0, -1.0], h=[0.7, -0.7], kappa=0.0)
-        assert h_cm(pt) == pytest.approx(2.0)
+        assert h_cm([1.0, -1.0], [0.7, -0.7], 0.0) == pytest.approx(2.0)
 
     def test_weyl_invariance(self):
         p = np.array([0.4, -0.9, 0.5])
         q = np.array([1.0, 0.2, -1.2])
-        pt = CMPoint(p=p, h=q, kappa=0.7)
         perm = [2, 0, 1]
-        pt2 = CMPoint(p=p[perm], h=q[perm], kappa=0.7)
-        assert h_cm(pt) == pytest.approx(h_cm(pt2))
+        assert h_cm(p, q, 0.7) == pytest.approx(h_cm(p[perm], q[perm], 0.7))
 
 
 class TestHSCM:
     def test_zero_spin_is_free(self):
-        pt = CMPoint(p=[0.3, -0.3], h=[0.5, -0.5], kappa=0.0)
-        spin = SpinData(np.zeros((2, 2)))
-        assert h_scm(pt, spin) == pytest.approx(np.dot(pt.p, pt.p))
+        p = np.array([0.3, -0.3])
+        assert h_scm(p, [0.5, -0.5], np.zeros((2, 2))) == pytest.approx(np.dot(p, p))
 
     def test_rank_one_reduces_to_spinless(self):
         """Rank-1 spin with mu_ij mu_ji = kappa^2 gives the trigonometric
         Hamiltonian back (trigonometric denominators)."""
         kappa = 0.8
-        pt = CMPoint(p=[0.2, -0.2], h=[1.1, -1.1], kappa=kappa)
-        spin = SpinData.rank_one(phi=[1.0, 2.0], kappa=kappa)
-        mu = spin.mu
+        p, h = [0.2, -0.2], [1.1, -1.1]
+        mu = rank_one_spin([1.0, 2.0], kappa)
         assert abs(mu[0, 1] * mu[1, 0] - kappa ** 2) < 1e-12
-        assert h_scm(pt, spin) == pytest.approx(h_cm(pt))
+        assert h_scm(p, h, mu) == pytest.approx(h_cm(p, h, kappa))
 
     def test_resummation_oracle(self):
         """Independent direct summation reproduces h_scm for random spin."""
         n = 3
         p = RNG.normal(size=n)
         p -= p.mean()
-        pt = CMPoint(p=p, h=random_h(n), kappa=0.5)
+        h = random_h(n)
         mu = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
         np.fill_diagonal(mu, 0.0)
-        spin = SpinData(mu)
-        expected = np.dot(pt.p, pt.p)
+        expected = np.dot(p, p)
         for i in range(n):
             for j in range(i + 1, n):
-                expected += mu[i, j] * mu[j, i] / (4.0 * np.sin((pt.h[i] - pt.h[j]) / 2.0) ** 2)
-        assert h_scm(pt, spin) == pytest.approx(expected)
+                expected += mu[i, j] * mu[j, i] / (4.0 * np.sin((h[i] - h[j]) / 2.0) ** 2)
+        assert h_scm(p, h, mu) == pytest.approx(expected)
 
     def test_rank_one_constructor_diagonal_zero(self):
-        spin = SpinData.rank_one(phi=[1.0, 0.5, 2.0], kappa=0.3 + 0.1j)
-        assert np.abs(np.diag(spin.mu)).max() < 1e-14
+        mu = rank_one_spin([1.0, 0.5, 2.0], 0.3 + 0.1j)
+        assert np.abs(np.diag(mu)).max() < 1e-14
 
 
-def h_cm_loop(point):
+def h_cm_loop(p, q, kappa):
     """The per-pair loop of ``h_cm``: its oracle."""
-    p, q, kappa = point.p, point.h, point.kappa
+    p, q = np.asarray(p, dtype=complex), np.asarray(q, dtype=complex)
     value = np.dot(p, p)
-    for i in range(point.n):
-        for j in range(i + 1, point.n):
+    for i in range(len(q)):
+        for j in range(i + 1, len(q)):
             s = np.sin((q[i] - q[j]) / 2.0)
             if abs(s) < 1e-12:
                 raise SingularChartPoint("coincident angles in the potential")
@@ -131,13 +172,13 @@ def h_cm_loop(point):
     return float(value.real)
 
 
-def h_scm_loop(point, spin):
+def h_scm_loop(p, h, mu):
     """The per-pair loop of ``h_scm``: its oracle."""
-    mu = spin.mu
-    value = np.dot(point.p, point.p)
-    for i in range(point.n):
-        for j in range(i + 1, point.n):
-            d = 4.0 * np.sin((point.h[i] - point.h[j]) / 2.0) ** 2
+    p, h = np.asarray(p, dtype=complex), np.asarray(h, dtype=complex)
+    value = np.dot(p, p)
+    for i in range(len(h)):
+        for j in range(i + 1, len(h)):
+            d = 4.0 * np.sin((h[i] - h[j]) / 2.0) ** 2
             if abs(d) < 1e-14:
                 raise SingularChartPoint("singular denominator in spin Hamiltonian")
             value += mu[i, j] * mu[j, i] / d
@@ -150,51 +191,51 @@ class TestPairSumsAgainstLoops:
     same errors."""
 
     @staticmethod
-    def point(n, rng, kappa):
+    def point(n, rng):
         p = rng.normal(size=n)
         h = np.sort(rng.uniform(-2.5, 2.5, size=n))
-        return CMPoint(p=p - p.mean(), h=h - h.mean(), kappa=kappa)
+        return p - p.mean(), h - h.mean()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_values_match_the_loops(self, n):
         rng = np.random.default_rng(60 + n)
         for _ in range(5):
-            pt = self.point(n, rng, 0.7)
+            p, h = self.point(n, rng)
             mu = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             np.fill_diagonal(mu, 0.0)
-            spin = SpinData(mu)
-            want = h_cm_loop(pt)
-            assert abs(h_cm(pt) - want) <= 1e-14 * max(1.0, abs(want))
-            want = h_scm_loop(pt, spin)
-            assert abs(h_scm(pt, spin) - want) <= 1e-14 * max(1.0, abs(want))
+            want = h_cm_loop(p, h, 0.7)
+            assert abs(h_cm(p, h, 0.7) - want) <= 1e-14 * max(1.0, abs(want))
+            want = h_scm_loop(p, h, mu)
+            assert abs(h_scm(p, h, mu) - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_coincident_angles_raise(self):
-        pt = CMPoint(p=[0.5, -0.5], h=[np.pi, -np.pi], kappa=0.3)
-        spin = SpinData.rank_one(phi=[1.0, 2.0], kappa=0.3)
-        for fn in (h_cm, h_cm_loop, lambda pt: h_scm(pt, spin),
-                   lambda pt: h_scm_loop(pt, spin)):
+        p, h = [0.5, -0.5], [np.pi, -np.pi]
+        mu = rank_one_spin([1.0, 2.0], 0.3)
+        for fn in (h_cm, h_cm_loop):
             with pytest.raises(SingularChartPoint):
-                fn(pt)
+                fn(p, h, 0.3)
+        for fn in (h_scm, h_scm_loop):
+            with pytest.raises(SingularChartPoint):
+                fn(p, h, mu)
 
     def test_imaginary_residue_raises(self):
-        pt = CMPoint(p=[0.5, -0.5], h=[0.3, -0.3], kappa=0.3j + 0.3)
         for fn in (h_cm, h_cm_loop):
             with pytest.raises(ValueError, match="imaginary residue"):
-                fn(pt)
+                fn([0.5, -0.5], [0.3, -0.3], 0.3j + 0.3)
 
 
 class TestCentralFlow:
     def test_time_zero_is_identity(self):
         x = np.diag([1.0, 2.0, -3.0]).astype(complex)
         g = np.eye(3) + 0.2 * RNG.normal(size=(3, 3))
-        x2, g2 = cm_central_flow(x, g, quadratic_casimir_gradient, 0.0)
+        x2, g2 = cm_central_flow(x, g, 0.0)
         assert np.abs(x2 - x).max() == 0.0
         assert np.abs(g2 - g).max() < 1e-14
 
     def test_x_untouched(self):
         x = np.diag([0.5, -0.2, -0.3]).astype(complex)
         g = np.eye(3) + 0.3 * RNG.normal(size=(3, 3))
-        x2, _ = cm_central_flow(x, g, quadratic_casimir_gradient, 0.7)
+        x2, _ = cm_central_flow(x, g, 0.7)
         assert np.abs(x2 - x).max() == 0.0
 
     def test_joint_invariants_constant(self):
@@ -205,14 +246,14 @@ class TestCentralFlow:
         g = np.eye(n) + 0.3 * (RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n)))
         ref = joint_invariants(x, g @ x @ np.linalg.inv(g), max_exp=3)
         for t in (0.2, 0.5, 1.0):
-            _, gt = cm_central_flow(x, g, quadratic_casimir_gradient, t)
+            _, gt = cm_central_flow(x, g, t)
             cur = joint_invariants(x, gt @ x @ np.linalg.inv(gt), max_exp=3)
             assert np.abs(cur - ref).max() < 1e-9 * max(1.0, np.abs(ref).max())
 
     def test_flow_composes_like_exponential(self):
         x = np.diag(random_h(3))
         g = np.eye(3).astype(complex)
-        _, g1 = cm_central_flow(x, g, quadratic_casimir_gradient, 0.3)
+        _, g1 = cm_central_flow(x, g, 0.3)
         assert np.abs(g1 - mat_exp(0.3 * x)).max() < 1e-12
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from degint import calogero, cli, double, facto, integrate, kepler, poisson
 from degint.config import TOL
 from degint.errors import ConsistencyError, FactorizationNotDefined
-from degint.matrixcore import traces_of_powers
+from degint.matrixcore import mat_exp, traces_of_powers
 from degint.cli import (
     ScenarioConfig,
     _config_from_args,
@@ -258,17 +258,20 @@ class TestConfig:
                      "--out-json", str(out)] + extra) == 0
         assert json.loads(out.read_text())["parameters"]["n"] == n
 
-    def test_bracket_report_lists_the_charts_it_ran(self, tmp_path):
-        """verify-brackets sizes only some of its charts by --n; its
-        parameters name every chart at the size it ran."""
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_bracket_report_lists_the_charts_it_ran(self, tmp_path, n):
+        """verify-brackets sizes every chart but the Kepler chart by --n, and
+        each passes its caps; its parameters name every chart at the size
+        it ran."""
         out = tmp_path / "r.json"
-        assert main(["--scenario", "verify-brackets", "--n", "4", "--samples", "1",
+        assert main(["--scenario", "verify-brackets", "--n", str(n), "--samples", "10",
                      "--seed", "0", "--out-json", str(out)]) == 0
         payload = json.loads(out.read_text())
         charts = payload["parameters"]["charts"]
-        assert "cm-loglinear(n=4)" in charts and "sklyanin(n=2)" in charts
-        assert len(charts) == 6
+        assert charts == ["canonical(n=3)"] + [f"{name}(n={n})" for name in (
+            "cm-loglinear", "relativistic-loglinear", "heisenberg-double", "sklyanin")]
         assert set(charts) == {r["name"].split(":", 1)[1] for r in payload["oracle_residuals"]}
+        assert payload["flags"] == []
 
 
 # Every numeric flag, with a value some scenario accepts.
@@ -669,6 +672,13 @@ def distinct_eigs_loop(n, rng):
             return x
 
 
+def kepler_projection(state):
+    """(M, A, H) of one Kepler state, M and A by ``np.cross``."""
+    p, q, gamma = state.p, state.q, state.gamma
+    M = np.cross(p, q)
+    return M, np.cross(p, M) + gamma * q / np.linalg.norm(q), kepler.hamiltonian(p, q, gamma)
+
+
 def kepler_orbit_loop(rng, gamma=1.0):
     """(p, q) of the first well-separated bound orbit, one candidate at a
     time: the draw ``_scenario_kepler`` made before ``_first_passing``."""
@@ -677,13 +687,12 @@ def kepler_orbit_loop(rng, gamma=1.0):
         q = rng.normal(size=3) * 1.2
         if np.linalg.norm(q) < 0.4:
             continue
-        state = kepler.KeplerState(p=p, q=q, gamma=gamma)
-        pt = kepler.project_to_p5(state)
-        if pt.H >= -0.1:
+        _, A, H = kepler_projection(kepler.KeplerState(p=p, q=q, gamma=gamma))
+        if H >= -0.1:
             continue
         # perihelion distance (gamma - |A|) / (2|E|) away from collision
-        r_min = (gamma - np.linalg.norm(pt.A)) / (2.0 * abs(pt.H))
-        if r_min > 0.2 and gamma / (2.0 * abs(pt.H)) < 4.0:
+        r_min = (gamma - np.linalg.norm(A)) / (2.0 * abs(H))
+        if r_min > 0.2 and gamma / (2.0 * abs(H)) < 4.0:
             return p, q
     raise AssertionError("could not sample a well-separated bound orbit")
 
@@ -773,7 +782,7 @@ class TestBenchmarkPools:
 # The values each scenario caps at its defaults, with their caps.  The cap of
 # cm-rational is scaled by the largest |invariant|, so only its floor is pinned.
 _CHARTS = ("canonical(n=3)", "cm-loglinear(n=3)", "relativistic-loglinear(n=3)",
-           "heisenberg-double(n=2)", "sklyanin(n=2)", "sklyanin(n=3)")
+           "heisenberg-double(n=3)", "sklyanin(n=3)")
 CAPS = {
     "kepler": dict.fromkeys(["M1", "M2", "M3", "A1", "A2", "A3", "H"], TOL.orbit_drift),
     "cm-rational": {"joint-invariants": TOL.central_flow},
@@ -1189,15 +1198,19 @@ class TestKeplerDriftCaps:
 
 class TestJointInvariantCap:
     """Negative control of ``cm-rational``'s ``joint-invariants`` cap: the
-    central flow's gradient x + eps N, N the upper shift, does not commute
-    with the diagonal x, so exp(t grad) g moves g x g^-1 off the conjugacy
-    class its joint invariants fix.  Measured at the defaults: 8.4e-8 at
-    eps = 1e-6, 8.4e-11 at 1e-9 (unplanted 1.3e-16), against a cap of at
+    central flow's exponential, planted as exp(a + eps [a, N]) with a = t x
+    and N the upper shift, flows by the gradient x + eps [x, N], which does
+    not commute with the diagonal x, so it moves g x g^-1 off the conjugacy
+    class its joint invariants fix.  Measured at the defaults: 4.6e-8 at
+    eps = 1e-6, 4.6e-11 at 1e-9 (unplanted 1.3e-16), against a cap of at
     least 1e-9."""
 
     def report(self, tmp_path, monkeypatch, eps):
-        monkeypatch.setattr(calogero, "quadratic_casimir_gradient",
-                            lambda x: x + eps * np.eye(len(x), k=1))
+        def planted(a):
+            shift = eps * np.eye(len(a), k=1)
+            return mat_exp(a + a @ shift - shift @ a)
+
+        monkeypatch.setattr(calogero, "mat_exp", planted)
         out = tmp_path / "r.json"
         code = main(["--scenario", "cm-rational", "--out-json", str(out)])
         return code, json.loads(out.read_text())["flags"]
@@ -1230,7 +1243,7 @@ def _scaled_antisymmetric_term(field, dim, eps):
 #    2e-11 at 1e-11 (unplanted 0);
 #  - jacobi: 1.0e-3 (canonical, cm-loglinear) to 2.8e-2
 #    (relativistic-loglinear) at eps = 1e-3, 10^-3 of that at 1e-6
-#    (unplanted 9.0e-11 or less).
+#    (unplanted 3.5e-11 or less).
 BRACKET_PLANTS = [
     ("antisymmetry", _symmetric_term, 1e-9, 1e-11, False),
     ("jacobi", _scaled_antisymmetric_term, 1e-3, 1e-6, True),
@@ -1512,13 +1525,13 @@ class TestSingleEvaluation:
                             for row in _csv_table(result.columns)[1]])]
         ma = quad = 0.0
         for state in states[::max(1, len(states) // 50)]:
-            pz = kepler.project_to_p5(state)
-            ma = max(ma, abs(pz.M @ pz.A))
-            quad = max(quad, abs(pz.A @ pz.A - gamma ** 2 - kepler.QUADRATIC_RELATION_SIGN
-                                 * 2.0 * (pz.M @ pz.M) * pz.H))
+            M, A, H = kepler_projection(state)
+            ma = max(ma, abs(M @ A))
+            quad = max(quad, abs(A @ A - gamma ** 2 - kepler.QUADRATIC_RELATION_SIGN
+                                 * 2.0 * (M @ M) * H))
         assert {name: value for name, value, _ in result.residuals} == {
             "orthogonality-(M,A)": ma, "quadratic-relation": quad}
-        assert result.parameters["energy"] == kepler.project_to_p5(states[0]).H
+        assert result.parameters["energy"] == kepler_projection(states[0])[2]
 
 
 class TestIntegratorMetrics:

@@ -10,7 +10,6 @@ import pytest
 from degint import calogero, cli, double
 from degint.calogero import _pair_products, _ratio
 from degint.double import (
-    DoublePoint,
     double_flow_conservation,
     duality_map,
     fiber_check,
@@ -20,9 +19,10 @@ from degint.double import (
     trace_power_observable,
 )
 from degint.config import TOL
-from degint.errors import ConsistencyError, ConstraintViolation, SingularChartPoint
+from degint.errors import (ConsistencyError, ConstraintViolation, NonFiniteMatrixError,
+                           SingularChartPoint)
 from degint.integrate import rk4
-from degint.matrixcore import mat_exp, spectral, traces_of_powers
+from degint.matrixcore import as_matrix, mat_exp, spectral, traces_of_powers
 from degint.poisson import bracket, chart_heisenberg_double, trace_power
 
 RNG = np.random.default_rng(6)
@@ -34,7 +34,12 @@ def random_sl(n, spread=0.35, rng=RNG):
 
 
 def random_pair(n, spread=0.35):
-    return DoublePoint(x=random_sl(n, spread), y=random_sl(n, spread))
+    return random_sl(n, spread), random_sl(n, spread)
+
+
+def as_point(x, y):
+    """The pair chart's coordinates of (x, y)."""
+    return np.concatenate([x.ravel(), y.ravel()])
 
 
 def random_eigs(n, spread=0.4):
@@ -52,34 +57,45 @@ def inverse_duality_map(x, y):
     return x @ y @ np.linalg.inv(x), np.linalg.inv(x)
 
 
-def pair_moment(pt):
+def checked_pair(x, y):
+    """(x, y) after the checks of one pair of group elements, in order:
+    square and finite, one shape, unit determinant (x before y).  The
+    per-point oracle of ``double._check_pair``."""
+    x, y = as_matrix(x), as_matrix(y)
+    if x.shape != y.shape:
+        raise ValueError("x and y must have the same size")
+    for name, m in zip("xy", (x, y)):
+        det = np.linalg.det(m)
+        if abs(det - 1.0) > 1e-9 * max(1.0, np.abs(m).max() ** len(m)):
+            raise ConstraintViolation(f"det {name} must be 1 (got {det:.6g})")
+    return x, y
+
+
+def pair_moment(x, y):
     """x y x^{-1} y^{-1} of one pair: the per-point oracle of ``moment``."""
-    return pt.x @ pt.y @ np.linalg.inv(pt.x) @ np.linalg.inv(pt.y)
+    return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
 
 
-def pair_duality(pt):
-    """The image (y^{-1}, y x y^{-1}) of one pair, checked as a
-    ``DoublePoint``: the per-point oracle of ``duality_map``."""
-    yinv = np.linalg.inv(pt.y)
-    return DoublePoint(x=yinv, y=pt.y @ pt.x @ yinv)
+def pair_duality(x, y):
+    """The image (y^{-1}, y x y^{-1}) of one pair, checked by
+    ``checked_pair``: the per-point oracle of ``duality_map``."""
+    yinv = np.linalg.inv(y)
+    return checked_pair(yinv, y @ x @ yinv)
 
 
 class TestMoment:
     def test_commuting_pair(self):
         x = np.diag([2.0, 0.5]).astype(complex)
         y = np.diag([0.25, 4.0]).astype(complex)
-        pt = DoublePoint(x=x, y=y)
-        assert np.abs(moment(pt.x, pt.y) - np.eye(2)).max() < 1e-14
+        assert np.abs(moment(x, y) - np.eye(2)).max() < 1e-14
 
     def test_equal_pair(self):
         x = random_sl(3)
-        pt = DoublePoint(x=x, y=x)
-        assert np.abs(moment(pt.x, pt.y) - np.eye(3)).max() < 1e-12
+        assert np.abs(moment(x, x) - np.eye(3)).max() < 1e-12
 
     def test_unimodular(self):
         for n in (2, 3):
-            pt = random_pair(n)
-            assert abs(np.linalg.det(moment(pt.x, pt.y)) - 1.0) < 1e-9
+            assert abs(np.linalg.det(moment(*random_pair(n))) - 1.0) < 1e-9
 
 
 class TestDualityMap:
@@ -87,15 +103,15 @@ class TestDualityMap:
         """mu(y^{-1}, y x y^{-1}) = mu(x, y), an algebraic identity."""
         for n in (2, 3):
             for _ in range(50):
-                pt = random_pair(n)
-                dev = np.abs(moment(*duality_map(pt.x, pt.y)) - moment(pt.x, pt.y)).max()
+                x, y = random_pair(n)
+                dev = np.abs(moment(*duality_map(x, y)) - moment(x, y)).max()
                 assert dev < 1e-12
 
     def test_hamiltonian_exchange(self):
         """tr(x) of the image equals tr(y^{-1}) of the source."""
-        pt = random_pair(3)
-        img_x, _ = duality_map(pt.x, pt.y)
-        assert np.trace(img_x) == pytest.approx(np.trace(np.linalg.inv(pt.y)))
+        x, y = random_pair(3)
+        img_x, _ = duality_map(x, y)
+        assert np.trace(img_x) == pytest.approx(np.trace(np.linalg.inv(y)))
 
     def test_identity_fixed(self):
         for img in duality_map(np.eye(2), np.eye(2)):
@@ -103,10 +119,49 @@ class TestDualityMap:
 
     def test_round_trip(self):
         for _ in range(20):
-            pt = random_pair(2)
-            back_x, back_y = inverse_duality_map(*duality_map(pt.x, pt.y))
-            assert np.abs(back_x - pt.x).max() < 1e-10
-            assert np.abs(back_y - pt.y).max() < 1e-10
+            x, y = random_pair(2)
+            back_x, back_y = inverse_duality_map(*duality_map(x, y))
+            assert np.abs(back_x - x).max() < 1e-10
+            assert np.abs(back_y - y).max() < 1e-10
+
+
+I2 = np.eye(2, dtype=complex)
+NAN = np.array([[1.0, np.nan], [0.0, 1.0]])
+OFF = f"must be 1 (got {np.linalg.det(1.1 * I2):.6g})"
+NOT_SQUARE = "expected a square matrix, got shape (2, 3)"
+
+# Each check a pair of group elements runs on entry: (x, y, exception type,
+# message).  When both factors fail one check, x is named.
+PAIR_CHECKS = {
+    "x-not-square": (np.ones((2, 3)), I2, ValueError, NOT_SQUARE),
+    "y-not-square": (I2, np.ones((2, 3)), ValueError, NOT_SQUARE),
+    "x-not-finite": (NAN, I2, NonFiniteMatrixError, "matrix has NaN or Inf entries"),
+    "y-not-finite": (I2, NAN, NonFiniteMatrixError, "matrix has NaN or Inf entries"),
+    "sizes-differ": (I2, np.eye(3), ValueError, "x and y must have the same size"),
+    "det-x": (1.1 * I2, I2, ConstraintViolation, f"det x {OFF}"),
+    "det-y": (I2, 1.1 * I2, ConstraintViolation, f"det y {OFF}"),
+    "det-both": (1.1 * I2, 1.1 * I2, ConstraintViolation, f"det x {OFF}"),
+}
+# The routes that take a pair (x, y), each at n = 2.
+PAIR_ROUTES = {
+    "fiber_check": lambda x, y: fiber_check(x, y, 2, np.random.default_rng(0)),
+    "double_flow_conservation": lambda x, y: double_flow_conservation(
+        x, y, trace_power_observable(2, "x", 1), 0.01, 1e-3),
+}
+
+
+class TestPairChecks:
+    @pytest.mark.parametrize("check", PAIR_CHECKS)
+    @pytest.mark.parametrize("route", PAIR_ROUTES)
+    def test_each_route_runs_every_check(self, route, check):
+        x, y, error, message = PAIR_CHECKS[check]
+        with pytest.raises(Exception) as caught:
+            PAIR_ROUTES[route](x, y)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+    @pytest.mark.parametrize("route", PAIR_ROUTES)
+    def test_a_unimodular_pair_passes(self, route):
+        PAIR_ROUTES[route](*random_pair(2))
 
 
 def centralizer_loop(m, samples, rng):
@@ -124,8 +179,8 @@ def centralizer_loop(m, samples, rng):
 
 class TestFiberCheck:
     def test_generic_separation(self):
-        pt = DoublePoint(x=np.diag(random_eigs(2)), y=random_sl(2))
-        margins = fiber_check(pt, samples=4, rng=np.random.default_rng(12))
+        margins = fiber_check(np.diag(random_eigs(2)), random_sl(2), samples=4,
+                              rng=np.random.default_rng(12))
         assert margins.shape == (4, 4)
         assert (margins > TOL.separation_margin).all()
 
@@ -133,9 +188,9 @@ class TestFiberCheck:
         """The centralizer draws of a fiber share one eigendecomposition."""
         calls, spectral = [], double.spectral
         monkeypatch.setattr(double, "spectral", lambda m: calls.append(m) or spectral(m))
-        pt = DoublePoint(x=np.diag(random_eigs(2)), y=random_sl(2))
-        fiber_check(pt, samples=4, rng=np.random.default_rng(12))
-        assert [c.tobytes() for c in calls] == [pt.x.tobytes(), pt.y.tobytes()]
+        x, y = np.diag(random_eigs(2)).astype(complex), random_sl(2)
+        fiber_check(x, y, samples=4, rng=np.random.default_rng(12))
+        assert [c.tobytes() for c in calls] == [x.tobytes(), y.tobytes()]
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("samples,seed", [(1, 0), (4, 12), (7, 3)])
@@ -153,21 +208,20 @@ class TestFiberCheck:
         """Points (x, y z) with z central for x share tr(x^a), tr(mu~^b),
         and joint traces; mu~ = y x^{-1} y^{-1}."""
         from degint.matrixcore import spectral
-        pt = DoublePoint(x=np.diag(random_eigs(3)), y=random_sl(3))
-        _, v = spectral(pt.x)
+        x, y = np.diag(random_eigs(3)), random_sl(3)
+        _, v = spectral(x)
 
         def mu_tilde(x, y):
             return y @ np.linalg.inv(x) @ np.linalg.inv(y)
 
-        ref = mu_tilde(pt.x, pt.y)
-        ref_invs = [np.trace(pt.x), np.trace(ref), np.trace(pt.x @ ref)]
+        ref = mu_tilde(x, y)
+        ref_invs = [np.trace(x), np.trace(ref), np.trace(x @ ref)]
         for _ in range(5):
             lam = np.exp(RNG.normal(size=3) * 0.3)
             lam /= np.prod(lam) ** (1 / 3)
             z = v @ np.diag(lam) @ np.linalg.inv(v)
-            y2 = pt.y @ z
-            cur = mu_tilde(pt.x, y2)
-            cur_invs = [np.trace(pt.x), np.trace(cur), np.trace(pt.x @ cur)]
+            cur = mu_tilde(x, y @ z)
+            cur_invs = [np.trace(x), np.trace(cur), np.trace(x @ cur)]
             assert np.abs(np.array(cur_invs) - np.array(ref_invs)).max() < 1e-10
 
 
@@ -249,7 +303,7 @@ class TestRankOneReduction:
         x = random_eigs(n)
         q = 1.0 + 1e-7
         ydiag = np.array([1.0, 2.0])
-        assert np.abs(pair_moment(reduced_pair(x, q, ydiag)) - np.eye(n)).max() < 1e-5
+        assert np.abs(pair_moment(*reduced_pair(x, q, ydiag)) - np.eye(n)).max() < 1e-5
         want = reduction_oracle(x, q, ydiag)[0]
         assert abs(sample_row(x, q, ydiag)["mu-eigenvalue-deviation"] - want) <= 1e-13 * want
 
@@ -306,23 +360,22 @@ class TestRationalLimit:
 class TestDoubleFlows:
     def test_cm_flow_conserves_first_projection(self):
         """H = tr(x): the x-traces and the mu~-traces all stay put."""
-        pt = random_pair(2, spread=0.3)
-        rep = double_flow_conservation(pt, trace_power_observable(2, "x", 1),
+        rep = double_flow_conservation(*random_pair(2, spread=0.3),
+                                       trace_power_observable(2, "x", 1),
                                        t_max=0.5, dt=1e-3, family="cm")
         assert rep.max_abs_drift.max() < 1e-7
 
     def test_ruijsenaars_flow_conserves_second_projection(self):
-        pt = random_pair(2, spread=0.3)
-        rep = double_flow_conservation(pt, trace_power_observable(2, "y", 1),
+        rep = double_flow_conservation(*random_pair(2, spread=0.3),
+                                       trace_power_observable(2, "y", 1),
                                        t_max=0.5, dt=1e-3, family="ruijsenaars")
         assert rep.max_abs_drift.max() < 1e-7
 
     def test_constant_hamiltonian_zero_flow(self):
         from degint.poisson import Observable
-        pt = random_pair(2)
         H = Observable("const", lambda z: 1.0,
                        grad=lambda z: np.zeros(8, dtype=complex))
-        rep = double_flow_conservation(pt, H, t_max=0.2, dt=0.05, family="cm")
+        rep = double_flow_conservation(*random_pair(2), H, t_max=0.2, dt=0.05, family="cm")
         assert rep.max_abs_drift.max() < 1e-14
 
     def test_trace_families_bracket_structure(self):
@@ -332,9 +385,8 @@ class TestDoubleFlows:
         def sl(n):
             m = np.eye(n) + 0.35 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             return m / np.linalg.det(m) ** (1.0 / n)
-        pt = DoublePoint(x=sl(2), y=sl(2))
         chart = chart_heisenberg_double(2)
-        z = pt.as_point()
+        z = as_point(sl(2), sl(2))
         trx = trace_power_observable(2, "x", 1)
         try_ = trace_power_observable(2, "y", 1)
         trx2 = trace_power_observable(2, "x", 2)
@@ -355,14 +407,14 @@ class TestDoubleFlows:
             return np.stack([o(z) for o in double.projection_invariants(3, family)])
 
         observables = double.projection_invariants(3, family)
-        z = np.stack([random_pair(3).as_point() for _ in range(5)])
+        z = np.stack([as_point(*random_pair(3)) for _ in range(5)])
         inv, calls = np.linalg.inv, []
         monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append(m.shape) or inv(m))
         first = values(z)
         assert calls == [(5, 3, 3)] * 2
         assert values(z.copy()).tobytes() == first.tobytes()
         assert len(calls) == 2
-        z[2] = random_pair(3).as_point()
+        z[2] = as_point(*random_pair(3))
         changed = values(z)
         assert len(calls) == 4
         assert changed.tobytes() == fresh(z).tobytes()
@@ -377,11 +429,11 @@ class TestDoubleFlows:
         monkeypatch.setattr(double, "trace_words",
                             lambda a, b, w: calls.append(len(w)) or table(a, b, w))
         observables = double.projection_invariants(3, family)
-        z = np.stack([random_pair(3).as_point() for _ in range(4)])
+        z = np.stack([as_point(*random_pair(3)) for _ in range(4)])
         for o in observables:
             o(z)
         assert calls == [words]
-        z[0] = random_pair(3).as_point()
+        z[0] = as_point(*random_pair(3))
         for o in observables:
             o(z)
         assert calls == [words] * 2
@@ -394,8 +446,7 @@ class TestDoubleFlows:
         def sl(n):
             m = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
             return m / np.linalg.det(m) ** (1.0 / n)
-        rep = double_flow_conservation(DoublePoint(x=sl(4), y=sl(4)),
-                                       trace_power_observable(4, block, 1),
+        rep = double_flow_conservation(sl(4), sl(4), trace_power_observable(4, block, 1),
                                        t_max=0.05, dt=1e-3, family=family)
         assert rep.max_abs_drift.max() <= 1e-7
 
@@ -408,7 +459,7 @@ class TestExactPairFlows:
     of the field; these flows are not."""
 
     n, t, rng = 3, 0.5, np.random.default_rng(30)
-    pt = DoublePoint(x=random_sl(n, rng=rng), y=random_sl(n, rng=rng))
+    x0, y0 = random_sl(n, rng=rng), random_sl(n, rng=rng)
 
     def error(self, block, dt, sign, field_sign=1.0, k=1):
         """|rk4 - closed form| of the moving matrix at t for the flow of
@@ -418,15 +469,15 @@ class TestExactPairFlows:
         chart = chart_heisenberg_double(self.n)
         chart = dataclasses.replace(chart, field=lambda z, g, f=chart.field: field_sign * f(z, g))
         H = trace_power(self.n, k, "xy".index(block), 2)
-        traj = rk4(chart, H, self.pt.as_point(), self.t, dt)
+        traj = rk4(chart, H, as_point(self.x0, self.y0), self.t, dt)
         x, y = traj.final.reshape(2, self.n, self.n)
-        a = np.linalg.matrix_power(self.pt.y if block == "y" else self.pt.x, k)
+        a = np.linalg.matrix_power(self.y0 if block == "y" else self.x0, k)
         a0 = k * (a - np.trace(a) / self.n * np.eye(self.n))
         if block == "y":
-            assert y.tobytes() == self.pt.y.tobytes()
-            return np.abs(x - mat_exp(-sign * self.t * a0) @ self.pt.x).max()
-        assert x.tobytes() == self.pt.x.tobytes()
-        return np.abs(y - self.pt.y @ mat_exp(sign * self.t * a0)).max()
+            assert y.tobytes() == self.y0.tobytes()
+            return np.abs(x - mat_exp(-sign * self.t * a0) @ self.x0).max()
+        assert x.tobytes() == self.x0.tobytes()
+        return np.abs(y - self.y0 @ mat_exp(sign * self.t * a0)).max()
 
     # the bound of each k on |rk4 - closed form|
     bounds = {1: 1e-13, 2: 5e-10, 3: 1e-6}
@@ -496,8 +547,7 @@ def reduced_pair(x, q, ydiag):
         raise SingularChartPoint("reconstruction denominator vanishes")
     y = (1.0 - 1.0 / q) * ydiag[None, :] / den
     xmat = np.diag(x)
-    return DoublePoint(x=xmat / np.linalg.det(xmat) ** (1.0 / n),
-                       y=y / np.linalg.det(y) ** (1.0 / n))
+    return checked_pair(xmat / np.linalg.det(xmat) ** (1.0 / n), y / np.linalg.det(y) ** (1.0 / n))
 
 
 def reduction_oracle(x, q, ydiag):
@@ -509,12 +559,12 @@ def reduction_oracle(x, q, ydiag):
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[None, :] / x[:, None],
                                          1.0 - x[None, :] / x[:, None]).prod(axis=-1)
     res_corrected = float(np.abs(corrected - products).max() / max(1.0, np.abs(products).max()))
-    pt = reduced_pair(x, q, ydiag)
+    pair = reduced_pair(x, q, ydiag)
     target = q ** (n - 1) - 1.0 / q
     if abs(products.sum() - target) > 1e-10 * max(1.0, abs(target)):
         raise ConstraintViolation("(phi, psi) must equal q^(n-1) - q^(-1)")
     ev = np.array([q ** (n - 1)] + [1.0 / q] * (n - 1))
-    got = np.linalg.eigvals(pair_moment(pt))
+    got = np.linalg.eigvals(pair_moment(*pair))
     got = got[np.lexsort((got.imag, got.real))]
     return float(np.abs(got - ev[np.lexsort((ev.imag, ev.real))]).max()), res_corrected
 
@@ -711,7 +761,7 @@ class TestRankOneSamples:
 
 
 class TestStackedChecks:
-    """The det check of ``DoublePoint``, run on a stack by ``duality_map``,
+    """The det check of a pair, run on a stack by ``duality_map``,
     and the pairing check of the rank-1 class (which the scenario's draws
     never fail) raise for the first failing member of a stack, with the
     per-point message."""
@@ -725,12 +775,12 @@ class TestStackedChecks:
             duality_map(x, y)
         with pytest.raises(ValueError) as want:
             for i in range(len(x)):
-                DoublePoint(x=x[i], y=y[i])
+                checked_pair(x[i], y[i])
         assert type(caught.value) is type(want.value) is ConstraintViolation
         assert str(caught.value) == str(want.value)
         assert str(caught.value) == f"det y must be 1 (got {np.linalg.det(y[3]):.6g})"
         with pytest.raises(ValueError, match=r"det x must be 1 \(got 1\.21"):
-            DoublePoint(x=x[4], y=y[4])
+            duality_map(x[4:], y[4:])
 
     def test_first_pairing_off_the_class(self):
         psi = np.tile(rank_one_consistency_oracle([1.0, 1.5, 1 / 1.5], Q)
@@ -756,8 +806,8 @@ def duality_moment_loop(cfg):
     rng = cli._rng_for(cfg, 999)
     dev = 0.0
     for _ in range(100):
-        pt = DoublePoint(x=sl_sample_loop(cfg.n, rng, 0.3), y=sl_sample_loop(cfg.n, rng, 0.3))
-        dev = max(dev, float(np.abs(pair_moment(pair_duality(pt)) - pair_moment(pt)).max()))
+        x, y = checked_pair(sl_sample_loop(cfg.n, rng, 0.3), sl_sample_loop(cfg.n, rng, 0.3))
+        dev = max(dev, float(np.abs(pair_moment(*pair_duality(x, y)) - pair_moment(x, y)).max()))
     return dev
 
 
@@ -782,7 +832,7 @@ class TestStackedDualityCheck:
                         == sl_sample_loop(n, ref, spread).tobytes())
 
     def test_moment_of_a_stack_is_each_pairs_moment(self):
-        pts = [random_pair(3) for _ in range(4)]
-        x, y = (np.stack([getattr(pt, side) for pt in pts]) for side in "xy")
-        for got, pt in zip(moment(*duality_map(x, y)), pts):
-            assert got.tobytes() == pair_moment(pair_duality(pt)).tobytes()
+        pairs = [random_pair(3) for _ in range(4)]
+        x, y = map(np.stack, zip(*pairs))
+        for got, pair in zip(moment(*duality_map(x, y)), pairs):
+            assert got.tobytes() == pair_moment(*pair_duality(*pair)).tobytes()

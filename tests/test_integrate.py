@@ -381,7 +381,7 @@ def random_bound_kepler_states(count, seed=3):
     states = []
     while len(states) < count:
         s = kepler.KeplerState(p=rng.normal(size=3), q=rng.normal(size=3), gamma=1.0)
-        if np.linalg.norm(s.q) > 0.3 and kepler.project_to_p5(s).H < -0.1:
+        if np.linalg.norm(s.q) > 0.3 and kepler.hamiltonian(s.p, s.q, s.gamma) < -0.1:
             states.append(s)
     return states
 

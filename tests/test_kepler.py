@@ -2,6 +2,7 @@
 surfaces, and conservation along integrated orbits."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from degint.kepler import (
     LENZ_LENZ_SIGN,
     QUADRATIC_RELATION_SIGN,
     KeplerState,
-    P5Point,
+    hamiltonian,
     kepler_observables,
     orbit_conservation_report,
-    project_to_p5,
     radial_period,
 )
 from degint.poisson import bracket, chart_canonical
@@ -28,6 +28,13 @@ EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1
 EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1
 
 
+def projection(s):
+    """(M, A, H) of a state by ``np.cross``: the projection the tests read."""
+    M = np.cross(s.p, s.q)
+    return SimpleNamespace(M=M, A=np.cross(s.p, M) + s.gamma * s.q / np.linalg.norm(s.q),
+                           H=hamiltonian(s.p, s.q, s.gamma))
+
+
 def random_state(gamma=1.0, bound=None):
     """Sample a generic non-collision state; bound=True forces E < 0."""
     while True:
@@ -36,7 +43,7 @@ def random_state(gamma=1.0, bound=None):
         if np.linalg.norm(q) < 0.3:
             continue
         s = KeplerState(p=p, q=q, gamma=gamma)
-        E = project_to_p5(s).H
+        E = projection(s).H
         if bound is None or (E < -0.05 if bound else E > 0.05):
             return s
 
@@ -44,14 +51,14 @@ def random_state(gamma=1.0, bound=None):
 class TestProjection:
     def test_circular_orbit(self):
         s = KeplerState(p=[0.0, 1.0, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
-        pt = project_to_p5(s)
+        pt = projection(s)
         assert np.allclose(pt.M, [0.0, 0.0, -1.0])
         assert np.abs(pt.A).max() < 1e-15
         assert pt.H == pytest.approx(-0.5)
 
     def test_radial_rest_state(self):
         s = KeplerState(p=[0.0, 0.0, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
-        pt = project_to_p5(s)
+        pt = projection(s)
         assert np.abs(pt.M).max() == 0.0
         assert np.allclose(pt.A, [1.0, 0.0, 0.0])
         assert pt.H == pytest.approx(-1.0)
@@ -59,14 +66,14 @@ class TestProjection:
     def test_orthogonality_identity(self):
         """(M, A) = 0 as an algebraic identity."""
         for _ in range(50):
-            pt = project_to_p5(random_state(gamma=RNG.uniform(0.5, 2.0)))
+            pt = projection(random_state(gamma=RNG.uniform(0.5, 2.0)))
             assert abs(pt.M @ pt.A) < 1e-12
 
     def test_quadratic_relation_with_frozen_sign(self):
         """(A, A) = gamma^2 + s 2 (M, M) H with the bootstrap sign s."""
         for _ in range(50):
             gamma = RNG.uniform(0.5, 2.0)
-            pt = project_to_p5(random_state(gamma=gamma))
+            pt = projection(random_state(gamma=gamma))
             lhs = pt.A @ pt.A
             rhs = gamma ** 2 + QUADRATIC_RELATION_SIGN * 2.0 * (pt.M @ pt.M) * pt.H
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
@@ -75,7 +82,7 @@ class TestProjection:
         """Recompute both sign constants by direct expansion at one point."""
         gamma = 1.3
         s = random_state(gamma=gamma)
-        pt = project_to_p5(s)
+        pt = projection(s)
         lhs = pt.A @ pt.A - gamma ** 2
         rhs = 2.0 * (pt.M @ pt.M) * pt.H
         assert np.sign(lhs / rhs) == QUADRATIC_RELATION_SIGN
@@ -86,16 +93,6 @@ class TestProjection:
         a1a2 = bracket(chart, obs[3], obs[4], z)
         sigma = np.real(a1a2) / (2.0 * pt.H * pt.M[2])
         assert np.sign(sigma) == LENZ_LENZ_SIGN
-
-    def test_stacked_points_checked_at_every_point(self):
-        """A stack of projected states passes the (M, A) = 0 check; one
-        point with (M, A) != 0 anywhere in the stack fails it."""
-        pts = [project_to_p5(random_state()) for _ in range(5)]
-        M, A = np.array([pt.M for pt in pts]), np.array([pt.A for pt in pts])
-        P5Point(M=M, A=A, H=np.array([pt.H for pt in pts]))
-        A[3] = M[3] + A[3]
-        with pytest.raises(ValueError):
-            P5Point(M=M, A=A, H=np.zeros(5))
 
     def test_collision_rejected(self):
         with pytest.raises(SingularChartPoint):
@@ -149,7 +146,7 @@ class TestBracketRelations:
         for _ in range(10):
             s = random_state(gamma=gamma)
             z = s.as_point()
-            pt = project_to_p5(s)
+            pt = projection(s)
             for i in range(3):
                 for j in range(3):
                     want = sum(EPS[i, j, k] * pt.M[k] for k in range(3))
@@ -164,7 +161,7 @@ class TestBracketRelations:
         for _ in range(10):
             s = random_state(gamma=gamma)
             z = s.as_point()
-            pt = project_to_p5(s)
+            pt = projection(s)
             for i in range(3):
                 for j in range(3):
                     want = sum(EPS[i, j, k] * pt.A[k] for k in range(3))
@@ -179,7 +176,7 @@ class TestBracketRelations:
         for _ in range(10):
             s = random_state(gamma=gamma)
             z = s.as_point()
-            pt = project_to_p5(s)
+            pt = projection(s)
             for i in range(3):
                 for j in range(3):
                     want = (LENZ_LENZ_SIGN * 2.0 * pt.H
@@ -199,18 +196,52 @@ class TestBracketRelations:
                 assert abs(bracket(chart, H, o, z)) < 1e-6
 
 
+class TestDegenerateIntegrability:
+    """Kepler is degenerately integrable with N = 3 degrees of freedom and
+    k = 1 Hamiltonian: its seven integrals (M, A, H) have 2N - k = 5
+    independent differentials and a bracket matrix of rank 2N - 2k = 4.
+    Measured at the 25 seeded bound points below: the kept singular values
+    are at least 0.058 (differentials) and 0.37 (brackets) of the largest,
+    the dropped ones at most 7.2e-17 and 4.7e-16.  The test asserts a gap of
+    ten orders: kept >= 1e-3, dropped <= 1e-13, of the largest."""
+
+    @staticmethod
+    def bound_points(count, rng):
+        points = []
+        while len(points) < count:
+            p, q = rng.normal(size=3), rng.normal(size=3)
+            if np.linalg.norm(q) >= 0.3 and hamiltonian(p, q, 1.0) < -0.05:
+                points.append(np.concatenate([p, q]).astype(complex))
+        return points
+
+    @staticmethod
+    def rank(m):
+        """The rank at the asserted gap; fails for a value inside it."""
+        s = np.linalg.svd(m, compute_uv=False)
+        s = s / s[0]
+        assert not ((1e-13 < s) & (s < 1e-3)).any(), s
+        return int((s >= 1e-3).sum())
+
+    def test_ranks_of_the_differentials_and_the_brackets(self):
+        chart, obs = chart_canonical(3), kepler_observables(1.0)
+        for z in self.bound_points(25, np.random.default_rng(11)):
+            dI = np.array([o.gradient(z) for o in obs]).real        # 7 x 6
+            assert dI.shape == (7, 6) and self.rank(dI) == 5
+            assert self.rank(dI @ chart.pi(z).real @ dI.T) == 4
+
+
 class TestLevelSurfaces:
     def test_zero_energy_radius_is_gamma(self):
         """Zero-energy leaf: the quadratic relation at H = 0 puts A on the
         sphere (A, A) = gamma^2."""
         gamma = 2.0
         s = random_state(gamma=gamma)
-        pt = project_to_p5(s)
+        pt = projection(s)
         assert (pt.A @ pt.A - gamma ** 2) == pytest.approx(
             QUADRATIC_RELATION_SIGN * 2 * (pt.M @ pt.M) * pt.H, rel=1e-9)
         # the same state with its momentum rescaled onto H = 0
         p = s.p * np.sqrt(2.0 * gamma / np.linalg.norm(s.q)) / np.linalg.norm(s.p)
-        zero = project_to_p5(KeplerState(p=p, q=s.q, gamma=gamma))
+        zero = projection(KeplerState(p=p, q=s.q, gamma=gamma))
         assert abs(zero.H) < 1e-12
         assert np.sqrt(zero.A @ zero.A) == pytest.approx(gamma, rel=1e-9)
 
@@ -219,7 +250,7 @@ class TestLevelSurfaces:
         gamma = 1.4
         for _ in range(20):
             s = random_state(gamma=gamma, bound=False)
-            pt = project_to_p5(s)
+            pt = projection(s)
             assert (pt.A @ pt.A - 2 * pt.H * (pt.M @ pt.M)
                     ) == pytest.approx(gamma ** 2, rel=1e-9)
 
@@ -229,7 +260,7 @@ class TestLevelSurfaces:
         gamma = 1.0
         for _ in range(20):
             s = random_state(gamma=gamma, bound=True)
-            pt = project_to_p5(s)
+            pt = projection(s)
             scale = np.sqrt(2.0 * abs(pt.H))
             for sign in (-1.0, 1.0):
                 v = pt.M + sign * pt.A / scale
@@ -247,7 +278,7 @@ class TestOrbits:
         """Detected radial period vs 2 pi gamma / (2|E|)^{3/2}; the formula
         itself was verified against an independent leapfrog simulation."""
         s = KeplerState(p=[0.0, 0.8, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
-        E = project_to_p5(s).H
+        E = projection(s).H
         T_formula = 2 * np.pi * s.gamma / (2 * abs(E)) ** 1.5
         T = radial_period(s, t_max=3 * T_formula)
         assert T == pytest.approx(T_formula, rel=1e-6)
@@ -262,7 +293,7 @@ class TestOrbits:
 
     def test_scattering_state_conservation(self):
         s = KeplerState(p=[0.0, 1.6, 0.0], q=[1.0, 0.2, 0.0], gamma=1.0)
-        assert project_to_p5(s).H > 0
+        assert projection(s).H > 0
         rep = orbit_conservation_report(s, t_max=10.0, tol=1e-10)
         assert rep.max_abs_drift.max() < 1e-8
 
@@ -335,7 +366,7 @@ class TestKeplerFastPath:
 
     def test_orbit_forms_no_bivector_and_no_difference(self, monkeypatch):
         s = KeplerState(p=[0.1, 0.8, -0.2], q=[1.0, 0.1, 0.3], gamma=1.0)
-        assert project_to_p5(s).H < 0
+        assert projection(s).H < 0
         want = kepler.integrate_orbit(s, 2 * np.pi, 1e-10)
         fields, pis = [], []
 
