@@ -1,9 +1,9 @@
 """Central tolerance configuration.
 
-Every numerical threshold used by the library lives in one frozen record,
-``TOL``, which the library reads directly; no function takes a tolerance
-record as a parameter.  The values are the validated desk-scale ones; a
-threshold is changed here, for every caller at once.
+``TOL`` holds the report caps and the engine's tolerances, read directly; no
+function takes it as a parameter.  The entry checks of the points and
+matrices a function accepts keep their literal cut-offs beside their
+messages, and a routine's own constants (``mat_exp``'s series stop) stay in it.
 """
 
 from dataclasses import dataclass

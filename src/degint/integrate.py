@@ -79,19 +79,6 @@ _DP = _Tableau(
 _ATTEMPT_BUDGET = 1_000_000
 
 
-def _stage_row(row):
-    """A tableau row as (stages, a), its stage sum being a.dot(K[stages]).
-    A row whose one nonzero coefficient is on stage j gives j and that
-    coefficient as a 0-d array, so the sum is the one product a K[j]: what
-    the dot over the whole row gives, less its products with exact zeros,
-    which can change only the sign of a zero.  Any other row gives all of
-    its stages."""
-    nonzero = np.flatnonzero(row)
-    if len(nonzero) == 1:
-        return int(nonzero[0]), np.array(row[nonzero[0]])
-    return slice(len(row)), row
-
-
 @np.errstate(over="ignore", invalid="ignore")      # a non-finite step ends the run
 def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau,
          h: float, max_steps: int, tol: Optional[float],
@@ -104,7 +91,7 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
     a flag that stops the run."""
     z = np.asarray(x0, dtype=complex).ravel()
     # complex coefficients spare every stage product a cast from float
-    rows = [_stage_row(row[:i].astype(complex)) for i, row in enumerate(tableau.A)]
+    rows = [row[:i].astype(complex) for i, row in enumerate(tableau.A)]
     b = tableau.b.astype(complex)
     err_row = None if tol is None else b - tableau.b_low
     K = np.empty((len(b), z.size), dtype=complex)
@@ -128,8 +115,7 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
         hc = np.array(h, dtype=complex)
         K[0] = ham_vector_field(chart, H, z)
         for i in range(1, len(b)):
-            stages, a = rows[i]
-            K[i] = ham_vector_field(chart, H, z + hc * a.dot(K[stages]))
+            K[i] = ham_vector_field(chart, H, z + hc * rows[i].dot(K[:i]))
         evaluations += len(b)
         z_next = z + hc * b.dot(K)
         finite = np.logical_and.reduce(np.isfinite(z_next))
