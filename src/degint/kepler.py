@@ -19,6 +19,7 @@ Both constants were determined by a bootstrap evaluation (see the test
 suite, which recomputes and asserts them) and are frozen here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,18 +120,22 @@ def kepler_observables(gamma: float):
         return hamiltonian(*split(z), gamma)
 
     def h_grad(z):
-        # (p, gamma q / |q|^3), written into one complex copy of Re z
-        g = z.real.astype(complex)
-        q = z.real[3:]
-        g[3:] = gamma * q / _radius(q) ** 3
-        return g
+        # (p, gamma q / |q|^3) over the numpy scalar c = |q|^3, which rounds as
+        # the array division does and gives inf or nan where a float's ** raises
+        x = z.real
+        q = x[3:]
+        c = np.sqrt(q.dot(q)) ** 3      # q.dot(q): bit for bit np.vecdot(q, q)
+        p0, p1, p2, q0, q1, q2 = x.tolist()
+        return np.array([p0, p1, p2, gamma * q0 / c, gamma * q1 / c, gamma * q2 / c],
+                        dtype=complex)
 
     obs.append(Observable(name="H", fn=h_fn, grad=h_grad))
     return obs
 
 
 def _collision_guard(z) -> str:
-    if _radius(z.real[3:]) < TOL.collision_radius:
+    q = z.real[3:]
+    if math.sqrt(q.dot(q)) < TOL.collision_radius:
         return FLAG_COLLISION
     return None
 

@@ -1,0 +1,98 @@
+"""Time one benchmark workload's reports in this tree against another
+checkout, in interleaved pairs in one process.  Run by hand from the
+repository root, with the path of a checkout of the commit to compare
+against:
+
+    python tests/time_reports.py ../degint-parent --workload kepler-orbit --pairs 160
+
+Both trees' ``src/degint`` are copied into a temporary directory as two
+packages, ``degint_other`` and ``degint_this``, and imported into one
+process, so that the two sides of a pair share the host's state as closely
+as two runs can.  Pair i runs the workload's argv, read from
+``perfbench/workloads.py``, at its pool seed ``SEED_STRIDE * (i mod 20)``
+in both trees: the other tree first in even pairs, this tree first in odd
+ones.  One untimed report per tree comes first.  The output is the summed
+time ratio (this / other), the median pair ratio, the pairs this tree won,
+and each pair whose CSV or JSON bytes differ; the exit status is 1 when a
+pair's outputs differ.  Host speed drifts, so only pairs compare: no single
+time printed here is a measurement of either tree.
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = 20
+NAMES = ("other", "this")
+
+
+def load_trees(other: Path, tmp: Path) -> dict:
+    """The ``cli`` module of each tree, imported from its copy in ``tmp``."""
+    sys.path.insert(0, str(tmp))
+    clis = {}
+    for name, tree in zip(NAMES, (other, ROOT)):
+        shutil.copytree(tree / "src" / "degint", tmp / f"degint_{name}")
+        clis[name] = importlib.import_module(f"degint_{name}.cli")
+    return clis
+
+
+def report(cli, argv, out: Path):
+    """Seconds of one report through ``cli.main`` and its (CSV, JSON) bytes."""
+    files = [out.with_suffix(".csv"), out.with_suffix(".json")]
+    argv = [*argv, "--out-csv", str(files[0]), "--out-json", str(files[1])]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        t0 = time.perf_counter()
+        code = cli.main(argv)
+        seconds = time.perf_counter() - t0
+    return seconds, (code, *(f.read_bytes() if f.exists() else None for f in files))
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("other", type=Path, help="checkout to compare against")
+    p.add_argument("--workload", default="kepler-orbit")
+    p.add_argument("--pairs", type=int, default=160)
+    args = p.parse_args()
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads, as perfbench runs
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import SEED_STRIDE, WORKLOADS
+
+    workload = WORKLOADS[args.workload]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        clis = load_trees(args.other.resolve(), tmp)
+        argvs = [[*workload.argv, "--seed", str(SEED_STRIDE * (i % SEEDS))]
+                 for i in range(args.pairs)]
+        for name in NAMES:
+            report(clis[name], argvs[0], tmp / name)
+        seconds = {name: [] for name in NAMES}
+        differ = []
+        for i, argv in enumerate(argvs):
+            outputs = {}
+            for name in (NAMES if i % 2 == 0 else NAMES[::-1]):
+                t, outputs[name] = report(clis[name], argv, tmp / name)
+                seconds[name].append(t)
+            if outputs["other"] != outputs["this"]:
+                differ.append(" ".join(argv))
+    other, this = seconds["other"], seconds["this"]
+    ratios = [b / a for a, b in zip(other, this)]
+    print(f"{args.workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
+          f"median pair ratio {statistics.median(ratios):.3f}, "
+          f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}, "
+          f"outputs differ in {len(differ)}")
+    for argv in differ:
+        print(f"outputs differ: {argv}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
