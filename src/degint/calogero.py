@@ -178,21 +178,23 @@ def rank_one_spin(phi, kappa: complex) -> np.ndarray:
     return _check_spin(np.outer(phi, kappa / phi) - kappa * np.eye(len(phi)))
 
 
+def _angle_denominators(h):
+    """Pairs i < j of angles h and 4 sin^2((h_i - h_j)/2), singular below 1e-14."""
+    i, j = np.triu_indices(len(h), 1)
+    d = 4.0 * _scalar_power(np.sin((h[i] - h[j]) / 2.0), 2)
+    if np.any(np.abs(d) < 1e-14):
+        raise SingularChartPoint("coincident angles (mod 2 pi) in the potential")
+    return i, j, d
+
+
 @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def h_cm(p, h, kappa: complex) -> float:
     """Trigonometric rank-1 Hamiltonian <p, p> + sum kappa^2 / (4 sin^2((h_i-h_j)/2))
-    at the point (p, h) that ``_check_point`` checks first.
-
-    Positions are read as angles; coincident angles (mod 2 pi) are singular.
-    Inputs are expected real up to 1e-10 imaginary residue.
-    """
+    at the point (p, h) that ``_check_point`` checks first, positions read as
+    angles (``_angle_denominators``), inputs real up to 1e-10 imaginary residue."""
     p, h = _check_point(p, h)
-    i, j = np.triu_indices(len(h), 1)
-    s = np.sin((h[i] - h[j]) / 2.0)
-    if np.any(np.abs(s) < 1e-12):
-        raise SingularChartPoint("coincident angles in the potential")
     # kappa * kappa: kappa ** 2 of a Python complex raises OverflowError
-    value = np.dot(p, p) + np.sum(kappa * kappa / (4.0 * _scalar_power(s, 2)))
+    value = np.dot(p, p) + np.sum(kappa * kappa / _angle_denominators(h)[2])
     if not np.isfinite(value):
         raise NonFiniteMatrixError(f"Hamiltonian is not finite: {value}")
     if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
@@ -209,10 +211,7 @@ def h_scm(p, h, mu) -> complex:
     mu = _check_spin(mu)
     if mu.shape[0] != len(h):
         raise ValueError("spin matrix size does not match the point")
-    i, j = np.triu_indices(len(h), 1)
-    d = 4.0 * _scalar_power(np.sin((h[i] - h[j]) / 2.0), 2)
-    if np.any(np.abs(d) < 1e-14):
-        raise SingularChartPoint("singular denominator in spin Hamiltonian")
+    i, j, d = _angle_denominators(h)
     value = np.dot(p, p) + np.sum(mu[i, j] * mu[j, i] / d)
     if not np.isfinite(value):
         raise NonFiniteMatrixError(f"spin Hamiltonian is not finite: {value}")

@@ -53,6 +53,7 @@ def rebuilt_g(h, u, kappa):
 P, H, KAPPA = [1.0, -1.0], [0.5, -0.5], 0.3
 MU = rank_one_spin([1.0, 2.0], KAPPA)
 
+SINGULAR_ANGLES = "coincident angles (mod 2 pi) in the potential"
 # Each check the routes of a reduced point and a spin matrix run on entry:
 # (the arguments of h_cm or h_scm, the exception type, its message).
 POINT_CHECKS = {
@@ -62,6 +63,9 @@ POINT_CHECKS = {
     "h-not-traceless": ((P, [1.0, 2.0]), ValueError,
                         "h must sum to zero (traceless normalization)"),
     "coincident-h": ((P, [0.0, 0.0]), SingularChartPoint, "two positions closer than 1e-08"),
+    # 1.5e-8 apart mod 2 pi: 4 sin^2 = 9e-16, below both routes' 1e-14
+    "angles-coincide-mod-2pi": (([0.1, -0.1], [np.pi - 1.5e-8, -np.pi + 1.5e-8]),
+                                SingularChartPoint, SINGULAR_ANGLES),
 }
 SPIN_CHECKS = {
     "mu-not-square": (np.ones((2, 3)), ValueError, "expected a square matrix, got shape (2, 3)"),
@@ -163,10 +167,10 @@ def h_cm_loop(p, q, kappa):
     value = np.dot(p, p)
     for i in range(len(q)):
         for j in range(i + 1, len(q)):
-            s = np.sin((q[i] - q[j]) / 2.0)
-            if abs(s) < 1e-12:
-                raise SingularChartPoint("coincident angles in the potential")
-            value += kappa ** 2 / (4.0 * s ** 2)
+            d = 4.0 * np.sin((q[i] - q[j]) / 2.0) ** 2
+            if abs(d) < 1e-14:
+                raise SingularChartPoint(SINGULAR_ANGLES)
+            value += kappa ** 2 / d
     if abs(value.imag) > 1e-10 * max(1.0, abs(value)):
         raise ValueError("imaginary residue in the real-form Hamiltonian")
     return float(value.real)
@@ -180,7 +184,7 @@ def h_scm_loop(p, h, mu):
         for j in range(i + 1, len(h)):
             d = 4.0 * np.sin((h[i] - h[j]) / 2.0) ** 2
             if abs(d) < 1e-14:
-                raise SingularChartPoint("singular denominator in spin Hamiltonian")
+                raise SingularChartPoint(SINGULAR_ANGLES)
             value += mu[i, j] * mu[j, i] / d
     return complex(value)
 
@@ -209,14 +213,10 @@ class TestPairSumsAgainstLoops:
             assert abs(h_scm(p, h, mu) - want) <= 1e-14 * max(1.0, abs(want))
 
     def test_coincident_angles_raise(self):
-        p, h = [0.5, -0.5], [np.pi, -np.pi]
-        mu = rank_one_spin([1.0, 2.0], 0.3)
-        for fn in (h_cm, h_cm_loop):
-            with pytest.raises(SingularChartPoint):
-                fn(p, h, 0.3)
-        for fn in (h_scm, h_scm_loop):
-            with pytest.raises(SingularChartPoint):
-                fn(p, h, mu)
+        p, mu = [0.5, -0.5], rank_one_spin([1.0, 2.0], 0.3)
+        for h in ([np.pi, -np.pi], [np.pi - 1.5e-8, -np.pi + 1.5e-8]):
+            for fn, third in ((h_cm, 0.3), (h_cm_loop, 0.3), (h_scm, mu), (h_scm_loop, mu)):
+                assert raised(fn, p, h, third) == (SingularChartPoint, SINGULAR_ANGLES)
 
     def test_imaginary_residue_raises(self):
         for fn in (h_cm, h_cm_loop):

@@ -11,11 +11,11 @@ process, so that the two sides of a pair share the host's state as closely
 as two runs can.  Pair i runs the workload's argv, read from
 ``perfbench/workloads.py``, at its pool seed ``SEED_STRIDE * (i mod 20)``
 in both trees: the other tree first in even pairs, this tree first in odd
-ones.  One untimed report per tree comes first.  The output is the summed
-time ratio (this / other), the median pair ratio, the pairs this tree won,
-and each pair whose CSV or JSON bytes differ; the exit status is 1 when a
-pair's outputs differ.  Host speed drifts, so only pairs compare: no single
-time printed here is a measurement of either tree.
+ones.  One untimed report per tree comes first.  The output is one line:
+the summed time ratio (this / other), the median pair ratio and the pairs
+this tree won.  It only times: ``tests/compare_reports.py`` compares the
+outputs.  Host speed drifts, so only pairs compare: no single time printed
+here is a measurement of either tree.
 """
 
 import argparse
@@ -45,15 +45,14 @@ def load_trees(other: Path, tmp: Path) -> dict:
     return clis
 
 
-def report(cli, argv, out: Path):
-    """Seconds of one report through ``cli.main`` and its (CSV, JSON) bytes."""
-    files = [out.with_suffix(".csv"), out.with_suffix(".json")]
-    argv = [*argv, "--out-csv", str(files[0]), "--out-json", str(files[1])]
+def report(cli, argv, out: Path) -> float:
+    """Seconds of one report through ``cli.main``, writing its CSV and JSON."""
+    argv = [*argv, "--out-csv", str(out.with_suffix(".csv")),
+            "--out-json", str(out.with_suffix(".json"))]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         t0 = time.perf_counter()
-        code = cli.main(argv)
-        seconds = time.perf_counter() - t0
-    return seconds, (code, *(f.read_bytes() if f.exists() else None for f in files))
+        cli.main(argv)
+        return time.perf_counter() - t0
 
 
 def main():
@@ -75,24 +74,15 @@ def main():
         for name in NAMES:
             report(clis[name], argvs[0], tmp / name)
         seconds = {name: [] for name in NAMES}
-        differ = []
         for i, argv in enumerate(argvs):
-            outputs = {}
             for name in (NAMES if i % 2 == 0 else NAMES[::-1]):
-                t, outputs[name] = report(clis[name], argv, tmp / name)
-                seconds[name].append(t)
-            if outputs["other"] != outputs["this"]:
-                differ.append(" ".join(argv))
+                seconds[name].append(report(clis[name], argv, tmp / name))
     other, this = seconds["other"], seconds["this"]
     ratios = [b / a for a, b in zip(other, this)]
     print(f"{args.workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
           f"median pair ratio {statistics.median(ratios):.3f}, "
-          f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}, "
-          f"outputs differ in {len(differ)}")
-    for argv in differ:
-        print(f"outputs differ: {argv}")
-    return 1 if differ else 0
+          f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
