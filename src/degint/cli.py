@@ -36,6 +36,7 @@ from .poisson import (
     coordinate,
     jacobi_defect,
     leibniz_defect,
+    trace_power,
 )
 
 
@@ -90,7 +91,7 @@ class ScenarioConfig:
                         f"n must be in [{lo}, {hi}] for {self.scenario}, got {self.n}"),
                   "t_max": (lambda t: t >= 0, "t-max must be nonnegative"),
                   "dt": (lambda dt: dt > 0, "dt must be positive"),
-                  "tol": (lambda tol: 1e-13 <= tol <= 1e-6, "tol must lie in [1e-13, 1e-6]"),
+                  "tol": (lambda tol: 1e-13 <= tol <= 2e-10, "tol must lie in [1e-13, 2e-10]"),
                   "samples": (lambda m: m >= 1, "samples must be positive"),
                   "q": (lambda q: q != 0, "q must be nonzero"),
                   "seed": (lambda seed: seed >= 0, "seed must be nonnegative")}
@@ -139,10 +140,6 @@ def _sl_matrices(draws, spread):
     n = draws.shape[-1]
     m = np.eye(n) + spread * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     return m / _scalar_power(np.linalg.det(m), 1.0 / n)[..., None, None]
-
-
-def _sl_sample(n, rng, spread=0.35):
-    return _sl_matrices(rng.normal(size=(2, n, n)), spread)
 
 
 def _first_passing(rng, count, shape, passes):
@@ -269,7 +266,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.n
     h = _distinct_h(n, rng)
     x = np.diag(h)
-    g = _sl_sample(n, rng)
+    g = _sl_matrices(rng.normal(size=(2, n, n)), 0.35)
     kappa = cfg.kappa
 
     p = rng.normal(size=n)
@@ -281,7 +278,7 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
 
     ts = np.linspace(0.0, cfg.t_max, cfg.samples + 1)
     # g x g^-1 at every t, in one stack; the reference is t = 0, where exp(0) g = g
-    gs = np.stack([calogero.cm_central_flow(x, g, t)[1] for t in ts])
+    gs = np.stack([calogero.cm_central_flow(x, g, t) for t in ts])
     conj = gs @ x @ np.linalg.inv(gs)
     table = calogero.joint_invariants(np.broadcast_to(x, conj.shape), conj, 3)
     devs = np.abs(table - table[0]).max(axis=1)
@@ -297,7 +294,8 @@ def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _scenario_ruijsenaars_rational(cfg: ScenarioConfig) -> ScenarioResult:
     columns = calogero.ruij_sweep(*_rank1_draws(cfg), cfg.kappa)
-    caps = {"oracle-residual": TOL.oracle_residual, "closed-form-residual": TOL.formula_match,
+    # oracle-residual is uncapped: _cauchy_solve raises past TOL.oracle_residual
+    caps = {"oracle-residual": None, "closed-form-residual": TOL.formula_match,
             "tr-g-dual": TOL.dual_path, "tr-g2-dual": TOL.dual_path,
             "h-ruijsenaars-dual": TOL.dual_path, "relation-residual": None}
     return ScenarioResult(
@@ -310,9 +308,8 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
     # unimodular by _sl_matrices' scaling, so the pair needs no det check
-    z0 = np.concatenate([_sl_sample(n, rng, 0.3).ravel(), _sl_sample(n, rng, 0.3).ravel()])
-    block = "x" if family == "cm" else "y"
-    H = double.trace_power_observable(n, block, 1)
+    z0 = _sl_matrices(rng.normal(size=(2, 2, n, n)), 0.3).ravel()
+    H = trace_power(n, 1, 0 if family == "cm" else 1, 2)
     chart = chart_heisenberg_double(n)
     traj = rk4(chart, H, z0, cfg.t_max, cfg.dt)
     observables = double.projection_invariants(n, family)
@@ -325,7 +322,7 @@ def _flow_scenario(cfg: ScenarioConfig, family: str) -> ScenarioResult:
 
 def _scenario_relativistic_cm(cfg: ScenarioConfig) -> ScenarioResult:
     result = _flow_scenario(cfg, "cm")
-    # 100 pairs (x, y), each drawn as two _sl_sample(n, rng, 0.3) calls draw it
+    # 100 pairs (x, y), each drawn as _flow_scenario draws its pair
     n = cfg.n
     x, y = np.moveaxis(_sl_matrices(_rng_for(cfg, 999).normal(size=(100, 2, 2, n, n)), 0.3),
                        1, 0)
@@ -347,7 +344,7 @@ def _scenario_relativistic_ruijsenaars(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_factorization_flow(cfg: ScenarioConfig) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
-    x0 = _sl_sample(n, rng, 0.25)
+    x0 = _sl_matrices(rng.normal(size=(2, n, n)), 0.25)
     powers, traces, residuals, flags, runs = [], [], [], [], []
     ts = np.linspace(0.0, cfg.t_max, 21)
     caps = {"semigroup": TOL.semigroup, "trace-drift": TOL.trace_conservation,
@@ -384,8 +381,7 @@ def _bracket_suite_charts(n: int):
         return lambda rng: rng.normal(size=dim).astype(complex)
 
     def group(m, blocks=1):             # unimodular m x m blocks, raveled and joined
-        return lambda rng: np.concatenate(
-            [_sl_sample(m, rng, 0.3).ravel() for _ in range(blocks)])
+        return lambda rng: _sl_matrices(rng.normal(size=(blocks, 2, m, m)), 0.3).ravel()
 
     return [
         (chart_canonical(3), normal(6)),
@@ -427,8 +423,8 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
     h = _distinct_h(n, rng)
-    gamma = _sl_sample(n, rng, 0.4)
-    x, y = np.diag(_distinct_eigs(n, rng)), _sl_sample(n, rng, 0.35)
+    gamma = _sl_matrices(rng.normal(size=(2, n, n)), 0.4)
+    x, y = np.diag(_distinct_eigs(n, rng)), _sl_matrices(rng.normal(size=(2, n, n)), 0.35)
     margins = {"rational": calogero.duality_fiber_check(np.diag(h), gamma, cfg.samples,
                                                         _rng_for(cfg, 1)),
                "relativistic": double.fiber_check(x, y, cfg.samples, _rng_for(cfg, 2))}

@@ -31,6 +31,7 @@ import numpy as np
 from .calogero import (
     _cauchy_solve,
     _dual_residuals,
+    _miss,
     _raise_first,
     _rank1_matrix,
     _ratio,
@@ -41,7 +42,7 @@ from .errors import ConstraintViolation, NonFiniteMatrixError, SingularChartPoin
 from .integrate import ConservationReport, monitor, rk4
 from .matrixcore import (_diagonals, _scalar_power, _unimodular_eigs, as_matrix, spectral,
                          trace_words)
-from .poisson import Observable, chart_heisenberg_double, trace_power
+from .poisson import Observable, chart_heisenberg_double
 
 
 def _check_unimodular(x, y):
@@ -68,11 +69,11 @@ def _check_pair(x, y):
     return x, y
 
 
-def _check_pairing(q, phi, psi):
-    """ConstraintViolation for the first stacked (phi, psi) whose pairing is
-    not q^(n-1) - q^(-1)."""
-    target = q ** (phi.shape[-1] - 1) - 1.0 / q
-    _raise_first(np.abs((phi * psi).sum(axis=-1) - target) > 1e-10 * max(1.0, abs(target)),
+def _check_pairing(q, psi):
+    """ConstraintViolation for the first stacked psi whose pairing with the
+    gauge phi = (1, ..., 1) is not q^(n-1) - q^(-1)."""
+    target = q ** (psi.shape[-1] - 1) - 1.0 / q
+    _raise_first(np.abs(psi.sum(axis=-1) - target) > 1e-10 * max(1.0, abs(target)),
                  ConstraintViolation, "(phi, psi) must equal q^(n-1) - q^(-1)")
 
 
@@ -147,8 +148,6 @@ def _reductions(x, q, ydiag) -> dict:
     # the x_i-corrected product formula for psi_i phi_i
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[..., None, :] / x[..., :, None],
                                          1.0 - x[..., None, :] / x[..., :, None]).prod(axis=-1)
-    res_corrected = (np.abs(corrected - products).max(axis=-1)
-                     / np.maximum(1.0, np.abs(products).max(axis=-1)))
 
     den = x[..., :, None] / x[..., None, :] - 1.0 / q
     _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
@@ -161,12 +160,12 @@ def _reductions(x, q, ydiag) -> dict:
     _raise_first(~(np.isfinite(xmat).all(axis=(-2, -1)) & np.isfinite(y).all(axis=(-2, -1))),
                  NonFiniteMatrixError, "matrix has NaN or Inf entries")
     _check_unimodular(xmat, y)
-    _check_pairing(q, np.ones(n), products)
+    _check_pairing(q, products)
 
     got = np.linalg.eigvals(moment(xmat, y))
     got = np.take_along_axis(got, np.lexsort((got.imag, got.real), axis=-1), axis=-1)
     return {"mu-eigenvalue-deviation": np.abs(got - _class_eigenvalues(q, n)).max(axis=-1),
-            "psi-phi-corrected-residual": res_corrected}
+            "psi-phi-corrected-residual": _miss(corrected, products)}
 
 
 def _relativistic_parts(x, u, q):
@@ -201,11 +200,6 @@ def rank_one_samples(x, u, ydiag, q) -> dict:
 # ----------------------------------------------------------------------
 # flows on the full bracket chart
 # ----------------------------------------------------------------------
-
-def trace_power_observable(n: int, block: str, k: int) -> Observable:
-    """tr(x^k) or tr(y^k) on the (x, y) chart: :func:`degint.poisson.trace_power`."""
-    return trace_power(n, k, "xy".index(block), 2)
-
 
 def projection_invariants(n: int, family: str):
     """Conserved observables for the two reduced families on the (x, y) chart.

@@ -42,7 +42,8 @@ LENZ_LENZ_SIGN = -1
 
 @dataclass(frozen=True)
 class KeplerState:
-    """Phase-space point (p, q) with coupling gamma > 0; |q| > 0 required."""
+    """Phase-space point (p, q) with coupling gamma > 0 and |q| not below the
+    collision radius."""
 
     p: np.ndarray
     q: np.ndarray
@@ -53,7 +54,7 @@ class KeplerState:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(3))
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if np.linalg.norm(self.q) <= TOL.collision_radius:
+        if _radius(self.q) < TOL.collision_radius:
             raise SingularChartPoint("state at the collision locus |q| = 0")
 
     def as_point(self) -> np.ndarray:
@@ -67,7 +68,7 @@ def _radius(q):
 def hamiltonian(p, q, gamma: float):
     """H at one state, or at states stacked along leading axes of p and q."""
     r = _radius(q)
-    if np.any(r <= TOL.collision_radius):
+    if np.any(r < TOL.collision_radius):
         raise SingularChartPoint("collision: |q| below threshold")
     return 0.5 * np.vecdot(p, p) - gamma / r
 

@@ -336,46 +336,41 @@ def chart_heisenberg_double(n: int) -> PoissonChart:
     its factors otherwise than y^(k-1) y, so E is roundoff but in general
     not zero, and the full formula runs.  The same holds for Gx and x.
 
-    A block's products R = a Ga^T, E = R - Ga^T a (or "exactly zero") and
-    c = <Ga, a>/n depend on that block's matrix a and covector block Ga
-    alone, and each chart keeps the last ones it formed, one entry per
-    block, keyed on the dtypes and bytes of a and Ga.  Equal bytes are equal
-    operands, so a hit returns what forming the products again would give,
-    bit for bit, and a point changed in place between two calls misses.
-    Along a dressing flow (the flow of tr(a) or tr(a^2)) the flow's own
-    block and its gradient stay fixed bit for bit over every stage, so
-    every call after the first hits, and the commuting branch is left with
-    the one product R x (or y P) per call.  Callers whose covectors change
-    from call to call, such as the columns of Pi(x) and the bracket checks
-    of ``verify-brackets``, miss and pay for the key on top; they hit only
-    where a finite-difference step moved the other block alone.  The masked
-    product u o E is never kept.
-
-    Which blocks of g are nonzero is decided once per covector: the chart
-    also keeps the last covector's dtype and bytes with the nonzero counts
-    of its two blocks.  Along a flow whose gradient stays fixed bit for bit
-    (the flow of tr(x) or tr(y), whose gradient is one read-only array) the
-    blocks are counted once per run; a covector changed in place, or equal
-    bytes under another dtype, is counted again.
+    Each chart keeps one memo of its last covector: the covector's dtype
+    and bytes with the nonzero counts of its two blocks, and per block the
+    dtype and bytes of that block's matrix a with its products R = a Ga^T,
+    E = R - Ga^T a (or "exactly zero") and c = <Ga, a>/n, which depend on a
+    and the covector block Ga alone.  A covector whose dtype or bytes differ
+    from the last one's clears the memo.  Equal bytes are equal operands, so
+    a hit returns what forming the products again would give, bit for bit,
+    and a point or covector changed in place between two calls misses.
+    Along the flow of tr(x) or tr(y), whose gradient is one read-only array,
+    the blocks are counted and the flow's block products formed once per
+    run, and the commuting branch is left with the one product R x (or y P)
+    per call.  Callers whose covectors change from call to call, such as the
+    columns of Pi(x) and the bracket checks of ``verify-brackets``, miss and
+    pay for the keys on top; they hit only where a finite-difference step
+    moved the other block alone.  The masked product u o E is never kept.
     """
     m = n * n
     # a complex mask spares the masked product a cast from float
     uc = _r_mask(n).astype(complex)
-    last = {}       # per block: the key of its last products, and the products
-    seen = [None, None]     # the last covector's key, and its blocks' nonzero counts
+    # "g": the last covector's key and block counts; per block: its matrix's key and products
+    memo = {"g": (None, None)}
 
     def products(block, a, ga):
-        key = (a.dtype, ga.dtype, a.tobytes(), ga.tobytes())
-        hit = last.get(block)
+        key = (a.dtype, a.tobytes())
+        hit = memo.get(block)
         if hit is None or hit[0] != key:
-            hit = last[block] = key, _block_products(a, ga, n)
+            hit = memo[block] = key, _block_products(a, ga, n)
         return hit[1]
 
     def field(z, g, n=n, m=m, uc=uc):
         key = (g.dtype, g.tobytes())
-        if key != seen[0]:
-            seen[:] = key, _covector_blocks(g, m)
-        in_x, in_y = seen[1]
+        if key != memo["g"][0]:
+            memo.clear()
+            memo["g"] = key, _covector_blocks(g, m)
+        in_x, in_y = memo["g"][1]
         px, ex, cx = products("x", z[:m], g[:m]) if in_x else (0, None, 0)
         ry, ey, cy = products("y", z[m:], g[m:]) if in_y else (0, None, 0)
         if ex is None and ey is None:

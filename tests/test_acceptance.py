@@ -22,6 +22,7 @@ from degint.poisson import (
     coordinate,
     jacobi_defect,
     leibniz_defect,
+    trace_power,
 )
 
 
@@ -39,7 +40,7 @@ def criterion(num, description, budget_seconds):
     print(f"ACCEPTANCE {num}: PASS  {description}  ({elapsed:.1f}s)")
 
 
-def _sl_sample(n, rng, spread=0.3):
+def _unimodular_draw(n, rng, spread=0.3):
     m = np.eye(n) + spread * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return m / np.linalg.det(m) ** (1.0 / n)
 
@@ -64,11 +65,11 @@ def test_criterion_1_bracket_structures():
                          * np.exp(1j * rng.uniform(-0.3, 0.3, size=chart.dim)))
                 elif chart.name.startswith("heisenberg"):
                     n = int(round(np.sqrt(chart.dim / 2)))
-                    z = np.concatenate([_sl_sample(n, rng).ravel(),
-                                        _sl_sample(n, rng).ravel()])
+                    z = np.concatenate([_unimodular_draw(n, rng).ravel(),
+                                        _unimodular_draw(n, rng).ravel()])
                 elif chart.name.startswith("sklyanin"):
                     n = int(round(np.sqrt(chart.dim)))
-                    z = _sl_sample(n, rng).ravel()
+                    z = _unimodular_draw(n, rng).ravel()
                 else:
                     z = rng.normal(size=chart.dim).astype(complex)
 
@@ -159,10 +160,10 @@ def test_criterion_4_central_flow_invariants():
         rng = np.random.default_rng(31)
         h = np.array([-1.1, 0.2, 0.9])
         x = np.diag(h).astype(complex)
-        g = _sl_sample(3, rng, 0.4)
+        g = _unimodular_draw(3, rng, 0.4)
         ref = calogero.joint_invariants(x, g @ x @ np.linalg.inv(g), max_exp=3)
         for t in np.linspace(0.0, 1.0, 21):
-            _, gt = calogero.cm_central_flow(x, g, t)
+            gt = calogero.cm_central_flow(x, g, t)
             cur = calogero.joint_invariants(x, gt @ x @ np.linalg.inv(gt), max_exp=3)
             assert np.abs(cur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
 
@@ -176,7 +177,7 @@ def test_criterion_5_relativistic_suite():
         for n in (2, 3):
             rng = np.random.default_rng(100 + n)
             for _ in range(100):
-                x, y = _sl_sample(n, rng), _sl_sample(n, rng)
+                x, y = _unimodular_draw(n, rng), _unimodular_draw(n, rng)
                 dev = np.abs(double.moment(*double.duality_map(x, y))
                              - double.moment(x, y)).max()
                 assert dev <= 1e-12
@@ -200,13 +201,13 @@ def test_criterion_5_relativistic_suite():
                 assert res["trace-dual-path"] <= 1e-9       # tr y and tr y^2
                 assert res["h2-dual-path"] <= 1e-9
 
-            x, y = _sl_sample(n, rng), _sl_sample(n, rng)
-            for block, family in (("x", "cm"), ("y", "ruijsenaars")):
+            x, y = _unimodular_draw(n, rng), _unimodular_draw(n, rng)
+            for block, family in ((0, "cm"), (1, "ruijsenaars")):
                 rep = double.double_flow_conservation(
-                    x, y, double.trace_power_observable(n, block, 1),
+                    x, y, trace_power(n, 1, block, 2),
                     t_max=0.5, dt=1e-3, family=family)
                 assert rep.max_abs_drift.max() <= 1e-7, \
-                    f"projection drift failed (n={n}, H=tr({block}))"
+                    f"projection drift failed (n={n}, H=tr({'xy'[block]}))"
 
 
 def test_criterion_6_factorization_dynamics():
@@ -216,7 +217,7 @@ def test_criterion_6_factorization_dynamics():
     with criterion(6, "factorization dynamics vs bivector oracle", 30.0):
         for n in (2, 3):
             rng = np.random.default_rng(60 + n)
-            x0 = _sl_sample(n, rng, 0.25)
+            x0 = _unimodular_draw(n, rng, 0.25)
             for k in (1, 2):
                 H = facto.TracePower(k)
                 exact = facto.factorization_flow(x0, H, 0.1)

@@ -276,7 +276,7 @@ class TestConfig:
 
 # Every numeric flag, with a value some scenario accepts.
 FLAG_VALUES = {"--n": "2", "--kappa-re": "0.5", "--kappa-im": "0.1", "--q-re": "1.5",
-               "--q-im": "0.1", "--t-max": "0.1", "--dt": "1e-3", "--tol": "1e-8",
+               "--q-im": "0.1", "--t-max": "0.1", "--dt": "1e-3", "--tol": "1e-11",
                "--samples": "3", "--seed": "4"}
 # Each scenario's declared options at a size that runs in well under a second.
 SMALL = {
@@ -415,10 +415,10 @@ def chart_point_oracle(chart, rng):
                 * np.exp(1j * rng.uniform(-0.3, 0.3, size=chart.dim)))
     if name.startswith("heisenberg"):
         n = int(round(np.sqrt(chart.dim / 2)))
-        return np.concatenate([cli._sl_sample(n, rng, 0.3).ravel(),
-                               cli._sl_sample(n, rng, 0.3).ravel()])
+        return np.concatenate([cli._sl_matrices(rng.normal(size=(2, n, n)), 0.3).ravel(),
+                               cli._sl_matrices(rng.normal(size=(2, n, n)), 0.3).ravel()])
     n = int(round(np.sqrt(chart.dim)))
-    return cli._sl_sample(n, rng, 0.3).ravel()
+    return cli._sl_matrices(rng.normal(size=(2, n, n)), 0.3).ravel()
 
 
 class TestBracketSuiteSamplers:
@@ -456,14 +456,28 @@ class TestExitCodes:
         residuals = {r["name"]: r["value"] for r in json.loads(out.read_text())["oracle_residuals"]}
         assert max(v for k, v in residuals.items() if k.startswith("cross-check")) < 1e-6
 
-    def test_numerical_failure_exit_2(self, tmp_path):
-        """A tolerance too loose for the drift budget flags the run and
+    def test_numerical_failure_exit_2(self, tmp_path, monkeypatch):
+        """A drift budget too tight for the tolerance flags the run and
         exits 2, with the report still written."""
+        monkeypatch.setattr(cli, "TOL", dataclasses.replace(TOL, orbit_drift=1e-12))
         out = tmp_path / "r.json"
         code = main(["--scenario", "kepler", "--t-max", "6.2832",
-                     "--tol", "1e-6", "--seed", "1", "--out-json", str(out)])
+                     "--tol", "2e-10", "--seed", "1", "--out-json", str(out)])
         assert code == 2
         assert "tolerance-failure" in json.loads(out.read_text())["flags"]
+
+    def test_the_tol_ceiling_passes_its_drift_caps(self, tmp_path, capsys):
+        """kepler at --tol 2e-10 keeps every drift within its cap at seeds
+        0-39; 5e-10, the next value of the 1-2-5 series, exits 1 before
+        running, with the range in its message."""
+        out = tmp_path / "r.json"
+        for seed in range(40):
+            argv = ["--scenario", "kepler", "--tol", "2e-10", "--seed", str(seed)]
+            assert main(argv + ["--out-json", str(out)]) == 0, seed
+        out.unlink()
+        assert main(["--scenario", "kepler", "--tol", "5e-10", "--out-json", str(out)]) == 1
+        assert "tol must lie in [1e-13, 2e-10]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("t_max,dt", [("10", "1e-3"), ("60", "1e-3"), ("200", "1e-2")],
                              ids=["10", "60", "200"])
@@ -786,8 +800,7 @@ _CHARTS = ("canonical(n=3)", "cm-loglinear(n=3)", "relativistic-loglinear(n=3)",
 CAPS = {
     "kepler": dict.fromkeys(["M1", "M2", "M3", "A1", "A2", "A3", "H"], TOL.orbit_drift),
     "cm-rational": {"joint-invariants": TOL.central_flow},
-    "ruijsenaars-rational": {"oracle-residual": TOL.oracle_residual,
-                             "closed-form-residual": TOL.formula_match,
+    "ruijsenaars-rational": {"closed-form-residual": TOL.formula_match,
                              **dict.fromkeys(["tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"],
                                              TOL.dual_path)},
     "relativistic-cm": {**dict.fromkeys(["tr(x^1)", "tr(x^2)", "tr(mu~^1)", "tr(mu~^2)",
@@ -967,9 +980,10 @@ def _scaled_pair_products(pairs):
 
 
 RANK_ONE_PLANTS = [
-    # the kappa-scaled product formula times 1 + 2e-6
-    (["closed-form-residual"], RATIONAL, calogero, "_select",
-     lambda select: lambda w, bare, kappa: select(w, (1 + 2e-6) * bare, kappa)),
+    # every product formula times 1 + 2e-6; of the two rational ones only the
+    # kappa-scaled is capped
+    (["closed-form-residual"], RATIONAL, calogero, "_miss",
+     lambda miss: lambda formula, oracle: miss((1 + 2e-6) * formula, oracle)),
     # measured at the defaults: tr-g-dual 1.0e-5, tr-g2-dual 2.0e-5
     (["tr-g-dual", "tr-g2-dual"], RATIONAL, calogero, "_dual_residuals",
      _scaled_diagonal_products),
@@ -984,12 +998,6 @@ RANK_ONE_PLANTS = [
     (["trace-dual-path"], RELATIVISTIC, double, "_dual_residuals", _scaled_diagonal_products),
     (["h2-dual-path"], RELATIVISTIC, calogero, "_pair_products", _scaled_pair_products),
 ]
-# the capped rank-1 values that no plant trips first, with the reason
-UNPLANTABLE_RANK_ONE = {
-    "oracle-residual": "calogero._cauchy_solve raises ConsistencyError past "
-                       "TOL.oracle_residual * max(1, |w|), so the cap can fail first only "
-                       "where |w| > 1, and at the defaults the smallest max |w| is 0.37",
-}
 
 
 class TestRankOneCaps:
@@ -1011,19 +1019,18 @@ class TestRankOneCaps:
         assert [v for v in values if v in caps and not values[v] <= caps[v]] == tripped
         assert min(values[v] for v in tripped) > 1e-6
 
-    def test_every_rank_one_cap_is_planted_or_listed(self):
+    def test_every_rank_one_cap_is_planted(self):
         names = {name for scenario in ("ruijsenaars-rational", "relativistic-ruijsenaars")
                  for name in CAPS[scenario] if not name.startswith("tr(")}
         planted = [name for tripped, *_ in RANK_ONE_PLANTS for name in tripped]
         assert len(planted) == len(set(planted))
-        assert not set(planted) & set(UNPLANTABLE_RANK_ONE)
-        assert set(planted) | set(UNPLANTABLE_RANK_ONE) == names
+        assert set(planted) == names
 
     def test_a_solve_defect_past_the_oracle_cap_raises_first(self, tmp_path, monkeypatch,
                                                             capsys):
         """Every oracle solution times 1 + 2e-10 puts every oracle residual
-        near 2e-10, past its cap of 1e-10, but the solve's own check stops
-        the run first: exit 2 with ``ConsistencyError``, no capped value."""
+        near 2e-10, past the solve's bound of 1e-10: the solve's own check
+        stops the run, exit 2 with ``ConsistencyError``, no reported value."""
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: (1 + 2e-10) * solve(a, b))
         out = tmp_path / "r.json"
@@ -1656,7 +1663,7 @@ class TestFactorizationFlowSplits:
         assert len(splits) == 48
         monkeypatch.undo()
 
-        x0 = cli._sl_sample(cfg.n, cli._rng_for(cfg), 0.25)
+        x0 = cli._sl_matrices(cli._rng_for(cfg).normal(size=(2, cfg.n, cfg.n)), 0.25)
         rows, residuals = [], {}
         for k in (1, 2):
             H = facto.TracePower(k)

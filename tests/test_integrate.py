@@ -7,7 +7,7 @@ import pytest
 
 from degint import integrate, kepler
 from degint.config import TOL
-from degint.double import projection_invariants, trace_power_observable
+from degint.double import projection_invariants
 from degint.integrate import _DP, _RK4, Trajectory, adaptive, monitor, rk4
 from degint.kepler import kepler_observables
 from degint.poisson import (
@@ -109,7 +109,7 @@ class TestRK4:
         n, steps = 3, 25
         x0 = np.concatenate([np.eye(n).ravel(), np.eye(n).ravel()]).astype(complex)
         x0[1] = x0[n * n + 3] = 0.2
-        traj = rk4(chart_heisenberg_double(n), trace_power_observable(n, "y", 1),
+        traj = rk4(chart_heisenberg_double(n), trace_power(n, 1, 1, 2),
                    x0, t_max=steps * 1e-3, dt=1e-3)
         assert traj.accepted_steps == steps
         assert calls == ["heisenberg-double(n=3)"] * (4 * steps)
@@ -132,7 +132,7 @@ class TestRK4:
         n, steps = 2, 10
         x0 = np.concatenate([np.eye(n).ravel(), np.eye(n).ravel()]).astype(complex)
         x0[1] = 0.2
-        rk4(chart_heisenberg_double(n), trace_power_observable(n, "y", 2),
+        rk4(chart_heisenberg_double(n), trace_power(n, 2, 1, 2),
             x0, t_max=steps * 1e-3, dt=1e-3)
         assert counts == {"point": 4 * steps, "field": 4 * steps}
 
@@ -390,7 +390,7 @@ class TestLoopOracles:
         n = 3
         rng = np.random.default_rng(8)
         g = np.eye(n) + 0.3 * (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n)))
-        chart, H = chart_heisenberg_double(n), trace_power_observable(n, "y", 2)
+        chart, H = chart_heisenberg_double(n), trace_power(n, 2, 1, 2)
         got = rk4(chart, H, g.ravel(), t_max=0.2, dt=1e-3)
         want = rk4_loop_oracle(chart, H, g.ravel(), t_max=0.2, dt=1e-3)
         assert got.accepted_steps == want.accepted_steps == 200
@@ -490,7 +490,7 @@ FAMILIES = {
     "product": (kepler_states, [observable_product(KEPLER[0], coordinate(6, 4))], True),
     "entry": (lambda: matrix_states(2, 2), [coordinate(8, k) for k in range(8)], True),
     "trace-power": (lambda: matrix_states(3, 2),
-                    [trace_power_observable(3, b, k) for b in "xy" for k in (1, 2, 3)],
+                    [trace_power(3, k, b, 2) for b in (0, 1) for k in (1, 2, 3)],
                     False),
     "invariants-cm": (lambda: matrix_states(3, 2), projection_invariants(3, "cm"), False),
     "invariants-ruijsenaars": (lambda: matrix_states(2, 2),

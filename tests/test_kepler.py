@@ -448,6 +448,26 @@ class TestCollisionGuard:
                                     dataclasses.replace(TOL, collision_radius=radius))
                 assert kepler._collision_guard(z) == flag
 
+    def test_the_three_checks_reject_below_the_radius_alone(self, monkeypatch):
+        """``KeplerState``, ``hamiltonian`` and the guard agree at the
+        collision radius: with the radius set to |q| all three accept q, and
+        at one float above it all three reject it."""
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            p, q = rng.normal(size=3), rng.normal(size=3) * 10.0 ** rng.uniform(-13, 3)
+            z, r = np.concatenate([p, q]).astype(complex), np.linalg.norm(q)
+            monkeypatch.setattr(kepler, "TOL", dataclasses.replace(TOL, collision_radius=r))
+            KeplerState(p=p, q=q, gamma=1.0)
+            kepler.hamiltonian(p, q, 1.0)
+            assert kepler._collision_guard(z) is None
+            monkeypatch.setattr(kepler, "TOL", dataclasses.replace(
+                TOL, collision_radius=np.nextafter(r, np.inf)))
+            with pytest.raises(SingularChartPoint, match="collision"):
+                KeplerState(p=p, q=q, gamma=1.0)
+            with pytest.raises(SingularChartPoint, match="collision"):
+                kepler.hamiltonian(p, q, 1.0)
+            assert kepler._collision_guard(z) == "collision"
+
 
 class TestKeplerFastPath:
     """An orbit takes the canonical chart's closed-form field and the exact

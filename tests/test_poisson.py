@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from degint import cli, poisson
-from degint.double import trace_power_observable
 from degint.errors import ConsistencyError, DimensionMismatch, SingularChartPoint
 from degint.poisson import (
     Observable,
@@ -105,7 +104,6 @@ class TestBracketBasics:
         """Every shipped observable with an exact gradient agrees with
         central differences to 1e-5 relative at random points."""
         from degint.kepler import kepler_observables
-        from degint.double import trace_power_observable
 
         z = np.concatenate([RNG.normal(size=3), RNG.normal(size=3) + 2.0]).astype(complex)
         for obs in kepler_observables(gamma=1.1):
@@ -114,16 +112,16 @@ class TestBracketBasics:
             assert dev < 1e-5 * max(1.0, np.abs(obs.gradient(z)).max())
 
         zz = heisenberg_point(2)
-        for block in ("x", "y"):
+        for block in (0, 1):
             for k in (1, 2):
-                obs = trace_power_observable(2, block, k)
+                obs = trace_power(2, k, block, 2)
                 fd = Observable("fd", obs.fn)
                 dev = np.abs(obs.gradient(zz) - fd.gradient(zz)).max()
                 assert dev < 1e-5 * max(1.0, np.abs(obs.gradient(zz)).max())
 
 
 class TestTracePower:
-    """The one tr(x^k) builder, as the pair chart's trace_power_observable and
+    """The one tr(x^k) builder, on the pair chart's x and y blocks and
     on the one-matrix chart that the Sklyanin reference flow integrates."""
 
     @staticmethod
@@ -136,7 +134,7 @@ class TestTracePower:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_gradient_matches_central_differences(self, k):
-        cases = [(trace_power_observable(3, block, k), heisenberg_point(3)) for block in "xy"]
+        cases = [(trace_power(3, k, block, 2), heisenberg_point(3)) for block in (0, 1)]
         cases.append((trace_power(3, k), random_group_element(3).ravel()))
         for obs, z in cases:
             exact = obs.gradient(z)
@@ -145,20 +143,20 @@ class TestTracePower:
                 1.0, np.abs(exact).max())
 
     def test_stacked_values_are_each_points_value(self):
-        obs = trace_power_observable(2, "y", 2)
+        obs = trace_power(2, 2, 1, 2)
         zs = np.stack([heisenberg_point(2) for _ in range(4)])
         y = zs[:, 4:].reshape(4, 2, 2)
         assert np.array_equal(obs(zs), np.trace(y @ y, axis1=1, axis2=2))
         assert np.array_equal(obs(zs), [obs(z) for z in zs])
 
     def test_first_power_gradient_is_one_prebuilt_constant(self):
-        obs = trace_power_observable(2, "y", 1)
+        obs = trace_power(2, 1, 1, 2)
         g = obs.gradient(heisenberg_point(2))
         assert g is obs.gradient(heisenberg_point(2))
         assert np.array_equal(g, np.r_[np.zeros(4), np.eye(2).ravel()])
 
     @pytest.mark.parametrize("obs,expected", [
-        (trace_power_observable(2, "y", 1), np.r_[np.zeros(4), np.eye(2).ravel()]),
+        (trace_power(2, 1, 1, 2), np.r_[np.zeros(4), np.eye(2).ravel()]),
         (trace_power(3, 1), np.eye(3).ravel()),
         (coordinate(8, 5), np.eye(8)[5])], ids=["tr(y)", "tr(x)", "z5"])
     def test_a_shared_gradient_is_read_only(self, obs, expected):
@@ -174,9 +172,9 @@ class TestTracePower:
         assert np.array_equal(obs.gradient(z), expected)
 
     def test_names_and_power_floor(self):
-        assert [trace_power_observable(2, b, 3).name for b in "xy"] == ["tr(x^3)", "tr(y^3)"]
+        assert [trace_power(2, 3, b, 2).name for b in (0, 1)] == ["tr(x^3)", "tr(y^3)"]
         with pytest.raises(ValueError):
-            trace_power_observable(2, "x", 0)
+            trace_power(2, 0, 0, 2)
 
 
 class TestHamVectorField:
@@ -581,10 +579,11 @@ class TestHeisenbergBlockField:
 
 
 class TestHeisenbergBlockMemo:
-    """Each pair chart keeps the last products R, E and c of each covector
-    block, keyed on the bytes of the block and its covector: a call
-    sequence on one chart gives at every call the value a fresh chart gives,
-    and a dressing flow forms its block's products once."""
+    """Each pair chart keeps one memo of its last covector: the covector's
+    dtype and bytes, and per block the bytes of that block's matrix with its
+    products R, E and c.  A new covector clears the memo.  A call sequence
+    on one chart gives at every call the value a fresh chart gives, and a
+    dressing flow forms its block's products once."""
 
     @staticmethod
     def counted_products(monkeypatch):
@@ -639,22 +638,24 @@ class TestHeisenbergBlockMemo:
 
     def flow_counts(self, monkeypatch, tmp_path, argv):
         """The report's exit code, the pair-chart block evaluations with the
-        misses that the bytes of each block and its covector predict, and the
-        misses counted."""
+        misses that the bytes of the covector and of each block predict, and
+        the misses counted."""
         misses = self.counted_products(monkeypatch)
-        evaluations, predicted, last = [0], [0], {}
+        evaluations, predicted = [0], [0]
         make = cli.chart_heisenberg_double
 
         def counted_chart(n):
-            chart, m = make(n), n * n
+            chart, m, last = make(n), n * n, {}
 
             def field(z, g):
+                if last.get("g") != g.tobytes():        # a new covector clears the memo
+                    last.clear()
+                    last["g"] = g.tobytes()
                 for block, part in (("x", slice(0, m)), ("y", slice(m, None))):
                     if np.count_nonzero(g[part]):
                         evaluations[0] += 1
-                        key = (z[part].tobytes(), g[part].tobytes())
-                        predicted[0] += last.get((n, block)) != key
-                        last[(n, block)] = key
+                        predicted[0] += last.get(block) != z[part].tobytes()
+                        last[block] = z[part].tobytes()
                 return chart.field(z, g)
 
             return dataclasses.replace(chart, field=field)
@@ -741,8 +742,9 @@ class TestHeisenbergBlockMemo:
 
     def test_a_zero_covector_forms_nothing_and_gives_exact_zeros(self, monkeypatch):
         """After a two-block covector, a zero one gives +0.0 everywhere, is
-        counted once over three calls and forms no products; the two-block
-        covector again is counted again and hits both blocks' products."""
+        counted once over three calls and forms no products; it clears the
+        memo, so the two-block covector again is counted again and forms both
+        blocks' products again."""
         n, m = 3, 9
         rng = np.random.default_rng(720)
         chart, z = chart_heisenberg_double(n), _near_identity(n, 2)(rng)
@@ -755,14 +757,14 @@ class TestHeisenbergBlockMemo:
             assert np.array_equal(v, zero) and not np.signbit(v.view(float)).any()
         assert (len(misses), len(counts)) == (2, 2)
         assert np.array_equal(chart.field(z, g), want)
-        assert (len(misses), len(counts)) == (2, 3)
+        assert (len(misses), len(counts)) == (4, 3)
 
     def test_bracket_checks_miss_where_a_block_or_its_covector_changed(self, monkeypatch,
                                                                        tmp_path):
         """verify-brackets changes its covector or its point from call to
         call: its block evaluations miss except where a finite-difference
         step moved only the other block, and the misses are exactly the
-        evaluations whose block or covector bytes changed."""
+        evaluations whose covector or block bytes changed."""
         code, evaluations, predicted, misses = self.flow_counts(
             monkeypatch, tmp_path, ["--scenario", "verify-brackets"])
         assert code == 0 and misses == predicted
@@ -941,7 +943,7 @@ class TestMatrixFormFields:
         field call and never builds the bivector."""
         chart, calls = counted_field(chart_heisenberg_double(2))
         z = heisenberg_point(2)
-        H = trace_power_observable(2, "y", 2)
+        H = trace_power(2, 2, 1, 2)
         v = ham_vector_field(chart, H, z)
         assert calls == [chart.name]
         ref = heisenberg_kron_oracle(2, z) @ H.gradient(z)
