@@ -242,16 +242,6 @@ def solve_phi_psi_oracle(h, kappa: complex):
                          "h_i - h_j + kappa")
 
 
-def _ruij_parts(h, u, kappa):
-    """The arguments (own, c, s, u, R, bare, g) of ``_dual_residuals`` at
-    every stacked point: ``_rank1_matrix`` with own = h_i - h_j + kappa,
-    other = h_i - h_j, c = kappa and s = 1, so that
-    g_ij = kappa u_j bare_j / (h_i - h_j + kappa) and g_ii = u_i bare_i."""
-    d = h[..., :, None] - h[..., None, :]
-    own = d + kappa
-    return (own, kappa, 1.0, u, *_rank1_matrix(own, d, kappa, u))
-
-
 def _miss(formula, oracle):
     """How far a product formula lies from its oracle over the last axis:
     |formula - oracle|max / max(1, |oracle|max)."""
@@ -270,6 +260,7 @@ def _relation_residual(h, kappa, w, g):
 _SWEEP_CHUNK = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def _stacked(kernel, *stacks) -> dict:
     """``kernel(*parts)``, a dict of per-sample columns, over passes of
     ``_SWEEP_CHUNK`` samples of the (samples, ...) ``stacks``, concatenated.
@@ -295,26 +286,27 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
     passes of ``_SWEEP_CHUNK`` samples with one Cauchy solve each.
 
     "oracle-residual" is the solve's for the w_i = phi_i psi_i of the
-    module docstring; "closed-form-residual" and
-    "bare-residual" are how far the kappa-scaled and the bare product
-    formulas lie from w.  The group element g of ``_ruij_parts``, with
-    x = diag(h) and mu = 1 w^T - kappa id, satisfies (h_i - h_j) g_ij =
-    sum_k mu_ik g_kj to "relation-residual"; "tr-g-dual", "tr-g2-dual" and
-    "h-ruijsenaars-dual" are the dual-route residuals of ``_dual_residuals``.
-    When samples fail, the lowest-index one raises, with the checks in the
-    order a single sample runs them.
+    module docstring; "closed-form-residual" and "bare-residual" are how far
+    the kappa-scaled and the bare product formulas lie from w.  The group
+    element g of ``_rank1_matrix``, g_ij = kappa u_j bare_j / (h_i - h_j +
+    kappa) and g_ii = u_i bare_i, with x = diag(h) and mu = 1 w^T - kappa id,
+    satisfies (h_i - h_j) g_ij = sum_k mu_ik g_kj to "relation-residual";
+    "tr-g-dual", "tr-g2-dual" and "h-ruijsenaars-dual" are the dual-route
+    residuals of ``_dual_residuals``.  When samples fail, the lowest-index
+    one raises, with the checks in the order a single sample runs them.
     """
     return _stacked(lambda h, u: _sweep_pass(h, u, kappa),
                     np.asarray(h, dtype=complex), np.asarray(u, dtype=complex))
 
 
-@np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
 def _sweep_pass(h, u, kappa) -> dict:
     _check_chart(h, kappa)
     w, oracle = solve_phi_psi_oracle(h, kappa)
-    parts = _ruij_parts(h, u, kappa)
-    *_, bare, g = parts
-    residuals = _dual_residuals(*parts)[0]
+    # (own, other, c, s) = (h_i - h_j + kappa, h_i - h_j, kappa, 1)
+    d = h[..., :, None] - h[..., None, :]
+    own = d + kappa
+    R, bare, g = _rank1_matrix(own, d, kappa, u)
+    residuals = _dual_residuals(own, kappa, 1.0, u, R, bare, g)[0]
     return {"oracle-residual": oracle,
             "closed-form-residual": _miss(kappa * bare, w), "bare-residual": _miss(bare, w),
             "relation-residual": _relation_residual(h, kappa, w, g),

@@ -168,29 +168,23 @@ def _reductions(x, q, ydiag) -> dict:
             "psi-phi-corrected-residual": _miss(corrected, products)}
 
 
-def _relativistic_parts(x, u, q):
-    """The arguments (own, c, s, u, R, prod, y) of ``calogero._dual_residuals``
-    at every stacked point: ``_rank1_matrix`` with own = 1 - q^{-1} x_i/x_j,
-    other = 1 - x_i/x_j, c = 1 - q^{-1} and s = q, so that
-    y_ii = u_i prod_{j != i} (1 - q^{-1} x_i/x_j)/(1 - x_i/x_j) and the
-    off-diagonal reconstruction uses (1 - q^{-1} x_i/x_j) denominators
-    (internally consistent with the reduced trace formulas)."""
-    own = 1.0 - x[..., :, None] / (q * x[..., None, :])
-    c = 1.0 - 1.0 / q
-    return (own, c, q, u, *_rank1_matrix(own, 1.0 - x[..., :, None] / x[..., None, :], c, u))
-
-
 def rank_one_samples(x, u, ydiag, q) -> dict:
     """The rank-1 checks of the relativistic spin Ruijsenaars system for
     samples x, u and y_diag of shape (samples, n), as named per-sample
     columns, in stacked passes with the lowest-index failure rule of
     ``calogero._stacked``: the two of ``_reductions``, then
     "trace-dual-path", the larger of the tr y and tr y^2 residuals of
-    ``_dual_residuals``, and "h2-dual-path", its second-Hamiltonian one."""
-    @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises
+    ``_dual_residuals``, and "h2-dual-path", its second-Hamiltonian one.
+    Their y is ``_rank1_matrix``'s, y_ii = u_i prod_{j != i} own_ij/other_ij
+    with (1 - q^{-1} x_i/x_j) off-diagonal denominators (internally
+    consistent with the reduced trace formulas)."""
     def kernel(x, u, ydiag):
         columns = _reductions(x, q, ydiag)
-        res = _dual_residuals(*_relativistic_parts(x, u, q))[0]
+        # (own, other, c, s) = (1 - x_i/(q x_j), 1 - x_i/x_j, 1 - 1/q, q)
+        own = 1.0 - x[..., :, None] / (q * x[..., None, :])
+        c = 1.0 - 1.0 / q
+        R, prod, y = _rank1_matrix(own, 1.0 - x[..., :, None] / x[..., None, :], c, u)
+        res = _dual_residuals(own, c, q, u, R, prod, y)[0]
         return {**columns, "trace-dual-path": np.maximum(res[..., 0], res[..., 1]),
                 "h2-dual-path": res[..., 2]}
 

@@ -139,15 +139,6 @@ def coordinate(dim: int, index: int, label: str = None) -> Observable:
     )
 
 
-def observable_product(f: Observable, g: Observable) -> Observable:
-    """Pointwise product f*g; gradient by the product rule when both are exact."""
-    grad = None
-    if f.grad is not None and g.grad is not None:
-        def grad(z, f=f, g=g):
-            return f(z) * g.gradient(z) + g(z) * f.gradient(z)
-    return Observable(name=f"{f.name}*{g.name}", fn=lambda z: f(z) * g(z), grad=grad)
-
-
 def trace_power(n: int, k: int, block: int = 0, blocks: int = 1) -> Observable:
     """tr(x^k) for x the ``block``-th of the ``blocks`` n x n matrices whose
     entries, row-major, make up a chart point, named for it tr(x^k) or
@@ -213,11 +204,13 @@ def jacobi_defect(chart: PoissonChart, f: Observable, g: Observable,
 
 def leibniz_defect(chart: PoissonChart, f: Observable, g: Observable,
                    h: Observable, x) -> complex:
-    """{f, g*h} - {f,g} h - g {f,h}; zero for any honest bivector."""
+    """{f, g*h} - {f,g} h - g {f,h}, with grad(g*h) = g grad h + h grad g by
+    the product rule; zero for any honest bivector."""
     z = chart.point(x)
-    return (bracket(chart, f, observable_product(g, h), z)
-            - bracket(chart, f, g, z) * h(z)
-            - g(z) * bracket(chart, f, h, z))
+    a, dg, dh, gz, hz = f.gradient(z), g.gradient(z), h.gradient(z), g(z), h(z)
+    return (complex(a @ chart.pi(z, gz * dh + hz * dg))
+            - complex(a @ chart.pi(z, dg)) * hz
+            - gz * complex(a @ chart.pi(z, dh)))
 
 
 # ----------------------------------------------------------------------

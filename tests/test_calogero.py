@@ -45,8 +45,10 @@ def sweep_row(h, u, kappa):
 
 
 def rebuilt_g(h, u, kappa):
-    """The group element g of ``calogero._ruij_parts`` at one point."""
-    return calogero._ruij_parts(h, u, kappa)[-1]
+    """The group element g of ``calogero._rank1_matrix`` at one point, with
+    (own, other, c) = (h_i - h_j + kappa, h_i - h_j, kappa)."""
+    d = h[:, None] - h[None, :]
+    return calogero._rank1_matrix(d + kappa, d, kappa, u)[2]
 
 
 # A valid point (p, h), coupling kappa and spin matrix mu.
@@ -288,7 +290,8 @@ class TestPhiPsiClosedForm:
         candidate (1.5, 0.5)."""
         h = np.array([0.5, -0.5], dtype=complex)
         row = sweep_row(h, np.ones(2), 0.5)
-        assert np.allclose(calogero._ruij_parts(h, 1.0, 0.5)[-2], [1.5, 0.5])
+        d = h[:, None] - h[None, :]
+        assert np.allclose(calogero._rank1_matrix(d + 0.5, d, 0.5, 1.0)[1], [1.5, 0.5])
         assert row["bare-residual"] > 0.1
         assert row["closed-form-residual"] < 1e-12
 
@@ -325,8 +328,11 @@ class TestReconstruction:
 
 def characters(h, u, kappa):
     """(residuals, (tr g, tr g^2), h_char) of the rebuilt g, by the dual
-    routes that ``ruij_sweep`` runs."""
-    return calogero._dual_residuals(*calogero._ruij_parts(h, u, kappa))
+    routes that ``ruij_sweep`` runs: (own, other, c, s) = (h_i - h_j + kappa,
+    h_i - h_j, kappa, 1)."""
+    d = h[:, None] - h[None, :]
+    parts = calogero._rank1_matrix(d + kappa, d, kappa, u)
+    return calogero._dual_residuals(d + kappa, kappa, 1.0, u, *parts)
 
 
 class TestCharacters:
@@ -508,9 +514,9 @@ def ruij_sample_oracle(h, u, kappa):
     w = solve_phi_psi_oracle(h, kappa)[0]
     C = 1.0 / (h[None, :] - h[:, None] + kappa)
     oracle_res = float(np.abs(C @ w - 1.0).max())
-    parts = calogero._ruij_parts(h, u, kappa)
-    *_, bare, g = parts
-    char_res = calogero._dual_residuals(*parts)[0]
+    d = h[:, None] - h[None, :]
+    R, bare, g = calogero._rank1_matrix(d + kappa, d, kappa, u)
+    char_res = calogero._dual_residuals(d + kappa, kappa, 1.0, u, R, bare, g)[0]
     return (oracle_res, calogero._miss(kappa * bare, w), calogero._miss(bare, w),
             calogero._relation_residual(h, kappa, w, g),
             *char_res)

@@ -270,8 +270,11 @@ def sample_row(x, q, ydiag, u=None):
 
 def hamiltonian_routes(x, u, q):
     """(residuals, (tr y, tr y^2), H2) of the rebuilt y, by the dual routes
-    that ``rank_one_samples`` runs."""
-    return calogero._dual_residuals(*double._relativistic_parts(x, u, q))
+    that ``rank_one_samples`` runs: (own, other, c, s) = (1 - x_i/(q x_j),
+    1 - x_i/x_j, 1 - 1/q, q)."""
+    own, c = 1.0 - x[:, None] / (q * x[None, :]), 1.0 - 1.0 / q
+    parts = calogero._rank1_matrix(own, 1.0 - x[:, None] / x[None, :], c, u)
+    return calogero._dual_residuals(own, c, q, u, *parts)
 
 
 class TestRankOneReduction:
@@ -343,7 +346,9 @@ class TestRationalLimit:
         rng = np.random.default_rng(40 + n)
         h, kappa = cli._distinct_h(n, rng), 0.3 + 0.1j
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        _, traces, h_char = calogero._dual_residuals(*calogero._ruij_parts(h, u, kappa))
+        d = h[:, None] - h[None, :]
+        parts = calogero._rank1_matrix(d + kappa, d, kappa, u)
+        _, traces, h_char = calogero._dual_residuals(d + kappa, kappa, 1.0, u, *parts)
         want = np.append(traces, h_char)
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
         errors = []

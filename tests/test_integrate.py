@@ -17,7 +17,6 @@ from degint.poisson import (
     chart_heisenberg_double,
     coordinate,
     ham_vector_field,
-    observable_product,
     trace_power,
 )
 
@@ -487,7 +486,6 @@ FAMILIES = {
     "kepler-M": (kepler_states, KEPLER[:3], True),
     "kepler-A-H": (kepler_states, KEPLER[3:], False),
     "coordinate": (kepler_states, [coordinate(6, i) for i in range(6)], True),
-    "product": (kepler_states, [observable_product(KEPLER[0], coordinate(6, 4))], True),
     "entry": (lambda: matrix_states(2, 2), [coordinate(8, k) for k in range(8)], True),
     "trace-power": (lambda: matrix_states(3, 2),
                     [trace_power(3, k, b, 2) for b in (0, 1) for k in (1, 2, 3)],

@@ -2,6 +2,7 @@
 surfaces, and conservation along integrated orbits."""
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,6 +403,21 @@ class TestEnergyGradient:
         assert sum(1e103 <= r <= 1e154 for r in radii) >= 600
         with pytest.raises(OverflowError):
             max(r for r in radii if r <= 1e154) ** 3
+
+    @pytest.mark.parametrize("radius", [1e103, 1e120, 1e154])
+    def test_orbit_through_the_overflow_band(self, radius):
+        """``integrate_orbit`` from |q| in the overflow band, warnings as
+        errors: gamma q / |q|^3 is exactly 0 there, so p keeps its bits and
+        q_2 is free flight, -t in the chart's sign; the run ends unflagged
+        after 4 accepted steps."""
+        s = KeplerState(p=[0.0, 1.0, 0.0], q=[radius, 0.0, 0.0], gamma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = kepler.integrate_orbit(s, t_max=1.0, tol=1e-10)
+        assert traj.flags == () and traj.accepted_steps == 4
+        assert traj.times[-1] == 1.0
+        assert traj.states[:, :3].tobytes() == np.tile(s.as_point()[:3], (5, 1)).tobytes()
+        assert np.abs(traj.states[:, 4] + traj.times).max() <= 2.3e-16
 
 
 class TestCross:

@@ -20,7 +20,6 @@ from degint.poisson import (
     ham_vector_field,
     jacobi_defect,
     leibniz_defect,
-    observable_product,
     trace_power,
     _r_mask,
 )
@@ -251,14 +250,6 @@ class TestJacobiAndLeibniz:
         z = heisenberg_point(2)
         f, g, h = (coordinate(chart.dim, int(i)) for i in (0, 3, 6))
         assert abs(leibniz_defect(chart, f, g, h, z)) < LEIBNIZ_TOL
-
-    def test_product_gradient_rule(self):
-        f = coordinate(4, 0)
-        g = coordinate(4, 2)
-        fg = observable_product(f, g)
-        z = RNG.normal(size=4).astype(complex)
-        num = Observable("num", fg.fn)
-        assert np.abs(fg.gradient(z) - num.gradient(z)).max() < 1e-9
 
 
 class TestCMLogLinearCharts:

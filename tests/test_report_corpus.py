@@ -1,8 +1,9 @@
 """The report corpus: each run of ``ARGVS`` records what
 ``report_corpus.json`` recorded for it.
 
-A record of a run holds its argv, exit code, stderr, parsed JSON report and
-the SHA-256 of its CSV, JSON and SVG files.  The rule: every leaf of a
+A record of a run holds its argv, exit code, stderr, parsed JSON report,
+the SHA-256 of its CSV, JSON and SVG files and that of each CSV column, so
+that a moved cell names its column.  The rule: every leaf of a
 record compares exactly, floats bit for bit, and ``moved`` names each leaf
 that differs.  ``tests/compare_reports.py`` compares the same records
 between two trees.  A change that moves outputs regenerates the corpus from
@@ -55,8 +56,11 @@ def record(cli, argv) -> dict:
     """One run of ``cli.main`` in a fresh working directory, writing each
     file under a fixed relative name, so that a message naming one reads the
     same in every run and tree.  Its argv, exit code, stderr (every warning
-    shown, the package directory read as ``<src>``), parsed JSON report and
-    the digest of each file, None for a file not written; stdout is dropped."""
+    shown, the package directory read as ``<src>``), parsed JSON report, the
+    digest of each file, None for a file not written, and per CSV header
+    name the digest of that column's cells, one per line, None without a
+    CSV; stdout is dropped.  The writer never quotes a cell, so a line's
+    cells are its text split at each ","."""
     src, here, err = str(Path(cli.__file__).resolve().parents[1]), os.getcwd(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -74,7 +78,11 @@ def record(cli, argv) -> dict:
     return {"argv": argv, "exit_code": code, "stderr": err.getvalue().replace(src, "<src>"),
             "report": None if read["json"] is None else json.loads(read["json"]),
             "sha256": {kind: None if data is None else hashlib.sha256(data).hexdigest()
-                       for kind, data in read.items()}}
+                       for kind, data in read.items()},
+            "csv_columns": None if read["csv"] is None else {
+                column[0]: hashlib.sha256("\n".join(column[1:]).encode()).hexdigest()
+                for column in zip(*(line.split(",") for line in
+                                    read["csv"].decode().splitlines()))}}
 
 
 def leaves(value, path=""):
@@ -137,6 +145,7 @@ class TestRecordAndDiff:
         ("/stderr", lambda r: r.update(stderr="a warning\n")),
         ("/sha256/csv", lambda r: r["sha256"].update(csv="0" * 64)),
         ("/sha256/json", lambda r: r["sha256"].update(json=None)),
+        ("/csv_columns/re(inv2)", lambda r: r["csv_columns"].update({"re(inv2)": "0" * 64})),
         ("/exit_code", lambda r: r.update(exit_code=2))])
     def test_one_changed_leaf_is_named_alone(self, run, path, edit):
         new = copy.deepcopy(run)

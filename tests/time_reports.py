@@ -1,9 +1,12 @@
-"""Time one benchmark workload's reports in this tree against another
+"""Time the benchmark workloads' reports in this tree against another
 checkout, in interleaved pairs in one process.  Run by hand from the
 repository root, with the path of a checkout of the commit to compare
 against:
 
-    python tests/time_reports.py ../degint-parent --workload kepler-orbit --pairs 160
+    python tests/time_reports.py ../degint-parent --pairs 160
+
+It times each workload that ``BENCHMARK.json`` lists, in that order, or
+only the one that ``--workload`` names.
 
 Both trees' ``src/degint`` are copied into a temporary directory as two
 packages, ``degint_other`` and ``degint_this``, and imported into one
@@ -11,17 +14,18 @@ process, so that the two sides of a pair share the host's state as closely
 as two runs can.  Pair i runs the workload's argv, read from
 ``perfbench/workloads.py``, at its pool seed ``SEED_STRIDE * (i mod 20)``
 in both trees: the other tree first in even pairs, this tree first in odd
-ones.  One untimed report per tree comes first.  The output is one line:
-the summed time ratio (this / other), the median pair ratio and the pairs
-this tree won.  It only times: ``tests/compare_reports.py`` compares the
-outputs.  Host speed drifts, so only pairs compare: no single time printed
-here is a measurement of either tree.
+ones.  One untimed report per tree comes first.  The output is one line
+per workload: the summed time ratio (this / other), the median pair ratio
+and the pairs this tree won.  It only times: ``tests/compare_reports.py``
+compares the outputs.  Host speed drifts, so only pairs compare: no single
+time printed here is a measurement of either tree.
 """
 
 import argparse
 import contextlib
 import importlib
 import io
+import json
 import os
 import shutil
 import statistics
@@ -58,30 +62,32 @@ def report(cli, argv, out: Path) -> float:
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("other", type=Path, help="checkout to compare against")
-    p.add_argument("--workload", default="kepler-orbit")
+    p.add_argument("--workload", help="time only this workload")
     p.add_argument("--pairs", type=int, default=160)
     args = p.parse_args()
     os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads, as perfbench runs
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import SEED_STRIDE, WORKLOADS
 
-    workload = WORKLOADS[args.workload]
+    names = ([args.workload] if args.workload else
+             [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         clis = load_trees(args.other.resolve(), tmp)
-        argvs = [[*workload.argv, "--seed", str(SEED_STRIDE * (i % SEEDS))]
-                 for i in range(args.pairs)]
-        for name in NAMES:
-            report(clis[name], argvs[0], tmp / name)
-        seconds = {name: [] for name in NAMES}
-        for i, argv in enumerate(argvs):
-            for name in (NAMES if i % 2 == 0 else NAMES[::-1]):
-                seconds[name].append(report(clis[name], argv, tmp / name))
-    other, this = seconds["other"], seconds["this"]
-    ratios = [b / a for a, b in zip(other, this)]
-    print(f"{args.workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
-          f"median pair ratio {statistics.median(ratios):.3f}, "
-          f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}")
+        for workload in names:
+            argvs = [[*WORKLOADS[workload].argv, "--seed", str(SEED_STRIDE * (i % SEEDS))]
+                     for i in range(args.pairs)]
+            for name in NAMES:
+                report(clis[name], argvs[0], tmp / name)
+            seconds = {name: [] for name in NAMES}
+            for i, argv in enumerate(argvs):
+                for name in (NAMES if i % 2 == 0 else NAMES[::-1]):
+                    seconds[name].append(report(clis[name], argv, tmp / name))
+            other, this = seconds["other"], seconds["this"]
+            ratios = [b / a for a, b in zip(other, this)]
+            print(f"{workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
+                  f"median pair ratio {statistics.median(ratios):.3f}, "
+                  f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}", flush=True)
 
 
 if __name__ == "__main__":
