@@ -510,44 +510,84 @@ def _not_taken(scenario: str, extra) -> str:
 # ----------------------------------------------------------------------
 
 # One CSV cell in 17-significant-digit scientific notation; Python and numpy
-# floats format alike.
+# floats format alike.  The reference: ``_float_text`` writes its bytes for
+# each value that it decides, and the writer calls it on every other value.
 _fmt = "{:.17e}".format
+_TRIPLES = np.array([b"%03d" % i for i in range(1000)])
 
 
-def _float_cells(part):
-    """A float column's cells, each distinct bit pattern formatted once: the
-    integer view keeps 0.0 and -0.0 apart.  A column whose sorted values
-    hold no equal neighbours, and one of a width no integer view has, is
-    formatted value by value."""
-    ordered = np.sort(part)
-    if part.itemsize <= 8 and (ordered[1:] == ordered[:-1]).any():
-        distinct, inverse = np.unique(part.view(f"i{part.itemsize}"), return_inverse=True)
-        text = list(map(_fmt, distinct.view(part.dtype).tolist()))
-        return [text[i] for i in inverse.tolist()]
-    return list(map(_fmt, part.tolist()))
+@functools.lru_cache(maxsize=None)
+def _decade(e):
+    """For 10**e <= |x| < 10**(e+1): hi + lo = 10**(17-e) to about 2**-106,
+    each rounded once from Python ints (int true division rounds
+    correctly), and the cell's exponent text, NUL-padded to 5 bytes."""
+    num, den = (10 ** (17 - e), 1) if e <= 17 else (1, 10 ** (e - 17))
+    n, d = (num / den).as_integer_ratio()
+    return num / den, (num * d - n * den) / (den * d), f"e{e:+03d}".encode().ljust(5, b"\0")
 
 
-def _csv_table(columns):
-    """The header and rows of a report's named columns: a complex column is
-    written as re(name) and im(name), floats with ``_fmt`` and everything
-    else with ``str``."""
-    header, cells = [], []
-    for name, column in columns.items():
-        column = np.asarray(column)
-        parts = ({f"re({name})": column.real, f"im({name})": column.imag}
-                 if column.dtype.kind == "c" else {name: column})
-        for label, part in parts.items():
-            header.append(label)
-            cells.append(_float_cells(part) if part.dtype.kind == "f"
-                         else list(map(str, part.tolist())))
-    return header, list(zip(*cells))
+def _float_text(x):
+    """``_fmt``'s text of each float64 of ``x`` as 25 NUL-padded bytes, or 25
+    NULs where the value is not decided here.  With E = floor(log10|x|),
+    y = |x| 10**(17-E) is Dekker's exact product |x| hi plus |x| lo, within
+    about 1e-13, and the digits are D = floor(y), plus 1 where its fraction
+    exceeds 1/2.  Decided: zeros, and |x| in [1e-280, 1e280] (no split or
+    product leaves the normal range) with floor(y) in [1e17, 1e18), D < 1e18
+    and the fraction more than 1e-6 from 1/2, so that no tie is rounded."""
+    a = np.abs(x)
+    band = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(band, a, 1.0)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    first = E.min(initial=0)
+    hi, lo, suffix = (np.array(v)[E - first] for v in
+                      zip(*map(_decade, range(first, E.max(initial=0) + 1))))
+    p = a * hi
+    # Veltkamp's splits of |x| and hi, each into a high part of at most 26 bits
+    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, hi))
+    t = (((ah * bh - p) + ah * (hi - bh) + (a - ah) * bh) + (a - ah) * (hi - bh)) + a * lo
+    frac = t - np.floor(t)                                  # t = y - p
+    floor = p.astype(np.int64) + np.floor(t).astype(np.int64)
+    D = np.where(x == 0, 0, floor + (frac > 0.5))
+    ok = (band & (floor >= 10 ** 17) & (D < 10 ** 18) & (np.abs(frac - 0.5) > 1e-6)) | (x == 0)
+    digits = _TRIPLES.take(np.stack([D // 10 ** j % 1000 for j in range(15, -1, -3)],
+                                    axis=1)).view(np.uint8)
+    cells = np.empty((len(x), 25), np.uint8)
+    cells[:, 0], cells[:, 1], cells[:, 2] = np.signbit(x) * ord("-"), digits[:, 0], ord(".")
+    cells[:, 3:20], cells[:, 20:] = digits[:, 1:], suffix.view(np.uint8).reshape(-1, 5)
+    cells[~ok] = 0
+    return cells
 
 
 def _write_csv(path, columns):
-    """The table as one string, written in one call."""
-    header, rows = _csv_table(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(map(",".join, [header, *rows])) + "\n")
+    """The report's named columns as one CSV text, written in one call.  A
+    complex column is written as re(name) and im(name).  Every float part of
+    up to 64 bits goes into one ``_float_text`` call, with ``_fmt`` for each
+    value it leaves; long double takes ``_fmt`` and everything else ``str``
+    (a str cell's NUL characters are dropped).  Rows stop at the shortest
+    column, as ``zip`` does."""
+    header, parts = [], []
+    for name, column in columns.items():
+        column = np.asarray(column)
+        named = ({f"re({name})": column.real, f"im({name})": column.imag}
+                 if column.dtype.kind == "c" else {name: column})
+        header += named
+        parts += named.values()
+    rows = min(map(len, parts), default=0)
+    kernel = [part.dtype.kind == "f" and part.itemsize <= 8 for part in parts]
+    x = np.concatenate([np.empty(0), *(p[:rows] for p, f in zip(parts, kernel) if f)])
+    cells = _float_text(x)
+    for i in np.flatnonzero(~cells.any(axis=1)):
+        cells[i] = np.frombuffer(_fmt(x[i]).encode().ljust(25, b"\0"), np.uint8)
+    floats = iter(cells.view("S25").reshape(sum(kernel), rows))
+    texts = [next(floats) if f else np.array([(_fmt if p.dtype.kind == "f" else str)(v).encode()
+                                               for v in p[:rows].tolist()], dtype=bytes)
+             for p, f in zip(parts, kernel)]
+    comma = np.full((rows, 1), ord(","), np.uint8)
+    table = np.concatenate([np.empty((rows, 0), np.uint8)] + [
+        b for t in texts for b in (t.view(np.uint8).reshape(rows, t.itemsize), comma)], axis=1)
+    table[:, -1:] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode() + table[table != 0].tobytes())
 
 
 def _write_json(path, payload):

@@ -12,8 +12,8 @@ first 30 pool seeds; and ``EXTREME_ARGVS`` and ``EXTREME_PAIRS`` of
 ``tests/test_report_corpus.py`` of each run.  Each run whose records differ
 is printed with each moved leaf, ``path: old -> new``, and a summary ends
 the output: the runs moved, and per part of a record (exit code, stderr,
-JSON report, file digests, CSV column digests) the runs where it moved.
-The exit status is 1 when any run moved.
+JSON report, file digests, CSV column and SVG polyline digests) the runs
+where it moved.  The exit status is 1 when any run moved.
 """
 
 import argparse
@@ -68,7 +68,8 @@ def main():
     theirs, ours = (json.loads(proc.stdout.read() or "null") for proc in procs)
     if any(proc.wait() for proc in procs):
         sys.exit("a tree's runs did not finish")
-    parts = {"exit_code": 0, "stderr": 0, "report": 0, "sha256": 0, "csv_columns": 0}
+    parts = {"exit_code": 0, "stderr": 0, "report": 0, "sha256": 0, "csv_columns": 0,
+             "svg_polylines": 0}
     runs_moved = 0
     for argv, old, new in zip(argvs, theirs, ours):
         lines = moved(old, new)

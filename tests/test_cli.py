@@ -5,11 +5,14 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import os
 import re
 import shlex
+import tempfile
 import warnings
 from collections import Counter
+from fractions import Fraction
 from fnmatch import fnmatchcase
 from pathlib import Path
 
@@ -26,7 +29,6 @@ from degint.cli import (
     ScenarioConfig,
     _config_from_args,
     _build_parser,
-    _csv_table,
     _fmt,
     list_scenarios,
     main,
@@ -845,11 +847,18 @@ PAYLOAD_NAN = float(np.array([0x7FF8000000000001]).view(float)[0])
 SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, PAYLOAD_NAN, np.inf, -np.inf, 5e-324, -5e-324,
                   2.2250738585072009e-308, np.finfo(float).max, -np.finfo(float).tiny, 1.0,
                   1.0 + 2.0 ** -52]
+# Exact 18-digit ties (the 19th significant digit is a final 5: 1 + 2**-18 =
+# 1.000003814697265625, 1 + 3 * 2**-18 rounds up to even, 2**-27 has the
+# inexact hi + lo of 10**26) and the kernel's band edges with their neighbours
+BAND_EDGES = [float(v) for edge in (1e-280, 1e280)
+              for v in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf))]
+TIES_AND_EDGES = [1 + 2.0 ** -18, 1 + 3 * 2.0 ** -18, -(1 + 3 * 2.0 ** -18), 2.0 ** -27,
+                  3 * 2.0 ** -26, 1e15 + 0.125, *BAND_EDGES, *(-v for v in BAND_EDGES)]
 
 
 def csv_table_per_cell(columns):
-    """Test-only oracle: ``cli._csv_table`` as it was before each distinct
-    value was formatted once, every cell formatted on its own."""
+    """Test-only oracle: the header and rows of the CSV table, every float
+    cell formatted on its own with ``_fmt``."""
     header, cells = [], []
     for name, column in columns.items():
         column = np.asarray(column)
@@ -859,6 +868,26 @@ def csv_table_per_cell(columns):
             header.append(label)
             cells.append(list(map(_fmt if part.dtype.kind == "f" else str, part.tolist())))
     return header, list(zip(*cells))
+
+
+def joined(header, rows):
+    """A header and rows as one CSV text."""
+    return "\n".join(map(",".join, [header, *rows])) + "\n"
+
+
+def written(columns):
+    """The text that ``cli._write_csv`` writes for the columns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, columns)
+        return path.read_bytes().decode()
+
+
+def written_rows(columns):
+    """The header and rows that ``cli._write_csv`` writes, each row split at
+    every ",": for columns whose cells hold no comma."""
+    header, *rows = (tuple(line.split(",")) for line in written(columns).splitlines())
+    return list(header), rows
 
 
 class TestReportRule:
@@ -909,45 +938,51 @@ class TestReportRule:
                              residuals=[("b", np.nan, None)]) == (0, [])
 
     def test_the_one_csv_format(self):
-        header, rows = _csv_table({"tag": ["a", "b"], "k": np.arange(2), "t": [0.5, -2.0],
-                                   "z": np.array([1 + 2j, -0.25j])})
-        assert header == ["tag", "k", "t", "re(z)", "im(z)"]
-        assert rows == [("a", "0", _fmt(0.5), _fmt(1.0), _fmt(2.0)),
-                        ("b", "1", _fmt(-2.0), _fmt(-0.0), _fmt(-0.25))]
+        columns = {"tag": ["a", "b"], "k": np.arange(2), "t": [0.5, -2.0],
+                   "z": np.array([1 + 2j, -0.25j])}
+        assert written(columns) == (
+            f"tag,k,t,re(z),im(z)\na,0,{_fmt(0.5)},{_fmt(1.0)},{_fmt(2.0)}\n"
+            f"b,1,{_fmt(-2.0)},{_fmt(-0.0)},{_fmt(-0.25)}\n")
         assert _fmt(0.5) == "5.00000000000000000e-01"
-        assert _csv_table({"error": []}) == (["error"], [])
+        assert written({"error": []}) == "error\n"
+        assert written({}) == "\n"
 
     def test_special_columns_equal_the_per_cell_writer(self):
         """Each named case in one column of its own: 0.0 beside -0.0 (and
         in a complex column's parts), NaNs of either sign and with a
         payload, infinities beside a subnormal, a constant column, a column
-        without repeats, float32, int, bool and str."""
+        without repeats, exact ties and the kernel's band edges, float32,
+        long double, int, bool and str; rows stop at the shortest column."""
         columns = {"zeros": [0.0, -0.0, 0.0, -0.0],
                    "nans": [np.nan, -np.nan, PAYLOAD_NAN, np.nan],
                    "infs": [np.inf, -np.inf, np.inf, 5e-324], "constant": [1.5] * 4,
-                   "distinct": [1.0, 2.0, 3.0, 4.0],
+                   "distinct": [1.0, 2.0, 3.0, 4.0], "ties": TIES_AND_EDGES[:5],
+                   "edges": BAND_EDGES[2:],
                    "z": np.array([1 + 0j, complex(1, -0.0), complex(-0.0, 0.0), 1 + 0j]),
                    "f4": np.array([0.1, 0.1, -0.0, 0.0], dtype=np.float32),
+                   "g": np.array([1e-4000, 0.1, -np.inf, 1.5], dtype=np.longdouble),
                    "k": np.arange(4), "b": np.arange(4) > 1, "s": ["a", "b", "a", "b"]}
-        header, rows = _csv_table(columns)
+        header, rows = written_rows(columns)
         assert (header, rows) == csv_table_per_cell(columns)
+        assert len(rows) == 4
         assert rows[0][0] != rows[1][0] and rows[0][0] == rows[2][0] == _fmt(0.0)
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.data())
     def test_the_table_equals_the_per_cell_writer(self, data):
-        """Each distinct float bit pattern formatted once gives the table of
-        the writer that formats every cell: on repeated and constant columns,
-        +-0.0, NaNs of either sign, +-inf, subnormals, float32, long double
-        (no integer view), complex, int, bool and str columns."""
+        """The written text is the per-cell writer's table, joined: on
+        repeated and constant columns, +-0.0, NaNs of either sign, +-inf,
+        subnormals, exact ties, the kernel's band edges, float32, long
+        double, complex, int, bool and str columns (a str cell may hold a
+        ",")."""
         rows = data.draw(st.integers(0, 12))
         columns = {}
         for name in range(data.draw(st.integers(1, 6))):
             kind = data.draw(st.sampled_from(["f8", "f4", "g", "c16", "i8", "?", "U"]))
             if kind in ("f8", "f4", "g", "c16"):
                 # every part draws from a few values, so that values repeat
-                pool = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
-                                          min_size=1, max_size=4))
+                pool = data.draw(st.lists(st.sampled_from(SPECIAL_FLOATS + TIES_AND_EDGES)
+                                          | st.floats(), min_size=1, max_size=4))
                 column = np.empty(rows, dtype=kind)
                 for part in (column.real, column.imag) if kind == "c16" else (column,):
                     with np.errstate(over="ignore"):
@@ -960,7 +995,103 @@ class TestReportRule:
                 column = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=rows,
                                                      max_size=rows))).astype(kind)
             columns[f"c{name}"] = column
-        assert _csv_table(columns) == csv_table_per_cell(columns)
+        assert written(columns) == joined(*csv_table_per_cell(columns))
+
+
+def exact_ties(rng, per_decade):
+    """Per decade e of -9..15 and sign, up to ``per_decade`` values x = m
+    2**(e-18) with m odd below 2**53, so that x 10**(17-e) = N + 1/2."""
+    return [sign * math.ldexp(m, e - 18) for e in range(-9, 16) for sign in (1, -1)
+            for m in rng.integers(*(min(math.ceil(Fraction(10) ** k * 2 ** (18 - e)), 2 ** 53)
+                                    for k in (e, e + 1)), size=per_decade).tolist() if m % 2]
+
+
+def near_ties():
+    """For s = 23..29, where hi + lo of 10**s is inexact: x = m 2**-(u+s)
+    with m below 2**53, so that x 10**s = m 5**s / 2**u, 18 digits before
+    the point, has the fraction 1/2 + r 2**-u, r = +-1 or +-3."""
+    out = []
+    for s, r, u in itertools.product(range(23, 30), (1, -1, 3, -3), range(40, 70)):
+        m = (2 ** (u - 1) + r) * pow(5 ** s, -1, 2 ** u) % 2 ** u
+        m -= (m - math.ceil(Fraction(10 ** 17 * 2 ** u, 5 ** s))) // 2 ** u * 2 ** u
+        out += [math.ldexp(k, -u - s) for k in range(m, min(2 ** 53, math.ceil(
+            Fraction(10 ** 18 * 2 ** u, 5 ** s))), 2 ** u)]
+    return out
+
+
+def eighteen_digits(v):
+    """Exactly, y = |v| 10**(17-E) with 10**E <= |v| < 10**(E+1): 18 digits
+    before the point and the fraction that rounding reads."""
+    e = math.floor(math.log10(abs(v)))
+    e += (abs(Fraction(v)) >= Fraction(10) ** (e + 1)) - (abs(Fraction(v)) < Fraction(10) ** e)
+    return abs(Fraction(v)) * Fraction(10) ** (17 - e)
+
+
+class TestFloatText:
+    """``cli._float_text`` against ``_fmt``, bit for bit, on a fixed seeded
+    set: every value it decides reads as ``_fmt`` writes it, and it decides
+    every random bit pattern of its band but ties and near-ties, and leaves
+    every constructed tie and near-tie."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(20260)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        subnormal = rng.integers(1, 2 ** 52, size=1000, dtype=np.uint64).view(np.float64)
+        sets = {"random": rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64).view(float),
+                "powers": np.concatenate([powers, np.nextafter(powers, 0),
+                                          np.nextafter(powers, np.inf)]),
+                "ties": np.array(exact_ties(rng, 40)), "near-ties": np.array(near_ties()),
+                "special": np.array([*subnormal, *-subnormal, 0.0, -0.0, np.nan, -np.nan,
+                                     PAYLOAD_NAN, -PAYLOAD_NAN, np.inf, -np.inf,
+                                     *TIES_AND_EDGES])}
+        # every float32 bit pattern but a NaN's (a signalling one warns when cast)
+        float32 = rng.integers(0, 2 ** 32, size=20_000, dtype=np.uint32).view(np.float32)
+        float32 = np.append(float32[~np.isnan(float32)], np.float32(np.nan))
+        x = np.concatenate([*sets.values(), float32])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cells = cli._float_text(x)
+        # _fmt's text of each value as the kernel lays it out: NUL for "+"
+        want = np.array([text.encode() if text[0] == "-" else b"\0" + text.encode() for text in
+                         map(_fmt, x[:-len(float32)].tolist() + float32.tolist())], dtype="S25")
+        return sets, x, cells, want
+
+    def test_every_decided_value_reads_as_fmt_writes_it(self, cases):
+        _, x, cells, want = cases
+        decided = cells.any(axis=1)
+        got = cells.view("S25")[:, 0]
+        assert decided.sum() > 200_000
+        assert [(float(v), g, w) for v, g, w in zip(x[decided], got[decided], want[decided])
+                if g != w][:5] == []
+
+    def test_it_decides_its_band_and_leaves_the_rest(self, cases):
+        """Of the random bit patterns in its band it leaves only the exact
+        ties and near-ties (those of 14-15 digits and a few fraction bits)."""
+        sets, x, cells, _ = cases
+        decided = cells.any(axis=1)
+        band = (np.abs(x) >= 1e-280) & (np.abs(x) <= 1e280)
+        random = np.arange(len(x)) < len(sets["random"])
+        left = x[random & band & ~decided].tolist()
+        assert len(left) < 200
+        assert all(abs(eighteen_digits(v) % 1 - Fraction(1, 2)) <= 1e-6 for v in left)
+        assert not decided[~band & (x != 0)].any()
+        assert decided[x == 0].all()
+        assert (cells[~decided] == 0).all()
+
+    def test_it_leaves_every_tie_and_near_tie(self, cases):
+        """Exact ties, and near-ties whose fraction is within 1e-6 of 1/2 but
+        further from it than the kernel's error reaches at most."""
+        sets, x, cells, _ = cases
+        for v in sets["ties"].tolist():
+            y = eighteen_digits(v)
+            assert y % 1 == Fraction(1, 2) and 10 ** 17 <= y < 10 ** 18, v
+        for v in sets["near-ties"].tolist():
+            y = eighteen_digits(v)
+            assert 0 < abs(y % 1 - Fraction(1, 2)) <= 1e-6 and 10 ** 17 <= y < 10 ** 18, v
+        for name in ("ties", "near-ties"):
+            left = np.isin(x, sets[name])
+            assert left.sum() > 500 and not cells[left].any(), name
 
 
 # One defect in one route of the capped rank-1 values: (the caps it trips,
@@ -1552,7 +1683,7 @@ class TestSingleEvaluation:
         # 17 significant digits round-trip every float64 of the CSV
         states = [kepler.KeplerState(p=z[:3], q=z[3:], gamma=gamma) for z in
                   np.array([[float(c) for c in row[1:7]]
-                            for row in _csv_table(result.columns)[1]])]
+                            for row in written_rows(result.columns)[1]])]
         ma = quad = 0.0
         for state in states[::max(1, len(states) // 50)]:
             M, A, H = kepler_projection(state)
@@ -1680,5 +1811,5 @@ class TestFactorizationFlowSplits:
                 tr = traces_of_powers(facto._conjugations(x0, xi, t)[0], cfg.n)
                 rows.append([str(k), _fmt(t)] + [_fmt(v) for z in tr for v in (z.real, z.imag)])
         assert [(name, value) for name, value, _ in result.residuals] == sorted(residuals.items())
-        assert _csv_table(result.columns)[1] == list(map(tuple, rows))
+        assert written_rows(result.columns)[1] == list(map(tuple, rows))
         assert result.flags == []

@@ -2,8 +2,9 @@
 ``report_corpus.json`` recorded for it.
 
 A record of a run holds its argv, exit code, stderr, parsed JSON report,
-the SHA-256 of its CSV, JSON and SVG files and that of each CSV column, so
-that a moved cell names its column.  The rule: every leaf of a
+the SHA-256 of its CSV, JSON and SVG files, that of each CSV column and
+that of each SVG polyline, so that a moved cell names its column and a
+moved series its label.  The rule: every leaf of a
 record compares exactly, floats bit for bit, and ``moved`` names each leaf
 that differs.  ``tests/compare_reports.py`` compares the same records
 between two trees.  A change that moves outputs regenerates the corpus from
@@ -22,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import warnings
@@ -57,10 +59,11 @@ def record(cli, argv) -> dict:
     file under a fixed relative name, so that a message naming one reads the
     same in every run and tree.  Its argv, exit code, stderr (every warning
     shown, the package directory read as ``<src>``), parsed JSON report, the
-    digest of each file, None for a file not written, and per CSV header
-    name the digest of that column's cells, one per line, None without a
-    CSV; stdout is dropped.  The writer never quotes a cell, so a line's
-    cells are its text split at each ","."""
+    digest of each file, None for a file not written, per CSV header name
+    the digest of that column's cells, one per line, None without a CSV,
+    and per SVG series label the digest of its polyline's points, None
+    without an SVG; stdout is dropped.  The writer never quotes a cell, so a
+    line's cells are its text split at each ","."""
     src, here, err = str(Path(cli.__file__).resolve().parents[1]), os.getcwd(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -82,7 +85,11 @@ def record(cli, argv) -> dict:
             "csv_columns": None if read["csv"] is None else {
                 column[0]: hashlib.sha256("\n".join(column[1:]).encode()).hexdigest()
                 for column in zip(*(line.split(",") for line in
-                                    read["csv"].decode().splitlines()))}}
+                                    read["csv"].decode().splitlines()))},
+            "svg_polylines": None if read["svg"] is None else {
+                label: hashlib.sha256(points.encode()).hexdigest() for points, label in
+                re.findall(r'<polyline points="([^"]*)".*\n<text [^>]*>([^<]*)</text>',
+                           read["svg"].decode())}}
 
 
 def leaves(value, path=""):
@@ -146,6 +153,8 @@ class TestRecordAndDiff:
         ("/sha256/csv", lambda r: r["sha256"].update(csv="0" * 64)),
         ("/sha256/json", lambda r: r["sha256"].update(json=None)),
         ("/csv_columns/re(inv2)", lambda r: r["csv_columns"].update({"re(inv2)": "0" * 64})),
+        ("/svg_polylines/re(inv1)",
+         lambda r: r["svg_polylines"].update({"re(inv1)": "0" * 64})),
         ("/exit_code", lambda r: r.update(exit_code=2))])
     def test_one_changed_leaf_is_named_alone(self, run, path, edit):
         new = copy.deepcopy(run)
