@@ -146,15 +146,24 @@ def _first_passing(rng, count, shape, passes):
     """The first ``count`` candidates that ``passes`` accepts, stacked as
     (count, *shape).  A candidate is one ``shape`` block of normals from
     ``rng``, holding every row its sample needs; ``passes`` maps stacked
-    candidates to whether each passes.  Each round draws only as many
-    candidates as are still missing, so the result, and ``rng``'s state
-    after it, are those of drawing one candidate at a time until ``count``
-    pass."""
+    candidates to whether each passes.  Each round draws max(need, 8)
+    candidates, ``need`` being how many are still missing.  A round that
+    draws more than ``need`` first saves ``rng``'s state; if ``need`` of its
+    candidates pass before its last, it restores that state and redraws the
+    candidates up to the ``need``-th pass.  So the result, and ``rng``'s
+    state after it, are those of drawing one candidate at a time until
+    ``count`` pass."""
     kept, need = [], count
     while need:
-        drawn = rng.normal(size=(need, *shape))
-        kept.append(drawn[passes(drawn)])
-        need -= len(kept[-1])
+        size = max(need, 8)
+        state = rng.bit_generator.state if size > need else None
+        drawn = rng.normal(size=(size, *shape))
+        hits = np.flatnonzero(passes(drawn))[:need]
+        if len(hits) == need and hits[-1] + 1 < size:
+            rng.bit_generator.state = state
+            rng.normal(size=(hits[-1] + 1, *shape))
+        kept.append(drawn[hits])
+        need -= len(hits)
     return np.concatenate(kept)
 
 
@@ -574,7 +583,8 @@ def _write_csv(path, columns):
         parts += named.values()
     rows = min(map(len, parts), default=0)
     kernel = [part.dtype.kind == "f" and part.itemsize <= 8 for part in parts]
-    x = np.concatenate([np.empty(0), *(p[:rows] for p, f in zip(parts, kernel) if f)])
+    with np.errstate(invalid="ignore"):     # widening a signalling NaN quiets it
+        x = np.concatenate([np.empty(0), *(p[:rows] for p, f in zip(parts, kernel) if f)])
     cells = _float_text(x)
     for i in np.flatnonzero(~cells.any(axis=1)):
         cells[i] = np.frombuffer(_fmt(x[i]).encode().ljust(25, b"\0"), np.uint8)

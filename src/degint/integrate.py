@@ -79,7 +79,8 @@ _DP = _Tableau(
 _ATTEMPT_BUDGET = 1_000_000
 
 
-@np.errstate(over="ignore", invalid="ignore")      # a non-finite step ends the run
+# a non-finite step ends the run, so overflow, 0/0 and x/0 pass silently
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau,
          h: float, max_steps: int, tol: Optional[float],
          guard: Optional[Callable[[np.ndarray], Optional[str]]]) -> Trajectory:
@@ -91,10 +92,13 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
     a flag that stops the run."""
     z = np.asarray(x0, dtype=complex).ravel()
     # complex coefficients spare every stage product a cast from float
-    rows = [row[:i].astype(complex) for i, row in enumerate(tableau.A)]
     b = tableau.b.astype(complex)
     err_row = None if tol is None else b - tableau.b_low
     K = np.empty((len(b), z.size), dtype=complex)
+    # each later stage's row and the views K[:i] of the stages before it
+    stages = [(row[:i].astype(complex), K[:i]) for i, row in enumerate(tableau.A)][1:]
+    abs_z = None if tol is None else np.abs(z)
+    zeros = np.zeros(2 * z.size)
     t, times, states, flags = 0.0, [0.0], [z], []
     accepted = rejected = evaluations = 0
     while accepted + rejected < max_steps:
@@ -114,13 +118,17 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
         # without its ufunc dispatch
         hc = np.array(h, dtype=complex)
         K[0] = ham_vector_field(chart, H, z)
-        for i in range(1, len(b)):
-            K[i] = ham_vector_field(chart, H, z + hc * rows[i].dot(K[:i]))
+        for i, (row, head) in enumerate(stages, 1):
+            K[i] = ham_vector_field(chart, H, z + hc * row.dot(head))
         evaluations += len(b)
         z_next = z + hc * b.dot(K)
-        finite = np.logical_and.reduce(np.isfinite(z_next))
+        # 0 * x is nan for x = nan or +-inf and +-0 otherwise, so this dot over
+        # both parts of every entry is finite when they all are: one BLAS call,
+        # cheaper than a ufunc reduction or a Python loop at every size
+        finite = math.isfinite(z_next.view(float).dot(zeros))
         if finite and tol is not None:
-            scale = tol * np.maximum(1.0, np.maximum(np.abs(z), np.abs(z_next)))
+            abs_next = np.abs(z_next)
+            scale = tol * np.maximum(1.0, np.maximum(abs_z, abs_next))
             # the root mean square, with the sum and count np.mean would use
             e = np.abs(hc * err_row.dot(K) / scale)
             err = math.sqrt(np.add.reduce(e * e) / e.size)
@@ -137,6 +145,8 @@ def _run(chart: PoissonChart, H: Observable, x0, t_max: float, tableau: _Tableau
                 continue
         t += h_taken
         z = z_next
+        if tol is not None:
+            abs_z = abs_next
         accepted += 1
         times.append(t)
         states.append(z)

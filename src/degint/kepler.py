@@ -121,11 +121,14 @@ def kepler_observables(gamma: float):
         return hamiltonian(*split(z), gamma)
 
     def h_grad(z):
-        # (p, gamma q / |q|^3) over the numpy scalar c = |q|^3, which rounds as
-        # the array division does and gives inf or nan where a float's ** raises
+        # (p, gamma q / |q|^3), rounded as the array division does.  For
+        # 1e-100 < |q| < 1e100 the cube c is normal and finite, so a Python
+        # float's ** and / round as numpy's do; any other |q| takes c as a
+        # numpy scalar, which gives inf or nan where a float's ** or / raises
         x = z.real
         q = x[3:]
-        c = np.sqrt(q.dot(q)) ** 3      # q.dot(q): bit for bit np.vecdot(q, q)
+        r = math.sqrt(q.dot(q))         # q.dot(q): bit for bit np.vecdot(q, q)
+        c = r ** 3 if 1e-100 < r < 1e100 else np.float64(r) ** 3
         p0, p1, p2, q0, q1, q2 = x.tolist()
         return np.array([p0, p1, p2, gamma * q0 / c, gamma * q1 / c, gamma * q2 / c],
                         dtype=complex)

@@ -111,8 +111,15 @@ class Observable:
         return self.fn(x)
 
     def gradient(self, x, step: float = None) -> np.ndarray:
+        """The exact gradient at x as a complex array: ``grad(x)`` itself
+        when it is one (what ``np.asarray`` would return, without its
+        dispatch), else converted.  Without ``grad``, central finite
+        differences of ``step`` (``TOL.fd_step`` by default)."""
         if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=complex)
+            g = self.grad(x)
+            if type(g) is np.ndarray and g.dtype is _COMPLEX:
+                return g
+            return np.asarray(g, dtype=complex)
         return _fd_gradient(self.fn, np.asarray(x, dtype=complex),
                             TOL.fd_step if step is None else step)
 

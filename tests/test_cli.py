@@ -713,10 +713,68 @@ def kepler_orbit_loop(rng, gamma=1.0):
     raise AssertionError("could not sample a well-separated bound orbit")
 
 
+def first_passing_loop(rng, count, shape, passes):
+    """The first ``count`` candidates that ``passes`` accepts, drawn and
+    tested one at a time."""
+    want = []
+    while len(want) < count:
+        candidate = rng.normal(size=shape)
+        if passes(candidate[None])[0]:
+            want.append(candidate)
+    return np.array(want)
+
+
+def after_rejecting(k, passes):
+    """``passes``, but the first ``k`` candidates it is handed fail."""
+    seen = 0
+
+    def gated(w):
+        nonlocal seen
+        index = seen + np.arange(len(w))
+        seen += len(w)
+        return (index >= k) & passes(w)
+
+    return gated
+
+
+class RecordingRng:
+    """A generator that records the candidates each ``normal`` call draws,
+    and the state snapshots and restores ``_first_passing`` makes."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self
+        self.rounds, self.snapshots, self.restores = [], 0, 0
+
+    def normal(self, size):
+        self.rounds.append(size[0])
+        return self.rng.normal(size=size)
+
+    @property
+    def state(self):
+        self.snapshots += 1
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.restores += 1
+        self.rng.bit_generator.state = value
+
+
 class TestFirstPassing:
     """``cli._first_passing`` keeps what drawing one candidate at a time
     until ``count`` pass keeps, and leaves the generator where that loop
     leaves it, whatever the round sizes."""
+
+    @staticmethod
+    def assert_the_loop(seed, count, shape, passes, loop_passes=None):
+        """The kept bytes and generator state of the loop; the rounds made."""
+        rng, loop = RecordingRng(seed), np.random.default_rng(seed)
+        got = cli._first_passing(rng, count, shape, passes)
+        want = first_passing_loop(loop, count, shape, loop_passes or passes)
+        assert got.tobytes() == want.tobytes()
+        assert rng.rng.bit_generator.state == loop.bit_generator.state
+        return rng
 
     @pytest.mark.parametrize("count", [1, 2, 37])
     @pytest.mark.parametrize("seed", [0, 7, 123456])
@@ -724,15 +782,59 @@ class TestFirstPassing:
         def passes(w):                  # about 30% of candidates pass
             return w[:, 0, 0] > 0.5
 
-        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = cli._first_passing(rng, count, (2, 3), passes)
-        want = []
-        while len(want) < count:
-            candidate = loop.normal(size=(2, 3))
-            if passes(candidate[None])[0]:
-                want.append(candidate)
-        assert got.tobytes() == np.array(want).tobytes()
-        assert rng.bit_generator.state == loop.bit_generator.state
+        self.assert_the_loop(seed, count, (2, 3), passes)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rare_passes(self, count, seed):
+        """About 5% of candidates pass: many rounds of 8, the last one
+        replayed up to its ``count``-th pass."""
+        def passes(w):
+            return w[:, 0, 0] > 1.645
+
+        rng = self.assert_the_loop(seed, count, (2, 3), passes)
+        assert rng.rounds[0] == 8 and rng.snapshots >= 1 and rng.restores <= 1
+
+    @pytest.mark.parametrize("count", [1, 3, 12])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_first_twenty_candidates_fail(self, count, seed):
+        def passes(w):
+            return w[:, 0, 0] > 0.0
+
+        self.assert_the_loop(seed, count, (2, 3), after_rejecting(20, passes),
+                             after_rejecting(20, passes))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_round_ending_on_its_last_pass_is_not_replayed(self, count):
+        """Only the round's last candidate, or its last ``count``, pass:
+        one round of 8, its state saved and never restored."""
+        def passes(w):
+            return np.arange(len(w)) >= 8 - count
+
+        loop_passes = after_rejecting(8 - count, lambda w: np.ones(len(w), bool))
+        rng = self.assert_the_loop(3, count, (2, 3), passes, loop_passes)
+        assert (rng.rounds, rng.snapshots, rng.restores) == ([8], 1, 0)
+
+    def test_no_snapshot_while_eight_or_more_are_missing(self):
+        """A draw of 500 keeps its round sizes, each the count still
+        missing, and saves the state only in a round that draws more."""
+        calls = []
+
+        def passes(w):
+            ok = cli._h_passes(w)
+            calls.append((len(w), int(ok.sum())))
+            return ok
+
+        rng = self.assert_the_loop(11, 500, (3, 6), passes, cli._h_passes)
+        need, snapshots = 500, 0
+        for size, passed in calls:
+            assert size == max(need, 8)
+            snapshots += size > need
+            need -= min(passed, need)
+        assert need == 0 and len(calls) > 3 and snapshots >= 1
+        assert rng.snapshots == snapshots and rng.restores <= 1
+        assert rng.rounds[:len(calls)] == [size for size, _ in calls]
+        assert len(rng.rounds) == len(calls) + rng.restores
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("seed", range(10))
@@ -1045,10 +1147,11 @@ class TestFloatText:
                 "special": np.array([*subnormal, *-subnormal, 0.0, -0.0, np.nan, -np.nan,
                                      PAYLOAD_NAN, -PAYLOAD_NAN, np.inf, -np.inf,
                                      *TIES_AND_EDGES])}
-        # every float32 bit pattern but a NaN's (a signalling one warns when cast)
+        # random float32 bit patterns, NaNs of either kind among them; widening
+        # a signalling NaN raises numpy's invalid flag, as in ``_write_csv``
         float32 = rng.integers(0, 2 ** 32, size=20_000, dtype=np.uint32).view(np.float32)
-        float32 = np.append(float32[~np.isnan(float32)], np.float32(np.nan))
-        x = np.concatenate([*sets.values(), float32])
+        with np.errstate(invalid="ignore"):
+            x = np.concatenate([*sets.values(), float32])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             cells = cli._float_text(x)
@@ -1056,6 +1159,20 @@ class TestFloatText:
         want = np.array([text.encode() if text[0] == "-" else b"\0" + text.encode() for text in
                          map(_fmt, x[:-len(float32)].tolist() + float32.tolist())], dtype="S25")
         return sets, x, cells, want
+
+    def test_a_float32_column_is_written_silently(self):
+        """``_write_csv`` widens float32 columns and complex64 parts holding
+        signalling NaNs without a warning, and writes ``_fmt`` of each value."""
+        rng = np.random.default_rng(20260)
+        bits = rng.integers(0, 2 ** 32, size=20_000, dtype=np.uint32)
+        signalling = (bits & 0x7FC00000 == 0x7F800000) & (bits & 0x3FFFFF != 0)
+        assert signalling.sum() > 10
+        columns = {"x": bits.view(np.float32), "z": np.zeros(len(bits), np.complex64)}
+        columns["z"].real, columns["z"].imag = columns["x"], columns["x"][::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = written(columns)
+        assert text == joined(*csv_table_per_cell(columns))
 
     def test_every_decided_value_reads_as_fmt_writes_it(self, cases):
         _, x, cells, want = cases

@@ -1,5 +1,6 @@
 """Tests for the integrators and the drift monitor."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -187,6 +188,77 @@ class TestAdaptive:
         monkeypatch.setattr(integrate, "_ATTEMPT_BUDGET", 10_000)
         full = adaptive(c, harmonic(), z0, t_max=1.0, tol=1e-10)
         assert full.times[-1] == 1.0 and full.flags == ()
+
+
+def poisoned(chart, at, index, bad):
+    """``chart`` whose field, from its ``at``-th evaluation on, counted
+    from 1, holds ``bad`` as the imaginary part of entry ``index``."""
+    calls = 0
+
+    def field(z, g):
+        nonlocal calls
+        calls += 1
+        v = chart.field(z, g)
+        if calls >= at:
+            v[index] = complex(v[index].real, bad)
+        return v
+
+    return dataclasses.replace(chart, field=field)
+
+
+class TestNonfiniteState:
+    """A step whose new state holds a nan or an infinity, in either part of
+    any entry, ends the run with ``nonfinite-state``; a state of finite
+    entries near the largest float does not."""
+
+    STOP = 6                # the attempt whose field goes bad
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("stage", ["first", "last"])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_rk4_stops_on_that_step(self, bad, stage, index):
+        c, H, z0 = chart_canonical(1), harmonic(), np.array([1.0, 0.0], dtype=complex)
+        at = 4 * (self.STOP - 1) + (1 if stage == "first" else 4)
+        traj = rk4(poisoned(c, at, index, bad), H, z0, t_max=1.0, dt=0.05)
+        clean = rk4(c, H, z0, t_max=1.0, dt=0.05)
+        assert traj.flags == ("nonfinite-state",)
+        assert (traj.accepted_steps, traj.field_evaluations) == (self.STOP - 1, 4 * self.STOP)
+        assert traj.states.tobytes() == clean.states[:self.STOP].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("stage", ["first", "last"])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_adaptive_stops_on_that_attempt(self, monkeypatch, bad, stage, index):
+        """The run keeps what a clean run keeps in the attempts before."""
+        c, H, z0 = chart_canonical(1), harmonic(), np.array([1.0, 0.0], dtype=complex)
+        at = 7 * (self.STOP - 1) + (1 if stage == "first" else 7)
+        traj = adaptive(poisoned(c, at, index, bad), H, z0, t_max=5.0, tol=1e-10)
+        monkeypatch.setattr(integrate, "_ATTEMPT_BUDGET", self.STOP - 1)
+        clean = adaptive(c, H, z0, t_max=5.0, tol=1e-10)
+        assert traj.flags == ("nonfinite-state",)
+        assert (traj.accepted_steps, traj.rejected_steps) == (4, 1)
+        assert (traj.accepted_steps, traj.rejected_steps) == (clean.accepted_steps,
+                                                              clean.rejected_steps)
+        assert traj.field_evaluations == 7 * self.STOP
+        assert traj.states.tobytes() == clean.states.tobytes()
+
+    @pytest.mark.parametrize("integrator,step", [(rk4, 0.05), (adaptive, 1e-10)],
+                             ids=["rk4", "adaptive"])
+    def test_entries_near_the_largest_float_do_not_stop(self, integrator, step):
+        """Free flight on the 4d canonical chart from p = 1e307 (1 + i) (1, -1)
+        and q = 1.7e308 (1 + i) (1, -1): the sum of the parts and |q|
+        overflow, the stage sums under Dormand-Prince's coefficients of up to
+        11.6 do not, and q(t) = q(0) - t p stays finite."""
+        H = Observable("H", lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2),
+                       grad=lambda z: np.concatenate([z[:2], np.zeros(2)]))
+        p0, q0 = 1e307 * np.array([1, -1]), 1.7e308 * np.array([1, -1])
+        z0 = np.concatenate([p0, q0]) * (1 + 1j)
+        traj = integrator(chart_canonical(2), H, z0, 1.0, step)
+        assert traj.flags == () and traj.times[-1] == 1.0
+        assert (traj.states[:, :2] == z0[:2]).all()
+        q = q0 - traj.times[:, None] * p0
+        for part in (traj.states[:, 2:].real, traj.states[:, 2:].imag):
+            assert np.abs(part - q).max() <= 1e-15 * 1.7e308
 
 
 # ----------------------------------------------------------------------

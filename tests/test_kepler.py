@@ -2,13 +2,16 @@
 surfaces, and conservation along integrated orbits."""
 
 import dataclasses
+import functools
+import itertools
+import math
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from degint import cli, kepler, poisson
+from degint import cli, integrate, kepler, poisson
 from degint.config import TOL
 from degint.errors import SingularChartPoint
 from degint.kepler import (
@@ -382,7 +385,91 @@ def gradient_cases(rng):
     return np.array(cases).astype(complex)
 
 
+def numpy_scalar_gradient(z, gamma):
+    """(p, gamma q / |q|^3) from Python floats over the numpy scalar
+    |q|^3 = np.sqrt(q.dot(q)) ** 3 at every |q|: the gradient's formula
+    before its Python-float band."""
+    x = z.real
+    q = x[3:]
+    c = np.sqrt(q.dot(q)) ** 3
+    p0, p1, p2, q0, q1, q2 = x.tolist()
+    return np.array([p0, p1, p2, gamma * q0 / c, gamma * q1 / c, gamma * q2 / c],
+                    dtype=complex)
+
+
+def errstate_of_run():
+    """The floating-point error handling that ``integrate._run`` holds, as
+    ``np.geterr`` reads it inside a field evaluation of one rk4 step."""
+    seen = []
+
+    def grad(z):
+        seen.append(np.geterr())
+        return np.zeros(2, dtype=complex)
+
+    integrate.rk4(chart_canonical(1), poisson.Observable("H", lambda z: 0.0 * z[..., 0], grad),
+                  np.zeros(2), t_max=1.0, dt=1.0)
+    return seen[0]
+
+
+def band_edge_cases(rng):
+    """States whose radius math.sqrt(q.dot(q)) is exactly 1e-100, 1e100 or a
+    float neighbour of either: q = (r, 0, 0) in each axis and sign, and
+    random directions scaled to r, kept where the radius comes out r."""
+    cases = []
+    for edge in (1e-100, 1e100):
+        for r in (np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf)):
+            for axis, sign in itertools.product(range(3), (1.0, -1.0)):
+                q = np.zeros(3)
+                q[axis] = sign * r
+                cases.append(np.concatenate([rng.normal(size=3), q]))
+            u = rng.normal(size=(400, 3))
+            for q in u / np.linalg.norm(u, axis=1)[:, None] * r:
+                if math.sqrt(q.dot(q)) == r:
+                    cases.append(np.concatenate([rng.normal(size=3), q]))
+    return np.array(cases).astype(complex)
+
+
+def log_uniform_cases(rng, m):
+    """m states with |q| log-uniform over 1e-150..1e150."""
+    u = rng.normal(size=(m, 3))
+    q = u / np.linalg.norm(u, axis=1)[:, None] * 10.0 ** rng.uniform(-150, 150, size=(m, 1))
+    return np.concatenate([rng.normal(size=(m, 3)), q], axis=1).astype(complex)
+
+
+def special_entry_cases(rng):
+    """States with entries 0, nan and +-inf: each alone in each of the six
+    places of a random state, and q made of them entirely."""
+    cases = []
+    specials = [0.0, np.nan, np.inf, -np.inf]
+    for v, i in itertools.product(specials, range(6)):
+        z = rng.normal(size=6)
+        z[i] = v
+        cases.append(z)
+    for q in itertools.product(specials, repeat=3):
+        cases.append(np.concatenate([rng.normal(size=3), q]))
+    return np.array(cases).astype(complex)
+
+
 class TestEnergyGradient:
+    @pytest.mark.parametrize("cases", [band_edge_cases, functools.partial(
+        log_uniform_cases, m=20_000), special_entry_cases],
+        ids=["band-edges", "log-uniform", "special-entries"])
+    @pytest.mark.parametrize("gamma", [1.0, 1.7])
+    def test_gradient_is_the_numpy_scalar_formula(self, cases, gamma):
+        """The H gradient is bit for bit its numpy-scalar formula on both
+        sides of the Python-float band 1e-100 < |q| < 1e100, under the
+        ``np.errstate`` that the integrator holds, other warnings as
+        errors."""
+        zs = cases(np.random.default_rng(43))
+        radii = [math.sqrt(z.real[3:].dot(z.real[3:])) for z in zs]
+        assert any(1e-100 < r < 1e100 for r in radii)
+        assert any(not 1e-100 < r < 1e100 for r in radii)
+        grad = kepler_observables(gamma)[-1].gradient
+        with np.errstate(**errstate_of_run()), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in zs:
+                assert grad(z).tobytes() == numpy_scalar_gradient(z, gamma).tobytes(), z
+
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.7, 3.0])
     def test_gradient_is_the_array_route(self, gamma):
         """The H gradient, from Python floats over the numpy scalar |q|^3,

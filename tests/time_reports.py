@@ -16,9 +16,14 @@ as two runs can.  Pair i runs the workload's argv, read from
 in both trees: the other tree first in even pairs, this tree first in odd
 ones.  One untimed report per tree comes first.  The output is one line
 per workload: the summed time ratio (this / other), the median pair ratio
-and the pairs this tree won.  It only times: ``tests/compare_reports.py``
-compares the outputs.  Host speed drifts, so only pairs compare: no single
-time printed here is a measurement of either tree.
+and the pairs this tree won, then each tree's median and quartiles of
+report seconds, and the difference of the medians beside the other tree's
+interquartile spread.  A gain is claimed only when this tree wins at least
+nine tenths of the pairs and its median is below the other's by more than
+that spread.  The reports' seeds vary their work, so the spread holds the
+seeds' spread too.  It only times: ``tests/compare_reports.py`` compares
+the outputs.  Host speed drifts, so only pairs compare: no single time
+printed here is a measurement of either tree.
 """
 
 import argparse
@@ -85,9 +90,16 @@ def main():
                     seconds[name].append(report(clis[name], argv, tmp / name))
             other, this = seconds["other"], seconds["this"]
             ratios = [b / a for a, b in zip(other, this)]
+            quartiles = {name: statistics.quantiles(seconds[name], n=4) for name in NAMES}
+            spread = quartiles["other"][2] - quartiles["other"][0]
             print(f"{workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
                   f"median pair ratio {statistics.median(ratios):.3f}, "
-                  f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}", flush=True)
+                  f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}; "
+                  "report ms, median [quartiles]: " + ", ".join(
+                      f"{name} {1e3 * q[1]:.2f} [{1e3 * q[0]:.2f}, {1e3 * q[2]:.2f}]"
+                      for name, q in quartiles.items())
+                  + f"; medians differ by {1e3 * (quartiles['other'][1] - quartiles['this'][1]):.2f}"
+                  f" against the other's interquartile spread {1e3 * spread:.2f}", flush=True)
 
 
 if __name__ == "__main__":
