@@ -295,23 +295,21 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
     residuals of ``_dual_residuals``.  When samples fail, the lowest-index
     one raises, with the checks in the order a single sample runs them.
     """
-    return _stacked(lambda h, u: _sweep_pass(h, u, kappa),
-                    np.asarray(h, dtype=complex), np.asarray(u, dtype=complex))
+    def kernel(h, u):
+        _check_chart(h, kappa)
+        w, oracle = solve_phi_psi_oracle(h, kappa)
+        # (own, other, c, s) = (h_i - h_j + kappa, h_i - h_j, kappa, 1)
+        d = h[..., :, None] - h[..., None, :]
+        own = d + kappa
+        R, bare, g = _rank1_matrix(own, d, kappa, u)
+        residuals = _dual_residuals(own, kappa, 1.0, u, R, bare, g)[0]
+        return {"oracle-residual": oracle,
+                "closed-form-residual": _miss(kappa * bare, w), "bare-residual": _miss(bare, w),
+                "relation-residual": _relation_residual(h, kappa, w, g),
+                "tr-g-dual": residuals[..., 0], "tr-g2-dual": residuals[..., 1],
+                "h-ruijsenaars-dual": residuals[..., 2]}
 
-
-def _sweep_pass(h, u, kappa) -> dict:
-    _check_chart(h, kappa)
-    w, oracle = solve_phi_psi_oracle(h, kappa)
-    # (own, other, c, s) = (h_i - h_j + kappa, h_i - h_j, kappa, 1)
-    d = h[..., :, None] - h[..., None, :]
-    own = d + kappa
-    R, bare, g = _rank1_matrix(own, d, kappa, u)
-    residuals = _dual_residuals(own, kappa, 1.0, u, R, bare, g)[0]
-    return {"oracle-residual": oracle,
-            "closed-form-residual": _miss(kappa * bare, w), "bare-residual": _miss(bare, w),
-            "relation-residual": _relation_residual(h, kappa, w, g),
-            "tr-g-dual": residuals[..., 0], "tr-g2-dual": residuals[..., 1],
-            "h-ruijsenaars-dual": residuals[..., 2]}
+    return _stacked(kernel, np.asarray(h, dtype=complex), np.asarray(u, dtype=complex))
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import calogero, double, facto, kepler
 from .config import TOL
 from .errors import DegintError, FactorizationNotDefined
 from .integrate import FLAG_DIVISOR, FLAG_TOLERANCE, monitor, rk4
-from .matrixcore import _eig_gap, _scalar_power, _unimodular_eigs, trace_words
+from .matrixcore import _eig_gap, _unimodular, _unimodular_eigs, trace_words
 from .poisson import (
     chart_canonical,
     chart_cm_loglinear,
@@ -137,92 +137,81 @@ def _rng_for(cfg: ScenarioConfig, index: int = 0) -> np.random.Generator:
 def _sl_matrices(draws, spread):
     """1 + spread (re + i im) scaled to det 1, from normal draws stacked as
     (..., 2, n, n) with (re, im) on the axis before the matrices."""
-    n = draws.shape[-1]
-    m = np.eye(n) + spread * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
-    return m / _scalar_power(np.linalg.det(m), 1.0 / n)[..., None, None]
+    m = spread * (draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    return _unimodular(np.eye(draws.shape[-1]) + m)
 
 
 def _first_passing(rng, count, shape, passes):
-    """The first ``count`` candidates that ``passes`` accepts, stacked as
-    (count, *shape).  A candidate is one ``shape`` block of normals from
-    ``rng``, holding every row its sample needs; ``passes`` maps stacked
-    candidates to whether each passes.  Each round draws max(need, 8)
-    candidates, ``need`` being how many are still missing.  A round that
-    draws more than ``need`` first saves ``rng``'s state; if ``need`` of its
-    candidates pass before its last, it restores that state and redraws the
-    candidates up to the ``need``-th pass.  So the result, and ``rng``'s
-    state after it, are those of drawing one candidate at a time until
-    ``count`` pass."""
-    kept, need = [], count
+    """The first ``count`` candidates that ``passes`` accepts, (count, *shape),
+    and the samples ``passes`` formed of them.  A candidate is one ``shape``
+    block of normals from ``rng``; ``passes`` maps stacked candidates to
+    whether each passes and the sample it judged.  Each round draws
+    max(need, 8) candidates, ``need`` being how many are still missing.  A
+    round that draws more than ``need`` first saves ``rng``'s state; if
+    ``need`` of its candidates pass before its last, it restores that state
+    and redraws the candidates up to the ``need``-th pass.  So the result,
+    and ``rng``'s state after it, are those of drawing one candidate at a
+    time until ``count`` pass."""
+    kept, values, need = [], [], count
     while need:
         size = max(need, 8)
         state = rng.bit_generator.state if size > need else None
         drawn = rng.normal(size=(size, *shape))
-        hits = np.flatnonzero(passes(drawn))[:need]
+        ok, judged = passes(drawn)
+        hits = np.flatnonzero(ok)[:need]
         if len(hits) == need and hits[-1] + 1 < size:
             rng.bit_generator.state = state
             rng.normal(size=(hits[-1] + 1, *shape))
         kept.append(drawn[hits])
+        values.append(judged[hits])
         need -= len(hits)
-    return np.concatenate(kept)
+    return np.concatenate(kept), np.concatenate(values)
 
 
-def _gapped_h(rows):
-    """Each stacked row sorted and centred, as complex h, and whether its
-    closest pair lies more than 0.1 apart (always, for n = 1)."""
-    h = np.sort(rows, axis=-1)
+def _gapped_h(candidates):
+    """Each stacked candidate's first row sorted and centred, as complex h, and
+    whether its closest pair lies more than 0.1 apart (always, for n = 1)."""
+    h = np.sort(candidates[..., 0, :], axis=-1)
     h -= h.sum(axis=-1, keepdims=True) / h.shape[-1]   # bit for bit h.mean(), but cheaper
     return (h[..., 1:] - h[..., :-1]).min(axis=-1, initial=np.inf) > 0.1, h.astype(complex)
-
-
-def _h_passes(candidates):
-    """Whether the first row of each stacked candidate, as h, passes ``_gapped_h``."""
-    return _gapped_h(candidates[:, 0])[0]
-
-
-def _distinct_h(n, rng):
-    return _gapped_h(_first_passing(rng, 1, (1, n), _h_passes)[0, 0])[1]
 
 
 def _rank1_draws(cfg):
     """The (samples, n) arrays h and u of ``ruijsenaars-rational``, from
     generator seed + 1: each sample is the first candidate of three rows
-    that passes ``_h_passes``, with h from its first row and
+    that passes ``_gapped_h``, with h from its first row and
     u = row + 1j * row."""
-    rows = _first_passing(_rng_for(cfg, 1), cfg.samples, (3, cfg.n), _h_passes)
-    return _gapped_h(rows[:, 0])[1], rows[:, 1] + 1j * rows[:, 2]
+    rows, h = _first_passing(_rng_for(cfg, 1), cfg.samples, (3, cfg.n), _gapped_h)
+    return h, rows[:, 1] + 1j * rows[:, 2]
 
 
-def _x_passes(candidates):
-    """Whether the x of each stacked candidate's first two rows (re, im)
-    has its eigenvalues more than 0.1 apart."""
-    return _eig_gap(_unimodular_eigs(candidates[:, 0], candidates[:, 1], 0.4)) > 0.1
-
-
-def _distinct_eigs(n, rng):
-    return _unimodular_eigs(*_first_passing(rng, 1, (2, n), _x_passes)[0], 0.4)
+def _gapped_x(candidates):
+    """The x of each stacked candidate's first two rows (re, im), and whether
+    its eigenvalues lie more than 0.1 apart."""
+    x = _unimodular_eigs(candidates[..., 0, :], candidates[..., 1, :], 0.4)
+    return _eig_gap(x) > 0.1, x
 
 
 def _relativistic_draws(cfg):
     """The (samples, n) arrays x, u and y_diag of ``relativistic-ruijsenaars``,
     from generator seed + 1000: each sample is the first candidate of five
-    rows that passes ``_x_passes``, with x from its first two rows, then
+    rows that passes ``_gapped_x``, with x from its first two rows, then
     u = row + 1j * row and y_diag = row + 0.5."""
-    rows = _first_passing(_rng_for(cfg, 1000), cfg.samples, (5, cfg.n), _x_passes)
-    return (_unimodular_eigs(rows[:, 0], rows[:, 1], 0.4), rows[:, 2] + 1j * rows[:, 3],
-            rows[:, 4] + 0.5)
+    rows, x = _first_passing(_rng_for(cfg, 1000), cfg.samples, (5, cfg.n), _gapped_x)
+    return x, rows[:, 2] + 1j * rows[:, 3], rows[:, 4] + 0.5
 
 
 def _orbit_passes(candidates, gamma):
-    """Whether each stacked Kepler candidate (p, q / 1.2) of coupling gamma has
-    |q| >= 0.4, energy E < -0.1, its perihelion (gamma - |A|) / (2|E|) beyond
-    0.2, away from collision, and its semi-major axis gamma / (2|E|) below 4."""
-    p, q = candidates[:, 0], candidates[:, 1] * 1.2
+    """The (p, q) of each stacked Kepler candidate (p, q / 1.2), and whether, at
+    coupling gamma, |q| >= 0.4, E < -0.1, the perihelion (gamma - |A|) / (2|E|)
+    lies beyond 0.2, away from collision, and the semi-major axis gamma / (2|E|) below 4."""
+    pq = candidates * [[1.0], [1.2]]
+    p, q = pq[:, 0], pq[:, 1]
     r = kepler._radius(q)
     energy = 0.5 * np.vecdot(p, p) - gamma / r
     return ((r >= 0.4) & (energy < -0.1)
             & ((gamma - kepler._radius(kepler._lenz(p, q, gamma))) / (2.0 * abs(energy)) > 0.2)
-            & (gamma / (2.0 * abs(energy)) < 4.0))
+            & (gamma / (2.0 * abs(energy)) < 4.0)), pq
 
 
 def _flow_report(traj, capped, plotted, rows=None):
@@ -250,9 +239,9 @@ def _flow_report(traj, capped, plotted, rows=None):
 
 def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
     gamma = 1.0
-    p, q = _first_passing(_rng_for(cfg), 1, (2, 3), lambda c: _orbit_passes(c, gamma))[0]
+    p, q = _first_passing(_rng_for(cfg), 1, (2, 3), lambda c: _orbit_passes(c, gamma))[1][0]
     obs = kepler.kepler_observables(gamma)
-    traj = kepler.integrate_orbit(kepler.KeplerState(p=p, q=q * 1.2, gamma=gamma),
+    traj = kepler.integrate_orbit(kepler.KeplerState(p=p, q=q, gamma=gamma),
                                   cfg.t_max, cfg.tol)
     result, values = _flow_report(traj, [(o, TOL.orbit_drift) for o in obs]
                                   + [(coordinate(6, 3, "q1-control"), None)], plotted=3)
@@ -273,7 +262,7 @@ def _scenario_kepler(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_cm_rational(cfg: ScenarioConfig) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
-    h = _distinct_h(n, rng)
+    h = _first_passing(rng, 1, (1, n), _gapped_h)[1][0]
     x = np.diag(h)
     g = _sl_matrices(rng.normal(size=(2, n, n)), 0.35)
     kappa = cfg.kappa
@@ -431,9 +420,10 @@ def _scenario_verify_brackets(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
     rng = _rng_for(cfg)
     n = cfg.n
-    h = _distinct_h(n, rng)
+    h = _first_passing(rng, 1, (1, n), _gapped_h)[1][0]
     gamma = _sl_matrices(rng.normal(size=(2, n, n)), 0.4)
-    x, y = np.diag(_distinct_eigs(n, rng)), _sl_matrices(rng.normal(size=(2, n, n)), 0.35)
+    x = np.diag(_first_passing(rng, 1, (2, n), _gapped_x)[1][0])
+    y = _sl_matrices(rng.normal(size=(2, n, n)), 0.35)
     margins = {"rational": calogero.duality_fiber_check(np.diag(h), gamma, cfg.samples,
                                                         _rng_for(cfg, 1)),
                "relativistic": double.fiber_check(x, y, cfg.samples, _rng_for(cfg, 2))}

@@ -40,7 +40,7 @@ from .calogero import (
 )
 from .errors import ConstraintViolation, NonFiniteMatrixError, SingularChartPoint
 from .integrate import ConservationReport, monitor, rk4
-from .matrixcore import (_diagonals, _scalar_power, _unimodular_eigs, as_matrix, spectral,
+from .matrixcore import (_diagonals, _unimodular, _unimodular_eigs, as_matrix, spectral,
                          trace_words)
 from .poisson import Observable, chart_heisenberg_double
 
@@ -153,9 +153,7 @@ def _reductions(x, q, ydiag) -> dict:
     _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
                  "reconstruction denominator vanishes")
     y = (1.0 - 1.0 / q) * ydiag[..., None, :] / den
-    xmat = _diagonals(x)
-    xmat /= _scalar_power(np.linalg.det(xmat), 1.0 / n)[..., None, None]
-    y = y / _scalar_power(np.linalg.det(y), 1.0 / n)[..., None, None]
+    xmat, y = _unimodular(_diagonals(x)), _unimodular(y)
     # the checks of _check_pair, and the pairing of the rank-1 class
     _raise_first(~(np.isfinite(xmat).all(axis=(-2, -1)) & np.isfinite(y).all(axis=(-2, -1))),
                  NonFiniteMatrixError, "matrix has NaN or Inf entries")

@@ -35,6 +35,11 @@ def _scalar_power(a, p: float):
     return a ** complex(p)
 
 
+def _unimodular(m):
+    """Each stacked matrix of m, (..., n, n), scaled to det 1: m / det(m)^(1/n)."""
+    return m / _scalar_power(np.linalg.det(m), 1.0 / m.shape[-1])[..., None, None]
+
+
 def _unimodular_eigs(re, im, spread: float):
     """exp(spread (re + i im)) scaled to product 1, for re, im stacked as (..., n)."""
     x = np.exp(re * spread + 1j * im * spread)

@@ -547,7 +547,7 @@ def ruij_cfg(n, samples, kappa=0.3, seed=0):
 def regular_samples(m, n=3):
     """(h, u) of m regular samples, for planting singular ones."""
     rng = np.random.default_rng(17)
-    h = np.array([cli._distinct_h(n, rng) for _ in range(m)])
+    h = np.array([cli._first_passing(rng, 1, (1, n), cli._gapped_h)[1][0] for _ in range(m)])
     return h, rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
 

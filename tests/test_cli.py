@@ -675,7 +675,7 @@ class TestRankOneGenerators:
 def distinct_h_loop(n, rng):
     """h of one gapped sample, one row of n normals at a time."""
     while True:
-        ok, h = cli._gapped_h(rng.normal(size=n))
+        ok, h = cli._gapped_h(rng.normal(size=(1, n)))
         if ok:
             return h
 
@@ -770,7 +770,7 @@ class TestFirstPassing:
     def assert_the_loop(seed, count, shape, passes, loop_passes=None):
         """The kept bytes and generator state of the loop; the rounds made."""
         rng, loop = RecordingRng(seed), np.random.default_rng(seed)
-        got = cli._first_passing(rng, count, shape, passes)
+        got, _ = cli._first_passing(rng, count, shape, lambda w: (passes(w), w))
         want = first_passing_loop(loop, count, shape, loop_passes or passes)
         assert got.tobytes() == want.tobytes()
         assert rng.rng.bit_generator.state == loop.bit_generator.state
@@ -821,11 +821,11 @@ class TestFirstPassing:
         calls = []
 
         def passes(w):
-            ok = cli._h_passes(w)
+            ok = cli._gapped_h(w)[0]
             calls.append((len(w), int(ok.sum())))
             return ok
 
-        rng = self.assert_the_loop(11, 500, (3, 6), passes, cli._h_passes)
+        rng = self.assert_the_loop(11, 500, (3, 6), passes, lambda w: cli._gapped_h(w)[0])
         need, snapshots = 500, 0
         for size, passed in calls:
             assert size == max(need, 8)
@@ -838,14 +838,15 @@ class TestFirstPassing:
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("sampler,loop", [(cli._distinct_h, distinct_h_loop),
-                                              (cli._distinct_eigs, distinct_eigs_loop)],
+    @pytest.mark.parametrize("passes,rows,loop", [(cli._gapped_h, 1, distinct_h_loop),
+                                                  (cli._gapped_x, 2, distinct_eigs_loop)],
                              ids=["h", "eigs"])
-    def test_one_sample_equals_the_loop(self, sampler, loop, n, seed):
+    def test_one_sample_equals_the_loop(self, passes, rows, loop, n, seed):
         """``count = 1``, as cm-rational and duality-check draw, keeps their
         samples and the generator state their later draws start from."""
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sampler(n, rng).tobytes() == loop(n, want_rng).tobytes()
+        got = cli._first_passing(rng, 1, (rows, n), passes)[1][0]
+        assert got.tobytes() == loop(n, want_rng).tobytes()
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(50))
@@ -854,11 +855,53 @@ class TestFirstPassing:
         (p, q) bit for bit, and the generator ends where the loop's does."""
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         p, q = cli._first_passing(rng, 1, (2, 3),
-                                  functools.partial(cli._orbit_passes, gamma=1.0))[0]
+                                  functools.partial(cli._orbit_passes, gamma=1.0))[1][0]
         want_p, want_q = kepler_orbit_loop(want_rng)
         assert p.tobytes() == want_p.tobytes()
-        assert (q * 1.2).tobytes() == want_q.tobytes()
+        assert q.tobytes() == want_q.tobytes()
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @staticmethod
+    def recorded_draw(monkeypatch, draws, test, **config):
+        """What ``draws`` returns for ``config``; every (ok, sample) its pass
+        test ``cli.<test>`` returned on the way; and the generator it drew from."""
+        calls, rngs, judge = [], [], getattr(cli, test)
+        monkeypatch.setattr(cli, test, lambda w: calls.append(judge(w)) or calls[-1])
+        monkeypatch.setattr(cli, "_rng_for", lambda cfg, index=0:
+                            rngs.append(RecordingRng(cfg.seed + index)) or rngs[-1])
+        got = draws(ScenarioConfig(**config))
+        assert len(rngs) == 1
+        return got, calls, rngs[0]
+
+    DRAWS = pytest.mark.parametrize("draws,test,config", [
+        (cli._rank1_draws, "_gapped_h", dict(scenario="ruijsenaars-rational", n=6, samples=500)),
+        (cli._relativistic_draws, "_gapped_x",
+         dict(scenario="relativistic-ruijsenaars", n=3, samples=10))],
+        ids=["rank1", "relativistic"])
+
+    @DRAWS
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_pass_test_runs_once_per_round(self, monkeypatch, draws, test, config, seed):
+        """Each round's candidates go through the pass test once, whole, and
+        the kept rows never again; the replay of a round calls no test."""
+        _, calls, rng = self.recorded_draw(monkeypatch, draws, test, **config, seed=seed)
+        assert [len(ok) for ok, _ in calls] == rng.rounds[:len(calls)]
+        assert len(rng.rounds) == len(calls) + rng.restores and rng.restores == 1
+
+    @DRAWS
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_kept_samples_are_the_pass_tests_own(self, monkeypatch, draws, test, config,
+                                                     seed):
+        """The draw's h or x are the values its pass test formed, at each
+        round's kept indices, bit for bit, the replayed round's included."""
+        got, calls, rng = self.recorded_draw(monkeypatch, draws, test, **config, seed=seed)
+        want, need = [], config["samples"]
+        for ok, judged in calls:
+            hits = np.flatnonzero(ok)[:need]
+            want.append(judged[hits])
+            need -= len(hits)
+        assert need == 0 and rng.restores == 1
+        assert got[0].tobytes() == np.concatenate(want).tobytes()
 
     @pytest.mark.parametrize("scenario,draws", [
         ("ruijsenaars-rational", cli._rank1_draws),

@@ -344,7 +344,7 @@ class TestRationalLimit:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_first_order_in_eps(self, n):
         rng = np.random.default_rng(40 + n)
-        h, kappa = cli._distinct_h(n, rng), 0.3 + 0.1j
+        h, kappa = cli._first_passing(rng, 1, (1, n), cli._gapped_h)[1][0], 0.3 + 0.1j
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         d = h[:, None] - h[None, :]
         parts = calogero._rank1_matrix(d + kappa, d, kappa, u)

@@ -18,12 +18,20 @@ ones.  One untimed report per tree comes first.  The output is one line
 per workload: the summed time ratio (this / other), the median pair ratio
 and the pairs this tree won, then each tree's median and quartiles of
 report seconds, and the difference of the medians beside the other tree's
-interquartile spread.  A gain is claimed only when this tree wins at least
-nine tenths of the pairs and its median is below the other's by more than
-that spread.  The reports' seeds vary their work, so the spread holds the
-seeds' spread too.  It only times: ``tests/compare_reports.py`` compares
-the outputs.  Host speed drifts, so only pairs compare: no single time
-printed here is a measurement of either tree.
+interquartile spread.  The line ends with a verdict: ``gain`` when this
+tree wins at least nine tenths of the pairs and its median is below the
+other's by more than that spread; ``slower beyond the bound`` when this
+tree's reports per second, 1 / its median, fall below the other's by more
+than the ``reports_per_s`` bound of ``BENCHMARK.json``; ``unresolved``
+otherwise.  The reports' seeds vary their work, so the spread holds the
+seeds' spread too.
+
+A report that exits nonzero or writes a flag fails, and failing fast
+would read as fast.  So the line also gives each tree's failed reports,
+and when the two counts differ it says the comparison is invalid.  It
+only times: ``tests/compare_reports.py`` compares the outputs.  Host speed
+drifts, so only pairs compare: no single time printed here is a
+measurement of either tree.
 """
 
 import argparse
@@ -54,14 +62,27 @@ def load_trees(other: Path, tmp: Path) -> dict:
     return clis
 
 
-def report(cli, argv, out: Path) -> float:
-    """Seconds of one report through ``cli.main``, writing its CSV and JSON."""
+def report(cli, argv, out: Path):
+    """Seconds of one report through ``cli.main``, writing its CSV and JSON,
+    and whether it failed: exited nonzero or wrote a flag."""
     argv = [*argv, "--out-csv", str(out.with_suffix(".csv")),
             "--out-json", str(out.with_suffix(".json"))]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         t0 = time.perf_counter()
-        cli.main(argv)
-        return time.perf_counter() - t0
+        code = cli.main(argv)
+        seconds = time.perf_counter() - t0
+    return seconds, code != 0 or bool(json.loads(out.with_suffix(".json").read_text())["flags"])
+
+
+def verdict(quartiles, won, pairs, bound) -> str:
+    """The verdict of the module docstring, from each tree's quartiles of
+    report seconds and the pairs this tree won."""
+    other, this = quartiles["other"], quartiles["this"]
+    if won >= 0.9 * pairs and other[1] - this[1] > other[2] - other[0]:
+        return "gain"
+    if 1.0 / this[1] < (1.0 - bound) / other[1]:
+        return "slower beyond the bound"
+    return "unresolved"
 
 
 def main():
@@ -74,8 +95,9 @@ def main():
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import SEED_STRIDE, WORKLOADS
 
-    names = ([args.workload] if args.workload else
-             [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [args.workload] if args.workload else [w["name"] for w in benchmark["workloads"]]
+    bound = next(m["bound"] for m in benchmark["end_to_end"] if m["name"] == "reports_per_s")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         clis = load_trees(args.other.resolve(), tmp)
@@ -84,22 +106,29 @@ def main():
                      for i in range(args.pairs)]
             for name in NAMES:
                 report(clis[name], argvs[0], tmp / name)
-            seconds = {name: [] for name in NAMES}
+            seconds, failed = {name: [] for name in NAMES}, dict.fromkeys(NAMES, 0)
             for i, argv in enumerate(argvs):
                 for name in (NAMES if i % 2 == 0 else NAMES[::-1]):
-                    seconds[name].append(report(clis[name], argv, tmp / name))
+                    t, fail = report(clis[name], argv, tmp / name)
+                    seconds[name].append(t)
+                    failed[name] += fail
             other, this = seconds["other"], seconds["this"]
             ratios = [b / a for a, b in zip(other, this)]
+            won = sum(r < 1 for r in ratios)
             quartiles = {name: statistics.quantiles(seconds[name], n=4) for name in NAMES}
             spread = quartiles["other"][2] - quartiles["other"][0]
             print(f"{workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
                   f"median pair ratio {statistics.median(ratios):.3f}, "
-                  f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}; "
+                  f"this tree faster in {won}/{args.pairs}; "
                   "report ms, median [quartiles]: " + ", ".join(
                       f"{name} {1e3 * q[1]:.2f} [{1e3 * q[0]:.2f}, {1e3 * q[2]:.2f}]"
                       for name, q in quartiles.items())
                   + f"; medians differ by {1e3 * (quartiles['other'][1] - quartiles['this'][1]):.2f}"
-                  f" against the other's interquartile spread {1e3 * spread:.2f}", flush=True)
+                  f" against the other's interquartile spread {1e3 * spread:.2f}; "
+                  f"failed reports: other {failed['other']}, this {failed['this']}; "
+                  + ("comparison invalid: the trees' failed reports differ"
+                     if failed["other"] != failed["this"]
+                     else f"verdict: {verdict(quartiles, won, args.pairs, bound)}"), flush=True)
 
 
 if __name__ == "__main__":
