@@ -561,8 +561,9 @@ def _write_csv(path, columns):
     """The report's named columns as one CSV text, written in one call.  A
     complex column is written as re(name) and im(name).  Every float part of
     up to 64 bits goes into one ``_float_text`` call, with ``_fmt`` for each
-    value it leaves; long double takes ``_fmt`` and everything else ``str``
-    (a str cell's NUL characters are dropped).  Rows stop at the shortest
+    value it leaves; an integer part is cast to bytes in one call, the text
+    of ``str``; long double takes ``_fmt`` and everything else ``str`` (a
+    str cell's NUL characters are dropped).  Rows stop at the shortest
     column, as ``zip`` does."""
     header, parts = [], []
     for name, column in columns.items():
@@ -579,8 +580,10 @@ def _write_csv(path, columns):
     for i in np.flatnonzero(~cells.any(axis=1)):
         cells[i] = np.frombuffer(_fmt(x[i]).encode().ljust(25, b"\0"), np.uint8)
     floats = iter(cells.view("S25").reshape(sum(kernel), rows))
-    texts = [next(floats) if f else np.array([(_fmt if p.dtype.kind == "f" else str)(v).encode()
-                                               for v in p[:rows].tolist()], dtype=bytes)
+    texts = [next(floats) if f else
+             p[:rows].astype("S") if p.dtype.kind in "iu" else
+             np.array([(_fmt if p.dtype.kind == "f" else str)(v).encode()
+                       for v in p[:rows].tolist()], dtype=bytes)
              for p, f in zip(parts, kernel)]
     comma = np.full((rows, 1), ord(","), np.uint8)
     table = np.concatenate([np.empty((rows, 0), np.uint8)] + [

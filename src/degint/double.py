@@ -129,8 +129,9 @@ def rank_one_consistency_oracle(x_eigs, q: complex) -> np.ndarray:
                          "x_j - q^{-1} x_i")[0]
 
 
-def _reductions(x, q, ydiag) -> dict:
-    """The reduction's columns for x and y_diag stacked as (samples, n).
+def _reductions(x, ratio, q, ydiag) -> dict:
+    """The reduction's columns for x and y_diag stacked as (samples, n),
+    with ratio_ij = x_i/x_j.
 
     The pair is diag(x) and y, gauge phi_i = 1: y_diag fills the diagonal
     of y and y_ij = (1 - q^{-1}) y_jj / (x_i/x_j - q^{-1}) the rest.  Both
@@ -142,14 +143,12 @@ def _reductions(x, q, ydiag) -> dict:
     mu(x, y) lie from the class eigenvalues (q^{n-1}, q^{-1}, ..., q^{-1}).
     Each check raises for the first sample failing it."""
     n = x.shape[-1]
-    _raise_first(np.abs(x).min(axis=-1) == 0.0, SingularChartPoint,
-                 "x eigenvalues must be nonzero")
     products = rank_one_consistency_oracle(x, q) / x
     # the x_i-corrected product formula for psi_i phi_i
     corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[..., None, :] / x[..., :, None],
-                                         1.0 - x[..., None, :] / x[..., :, None]).prod(axis=-1)
+                                         1.0 - np.swapaxes(ratio, -2, -1)).prod(axis=-1)
 
-    den = x[..., :, None] / x[..., None, :] - 1.0 / q
+    den = ratio - 1.0 / q
     _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,
                  "reconstruction denominator vanishes")
     y = (1.0 - 1.0 / q) * ydiag[..., None, :] / den
@@ -177,11 +176,14 @@ def rank_one_samples(x, u, ydiag, q) -> dict:
     with (1 - q^{-1} x_i/x_j) off-diagonal denominators (internally
     consistent with the reduced trace formulas)."""
     def kernel(x, u, ydiag):
-        columns = _reductions(x, q, ydiag)
+        _raise_first(np.abs(x).min(axis=-1) == 0.0, SingularChartPoint,
+                     "x eigenvalues must be nonzero")
+        ratio = x[..., :, None] / x[..., None, :]
+        columns = _reductions(x, ratio, q, ydiag)
         # (own, other, c, s) = (1 - x_i/(q x_j), 1 - x_i/x_j, 1 - 1/q, q)
         own = 1.0 - x[..., :, None] / (q * x[..., None, :])
         c = 1.0 - 1.0 / q
-        R, prod, y = _rank1_matrix(own, 1.0 - x[..., :, None] / x[..., None, :], c, u)
+        R, prod, y = _rank1_matrix(own, 1.0 - ratio, c, u)
         res = _dual_residuals(own, c, q, u, R, prod, y)[0]
         return {**columns, "trace-dual-path": np.maximum(res[..., 0], res[..., 1]),
                 "h2-dual-path": res[..., 2]}

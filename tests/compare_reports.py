@@ -10,14 +10,18 @@ first 30 pool seeds; and ``EXTREME_ARGVS`` and ``EXTREME_PAIRS`` of
 ``tests/test_cli.py``.  Each tree runs the whole list in one subprocess with
 ``PYTHONPATH=<tree>/src``, both at once, and prints the ``record`` of
 ``tests/test_report_corpus.py`` of each run.  Each run whose records differ
-is printed with each moved leaf, ``path: old -> new``, and a summary ends
-the output: the runs moved, and per part of a record (exit code, stderr,
-JSON report, file digests, CSV column and SVG polyline digests) the runs
-where it moved.  The exit status is 1 when any run moved.
+is printed with each moved leaf, ``path: old -> new``, a leaf that is a
+float on both sides followed by its relative change |new - old| / |old|,
+and a summary ends the output: the runs moved, how many of them moved only
+in float leaves (besides the digest of the JSON file, which moves with
+them), and per part of a record (exit code, stderr, JSON report, file
+digests, CSV column and SVG polyline digests) the runs where it moved.  So
+a move at roundoff reads as one.  The exit status is 1 when any run moved.
 """
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -42,6 +46,15 @@ def argv_list() -> list:
             + EXTREME_ARGVS + EXTREME_PAIRS)
 
 
+def relative_change(old, new):
+    """|new - old| / |old| of two leaf texts that are both JSON floats, None
+    otherwise."""
+    old, new = (None if text is None else json.loads(text) for text in (old, new))
+    if not (isinstance(old, float) and isinstance(new, float)):
+        return None
+    return abs(new - old) / abs(old) if old else math.inf
+
+
 def launch(tree: Path, argvs) -> subprocess.Popen:
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--child"],
@@ -63,22 +76,30 @@ def main():
     if args.other is None:
         p.error("the path of the other checkout is required")
     argvs = argv_list()
-    from test_report_corpus import moved   # after argv_list, which puts src on the path
+    from test_report_corpus import leaves, moved   # after argv_list, which puts src on the path
     procs = [launch(tree, argvs) for tree in (args.other.resolve(), ROOT)]
     theirs, ours = (json.loads(proc.stdout.read() or "null") for proc in procs)
     if any(proc.wait() for proc in procs):
         sys.exit("a tree's runs did not finish")
     parts = {"exit_code": 0, "stderr": 0, "report": 0, "sha256": 0, "csv_columns": 0,
              "svg_polylines": 0}
-    runs_moved = 0
+    runs_moved = floats_only = 0
     for argv, old, new in zip(argvs, theirs, ours):
         lines = moved(old, new)
         for part in {re.match(r"/(\w+)", line)[1] for line in lines}:
             parts[part] += 1
         if lines:
             runs_moved += 1
-            print(f"moved: {' '.join(argv)}", *lines, sep="\n  ")
-    print(f"{len(argvs)} runs: {len(argvs) - runs_moved} identical, {runs_moved} moved ("
+            olds, news = leaves(old), leaves(new)
+            paths = [line.split(": ", 1)[0] for line in lines]
+            changes = [relative_change(olds.get(path), news.get(path)) for path in paths]
+            floats = sum(change is not None for change in changes)
+            floats_only += 0 < floats == len(paths) - ("/sha256/json" in paths)
+            print(f"moved: {' '.join(argv)}", *(
+                line if change is None else f"{line}  (relative {change:.2e})"
+                for line, change in zip(lines, changes)), sep="\n  ")
+    print(f"{len(argvs)} runs: {len(argvs) - runs_moved} identical, {runs_moved} moved, "
+          f"{floats_only} of them in float leaves alone ("
           + ", ".join(f"{part} {count}" for part, count in parts.items()) + ")")
     return 1 if runs_moved else 0
 

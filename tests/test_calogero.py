@@ -461,7 +461,7 @@ def duality_fiber_loop(x, gamma, samples, rng):
 
 
 def loop_products(ratio, n):
-    """Test-only oracle for the masked product kernels: explicit loops over
+    """Test-only oracle for the product kernels: explicit loops over
     prod_{j != i} R_ij and prod_{a in {i, j}, b not in {i, j}} R_ab."""
     rows = []
     for i in range(n):
@@ -480,6 +480,59 @@ def loop_products(ratio, n):
                         f *= ratio(a, b)
             pairs.append(f)
     return np.array(rows, dtype=complex), np.array(pairs, dtype=complex)
+
+
+def masked_pair_products(R):
+    """Test-only oracle for ``_pair_products``: a masked (pairs x 2n)
+    reduction, each pair's factors in one row with the factors in rows i
+    and j at columns i and j set to 1, reduced by ``prod``."""
+    b = np.arange(R.shape[-1])
+    i, j = np.nonzero(b[:, None] < b)
+    inside = (b == i[:, None]) | (b == j[:, None])
+    factors = np.concatenate([np.where(inside, 1.0, R[..., i, :]),
+                              np.where(inside, 1.0, R[..., j, :])], axis=-1)
+    return i, j, factors.prod(axis=-1)
+
+
+def stacked_ratios(n, samples, system, seed):
+    """A (samples, n, n) stack of complex R = own/other of either rank-1
+    family, from ``_ratio``."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(samples, n)) + 1j * rng.normal(size=(samples, n))
+    if system == "calogero":
+        d = z[..., :, None] - z[..., None, :]
+        return _ratio(d + (0.3 + 0.1j), d)
+    x = np.exp(0.4 * z)
+    q = 1.3 + 0.2j
+    return _ratio(1.0 - x[..., :, None] / (q * x[..., None, :]),
+                  1.0 - x[..., :, None] / x[..., None, :])
+
+
+class TestPairProducts:
+    """The product chain of ``_pair_products`` against the masked
+    reduction, and each sample's products independent of its stack."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("system", ["calogero", "relativistic"])
+    def test_matches_the_masked_reduction(self, n, system):
+        R = stacked_ratios(n, 9, system, 200 + n)
+        i, j, got = _pair_products(R)
+        want_i, want_j, want = masked_pair_products(R)
+        assert (i.tolist(), j.tolist()) == (want_i.tolist(), want_j.tolist())
+        assert got.shape == want.shape == (9, n * (n - 1) // 2)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("samples", [1, 2, 7, 64, 65])
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    @pytest.mark.parametrize("system", ["calogero", "relativistic"])
+    def test_a_sample_multiplies_as_it_does_alone(self, samples, n, system):
+        """Bit for bit, each stacked sample's products are those of its
+        unstacked (n, n) call; a product along the factor axis instead of
+        the chain of elementwise products fails this."""
+        R = stacked_ratios(n, samples, system, 300 + samples)
+        stacked = _pair_products(R)[2]
+        for s in range(samples):
+            assert _pair_products(R[s])[2].tobytes() == stacked[s].tobytes(), s
 
 
 class TestMaskedProducts:
@@ -510,15 +563,15 @@ def ruij_sample_oracle(h, u, kappa):
     (n,) sample, as (oracle residual, kappa-scaled residual, bare residual,
     relation residual, tr g, tr g^2 and Hamiltonian residuals): the report's
     columns after ``sample``, in order."""
-    calogero._check_chart(h, kappa)
+    d = h[:, None] - h[None, :]
+    calogero._check_chart(d, d + kappa)
     w = solve_phi_psi_oracle(h, kappa)[0]
     C = 1.0 / (h[None, :] - h[:, None] + kappa)
     oracle_res = float(np.abs(C @ w - 1.0).max())
-    d = h[:, None] - h[None, :]
     R, bare, g = calogero._rank1_matrix(d + kappa, d, kappa, u)
     char_res = calogero._dual_residuals(d + kappa, kappa, 1.0, u, R, bare, g)[0]
     return (oracle_res, calogero._miss(kappa * bare, w), calogero._miss(bare, w),
-            calogero._relation_residual(h, kappa, w, g),
+            calogero._relation_residual(d, kappa, w, g),
             *char_res)
 
 

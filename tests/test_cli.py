@@ -1092,6 +1092,20 @@ class TestReportRule:
         assert written({"error": []}) == "error\n"
         assert written({}) == "\n"
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_integer_columns_equal_the_per_cell_str(self, dtype):
+        """An integer column, cast to bytes in one call, reads as ``str`` of
+        each cell: at both extremes of its dtype, next to them, at zero and,
+        for a signed dtype, at -1; beside a float column, and empty."""
+        info = np.iinfo(dtype)
+        values = np.array(sorted({info.min, info.min + 1, max(info.min, -1), 0, 1,
+                                  info.max - 1, info.max}), dtype=dtype)
+        columns = {"k": values, "t": np.linspace(-1.0, 1.0, len(values))}
+        assert written(columns) == joined(*csv_table_per_cell(columns))
+        assert written({"k": values}) == "k\n" + "".join(f"{v}\n" for v in values.tolist())
+        assert written({"k": values[:0]}) == "k\n"
+
     def test_special_columns_equal_the_per_cell_writer(self):
         """Each named case in one column of its own: 0.0 beside -0.0 (and
         in a complex column's parts), NaNs of either sign and with a
