@@ -314,9 +314,7 @@ def ruij_sweep(h, u, kappa: complex) -> dict:
         d = h[..., :, None] - h[..., None, :]
         own = d + kappa
         _check_chart(d, own)
-        # own^T is bit for bit the table of solve_phi_psi_oracle, row j, column i
-        w, oracle = _cauchy_solve(np.ascontiguousarray(np.swapaxes(own, -2, -1)),
-                                  "h_i - h_j + kappa")
+        w, oracle = solve_phi_psi_oracle(h, kappa)
         R, bare, g = _rank1_matrix(own, d, kappa, u)
         residuals = _dual_residuals(own, kappa, 1.0, u, R, bare, g)[0]
         return {"oracle-residual": oracle,

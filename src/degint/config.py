@@ -29,6 +29,7 @@ class Tolerances:
 
     # Kepler
     collision_radius: float = 1e-12
+    kepler_relation: float = 64.0      # roundoff cap of (M, A) and the quadratic relation, in eps
 
     # rank-1 systems
     oracle_residual: float = 1e-10     # linear-system solve residual

@@ -40,8 +40,7 @@ class ConservationReport:
     once; callers that tabulate or plot the observables read it rather than
     evaluating them again.  ``max_rel_drift`` scales each drift by
     max(1, |initial value|).  Flags are inherited from the trajectory
-    (collision, factorization-divisor, tolerance-failure) plus any added by
-    the caller.
+    (collision, factorization-divisor, tolerance-failure).
     """
 
     names: tuple

@@ -15,8 +15,8 @@ and direct expansion gives the quadratic relation
 
     (A, A) = gamma^2 + QUADRATIC_RELATION_SIGN * 2 (M, M) H.
 
-Both constants were determined by a bootstrap evaluation (see the test
-suite, which recomputes and asserts them) and are frozen here.
+Both constants are frozen here, their one record; the test suite derives
+both relations symbolically and checks the brackets numerically.
 """
 
 import math
@@ -28,7 +28,6 @@ from .config import TOL
 from .errors import SingularChartPoint
 from .integrate import (
     FLAG_COLLISION,
-    ConservationReport,
     Trajectory,
     adaptive,
     monitor,
@@ -144,25 +143,16 @@ def _collision_guard(z) -> str:
     return None
 
 
-def orbit_conservation_report(state0: KeplerState, t_max: float,
-                              tol: float = 1e-10) -> ConservationReport:
+def orbit_conservation_report(state0: KeplerState, t_max: float, tol: float):
     """Integrate the orbit adaptively and report drifts of M, A, H.
 
     The report flags a collision if the orbit reaches |q| = 0 (integration is
-    truncated there).  The frozen sign constants are appended to the flags
-    for the record.
+    truncated there).
     """
-    report = monitor(integrate_orbit(state0, t_max, tol),
-                     kepler_observables(state0.gamma))
-    report.flags = report.flags + (
-        f"quadratic-relation-sign:{QUADRATIC_RELATION_SIGN:+d}",
-        f"lenz-lenz-sign:{LENZ_LENZ_SIGN:+d}",
-    )
-    return report
+    return monitor(integrate_orbit(state0, t_max, tol), kepler_observables(state0.gamma))
 
 
-def integrate_orbit(state0: KeplerState, t_max: float,
-                    tol: float = 1e-10) -> Trajectory:
+def integrate_orbit(state0: KeplerState, t_max: float, tol: float) -> Trajectory:
     H = kepler_observables(state0.gamma)[-1]
     return adaptive(chart_canonical(3), H, state0.as_point(), t_max, tol,
                     guard=_collision_guard)

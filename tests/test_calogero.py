@@ -678,6 +678,25 @@ class TestRuijSweep:
         chunk = calogero._SWEEP_CHUNK
         assert [shape[0] for shape in calls] == [chunk, chunk, 7]
 
+    def test_each_pass_solves_through_the_oracle(self, monkeypatch):
+        """The sweep's Cauchy solve is ``solve_phi_psi_oracle``, the route
+        acceptance criterion 3 checks: one call per pass, and the columns
+        of a counted run equal those of a plain one bit for bit."""
+        m = 2 * calogero._SWEEP_CHUNK + 2
+        h, u = ruij_draws(ruij_cfg(3, m))
+        want = ruij_sweep(h, u, 0.3)
+        oracle, calls = calogero.solve_phi_psi_oracle, []
+
+        def counted(h, kappa):
+            calls.append(len(h))
+            return oracle(h, kappa)
+
+        monkeypatch.setattr(calogero, "solve_phi_psi_oracle", counted)
+        got = ruij_sweep(h, u, 0.3)
+        assert calls == [calogero._SWEEP_CHUNK, calogero._SWEEP_CHUNK, 2]
+        for name, col in want.items():
+            assert got[name].tobytes() == col.tobytes(), name
+
     @pytest.mark.parametrize("planted,error", [
         ({3: SINGULAR_H}, SingularChartPoint),
         ({2: MISMATCH_H, 5: SINGULAR_H}, SingularChartPoint),

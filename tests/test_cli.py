@@ -944,8 +944,11 @@ class TestBenchmarkPools:
 # cm-rational is scaled by the largest |invariant|, so only its floor is pinned.
 _CHARTS = ("canonical(n=3)", "cm-loglinear(n=3)", "relativistic-loglinear(n=3)",
            "heisenberg-double(n=3)", "sklyanin(n=3)")
+KEPLER_DRIFTS = ["M1", "M2", "M3", "A1", "A2", "A3", "H"]
 CAPS = {
-    "kepler": dict.fromkeys(["M1", "M2", "M3", "A1", "A2", "A3", "H"], TOL.orbit_drift),
+    "kepler": {**dict.fromkeys(KEPLER_DRIFTS, TOL.orbit_drift),
+               **dict.fromkeys(["orthogonality-(M,A)", "quadratic-relation"],
+                               TOL.kepler_relation * np.finfo(float).eps)},
     "cm-rational": {"joint-invariants": TOL.central_flow},
     "ruijsenaars-rational": {"closed-form-residual": TOL.formula_match,
                              **dict.fromkeys(["tr-g-dual", "tr-g2-dual", "h-ruijsenaars-dual"],
@@ -1059,6 +1062,12 @@ class TestReportRule:
         patterns = _readme_uncapped()
         assert [name for name in names if name not in _caps(result)
                 and not any(fnmatchcase(name, p) for p in patterns)] == []
+
+    @pytest.mark.parametrize("scenario", sorted(CAPS))
+    def test_no_value_named_uncapped_in_the_readme_has_a_cap(self, scenario):
+        patterns = _readme_uncapped()
+        assert [name for name in _caps(_default_result(scenario))
+                if any(fnmatchcase(name, p) for p in patterns)] == []
 
     def run_with(self, monkeypatch, tmp_path, **result):
         spec = cli._SCENARIOS["kepler"]
@@ -1499,13 +1508,53 @@ class TestKeplerDriftCaps:
         return code, payload["flags"], {d["name"]: d["max_abs"] for d in payload["drifts"]}
 
     def test_a_planted_drag_fails_every_drift_cap(self, tmp_path, monkeypatch):
-        caps = CAPS["kepler"]
+        caps = {name: CAPS["kepler"][name] for name in KEPLER_DRIFTS}
         code, flags, drifts = self.drifts(tmp_path, monkeypatch, KEPLER_DRAG)
         assert (code, flags) == (2, ["tolerance-failure"])
         assert [name for name, cap in caps.items() if not drifts[name] > cap] == []
         code, flags, drifts = self.drifts(tmp_path, monkeypatch, KEPLER_DRAG / 10)
         assert (code, flags) == (0, [])
         assert [name for name, cap in caps.items() if not drifts[name] <= cap] == []
+
+
+class TestKeplerRelationCaps:
+    """Negative controls of the caps of ``orthogonality-(M,A)`` and
+    ``quadratic-relation``, each 64 eps: a flipped sign of the quadratic
+    relation (values 0.64-1.87 at seeds 0-2, against at most 5.25 eps over
+    seeds 0-39 and the kepler-orbit pool) and the Lenz vector planted as
+    A + eps M, which moves (M, A) by eps |M|^2 and (A, A) only by
+    eps^2 |M|^2.  Measured at the defaults, seed 0: orthogonality-(M,A)
+    1.35e-13 at eps = 1e-13, 1.48e-15 at 1e-15 (unplanted 1.7e-16), against
+    a cap of 1.42e-14."""
+
+    def report(self, tmp_path, seed=0):
+        out = tmp_path / "r.json"
+        code = main(["--scenario", "kepler", "--seed", str(seed), "--out-json", str(out)])
+        payload = json.loads(out.read_text())
+        values = {d["name"]: d["max_abs"] for d in payload["drifts"]}
+        values.update((r["name"], r["value"]) for r in payload["oracle_residuals"])
+        caps = CAPS["kepler"]
+        return code, payload["flags"], [name for name in caps if not values[name] <= caps[name]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_flipped_quadratic_sign_fails_its_cap(self, tmp_path, monkeypatch, seed):
+        monkeypatch.setattr(kepler, "QUADRATIC_RELATION_SIGN", -kepler.QUADRATIC_RELATION_SIGN)
+        assert self.report(tmp_path, seed) == (2, ["tolerance-failure"], ["quadratic-relation"])
+
+    def test_a_planted_lenz_vector_fails_the_orthogonality_cap(self, tmp_path, monkeypatch):
+        observables = kepler.kepler_observables
+
+        def planted(eps):
+            def planted_observables(gamma):
+                obs = observables(gamma)
+                return obs[:3] + [dataclasses.replace(a, fn=lambda z, a=a, m=m: a(z) + eps * m(z))
+                                  for a, m in zip(obs[3:6], obs[:3])] + obs[6:]
+            return planted_observables
+
+        monkeypatch.setattr(kepler, "kepler_observables", planted(1e-13))
+        assert self.report(tmp_path) == (2, ["tolerance-failure"], ["orthogonality-(M,A)"])
+        monkeypatch.setattr(kepler, "kepler_observables", planted(1e-15))
+        assert self.report(tmp_path) == (0, [], [])
 
 
 class TestJointInvariantCap:

@@ -200,6 +200,63 @@ class TestBracketRelations:
                 assert abs(bracket(chart, H, o, z)) < 1e-6
 
 
+class TestSymbolicConventions:
+    """The frozen sign constants, derived exactly on R^6 with
+    {p_i, q_j} = +delta_ij and {f, g} = sum_i df/dp_i dg/dq_i - df/dq_i dg/dp_i:
+    (A, A) - gamma^2 - 2 (M, M) H = 0 and {A_1, A_2} = -2 H M_3, while the
+    flipped signs leave a nonzero remainder; {M_1, M_2} = M_3 fixes the
+    bracket's orientation."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        sp = pytest.importorskip("sympy")
+        p, q = (sp.Matrix(sp.symbols(f"{c}1:4", real=True)) for c in "pq")
+        gamma = sp.Symbol("gamma", positive=True)
+        r = sp.sqrt(q.dot(q))
+        M = p.cross(q)
+        A = p.cross(M) + gamma * q / r
+        H = p.dot(p) / 2 - gamma / r
+
+        def bracket(f, g):
+            return sum(f.diff(p[i]) * g.diff(q[i]) - f.diff(q[i]) * g.diff(p[i])
+                       for i in range(3))
+
+        return SimpleNamespace(sp=sp, p=p, q=q, gamma=gamma, M=M, A=A, H=H,
+                               bracket=bracket)
+
+    @staticmethod
+    def vanishes(s, expr):
+        return s.sp.simplify(s.sp.expand(expr)) == 0
+
+    def test_the_chart_convention(self, system):
+        s = system
+        assert [[s.bracket(s.p[i], s.q[j]) for j in range(3)] for i in range(3)] == \
+            np.eye(3, dtype=int).tolist()
+        assert self.vanishes(s, s.bracket(s.M[0], s.M[1]) - s.M[2])
+
+    def test_the_symbols_are_the_observables(self, system):
+        """At a seeded point the symbolic M, A and H equal
+        ``kepler_observables`` to roundoff."""
+        s, (p, q) = system, np.random.default_rng(5).normal(size=(2, 3))
+        at = dict(zip([*s.p, *s.q, s.gamma], [*p, *q, 0.7]))
+        want = [float(e.subs(at)) for e in [*s.M, *s.A, s.H]]
+        z = np.concatenate([p, q]).astype(complex)
+        got = [o(z).real for o in kepler_observables(0.7)]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("sign,zero", [(QUADRATIC_RELATION_SIGN, True),
+                                           (-QUADRATIC_RELATION_SIGN, False)])
+    def test_quadratic_relation_sign(self, system, sign, zero):
+        s = system
+        assert self.vanishes(s, s.A.dot(s.A) - s.gamma ** 2
+                             - sign * 2 * s.M.dot(s.M) * s.H) is zero
+
+    @pytest.mark.parametrize("sign,zero", [(LENZ_LENZ_SIGN, True), (-LENZ_LENZ_SIGN, False)])
+    def test_lenz_lenz_sign(self, system, sign, zero):
+        s = system
+        assert self.vanishes(s, s.bracket(s.A[0], s.A[1]) - sign * 2 * s.H * s.M[2]) is zero
+
+
 class TestDegenerateIntegrability:
     """Kepler is degenerately integrable with N = 3 degrees of freedom and
     k = 1 Hamiltonian: its seven integrals (M, A, H) have 2N - k = 5
@@ -301,11 +358,14 @@ class TestOrbits:
         rep = orbit_conservation_report(s, t_max=10.0, tol=1e-10)
         assert rep.max_abs_drift.max() < 1e-8
 
-    def test_sign_constants_recorded(self):
-        s = KeplerState(p=[0.0, 1.0, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
-        rep = orbit_conservation_report(s, t_max=0.5, tol=1e-9)
-        assert "quadratic-relation-sign:+1" in rep.flags
-        assert "lenz-lenz-sign:-1" in rep.flags
+    @pytest.mark.parametrize("p,flagged", [([0.0, 1.0, 0.0], False), ([0.0, 0.0, 0.0], True)])
+    def test_report_flags_are_the_trajectory_flags(self, p, flagged):
+        """The report adds no flag of its own: a circular orbit has none, a
+        radial fall into the origin stops with its trajectory's."""
+        s = KeplerState(p=p, q=[1.0, 0.0, 0.0], gamma=1.0)
+        traj = kepler.integrate_orbit(s, 2.0, 1e-9)
+        assert bool(traj.flags) is flagged
+        assert orbit_conservation_report(s, 2.0, 1e-9).flags == traj.flags
 
 
 def kepler_equation_q(p0, q0, gamma, tau):
