@@ -137,8 +137,9 @@ def _dual_residuals(own, c, s, u, R, prod, m):
     diag = u * prod
     tr = np.trace(m, axis1=-2, axis2=-1)
     tr_sq = np.trace(m @ m, axis1=-2, axis2=-1)
-    tr2 = np.sum(c ** 2 * (diag[..., :, None] * diag[..., None, :])
-                 / (own * np.swapaxes(own, -2, -1)), axis=(-2, -1))
+    # named: c^2 * outer stays multiply(c^2, outer) at any pass (_SWEEP_CHUNK)
+    outer = diag[..., :, None] * diag[..., None, :]
+    tr2 = np.sum(c ** 2 * outer / (own * np.swapaxes(own, -2, -1)), axis=(-2, -1))
     h_char = 0.5 * (tr_sq - _scalar_power(tr, 2))
     i, j, prods = _pair_products(R)
     # summed in C order, the per-point order: numpy sums a contiguous row
@@ -267,11 +268,13 @@ def _relation_residual(d, kappa, w, g):
             / np.maximum(1.0, np.abs(g).max(axis=(-2, -1))))
 
 
-# Samples per stacked pass of a sweep; bounds its working memory.  Larger
-# passes run faster since the pair products became one product chain (128:
-# about 10% more rank1-sweep reports per second at the same peak RSS; 256:
-# 21% more at +0.65 MB), so the size is open; see the README.
-_SWEEP_CHUNK = 64
+# Samples per stacked pass of a sweep; bounds its working memory.  In
+# interleaved rank1-sweep pairs, 256 beat 64, 128, 192 and 320, at +0.65 MB
+# peak RSS over 64; see the README.  A value does not depend on the pass
+# size: from 256 KiB on, numpy computes scalar * (unnamed temporary) into the
+# temporary with the operands swapped, and complex a*b and b*a may round
+# differently, so the stacked kernels name each such product's array operand.
+_SWEEP_CHUNK = 256
 
 
 @np.errstate(over="ignore", invalid="ignore")      # a non-finite value raises

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import calogero, double, facto, kepler
 from .config import TOL
-from .errors import DegintError, FactorizationNotDefined
+from .errors import DegintError, DrawBudgetExceeded, FactorizationNotDefined
 from .integrate import FLAG_DIVISOR, FLAG_TOLERANCE, monitor, rk4
 from .matrixcore import _eig_gap, _unimodular, _unimodular_eigs, trace_words
 from .poisson import (
@@ -141,6 +141,12 @@ def _sl_matrices(draws, spread):
     return _unimodular(np.eye(draws.shape[-1]) + m)
 
 
+# Candidates a draw may test per wanted sample.  The lowest pass rate is
+# kepler's orbit test, about 14%, so a one-sample draw reaches the budget
+# with probability 0.86^1000 < 1e-64, and a larger draw is less likely still.
+_DRAW_BUDGET = 1000
+
+
 def _first_passing(rng, count, shape, passes):
     """The first ``count`` candidates that ``passes`` accepts, (count, *shape),
     and the samples ``passes`` formed of them.  A candidate is one ``shape``
@@ -151,10 +157,16 @@ def _first_passing(rng, count, shape, passes):
     ``need`` of its candidates pass before its last, it restores that state
     and redraws the candidates up to the ``need``-th pass.  So the result,
     and ``rng``'s state after it, are those of drawing one candidate at a
-    time until ``count`` pass."""
-    kept, values, need = [], [], count
+    time until ``count`` pass.  A draw that has tested ``_DRAW_BUDGET``
+    candidates per wanted sample and still lacks some raises
+    ``DrawBudgetExceeded``."""
+    kept, values, need, tested = [], [], count, 0
     while need:
+        if tested >= _DRAW_BUDGET * count:
+            raise DrawBudgetExceeded(f"{count - need} of {count} samples passed "
+                                     f"in {tested} candidates")
         size = max(need, 8)
+        tested += size
         state = rng.bit_generator.state if size > need else None
         drawn = rng.normal(size=(size, *shape))
         ok, judged = passes(drawn)

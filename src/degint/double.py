@@ -144,9 +144,11 @@ def _reductions(x, ratio, q, ydiag) -> dict:
     Each check raises for the first sample failing it."""
     n = x.shape[-1]
     products = rank_one_consistency_oracle(x, q) / x
-    # the x_i-corrected product formula for psi_i phi_i
-    corrected = (1.0 - 1.0 / q) * _ratio(1.0 - q * x[..., None, :] / x[..., :, None],
-                                         1.0 - np.swapaxes(ratio, -2, -1)).prod(axis=-1)
+    # the x_i-corrected product formula for psi_i phi_i; prod is named, as
+    # calogero._SWEEP_CHUNK says
+    prod = _ratio(1.0 - q * x[..., None, :] / x[..., :, None],
+                  1.0 - np.swapaxes(ratio, -2, -1)).prod(axis=-1)
+    corrected = (1.0 - 1.0 / q) * prod
 
     den = ratio - 1.0 / q
     _raise_first(np.abs(den).min(axis=(-2, -1)) < 1e-10, SingularChartPoint,

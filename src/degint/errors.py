@@ -26,6 +26,10 @@ class SingularChartPoint(DegintError):
     coincident positions, collision radius)."""
 
 
+class DrawBudgetExceeded(DegintError):
+    """A seeded draw tested its budget of candidates and still lacks samples."""
+
+
 class DimensionMismatch(DegintError):
     """A point or gradient does not match the chart dimension."""
 

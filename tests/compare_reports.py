@@ -6,8 +6,9 @@ checkout of the commit to compare against:
 
 The list: the 8 scenarios at their defaults at seeds 0-39; the argv of each
 ``BENCHMARK.json`` workload, read from ``perfbench/workloads.py``, at its
-first 30 pool seeds; and ``EXTREME_ARGVS`` and ``EXTREME_PAIRS`` of
-``tests/test_cli.py``.  Each tree runs the whole list in one subprocess with
+first 30 pool seeds; ``EXTREME_ARGVS`` and ``EXTREME_PAIRS`` of
+``tests/test_cli.py``; and ``PASS_ARGVS`` at seeds 0-4, whose sweep passes
+reach 256 KiB per table.  Each tree runs the whole list in one subprocess with
 ``PYTHONPATH=<tree>/src``, both at once, and prints the ``record`` of
 ``tests/test_report_corpus.py`` of each run.  Each run whose records differ
 is printed with each moved leaf, ``path: old -> new``, a leaf that is a
@@ -29,6 +30,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# rank-1 sweeps at n = 8 in passes of 256 and 44 samples
+PASS_ARGVS = [["--scenario", "ruijsenaars-rational", "--n", "8", "--samples", "300",
+               "--kappa-im", "0.1"],
+              ["--scenario", "relativistic-ruijsenaars", "--n", "8", "--samples", "300",
+               "--q-im", "0.15"]]
 
 
 def argv_list() -> list:
@@ -43,7 +49,8 @@ def argv_list() -> list:
              for scenario in sorted(cli._SCENARIOS) for seed in range(40)]
             + [[*WORKLOADS[name].argv, "--seed", str(SEED_STRIDE * i)]
                for name in names for i in range(30)]
-            + EXTREME_ARGVS + EXTREME_PAIRS)
+            + EXTREME_ARGVS + EXTREME_PAIRS
+            + [[*argv, "--seed", str(seed)] for argv in PASS_ARGVS for seed in range(5)])
 
 
 def relative_change(old, new):

@@ -10,6 +10,7 @@ import os
 import re
 import shlex
 import tempfile
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from degint import calogero, cli, double, facto, integrate, kepler, poisson
 from degint.config import TOL
-from degint.errors import ConsistencyError, FactorizationNotDefined
+from degint.errors import ConsistencyError, DrawBudgetExceeded, FactorizationNotDefined
 from degint.matrixcore import mat_exp, traces_of_powers
 from degint.cli import (
     ScenarioConfig,
@@ -913,6 +914,29 @@ class TestFirstPassing:
                      for m in (7, 150))
         for short, full in zip(few, many):
             assert short.tobytes() == full[:7].tobytes()
+
+    @pytest.mark.parametrize("count", [1, 3, 50])
+    def test_the_budget_is_per_wanted_sample(self, count):
+        """A pass test that accepts nothing gets ``_DRAW_BUDGET`` candidates
+        per wanted sample, in rounds of max(count, 8), and then raises."""
+        rng = RecordingRng(0)
+        with pytest.raises(DrawBudgetExceeded, match=f"^0 of {count} samples passed"):
+            cli._first_passing(rng, count, (1, 2), lambda w: (np.zeros(len(w), bool), w))
+        assert set(rng.rounds) == {max(count, 8)}
+        assert sum(rng.rounds) == cli._DRAW_BUDGET * count
+
+    @pytest.mark.parametrize("scenario", ["ruijsenaars-rational", "cm-rational",
+                                          "duality-check"])
+    def test_a_pass_test_that_accepts_nothing_exits_2(self, monkeypatch, tmp_path, scenario):
+        """The report of a draw that finds no sample exits 2 with the budget's
+        failure flag, well within a second."""
+        monkeypatch.setattr(cli, "_gapped_h", lambda w: (np.zeros(len(w), bool), w[..., 0, :]))
+        out = tmp_path / "r.json"
+        start = time.perf_counter()
+        code = cli.main(["--scenario", scenario, "--out-json", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert json.loads(out.read_text())["flags"] == ["numerical-failure:DrawBudgetExceeded"]
 
 
 def _benchmark_workloads():

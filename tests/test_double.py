@@ -698,11 +698,12 @@ class TestRankOneSamples:
         {5: "formula-match", 1: "singular-solve"},
         {1: "formula-match", 5: "singular-solve"},
         {70: "nonfinite-reduction", 100: "zero-eigenvalue", 120: "singular-solve"},
+        {270: "nonfinite-reduction", 300: "zero-eigenvalue", 320: "singular-solve"},
         {6: "unit-determinant", 7: "formula-match"},
         {6: "nonfinite-hamiltonians", 7: "unit-determinant"},
     ], ids=lambda plants: "+".join(f"{k}:{v}" for k, v in plants.items()))
     def test_lowest_failing_sample_raises_as_in_the_loop(self, plants):
-        cfg = relativistic_cfg(3, 130 if max(plants) >= 64 else 9, seed=5)
+        cfg = relativistic_cfg(3, max(plants) + 10 if max(plants) >= 64 else 9, seed=5)
         draws = planted_draws(cfg, plants)
         want = outcome(rank_one_loop, *draws, cfg.q)
         assert isinstance(want, tuple) and isinstance(want[0], type), want
@@ -762,6 +763,33 @@ class TestRankOneSamples:
                             capsys.readouterr().err))
         assert results[0] == results[1]
         assert results[0][0] == 2 and results[0][2].startswith("numerical failure: ")
+
+
+class TestPassSize:
+    """Every stacked rank-1 value is independent of the pass size, also where
+    a pass's tables reach 256 KiB: from that size on, numpy computes
+    ``scalar * (unnamed temporary)`` into the temporary with the operands
+    swapped, and complex a*b and b*a may round differently."""
+
+    @pytest.mark.parametrize("chunk,n", [(512, 6), (512, 7), (512, 8), (2048, 8)])
+    @pytest.mark.parametrize("system", ["rational", "relativistic"])
+    def test_prefix_rows_equal_the_full_pass(self, monkeypatch, system, chunk, n):
+        """One pass of ``chunk`` samples; its first 1 and 64 rows equal
+        those of a run of 1 and of 64 samples, byte for byte."""
+        if system == "rational":
+            stacks = cli._rank1_draws(cli.ScenarioConfig(scenario="ruijsenaars-rational",
+                                                         n=n, samples=chunk))
+            def sweep(*stacks):
+                return calogero.ruij_sweep(*stacks, 0.4 + 0.1j)
+        else:
+            stacks = cli._relativistic_draws(relativistic_cfg(n, chunk, seed=3))
+            def sweep(*stacks):
+                return double.rank_one_samples(*stacks, 1.25 + 0.15j)
+        monkeypatch.setattr(calogero, "_SWEEP_CHUNK", chunk)
+        full = sweep(*stacks)
+        for k in (1, 64):
+            for name, col in sweep(*(a[:k] for a in stacks)).items():
+                assert col.tobytes() == full[name][:k].tobytes(), (k, name)
 
 
 class TestStackedChecks:

@@ -368,6 +368,21 @@ class TestOrbits:
         assert orbit_conservation_report(s, 2.0, 1e-9).flags == traj.flags
 
 
+class TestRadialFall:
+    """A fall into the origin stops on step underflow, not on the collision
+    guard: the guard reads accepted states, and none comes near
+    ``TOL.collision_radius``."""
+
+    @pytest.mark.parametrize("tol", [2e-10, 1e-10, 1e-12, 1e-13])
+    def test_stops_with_tolerance_failure_at_the_fall_time(self, tol):
+        s = KeplerState(p=[0.0, 0.0, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
+        traj = kepler.integrate_orbit(s, 2.0, tol)
+        assert traj.flags == ("tolerance-failure",)
+        # the free-fall time from rest at |q| = 1, gamma = 1
+        assert abs(traj.times[-1] - np.pi / (2.0 * np.sqrt(2.0))) < 1e-9
+        assert 4e-9 < np.linalg.norm(traj.states[-1, 3:]) < 2e-8
+
+
 def kepler_equation_q(p0, q0, gamma, tau):
     """q at each time ``tau`` of the standard bound orbit q' = p,
     p' = -gamma q / |q|^3 from (p0, q0): Kepler's equation E - e sin E = M
