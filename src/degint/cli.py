@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 any flag in the report's
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -49,6 +50,16 @@ _KINDS = {int: ((int,), "an integer"), float: ((int, float), "a finite real numb
 
 # The most steps a fixed-step run may take; the defaults take at most 500.
 _STEP_BUDGET = 100_000
+
+# The widest |q| and 1/|q| ``relativistic-ruijsenaars`` takes at n >= 2.  Its
+# consistency matrix x_j - x_i/q differs from x_j in row j by at most
+# s/|q| relative, s = max|x| / min|x| the sample's spread, so past
+# |q| = s/eps (eps = 2^-52) every row is one repeated value to working
+# precision, and below eps/s every column is: the matrix is singular by
+# construction.  Every x drawn is exp(0.4 (re + i im)) scaled to product 1,
+# so s < 2^8 unless two normals of a sample lie 13.9 apart; at seeds 0-39 s
+# is at most 15.6.  Hence 2^52 * 2^8.
+_Q_BOUND = 2.0 ** 60
 
 
 @dataclass
@@ -110,6 +121,9 @@ class ScenarioConfig:
         if "dt" in spec.options and self.t_max > _STEP_BUDGET * self.dt:
             raise ValueError(f"t-max / dt must not exceed the budget of {_STEP_BUDGET} "
                              f"fixed steps, got t-max {self.t_max:g} and dt {self.dt:g}")
+        for holds, message in spec.rules:
+            if not holds(self):
+                raise ValueError(message)
 
 
 @dataclass
@@ -238,8 +252,9 @@ def _flow_report(traj, capped, plotted, rows=None):
     times, values = traj.times[::stride], report.values[::stride]
     return ScenarioResult(
         columns={"t": times},
-        drifts=list(zip(report.names, report.max_abs_drift, report.max_rel_drift, caps)),
-        flags=list(report.flags),
+        drifts=list(zip([o.name for o in observables], report.max_abs_drift,
+                        report.max_rel_drift, caps)),
+        flags=list(traj.flags),
         svg_series={o.name: (times, values[:, i].real)
                     for i, o in enumerate(observables[:plotted])},
         metrics=_integrator_metrics([traj])), values
@@ -457,12 +472,15 @@ def _scenario_duality_check(cfg: ScenarioConfig) -> ScenarioResult:
 @dataclass(frozen=True)
 class _Scenario:
     """A scenario's runner and description, the options it reads with their
-    defaults, and the [lo, hi] of the n it runs at (never clamped)."""
+    defaults, the [lo, hi] of the n it runs at (never clamped), and its
+    rules: (holds, message) pairs, each a test of the whole config that
+    ``validate`` rejects with the message when it fails."""
 
     run: Callable[[ScenarioConfig], ScenarioResult]
     description: str
     options: dict
     n_range: tuple = (1, 8)
+    rules: tuple = ()
 
 
 _SCENARIOS = {
@@ -471,7 +489,9 @@ _SCENARIOS = {
         {"t_max": 2 * np.pi, "tol": 1e-10}),
     "cm-rational": _Scenario(
         _scenario_cm_rational, "central flow on the cotangent pair; joint-invariant drifts",
-        {"n": 3, "t_max": 1.0, "samples": 8, "kappa": 0.3 + 0.0j}, (2, 8)),
+        {"n": 3, "t_max": 1.0, "samples": 8, "kappa": 0.3 + 0.0j}, (2, 8),
+        # h_cm is the real-form Hamiltonian
+        ((lambda cfg: cfg.kappa.imag == 0, "kappa must be real for cm-rational"),)),
     "ruijsenaars-rational": _Scenario(
         _scenario_ruijsenaars_rational, "rank-1 oracle sweep; closed forms vs dense solves",
         {"n": 3, "samples": 50, "kappa": 0.3 + 0.0j}),
@@ -483,7 +503,10 @@ _SCENARIOS = {
     "relativistic-ruijsenaars": _Scenario(
         _scenario_relativistic_ruijsenaars,
         "rank-1 reduction and tr(y) flow; second-projection drifts",
-        {"n": 2, "t_max": 0.5, "dt": 1e-3, "samples": 10, "q": 1.3 + 0.0j}),
+        {"n": 2, "t_max": 0.5, "dt": 1e-3, "samples": 10, "q": 1.3 + 0.0j},
+        rules=((lambda cfg: cfg.n == 1 or 1 / _Q_BOUND <= math.hypot(cfg.q.real, cfg.q.imag)
+                <= _Q_BOUND, "|q| must lie in [2^-60, 2^60] for n >= 2: past either "
+                "end the consistency matrix is singular to working precision"),)),
     "factorization-flow": _Scenario(
         _scenario_factorization_flow, "exact flow vs bivector integration; conservation",
         {"n": 3, "t_max": 0.1, "dt": 1e-3}, (2, 8)),

@@ -34,20 +34,18 @@ class Trajectory:
 
 @dataclass
 class ConservationReport:
-    """Per-trajectory record of conserved-quantity drift.
+    """Per-trajectory record of conserved-quantity drift, in the order of
+    the observables ``monitor`` was given.
 
     ``values[s, o]`` is observable ``o`` at stored state ``s``, evaluated
     once; callers that tabulate or plot the observables read it rather than
     evaluating them again.  ``max_rel_drift`` scales each drift by
-    max(1, |initial value|).  Flags are inherited from the trajectory
-    (collision, factorization-divisor, tolerance-failure).
+    max(1, |initial value|).
     """
 
-    names: tuple
     values: np.ndarray           # (states, observables)
     max_abs_drift: np.ndarray
     max_rel_drift: np.ndarray
-    flags: tuple
 
 
 # Butcher tableau of an explicit Runge-Kutta method; ``b_low`` holds the
@@ -196,8 +194,7 @@ def monitor(trajectory: Trajectory,
     value per state, shape ``(states,)``, or a 0-d constant, which is
     broadcast; any other shape raises ``ValueError`` naming it.
     """
-    names = tuple(o.name for o in observables)
-    if len(set(names)) != len(names):
+    if len({o.name for o in observables}) != len(observables):
         raise ValueError("observable names must be unique")
     m = len(trajectory.states)
     values = np.empty((m, len(observables)), dtype=complex)
@@ -210,10 +207,4 @@ def monitor(trajectory: Trajectory,
     drift = np.abs(values - initial[None, :])
     max_abs = drift.max(axis=0)
     max_rel = max_abs / np.maximum(1.0, np.abs(initial))
-    return ConservationReport(
-        names=names,
-        values=values,
-        max_abs_drift=max_abs,
-        max_rel_drift=max_rel,
-        flags=trajectory.flags,
-    )
+    return ConservationReport(values=values, max_abs_drift=max_abs, max_rel_drift=max_rel)

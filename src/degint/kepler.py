@@ -26,13 +26,10 @@ import numpy as np
 
 from .config import TOL
 from .errors import SingularChartPoint
-from .integrate import (
-    FLAG_COLLISION,
-    Trajectory,
-    adaptive,
-    monitor,
-    rk4,
-)
+from .integrate import FLAG_COLLISION, Trajectory, adaptive
+# read nowhere here: perfbench/test_perfbench.py::BINDING_SITES pins these
+# two bindings, and a binding site needs a name, not a route
+from .integrate import monitor, rk4  # noqa: F401
 from .poisson import Observable, chart_canonical
 
 QUADRATIC_RELATION_SIGN = +1
@@ -143,44 +140,12 @@ def _collision_guard(z) -> str:
     return None
 
 
-def orbit_conservation_report(state0: KeplerState, t_max: float, tol: float):
-    """Integrate the orbit adaptively and report drifts of M, A, H.
-
-    The flags are the trajectory's: ``collision`` for an accepted state with
-    |q| below ``TOL.collision_radius``, where integration stops.  A fall into
-    the origin stops before that with ``tolerance-failure``, its step
-    underflowing at |q| of 4e-9 to 2e-8 for every tol a scenario admits.
-    """
-    return monitor(integrate_orbit(state0, t_max, tol), kepler_observables(state0.gamma))
-
-
 def integrate_orbit(state0: KeplerState, t_max: float, tol: float) -> Trajectory:
+    """The adaptive orbit from ``state0``.  It stops with the flag
+    ``collision`` at an accepted state with |q| below ``TOL.collision_radius``.
+    A fall into the origin stops before that with ``tolerance-failure``, its
+    step underflowing at |q| of 4e-9 to 2e-8 for every tol a scenario admits.
+    """
     H = kepler_observables(state0.gamma)[-1]
     return adaptive(chart_canonical(3), H, state0.as_point(), t_max, tol,
                     guard=_collision_guard)
-
-
-def radial_period(state0: KeplerState, t_max: float, dt: float = None) -> float:
-    """Radial period detected from sign changes of p.q along a fine rk4 orbit.
-
-    Uses successive downward-to-upward crossings of the apsis function
-    p.q = d(|q|^2)/dt / 2, refined by linear interpolation on a dense grid.
-    Only meaningful for bound orbits.
-    """
-    E = hamiltonian(state0.p, state0.q, state0.gamma)
-    if E >= 0:
-        raise ValueError("radial period needs a bound orbit (E < 0)")
-    T_est = 2.0 * np.pi * state0.gamma / (2.0 * abs(E)) ** 1.5
-    if dt is None:
-        dt = T_est / 4000.0
-    H = kepler_observables(state0.gamma)[-1]
-    traj = rk4(chart_canonical(3), H, state0.as_point(), min(t_max, 2.5 * T_est), dt,
-               guard=_collision_guard)
-    ts = traj.times
-    pq = np.real(np.einsum("ij,ij->i", traj.states[:, :3], traj.states[:, 3:]))
-    i = np.flatnonzero((pq[:-1] < 0.0) & (0.0 <= pq[1:])) + 1
-    frac = -pq[i - 1] / (pq[i] - pq[i - 1])
-    crossings = ts[i - 1] + frac * (ts[i] - ts[i - 1])
-    if len(crossings) < 2:
-        raise RuntimeError("fewer than two perihelion passages detected")
-    return crossings[1] - crossings[0]

@@ -341,13 +341,14 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("scenario,flag", TAKEN)
     def test_declared_option_is_taken(self, scenario, flag):
-        cfg = _config_from_args(_build_parser().parse_args(
-            ["--scenario", scenario, flag, FLAG_VALUES[flag]]))
+        # cm-rational's coupling is real, so it takes --kappa-im at zero alone
+        given = "-0.0" if (scenario, flag) == ("cm-rational", "--kappa-im") else FLAG_VALUES[flag]
+        cfg = _config_from_args(_build_parser().parse_args(["--scenario", scenario, flag, given]))
         cfg.validate()
         key = _key(flag)
         part = {"_re": "real", "_im": "imag"}.get(key[-3:])
         value = getattr(getattr(cfg, key[:-3]), part) if part else getattr(cfg, key)
-        assert value == float(FLAG_VALUES[flag])
+        assert value == float(given)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("scenario,flag", REFUSED)
@@ -576,29 +577,64 @@ class TestExitCodes:
         assert err.startswith("numerical failure: (phi, psi) must equal")
         assert "Traceback" not in err
 
-    def test_complex_coupling_is_a_numerical_failure(self, tmp_path, capsys):
-        """A kappa off the real axis leaves an imaginary residue in the
-        real-form rank-1 Hamiltonian: exit 2 with the flag of the library
-        error and the report written, not a traceback."""
+    @pytest.mark.parametrize("kappa_im", ["0.5", "1e-9", "1e-11", "-1e-300", "1e160"])
+    def test_a_complex_coupling_is_an_invalid_configuration(self, tmp_path, capsys, kappa_im):
+        """``cm-rational`` evaluates the real-form Hamiltonian, so any kappa
+        off the real axis exits 1 before running, however small its
+        imaginary part, and writes nothing."""
         out = tmp_path / "r.json"
-        assert main(["--scenario", "cm-rational", "--kappa-im", "0.5",
-                     "--out-json", str(out)]) == 2
-        assert json.loads(out.read_text())["flags"] == ["numerical-failure:ConstraintViolation"]
+        assert main(["--scenario", "cm-rational", f"--kappa-im={kappa_im}",
+                     "--out-json", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "numerical failure: imaginary residue in the real-form Hamiltonian\n")
+            "invalid configuration: kappa must be real for cm-rational\n")
+        assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--kappa-re", "--kappa-im"])
-    def test_an_overflowing_coupling_is_a_numerical_failure(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("kappa", [0.3, 0.3 + 0j, 0.3 - 0j, complex(0.3, -0.0)])
+    def test_a_real_coupling_is_taken_in_any_number_type(self, kappa):
+        """The other side of the edge: an imaginary part of zero, of either
+        sign, or none at all."""
+        ScenarioConfig(scenario="cm-rational", kappa=kappa).validate()
+
+    def test_an_overflowing_coupling_is_a_numerical_failure(self, tmp_path, capsys):
         """kappa = 1e160 overflows kappa^2 and the spin products mu_ij mu_ji,
         so the Hamiltonians are not finite: exit 2 with the flag of the
         library error and the report written, not an OverflowError, and no
         overflow warning."""
         out = tmp_path / "r.json"
-        assert main(["--scenario", "cm-rational", flag, "1e160",
+        assert main(["--scenario", "cm-rational", "--kappa-re", "1e160",
                      "--out-json", str(out)]) == 2
         assert json.loads(out.read_text())["flags"] == ["numerical-failure:NonFiniteMatrixError"]
         assert capsys.readouterr().err.startswith(
             "numerical failure: spin Hamiltonian is not finite")
+
+    @pytest.mark.parametrize("q", [2.0 ** 60, 2.0 ** -60, -(2.0 ** 60), 2.0 ** 60 * 1j,
+                                   complex(2.0 ** 59, 2.0 ** 59)])
+    def test_q_at_the_singular_bound_is_taken(self, q):
+        """|q| = 2^60 and 2^-60 themselves lie inside ``cli._Q_BOUND``."""
+        ScenarioConfig(scenario="relativistic-ruijsenaars", q=q).validate()
+
+    @pytest.mark.parametrize("q", [np.nextafter(2.0 ** 60, np.inf),
+                                   np.nextafter(2.0 ** -60, 0.0), 2.0 ** 60 * (1 + 1j),
+                                   -1e300j, complex(1e-300, -1e-300), 1.7e308 + 1.7e308j])
+    def test_q_past_the_singular_bound_exits_1(self, tmp_path, capsys, q):
+        """Past |q| = 2^60, or below 2^-60, the consistency matrix is singular
+        to working precision for every draw, so n = 2 exits 1 before its
+        solve can fail, and writes nothing."""
+        out = tmp_path / "r.json"
+        q = complex(q)
+        assert main(["--scenario", "relativistic-ruijsenaars", f"--q-re={q.real!r}",
+                     f"--q-im={q.imag!r}", "--out-json", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("invalid configuration: |q| must lie in")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q", ["1e20", "1e-20", "1e300"])
+    def test_q_past_the_bound_is_taken_at_n_1(self, tmp_path, q):
+        """A 1 x 1 consistency matrix x (1 - 1/q) is never singular for
+        q != 1, so n = 1 takes any nonzero q and its report passes."""
+        out = tmp_path / "r.json"
+        assert main(["--scenario", "relativistic-ruijsenaars", "--n", "1", "--q-re", q,
+                     "--t-max", "0.01", "--out-json", str(out)]) == 0
+        assert json.loads(out.read_text())["flags"] == []
 
     @pytest.mark.parametrize("t_max", ["1e-15", "1e-300"])
     def test_a_horizon_below_the_step_floor_is_one_step(self, tmp_path, t_max):

@@ -12,14 +12,6 @@ PACKAGE = Path(degint.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
-# Exports that neither another src function nor the acceptance tests read.
-EXEMPT = {
-    "kepler.radial_period":
-        "the only reader of kepler.rk4, a binding the perfbench tracer test pins",
-    "kepler.orbit_conservation_report":
-        "the only reader of kepler.monitor, a binding the perfbench tracer test pins",
-}
-
 
 def _defined_name(top):
     """The name a top-level statement defines: a function's or a class's, an
@@ -58,8 +50,8 @@ def _public(module) -> dict:
 
 def test_every_export_has_a_reader():
     """Each public function or class of a module is read by a src
-    definition other than its own, or by ``tests/test_acceptance.py``; the
-    exemptions are exactly the ones listed, each with its reason."""
+    definition other than its own, or by ``tests/test_acceptance.py``.
+    There are no exemptions."""
     reads = {(name, (stem, top)) for stem in MODULES
              for name, (top, _), _ in _reads(PACKAGE / f"{stem}.py")}
     acceptance = {name for name, _, _ in _reads(ACCEPTANCE)}
@@ -71,7 +63,7 @@ def test_every_export_has_a_reader():
                 continue
             if not any(read == name and site != (stem, name) for read, site in reads):
                 unread.add(f"{stem}.{name}")
-    assert unread == set(EXEMPT)
+    assert unread == set()
 
 
 def test_every_private_definition_has_a_reader():

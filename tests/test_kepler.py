@@ -14,14 +14,14 @@ import pytest
 from degint import cli, integrate, kepler, poisson
 from degint.config import TOL
 from degint.errors import SingularChartPoint
+from degint.integrate import monitor
 from degint.kepler import (
     LENZ_LENZ_SIGN,
     QUADRATIC_RELATION_SIGN,
     KeplerState,
     hamiltonian,
+    integrate_orbit,
     kepler_observables,
-    orbit_conservation_report,
-    radial_period,
 )
 from degint.poisson import bracket, chart_canonical
 
@@ -331,23 +331,13 @@ class TestLevelSurfaces:
 class TestOrbits:
     def test_circular_orbit_conservation(self):
         s = KeplerState(p=[0.0, 1.0, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
-        rep = orbit_conservation_report(s, t_max=2 * np.pi, tol=1e-10)
-        assert rep.max_abs_drift.max() < 1e-8
-        assert not any(f == "collision" for f in rep.flags)
-
-    def test_elliptical_radial_period(self):
-        """Detected radial period vs 2 pi gamma / (2|E|)^{3/2}; the formula
-        itself was verified against an independent leapfrog simulation."""
-        s = KeplerState(p=[0.0, 0.8, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
-        E = projection(s).H
-        T_formula = 2 * np.pi * s.gamma / (2 * abs(E)) ** 1.5
-        T = radial_period(s, t_max=3 * T_formula)
-        assert T == pytest.approx(T_formula, rel=1e-6)
+        traj = integrate_orbit(s, t_max=2 * np.pi, tol=1e-10)
+        assert traj.flags == ()
+        assert monitor(traj, kepler_observables(s.gamma)).max_abs_drift.max() < 1e-8
 
     def test_circular_orbit_closes_after_one_period(self):
         """Unit circular orbit has period 2 pi; the adaptive trajectory must
         return to its start within 1e-8."""
-        from degint.kepler import integrate_orbit
         s = KeplerState(p=[0.0, 1.0, 0.0], q=[1.0, 0.0, 0.0], gamma=1.0)
         traj = integrate_orbit(s, t_max=2 * np.pi, tol=1e-10)
         assert np.abs(traj.final - traj.states[0]).max() < 1e-8
@@ -355,17 +345,8 @@ class TestOrbits:
     def test_scattering_state_conservation(self):
         s = KeplerState(p=[0.0, 1.6, 0.0], q=[1.0, 0.2, 0.0], gamma=1.0)
         assert projection(s).H > 0
-        rep = orbit_conservation_report(s, t_max=10.0, tol=1e-10)
+        rep = monitor(integrate_orbit(s, t_max=10.0, tol=1e-10), kepler_observables(s.gamma))
         assert rep.max_abs_drift.max() < 1e-8
-
-    @pytest.mark.parametrize("p,flagged", [([0.0, 1.0, 0.0], False), ([0.0, 0.0, 0.0], True)])
-    def test_report_flags_are_the_trajectory_flags(self, p, flagged):
-        """The report adds no flag of its own: a circular orbit has none, a
-        radial fall into the origin stops with its trajectory's."""
-        s = KeplerState(p=p, q=[1.0, 0.0, 0.0], gamma=1.0)
-        traj = kepler.integrate_orbit(s, 2.0, 1e-9)
-        assert bool(traj.flags) is flagged
-        assert orbit_conservation_report(s, 2.0, 1e-9).flags == traj.flags
 
 
 class TestRadialFall:

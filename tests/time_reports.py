@@ -15,16 +15,17 @@ as two runs can.  Pair i runs the workload's argv, read from
 ``perfbench/workloads.py``, at its pool seed ``SEED_STRIDE * (i mod 20)``
 in both trees: the other tree first in even pairs, this tree first in odd
 ones.  One untimed report per tree comes first.  The output is one line
-per workload: the summed time ratio (this / other), the median pair ratio
-and the pairs this tree won, then each tree's median and quartiles of
-report seconds, and the difference of the medians beside the other tree's
-interquartile spread.  The line ends with a verdict: ``gain`` when this
-tree wins at least nine tenths of the pairs and its median is below the
-other's by more than that spread; ``slower beyond the bound`` when this
-tree's reports per second, 1 / its median, fall below the other's by more
-than the ``reports_per_s`` bound of ``BENCHMARK.json``; ``unresolved``
-otherwise.  The reports' seeds vary their work, so the spread holds the
-seeds' spread too.
+per workload: the summed time ratio (this / other), the quartiles of the
+pair ratios (this tree's report time over the other's, one per pair) and
+the pairs this tree won, then each tree's median report time.  The line
+ends with a verdict, decided on the pair ratios: ``gain`` when this tree
+wins at least nine tenths of the pairs and the median ratio lies below 1
+by more than the ratios' interquartile range; ``slower beyond the bound``
+when the median ratio exceeds 1 / (1 - bound), so that this tree's reports
+per second fall below the other's by more than the ``reports_per_s`` bound
+of ``BENCHMARK.json``; ``unresolved`` otherwise.  Both sides of a pair run
+the same seed back to back, so a ratio cancels the seeds' spread of work
+and the host's slower stretches, which the raw times of either tree hold.
 
 A report that exits nonzero or writes a flag fails, and failing fast
 would read as fast.  So the line also gives each tree's failed reports,
@@ -74,13 +75,12 @@ def report(cli, argv, out: Path):
     return seconds, code != 0 or bool(json.loads(out.with_suffix(".json").read_text())["flags"])
 
 
-def verdict(quartiles, won, pairs, bound) -> str:
-    """The verdict of the module docstring, from each tree's quartiles of
-    report seconds and the pairs this tree won."""
-    other, this = quartiles["other"], quartiles["this"]
-    if won >= 0.9 * pairs and other[1] - this[1] > other[2] - other[0]:
+def verdict(ratios, bound) -> str:
+    """The verdict of the module docstring, from the pair ratios."""
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    if sum(r < 1 for r in ratios) >= 0.9 * len(ratios) and 1.0 - median > q3 - q1:
         return "gain"
-    if 1.0 / this[1] < (1.0 - bound) / other[1]:
+    if median > 1.0 / (1.0 - bound):
         return "slower beyond the bound"
     return "unresolved"
 
@@ -114,21 +114,17 @@ def main():
                     failed[name] += fail
             other, this = seconds["other"], seconds["this"]
             ratios = [b / a for a, b in zip(other, this)]
-            won = sum(r < 1 for r in ratios)
-            quartiles = {name: statistics.quantiles(seconds[name], n=4) for name in NAMES}
-            spread = quartiles["other"][2] - quartiles["other"][0]
+            q1, median, q3 = statistics.quantiles(ratios, n=4)
             print(f"{workload}, {args.pairs} pairs: summed {sum(this) / sum(other) - 1:+.1%}, "
-                  f"median pair ratio {statistics.median(ratios):.3f}, "
-                  f"this tree faster in {won}/{args.pairs}; "
-                  "report ms, median [quartiles]: " + ", ".join(
-                      f"{name} {1e3 * q[1]:.2f} [{1e3 * q[0]:.2f}, {1e3 * q[2]:.2f}]"
-                      for name, q in quartiles.items())
-                  + f"; medians differ by {1e3 * (quartiles['other'][1] - quartiles['this'][1]):.2f}"
-                  f" against the other's interquartile spread {1e3 * spread:.2f}; "
-                  f"failed reports: other {failed['other']}, this {failed['this']}; "
+                  f"pair ratio median {median:.3f} [quartiles {q1:.3f}, {q3:.3f}; "
+                  f"interquartile range {q3 - q1:.3f}], "
+                  f"this tree faster in {sum(r < 1 for r in ratios)}/{args.pairs}; "
+                  "median report ms: " + ", ".join(
+                      f"{name} {1e3 * statistics.median(seconds[name]):.2f}" for name in NAMES)
+                  + f"; failed reports: other {failed['other']}, this {failed['this']}; "
                   + ("comparison invalid: the trees' failed reports differ"
                      if failed["other"] != failed["this"]
-                     else f"verdict: {verdict(quartiles, won, args.pairs, bound)}"), flush=True)
+                     else f"verdict: {verdict(ratios, bound)}"), flush=True)
 
 
 if __name__ == "__main__":
